@@ -795,19 +795,9 @@ let longitudinal () =
         Measure.measure_all ~epoch:World.May_2025 world)
   in
   Printf.printf "(2025 world measured in %.1fs)\n" seconds;
-  (* The incremental path returns a comparison bit-identical to
-     Longitudinal.compare (the store phase asserts it); the churn stats
-     say how much of the delta work the toplist churn actually forced. *)
-  let cmp, churn =
-    Webdep.Longitudinal.compare_incremental ~focus:"Cloudflare" ~old_ds:ds ~new_ds:ds25
-      Hosting
+  let cmp =
+    Webdep.Longitudinal.compare ~focus:"Cloudflare" ~old_ds:ds ~new_ds:ds25 Hosting
   in
-  Printf.printf
-    "churn: %d kept (%d relabelled), %d added, %d removed; provider support changed \
-     in %d/%d countries\n"
-    churn.Webdep.Longitudinal.kept churn.Webdep.Longitudinal.relabelled
-    churn.Webdep.Longitudinal.added churn.Webdep.Longitudinal.removed
-    churn.Webdep.Longitudinal.support_changed_countries churn.Webdep.Longitudinal.countries;
   Printf.printf "rho(S 2023, S 2025) = %.4f (paper: %.2f)\n"
     cmp.Webdep.Longitudinal.rho.Correlation.rho Anecdotes.rho_longitudinal;
   let ru = List.find (fun d -> d.Webdep.Longitudinal.country = "RU") cmp.Webdep.Longitudinal.deltas in
@@ -1476,13 +1466,13 @@ let kernels () =
 
 (* ========================================================================
    Store (always run): the measurement store's warm-vs-cold cost and the
-   incremental longitudinal path.  Self-contained — a fresh store is
+   incremental rescore under small churn.  Self-contained — a fresh store is
    filled by a cold 2023+2025 measurement of the fixed sample, then the
    same measurements run again warm, so the other phases' timings stay
    comparable with earlier baselines.  CI asserts on the "store" object:
    warm must be at least 2x faster than cold, datasets (and the exported
    scores CSV) byte-identical, results invariant under --jobs, and the
-   incremental comparison equal to the full one.
+   incremental rescore equal to a full re-tally.
    ======================================================================== *)
 
 module Store = Webdep_store.Store
@@ -1490,7 +1480,7 @@ module Store = Webdep_store.Store
 let store_json : (string * Json.t) list ref = ref []
 
 let store_phase () =
-  section "Store" "measurement store: warm-vs-cold sweeps, incremental longitudinal";
+  section "Store" "measurement store: warm-vs-cold sweeps, incremental rescore";
   let sample = [ "US"; "RU"; "BR"; "DE"; "JP"; "IN"; "FR"; "TH" ] in
   let counter name = Obs_metrics.value (Obs_metrics.counter name) in
   let st = Store.create ~fingerprint:(Measure.store_fingerprint world) () in
@@ -1540,30 +1530,9 @@ let store_phase () =
     cold_misses warm_hits;
   if not (identical && csv_identical && jobs_invariant) then
     prerr_endline "webdep bench: WARNING: store-backed measurement differs from cold";
-  let cmp_full, full_s =
-    Span.timed ~name:"bench.store.compare_full" (fun () ->
-        Webdep.Longitudinal.compare ~focus:"Cloudflare" ~old_ds:cold23 ~new_ds:cold25
-          Hosting)
-  in
-  let (cmp_incr, churn), incr_s =
-    Span.timed ~name:"bench.store.compare_incremental" (fun () ->
-        Webdep.Longitudinal.compare_incremental ~focus:"Cloudflare" ~old_ds:cold23
-          ~new_ds:cold25 Hosting)
-  in
-  let compare_identical = cmp_full = cmp_incr in
-  Printf.printf
-    "longitudinal: full compare %.4fs, incremental %.4fs (x%.2f), identical: %b \
-     (%d kept / %d relabelled / %d added / %d removed)\n"
-    full_s incr_s (full_s /. incr_s) compare_identical
-    churn.Webdep.Longitudinal.kept churn.Webdep.Longitudinal.relabelled
-    churn.Webdep.Longitudinal.added churn.Webdep.Longitudinal.removed;
-  if not compare_identical then
-    prerr_endline "webdep bench: WARNING: incremental comparison differs from full";
-  (* Small-churn recomputation: the epoch comparison above relabels most
-     kept domains, so the delta path does nearly full work there.  Churn
-     2% of each country's sites instead and recompute every country's
-     score — maintained-tally delta vs full re-tally from the edited
-     site lists, values asserted equal. *)
+  (* Small-churn recomputation: churn 2% of each country's sites and
+     recompute every country's score — maintained-tally delta vs full
+     re-tally from the edited site lists, values asserted equal. *)
   let inc = Webdep_store.Incremental.create cold23 Hosting in
   List.iter (fun cc -> ignore (Webdep_store.Incremental.score inc cc)) sample;
   let deltas =
@@ -1619,15 +1588,6 @@ let store_phase () =
       ("jobs_invariant", Json.Bool jobs_invariant);
       ("cold_misses", Json.Int cold_misses);
       ("warm_hits", Json.Int warm_hits);
-      ("compare_full_s", Json.Float full_s);
-      ("compare_incremental_s", Json.Float incr_s);
-      ("compare_identical", Json.Bool compare_identical);
-      ("churn_kept", Json.Int churn.Webdep.Longitudinal.kept);
-      ("churn_relabelled", Json.Int churn.Webdep.Longitudinal.relabelled);
-      ("churn_added", Json.Int churn.Webdep.Longitudinal.added);
-      ("churn_removed", Json.Int churn.Webdep.Longitudinal.removed);
-      ( "support_changed_countries",
-        Json.Int churn.Webdep.Longitudinal.support_changed_countries );
       ("churn_full_s", Json.Float churn_full_s);
       ("churn_incremental_s", Json.Float churn_incr_s);
       ("churn_rescore_identical", Json.Bool churn_identical);

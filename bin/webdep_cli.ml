@@ -362,16 +362,9 @@ let run_longitudinal () seed c countries top store =
     ( Measure.measure_all ?countries ?store world,
       Measure.measure_all ~epoch:World.May_2025 ?countries ?store world )
   in
-  let cmp, churn =
-    Webdep.Longitudinal.compare_incremental ~focus:"Cloudflare" ~old_ds:ds23
-      ~new_ds:ds25 Hosting
+  let cmp =
+    Webdep.Longitudinal.compare ~focus:"Cloudflare" ~old_ds:ds23 ~new_ds:ds25 Hosting
   in
-  Logs.info (fun m ->
-      m "churn: %d kept (%d relabelled), %d added, %d removed; support changed in %d/%d countries"
-        churn.Webdep.Longitudinal.kept churn.Webdep.Longitudinal.relabelled
-        churn.Webdep.Longitudinal.added churn.Webdep.Longitudinal.removed
-        churn.Webdep.Longitudinal.support_changed_countries
-        churn.Webdep.Longitudinal.countries);
   Printf.printf "rho = %.3f, mean jaccard = %.3f, Cloudflare %+.1f pts\n"
     cmp.Webdep.Longitudinal.rho.Webdep_stats.Correlation.rho
     cmp.Webdep.Longitudinal.mean_jaccard
@@ -1105,9 +1098,9 @@ let epochs_cmd =
           snapshots: the 2023 sweep seeds the baseline and each epoch \
           retires a deterministic fraction of every country's sites, \
           admitting replacements drawn from the 2025 sweep.  The log is \
-          an append-only JSON-lines segment (dictionary-compressed \
-          baseline, per-epoch churn records, commit markers) that \
-          recovers from torn tails and half-appended epochs.";
+          an append-only segment of CRC-framed records (the baseline, \
+          per-epoch churn records, commit records) that recovers from \
+          torn tails and half-appended epochs.";
       `P "Replay folds each epoch through the per-layer incremental \
           tallies, so advancing an epoch costs O(churn) rather than a \
           full re-sweep, and prints per-country score trends \

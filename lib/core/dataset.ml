@@ -436,27 +436,6 @@ module Tally = struct
     List.iter (fun s -> ignore (add_site t layer s)) sites;
     t
 
-  (* Re-interning in ascending id order reproduces the exact id
-     assignment, so the copy is indistinguishable from the original. *)
-  let copy t =
-    let n = Symbol.count t.syms in
-    let out = tally_create () in
-    for id = 0 to n - 1 do
-      let e = t.entities.(id) in
-      let id' = Symbol.intern out.syms (key e) in
-      if id' = Array.length out.counts then begin
-        let counts = Array.make (2 * id') 0 in
-        Array.blit out.counts 0 counts 0 id';
-        out.counts <- counts;
-        let entities = Array.make (2 * id') dummy_entity in
-        Array.blit out.entities 0 entities 0 id';
-        out.entities <- entities
-      end;
-      out.entities.(id') <- e;
-      out.counts.(id') <- t.counts.(id)
-    done;
-    out
-
   let support t =
     let n = ref 0 in
     for id = 0 to Symbol.count t.syms - 1 do
@@ -475,14 +454,6 @@ module Tally = struct
     let cs = List.map snd (counts t) in
     if cs = [] then raise Not_found;
     Webdep_emd.Dist.of_positive_counts (Array.of_list cs)
-
-  let name_count t name =
-    let acc = ref 0 in
-    for id = 0 to Symbol.count t.syms - 1 do
-      if t.counts.(id) > 0 && String.equal t.entities.(id).name name then
-        acc := !acc + t.counts.(id)
-    done;
-    !acc
 
   let home_count t cc =
     let acc = ref 0 in

@@ -133,9 +133,6 @@ module Tally : sig
   val of_sites : site list -> layer -> t
   (** Tally the layer labels of [sites]; unlabelled sites are skipped. *)
 
-  val copy : t -> t
-  (** Independent deep copy (same ids, same counts). *)
-
   val add : t -> entity -> bool
   (** Count one more website for the entity.  Returns [true] iff the
       support set grew (count went 0 to 1). *)
@@ -162,9 +159,6 @@ module Tally : sig
   val distribution : t -> Webdep_emd.Dist.t
   (** Distribution over {!counts}, bit-identical to {!distribution} on
       the equivalent site list.  @raise Not_found if empty. *)
-
-  val name_count : t -> string -> int
-  (** Total websites across entities with the given name. *)
 
   val home_count : t -> string -> int
   (** Total websites whose entity's home country is the given code (the

@@ -16,36 +16,10 @@ type comparison = {
 
 let domains cd = List.map (fun s -> s.Dataset.domain) cd.Dataset.sites
 
-let common_countries ~old_ds ~new_ds =
-  List.filter (fun cc -> Dataset.country new_ds cc <> None) (Dataset.countries old_ds)
-
-(* Aggregation tail shared by the full and incremental comparisons: the
-   per-country deltas fully determine the comparison, so both paths end
-   identically. *)
-let finish ~focus deltas =
-  let olds = Array.of_list (List.map (fun d -> d.old_score) deltas) in
-  let news = Array.of_list (List.map (fun d -> d.new_score) deltas) in
-  let rho = Webdep_stats.Correlation.pearson olds news in
-  let mean_jaccard =
-    Webdep_stats.Descriptive.mean
-      (Array.of_list (List.map (fun d -> d.jaccard) deltas))
-  in
-  let focus_mean_delta =
-    match focus with
-    | None -> None
-    | Some _ ->
-        Some
-          (Webdep_stats.Descriptive.mean
-             (Array.of_list
-                (List.filter_map (fun d -> Option.map snd d.top_entity_delta) deltas)))
-  in
-  let deltas =
-    List.sort (fun a b -> Stdlib.compare (Float.abs b.delta) (Float.abs a.delta)) deltas
-  in
-  { deltas; rho; mean_jaccard; focus_mean_delta }
-
 let compare ?focus ~old_ds ~new_ds layer =
-  let common = common_countries ~old_ds ~new_ds in
+  let common =
+    List.filter (fun cc -> Dataset.country new_ds cc <> None) (Dataset.countries old_ds)
+  in
   if List.length common < 3 then invalid_arg "Longitudinal.compare: too few common countries";
   let deltas =
     List.map
@@ -69,104 +43,26 @@ let compare ?focus ~old_ds ~new_ds layer =
           top_entity_delta })
       common
   in
-  finish ~focus deltas
-
-type churn_stats = {
-  countries : int;
-  kept : int;
-  relabelled : int;
-  added : int;
-  removed : int;
-  support_changed_countries : int;
-}
-
-let compare_incremental ?focus ~old_ds ~new_ds layer =
-  let common = common_countries ~old_ds ~new_ds in
-  if List.length common < 3 then
-    invalid_arg "Longitudinal.compare_incremental: too few common countries";
-  let kept = ref 0 and relabelled = ref 0 in
-  let added = ref 0 and removed = ref 0 and changed_ccs = ref 0 in
-  let deltas =
-    List.map
-      (fun cc ->
-        let old_cd = Dataset.country_exn old_ds cc in
-        let new_cd = Dataset.country_exn new_ds cc in
-        (* The old side is tallied once; the new side's tally is derived
-           from it by delta — only churned or relabelled sites touch it.
-           Canonical count ordering depends only on the tallied multiset,
-           so both scores are bit-identical to the full recomputation. *)
-        let old_tally = Dataset.Tally.of_sites old_cd.Dataset.sites layer in
-        let old_score =
-          Webdep_emd.Centralization.score (Dataset.Tally.distribution old_tally)
-        in
-        let old_by_domain = Hashtbl.create (List.length old_cd.Dataset.sites) in
-        List.iter
-          (fun (s : Dataset.site) -> Hashtbl.replace old_by_domain s.Dataset.domain s)
-          old_cd.Dataset.sites;
-        let tally = Dataset.Tally.copy old_tally in
-        let support_changed = ref false in
-        let mark b = if b then support_changed := true in
-        let in_new = Hashtbl.create (List.length new_cd.Dataset.sites) in
-        List.iter
-          (fun (s : Dataset.site) ->
-            Hashtbl.replace in_new s.Dataset.domain ();
-            match Hashtbl.find_opt old_by_domain s.Dataset.domain with
-            | Some old_s ->
-                incr kept;
-                (* A surviving domain can still change providers between
-                   epochs (2025 re-derives layer assignments): swap its
-                   label instead of re-tallying the country. *)
-                let oe = Dataset.entity_of old_s layer in
-                let ne = Dataset.entity_of s layer in
-                if oe <> ne then begin
-                  incr relabelled;
-                  (match oe with Some e -> mark (Dataset.Tally.remove tally e) | None -> ());
-                  match ne with Some e -> mark (Dataset.Tally.add tally e) | None -> ()
-                end
-            | None ->
-                incr added;
-                mark (Dataset.Tally.add_site tally layer s))
-          new_cd.Dataset.sites;
-        List.iter
-          (fun (old_s : Dataset.site) ->
-            if not (Hashtbl.mem in_new old_s.Dataset.domain) then begin
-              incr removed;
-              mark (Dataset.Tally.remove_site tally layer old_s)
-            end)
-          old_cd.Dataset.sites;
-        if !support_changed then incr changed_ccs;
-        let new_score =
-          Webdep_emd.Centralization.score (Dataset.Tally.distribution tally)
-        in
-        let jaccard =
-          Webdep_stats.Similarity.jaccard_strings (domains old_cd) (domains new_cd)
-        in
-        let top_entity_delta =
-          Option.map
-            (fun name ->
-              let total = List.length new_cd.Dataset.sites in
-              let new_share =
-                if total = 0 then 0.0
-                else
-                  float_of_int (Dataset.Tally.name_count tally name)
-                  /. float_of_int total
-              in
-              (name, new_share -. Dataset.entity_share old_ds layer cc ~name))
-            focus
-        in
-        { country = cc; old_score; new_score; delta = new_score -. old_score; jaccard;
-          top_entity_delta })
-      common
+  let olds = Array.of_list (List.map (fun d -> d.old_score) deltas) in
+  let news = Array.of_list (List.map (fun d -> d.new_score) deltas) in
+  let rho = Webdep_stats.Correlation.pearson olds news in
+  let mean_jaccard =
+    Webdep_stats.Descriptive.mean
+      (Array.of_list (List.map (fun d -> d.jaccard) deltas))
   in
-  ( finish ~focus deltas,
-    {
-      countries = List.length common;
-      kept = !kept;
-      relabelled = !relabelled;
-      added = !added;
-      removed = !removed;
-      support_changed_countries = !changed_ccs;
-    } )
+  let focus_mean_delta =
+    match focus with
+    | None -> None
+    | Some _ ->
+        Some
+          (Webdep_stats.Descriptive.mean
+             (Array.of_list
+                (List.filter_map (fun d -> Option.map snd d.top_entity_delta) deltas)))
+  in
+  let deltas =
+    List.sort (fun a b -> Stdlib.compare (Float.abs b.delta) (Float.abs a.delta)) deltas
+  in
+  { deltas; rho; mean_jaccard; focus_mean_delta }
 
 let largest_increase cmp =
   List.fold_left

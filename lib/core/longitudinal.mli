@@ -25,31 +25,6 @@ val compare :
     entity whose per-country share change is tracked (e.g.
     "Cloudflare"). *)
 
-type churn_stats = {
-  countries : int;  (** common countries compared *)
-  kept : int;  (** domains present in both snapshots *)
-  relabelled : int;  (** kept domains whose layer label changed *)
-  added : int;
-  removed : int;
-  support_changed_countries : int;
-      (** countries whose provider support set changed — the only ones
-          where an EMD formulation would need a full re-solve *)
-}
-
-val compare_incremental :
-  ?focus:string ->
-  old_ds:Dataset.t ->
-  new_ds:Dataset.t ->
-  Dataset.layer ->
-  comparison * churn_stats
-(** {!compare}, recomputing only churned sites: the new snapshot's
-    provider tallies are derived from the old ones by per-domain delta
-    (added/removed domains, plus kept domains whose label changed), and
-    scores are recomputed from the updated int-array tallies.  The
-    returned comparison is bit-identical to {!compare} on the same
-    inputs; the stats summarize how much churn the delta path
-    actually touched. *)
-
 val largest_increase : comparison -> country_delta
 val largest_decrease : comparison -> country_delta
 

@@ -1,38 +1,29 @@
 (* The append-only churn transaction log (tlog) behind multi-epoch
    replay.
 
-   On disk the log is a JSON-lines segment in the [Faults.Jsonl] mold —
-   a self-describing header line, then entry lines — in three parts:
+   On disk the log is a [Webdep_faults.Segment]:
 
-     header            {"schema":"webdep-epoch/1","base":K,"meta":{...}}
-     dict              {"kind":"dict","strings":[...]}
-     baseline          {"kind":"base","country":CC,"rows":[[ids...],...]}
-     per epoch         {"kind":"churn","epoch":E,"country":CC,
-                        "removed":[domains],"added":[site objects]}
-                       {"kind":"commit","epoch":E}
+     header       schema tag, base epoch, caller meta as a JSON string
+     baseline     one 'B' record per country (country, site list), the
+                  compacted head, closed by a commit for the base epoch
+     per epoch    'C' churn records (country, removed domains, added
+                  sites), closed by a 'K' commit record for the epoch
 
-   The baseline is the compacted head: every site of the base epoch,
-   dictionary-compressed (one shared string table, each site a row of
-   interned ids plus a flag word) so old epochs collapsed into it cost a
-   fraction of their raw churn-record footprint.  Each later epoch is
-   recorded as raw churn — removed domains and fully-measured added
-   sites (the [Checkpoint] site codec, shared with the store spill) —
-   closed by a commit marker.
-
-   Crash safety mirrors the rest of the persistence plane: [create] and
-   [write] go through [Jsonl.write_atomic] (temp + fsync + rename), and
-   [append] writes an epoch's churn lines before its commit marker and
-   fsyncs, so a writer killed mid-append leaves either a torn line
-   (dropped by the [Jsonl] fold) or a committed-marker-less suffix —
-   [load] discards any epoch without its commit, keeping the last
-   committed prefix intact. *)
+   Every write ends with a fixed-size commit record: 8 bytes of frame,
+   the tag and an 8-byte epoch, 17 bytes in all.  [create] and [write]
+   replace the file atomically; [append] first reads those trailing 17
+   bytes and refuses to extend a log that does not end in an intact
+   commit below the new epoch, so an append can never land after a torn
+   tail (where [load] would stop before it) or behind a later epoch.
+   [load] keeps the longest committed prefix: a torn or corrupt record,
+   or churn without its commit, drops the rest, and a log whose
+   baseline never committed is no log at all. *)
 
 module Json = Webdep_json
 module D = Webdep.Dataset
-module Jsonl = Webdep_faults.Jsonl
-module Checkpoint = Webdep_faults.Checkpoint
+module Segment = Webdep_faults.Segment
 
-let schema = "webdep-epoch/1"
+let schema = "webdep-epoch/2"
 
 let m_appended = Webdep_obs.Metrics.counter "epoch.log.epochs_appended"
 let m_dropped = Webdep_obs.Metrics.counter "epoch.log.epochs_dropped"
@@ -51,274 +42,115 @@ type t = {
 
 type verdict = Absent | Mismatch of string | Loaded of t
 
-(* --- header ------------------------------------------------------------- *)
+(* --- records ------------------------------------------------------------ *)
 
-let header_line ~meta ~base_epoch =
-  Json.to_string
-    (Json.Obj
-       [ ("schema", Json.String schema);
-         ("base", Json.Int base_epoch);
-         ("meta", Json.Obj meta) ])
+type record = Base of D.country_data | Churn of churn | Commit of int
 
-(* --- dictionary compression of the baseline ----------------------------- *)
+let encode_header ~meta ~base_epoch =
+  let b = Buffer.create 128 in
+  Segment.add_str b schema;
+  Segment.add_int b base_epoch;
+  Segment.add_str b (Json.to_string (Json.Obj meta));
+  Buffer.contents b
 
-(* Interner assigning dense ids in first-encounter order; the decode
-   table is the id-ordered string list. *)
-type enc = { tbl : (string, int) Hashtbl.t; mutable next : int; mutable rev : string list }
+let encode r =
+  let b = Buffer.create 1024 in
+  (match r with
+  | Base cd ->
+      Buffer.add_char b 'B';
+      Segment.add_str b cd.D.country;
+      Segment.add_sites b cd.D.sites
+  | Churn c ->
+      Buffer.add_char b 'C';
+      Segment.add_str b c.country;
+      Segment.add_strs b c.removed;
+      Segment.add_sites b c.added
+  | Commit epoch ->
+      Buffer.add_char b 'K';
+      Segment.add_int b epoch);
+  Buffer.contents b
 
-let enc () = { tbl = Hashtbl.create 1024; next = 0; rev = [] }
+let commit_len = 9
 
-let intern e s =
-  match Hashtbl.find_opt e.tbl s with
-  | Some i -> i
-  | None ->
-      let i = e.next in
-      Hashtbl.add e.tbl s i;
-      e.next <- i + 1;
-      e.rev <- s :: e.rev;
-      i
+let decode payload =
+  Segment.decode payload (fun cur ->
+      match Char.chr (Segment.get_u8 cur) with
+      | 'B' ->
+          let country = Segment.get_str cur in
+          Base { D.country; sites = Segment.get_sites cur }
+      | 'C' ->
+          let country = Segment.get_str cur in
+          let removed = Segment.get_strs cur in
+          Churn { country; removed; added = Segment.get_sites cur }
+      | 'K' -> Commit (Segment.get_int cur)
+      | c -> raise (Segment.Malformed (Printf.sprintf "unknown record tag %C" c)))
 
-let intern_opt e = function None -> -1 | Some s -> intern e s
-
-let intern_entity e = function
-  | None -> (-1, -1)
-  | Some (en : D.entity) -> (intern e en.D.name, intern e en.D.country)
-
-(* One site as a 13-int row:
-   [domain; hosting name; hosting cc; dns name; dns cc; ca name; ca cc;
-    tld name; tld cc; hosting_geo; ns_geo; language; anycast flags],
-   -1 encoding [None]. *)
-let encode_site e (s : D.site) =
-  let hn, hc = intern_entity e s.D.hosting in
-  let dn, dc = intern_entity e s.D.dns in
-  let cn, cc = intern_entity e s.D.ca in
-  let tn = intern e s.D.tld.D.name and tc = intern e s.D.tld.D.country in
-  let flags =
-    (if s.D.hosting_anycast then 1 else 0) lor if s.D.ns_anycast then 2 else 0
-  in
-  [ intern e s.D.domain; hn; hc; dn; dc; cn; cc; tn; tc;
-    intern_opt e s.D.hosting_geo; intern_opt e s.D.ns_geo;
-    intern_opt e s.D.language; flags ]
-
-exception Bad
-
-let lookup dict i =
-  if i < 0 || i >= Array.length dict then raise Bad else dict.(i)
-
-let lookup_opt dict i = if i = -1 then None else Some (lookup dict i)
-
-let lookup_entity dict n c =
-  if n = -1 && c = -1 then None
-  else Some { D.name = lookup dict n; country = lookup dict c }
-
-let decode_site dict = function
-  | [ dom; hn; hc; dn; dc; cn; cc; tn; tc; hg; ng; lang; flags ] ->
-      {
-        D.domain = lookup dict dom;
-        hosting = lookup_entity dict hn hc;
-        dns = lookup_entity dict dn dc;
-        ca = lookup_entity dict cn cc;
-        tld = { D.name = lookup dict tn; country = lookup dict tc };
-        hosting_geo = lookup_opt dict hg;
-        ns_geo = lookup_opt dict ng;
-        hosting_anycast = flags land 1 <> 0;
-        ns_anycast = flags land 2 <> 0;
-        language = lookup_opt dict lang;
-      }
-  | _ -> raise Bad
-
-(* --- line rendering ----------------------------------------------------- *)
-
-let dict_line strings =
-  Json.to_string
-    (Json.Obj
-       [ ("kind", Json.String "dict");
-         ("strings", Json.List (List.map (fun s -> Json.String s) strings)) ])
-
-let base_line ~country rows =
-  Json.to_string
-    (Json.Obj
-       [ ("kind", Json.String "base");
-         ("country", Json.String country);
-         ( "rows",
-           Json.List
-             (List.map (fun row -> Json.List (List.map (fun i -> Json.Int i) row)) rows)
-         ) ])
-
-let churn_line ~epoch (c : churn) =
-  Json.to_string
-    (Json.Obj
-       [ ("kind", Json.String "churn");
-         ("epoch", Json.Int epoch);
-         ("country", Json.String c.country);
-         ("removed", Json.List (List.map (fun d -> Json.String d) c.removed));
-         ("added", Json.List (List.map Checkpoint.site_to_json c.added)) ])
-
-let commit_line epoch =
-  Json.to_string
-    (Json.Obj [ ("kind", Json.String "commit"); ("epoch", Json.Int epoch) ])
-
-(* The baseline segment: encode every site first (building the dict in
-   deterministic first-encounter order), then emit dict before rows. *)
-let baseline_lines base =
-  let e = enc () in
-  let per_country =
-    List.map
-      (fun (cd : D.country_data) ->
-        (cd.D.country, List.map (encode_site e) cd.D.sites))
-      base
-  in
-  dict_line (List.rev e.rev)
-  :: List.map (fun (country, rows) -> base_line ~country rows) per_country
-
-let lines t =
-  baseline_lines t.base
-  @ List.concat_map
-      (fun ev ->
-        List.map (churn_line ~epoch:ev.epoch) ev.changes @ [ commit_line ev.epoch ])
-      t.events
+let event_records ev =
+  List.map (fun c -> encode (Churn c)) ev.changes @ [ encode (Commit ev.epoch) ]
 
 (* --- writing ------------------------------------------------------------ *)
 
 let write ~path t =
-  Jsonl.write_atomic ~path ~header:(header_line ~meta:t.meta ~base_epoch:t.base_epoch)
-    (lines t)
+  Segment.write ~path
+    ~header:(encode_header ~meta:t.meta ~base_epoch:t.base_epoch)
+    (List.map (fun cd -> encode (Base cd)) t.base
+    @ (encode (Commit t.base_epoch) :: List.concat_map event_records t.events))
 
 let create ~path ?(meta = []) ~base_epoch ~base () =
   write ~path
     { meta; base_epoch; base; events = []; head = base_epoch; dropped = false }
 
-(* Append one committed epoch: churn lines, then the commit marker, then
-   flush + fsync — O(churn) regardless of how long the log already is.
-   A crash before the commit marker reaches disk makes the whole epoch
-   invisible to [load]. *)
 let append ~path ~epoch changes =
-  let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      List.iter
-        (fun c ->
-          output_string oc (churn_line ~epoch c);
-          output_char oc '\n')
-        changes;
-      output_string oc (commit_line epoch);
-      output_char oc '\n';
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
+  let extends =
+    match Segment.last ~path ~len:commit_len with
+    | None -> false
+    | Some payload -> (
+        match decode payload with
+        | Commit e -> e < epoch
+        | Base _ | Churn _ | (exception Segment.Malformed _) -> false)
+  in
+  if not extends then
+    invalid_arg
+      (Printf.sprintf
+         "Log.append: %s does not end in an intact commit below epoch %d (load and \
+          rewrite it first)"
+         path epoch);
+  Segment.append ~path (event_records { epoch; changes });
   Webdep_obs.Metrics.incr m_appended
 
 (* --- loading ------------------------------------------------------------ *)
 
-let to_string_j = function Json.String s -> s | _ -> raise Bad
-let to_int_j = function Json.Int i -> i | _ -> raise Bad
-let get key obj = match Json.member key obj with Some v -> v | None -> raise Bad
-let to_list_j = function Json.List l -> l | _ -> raise Bad
+(* The fold's accumulator: the log so far (base and events reversed,
+   head the last commit), the churn awaiting its commit (reversed), and
+   whether the baseline has committed. *)
+let init header =
+  Segment.decode header (fun cur ->
+      let tag = Segment.get_str cur in
+      let base_epoch = Segment.get_int cur in
+      match Json.parse (Segment.get_str cur) with
+      | Json.Obj meta when tag = schema ->
+          let log =
+            { meta; base_epoch; base = []; events = []; head = base_epoch; dropped = false }
+          in
+          Some (log, [], false)
+      | _ | (exception Json.Parse_error _) -> None)
 
-(* Streaming fold state: the dict, baseline countries so far (reversed),
-   committed events (reversed), and the churn lines of the epoch whose
-   commit marker has not arrived yet. *)
-type fstate = {
-  mutable dict : string array option;
-  mutable base_rev : D.country_data list;
-  mutable events_rev : event list;
-  mutable pending : (int * churn list) option;  (* epoch, reversed changes *)
-  mutable last : int;  (* last committed epoch *)
-}
-
-let apply_line st line =
-  let v = Json.parse line in
-  match to_string_j (get "kind" v) with
-  | "dict" ->
-      if st.dict <> None then raise Bad;
-      st.dict <-
-        Some (Array.of_list (List.map to_string_j (to_list_j (get "strings" v))))
-  | "base" ->
-      let dict = match st.dict with Some d -> d | None -> raise Bad in
-      if st.pending <> None || st.events_rev <> [] then raise Bad;
-      let country = to_string_j (get "country" v) in
-      let sites =
-        List.map
-          (fun row -> decode_site dict (List.map to_int_j (to_list_j row)))
-          (to_list_j (get "rows" v))
-      in
-      st.base_rev <- { D.country; sites } :: st.base_rev
-  | "churn" ->
-      let epoch = to_int_j (get "epoch" v) in
-      let churn =
-        {
-          country = to_string_j (get "country" v);
-          removed = List.map to_string_j (to_list_j (get "removed" v));
-          added =
-            List.map
-              (fun s ->
-                match Checkpoint.site_of_json s with Some s -> s | None -> raise Bad)
-              (to_list_j (get "added" v));
-        }
-      in
-      (match st.pending with
-      | Some (e, acc) when e = epoch -> st.pending <- Some (e, churn :: acc)
-      | Some _ -> raise Bad  (* interleaved epochs: not a valid log *)
-      | None ->
-          if epoch <= st.last then raise Bad;
-          st.pending <- Some (epoch, [ churn ]))
-  | "commit" -> (
-      let epoch = to_int_j (get "epoch" v) in
-      match st.pending with
-      | Some (e, acc) when e = epoch ->
-          st.events_rev <- { epoch; changes = List.rev acc } :: st.events_rev;
-          st.pending <- None;
-          st.last <- epoch
-      | Some _ -> raise Bad
-      | None ->
-          (* An epoch may legitimately have no churn lines at all. *)
-          if epoch <= st.last then raise Bad;
-          st.events_rev <- { epoch; changes = [] } :: st.events_rev;
-          st.last <- epoch)
-  | _ -> raise Bad
+let step (log, pending, committed) payload =
+  match (decode payload, committed) with
+  | Base cd, false -> Some ({ log with base = cd :: log.base }, [], false)
+  | Commit e, false when e = log.base_epoch -> Some (log, [], true)
+  | Churn c, true -> Some (log, c :: pending, true)
+  | Commit epoch, true when epoch > log.head ->
+      let ev = { epoch; changes = List.rev pending } in
+      Some ({ log with events = ev :: log.events; head = epoch }, [], true)
+  | _ -> None
 
 let load ~path =
-  if not (Sys.file_exists path) then Absent
-  else begin
-    (* The header is self-describing: read it, check the schema, then
-       hand the exact line back to [Jsonl.fold] as the expected header
-       so the entry fold shares the torn-tail machinery. *)
-    let ic = open_in path in
-    let header = (try input_line ic with End_of_file -> "") in
-    close_in ic;
-    match Json.parse header with
-    | exception Json.Parse_error _ -> Mismatch "unreadable header"
-    | v -> (
-        match (Json.member "schema" v, Json.member "base" v, Json.member "meta" v) with
-        | Some (Json.String s), _, _ when not (String.equal s schema) ->
-            Mismatch (Printf.sprintf "schema %s, want %s" s schema)
-        | Some (Json.String _), Some (Json.Int base_epoch), Some (Json.Obj meta) -> (
-            let st =
-              { dict = None; base_rev = []; events_rev = []; pending = None;
-                last = base_epoch }
-            in
-            let f () line =
-              match apply_line st line with
-              | () -> Some ()
-              | exception (Bad | Json.Parse_error _) -> None
-            in
-            match Jsonl.fold ~path ~header ~init:() ~f with
-            | Jsonl.Fold_no_file -> Absent
-            | Jsonl.Fold_header_mismatch -> Mismatch "header changed underfoot"
-            | Jsonl.Folded { acc = (); torn } ->
-                (* An uncommitted trailing epoch (the writer died between
-                   its churn lines and its commit marker) is dropped
-                   exactly like a torn line. *)
-                let dropped = torn || st.pending <> None in
-                if dropped then Webdep_obs.Metrics.incr m_dropped;
-                Loaded
-                  {
-                    meta;
-                    base_epoch;
-                    base = List.rev st.base_rev;
-                    events = List.rev st.events_rev;
-                    head = st.last;
-                    dropped;
-                  })
-        | _ -> Mismatch "malformed header")
-  end
+  match Segment.fold ~path ~init ~f:step with
+  | Segment.No_file -> Absent
+  | Segment.Header_mismatch -> Mismatch ("not a " ^ schema ^ " log")
+  | Segment.Folded { acc = _, _, false; torn = _ } -> Mismatch "baseline never committed"
+  | Segment.Folded { acc = log, pending, true; torn } ->
+      let dropped = torn || pending <> [] in
+      if dropped then Webdep_obs.Metrics.incr m_dropped;
+      Loaded { log with base = List.rev log.base; events = List.rev log.events; dropped }

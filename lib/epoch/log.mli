@@ -1,13 +1,12 @@
-(** Append-only churn transaction log: a dictionary-compressed baseline
-    snapshot (the compacted head) followed by per-epoch churn records,
-    each epoch closed by a commit marker.
+(** Append-only churn transaction log: a baseline snapshot (the
+    compacted head) followed by per-epoch churn records, each epoch
+    closed by a commit record.
 
-    The on-disk format is a self-describing JSON-lines segment sharing
-    the crash-safety machinery of {!Webdep_faults.Jsonl}: whole-file
-    writes are atomic (temp + fsync + rename), appends are
-    epoch-at-a-time with the commit marker last, and {!load} recovers
-    from both a torn trailing line and a committed-marker-less suffix by
-    dropping everything after the last committed epoch. *)
+    The on-disk format is a {!Webdep_faults.Segment}: whole-file writes
+    are atomic (temp + fsync + rename), appends are epoch-at-a-time with
+    the commit record last, and {!load} recovers from a torn or corrupt
+    tail and from a commit-less suffix by dropping everything after the
+    last committed epoch. *)
 
 type churn = {
   country : string;
@@ -38,23 +37,21 @@ val create :
   base:Webdep.Dataset.country_data list ->
   unit ->
   unit
-(** Write a fresh log holding only the baseline, atomically. *)
+(** Write a fresh log holding only the committed baseline, atomically. *)
 
 val append : path:string -> epoch:int -> churn list -> unit
-(** Append one committed epoch — churn lines, then the commit marker,
+(** Append one committed epoch — churn records, then the commit record,
     then fsync.  O(churn), independent of log length.  A crash before
-    the marker reaches disk leaves the epoch invisible to {!load}.
-    [epoch] must exceed the log's current head (checked on load). *)
+    the commit reaches disk leaves the epoch invisible to {!load}.
+    @raise Invalid_argument unless the file ends in an intact commit
+    record for an epoch below [epoch] (checked from its last 17 bytes):
+    a torn log must be loaded and rewritten with {!write} first. *)
 
 val write : path:string -> t -> unit
-(** Atomic whole-log rewrite — how compaction publishes its result. *)
+(** Atomic whole-log rewrite — how compaction publishes its result, and
+    how a torn log is repaired before appending again. *)
 
 val load : path:string -> verdict
-(** Parse the log back, keeping the longest committed prefix.  [Mismatch]
-    reports a foreign or unreadable header;  [dropped] on the loaded log
-    flags recovered-over damage. *)
-
-val lines : t -> string list
-(** The entry lines [write] would emit (sans header) — exposed so tests
-    can check the dictionary round-trip and tamper with specific
-    lines. *)
+(** Read the log back, keeping the longest committed prefix.  [Mismatch]
+    reports a foreign or unreadable header, or a baseline cut before its
+    commit;  [dropped] on the loaded log flags recovered-over damage. *)

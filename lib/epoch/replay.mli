@@ -51,8 +51,8 @@ val materialize : t -> Webdep.Dataset.country_data list
     snapshot paths pay it. *)
 
 val compact : Log.t -> keep_last:int -> Log.t
-(** Collapse every epoch up to [head - keep_last] into a new
-    dictionary-compressed baseline, keeping the trailing events.
+(** Collapse every epoch up to [head - keep_last] into a new baseline,
+    keeping the trailing events.
     Replaying the compacted log yields bit-identical datasets and scores
     to the raw one; warm-start cost becomes O(world + keep_last·churn)
     however long the history was. *)

@@ -1,18 +1,18 @@
 (* Checkpoint/resume for interrupted sweeps.
 
-   JSON-lines file: a header line carrying a schema tag plus the sweep
-   parameters, then one line per completed country shard.  On open we
-   load every entry whose line parses; a corrupt trailing line (the
-   process was killed mid-write) is dropped and the file is rewritten
-   with only the intact entries before appending resumes.  A header
-   that does not match the current sweep parameters invalidates the
-   whole file — resuming under different parameters would silently mix
-   two different worlds. *)
+   A [Segment]: the header is the schema tag plus the sweep parameters,
+   then one record per completed country shard (tally + sites).  On
+   open we load every intact record; a torn tail (the process was
+   killed mid-write) is dropped and the file is rewritten with only the
+   intact entries before appending resumes.  A header that does not
+   match the current sweep parameters invalidates the whole file —
+   resuming under different parameters would silently mix two different
+   worlds. *)
 
 module Json = Webdep_obs.Json
 module D = Webdep.Dataset
 
-let schema = "webdep-checkpoint/1"
+let schema = "webdep-checkpoint/2"
 
 let m_written = Webdep_obs.Metrics.counter "checkpoint.countries_written"
 let m_resumed = Webdep_obs.Metrics.counter "checkpoint.countries_resumed"
@@ -26,138 +26,51 @@ type entry = {
 type t = {
   path : string;
   lock : Mutex.t;
-  oc : out_channel;
   loaded : (string, entry) Hashtbl.t;
 }
 
-(* --- (de)serialization ------------------------------------------------- *)
+let encode e =
+  let b = Buffer.create 4096 in
+  Segment.add_str b e.country;
+  Segment.add_u32 b e.tally.Degrade.clean;
+  Segment.add_u32 b e.tally.Degrade.degraded;
+  Segment.add_u32 b e.tally.Degrade.failed;
+  Segment.add_sites b e.data.D.sites;
+  Buffer.contents b
 
-let opt_string = function None -> Json.Null | Some s -> Json.String s
-
-let entity_to_json (e : D.entity) =
-  Json.Obj [ ("name", Json.String e.name); ("country", Json.String e.country) ]
-
-let opt_entity = function None -> Json.Null | Some e -> entity_to_json e
-
-let site_to_json (s : D.site) =
-  Json.Obj
-    [
-      ("domain", Json.String s.domain);
-      ("hosting", opt_entity s.hosting);
-      ("dns", opt_entity s.dns);
-      ("ca", opt_entity s.ca);
-      ("tld", entity_to_json s.tld);
-      ("hosting_geo", opt_string s.hosting_geo);
-      ("ns_geo", opt_string s.ns_geo);
-      ("hosting_anycast", Json.Bool s.hosting_anycast);
-      ("ns_anycast", Json.Bool s.ns_anycast);
-      ("language", opt_string s.language);
-    ]
-
-let entry_to_json e =
-  Json.Obj
-    [
-      ("country", Json.String e.country);
-      ("clean", Json.Int e.tally.Degrade.clean);
-      ("degraded", Json.Int e.tally.Degrade.degraded);
-      ("failed", Json.Int e.tally.Degrade.failed);
-      ("sites", Json.List (List.map site_to_json e.data.D.sites));
-    ]
-
-exception Bad of string
-
-let get key obj =
-  match Json.member key obj with
-  | Some v -> v
-  | None -> raise (Bad ("missing field " ^ key))
-
-let to_string_j = function Json.String s -> s | _ -> raise (Bad "expected string")
-let to_int_j = function Json.Int i -> i | _ -> raise (Bad "expected int")
-let to_bool_j = function Json.Bool b -> b | _ -> raise (Bad "expected bool")
-
-let to_opt f = function Json.Null -> None | v -> Some (f v)
-
-let entity_of_json v : D.entity =
-  { name = to_string_j (get "name" v); country = to_string_j (get "country" v) }
-
-let site_of_json_exn v : D.site =
-  {
-    domain = to_string_j (get "domain" v);
-    hosting = to_opt entity_of_json (get "hosting" v);
-    dns = to_opt entity_of_json (get "dns" v);
-    ca = to_opt entity_of_json (get "ca" v);
-    tld = entity_of_json (get "tld" v);
-    hosting_geo = to_opt to_string_j (get "hosting_geo" v);
-    ns_geo = to_opt to_string_j (get "ns_geo" v);
-    hosting_anycast = to_bool_j (get "hosting_anycast" v);
-    ns_anycast = to_bool_j (get "ns_anycast" v);
-    language = to_opt to_string_j (get "language" v);
-  }
-
-let site_of_json v =
-  match site_of_json_exn v with s -> Some s | exception Bad _ -> None
-
-let entry_of_json v =
-  let country = to_string_j (get "country" v) in
-  let sites =
-    match get "sites" v with
-    | Json.List l -> List.map site_of_json_exn l
-    | _ -> raise (Bad "sites: expected list")
-  in
-  {
-    country;
-    tally =
+let decode payload =
+  Segment.decode payload (fun cur ->
+      let country = Segment.get_str cur in
+      let clean = Segment.get_u32 cur in
+      let degraded = Segment.get_u32 cur in
+      let failed = Segment.get_u32 cur in
+      let sites = Segment.get_sites cur in
       {
-        Degrade.clean = to_int_j (get "clean" v);
-        degraded = to_int_j (get "degraded" v);
-        failed = to_int_j (get "failed" v);
-      };
-    data = { D.country = country; sites };
-  }
-
-(* --- file handling ----------------------------------------------------- *)
-
-let header_line meta =
-  Json.to_string (Json.Obj (("schema", Json.String schema) :: meta))
-
-(* One line back into an entry; [None] marks the torn tail for
-   [Jsonl.load]. *)
-let entry_of_line line =
-  match entry_of_json (Json.parse line) with
-  | e -> Some e
-  | exception (Bad _ | Json.Parse_error _) -> None
+        country;
+        tally = { Degrade.clean; degraded; failed };
+        data = { D.country; sites };
+      })
 
 let open_ ~path ~meta =
-  let header = header_line meta in
-  (* Stream the intact prefix straight into the resume table — one line
-     live at a time, no intermediate entry list — remembering country
-     order so the rewrite below reproduces file order. *)
+  let header = Json.to_string (Json.Obj (("schema", Json.String schema) :: meta)) in
+  (* Stream the intact prefix into the resume table, keeping each
+     record's bytes for the rewrite below. *)
   let loaded = Hashtbl.create 64 in
-  let order =
-    let f acc line =
-      match entry_of_line line with
-      | Some e ->
-          let acc = if Hashtbl.mem loaded e.country then acc else e.country :: acc in
-          Hashtbl.replace loaded e.country e;
-          Some acc
-      | None -> None
-    in
-    match Jsonl.fold ~path ~header ~init:[] ~f with
-    | Jsonl.Fold_no_file | Jsonl.Fold_header_mismatch ->
-        Hashtbl.reset loaded;
-        []
-    | Jsonl.Folded { acc; torn = _ } -> List.rev acc
+  let f acc payload =
+    let e = decode payload in
+    Hashtbl.replace loaded e.country e;
+    Some (payload :: acc)
+  in
+  let intact =
+    match Segment.fold ~path ~init:(fun h -> if h = header then Some [] else None) ~f with
+    | Segment.No_file | Segment.Header_mismatch -> []
+    | Segment.Folded { acc; torn = _ } -> List.rev acc
   in
   (* Rewrite the file from the intact prefix (atomically, so a kill
-     during the rewrite cannot lose the recovered entries): drops
-     corrupt trailing lines and stale files from mismatched sweeps in
-     one stroke. *)
-  Jsonl.write_atomic ~path ~header
-    (List.map
-       (fun cc -> Json.to_string (entry_to_json (Hashtbl.find loaded cc)))
-       order);
-  let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 path in
-  { path; lock = Mutex.create (); oc; loaded }
+     during the rewrite cannot lose the recovered entries): drops a torn
+     tail and stale files from mismatched sweeps in one stroke. *)
+  Segment.write ~path ~header intact;
+  { path; lock = Mutex.create (); loaded }
 
 let find t country =
   match Hashtbl.find_opt t.loaded country with
@@ -169,10 +82,6 @@ let find t country =
 let loaded t = Hashtbl.length t.loaded
 
 let record t e =
-  Mutex.protect t.lock (fun () ->
-      output_string t.oc (Json.to_string (entry_to_json e));
-      output_char t.oc '\n';
-      flush t.oc);
+  let payload = encode e in
+  Mutex.protect t.lock (fun () -> Segment.append ~path:t.path [ payload ]);
   Webdep_obs.Metrics.incr m_written
-
-let close t = close_out t.oc

@@ -1,16 +1,14 @@
 (** Checkpoint/resume for interrupted measurement sweeps.
 
-    A checkpoint is a JSON-lines file: a header line with a schema tag
-    and the sweep parameters, then one line per completed country
-    shard.  Because site records contain only strings, bools and
-    options, the JSON round-trip is exact — a resumed sweep reproduces
-    the uninterrupted dataset structurally (and byte-identically once
-    printed).
+    A checkpoint is a {!Segment}: a header with a schema tag and the
+    sweep parameters, then one record per completed country shard.  The
+    site codec is exact, so a resumed sweep reproduces the uninterrupted
+    dataset structurally (and byte-identically once printed).
 
     Opening a checkpoint whose header does not match the current sweep
     parameters discards it: resuming under different parameters would
-    silently mix two different worlds.  A corrupt trailing line (the
-    writer was killed mid-line) is dropped on open. *)
+    silently mix two different worlds.  A torn trailing record (the
+    writer was killed mid-write) is dropped on open. *)
 
 type entry = {
   country : string;
@@ -19,8 +17,6 @@ type entry = {
 }
 
 type t
-
-val schema : string
 
 val open_ : path:string -> meta:(string * Webdep_obs.Json.t) list -> t
 (** Open (creating or resuming) a checkpoint.  [meta] identifies the
@@ -35,18 +31,6 @@ val loaded : t -> int
 (** Number of entries recovered from the file on open. *)
 
 val record : t -> entry -> unit
-(** Append a completed country shard and flush.  Thread-safe —
+(** Append a completed country shard and fsync.  Thread-safe —
     callable from parallel sweep workers.  Increments
     [checkpoint.countries_written]. *)
-
-val close : t -> unit
-
-(** {2 Site (de)serialization}
-
-    The per-site JSON codec, shared with the measurement store's spill
-    format so both files stay mutually readable per record. *)
-
-val site_to_json : Webdep.Dataset.site -> Webdep_obs.Json.t
-
-val site_of_json : Webdep_obs.Json.t -> Webdep.Dataset.site option
-(** [None] on a malformed record (missing field, wrong type). *)

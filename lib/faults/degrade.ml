@@ -2,11 +2,6 @@
 
 type outcome = Clean | Degraded | Failed
 
-let outcome_name = function
-  | Clean -> "clean"
-  | Degraded -> "degraded"
-  | Failed -> "failed"
-
 type tally = { clean : int; degraded : int; failed : int }
 
 let empty = { clean = 0; degraded = 0; failed = 0 }

@@ -6,8 +6,6 @@ type outcome =
                   still collected, possibly via retries *)
   | Failed    (** no usable hosting measurement *)
 
-val outcome_name : outcome -> string
-
 type tally = { clean : int; degraded : int; failed : int }
 
 val empty : tally

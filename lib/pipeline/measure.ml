@@ -468,7 +468,6 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
                   cc faults.coverage_threshold)
           end)
         countries;
-      Option.iter Checkpoint.close cp;
       {
         dataset = Dataset.builder_finish b;
         coverage = List.rev !coverage_rev;

@@ -179,10 +179,11 @@ val measure_sweep :
     below [coverage_threshold] are excluded from [dataset] and listed in
     [insufficient] (counter [coverage.insufficient]).
 
-    [?checkpoint] names a JSON-lines file: completed country shards are
-    appended as they finish, and a later run with the same sweep
-    parameters resumes past them, reproducing the uninterrupted dataset
-    exactly.  A parameter mismatch discards the stale file. *)
+    [?checkpoint] names a {!Webdep_faults.Checkpoint} file: completed
+    country shards are appended as they finish, and a later run with the
+    same sweep parameters resumes past them, reproducing the
+    uninterrupted dataset exactly.  A parameter mismatch discards the
+    stale file. *)
 
 type resolution_stats = {
   domains : int;

@@ -14,27 +14,19 @@
      reports the file as torn — the caller re-measures only the missing
      (epoch, country) shards.
 
-   Layout: a sequence of records, each [u32 len][u32 crc32(payload)]
-   [payload], big-endian.  Record 0 is the header (schema tag,
-   fingerprint, explicit country list, epoch list, expected shard
-   count); every following record is one shard.  The fingerprint covers
-   the world parameters but *not* a [--countries] filter, which is why
-   the header carries the country list explicitly — a snapshot taken
-   under a filter must not warm a server asked for a different slice.
-
-   Payload internals reuse the wire codec primitives from [Protocol]
-   (and its [Protocol_error] for corrupt-payload signalling), with one
-   addition: per-shard interned string tables, so entity names and
-   country codes are written once per shard rather than once per site. *)
+   Layout: a [Webdep_faults.Segment] — CRC-framed records, written
+   atomically.  The header holds the schema tag, fingerprint, explicit
+   country list and expected shard count; every following
+   record is one shard (epoch, country, site list).  The fingerprint
+   covers the world parameters but *not* a [--countries] filter, which
+   is why the header carries the country list explicitly — a snapshot
+   taken under a filter must not warm a server asked for a different
+   slice. *)
 
 module D = Webdep.Dataset
-module P = Protocol
+module Segment = Webdep_faults.Segment
 
-(* /2: epochs are names (length-prefixed strings) rather than u8 enum
-   codes — the serving plane is keyed by epoch name since the churn-log
-   generalization, and a snapshot must round-trip whatever the state
-   holds. *)
-let schema = "webdep-snapshot/2"
+let schema = "webdep-snapshot/3"
 
 let m_saved = Webdep_obs.Metrics.counter "serve.snapshot.saved"
 let m_loaded = Webdep_obs.Metrics.counter "serve.snapshot.loaded"
@@ -49,229 +41,38 @@ type load =
   | Loaded of shard list
   | Torn of shard list  (** intact prefix of a truncated/corrupted file *)
 
-(* --- CRC-32 (IEEE, reflected) ------------------------------------------ *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xffl) in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
-
-(* --- u32 on top of the Protocol primitives ------------------------------ *)
-
-let put_u32 b v =
-  P.put_u8 b (v lsr 24);
-  P.put_u8 b (v lsr 16);
-  P.put_u8 b (v lsr 8);
-  P.put_u8 b v
-
-let get_u32 cur =
-  let hi = P.get_u16 cur in
-  let lo = P.get_u16 cur in
-  (hi lsl 16) lor lo
-
-(* --- per-shard string table --------------------------------------------- *)
-
-(* Interns the entity names / country codes / geo labels / language tags
-   of one shard; ids are u16, assigned in first-encounter order.  Sites
-   reference strings by id; domains stay raw (they are unique). *)
-type table = { tbl : (string, int) Hashtbl.t; mutable rev : string list; mutable n : int }
-
-let table_create () = { tbl = Hashtbl.create 64; rev = []; n = 0 }
-
-let intern t s =
-  match Hashtbl.find_opt t.tbl s with
-  | Some id -> id
-  | None ->
-      let id = t.n in
-      Hashtbl.add t.tbl s id;
-      t.rev <- s :: t.rev;
-      t.n <- id + 1;
-      id
-
-let table_strings t = List.rev t.rev
-
-(* --- shard encode ------------------------------------------------------- *)
-
-let put_opt_entity tb b = function
-  | None -> P.put_u16 b 0
-  | Some (e : D.entity) ->
-      P.put_u16 b (intern tb e.D.name + 1);
-      P.put_u16 b (intern tb e.D.country)
-
-let put_opt_str tb b = function
-  | None -> P.put_u16 b 0
-  | Some s -> P.put_u16 b (intern tb s + 1)
+(* --- shard and header records --------------------------------------------- *)
 
 let encode_shard { epoch; data } =
-  let tb = table_create () in
-  (* Two passes: intern first so the table serializes ahead of the sites. *)
-  let body = Buffer.create (256 * List.length data.D.sites) in
-  put_u32 body (List.length data.D.sites);
-  List.iter
-    (fun (s : D.site) ->
-      P.put_str body s.D.domain;
-      put_opt_entity tb body s.D.hosting;
-      put_opt_entity tb body s.D.dns;
-      put_opt_entity tb body s.D.ca;
-      P.put_u16 body (intern tb s.D.tld.D.name);
-      P.put_u16 body (intern tb s.D.tld.D.country);
-      put_opt_str tb body s.D.hosting_geo;
-      put_opt_str tb body s.D.ns_geo;
-      put_opt_str tb body s.D.language;
-      P.put_u8 body
-        ((if s.D.hosting_anycast then 1 else 0)
-        lor if s.D.ns_anycast then 2 else 0))
-    data.D.sites;
-  let b = Buffer.create (Buffer.length body + 1024) in
-  P.put_str b epoch;
-  P.put_str b data.D.country;
-  P.put_u16 b tb.n;
-  List.iter (fun s -> P.put_str b s) (table_strings tb);
-  Buffer.add_buffer b body;
+  let b = Buffer.create (64 * List.length data.D.sites) in
+  Segment.add_str b epoch;
+  Segment.add_str b data.D.country;
+  Segment.add_sites b data.D.sites;
   Buffer.contents b
-
-(* --- shard decode ------------------------------------------------------- *)
-
-(* [Array.init]/[List.init] leave evaluation order unspecified; cursor
-   reads must be strictly sequential. *)
-let read_list n f =
-  let rec go acc i = if i = n then List.rev acc else go (f () :: acc) (i + 1) in
-  go [] 0
-
-let read_array n f = Array.of_list (read_list n f)
-
-let get_table_str strings cur =
-  let id = P.get_u16 cur in
-  if id >= Array.length strings then P.fail "string id %d out of table" id;
-  strings.(id)
-
-let get_opt_entity strings cur =
-  match P.get_u16 cur with
-  | 0 -> None
-  | id1 ->
-      if id1 - 1 >= Array.length strings then P.fail "string id %d out of table" (id1 - 1);
-      let name = strings.(id1 - 1) in
-      let country = get_table_str strings cur in
-      Some { D.name; country }
-
-let get_opt_str strings cur =
-  match P.get_u16 cur with
-  | 0 -> None
-  | id1 ->
-      if id1 - 1 >= Array.length strings then P.fail "string id %d out of table" (id1 - 1);
-      Some strings.(id1 - 1)
 
 let decode_shard payload =
-  let cur = { P.data = payload; off = 0 } in
-  let epoch = P.get_str cur in
-  let country = P.get_str cur in
-  let nstrings = P.get_u16 cur in
-  let strings = read_array nstrings (fun () -> P.get_str cur) in
-  let nsites = get_u32 cur in
-  if nsites < 0 || nsites > 0x1000000 then P.fail "absurd site count %d" nsites;
-  let sites =
-    read_list nsites (fun () ->
-        let domain = P.get_str cur in
-        let hosting = get_opt_entity strings cur in
-        let dns = get_opt_entity strings cur in
-        let ca = get_opt_entity strings cur in
-        let tld_name = get_table_str strings cur in
-        let tld_country = get_table_str strings cur in
-        let hosting_geo = get_opt_str strings cur in
-        let ns_geo = get_opt_str strings cur in
-        let language = get_opt_str strings cur in
-        let flags = P.get_u8 cur in
-        {
-          D.domain;
-          hosting;
-          dns;
-          ca;
-          tld = { D.name = tld_name; country = tld_country };
-          hosting_geo;
-          ns_geo;
-          hosting_anycast = flags land 1 <> 0;
-          ns_anycast = flags land 2 <> 0;
-          language;
-        })
-  in
-  if cur.P.off <> String.length payload then P.fail "trailing bytes in shard";
-  { epoch; data = { D.country; sites } }
+  Segment.decode payload (fun cur ->
+      let epoch = Segment.get_str cur in
+      let country = Segment.get_str cur in
+      { epoch; data = { D.country; sites = Segment.get_sites cur } })
 
-(* --- header ------------------------------------------------------------- *)
-
-let encode_header ~fingerprint ~countries ~epochs ~shard_count =
+let encode_header ~fingerprint ~countries ~shard_count =
   let b = Buffer.create 256 in
-  P.put_str b schema;
-  P.put_str b fingerprint;
-  P.put_u16 b (List.length countries);
-  List.iter (fun cc -> P.put_str b cc) countries;
-  P.put_u8 b (List.length epochs);
-  List.iter (fun e -> P.put_str b e) epochs;
-  put_u32 b shard_count;
+  Segment.add_str b schema;
+  Segment.add_str b fingerprint;
+  Segment.add_strs b countries;
+  Segment.add_u32 b shard_count;
   Buffer.contents b
 
-type header = {
-  h_fingerprint : string;
-  h_countries : string list;
-  h_epochs : string list;
-  h_shards : int;
-}
-
-let decode_header payload =
-  let cur = { P.data = payload; off = 0 } in
-  let tag = P.get_str cur in
-  if tag <> schema then P.fail "schema mismatch: %s" tag;
-  let h_fingerprint = P.get_str cur in
-  let nc = P.get_u16 cur in
-  let h_countries = read_list nc (fun () -> P.get_str cur) in
-  let ne = P.get_u8 cur in
-  let h_epochs = read_list ne (fun () -> P.get_str cur) in
-  let h_shards = get_u32 cur in
-  if cur.P.off <> String.length payload then P.fail "trailing bytes in header";
-  { h_fingerprint; h_countries; h_epochs; h_shards }
-
-(* --- record framing ----------------------------------------------------- *)
-
-let add_record buf payload =
-  let b = Buffer.create 8 in
-  put_u32 b (String.length payload);
-  put_u32 b (Int32.to_int (Int32.logand (crc32 payload) 0xFFFFFFFFl) land 0xFFFFFFFF);
-  Buffer.add_buffer buf b;
-  Buffer.add_string buf payload
-
-(* Next record of [data] at [off]: [Some (payload, off')] when the
-   length, bytes and CRC are all intact, [None] at a torn or corrupt
-   tail.  A CRC mismatch poisons everything after it — offsets are no
-   longer trustworthy — so the reader stops rather than resyncs. *)
-let read_record data off =
-  let len = String.length data in
-  if off + 8 > len then None
-  else
-    let cur = { P.data; off } in
-    let plen = get_u32 cur in
-    let crc = get_u32 cur in
-    if plen < 0 || off + 8 + plen > len then None
-    else
-      let payload = String.sub data (off + 8) plen in
-      let actual = Int32.to_int (Int32.logand (crc32 payload) 0xFFFFFFFFl) land 0xFFFFFFFF in
-      if actual <> crc then None else Some (payload, off + 8 + plen)
+(* The expected shard count when the header is this schema's and
+   matches the requested world and country slice. *)
+let check_header ~fingerprint ~countries payload =
+  Segment.decode payload (fun cur ->
+      let tag = Segment.get_str cur in
+      let fp = Segment.get_str cur in
+      let ccs = Segment.get_strs cur in
+      let shards = Segment.get_u32 cur in
+      if tag = schema && fp = fingerprint && ccs = countries then Some shards else None)
 
 (* --- save / load -------------------------------------------------------- *)
 
@@ -279,73 +80,31 @@ let save ~path ~fingerprint datasets =
   let countries =
     match datasets with (_, ds) :: _ -> D.countries ds | [] -> []
   in
-  let epochs = List.map fst datasets in
-  let shard_count = List.length epochs * List.length countries in
-  let buf = Buffer.create (1 lsl 20) in
-  add_record buf (encode_header ~fingerprint ~countries ~epochs ~shard_count);
-  List.iter
-    (fun (epoch, ds) ->
-      List.iter
-        (fun cc ->
-          add_record buf (encode_shard { epoch; data = D.country_exn ds cc }))
-        countries)
-    datasets;
-  (* Atomic replace: temp file, fsync, rename.  A crash at any point
-     leaves either the old snapshot or the new one, never a mix. *)
-  let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  (try
-     Buffer.output_buffer oc buf;
-     flush oc;
-     Unix.fsync (Unix.descr_of_out_channel oc);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Unix.rename tmp path;
+  let shard_count = List.length datasets * List.length countries in
+  Segment.write ~path
+    ~header:(encode_header ~fingerprint ~countries ~shard_count)
+    (List.concat_map
+       (fun (epoch, ds) ->
+         List.map (fun cc -> encode_shard { epoch; data = D.country_exn ds cc }) countries)
+       datasets);
   Webdep_obs.Metrics.incr m_saved
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load ~path ~fingerprint ~countries =
-  if not (Sys.file_exists path) then Absent
-  else
-    let data = read_file path in
-    let reject () =
+  let init h = Option.map (fun n -> (n, [])) (check_header ~fingerprint ~countries h) in
+  let f (n, acc) payload = Some (n, decode_shard payload :: acc) in
+  match Segment.fold ~path ~init ~f with
+  | Segment.No_file -> Absent
+  | Segment.Header_mismatch ->
       Webdep_obs.Metrics.incr m_rejected;
       Rejected
-    in
-    match read_record data 0 with
-    | None -> reject ()
-    | Some (hpayload, off) -> (
-        match decode_header hpayload with
-        | exception P.Protocol_error _ -> reject ()
-        | h ->
-            if h.h_fingerprint <> fingerprint || h.h_countries <> countries
-            then reject ()
-            else
-              let rec shards acc off n =
-                if n = 0 then (List.rev acc, false)
-                else
-                  match read_record data off with
-                  | None -> (List.rev acc, true)
-                  | Some (payload, off') -> (
-                      match decode_shard payload with
-                      | exception P.Protocol_error _ -> (List.rev acc, true)
-                      | shard -> shards (shard :: acc) off' (n - 1))
-              in
-              let got, torn = shards [] off h.h_shards in
-              if torn then (
-                Webdep_obs.Metrics.incr m_torn;
-                Torn got)
-              else (
-                Webdep_obs.Metrics.incr m_loaded;
-                Loaded got))
+  | Segment.Folded { acc = n, rev; torn } ->
+      let got = List.rev rev in
+      if torn || List.length got <> n then (
+        Webdep_obs.Metrics.incr m_torn;
+        Torn got)
+      else (
+        Webdep_obs.Metrics.incr m_loaded;
+        Loaded got)
 
 (* --- rebuilding datasets from shards ------------------------------------ *)
 

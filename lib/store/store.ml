@@ -1,9 +1,9 @@
 module Json = Webdep_json
 module D = Webdep.Dataset
 module Degrade = Webdep_faults.Degrade
-module Checkpoint = Webdep_faults.Checkpoint
+module Segment = Webdep_faults.Segment
 
-let schema = "webdep-store/1"
+let schema = "webdep-store/2"
 
 let m_hits = Webdep_obs.Metrics.counter "store.hits"
 let m_misses = Webdep_obs.Metrics.counter "store.misses"
@@ -24,8 +24,7 @@ let fingerprint t = t.fingerprint
 let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.entries)
 
 (* '|' cannot appear in an epoch name, resolution name, country code or
-   domain, so the joined key is injective — and splits back into its
-   four components for the spill file. *)
+   domain, so the joined key is injective. *)
 let key ~epoch ~resolution ~vantage domain =
   String.concat "|" [ epoch; resolution; vantage; domain ]
 
@@ -60,80 +59,56 @@ let add t ~epoch ~resolution ~vantage domain entry =
 
 (* --- spill file -------------------------------------------------------- *)
 
-let header_line fp =
+let header fp =
   Json.to_string (Json.Obj (("schema", Json.String schema) :: Fingerprint.to_meta fp))
 
-let entry_line ~epoch ~resolution ~vantage e =
-  Json.to_string
-    (Json.Obj
-       [
-         ("epoch", Json.String epoch);
-         ("resolution", Json.String resolution);
-         ("vantage", Json.String vantage);
-         ("outcome", Json.String (Degrade.outcome_name e.outcome));
-         ("site", Checkpoint.site_to_json e.site);
-       ])
+let outcomes = [| Degrade.Clean; Degrade.Degraded; Degrade.Failed |]
 
-let outcome_of_name = function
-  | "clean" -> Some Degrade.Clean
-  | "degraded" -> Some Degrade.Degraded
-  | "failed" -> Some Degrade.Failed
-  | _ -> None
+let encode (k, e) =
+  let b = Buffer.create 128 in
+  Segment.add_str b k;
+  Segment.add_u8 b
+    (match e.outcome with Degrade.Clean -> 0 | Degrade.Degraded -> 1 | Degrade.Failed -> 2);
+  Segment.add_sites b [ e.site ];
+  Buffer.contents b
 
-let entry_of_line line =
-  match Json.parse line with
-  | exception Json.Parse_error _ -> None
-  | v -> (
-      let str k = match Json.member k v with Some (Json.String s) -> Some s | _ -> None in
-      match (str "epoch", str "resolution", str "vantage", str "outcome", Json.member "site" v) with
-      | Some epoch, Some resolution, Some vantage, Some oname, Some site_v -> (
-          match (outcome_of_name oname, Checkpoint.site_of_json site_v) with
-          | Some outcome, Some site ->
-              Some (key ~epoch ~resolution ~vantage site.D.domain, { site; outcome })
-          | _ -> None)
-      | _ -> None)
+let decode payload =
+  Segment.decode payload (fun cur ->
+      let k = Segment.get_str cur in
+      let o = Segment.get_u8 cur in
+      if o >= Array.length outcomes then raise (Segment.Malformed "unknown outcome");
+      match Segment.get_sites cur with
+      | [ site ] -> (k, { site; outcome = outcomes.(o) })
+      | _ -> raise (Segment.Malformed "expected one site"))
 
 let save t path =
   let items =
     Mutex.protect t.lock (fun () ->
         Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.entries [])
   in
-  let items = List.sort (fun (a, _) (b, _) -> String.compare a b) items in
-  let lines =
-    List.map
-      (fun (k, e) ->
-        match String.split_on_char '|' k with
-        | [ epoch; resolution; vantage; _domain ] ->
-            entry_line ~epoch ~resolution ~vantage e
-        | _ -> assert false)
-      items
-  in
   (* Atomic replace: a sweep killed mid-save leaves the previous spill
      intact instead of a truncated file. *)
-  Webdep_faults.Jsonl.write_atomic ~path ~header:(header_line t.fingerprint) lines
+  Segment.write ~path ~header:(header t.fingerprint)
+    (List.map encode (List.sort (fun (a, _) (b, _) -> String.compare a b) items))
 
 let m_torn = Webdep_obs.Metrics.counter "store.spill.torn_recovered"
 
 let load ~path ~fingerprint =
   let t = create ~fingerprint () in
-  (* Stream the spill straight into the table — one line live at a time,
-     so loading a large spill never materializes the whole segment. *)
-  let f () line =
-    match entry_of_line line with
-    | Some (k, e) ->
-        Hashtbl.replace t.entries k e;
-        Some ()
-    | None -> None
+  let expected = header fingerprint in
+  (* Stream the spill straight into the table — one record live at a
+     time, so loading a large spill never materializes the whole file. *)
+  let f () payload =
+    let k, e = decode payload in
+    Hashtbl.replace t.entries k e;
+    Some ()
   in
-  (match
-     Webdep_faults.Jsonl.fold ~path ~header:(header_line fingerprint) ~init:() ~f
-   with
-  | Webdep_faults.Jsonl.Fold_no_file -> ()
-  | Webdep_faults.Jsonl.Fold_header_mismatch ->
-      if Sys.file_exists path then Webdep_obs.Metrics.incr m_invalidated
-  | Webdep_faults.Jsonl.Folded { acc = (); torn } ->
-      (* A torn tail can only come from a pre-atomic spill (or a
-         filesystem that lost the rename); keep the intact prefix —
-         everything after the first bad line is suspect. *)
+  (match Segment.fold ~path ~init:(fun h -> if h = expected then Some () else None) ~f with
+  | Segment.No_file -> ()
+  | Segment.Header_mismatch -> Webdep_obs.Metrics.incr m_invalidated
+  | Segment.Folded { acc = (); torn } ->
+      (* A torn tail can only come from a filesystem that lost part of
+         the rename; keep the intact prefix — everything after the first
+         bad record is suspect. *)
       if torn then Webdep_obs.Metrics.incr m_torn);
   t

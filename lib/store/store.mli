@@ -12,13 +12,12 @@
     sweep workers.  The hit/miss counters are per-domain totals, so they
     are invariant under [--jobs].
 
-    An optional JSONL spill ({!save}/{!load}) persists a store across
-    processes, next to the checkpoint format: a header line carrying the
-    schema tag and the fingerprint, then one line per entry (reusing the
-    checkpoint's per-site codec).  Loading a file whose header does not
-    match the current fingerprint discards it entirely — replaying
-    measurements from a differently-parameterized world would silently
-    corrupt results. *)
+    An optional spill ({!save}/{!load}) persists a store across
+    processes as a {!Webdep_faults.Segment}: a header carrying the
+    schema tag and the fingerprint, then one record per entry.  Loading
+    a file whose header does not match the current fingerprint discards
+    it entirely — replaying measurements from a differently-parameterized
+    world would silently corrupt results. *)
 
 type entry = {
   site : Webdep.Dataset.site;
@@ -26,8 +25,6 @@ type entry = {
 }
 
 type t
-
-val schema : string
 
 val create : fingerprint:Fingerprint.t -> unit -> t
 
@@ -59,11 +56,12 @@ val add :
     deterministic, so racing writers agree). *)
 
 val save : t -> string -> unit
-(** Spill to a JSONL file, entries in sorted key order so the file is
-    identical for any insertion (and [--jobs]) order. *)
+(** Spill to a file atomically, entries in sorted key order so the file
+    is identical for any insertion (and [--jobs]) order. *)
 
 val load : path:string -> fingerprint:Fingerprint.t -> t
 (** Load a spill file into a fresh store for [fingerprint].  A missing
     file yields an empty store; an existing file with a mismatched
     header yields an empty store and increments [store.invalidated]; a
-    corrupt trailing line drops that line and the rest. *)
+    torn or corrupt record drops that record and the rest, and
+    increments [store.spill.torn_recovered]. *)

@@ -1,5 +1,6 @@
 (* Tests for webdep_epoch: the churn transaction log (round-trip,
-   torn-tail and uncommitted-epoch recovery), O(churn) replay against
+   torn-tail and uncommitted-epoch recovery, appends refused after a
+   torn tail or a later epoch), O(churn) replay against
    full per-epoch recomputation (bit-identical at every intermediate
    epoch, all four layers), jobs-invariance of the fanned-out score
    reads, compaction round-trip bit-identity, and trend extraction. *)
@@ -196,38 +197,12 @@ let test_empty_epoch_commit () =
   | [] -> Alcotest.fail "no events");
   Sys.remove path
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
-
-let write_raw path lines ~torn_tail =
-  let oc = open_out path in
-  List.iteri
-    (fun i line ->
-      if i < List.length lines - 1 then (
-        output_string oc line;
-        output_char oc '\n')
-      else if torn_tail then
-        (* last line torn: no newline, half the bytes *)
-        output_string oc (String.sub line 0 (String.length line / 2))
-      else (
-        output_string oc line;
-        output_char oc '\n'))
-    lines;
-  close_out oc
-
+(* Tear the last 10 bytes off a 3-epoch log: they belong to epoch 3's
+   17-byte commit record, so epoch 3 must vanish. *)
 let test_torn_tail_recovery () =
   let path = build_log (make_events ~seed:8 ~fraction:0.1 ~epochs:3) in
-  let all = read_lines path in
-  (* Tear the final commit marker mid-line: epoch 3 must vanish. *)
-  write_raw path all ~torn_tail:true;
+  let full = Frames.read path in
+  Frames.write path (String.sub full 0 (String.length full - 10));
   let log = load_exn path in
   Alcotest.(check bool) "damage flagged" true log.Log.dropped;
   Alcotest.(check int) "head rolled back" 2 log.Log.head;
@@ -239,11 +214,10 @@ let test_torn_tail_recovery () =
 
 let test_uncommitted_epoch_dropped () =
   let path = build_log (make_events ~seed:8 ~fraction:0.1 ~epochs:3) in
-  let all = read_lines path in
-  (* Drop the final commit marker entirely: epoch 3's churn lines are
+  (* Drop the final commit record whole: epoch 3's churn records are
      present and intact, but the transaction never committed. *)
-  let without_commit = List.filteri (fun i _ -> i < List.length all - 1) all in
-  write_raw path without_commit ~torn_tail:false;
+  let full = Frames.read path in
+  Frames.write path (String.sub full 0 (String.length full - 17));
   let log = load_exn path in
   Alcotest.(check bool) "uncommitted epoch flagged" true log.Log.dropped;
   Alcotest.(check int) "head rolled back" 2 log.Log.head;
@@ -253,15 +227,63 @@ let test_uncommitted_epoch_dropped () =
   Alcotest.(check int) "re-append" 3 (load_exn path).Log.head;
   Sys.remove path
 
+let refuses name f =
+  match f () with
+  | () -> Alcotest.fail (name ^ ": append must be refused")
+  | exception Invalid_argument _ -> ()
+
+(* An append after a torn tail would land behind the damage, where the
+   loader stops: it must be refused, not fsynced and lost. *)
+let test_append_after_torn_tail_refused () =
+  let events = make_events ~seed:8 ~fraction:0.1 ~epochs:4 in
+  let path = build_log (List.filteri (fun i _ -> i < 3) events) in
+  let full = Frames.read path in
+  Frames.write path (String.sub full 0 (String.length full - 10));
+  let e3 = List.nth events 2 and e4 = List.nth events 3 in
+  refuses "re-append e3" (fun () -> Log.append ~path ~epoch:3 e3.Log.changes);
+  refuses "append e4" (fun () -> Log.append ~path ~epoch:4 e4.Log.changes);
+  Alcotest.(check int) "head unchanged" 2 (load_exn path).Log.head;
+  (* Loading and rewriting repairs the log; appends then land. *)
+  Log.write ~path (load_exn path);
+  Log.append ~path ~epoch:3 e3.Log.changes;
+  Log.append ~path ~epoch:4 e4.Log.changes;
+  let log = load_exn path in
+  Alcotest.(check int) "head after repair" 4 log.Log.head;
+  Alcotest.(check bool) "events after repair" true (log.Log.events = events);
+  Sys.remove path
+
+(* A stale epoch appended after a later one would make everything that
+   follows it invisible to the loader. *)
+let test_stale_append_refused () =
+  let events = make_events ~seed:8 ~fraction:0.1 ~epochs:4 in
+  let path = build_log (List.filteri (fun i _ -> i < 3) events) in
+  refuses "stale e2" (fun () -> Log.append ~path ~epoch:2 []);
+  refuses "repeated e3" (fun () -> Log.append ~path ~epoch:3 []);
+  let e4 = List.nth events 3 in
+  Log.append ~path ~epoch:4 e4.Log.changes;
+  let log = load_exn path in
+  Alcotest.(check int) "e4 visible" 4 log.Log.head;
+  Alcotest.(check bool) "not dropped" false log.Log.dropped;
+  Sys.remove path
+
 let test_load_rejects () =
   let path = temp_log () in
   Alcotest.(check bool) "absent" true (Log.load ~path = Log.Absent);
+  (* A log of the previous JSON-lines schema is refused by its header. *)
   let oc = open_out path in
-  output_string oc "{\"schema\":\"other/1\",\"base\":0,\"meta\":{}}\n";
+  output_string oc "{\"schema\":\"webdep-epoch/1\",\"base\":0,\"meta\":{}}\n";
   close_out oc;
   (match Log.load ~path with
   | Log.Mismatch _ -> ()
   | _ -> Alcotest.fail "foreign schema must mismatch");
+  (* A baseline cut before its commit record is no log at all. *)
+  let built = build_log [] in
+  let full = Frames.read built in
+  Sys.remove built;
+  Frames.write path (String.sub full 0 (String.length full - 17));
+  (match Log.load ~path with
+  | Log.Mismatch _ -> ()
+  | _ -> Alcotest.fail "uncommitted baseline must mismatch");
   let oc = open_out path in
   output_string oc "not json at all\n";
   close_out oc;
@@ -316,7 +338,7 @@ let test_compaction_shrinks () =
   Log.write ~path:path2 compacted;
   let compacted_bytes = (Unix.stat path2).Unix.st_size in
   Alcotest.(check bool)
-    (Printf.sprintf "dict-compressed baseline beats churn records (%d vs %d)"
+    (Printf.sprintf "compacted baseline beats churn records (%d vs %d)"
        compacted_bytes raw_bytes)
     true
     (compacted_bytes < raw_bytes);
@@ -405,6 +427,9 @@ let () =
           Alcotest.test_case "torn tail recovery" `Quick test_torn_tail_recovery;
           Alcotest.test_case "uncommitted epoch dropped" `Quick
             test_uncommitted_epoch_dropped;
+          Alcotest.test_case "append after torn tail refused" `Quick
+            test_append_after_torn_tail_refused;
+          Alcotest.test_case "stale append refused" `Quick test_stale_append_refused;
           Alcotest.test_case "rejects" `Quick test_load_rejects;
         ] );
       ( "compaction",

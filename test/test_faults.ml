@@ -325,7 +325,7 @@ let test_faulted_scores_stay_close () =
 (* --- checkpoint ---------------------------------------------------------- *)
 
 let with_temp_file f =
-  let path = Filename.temp_file "webdep_cp" ".jsonl" in
+  let path = Filename.temp_file "webdep_cp" ".ckpt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
 let test_checkpoint_roundtrip () =
@@ -339,7 +339,7 @@ let test_checkpoint_roundtrip () =
   Alcotest.(check bool) "checkpointing changes nothing" true
     (datasets_equal direct.Measure.dataset checkpointed.Measure.dataset);
   (* Resume from the complete file: every country short-circuits, and the
-     dataset round-trips through JSON exactly. *)
+     dataset round-trips through the site codec exactly. *)
   let resumed = Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world in
   Alcotest.(check bool) "full resume identical" true
     (datasets_equal direct.Measure.dataset resumed.Measure.dataset);
@@ -353,20 +353,11 @@ let test_checkpoint_interrupted_resume () =
   let world = World.create ~c:300 ~seed:2024 () in
   let faults = fault_opts () in
   let full = Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world in
-  (* Simulate a mid-sweep kill: drop all but the header and the first two
-     completed shards, plus a torn half-written line. *)
-  let lines = ref [] in
-  let ic = open_in path in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let keep = List.filteri (fun i _ -> i < 3) (List.rev !lines) in
-  let oc = open_out path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) keep;
-  output_string oc "{\"country\":\"BR\",\"clean\":12,\"sit";
-  close_out oc;
+  (* Simulate a mid-sweep kill: keep the header and the first two
+     completed shards, plus half of the third record. *)
+  let full_bytes = Frames.read path in
+  let b = Array.of_list (Frames.boundaries full_bytes) in
+  Frames.write path (String.sub full_bytes 0 ((b.(3) + b.(4)) / 2));
   let resumed = Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world in
   Alcotest.(check bool) "interrupted resume reproduces the full dataset" true
     (datasets_equal full.Measure.dataset resumed.Measure.dataset);
@@ -392,61 +383,6 @@ let test_checkpoint_parameter_mismatch_discards () =
   Alcotest.(check bool) "result matches a checkpoint-free run" true
     (datasets_equal direct.Measure.dataset fresh.Measure.dataset)
 
-
-(* --- shared JSONL helper -------------------------------------------------- *)
-
-module Jsonl = Webdep_faults.Jsonl
-
-let temp_path () =
-  let p = Filename.temp_file "webdep_jsonl_test" ".jsonl" in
-  Sys.remove p;
-  p
-
-let jsonl_parse line = if String.length line > 0 && line.[0] = '#' then None else Some line
-
-let test_jsonl_roundtrip () =
-  let path = temp_path () in
-  let lines = [ "one"; "two"; "three" ] in
-  Jsonl.write_atomic ~path ~header:"H1" lines;
-  (match Jsonl.load ~path ~header:"H1" ~parse:jsonl_parse with
-  | Jsonl.Loaded { entries; torn } ->
-      Alcotest.(check (list string)) "entries round-trip" lines entries;
-      Alcotest.(check bool) "not torn" false torn
-  | _ -> Alcotest.fail "expected Loaded");
-  (* No stray temp files left behind by the atomic write. *)
-  let dir = Filename.dirname path and base = Filename.basename path in
-  Array.iter
-    (fun f ->
-      if String.length f > String.length base
-         && String.sub f 0 (String.length base) = base then
-        Alcotest.fail ("stray temp file " ^ f))
-    (Sys.readdir dir);
-  Sys.remove path
-
-let test_jsonl_torn_tail () =
-  let path = temp_path () in
-  Jsonl.write_atomic ~path ~header:"H1" [ "one"; "two" ];
-  (* Simulate a kill mid-append: a trailing line the parser rejects. *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "#corrupt-tail-without-newline";
-  close_out oc;
-  (match Jsonl.load ~path ~header:"H1" ~parse:jsonl_parse with
-  | Jsonl.Loaded { entries; torn } ->
-      Alcotest.(check (list string)) "intact prefix kept" [ "one"; "two" ] entries;
-      Alcotest.(check bool) "reported torn" true torn
-  | _ -> Alcotest.fail "expected Loaded with torn tail");
-  Sys.remove path
-
-let test_jsonl_header_mismatch_and_absent () =
-  let path = temp_path () in
-  (match Jsonl.load ~path ~header:"H1" ~parse:jsonl_parse with
-  | Jsonl.No_file -> ()
-  | _ -> Alcotest.fail "expected No_file");
-  Jsonl.write_atomic ~path ~header:"H1" [ "one" ];
-  (match Jsonl.load ~path ~header:"H2" ~parse:jsonl_parse with
-  | Jsonl.Header_mismatch -> ()
-  | _ -> Alcotest.fail "expected Header_mismatch");
-  Sys.remove path
 
 (* --- wire chaos verdicts -------------------------------------------------- *)
 
@@ -533,13 +469,6 @@ let () =
             test_sweep_zero_rate_identical_to_legacy;
           Alcotest.test_case "coverage gating" `Quick test_coverage_threshold_gates;
           Alcotest.test_case "scores stay close" `Quick test_faulted_scores_stay_close;
-        ] );
-      ( "jsonl",
-        [
-          Alcotest.test_case "atomic write round-trip" `Quick test_jsonl_roundtrip;
-          Alcotest.test_case "torn tail recovery" `Quick test_jsonl_torn_tail;
-          Alcotest.test_case "header mismatch / absent" `Quick
-            test_jsonl_header_mismatch_and_absent;
         ] );
       ( "wire",
         [

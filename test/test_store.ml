@@ -86,7 +86,7 @@ let test_jobs_invariance () =
         Alcotest.(check int)
           (Printf.sprintf "hits at --jobs %d" jobs)
           (D.size cold) warm_hits;
-        let path = Filename.temp_file "webdep_store_jobs" ".jsonl" in
+        let path = Filename.temp_file "webdep_store_jobs" ".spill" in
         Store.save st path;
         let contents = In_channel.with_open_bin path In_channel.input_all in
         Sys.remove path;
@@ -109,7 +109,7 @@ let test_spill_roundtrip_and_invalidation () =
   let world = Lazy.force world in
   let st = Store.create ~fingerprint:(Measure.store_fingerprint world) () in
   ignore (Measure.measure_all ~countries:[ "US" ] ~store:st world);
-  let path = Filename.temp_file "webdep_store" ".jsonl" in
+  let path = Filename.temp_file "webdep_store" ".spill" in
   Store.save st path;
   let reloaded = Store.load ~path ~fingerprint:(Measure.store_fingerprint world) in
   Alcotest.(check int) "size round-trips" (Store.size st) (Store.size reloaded);
@@ -131,25 +131,6 @@ let test_spill_roundtrip_and_invalidation () =
   Sys.remove path;
   let missing = Store.load ~path ~fingerprint:(Measure.store_fingerprint world) in
   Alcotest.(check int) "missing file loads empty" 0 (Store.size missing)
-
-(* --- incremental comparison ---------------------------------------------- *)
-
-let test_compare_incremental_identical () =
-  let old_ds = Lazy.force ds23 and new_ds = Lazy.force ds25 in
-  let full = Webdep.Longitudinal.compare ~focus:"Cloudflare" ~old_ds ~new_ds Hosting in
-  let incr, stats =
-    Webdep.Longitudinal.compare_incremental ~focus:"Cloudflare" ~old_ds ~new_ds Hosting
-  in
-  Alcotest.(check bool) "incremental comparison bit-identical to full" true (full = incr);
-  Alcotest.(check int) "all common countries compared" (List.length sample)
-    stats.Webdep.Longitudinal.countries;
-  (* Every new-snapshot site is either kept or added; every old one kept
-     or removed. *)
-  let total ds = D.size ds in
-  Alcotest.(check int) "kept + added covers the new snapshot" (total new_ds)
-    (stats.Webdep.Longitudinal.kept + stats.Webdep.Longitudinal.added);
-  Alcotest.(check int) "kept + removed covers the old snapshot" (total old_ds)
-    (stats.Webdep.Longitudinal.kept + stats.Webdep.Longitudinal.removed)
 
 (* --- incremental metrics under random churn ------------------------------ *)
 
@@ -265,8 +246,6 @@ let () =
         ] );
       ( "incremental",
         [
-          Alcotest.test_case "compare_incremental = compare" `Quick
-            test_compare_incremental_identical;
           QCheck_alcotest.to_alcotest churn_qcheck;
           Alcotest.test_case "cache/incremental/full-solve counters" `Quick
             test_incremental_cache_counters;
