@@ -1793,12 +1793,7 @@ let serve_phase () =
         let sw = World.create ~c:serve_c ~seed () in
         let ds23 = Measure.measure_all ~jobs sw in
         let ds25 = Measure.measure_all ~epoch:World.May_2025 ~jobs sw in
-        let st =
-          Serve.State.make ~fingerprint:"bench-serve"
-            [ ("2023-05", ds23); ("2025-05", ds25) ]
-        in
-        Serve.State.warm st;
-        st)
+        Serve.State.make ~fingerprint:"bench-serve" [ ("2023-05", ds23); ("2025-05", ds25) ])
   in
   let path = Filename.temp_file "webdep_bench_serve" ".sock" in
   Sys.remove path;
@@ -1933,9 +1928,7 @@ let chaos_phase () =
         (fun (name, e) -> (name, Measure.measure_all ~epoch:e ~jobs sw))
         epochs
     in
-    let st = Serve.State.make ~fingerprint:"bench-chaos" ds in
-    Serve.State.warm st;
-    st
+    Serve.State.make ~fingerprint:"bench-chaos" ds
   in
   let state, build_s = Span.timed ~name:"bench.chaos.build" build in
   let countries = Serve.State.countries state in
@@ -2010,7 +2003,6 @@ let chaos_phase () =
                 shards
             in
             let st = Serve.State.make ~fingerprint:"bench-chaos" datasets in
-            Serve.State.warm st;
             let d = start st in
             let cl = Serve.Client.connect path in
             let first =

@@ -632,10 +632,11 @@ let scale_cmd =
 (* --- serve / query ---------------------------------------------------------------------- *)
 
 (* The long-running dependence-query daemon and its one-shot twin.  Both
-   build the same warm state (both epochs measured, optionally through
-   --store, every per-country tally pre-materialized) and answer through
-   [Webdep_serve.State.answer], so a daemon answer is byte-identical to
-   the one-shot output for every query kind at any --jobs. *)
+   build the same state (both epochs measured, optionally through
+   --store, plus any churn-log epochs; every score row and ranking built
+   up front) and answer through [Webdep_serve.State.answer], so a daemon
+   answer is byte-identical to the one-shot output for every query kind
+   at any --jobs. *)
 
 module Serve = Webdep_serve
 
@@ -662,8 +663,8 @@ let measured_epoch name =
 (* Replay a churn transaction log into scores-only epochs ("e<k>"), one
    per committed epoch: a few floats per (layer, country) — cheap enough
    to keep every epoch addressable — answering score/ranking/delta while
-   tally-backed queries keep needing a warmed epoch.  Scored epochs ride
-   alongside the measured ones and stay out of snapshots. *)
+   tally-backed queries keep needing a measured epoch.  Scored epochs
+   ride alongside the measured ones and stay out of snapshots. *)
 let scored_epochs_of_log path =
   match Webdep_epoch.Log.load ~path with
   | Webdep_epoch.Log.Absent ->
@@ -674,34 +675,11 @@ let scored_epochs_of_log path =
         path msg;
       []
   | Webdep_epoch.Log.Loaded log ->
-      let module R = Webdep_epoch.Replay in
-      let acc = ref [] in
-      let observe r =
-        let rows =
-          List.map
-            (fun l ->
-              ( l,
-                List.filter_map
-                  (fun cc ->
-                    match R.score r l cc with
-                    | s ->
-                        Some
-                          ( cc,
-                            { Serve.State.s;
-                              hhi = R.hhi r l cc;
-                              insularity = R.insularity r l cc } )
-                    | exception Not_found -> None)
-                  (R.countries r) ))
-            [ D.Hosting; D.Dns; D.Ca; D.Tld ]
-        in
-        acc := (Printf.sprintf "e%d" (R.epoch r), rows) :: !acc
-      in
-      ignore (R.replay ~observe log);
+      let scored = Serve.State.scored_of_log log in
       Printf.eprintf "webdep serve: epoch log %s: %d scored epochs (e%d..e%d)\n%!"
-        path
-        (List.length !acc)
+        path (List.length scored)
         log.Webdep_epoch.Log.base_epoch log.Webdep_epoch.Log.head;
-      List.rev !acc
+      scored
 
 let serve_state ?snapshot ?epoch_log ~seed ~c ?countries ?store () =
   let world = World.create ~c ~seed () in
@@ -776,9 +754,7 @@ let serve_state ?snapshot ?epoch_log ~seed ~c ?countries ?store () =
   let scored =
     match epoch_log with None -> [] | Some path -> scored_epochs_of_log path
   in
-  let st = Serve.State.make ~fingerprint ~scored datasets in
-  Serve.State.warm st;
-  st
+  Serve.State.make ~fingerprint ~scored datasets
 
 let epoch_log_arg =
   Arg.(value & opt (some string) None & info [ "epoch-log" ] ~docv:"FILE"
@@ -899,16 +875,23 @@ let run_serve () listen seed c countries store max_queue batch_max par_threshold
 let serve_cmd =
   let doc =
     "Long-running dependence-query daemon: batched answers over a \
-     length-prefixed binary protocol with response caching and load shedding."
+     length-prefixed binary protocol with a bounded response cache and load \
+     shedding."
   in
   let man =
     [ `S Manpage.s_description;
-      `P "Loads the measurement store (or measures from scratch), \
-          pre-materializes per-country tallies for both epochs, then \
-          answers queries on a Unix or loopback-TCP socket.  Requests \
-          are drained and answered in batches; past $(b,--max-queue) \
-          pending requests the daemon replies $(i,overloaded) \
-          immediately instead of queueing without bound.  Connections \
+      `P "Loads the measurement store (or measures from scratch) and \
+          builds an answer table per epoch and layer before it listens: \
+          every country's score row and the full ranking, plus the \
+          provider tallies of both measured epochs for top-k queries.  \
+          It then answers queries on a Unix or loopback-TCP socket.  \
+          Requests are drained and answered in batches; past \
+          $(b,--max-queue) pending requests the daemon replies \
+          $(i,overloaded) immediately instead of queueing without bound.  \
+          Replies are cached by request in two generations of 131 072 \
+          entries each, so the cache stays bounded however many distinct \
+          requests arrive.  A request whose reply cannot be framed (an \
+          over-long epoch name, say) gets a short error.  Connections \
           whose first byte is '{' speak newline-delimited JSON (debug \
           mode) instead of binary frames.";
       `P "Send the $(b,shutdown) query (e.g. $(b,webdep query --connect \

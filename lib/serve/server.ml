@@ -8,9 +8,9 @@
    immediate [Overloaded] reply once the queue is past [max_queue], so
    tail latency stays bounded instead of queueing without limit.
 
-   Batches go through a response cache keyed by the raw request payload
-   under the state's world fingerprint (a state swap with a different
-   fingerprint clears it); cache misses fan out over the shared
+   Batches go through a bounded response cache keyed by the raw request
+   payload under the state's world fingerprint (a state swap with a
+   different fingerprint clears it); cache misses fan out over the shared
    [Webdep_par] pool when the batch is large enough to amortize the
    dispatch.  Per-request latency is observed through the
    [Metrics.Local] fast path and flushed once per batch, so the
@@ -44,16 +44,57 @@ let h_queue = M.histogram ~bounds:size_bounds "serve.queue_depth"
 
 (* --- engine: cache + batched answers ------------------------------------ *)
 
+(* Entries per cache generation.  The cache maps request payloads to
+   response payloads in two generations: a lookup checks the current one,
+   then the previous one, and moves a hit from the previous into the
+   current; when the current fills, it becomes the previous and the
+   previous is dropped.  So the cache never holds more than twice this
+   many entries, never rehashes (each doubling of one unbounded table
+   stalled the loop for milliseconds), and a key asked for at least once
+   per [cache_capacity] distinct requests keeps hitting.  2^17 holds the
+   3 008 measured-epoch queries of a c=300 daemon 40 times over, and a
+   replay of 100 000 distinct requests (the end-to-end benchmark's
+   cache-hit probe) without evicting any of them. *)
+let cache_capacity = 1 lsl 17
+
 type engine = {
   mutable state : State.t;
-  cache : (string, string) Hashtbl.t;  (* request payload -> response payload *)
+  mutable current : (string, string) Hashtbl.t;
+  mutable previous : (string, string) Hashtbl.t;
   par_threshold : int;
 }
 
 let engine ?(par_threshold = 64) state =
-  { state; cache = Hashtbl.create 4096; par_threshold }
+  { state;
+    current = Hashtbl.create cache_capacity;
+    previous = Hashtbl.create cache_capacity;
+    par_threshold }
 
-let invalidate e = Hashtbl.reset e.cache
+(* [Hashtbl.clear] keeps the bucket arrays, so neither generation ever
+   reallocates. *)
+let invalidate e =
+  Hashtbl.clear e.current;
+  Hashtbl.clear e.previous
+
+let cache_add e key reply =
+  if Hashtbl.length e.current >= cache_capacity then begin
+    let dropped = e.previous in
+    Hashtbl.clear dropped;
+    e.previous <- e.current;
+    e.current <- dropped
+  end;
+  Hashtbl.replace e.current key reply
+
+let cache_find e key =
+  match Hashtbl.find_opt e.current key with
+  | Some _ as hit -> hit
+  | None -> (
+      match Hashtbl.find_opt e.previous key with
+      | Some reply as hit ->
+          Hashtbl.remove e.previous key;
+          cache_add e key reply;
+          hit
+      | None -> None)
 
 (* Swap in a new state; the cache only survives when the new state's
    fingerprint matches the one its entries were computed under. *)
@@ -62,8 +103,12 @@ let set_state e state =
     invalidate e;
   e.state <- state
 
-let cache_size e = Hashtbl.length e.cache
+let cache_size e = Hashtbl.length e.current + Hashtbl.length e.previous
 let cacheable = function P.Shutdown -> false | _ -> true
+
+(* An answer too large for its wire fields (an error echoing a 65 000-byte
+   epoch name, say) gets this short reply instead of killing the loop. *)
+let unencodable = P.encode_response (P.Error "reply does not fit the wire format")
 
 let compute e payload =
   match P.decode_request payload with
@@ -75,7 +120,8 @@ let compute e payload =
         try State.answer e.state req
         with exn -> P.Error (Printexc.to_string exn)
       in
-      (P.encode_response resp, cacheable req)
+      let reply = try P.encode_response resp with P.Protocol_error _ -> unencodable in
+      (reply, cacheable req)
 
 (* Answer a batch of encoded requests, preserving order.  Cache hits are
    table lookups; misses are computed on the [Webdep_par] pool when
@@ -88,7 +134,7 @@ let answer_batch e payloads =
   let out = Array.make n "" in
   let misses = ref [] in
   for i = n - 1 downto 0 do
-    match Hashtbl.find_opt e.cache arr.(i) with
+    match cache_find e arr.(i) with
     | Some r ->
         M.incr m_cache_hits;
         out.(i) <- r
@@ -106,7 +152,7 @@ let answer_batch e payloads =
       List.iter2
         (fun i (r, cache_it) ->
           out.(i) <- r;
-          if cache_it then Hashtbl.replace e.cache arr.(i) r)
+          if cache_it then cache_add e arr.(i) r)
         misses results);
   Array.to_list out
 
@@ -316,11 +362,18 @@ let run ?on_ready ?(handle_signals = false) ?snapshot cfg state =
         let line = Bytes.sub_string c.rbuf !consumed (!pos - !consumed) in
         let line = String.trim line in
         (if String.length line > 0 then
+           let refuse msg =
+             M.incr m_proto_errors;
+             respond c (P.encode_response (P.Error msg))
+           in
            match P.request_of_json_string line with
-           | Ok req -> enqueue c (P.encode_request req)
-           | Error msg ->
-               M.incr m_proto_errors;
-               respond c (P.encode_response (P.Error msg)));
+           | Ok req -> (
+               (* A field past its wire width (a 70 000-byte epoch, k
+                  above 65535) cannot be framed: refuse that line only. *)
+               match P.encode_request req with
+               | payload -> enqueue c payload
+               | exception P.Protocol_error msg -> refuse msg)
+           | Error msg -> refuse msg);
         consumed := !pos + 1
       end;
       incr pos

@@ -1,10 +1,12 @@
 (* Tests for webdep_serve: qcheck round-trips of the wire protocol
    (encode ∘ decode = id, truncated frames rejected), the framing layer,
-   the JSON debug representation, the response cache and its
-   fingerprint invalidation, and socket-level integration — daemon
-   answers byte-identical to [State.answer] for every query kind, load
-   shedding past the admission queue, JSON-lines debug mode and clean
-   shutdown. *)
+   the JSON debug representation, [State]'s answer tables against the
+   per-request reference in [State_reference], the response cache (its
+   fingerprint invalidation and its two-generation bound), and
+   socket-level integration — daemon answers byte-identical to
+   [State.answer] for every query kind, load shedding past the admission
+   queue, JSON-lines debug mode, requests too wide for the wire format,
+   and clean shutdown. *)
 
 module P = Webdep_serve.Protocol
 module State = Webdep_serve.State
@@ -221,12 +223,7 @@ let state =
     (let world = World.create ~c:60 ~seed:2024 () in
      let ds23 = Measure.measure_all ~countries:test_countries world in
      let ds25 = Measure.measure_all ~epoch:World.May_2025 ~countries:test_countries world in
-     let st =
-       State.make ~fingerprint:"test-world-60"
-         [ ("2023-05", ds23); ("2025-05", ds25) ]
-     in
-     State.warm st;
-     st)
+     State.make ~fingerprint:"test-world-60" [ ("2023-05", ds23); ("2025-05", ds25) ])
 
 let sample_requests () =
   [ P.Ping;
@@ -356,6 +353,101 @@ let test_scored_epochs () =
         (String.length msg > 0)
   | _ -> Alcotest.fail "topk on a scored epoch must error"
 
+(* --- byte-identity against the reference State ----------------------------- *)
+
+(* [State] answers from tables built at start-up; [State_reference]
+   recomputes every answer per request.  Built from the same inputs,
+   they must encode the same reply for every request of an exhaustive
+   grid.  The inputs reach the corners: the 2025 sweep covers a shifted
+   country slice (a measured ranking ranks the first dataset's
+   countries), scored epochs come from a 4-epoch churn-log replay, e2
+   lacks two layers, and two names repeat (the first one loaded wins). *)
+let grid_countries = [ "US"; "DE"; "JP"; "BR"; "IN"; "ZA" ]
+let grid_countries_25 = [ "US"; "DE"; "JP"; "BR"; "IN"; "RU" ]
+
+let grid_inputs () =
+  let world = World.create ~c:80 ~seed:2024 () in
+  let ds23 = Measure.measure_all ~countries:grid_countries world in
+  let ds25 = Measure.measure_all ~epoch:World.May_2025 ~countries:grid_countries_25 world in
+  let base = List.map (D.country_exn ds23) (D.countries ds23) in
+  let donors =
+    List.map (fun cc -> (cc, Array.of_list (D.country_exn ds25 cc).D.sites)) (D.countries ds25)
+  in
+  let path = Filename.temp_file "webdep_serve_grid" ".log" in
+  Webdep_epoch.Log.create ~path ~base_epoch:0 ~base ();
+  List.iter
+    (fun (ev : Webdep_epoch.Log.event) -> Webdep_epoch.Log.append ~path ~epoch:ev.epoch ev.changes)
+    (Webdep_epoch.Synth.generate ~seed:2024 ~fraction:0.1 ~epochs:4 ~base_epoch:0 ~base ~donors);
+  let log =
+    match Webdep_epoch.Log.load ~path with
+    | Webdep_epoch.Log.Loaded log -> log
+    | _ -> Alcotest.fail "grid churn log did not load"
+  in
+  Sys.remove path;
+  let scored = State.scored_of_log log in
+  let scored =
+    List.map
+      (fun (name, rows) ->
+        if name = "e2" then (name, List.filter (fun (l, _) -> l = D.Hosting || l = D.Dns) rows)
+        else (name, rows))
+      scored
+    @ [ ("e1", List.assoc "e3" scored); ("2025-05", List.assoc "e4" scored) ]
+  in
+  ([ ("2023-05", ds23); ("2025-05", ds25) ], scored)
+
+let test_state_matches_reference () =
+  let datasets, scored = grid_inputs () in
+  let st = State.make ~fingerprint:"grid" ~scored datasets in
+  let rf = State_reference.make ~scored datasets in
+  let epochs =
+    List.sort_uniq String.compare (List.map fst datasets @ List.map fst scored) @ [ "e99"; "" ]
+  in
+  Alcotest.(check int) "7 loaded epochs and 2 unknown ones" 9 (List.length epochs);
+  let countries = List.sort_uniq String.compare (grid_countries @ grid_countries_25) @ [ "XX"; "" ] in
+  let n = List.length grid_countries in
+  let ks = [ 0; 1; n; n + 1; 0xffff ] in
+  let layers = [ D.Hosting; D.Dns; D.Ca; D.Tld ] in
+  let per_layer f = List.concat_map f layers in
+  let reqs =
+    [ P.Ping; P.Shutdown; P.Epochs ]
+    @ List.concat_map
+        (fun epoch ->
+          per_layer (fun layer ->
+              List.map (fun k -> P.Ranking { epoch; layer; k }) ks
+              @ List.concat_map
+                  (fun country ->
+                    P.Score { epoch; layer; country }
+                    :: List.map (fun k -> P.Top_shares { epoch; layer; country; k }) ks)
+                  countries))
+        epochs
+    @ per_layer (fun layer ->
+          List.concat_map
+            (fun country ->
+              List.concat_map
+                (fun old_epoch ->
+                  List.map
+                    (fun new_epoch -> P.Delta { layer; country; old_epoch; new_epoch })
+                    epochs)
+                epochs)
+            countries)
+  in
+  let show q = Webdep_json.to_string (P.request_to_json q) in
+  let differing =
+    List.filter_map
+      (fun q ->
+        let got = P.encode_response (State.answer st q) in
+        let want = P.encode_response (State_reference.answer rf q) in
+        if String.equal got want then None
+        else
+          Some
+            (Printf.sprintf "%s: %s <> %s" (show q)
+               (String.trim (P.render (State.answer st q)))
+               (String.trim (P.render (State_reference.answer rf q)))))
+      reqs
+  in
+  Alcotest.(check int) "grid size" 5043 (List.length reqs);
+  Alcotest.(check (list string)) "every reply equals the reference" [] differing
+
 (* --- engine cache -------------------------------------------------------- *)
 
 let test_engine_cache () =
@@ -381,6 +473,33 @@ let test_engine_cache () =
   (* Shutdown is never cached. *)
   ignore (Server.answer_payload eng (P.encode_request P.Shutdown));
   Alcotest.(check int) "shutdown not cached" 0 (Server.cache_size eng)
+
+(* The cache is two fixed-size generations: 3 x capacity distinct
+   payloads leave at most 2 x capacity entries, and a key asked for again
+   every capacity/2 requests keeps hitting. *)
+let test_engine_cache_bounded () =
+  let eng = Server.engine (Lazy.force state) in
+  let cap = Server.cache_capacity in
+  let distinct i =
+    P.encode_request
+      (P.Score { epoch = "2023-05"; layer = D.Hosting; country = Printf.sprintf "Z%07d" i })
+  in
+  let hot = P.encode_request (P.Score { epoch = "2023-05"; layer = D.Hosting; country = "US" }) in
+  let hits () = Webdep_obs.Metrics.value Server.m_cache_hits in
+  let reply = Server.answer_payload eng hot in
+  let missed = ref 0 and max_size = ref 0 in
+  for i = 1 to 3 * cap do
+    ignore (Server.answer_payload eng (distinct i));
+    max_size := max !max_size (Server.cache_size eng);
+    if i mod (cap / 2) = 0 then begin
+      let before = hits () in
+      Alcotest.(check string) "hot reply unchanged" reply (Server.answer_payload eng hot);
+      if hits () <> before + 1 then incr missed
+    end
+  done;
+  Alcotest.(check bool) "cache never above two generations" true (!max_size <= 2 * cap);
+  Alcotest.(check bool) "cache did fill a generation" true (!max_size > cap);
+  Alcotest.(check int) "key asked every cap/2 requests always hit" 0 !missed
 
 let test_engine_batch_order_and_jobs () =
   let st = Lazy.force state in
@@ -492,6 +611,53 @@ let test_json_lines_mode () =
   Client.close cl;
   Domain.join d
 
+(* A request whose answer cannot be framed — the unknown-epoch error
+   echoes a 65 530-byte name past the u16 string limit; a JSON line's
+   70 000-byte epoch cannot even be re-encoded as a request — gets a
+   short error in both modes, and the connection stays usable. *)
+let test_oversized_request () =
+  let path = temp_socket () in
+  let d = start_server path in
+  let cl = Client.connect path in
+  (match
+     Client.request cl
+       (P.Score { epoch = String.make 65530 'e'; layer = D.Hosting; country = "US" })
+   with
+  | P.Error msg -> Alcotest.(check bool) "binary: short error" true (String.length msg < 100)
+  | r -> Alcotest.fail ("binary: expected an error, got " ^ String.trim (P.render r)));
+  (match Client.request cl P.Ping with
+  | P.Pong -> ()
+  | _ -> Alcotest.fail "binary: ping after the oversized request");
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let lines =
+    Printf.sprintf {|{"kind":"score","epoch":"%s","layer":"hosting","country":"US"}|}
+      (String.make 70_000 'e')
+    ^ "
+" ^ {|{"kind":"ping"}|} ^ "
+"
+  in
+  let sent = Unix.write_substring fd lines 0 (String.length lines) in
+  Alcotest.(check int) "lines written" (String.length lines) sent;
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let newlines () = List.length (String.split_on_char '\n' (Buffer.contents buf)) - 1 in
+  while newlines () < 2 do
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> Alcotest.fail "json: connection closed early"
+    | n -> Buffer.add_subbytes buf chunk 0 n
+  done;
+  Unix.close fd;
+  (match String.split_on_char '\n' (Buffer.contents buf) with
+  | err :: pong :: _ ->
+      (match P.response_of_json (Webdep_json.parse err) with
+      | P.Error msg -> Alcotest.(check bool) "json: short error" true (String.length msg < 100)
+      | _ -> Alcotest.fail ("json: expected an error, got " ^ err));
+      Alcotest.(check string) "json: ping on the same connection" {|{"kind":"pong"}|} pong
+  | _ -> Alcotest.fail "json: two replies expected");
+  (match Client.request cl P.Shutdown with P.Bye -> () | _ -> Alcotest.fail "bye");
+  Client.close cl;
+  Domain.join d
+
 (* --- protocol fuzz: mutated and truncated bytes --------------------------- *)
 
 (* The decoder's contract under hostile bytes: a clean [Error], never an
@@ -558,7 +724,6 @@ let test_snapshot_roundtrip () =
           shards
       in
       let st' = State.make ~fingerprint:"test-world-60" datasets in
-      State.warm st';
       let reqs = List.filter (fun r -> r <> P.Shutdown) (sample_requests ()) in
       Alcotest.(check (list string))
         "restored state answers byte-identical" (answers st reqs) (answers st' reqs)
@@ -812,11 +977,14 @@ let () =
           Alcotest.test_case "answer kinds" `Quick test_answer_kinds;
           Alcotest.test_case "warm = cold, bit-identical" `Quick test_answer_matches_cold;
           Alcotest.test_case "scored churn-log epochs" `Quick test_scored_epochs;
+          Alcotest.test_case "replies = reference State, exhaustive grid" `Quick
+            test_state_matches_reference;
         ] );
       ( "engine",
         [
           Alcotest.test_case "cache and invalidation" `Quick test_engine_cache;
           Alcotest.test_case "batch order and jobs" `Quick test_engine_batch_order_and_jobs;
+          Alcotest.test_case "cache bounded to two generations" `Quick test_engine_cache_bounded;
         ] );
       ( "server",
         [
@@ -824,6 +992,8 @@ let () =
           Alcotest.test_case "load shedding" `Quick test_load_shedding;
           Alcotest.test_case "json-lines debug mode" `Quick test_json_lines_mode;
           Alcotest.test_case "graceful drain + snapshot" `Quick test_drain;
+          Alcotest.test_case "oversized request answered, loop survives" `Quick
+            test_oversized_request;
         ] );
       ( "fuzz",
         [
