@@ -23,12 +23,6 @@
      WEBDEP_BENCH_SCALE_CS  comma-separated toplist sizes for the scale
                         phase (default "300,2000"; the full paper sweep
                         is "300,2000,10000")
-     WEBDEP_BENCH_SERVE_C   toplist size for the serve phase's warmed
-                        store (default 300, the paper-scale floor)
-     WEBDEP_BENCH_SERVE_N   total closed-loop queries in the serve
-                        phase (default 40000)
-     WEBDEP_BENCH_SERVE_CLIENTS  concurrent load-generator connections
-                        (default: jobs clamped to [2,4])
 
    --compare BASELINE.json on argv diffs this run's phases against a
    saved baseline through the noise-aware gate (Webdep_prof.Regress) and
@@ -63,7 +57,7 @@ module Country = Webdep_geo.Country
 
 module Span = Webdep_obs.Span
 module Obs_metrics = Webdep_obs.Metrics
-module Json = Webdep_obs.Json
+module Json = Webdep_json
 
 let env_int name default =
   match Sys.getenv_opt name with Some v -> int_of_string v | None -> default
@@ -1758,9 +1752,19 @@ let scale_phase () =
 
 module Serve = Webdep_serve
 
-let serve_c = env_int "WEBDEP_BENCH_SERVE_C" 300
-let serve_n = env_int "WEBDEP_BENCH_SERVE_N" 40_000
-let serve_clients = env_int "WEBDEP_BENCH_SERVE_CLIENTS" (max 2 (min 4 jobs))
+(* The serve and epoch phases share one world at the paper-scale floor,
+   independent of the bench's own -c so their numbers compare across
+   bench configs, measured at both epochs.  The first phase that needs
+   it pays for the two sweeps. *)
+let fixture_c = 300
+
+let fixture =
+  lazy
+    (let w = World.create ~c:fixture_c ~seed () in
+     (Measure.measure_all ~jobs w, Measure.measure_all ~epoch:World.May_2025 ~jobs w))
+
+let serve_n = 40_000
+let serve_clients = max 2 (min 4 jobs)
 
 (* Deterministic query mix cycling every kind, epoch and layer over the
    state's country list — the same stream regardless of client count. *)
@@ -1786,13 +1790,9 @@ let serve_json : (string * Json.t) list ref = ref []
 
 let serve_phase () =
   section "Serve" "batched dependence-query daemon under closed-loop load";
-  (* A fresh warmed world at the paper-scale floor, independent of the
-     bench's own -c, so qps numbers are comparable across bench configs. *)
   let state, build_s =
     Span.timed ~name:"bench.serve.build" (fun () ->
-        let sw = World.create ~c:serve_c ~seed () in
-        let ds23 = Measure.measure_all ~jobs sw in
-        let ds25 = Measure.measure_all ~epoch:World.May_2025 ~jobs sw in
+        let ds23, ds25 = Lazy.force fixture in
         Serve.State.make ~fingerprint:"bench-serve" [ ("2023-05", ds23); ("2025-05", ds25) ])
   in
   let path = Filename.temp_file "webdep_bench_serve" ".sock" in
@@ -1846,13 +1846,17 @@ let serve_phase () =
   let q h p =
     match Obs_metrics.quantile h p with Some v -> v | None -> 0.0
   in
-  let lat = Serve.Server.h_latency in
-  let cache_hits = Obs_metrics.value Serve.Server.m_cache_hits in
-  let cache_misses = Obs_metrics.value Serve.Server.m_cache_misses in
-  let shed = Obs_metrics.value Serve.Server.m_shed in
+  let lat = Obs_metrics.histogram "serve.latency_s" in
+  let h_queue = Obs_metrics.histogram "serve.queue_depth" in
+  let h_batch = Obs_metrics.histogram "serve.batch_size" in
+  let queue_max = Option.value ~default:0.0 (Obs_metrics.max_value h_queue) in
+  let count name = Obs_metrics.value (Obs_metrics.counter name) in
+  let cache_hits = count "serve.cache.hits" in
+  let cache_misses = count "serve.cache.misses" in
+  let shed = count "serve.shed" in
   serve_json :=
     [
-      ("c", Json.Int serve_c);
+      ("c", Json.Int fixture_c);
       ("clients", Json.Int serve_clients);
       ("requests", Json.Int n_sent);
       ("build_s", Json.Float build_s);
@@ -1862,13 +1866,9 @@ let serve_phase () =
       ("latency_p99_us", Json.Float (1e6 *. q lat 0.99));
       ("latency_p999_us", Json.Float (1e6 *. q lat 0.999));
       ("latency_mean_us", Json.Float (1e6 *. Obs_metrics.mean lat));
-      ("queue_depth_mean", Json.Float (Obs_metrics.mean Serve.Server.h_queue));
-      ( "queue_depth_max",
-        Json.Float
-          (match Obs_metrics.max_value Serve.Server.h_queue with
-          | Some v -> v
-          | None -> 0.0) );
-      ("batch_size_mean", Json.Float (Obs_metrics.mean Serve.Server.h_batch));
+      ("queue_depth_mean", Json.Float (Obs_metrics.mean h_queue));
+      ("queue_depth_max", Json.Float queue_max);
+      ("batch_size_mean", Json.Float (Obs_metrics.mean h_batch));
       ("cache_hits", Json.Int cache_hits);
       ("cache_misses", Json.Int cache_misses);
       ("shed", Json.Int shed);
@@ -1879,14 +1879,10 @@ let serve_phase () =
      latency us: p50 %.1f  p99 %.1f  p999 %.1f  mean %.1f\n\
      queue depth: mean %.2f max %.0f | batch mean %.2f | cache %d hit / %d \
      miss | shed %d | byte-identical: %s\n%!"
-    serve_c build_s serve_clients n_per load_s qps
+    fixture_c build_s serve_clients n_per load_s qps
     (1e6 *. q lat 0.50) (1e6 *. q lat 0.99) (1e6 *. q lat 0.999)
     (1e6 *. Obs_metrics.mean lat)
-    (Obs_metrics.mean Serve.Server.h_queue)
-    (match Obs_metrics.max_value Serve.Server.h_queue with
-    | Some v -> v
-    | None -> 0.0)
-    (Obs_metrics.mean Serve.Server.h_batch)
+    (Obs_metrics.mean h_queue) queue_max (Obs_metrics.mean h_batch)
     cache_hits cache_misses shed
     (if identical then "yes" else "NO");
   (* Clean shutdown: Shutdown -> Bye, server drains and unlinks socket. *)
@@ -1901,8 +1897,10 @@ let serve_phase () =
    chaos phase — wire faults under load, then crash + warm restart
    ======================================================================== *)
 
-let chaos_c = env_int "WEBDEP_BENCH_CHAOS_C" 120
-let chaos_n = env_int "WEBDEP_BENCH_CHAOS_N" 400
+(* The chaos phase keeps a smaller world of its own: its recovery
+   speedup is measured against that world's build. *)
+let chaos_c = 120
+let chaos_n = 400
 let chaos_json : (string * Json.t) list ref = ref []
 
 (* Two questions, both gated by --compare:
@@ -2064,17 +2062,14 @@ let chaos_phase () =
 
 module Epoch = Webdep_epoch
 
-let epoch_c = env_int "WEBDEP_BENCH_EPOCH_C" 300
-let epoch_n = env_int "WEBDEP_BENCH_EPOCH_N" 24
+let epoch_n = 24
 let epoch_churn = 0.02
 let epoch_json : (string * Json.t) list ref = ref []
 
 let epoch_phase () =
   section "Epoch"
     "churn-log replay: O(churn) rescoring vs per-epoch full re-sweeps";
-  let sw = World.create ~c:epoch_c ~seed () in
-  let ds23 = Measure.measure_all ~jobs sw in
-  let ds25 = Measure.measure_all ~epoch:World.May_2025 ~jobs sw in
+  let ds23, ds25 = Lazy.force fixture in
   let base = List.map (D.country_exn ds23) (D.countries ds23) in
   let donors =
     List.map
@@ -2175,7 +2170,7 @@ let epoch_phase () =
   Sys.remove short_path;
   epoch_json :=
     [
-      ("c", Json.Int epoch_c);
+      ("c", Json.Int fixture_c);
       ("epochs", Json.Int epoch_n);
       ("churn", Json.Float epoch_churn);
       ("append_s", Json.Float append_s);
@@ -2194,7 +2189,7 @@ let epoch_phase () =
      full %.3fs (%.1fx) | scores bit-identical at every epoch: %s\n\
      compaction: %d -> %d bytes | warm start: 4-epoch %.3fs vs compacted \
      %d-epoch %.3fs (ratio %.2f)\n%!"
-    epoch_c epoch_n (100.0 *. epoch_churn) append_s replay_s full_s speedup
+    fixture_c epoch_n (100.0 *. epoch_churn) append_s replay_s full_s speedup
     (if identical then "yes" else "NO")
     raw_bytes compacted_bytes warm_short_s epoch_n warm_compacted_s warm_ratio
 
@@ -2239,8 +2234,8 @@ let phase_counters : (string * (string * int) list) list ref = ref []
    - scale:           per-toplist-size sweep telemetry (fresh world per
                       size): countries, sites, seconds, minor words,
                       top_heap_words, mean hosting S
-   - serve:           batched query-daemon load test on a warmed
-                      c=WEBDEP_BENCH_SERVE_C store — closed-loop qps,
+   - serve:           batched query-daemon load test on the shared
+                      c=300 two-epoch fixture — closed-loop qps,
                       server-side latency p50/p99/p999 (interpolated
                       histogram quantiles), queue-depth / batch-size
                       stats, cache hit/miss and shed totals, and the

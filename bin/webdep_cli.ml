@@ -833,10 +833,10 @@ let query_cmd =
           $ query_retries_arg $ seed_arg $ c_arg $ countries_arg $ store_term
           $ epoch_log_arg $ query_pos)
 
-let run_serve () listen seed c countries store max_queue batch_max par_threshold
-    snapshot epoch_log supervise restart_limit restart_window =
-  if max_queue < 1 || batch_max < 1 then begin
-    Printf.eprintf "webdep serve: --max-queue and --batch-max must be >= 1\n";
+let run_serve () listen seed c countries store max_queue snapshot epoch_log
+    supervise restart_limit restart_window =
+  if max_queue < 1 then begin
+    Printf.eprintf "webdep serve: --max-queue must be >= 1\n";
     exit 124
   end;
   let serve_child () =
@@ -851,7 +851,7 @@ let run_serve () listen seed c countries store max_queue batch_max par_threshold
       serve_state ?snapshot ?epoch_log ~seed ~c
         ?countries:(normalize_countries countries) ?store ()
     in
-    let cfg = Serve.Server.config ~max_queue ~batch_max ~par_threshold listen in
+    let cfg = Serve.Server.config ~max_queue listen in
     Serve.Server.run ~handle_signals:true ?snapshot
       ~on_ready:(fun () ->
         Printf.printf
@@ -885,7 +885,8 @@ let serve_cmd =
           every country's score row and the full ranking, plus the \
           provider tallies of both measured epochs for top-k queries.  \
           It then answers queries on a Unix or loopback-TCP socket.  \
-          Requests are drained and answered in batches; past \
+          Requests are drained and answered in batches of up to 256 on \
+          one loop; $(b,--jobs) sizes only the start-up sweep.  Past \
           $(b,--max-queue) pending requests the daemon replies \
           $(i,overloaded) immediately instead of queueing without bound.  \
           Replies are cached by request in two generations of 131 072 \
@@ -893,7 +894,9 @@ let serve_cmd =
           requests arrive.  A request whose reply cannot be framed (an \
           over-long epoch name, say) gets a short error.  Connections \
           whose first byte is '{' speak newline-delimited JSON (debug \
-          mode) instead of binary frames.";
+          mode) instead of binary frames; a connection that sends more \
+          than 16 MiB without a newline gets a short error and is \
+          closed.";
       `P "Send the $(b,shutdown) query (e.g. $(b,webdep query --connect \
           ADDR shutdown)) for a clean shutdown, or SIGTERM/SIGINT for a \
           graceful drain: in-flight batches are answered, late requests \
@@ -916,15 +919,6 @@ let serve_cmd =
     Arg.(value & opt int 1024 & info [ "max-queue" ] ~docv:"N"
            ~doc:"Admission-queue depth; further requests get an immediate \
                  $(i,overloaded) reply (load shedding).")
-  in
-  let batch_max =
-    Arg.(value & opt int 256 & info [ "batch-max" ] ~docv:"N"
-           ~doc:"Requests answered per batch.")
-  in
-  let par_threshold =
-    Arg.(value & opt int 64 & info [ "par-threshold" ] ~docv:"N"
-           ~doc:"Cache misses in a batch before answering fans out over \
-                 the --jobs worker pool.")
   in
   let snapshot =
     Arg.(value & opt (some string) None & info [ "snapshot" ] ~docv:"FILE"
@@ -956,8 +950,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc ~man ~exits)
     Term.(const run_serve $ obs_term $ listen $ seed_arg $ c_arg $ countries_arg
-          $ store_term $ max_queue $ batch_max $ par_threshold $ snapshot
-          $ epoch_log_arg $ supervise $ restart_limit $ restart_window)
+          $ store_term $ max_queue $ snapshot $ epoch_log_arg $ supervise
+          $ restart_limit $ restart_window)
 
 (* --- epochs --------------------------------------------------------------------------- *)
 

@@ -9,7 +9,7 @@
    resuming under different parameters would silently mix two different
    worlds. *)
 
-module Json = Webdep_obs.Json
+module Json = Webdep_json
 module D = Webdep.Dataset
 
 let schema = "webdep-checkpoint/2"

@@ -18,7 +18,7 @@ type entry = {
 
 type t
 
-val open_ : path:string -> meta:(string * Webdep_obs.Json.t) list -> t
+val open_ : path:string -> meta:(string * Webdep_json.t) list -> t
 (** Open (creating or resuming) a checkpoint.  [meta] identifies the
     sweep (world seed, size, epoch, vantage, fault parameters...); it
     becomes part of the header and must match exactly on resume. *)

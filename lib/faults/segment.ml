@@ -142,14 +142,15 @@ let last ~path ~len =
 let add_u8 b v = Buffer.add_uint8 b (v land 0xff)
 
 let add_u16 b v =
-  if v < 0 || v > 0xFFFF then invalid_arg (Printf.sprintf "Segment: u16 out of range: %d" v);
+  if v < 0 || v > 0xFFFF then invalid_arg (Printf.sprintf "u16 out of range: %d" v);
   Buffer.add_uint16_be b v
 
 let add_u32 b v =
-  if v < 0 || v > 0xFFFFFFFF then invalid_arg (Printf.sprintf "Segment: u32 out of range: %d" v);
+  if v < 0 || v > 0xFFFFFFFF then invalid_arg (Printf.sprintf "u32 out of range: %d" v);
   Buffer.add_int32_be b (Int32.of_int v)
 
 let add_int b v = Buffer.add_int64_be b (Int64.of_int v)
+let add_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
 
 let add_str b s =
   add_u16 b (String.length s);
@@ -174,6 +175,7 @@ let get_u8 cur = String.get_uint8 cur.data (take cur 1)
 let get_u16 cur = String.get_uint16_be cur.data (take cur 2)
 let get_u32 cur = u32_at cur.data (take cur 4)
 let get_int cur = Int64.to_int (String.get_int64_be cur.data (take cur 8))
+let get_f64 cur = Int64.float_of_bits (String.get_int64_be cur.data (take cur 8))
 
 let get_str cur =
   let n = get_u16 cur in

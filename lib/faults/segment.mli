@@ -10,7 +10,9 @@
     checksums, durable writes and torn-tail recovery live here once.
 
     This module also holds the payload codec: length-prefixed strings,
-    fixed-width integers and the shared site-list codec. *)
+    fixed-width integers, IEEE-754 floats and the shared site-list
+    codec.  The query daemon's wire protocol encodes its messages with
+    it too. *)
 
 (** {2 Records} *)
 
@@ -62,11 +64,17 @@ exception Malformed of string
 
 val add_u8 : Buffer.t -> int -> unit
 
+val add_u16 : Buffer.t -> int -> unit
+(** @raise Invalid_argument outside [0, 0xFFFF]. *)
+
 val add_u32 : Buffer.t -> int -> unit
 (** @raise Invalid_argument outside [0, 0xFFFFFFFF]. *)
 
 val add_int : Buffer.t -> int -> unit
 (** A 64-bit signed integer. *)
+
+val add_f64 : Buffer.t -> float -> unit
+(** The float's 64 IEEE-754 bits, so NaN payloads survive. *)
 
 val add_str : Buffer.t -> string -> unit
 (** A string with a u16 length prefix.
@@ -91,8 +99,10 @@ val decode : string -> (cursor -> 'a) -> 'a
     @raise Malformed on trailing bytes. *)
 
 val get_u8 : cursor -> int
+val get_u16 : cursor -> int
 val get_u32 : cursor -> int
 val get_int : cursor -> int
+val get_f64 : cursor -> float
 val get_str : cursor -> string
 val get_strs : cursor -> string list
 val get_sites : cursor -> Webdep.Dataset.site list

@@ -95,6 +95,8 @@ let console () =
 
 (* --- JSON lines -------------------------------------------------------- *)
 
+module Json = Webdep_json
+
 let json_of_event ev =
   Json.Obj
     [

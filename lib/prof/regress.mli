@@ -30,7 +30,7 @@ type report = {
 
 (** Extract phases from a bench JSON document ("phases_s" +
     "phases_minor_words" objects). *)
-val phases_of_json : Webdep_obs.Json.t -> phase list
+val phases_of_json : Webdep_json.t -> phase list
 
 (** Coefficient of variation of [f]'s wall time over [runs] timed
     repetitions (plus one discarded warm-up). *)

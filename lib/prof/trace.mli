@@ -16,4 +16,4 @@ val write : string -> Webdep_obs.Sink.event list -> unit
 val load : string -> Webdep_obs.Sink.event list
 
 (** The document as a JSON tree (exposed for tests). *)
-val document : Webdep_obs.Sink.event list -> Webdep_obs.Json.t
+val document : Webdep_obs.Sink.event list -> Webdep_json.t

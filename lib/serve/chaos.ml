@@ -28,12 +28,6 @@ type outcome =
   | Refused of string  (* connect failed — server down or restarting *)
   | Broken of string  (* reply owed but not delivered correctly *)
 
-let outcome_name = function
-  | Reply _ -> "reply"
-  | Injected -> "injected"
-  | Refused _ -> "refused"
-  | Broken _ -> "broken"
-
 (* Deliver [s] in deterministic 1..3-byte dribbles. *)
 let write_dribble plan ~key fd s =
   let len = String.length s in

@@ -97,214 +97,164 @@ let canonical_epoch name =
 
 (* --- binary encoding ---------------------------------------------------- *)
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+(* The payload codec is [Segment]'s: u8 tags, u16 counts and
+   u16-length-prefixed strings, big-endian integers and IEEE-754 floats,
+   and a cursor that refuses truncated and trailing bytes.  Its errors
+   leave this module as [Protocol_error]. *)
+module S = Webdep_faults.Segment
 
-let put_u16 b v =
-  if v < 0 || v > 0xffff then fail "u16 out of range: %d" v;
-  put_u8 b (v lsr 8);
-  put_u8 b v
+let encode f =
+  let b = Buffer.create 64 in
+  (try f b with Invalid_argument msg -> raise (Protocol_error msg));
+  Buffer.contents b
 
-let put_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
-
-let put_str b s =
-  put_u16 b (String.length s);
-  Buffer.add_string b s
-
-type cursor = { data : string; mutable off : int }
-
-let need cur n =
-  if cur.off + n > String.length cur.data then fail "truncated payload"
-
-let get_u8 cur =
-  need cur 1;
-  let v = Char.code cur.data.[cur.off] in
-  cur.off <- cur.off + 1;
-  v
-
-let get_u16 cur =
-  let hi = get_u8 cur in
-  let lo = get_u8 cur in
-  (hi lsl 8) lor lo
-
-let get_f64 cur =
-  need cur 8;
-  let v = Int64.float_of_bits (String.get_int64_be cur.data cur.off) in
-  cur.off <- cur.off + 8;
-  v
-
-let get_str cur =
-  let n = get_u16 cur in
-  need cur n;
-  let s = String.sub cur.data cur.off n in
-  cur.off <- cur.off + n;
-  s
+let decode payload f =
+  match S.decode payload f with
+  | v -> Ok v
+  | exception (S.Malformed msg | Protocol_error msg) -> Result.Error msg
 
 let encode_request req =
-  let b = Buffer.create 32 in
-  (match req with
-  | Ping -> put_u8 b 0
-  | Score { epoch; layer; country } ->
-      put_u8 b 1;
-      put_str b epoch;
-      put_u8 b (layer_code layer);
-      put_str b country
-  | Top_shares { epoch; layer; country; k } ->
-      put_u8 b 2;
-      put_str b epoch;
-      put_u8 b (layer_code layer);
-      put_str b country;
-      put_u16 b k
-  | Ranking { epoch; layer; k } ->
-      put_u8 b 3;
-      put_str b epoch;
-      put_u8 b (layer_code layer);
-      put_u16 b k
-  | Delta { layer; country; old_epoch; new_epoch } ->
-      put_u8 b 4;
-      put_u8 b (layer_code layer);
-      put_str b country;
-      put_str b old_epoch;
-      put_str b new_epoch
-  | Shutdown -> put_u8 b 5
-  | Epochs -> put_u8 b 6);
-  Buffer.contents b
-
-let decode_request_exn payload =
-  let cur = { data = payload; off = 0 } in
-  let req =
-    match get_u8 cur with
-    | 0 -> Ping
-    | 1 ->
-        let epoch = get_str cur in
-        let layer = layer_of_code (get_u8 cur) in
-        let country = get_str cur in
-        Score { epoch; layer; country }
-    | 2 ->
-        let epoch = get_str cur in
-        let layer = layer_of_code (get_u8 cur) in
-        let country = get_str cur in
-        let k = get_u16 cur in
-        Top_shares { epoch; layer; country; k }
-    | 3 ->
-        let epoch = get_str cur in
-        let layer = layer_of_code (get_u8 cur) in
-        let k = get_u16 cur in
-        Ranking { epoch; layer; k }
-    | 4 ->
-        let layer = layer_of_code (get_u8 cur) in
-        let country = get_str cur in
-        let old_epoch = get_str cur in
-        let new_epoch = get_str cur in
-        Delta { layer; country; old_epoch; new_epoch }
-    | 5 -> Shutdown
-    | 6 -> Epochs
-    | t -> fail "bad request tag %d" t
-  in
-  if cur.off <> String.length payload then fail "trailing bytes after request";
-  req
+  encode (fun b ->
+      match req with
+      | Ping -> S.add_u8 b 0
+      | Score { epoch; layer; country } ->
+          S.add_u8 b 1;
+          S.add_str b epoch;
+          S.add_u8 b (layer_code layer);
+          S.add_str b country
+      | Top_shares { epoch; layer; country; k } ->
+          S.add_u8 b 2;
+          S.add_str b epoch;
+          S.add_u8 b (layer_code layer);
+          S.add_str b country;
+          S.add_u16 b k
+      | Ranking { epoch; layer; k } ->
+          S.add_u8 b 3;
+          S.add_str b epoch;
+          S.add_u8 b (layer_code layer);
+          S.add_u16 b k
+      | Delta { layer; country; old_epoch; new_epoch } ->
+          S.add_u8 b 4;
+          S.add_u8 b (layer_code layer);
+          S.add_str b country;
+          S.add_str b old_epoch;
+          S.add_str b new_epoch
+      | Shutdown -> S.add_u8 b 5
+      | Epochs -> S.add_u8 b 6)
 
 let decode_request payload =
-  match decode_request_exn payload with
-  | req -> Ok req
-  | exception Protocol_error msg -> Result.Error msg
+  decode payload (fun cur ->
+      match S.get_u8 cur with
+      | 0 -> Ping
+      | 1 ->
+          let epoch = S.get_str cur in
+          let layer = layer_of_code (S.get_u8 cur) in
+          let country = S.get_str cur in
+          Score { epoch; layer; country }
+      | 2 ->
+          let epoch = S.get_str cur in
+          let layer = layer_of_code (S.get_u8 cur) in
+          let country = S.get_str cur in
+          let k = S.get_u16 cur in
+          Top_shares { epoch; layer; country; k }
+      | 3 ->
+          let epoch = S.get_str cur in
+          let layer = layer_of_code (S.get_u8 cur) in
+          let k = S.get_u16 cur in
+          Ranking { epoch; layer; k }
+      | 4 ->
+          let layer = layer_of_code (S.get_u8 cur) in
+          let country = S.get_str cur in
+          let old_epoch = S.get_str cur in
+          let new_epoch = S.get_str cur in
+          Delta { layer; country; old_epoch; new_epoch }
+      | 5 -> Shutdown
+      | 6 -> Epochs
+      | t -> fail "bad request tag %d" t)
 
 let encode_response resp =
-  let b = Buffer.create 64 in
-  (match resp with
-  | Pong -> put_u8 b 0
-  | Scores { s; hhi; insularity } ->
-      put_u8 b 1;
-      put_f64 b s;
-      put_f64 b hhi;
-      put_f64 b insularity
-  | Shares shares ->
-      put_u8 b 2;
-      put_u16 b (List.length shares);
-      List.iter
-        (fun { provider; home; share } ->
-          put_str b provider;
-          put_str b home;
-          put_f64 b share)
-        shares
-  | Ranks ranks ->
-      put_u8 b 3;
-      put_u16 b (List.length ranks);
-      List.iter
-        (fun (cc, s) ->
-          put_str b cc;
-          put_f64 b s)
-        ranks
-  | Deltas { old_epoch; new_epoch; old_s; new_s; delta } ->
-      put_u8 b 4;
-      put_str b old_epoch;
-      put_str b new_epoch;
-      put_f64 b old_s;
-      put_f64 b new_s;
-      put_f64 b delta
-  | Overloaded -> put_u8 b 5
-  | Bye -> put_u8 b 6
-  | Error msg ->
-      put_u8 b 7;
-      put_str b msg
-  | Draining -> put_u8 b 8
-  | Epoch_list epochs ->
-      put_u8 b 9;
-      put_u16 b (List.length epochs);
-      List.iter (fun e -> put_str b e) epochs);
-  Buffer.contents b
-
-let decode_response_exn payload =
-  let cur = { data = payload; off = 0 } in
-  let resp =
-    match get_u8 cur with
-    | 0 -> Pong
-    | 1 ->
-        let s = get_f64 cur in
-        let hhi = get_f64 cur in
-        let insularity = get_f64 cur in
-        Scores { s; hhi; insularity }
-    | 2 ->
-        let n = get_u16 cur in
-        let shares =
-          List.init n (fun _ ->
-              let provider = get_str cur in
-              let home = get_str cur in
-              let share = get_f64 cur in
-              { provider; home; share })
-        in
-        Shares shares
-    | 3 ->
-        let n = get_u16 cur in
-        let ranks =
-          List.init n (fun _ ->
-              let cc = get_str cur in
-              let s = get_f64 cur in
-              (cc, s))
-        in
-        Ranks ranks
-    | 4 ->
-        let old_epoch = get_str cur in
-        let new_epoch = get_str cur in
-        let old_s = get_f64 cur in
-        let new_s = get_f64 cur in
-        let delta = get_f64 cur in
-        Deltas { old_epoch; new_epoch; old_s; new_s; delta }
-    | 5 -> Overloaded
-    | 6 -> Bye
-    | 7 -> Error (get_str cur)
-    | 8 -> Draining
-    | 9 ->
-        let n = get_u16 cur in
-        Epoch_list (List.init n (fun _ -> get_str cur))
-    | t -> fail "bad response tag %d" t
-  in
-  if cur.off <> String.length payload then fail "trailing bytes after response";
-  resp
+  encode (fun b ->
+      match resp with
+      | Pong -> S.add_u8 b 0
+      | Scores { s; hhi; insularity } ->
+          S.add_u8 b 1;
+          S.add_f64 b s;
+          S.add_f64 b hhi;
+          S.add_f64 b insularity
+      | Shares shares ->
+          S.add_u8 b 2;
+          S.add_u16 b (List.length shares);
+          List.iter
+            (fun { provider; home; share } ->
+              S.add_str b provider;
+              S.add_str b home;
+              S.add_f64 b share)
+            shares
+      | Ranks ranks ->
+          S.add_u8 b 3;
+          S.add_u16 b (List.length ranks);
+          List.iter
+            (fun (cc, s) ->
+              S.add_str b cc;
+              S.add_f64 b s)
+            ranks
+      | Deltas { old_epoch; new_epoch; old_s; new_s; delta } ->
+          S.add_u8 b 4;
+          S.add_str b old_epoch;
+          S.add_str b new_epoch;
+          S.add_f64 b old_s;
+          S.add_f64 b new_s;
+          S.add_f64 b delta
+      | Overloaded -> S.add_u8 b 5
+      | Bye -> S.add_u8 b 6
+      | Error msg ->
+          S.add_u8 b 7;
+          S.add_str b msg
+      | Draining -> S.add_u8 b 8
+      | Epoch_list epochs ->
+          S.add_u8 b 9;
+          S.add_u16 b (List.length epochs);
+          List.iter (S.add_str b) epochs)
 
 let decode_response payload =
-  match decode_response_exn payload with
-  | resp -> Ok resp
-  | exception Protocol_error msg -> Result.Error msg
+  decode payload (fun cur ->
+      match S.get_u8 cur with
+      | 0 -> Pong
+      | 1 ->
+          let s = S.get_f64 cur in
+          let hhi = S.get_f64 cur in
+          let insularity = S.get_f64 cur in
+          Scores { s; hhi; insularity }
+      | 2 ->
+          let n = S.get_u16 cur in
+          Shares
+            (List.init n (fun _ ->
+                 let provider = S.get_str cur in
+                 let home = S.get_str cur in
+                 let share = S.get_f64 cur in
+                 { provider; home; share }))
+      | 3 ->
+          let n = S.get_u16 cur in
+          Ranks
+            (List.init n (fun _ ->
+                 let cc = S.get_str cur in
+                 let s = S.get_f64 cur in
+                 (cc, s)))
+      | 4 ->
+          let old_epoch = S.get_str cur in
+          let new_epoch = S.get_str cur in
+          let old_s = S.get_f64 cur in
+          let new_s = S.get_f64 cur in
+          let delta = S.get_f64 cur in
+          Deltas { old_epoch; new_epoch; old_s; new_s; delta }
+      | 5 -> Overloaded
+      | 6 -> Bye
+      | 7 -> Error (S.get_str cur)
+      | 8 -> Draining
+      | 9 ->
+          let n = S.get_u16 cur in
+          Epoch_list (List.init n (fun _ -> S.get_str cur))
+      | t -> fail "bad response tag %d" t)
 
 (* --- framing ------------------------------------------------------------ *)
 
@@ -378,12 +328,6 @@ let json_int j key =
   match Json.member key j with
   | Some (Json.Int i) -> i
   | _ -> fail "missing int field %S" key
-
-let json_float j key =
-  match Json.member key j with
-  | Some (Json.Float v) -> v
-  | Some (Json.Int i) -> float_of_int i
-  | _ -> fail "missing float field %S" key
 
 let json_epoch j = canonical_epoch (json_str j "epoch")
 
@@ -473,59 +417,6 @@ let response_to_json resp =
         [ ("kind", String "epochs");
           ("epochs", List (List.map (fun e -> String e) epochs)) ]
   | Error msg -> Obj [ ("kind", String "error"); ("message", String msg) ]
-
-let response_of_json j =
-  match json_str j "kind" with
-  | "pong" -> Pong
-  | "scores" ->
-      Scores
-        { s = json_float j "s";
-          hhi = json_float j "hhi";
-          insularity = json_float j "insularity" }
-  | "shares" ->
-      let items =
-        match Json.member "shares" j with
-        | Some (Json.List l) -> l
-        | _ -> fail "missing shares list"
-      in
-      Shares
-        (List.map
-           (fun item ->
-             { provider = json_str item "provider";
-               home = json_str item "home";
-               share = json_float item "share" })
-           items)
-  | "ranking" ->
-      let items =
-        match Json.member "ranks" j with
-        | Some (Json.List l) -> l
-        | _ -> fail "missing ranks list"
-      in
-      Ranks (List.map (fun item -> (json_str item "country", json_float item "s")) items)
-  | "delta" ->
-      Deltas
-        {
-          old_epoch = json_str j "old_epoch";
-          new_epoch = json_str j "new_epoch";
-          old_s = json_float j "old";
-          new_s = json_float j "new";
-          delta = json_float j "delta";
-        }
-  | "overloaded" -> Overloaded
-  | "bye" -> Bye
-  | "draining" -> Draining
-  | "epochs" ->
-      let items =
-        match Json.member "epochs" j with
-        | Some (Json.List l) -> l
-        | _ -> fail "missing epochs list"
-      in
-      Epoch_list
-        (List.map
-           (function Json.String s -> s | _ -> fail "epoch list entry not a string")
-           items)
-  | "error" -> Error (json_str j "message")
-  | kind -> fail "bad response kind %S" kind
 
 (* --- query-language front end ------------------------------------------- *)
 

@@ -3,18 +3,16 @@
    One select loop owns every connection: each iteration drains all the
    complete frames that arrived since the last one into an admission
    queue, answers up to [batch_max] of them as a single batch (one
-   engine dispatch, one outbound write per connection — the Arakoon
-   batched-store shape), and sheds the rest of the intake with an
-   immediate [Overloaded] reply once the queue is past [max_queue], so
-   tail latency stays bounded instead of queueing without limit.
+   outbound write per connection — the Arakoon batched-store shape), and
+   sheds the rest of the intake with an immediate [Overloaded] reply
+   once the queue is past [max_queue], so tail latency stays bounded
+   instead of queueing without limit.
 
-   Batches go through a bounded response cache keyed by the raw request
-   payload under the state's world fingerprint (a state swap with a
-   different fingerprint clears it); cache misses fan out over the shared
-   [Webdep_par] pool when the batch is large enough to amortize the
-   dispatch.  Per-request latency is observed through the
-   [Metrics.Local] fast path and flushed once per batch, so the
-   instrumentation cost per request is a few plain stores, not the
+   Answers go through a bounded response cache keyed by the raw request
+   payload.  A server answers from one state for its whole life, so a
+   cached reply never goes stale.  Per-request latency is observed
+   through the [Metrics.Local] fast path and flushed once per batch, so
+   the instrumentation cost per request is a few plain stores, not the
    shared histogram's atomic read-modify-writes. *)
 
 module P = Protocol
@@ -42,7 +40,7 @@ let h_latency = M.histogram ~bounds:latency_bounds "serve.latency_s"
 let h_batch = M.histogram ~bounds:size_bounds "serve.batch_size"
 let h_queue = M.histogram ~bounds:size_bounds "serve.queue_depth"
 
-(* --- engine: cache + batched answers ------------------------------------ *)
+(* --- engine: response cache and answers ---------------------------------- *)
 
 (* Entries per cache generation.  The cache maps request payloads to
    response payloads in two generations: a lookup checks the current one,
@@ -58,24 +56,16 @@ let h_queue = M.histogram ~bounds:size_bounds "serve.queue_depth"
 let cache_capacity = 1 lsl 17
 
 type engine = {
-  mutable state : State.t;
+  state : State.t;
   mutable current : (string, string) Hashtbl.t;
   mutable previous : (string, string) Hashtbl.t;
-  par_threshold : int;
 }
 
-let engine ?(par_threshold = 64) state =
-  { state;
-    current = Hashtbl.create cache_capacity;
-    previous = Hashtbl.create cache_capacity;
-    par_threshold }
+let engine state =
+  { state; current = Hashtbl.create cache_capacity; previous = Hashtbl.create cache_capacity }
 
 (* [Hashtbl.clear] keeps the bucket arrays, so neither generation ever
    reallocates. *)
-let invalidate e =
-  Hashtbl.clear e.current;
-  Hashtbl.clear e.previous
-
 let cache_add e key reply =
   if Hashtbl.length e.current >= cache_capacity then begin
     let dropped = e.previous in
@@ -96,13 +86,6 @@ let cache_find e key =
           hit
       | None -> None)
 
-(* Swap in a new state; the cache only survives when the new state's
-   fingerprint matches the one its entries were computed under. *)
-let set_state e state =
-  if not (String.equal (State.fingerprint state) (State.fingerprint e.state)) then
-    invalidate e;
-  e.state <- state
-
 let cache_size e = Hashtbl.length e.current + Hashtbl.length e.previous
 let cacheable = function P.Shutdown -> false | _ -> true
 
@@ -110,69 +93,42 @@ let cacheable = function P.Shutdown -> false | _ -> true
    epoch name, say) gets this short reply instead of killing the loop. *)
 let unencodable = P.encode_response (P.Error "reply does not fit the wire format")
 
-let compute e payload =
-  match P.decode_request payload with
-  | Error msg ->
-      M.incr m_proto_errors;
-      (P.encode_response (P.Error msg), false)
-  | Ok req ->
-      let resp =
-        try State.answer e.state req
-        with exn -> P.Error (Printexc.to_string exn)
-      in
-      let reply = try P.encode_response resp with P.Protocol_error _ -> unencodable in
-      (reply, cacheable req)
-
-(* Answer a batch of encoded requests, preserving order.  Cache hits are
-   table lookups; misses are computed on the [Webdep_par] pool when
-   numerous enough, which keeps answers byte-identical at any --jobs
-   because [State.answer] is pure and [Webdep_par.map] preserves
-   order. *)
-let answer_batch e payloads =
-  let arr = Array.of_list payloads in
-  let n = Array.length arr in
-  let out = Array.make n "" in
-  let misses = ref [] in
-  for i = n - 1 downto 0 do
-    match cache_find e arr.(i) with
-    | Some r ->
-        M.incr m_cache_hits;
-        out.(i) <- r
-    | None -> misses := i :: !misses
-  done;
-  (match !misses with
-  | [] -> ()
-  | misses ->
-      M.incr ~by:(List.length misses) m_cache_misses;
-      let results =
-        if List.length misses >= e.par_threshold && Webdep_par.jobs () > 1 then
-          Webdep_par.map (fun i -> compute e arr.(i)) misses
-        else List.map (fun i -> compute e arr.(i)) misses
-      in
-      List.iter2
-        (fun i (r, cache_it) ->
-          out.(i) <- r;
-          if cache_it then cache_add e arr.(i) r)
-        misses results);
-  Array.to_list out
-
-let answer_payload e payload = List.hd (answer_batch e [ payload ])
+(* The encoded reply to one encoded request: a cache hit is a table
+   lookup, a miss goes through [State.answer], which is pure. *)
+let answer_payload e payload =
+  match cache_find e payload with
+  | Some reply ->
+      M.incr m_cache_hits;
+      reply
+  | None -> (
+      M.incr m_cache_misses;
+      match P.decode_request payload with
+      | Error msg ->
+          M.incr m_proto_errors;
+          P.encode_response (P.Error msg)
+      | Ok req ->
+          let resp =
+            try State.answer e.state req
+            with exn -> P.Error (Printexc.to_string exn)
+          in
+          let reply = try P.encode_response resp with P.Protocol_error _ -> unencodable in
+          if cacheable req then cache_add e payload reply;
+          reply)
 
 (* --- server configuration ----------------------------------------------- *)
 
 type config = {
   listen : string;  (* Unix-socket path, or "tcp:PORT" for loopback TCP *)
   max_queue : int;  (* admission-queue depth; past it requests are shed *)
-  batch_max : int;  (* requests answered per batch *)
-  par_threshold : int;  (* cache misses per batch before pool fan-out *)
   drain_delay_s : float;  (* artificial per-batch delay (tests only) *)
 }
 
-let config ?(max_queue = 1024) ?(batch_max = 256) ?(par_threshold = 64)
-    ?(drain_delay_s = 0.0) listen =
+let config ?(max_queue = 1024) ?(drain_delay_s = 0.0) listen =
   if max_queue < 1 then invalid_arg "Server.config: max_queue must be >= 1";
-  if batch_max < 1 then invalid_arg "Server.config: batch_max must be >= 1";
-  { listen; max_queue; batch_max; par_threshold; drain_delay_s }
+  { listen; max_queue; drain_delay_s }
+
+(* Requests answered per batch. *)
+let batch_max = 256
 
 (* --- connections --------------------------------------------------------- *)
 
@@ -224,6 +180,7 @@ type conn = {
   fd : Unix.file_descr;
   mutable rbuf : Bytes.t;  (* incoming partial frames, data always at 0 *)
   mutable rlen : int;
+  mutable scanned : int;  (* JSON mode: [rbuf.[0..scanned)] holds no newline *)
   out : gbuf;
   mutable json : bool;  (* JSON-lines debug mode (first byte was '{') *)
   mutable mode_known : bool;
@@ -246,6 +203,10 @@ let ensure_rbuf c n =
     c.rbuf <- nb
   end
 
+(* Read what the socket holds, but stop once more than one whole frame
+   or JSON line is buffered: the rest waits in the kernel until
+   [extract] has consumed or refused what is here, so no connection
+   grows its buffer much past [Protocol.max_payload]. *)
 let read_into c =
   let rec go () =
     ensure_rbuf c read_chunk;
@@ -253,7 +214,7 @@ let read_into c =
     | 0 -> c.alive <- false
     | n ->
         c.rlen <- c.rlen + n;
-        if n = read_chunk then go ()
+        if n = read_chunk && c.rlen <= P.max_payload + 4 then go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) ->
         c.err <- true;
@@ -296,7 +257,7 @@ let run ?on_ready ?(handle_signals = false) ?snapshot cfg state =
         [ Sys.sigterm; Sys.sigint ]
     else []
   in
-  let eng = engine ~par_threshold:cfg.par_threshold state in
+  let eng = engine state in
   let addr = Addr.of_spec cfg.listen in
   let lfd = Unix.socket (Addr.domain addr) Unix.SOCK_STREAM 0 in
   Unix.set_nonblock lfd;
@@ -338,50 +299,59 @@ let run ?on_ready ?(handle_signals = false) ?snapshot cfg state =
     end
     else Queue.add { c; payload; arrival = Unix.gettimeofday () } q
   in
+  let drop_consumed c consumed =
+    if consumed > 0 then begin
+      Bytes.blit c.rbuf consumed c.rbuf 0 (c.rlen - consumed);
+      c.rlen <- c.rlen - consumed
+    end
+  in
+  (* A stream with no resynchronization point (a corrupt length prefix,
+     a JSON line past [Protocol.max_payload]) is answered once and
+     dropped after the flush. *)
+  let reject c msg =
+    M.incr m_proto_errors;
+    M.incr m_conn_rejected;
+    respond c (P.encode_response (P.Error msg));
+    c.rlen <- 0;
+    c.alive <- false
+  in
   let extract_binary c =
     match P.parse_frames c.rbuf c.rlen with
     | payloads, consumed ->
-        if consumed > 0 then begin
-          Bytes.blit c.rbuf consumed c.rbuf 0 (c.rlen - consumed);
-          c.rlen <- c.rlen - consumed
-        end;
+        drop_consumed c consumed;
         List.iter (fun payload -> enqueue c payload) payloads
-    | exception P.Protocol_error msg ->
-        (* A corrupt length prefix cannot be resynchronized: answer once
-           and drop the connection after the flush. *)
-        M.incr m_proto_errors;
-        M.incr m_conn_rejected;
-        respond c (P.encode_response (P.Error msg));
-        c.rlen <- 0;
-        c.alive <- false
+    | exception P.Protocol_error msg -> reject c msg
   in
+  let json_line c line =
+    let line = String.trim line in
+    if String.length line > 0 then
+      let refuse msg =
+        M.incr m_proto_errors;
+        respond c (P.encode_response (P.Error msg))
+      in
+      match P.request_of_json_string line with
+      | Ok req -> (
+          (* A field past its wire width (a 70 000-byte epoch, k
+             above 65535) cannot be framed: refuse that line only. *)
+          match P.encode_request req with
+          | payload -> enqueue c payload
+          | exception P.Protocol_error msg -> refuse msg)
+      | Error msg -> refuse msg
+  in
+  (* Each byte is searched for a newline once: the pending bytes before
+     [c.scanned] are known to hold none. *)
   let extract_json c =
-    let pos = ref 0 and consumed = ref 0 in
-    while !pos < c.rlen do
-      if Bytes.get c.rbuf !pos = '\n' then begin
-        let line = Bytes.sub_string c.rbuf !consumed (!pos - !consumed) in
-        let line = String.trim line in
-        (if String.length line > 0 then
-           let refuse msg =
-             M.incr m_proto_errors;
-             respond c (P.encode_response (P.Error msg))
-           in
-           match P.request_of_json_string line with
-           | Ok req -> (
-               (* A field past its wire width (a 70 000-byte epoch, k
-                  above 65535) cannot be framed: refuse that line only. *)
-               match P.encode_request req with
-               | payload -> enqueue c payload
-               | exception P.Protocol_error msg -> refuse msg)
-           | Error msg -> refuse msg);
-        consumed := !pos + 1
-      end;
-      incr pos
+    let consumed = ref 0 in
+    for pos = c.scanned to c.rlen - 1 do
+      if Bytes.get c.rbuf pos = '\n' then begin
+        json_line c (Bytes.sub_string c.rbuf !consumed (pos - !consumed));
+        consumed := pos + 1
+      end
     done;
-    if !consumed > 0 then begin
-      Bytes.blit c.rbuf !consumed c.rbuf 0 (c.rlen - !consumed);
-      c.rlen <- c.rlen - !consumed
-    end
+    drop_consumed c !consumed;
+    if c.rlen > P.max_payload then
+      reject c (Printf.sprintf "JSON line longer than %d bytes" P.max_payload);
+    c.scanned <- c.rlen
   in
   let extract c =
     if c.rlen > 0 then begin
@@ -403,6 +373,7 @@ let run ?on_ready ?(handle_signals = false) ?snapshot cfg state =
             { fd;
               rbuf = Bytes.create read_chunk;
               rlen = 0;
+              scanned = 0;
               out = gbuf_make 4096;
               json = false;
               mode_known = false;
@@ -420,14 +391,14 @@ let run ?on_ready ?(handle_signals = false) ?snapshot cfg state =
       if cfg.drain_delay_s > 0.0 then ignore (Unix.select [] [] [] cfg.drain_delay_s);
       let items = ref [] in
       let k = ref 0 in
-      while !k < cfg.batch_max && not (Queue.is_empty q) do
+      while !k < batch_max && not (Queue.is_empty q) do
         items := Queue.pop q :: !items;
         incr k
       done;
       let items = List.rev !items in
       M.incr m_batches;
       M.observe h_batch (float_of_int (List.length items));
-      let replies = answer_batch eng (List.map (fun it -> it.payload) items) in
+      let replies = List.map (fun it -> answer_payload eng it.payload) items in
       let now = Unix.gettimeofday () in
       List.iter2
         (fun it reply ->
@@ -519,8 +490,8 @@ let run ?on_ready ?(handle_signals = false) ?snapshot cfg state =
   | None -> ()
   | Some path -> (
       try
-        Snapshot.save ~path ~fingerprint:(State.fingerprint eng.state)
-          (State.datasets eng.state)
+        Snapshot.save ~path ~fingerprint:(State.fingerprint state)
+          (State.datasets state)
       with
       | Sys_error msg ->
           Printf.eprintf "webdep serve: snapshot write failed: %s\n%!" msg

@@ -41,7 +41,7 @@ type table = {
 type epoch = table option array
 
 type t = {
-  fingerprint : string;  (* world/store fingerprint keying the response cache *)
+  fingerprint : string;  (* world/store fingerprint, written into snapshots *)
   countries : string list;  (* the first dataset's countries, in its order *)
   datasets : (string * D.t) list;  (* measured inputs, kept for snapshots *)
   names : string list;  (* every loaded epoch in load order, repeats included *)

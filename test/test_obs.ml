@@ -8,7 +8,7 @@
 module Metrics = Webdep_obs.Metrics
 module Span = Webdep_obs.Span
 module Sink = Webdep_obs.Sink
-module Json = Webdep_obs.Json
+module Json = Webdep_json
 module Registry = Webdep_obs.Registry
 
 let test_counter_math () =

@@ -6,7 +6,7 @@
 
 module Sink = Webdep_obs.Sink
 module Span = Webdep_obs.Span
-module Json = Webdep_obs.Json
+module Json = Webdep_json
 module Profile = Webdep_prof.Profile
 module Trace = Webdep_prof.Trace
 module Regress = Webdep_prof.Regress

@@ -266,7 +266,7 @@ let test_enumerate_checkpoint () =
         })
       (D.countries ds23)
   in
-  let meta = [ ("seed", Webdep_obs.Json.Int 1) ] in
+  let meta = [ ("seed", Webdep_json.Int 1) ] in
   let path = temp_path () in
   let cp = Checkpoint.open_ ~path ~meta in
   List.iter (Checkpoint.record cp) entries;

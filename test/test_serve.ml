@@ -1,12 +1,12 @@
 (* Tests for webdep_serve: qcheck round-trips of the wire protocol
    (encode ∘ decode = id, truncated frames rejected), the framing layer,
-   the JSON debug representation, [State]'s answer tables against the
-   per-request reference in [State_reference], the response cache (its
-   fingerprint invalidation and its two-generation bound), and
-   socket-level integration — daemon answers byte-identical to
+   the JSON debug representation, golden wire and JSON-lines bytes,
+   [State]'s answer tables against the per-request reference in
+   [State_reference], the response cache and its two-generation bound,
+   and socket-level integration — daemon answers byte-identical to
    [State.answer] for every query kind, load shedding past the admission
-   queue, JSON-lines debug mode, requests too wide for the wire format,
-   and clean shutdown. *)
+   queue, JSON-lines debug mode and its line cap, requests too wide for
+   the wire format, and clean shutdown. *)
 
 module P = Webdep_serve.Protocol
 module State = Webdep_serve.State
@@ -151,24 +151,113 @@ let qcheck_truncated_rejected =
 let qcheck_json_roundtrip =
   QCheck.Test.make ~count:300 ~name:"JSON debug representation round-trips"
     request_arb (fun req ->
-      P.request_of_json (P.request_to_json req) = req)
+      P.request_of_json_string (Webdep_json.to_string (P.request_to_json req)) = Ok req)
 
-let qcheck_response_json_roundtrip =
-  QCheck.Test.make ~count:300 ~name:"response JSON round-trips" response_arb
-    (fun resp ->
-      (* The JSON printer encodes non-finite floats as null, so restrict
-         to finite payloads (the daemon never emits non-finite ones). *)
-      let finite = function
-        | P.Scores { s; hhi; insularity } ->
-            List.for_all Float.is_finite [ s; hhi; insularity ]
-        | P.Shares l -> List.for_all (fun (x : P.share) -> Float.is_finite x.share) l
-        | P.Ranks l -> List.for_all (fun (_, s) -> Float.is_finite s) l
-        | P.Deltas { old_s; new_s; delta; _ } ->
-            List.for_all Float.is_finite [ old_s; new_s; delta ]
-        | _ -> true
-      in
-      QCheck.assume (finite resp);
-      response_eq (P.response_of_json (P.response_to_json resp)) resp)
+(* --- golden bytes ----------------------------------------------------------- *)
+
+(* The wire layout and the JSON-lines rendering, pinned byte for byte.
+   The round-trip properties above still pass when encoder and decoder
+   change together; these do not. *)
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let unhex h =
+  String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let golden_requests =
+  [ (P.Ping, "00", {|{"kind":"ping"}|});
+    ( P.Score { epoch = "2023-05"; layer = D.Hosting; country = "US" },
+      "010007323032332d30350000025553",
+      {|{"kind":"score","epoch":"2023-05","layer":"hosting","country":"US"}|} );
+    ( P.Top_shares { epoch = "2025-05"; layer = D.Dns; country = "DE"; k = 5 },
+      "020007323032352d303501000244450005",
+      {|{"kind":"topk","epoch":"2025-05","layer":"dns","country":"DE","k":5}|} );
+    ( P.Ranking { epoch = "e7"; layer = D.Ca; k = 300 },
+      "030002653702012c",
+      {|{"kind":"ranking","epoch":"e7","layer":"ca","k":300}|} );
+    ( P.Delta { layer = D.Tld; country = "BR"; old_epoch = "2023-05"; new_epoch = "e12" },
+      "0403000242520007323032332d30350003653132",
+      {|{"kind":"delta","layer":"tld","country":"BR","old_epoch":"2023-05","new_epoch":"e12"}|} );
+    (P.Shutdown, "05", {|{"kind":"shutdown"}|});
+    (P.Epochs, "06", {|{"kind":"epochs"}|}) ]
+
+let golden_responses =
+  [ (P.Pong, "00", {|{"kind":"pong"}|});
+    ( P.Scores { s = Float.nan; hhi = 0.25; insularity = 0.75 },
+      "017ff80000000000013fd00000000000003fe8000000000000",
+      {|{"kind":"scores","s":null,"hhi":0.25,"insularity":0.75}|} );
+    (P.Shares [], "020000", {|{"kind":"shares","shares":[]}|});
+    ( P.Shares
+        [ { P.provider = "Amazon"; home = "US"; share = 0.5 };
+          { provider = "OVH"; home = "FR"; share = 0.25 };
+          { provider = "Hetzner"; home = "DE"; share = 0.125 } ],
+      "0200030006416d617a6f6e000255533fe000000000000000034f5648000246523fd00000000000000007\
+       4865747a6e6572000244453fc0000000000000",
+      {|{"kind":"shares","shares":[{"provider":"Amazon","home":"US","share":0.5},{"provider":"OVH","home":"FR","share":0.25},{"provider":"Hetzner","home":"DE","share":0.125}]}|}
+    );
+    (P.Ranks [], "030000", {|{"kind":"ranking","ranks":[]}|});
+    ( P.Ranks [ ("RU", 0.75); ("BR", 0.5); ("US", 0.1358) ],
+      "030003000252553fe8000000000000000242523fe0000000000000000255533fc161e4f765fd8b",
+      {|{"kind":"ranking","ranks":[{"country":"RU","s":0.75},{"country":"BR","s":0.5},{"country":"US","s":0.1358}]}|}
+    );
+    ( P.Deltas
+        { old_epoch = "2023-05"; new_epoch = "2025-05"; old_s = 0.5; new_s = 0.375; delta = -0.125 },
+      "040007323032332d30350007323032352d30353fe00000000000003fd8000000000000bfc0000000000000",
+      {|{"kind":"delta","old_epoch":"2023-05","new_epoch":"2025-05","old":0.5,"new":0.375,"delta":-0.125}|}
+    );
+    (P.Overloaded, "05", {|{"kind":"overloaded"}|});
+    (P.Bye, "06", {|{"kind":"bye"}|});
+    (P.Draining, "08", {|{"kind":"draining"}|});
+    (P.Epoch_list [], "090000", {|{"kind":"epochs","epochs":[]}|});
+    ( P.Epoch_list [ "2023-05"; "2025-05"; "e1" ],
+      "0900030007323032332d30350007323032352d303500026531",
+      {|{"kind":"epochs","epochs":["2023-05","2025-05","e1"]}|} );
+    ( P.Error "no data for country XX",
+      "0700166e6f206461746120666f7220636f756e747279205858",
+      {|{"kind":"error","message":"no data for country XX"}|} ) ]
+
+let test_golden_requests () =
+  List.iter
+    (fun (req, h, line) ->
+      Alcotest.(check string) (line ^ ": bytes") h (hex (P.encode_request req));
+      Alcotest.(check bool) (line ^ ": decodes") true (P.decode_request (unhex h) = Ok req);
+      Alcotest.(check string) (line ^ ": JSON") line (Webdep_json.to_string (P.request_to_json req)))
+    golden_requests
+
+let test_golden_responses () =
+  List.iter
+    (fun (resp, h, line) ->
+      Alcotest.(check string) (line ^ ": bytes") h (hex (P.encode_response resp));
+      Alcotest.(check bool) (line ^ ": decodes") true
+        (match P.decode_response (unhex h) with Ok r -> response_eq r resp | Error _ -> false);
+      Alcotest.(check string) (line ^ ": JSON line") line
+        (Webdep_json.to_string (P.response_to_json resp)))
+    golden_responses
+
+(* The lines a JSON-lines client sends: each pinned request line, plus
+   the shorthand forms — "2023" names the 2023-05 epoch, and a delta
+   without a range compares 2023-05 with 2025-05. *)
+let test_golden_json_requests () =
+  List.iter
+    (fun (line, req) ->
+      match P.request_of_json_string line with
+      | Ok r -> Alcotest.(check string) line (hex (P.encode_request req)) (hex (P.encode_request r))
+      | Error msg -> Alcotest.failf "%s: %s" line msg)
+    (List.map (fun (req, _, line) -> (line, req)) golden_requests
+    @ [ ( {|{"kind":"score","epoch":"2023","layer":"hosting","country":"US"}|},
+          P.Score { epoch = "2023-05"; layer = D.Hosting; country = "US" } );
+        ( {|{"kind":"delta","layer":"hosting","country":"BR"}|},
+          P.Delta { layer = D.Hosting; country = "BR"; old_epoch = "2023-05"; new_epoch = "2025-05" } );
+        ( {|{"kind":"delta","layer":"tld","country":"BR","old_epoch":"2023","new_epoch":"e12"}|},
+          P.Delta { layer = D.Tld; country = "BR"; old_epoch = "2023-05"; new_epoch = "e12" } ) ])
+
+(* Strings carry a u16 length: 65 535 bytes is the widest field. *)
+let test_golden_string_limit () =
+  let score epoch = P.Score { epoch; layer = D.Hosting; country = "US" } in
+  Alcotest.(check int) "65 535-byte epoch encodes" 65543
+    (String.length (P.encode_request (score (String.make 65535 'e'))));
+  Alcotest.check_raises "65 536-byte epoch refused" (P.Protocol_error "u16 out of range: 65536")
+    (fun () -> ignore (P.encode_request (score (String.make 65536 'e'))))
 
 let test_framing () =
   let payloads = [ P.encode_request P.Ping; P.encode_request P.Shutdown; "xyz" ] in
@@ -460,19 +549,9 @@ let test_engine_cache () =
   Alcotest.(check int) "one cached entry" 1 (Server.cache_size eng);
   let r2 = Server.answer_payload eng payload in
   Alcotest.(check string) "cache hit is byte-identical" r1 r2;
-  (* Same fingerprint: the cache survives a state swap. *)
-  Server.set_state eng st;
-  Alcotest.(check int) "same fingerprint keeps cache" 1 (Server.cache_size eng);
-  (* Different fingerprint: invalidated. *)
-  let st' =
-    State.make ~fingerprint:"other-world"
-      [ ("2023-05", Measure.measure_all ~countries:[ "US" ] (World.create ~c:60 ~seed:7 ())) ]
-  in
-  Server.set_state eng st';
-  Alcotest.(check int) "fingerprint change clears cache" 0 (Server.cache_size eng);
   (* Shutdown is never cached. *)
   ignore (Server.answer_payload eng (P.encode_request P.Shutdown));
-  Alcotest.(check int) "shutdown not cached" 0 (Server.cache_size eng)
+  Alcotest.(check int) "shutdown not cached" 1 (Server.cache_size eng)
 
 (* The cache is two fixed-size generations: 3 x capacity distinct
    payloads leave at most 2 x capacity entries, and a key asked for again
@@ -485,7 +564,7 @@ let test_engine_cache_bounded () =
       (P.Score { epoch = "2023-05"; layer = D.Hosting; country = Printf.sprintf "Z%07d" i })
   in
   let hot = P.encode_request (P.Score { epoch = "2023-05"; layer = D.Hosting; country = "US" }) in
-  let hits () = Webdep_obs.Metrics.value Server.m_cache_hits in
+  let hits () = Webdep_obs.Metrics.(value (counter "serve.cache.hits")) in
   let reply = Server.answer_payload eng hot in
   let missed = ref 0 and max_size = ref 0 in
   for i = 1 to 3 * cap do
@@ -504,11 +583,7 @@ let test_engine_cache_bounded () =
 let test_engine_batch_order_and_jobs () =
   let st = Lazy.force state in
   let payloads = List.map P.encode_request (sample_requests ()) in
-  (* Fresh engines, par_threshold 1 vs sequential: answers byte-identical
-     and in request order either way. *)
-  let seq = Server.answer_batch (Server.engine ~par_threshold:max_int st) payloads in
-  let par = Server.answer_batch (Server.engine ~par_threshold:1 st) payloads in
-  Alcotest.(check (list string)) "parallel batch = sequential batch" seq par;
+  let eng = Server.engine st in
   List.iter2
     (fun payload reply ->
       match P.decode_request payload with
@@ -517,7 +592,8 @@ let test_engine_batch_order_and_jobs () =
             (P.encode_response (State.answer st req))
             reply
       | Error _ -> Alcotest.fail "sample payload must decode")
-    payloads seq
+    payloads
+    (List.map (Server.answer_payload eng) payloads)
 
 (* --- socket integration --------------------------------------------------- *)
 
@@ -526,8 +602,7 @@ let temp_socket () =
   Sys.remove path;
   path
 
-let start_server ?(max_queue = 64) ?(batch_max = 16) ?(drain_delay_s = 0.0)
-    ?snapshot path =
+let start_server ?(max_queue = 64) ?(drain_delay_s = 0.0) ?snapshot path =
   let st = Lazy.force state in
   let ready = Atomic.make false in
   let d =
@@ -535,7 +610,7 @@ let start_server ?(max_queue = 64) ?(batch_max = 16) ?(drain_delay_s = 0.0)
         Server.run
           ~on_ready:(fun () -> Atomic.set ready true)
           ?snapshot
-          (Server.config ~max_queue ~batch_max ~drain_delay_s path)
+          (Server.config ~max_queue ~drain_delay_s path)
           st)
   in
   let deadline = Unix.gettimeofday () +. 10.0 in
@@ -569,10 +644,10 @@ let test_server_roundtrip () =
 
 let test_load_shedding () =
   let path = temp_socket () in
-  (* One request per 10ms batch with a 4-deep admission queue: a
-     pipelined flood must shed most of the intake with immediate
-     Overloaded replies while every request still gets an answer. *)
-  let d = start_server ~max_queue:4 ~batch_max:1 ~drain_delay_s:0.01 path in
+  (* 10ms batches behind a 4-deep admission queue: a pipelined flood
+     must shed most of the intake with immediate Overloaded replies
+     while every request still gets an answer. *)
+  let d = start_server ~max_queue:4 ~drain_delay_s:0.01 path in
   let cl = Client.connect path in
   let flood = List.init 50 (fun _ -> P.Ping) in
   let t0 = Unix.gettimeofday () in
@@ -584,8 +659,9 @@ let test_load_shedding () =
   Alcotest.(check int) "answered = served + shed" 50 (shed + served);
   Alcotest.(check bool) "load was shed" true (shed > 0);
   Alcotest.(check bool) "some requests still served" true (served > 0);
-  (* Bounded latency: with ~45 shed instantly the flood drains in ~5
-     batches, nowhere near the 500ms an unbounded queue would take. *)
+  (* Bounded latency: with ~45 shed instantly the admitted few drain in
+     a batch or two, nowhere near the 500ms an unbounded queue would
+     take. *)
   Alcotest.(check bool) "tail stayed bounded" true (elapsed < 0.45);
   (match Client.request cl P.Shutdown with
   | P.Bye -> ()
@@ -610,6 +686,15 @@ let test_json_lines_mode () =
   (match Client.request cl P.Shutdown with P.Bye -> () | _ -> Alcotest.fail "bye");
   Client.close cl;
   Domain.join d
+
+(* The message of a JSON-lines error reply. *)
+let json_error line =
+  match Webdep_json.parse line with
+  | j -> (
+      match (Webdep_json.member "kind" j, Webdep_json.member "message" j) with
+      | Some (Webdep_json.String "error"), Some (Webdep_json.String msg) -> Some msg
+      | _ -> None)
+  | exception Webdep_json.Parse_error _ -> None
 
 (* A request whose answer cannot be framed — the unknown-epoch error
    echoes a 65 530-byte name past the u16 string limit; a JSON line's
@@ -649,11 +734,57 @@ let test_oversized_request () =
   Unix.close fd;
   (match String.split_on_char '\n' (Buffer.contents buf) with
   | err :: pong :: _ ->
-      (match P.response_of_json (Webdep_json.parse err) with
-      | P.Error msg -> Alcotest.(check bool) "json: short error" true (String.length msg < 100)
-      | _ -> Alcotest.fail ("json: expected an error, got " ^ err));
+      (match json_error err with
+      | Some msg -> Alcotest.(check bool) "json: short error" true (String.length msg < 100)
+      | None -> Alcotest.fail ("json: expected an error, got " ^ err));
       Alcotest.(check string) "json: ping on the same connection" {|{"kind":"pong"}|} pong
   | _ -> Alcotest.fail "json: two replies expected");
+  (match Client.request cl P.Shutdown with P.Bye -> () | _ -> Alcotest.fail "bye");
+  Client.close cl;
+  Domain.join d
+
+(* A JSON-lines connection that never sends a newline cannot grow the
+   daemon's buffer without bound: past [Protocol.max_payload] pending
+   bytes it gets one short error and the connection closes, and the
+   daemon keeps serving others. *)
+let test_json_line_cap () =
+  let path = temp_socket () in
+  let d = start_server path in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let flood = "{" ^ String.make (P.max_payload + 1) 'x' in
+  (* The daemon may hang up before it has read every byte. *)
+  (try ignore (Unix.write_substring fd flood 0 (String.length flood))
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec read_to_eof () =
+    let left = deadline -. Unix.gettimeofday () in
+    left > 0.0
+    &&
+    match Unix.select [ fd ] [] [] left with
+    | [], _, _ -> false
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> true
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            read_to_eof ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
+  in
+  let closed = read_to_eof () in
+  Unix.close fd;
+  Alcotest.(check bool) "connection closed within 5 s" true closed;
+  (match String.split_on_char '\n' (Buffer.contents buf) with
+  | [ line; "" ] -> (
+      match json_error line with
+      | Some msg -> Alcotest.(check bool) "short error" true (String.length msg < 100)
+      | None -> Alcotest.fail ("expected an error line, got " ^ line))
+  | _ -> Alcotest.fail ("expected one reply line, got " ^ String.escaped (Buffer.contents buf)));
+  let cl = Client.connect path in
+  (match Client.request cl P.Ping with
+  | P.Pong -> ()
+  | r -> Alcotest.fail ("ping on a new connection: " ^ String.trim (P.render r)));
   (match Client.request cl P.Shutdown with P.Bye -> () | _ -> Alcotest.fail "bye");
   Client.close cl;
   Domain.join d
@@ -968,9 +1099,15 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_response_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_truncated_rejected;
           QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
-          QCheck_alcotest.to_alcotest qcheck_response_json_roundtrip;
           Alcotest.test_case "framing" `Quick test_framing;
           Alcotest.test_case "query language" `Quick test_parse_query;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "request bytes" `Quick test_golden_requests;
+          Alcotest.test_case "response bytes and JSON lines" `Quick test_golden_responses;
+          Alcotest.test_case "JSON request lines" `Quick test_golden_json_requests;
+          Alcotest.test_case "u16 string limit" `Quick test_golden_string_limit;
         ] );
       ( "state",
         [
@@ -994,6 +1131,7 @@ let () =
           Alcotest.test_case "graceful drain + snapshot" `Quick test_drain;
           Alcotest.test_case "oversized request answered, loop survives" `Quick
             test_oversized_request;
+          Alcotest.test_case "JSON line past max_payload refused" `Quick test_json_line_cap;
         ] );
       ( "fuzz",
         [
