@@ -2102,7 +2102,7 @@ let epoch_phase () =
     Span.timed ~name:"bench.epoch.replay" (fun () ->
         Epoch.Replay.replay
           ~observe:(fun r ->
-            inc_scores := Epoch.Replay.scores ~jobs:1 r D.Hosting :: !inc_scores)
+            inc_scores := Epoch.Replay.scores r D.Hosting :: !inc_scores)
           log)
   in
   let inc_scores = List.rev !inc_scores in

@@ -373,56 +373,88 @@ module Compact = struct
   let entities t = Array.sub t.pool.entities 0 t.pool.ecount
 end
 
-(* ---- incremental tallies (unchanged representation) ---------------------- *)
+(* ---- incremental tallies ------------------------------------------------ *)
 
-(* Dense tally: one interned id per distinct (name, country) entity,
-   counts in an int array indexed by id.  Avoids hashing a fresh string
-   pair per site the way the old (string * string)-keyed Hashtbl did. *)
+(* Keyed by the (name, country) pair itself: no joined string to build
+   per site, and no separator byte two distinct pairs could share. *)
+module Entity_tbl = Hashtbl.Make (struct
+  type t = entity
+
+  let equal a b = String.equal a.name b.name && String.equal a.country b.country
+  let hash (e : t) = Hashtbl.hash e
+end)
+
+(* Dense tally: one id per distinct entity and a count per id, plus the
+   count histogram the scores are read from: [freq.(k)] entities have
+   exactly [k] sites ([k >= 1]; slot 0 unused), [labelled] is the sum of
+   the counts and [largest] the biggest one (0 when empty).  [freq] is
+   sized to [largest], not to the country's site count. *)
 type tally = {
-  syms : Symbol.t;
+  ids : int Entity_tbl.t;
   mutable entities : entity array; (* id -> entity *)
   mutable counts : int array; (* id -> count *)
+  mutable freq : int array;
+  mutable labelled : int;
+  mutable largest : int;
 }
 
-let tally_create () =
-  {
-    syms = Symbol.create ~size:256 ();
-    entities = Array.make 256 dummy_entity;
-    counts = Array.make 256 0;
-  }
+let grow a fill need =
+  let b = Array.make (max need (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 module Tally = struct
   type nonrec t = tally
 
-  let create () = tally_create ()
+  let create () =
+    {
+      ids = Entity_tbl.create 16;
+      entities = Array.make 16 dummy_entity;
+      counts = Array.make 16 0;
+      freq = Array.make 16 0;
+      labelled = 0;
+      largest = 0;
+    }
 
-  (* \x1f (unit separator) cannot appear in entity labels, so the joined
-     key is injective on (name, country). *)
-  let key e = e.name ^ "\x1f" ^ e.country
+  let id_of t e =
+    match Entity_tbl.find t.ids e with
+    | id -> id
+    | exception Not_found ->
+        let id = Entity_tbl.length t.ids in
+        if id = Array.length t.counts then begin
+          t.counts <- grow t.counts 0 (id + 1);
+          t.entities <- grow t.entities dummy_entity (id + 1)
+        end;
+        t.entities.(id) <- e;
+        Entity_tbl.add t.ids e id;
+        id
 
   let add t e =
-    let before = Symbol.count t.syms in
-    let id = Symbol.intern t.syms (key e) in
-    if id = Array.length t.counts then begin
-      let counts = Array.make (2 * id) 0 in
-      Array.blit t.counts 0 counts 0 id;
-      t.counts <- counts;
-      let entities = Array.make (2 * id) dummy_entity in
-      Array.blit t.entities 0 entities 0 id;
-      t.entities <- entities
-    end;
-    if id = before then t.entities.(id) <- e;
+    let id = id_of t e in
     let c = t.counts.(id) in
-    t.counts.(id) <- c + 1;
+    if c > 0 then t.freq.(c) <- t.freq.(c) - 1;
+    let k = c + 1 in
+    t.counts.(id) <- k;
+    if k = Array.length t.freq then t.freq <- grow t.freq 0 (k + 1);
+    t.freq.(k) <- t.freq.(k) + 1;
+    if k > t.largest then t.largest <- k;
+    t.labelled <- t.labelled + 1;
     c = 0
 
   let remove t e =
-    match Symbol.find t.syms (key e) with
-    | None -> invalid_arg "Dataset.Tally.remove: unknown entity"
-    | Some id ->
+    match Entity_tbl.find t.ids e with
+    | exception Not_found -> invalid_arg "Dataset.Tally.remove: unknown entity"
+    | id ->
         let c = t.counts.(id) in
         if c <= 0 then invalid_arg "Dataset.Tally.remove: count already zero";
         t.counts.(id) <- c - 1;
+        t.freq.(c) <- t.freq.(c) - 1;
+        if c > 1 then t.freq.(c - 1) <- t.freq.(c - 1) + 1;
+        (* The largest count falls only when its last holder steps down,
+           and then by one: that entity keeps c - 1 sites, or c = 1 and
+           the tally is empty. *)
+        if c = t.largest && t.freq.(c) = 0 then t.largest <- c - 1;
+        t.labelled <- t.labelled - 1;
         c = 1
 
   let add_site t layer s =
@@ -436,28 +468,38 @@ module Tally = struct
     List.iter (fun s -> ignore (add_site t layer s)) sites;
     t
 
-  let support t =
-    let n = ref 0 in
-    for id = 0 to Symbol.count t.syms - 1 do
-      if t.counts.(id) > 0 then incr n
+  let labelled t = t.labelled
+
+  (* [Centralization.score] over the canonical list adds (m/c)^2 per
+     entity in count-descending order.  Entities with equal counts add
+     equal terms, so walking the histogram down from the largest count
+     and adding each count's term [freq.(k)] times runs the very same
+     float additions: one [pow] per distinct count, no list, no sort. *)
+  let score t =
+    if t.labelled = 0 then raise Not_found;
+    let c = float_of_int t.labelled in
+    let acc = ref 0.0 in
+    for k = t.largest downto 1 do
+      let n = t.freq.(k) in
+      if n > 0 then begin
+        let term = (float_of_int k /. c) ** 2.0 in
+        for _ = 1 to n do
+          acc := !acc +. term
+        done
+      end
     done;
-    !n
+    !acc -. (1.0 /. c)
 
   let counts t =
     let out = ref [] in
-    for id = Symbol.count t.syms - 1 downto 0 do
+    for id = Entity_tbl.length t.ids - 1 downto 0 do
       if t.counts.(id) > 0 then out := (t.entities.(id), t.counts.(id)) :: !out
     done;
     sort_counts !out
 
-  let distribution t =
-    let cs = List.map snd (counts t) in
-    if cs = [] then raise Not_found;
-    Webdep_emd.Dist.of_positive_counts (Array.of_list cs)
-
   let home_count t cc =
     let acc = ref 0 in
-    for id = 0 to Symbol.count t.syms - 1 do
+    for id = 0 to Entity_tbl.length t.ids - 1 do
       if t.counts.(id) > 0 && String.equal t.entities.(id).country cc then
         acc := !acc + t.counts.(id)
     done;

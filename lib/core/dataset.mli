@@ -118,12 +118,17 @@ end
 
 (** Mutable per-(entity) website tallies, maintained incrementally.
 
-    A tally is the int-array core of {!counts_by_entity}: one dense
-    interned id per distinct (name, country) entity and a count per id.
-    Because the canonical ordering ({!Tally.counts}) depends only on the
-    tallied multiset, a tally updated by {!Tally.add}/{!Tally.remove}
-    under churn produces bit-identical distributions and scores to a
-    cold re-tally of the updated site list — the foundation of the
+    A tally is the int-array core of {!counts_by_entity}: one dense id
+    per distinct entity, keyed by the (name, country) pair itself, and a
+    count per id.  Alongside the counts it keeps the count histogram —
+    how many entities have exactly [k] websites, for every [k] up to the
+    largest count — and the labelled total, all updated in O(1) by
+    {!Tally.add}/{!Tally.remove}.
+
+    {!Tally.score} and {!Tally.counts} depend only on the tallied
+    multiset, never on the order it was built in, so a tally updated
+    under churn gives bit-identical scores and count lists to a cold
+    re-tally of the updated site list — the foundation of the
     incremental-metrics path in [webdep_store]. *)
 module Tally : sig
   type nonrec t
@@ -148,17 +153,23 @@ module Tally : sig
   val remove_site : t -> layer -> site -> bool
   (** {!remove} of the site's label; [false] when unlabelled. *)
 
-  val support : t -> int
-  (** Number of entities with a positive count. *)
+  val labelled : t -> int
+  (** Websites tallied: the sum of all counts, 𝒮's [c]. *)
+
+  val score : t -> float
+  (** Centralization 𝒮 from the count histogram: for each distinct
+      count [k], largest first, [(k/c)^2] is computed once and added
+      once per entity holding [k].  Equal counts add equal terms, so
+      this is the same sequence of float additions
+      [Webdep_emd.Centralization.score] runs over the count-descending
+      {!counts}, and bit-identical to it.  Costs one [pow] per distinct
+      count; the walk builds no list and allocates nothing.
+      @raise Not_found if no website is tallied. *)
 
   val counts : t -> (entity * int) list
   (** Canonical (entity, count) list — same order as
       {!counts_by_entity}: count-descending, ties by name then country;
       zero-count entities omitted. *)
-
-  val distribution : t -> Webdep_emd.Dist.t
-  (** Distribution over {!counts}, bit-identical to {!distribution} on
-      the equivalent site list.  @raise Not_found if empty. *)
 
   val home_count : t -> string -> int
   (** Total websites whose entity's home country is the given code (the

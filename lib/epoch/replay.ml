@@ -1,6 +1,6 @@
 (* Replay state over a churn log: the current site set of every country
    plus one [Webdep_store.Incremental] per layer, advanced epoch by
-   epoch in O(churn).
+   epoch.
 
    Sites are kept per country in a hashtable keyed by domain, each
    carrying a monotone sequence number (baseline sites take 0..n-1 in
@@ -11,12 +11,11 @@
    serving the head).
 
    Advancing one epoch folds its churn through the four per-layer
-   Incrementals, so per-country S/HHI/insularity rescore in time
-   proportional to the churn set, with the EMD-style full distribution
-   rebuild only where the provider support set changed — the cached
-   scores stay bit-identical to a cold recomputation over the
-   materialized dataset (the invariant [Incremental] already
-   guarantees). *)
+   Incrementals in O(churn) tally updates; each touched country then
+   rescores by one walk of its count histogram, a few hundred steps
+   whatever the churn.  The scores stay bit-identical to a cold
+   recomputation over the materialized dataset (the invariant
+   [Incremental] already guarantees). *)
 
 module D = Webdep.Dataset
 module Inc = Webdep_store.Incremental
@@ -67,42 +66,66 @@ let cstate t cc =
   | Some cs -> cs
   | None -> invalid_arg (Printf.sprintf "Replay.apply: unknown country %s" cc)
 
+(* The site tables take the whole event before any tally sees it, and
+   every edit pushes its undo: a record rejected part-way (unknown
+   country, absent or duplicate domain) rolls all earlier edits back,
+   so an event applies whole or not at all.  Records are still checked
+   in order against the tables as the earlier ones left them, so the
+   verdict is the record-by-record one, and an accepted event costs the
+   same table lookups as applying it directly. *)
 let apply t (ev : Log.event) =
   if ev.Log.epoch <= t.epoch then
     invalid_arg
       (Printf.sprintf "Replay.apply: epoch %d not after %d" ev.Log.epoch t.epoch);
+  let undo = ref [] in
+  let edit (c : Log.churn) =
+    let cs = cstate t c.Log.country in
+    let removed =
+      List.map
+        (fun dom ->
+          match Hashtbl.find_opt cs.sites dom with
+          | Some ((_, s) as entry) ->
+              Hashtbl.remove cs.sites dom;
+              undo := (fun () -> Hashtbl.replace cs.sites dom entry) :: !undo;
+              s
+          | None ->
+              invalid_arg
+                (Printf.sprintf "Replay.apply: %s removes unknown domain %s"
+                   c.Log.country dom))
+        c.Log.removed
+    in
+    List.iter
+      (fun (s : D.site) ->
+        let dom = s.D.domain in
+        if Hashtbl.mem cs.sites dom then
+          invalid_arg
+            (Printf.sprintf "Replay.apply: %s adds duplicate domain %s"
+               c.Log.country dom);
+        Hashtbl.replace cs.sites dom (cs.next_seq, s);
+        cs.next_seq <- cs.next_seq + 1;
+        undo :=
+          (fun () ->
+            Hashtbl.remove cs.sites dom;
+            cs.next_seq <- cs.next_seq - 1)
+          :: !undo)
+      c.Log.added;
+    (c, removed)
+  in
+  let edits =
+    try List.map edit ev.Log.changes
+    with Invalid_argument _ as e ->
+      List.iter (fun f -> f ()) !undo;
+      raise e
+  in
   List.iter
-    (fun (c : Log.churn) ->
-      let cs = cstate t c.Log.country in
-      let removed =
-        List.map
-          (fun dom ->
-            match Hashtbl.find_opt cs.sites dom with
-            | Some (_, s) ->
-                Hashtbl.remove cs.sites dom;
-                s
-            | None ->
-                invalid_arg
-                  (Printf.sprintf "Replay.apply: %s removes unknown domain %s"
-                     c.Log.country dom))
-          c.Log.removed
-      in
-      List.iter
-        (fun (s : D.site) ->
-          if Hashtbl.mem cs.sites s.D.domain then
-            invalid_arg
-              (Printf.sprintf "Replay.apply: %s adds duplicate domain %s"
-                 c.Log.country s.D.domain);
-          Hashtbl.replace cs.sites s.D.domain (cs.next_seq, s);
-          cs.next_seq <- cs.next_seq + 1)
-        c.Log.added;
+    (fun ((c : Log.churn), removed) ->
       Webdep_obs.Metrics.incr ~by:(List.length removed) m_removed;
       Webdep_obs.Metrics.incr ~by:(List.length c.Log.added) m_added;
       List.iter
         (fun (_, inc) ->
           Inc.apply inc ~country:c.Log.country ~added:c.Log.added ~removed)
         t.incs)
-    ev.Log.changes;
+    edits;
   t.epoch <- ev.Log.epoch;
   Webdep_obs.Metrics.incr m_epochs
 
@@ -112,19 +135,15 @@ let score t layer cc = Inc.score (inc t layer) cc
 let hhi t layer cc = Inc.hhi (inc t layer) cc
 let insularity t layer cc = Inc.insularity (inc t layer) cc
 
-(* All countries' S in baseline order, fanned out across the pool when
-   [jobs > 1].  Each country owns its cached-score cell, so parallel
-   refreshes never race — and the order-preserving map keeps the result
-   byte-identical at any [jobs]. *)
-let scores ?jobs t layer =
+(* All countries' S in baseline order. *)
+let scores t layer =
   let inc = inc t layer in
-  Webdep_par.map ?jobs
+  List.filter_map
     (fun cc ->
       match Inc.score inc cc with
       | s -> Some (cc, s)
       | exception Not_found -> None)
     t.countries
-  |> List.filter_map Fun.id
 
 let materialize_country t cc =
   let cs = cstate t cc in

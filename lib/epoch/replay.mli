@@ -1,7 +1,8 @@
 (** Replay a churn log epoch by epoch, maintaining per-layer
     {!Webdep_store.Incremental} state so every advance costs O(churn)
-    and every score read is bit-identical to a cold recomputation over
-    the materialized dataset. *)
+    tally updates, every rescore one walk of a country's count
+    histogram, and every score read is bit-identical to a cold
+    recomputation over the materialized dataset. *)
 
 type t
 
@@ -17,9 +18,11 @@ val replay : ?observe:(t -> unit) -> Log.t -> t
 
 val apply : t -> Log.event -> unit
 (** Advance one epoch: O(churn) site-table edits folded through the four
-    per-layer Incrementals (closed-form rescore where the provider
-    support is unchanged, full distribution rebuild only where it
-    changed).
+    per-layer Incrementals, which rescore the touched countries on the
+    next read.  All or nothing: a rejected event leaves the state as it
+    was, so the corrected event can be applied next.  Records are
+    checked in order, each against the site tables as the records
+    before it left them.
     @raise Invalid_argument on an unknown country, a removal of an
     absent domain, an addition of a present one, or a non-increasing
     epoch number. *)
@@ -40,9 +43,8 @@ val score : t -> Webdep.Dataset.layer -> string -> float
 val hhi : t -> Webdep.Dataset.layer -> string -> float
 val insularity : t -> Webdep.Dataset.layer -> string -> float
 
-val scores : ?jobs:int -> t -> Webdep.Dataset.layer -> (string * float) list
-(** Every country's 𝒮 in baseline order (scoreless countries skipped),
-    fanned out across the shared pool — byte-identical at any [jobs]. *)
+val scores : t -> Webdep.Dataset.layer -> (string * float) list
+(** Every country's 𝒮 in baseline order (scoreless countries skipped). *)
 
 val materialize : t -> Webdep.Dataset.country_data list
 (** The current epoch's full site lists in canonical order (baseline

@@ -38,12 +38,12 @@ let of_scores ~countries ~epochs per_epoch =
   { epochs; series; rank_churn }
 
 (* Replay a log collecting the S series of one layer at every epoch. *)
-let of_log ?jobs (log : Log.t) layer =
+let of_log (log : Log.t) layer =
   let acc = ref [] and epochs = ref [] in
   let t =
     Replay.replay
       ~observe:(fun r ->
-        acc := Replay.scores ?jobs r layer :: !acc;
+        acc := Replay.scores r layer :: !acc;
         epochs := Replay.epoch r :: !epochs)
       log
   in

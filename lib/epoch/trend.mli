@@ -22,7 +22,7 @@ val of_scores :
   t
 (** Assemble trends from per-epoch (country, S) observations. *)
 
-val of_log : ?jobs:int -> Log.t -> Webdep.Dataset.layer -> Replay.t * t
+val of_log : Log.t -> Webdep.Dataset.layer -> Replay.t * t
 (** Replay the whole log, collecting one layer's scores at every epoch;
     returns the final replay state (the head) alongside the trends. *)
 

@@ -1,6 +1,5 @@
 module D = Webdep.Dataset
 module R = Webdep.Regionalization
-module C = Webdep_emd.Centralization
 
 let m_cache_hits = Webdep_obs.Metrics.counter "store.metrics.cache_hits"
 let m_incremental = Webdep_obs.Metrics.counter "store.metrics.incremental"
@@ -12,7 +11,6 @@ type cstate = {
   mutable dirty : bool;
   mutable support_changed : bool;
   mutable score : float;  (* valid when [not dirty]; nan while unlabelled *)
-  mutable hhi : float;
 }
 
 type t = {
@@ -34,7 +32,6 @@ let create ds layer =
           dirty = true;
           support_changed = true;
           score = Float.nan;
-          hhi = Float.nan;
         })
     order;
   { layer; order; by_country }
@@ -57,47 +54,30 @@ let apply t ~country ~added ~removed =
   cs.total <- cs.total + List.length added - List.length removed;
   cs.dirty <- true
 
-(* Bring the cached 𝒮/HHI up to date.  Both paths reproduce
-   [Centralization.score]'s float operations in canonical count order,
-   so either is bit-identical to the cold computation; the incremental
-   path just skips building a [Dist.t]. *)
+(* The country's cached 𝒮, first refreshed from the tally's count
+   histogram if a delta made it stale.  The counters record whether the
+   refresh follows a change of the provider support set ([full_solve])
+   or not ([incremental]); the work is the same histogram walk either
+   way. *)
 let refresh cs =
   if not cs.dirty then Webdep_obs.Metrics.incr m_cache_hits
   else begin
-    if cs.support_changed then begin
-      Webdep_obs.Metrics.incr m_full;
-      let dist = D.Tally.distribution cs.tally in
-      cs.score <- C.score dist;
-      cs.hhi <- C.hhi dist
-    end
-    else begin
-      Webdep_obs.Metrics.incr m_incremental;
-      let counts = D.Tally.counts cs.tally in
-      let ctotal = List.fold_left (fun acc (_, k) -> acc + k) 0 counts in
-      if ctotal = 0 then raise Not_found;
-      let c = float_of_int ctotal in
-      let acc = ref 0.0 in
-      List.iter
-        (fun (_, k) -> acc := !acc +. ((float_of_int k /. c) ** 2.0))
-        counts;
-      cs.score <- !acc -. (1.0 /. c);
-      cs.hhi <- cs.score +. (1.0 /. c)
-    end;
+    Webdep_obs.Metrics.incr (if cs.support_changed then m_full else m_incremental);
+    cs.score <-
+      (if D.Tally.labelled cs.tally = 0 then Float.nan else D.Tally.score cs.tally);
     cs.dirty <- false;
     cs.support_changed <- false
-  end
-
-let score t cc =
-  let cs = state t cc in
-  refresh cs;
+  end;
   if Float.is_nan cs.score then raise Not_found;
   cs.score
 
+let score t cc = refresh (state t cc)
+
+(* [Centralization.hhi] is 𝒮 + 1/c. *)
 let hhi t cc =
   let cs = state t cc in
-  refresh cs;
-  if Float.is_nan cs.hhi then raise Not_found;
-  cs.hhi
+  let s = refresh cs in
+  s +. (1.0 /. float_of_int (D.Tally.labelled cs.tally))
 
 let insularity t cc =
   let cs = state t cc in

@@ -1,21 +1,22 @@
 (** Incremental metric recomputation under churn.
 
     Holds one {!Webdep.Dataset.Tally} per country for one layer and
-    recomputes the paper's metrics from the maintained int-array tallies
-    instead of re-tallying every site: centralization 𝒮 and HHI, usage
-    [U], endemicity [E]/[E_R] and insularity.  Because the canonical
-    count ordering depends only on the tallied multiset, every metric is
-    bit-identical to a cold recomputation over the equivalent dataset.
+    recomputes the paper's metrics from the maintained tallies instead
+    of re-tallying every site: centralization 𝒮 and HHI, usage [U],
+    endemicity [E]/[E_R] and insularity.  Every metric is bit-identical
+    to a cold recomputation over the equivalent dataset.
 
-    𝒮/HHI are cached per country.  A churn delta ({!apply}) marks the
-    country dirty; the next read re-derives the score by the closed
-    form directly over the re-canonicalized counts
-    ([store.metrics.incremental]) when the provider support set is
-    unchanged, and falls back to the full distribution rebuild
-    ([store.metrics.full_solve]) only when the support set changed —
-    mirroring how the EMD formulation only needs the full solve when
-    buckets appear or vanish.  Clean reads count
-    [store.metrics.cache_hits]. *)
+    𝒮 is cached per country.  A churn delta ({!apply}) marks the country
+    dirty; the next read refreshes it by one walk of the tally's count
+    histogram ({!Webdep.Dataset.Tally.score}): one [pow] per distinct
+    count, each term added once per entity holding that count, which
+    repeats the float additions [Centralization.score] makes over the
+    count-descending list.  There is one refresh path; the counters say
+    what preceded it.  [store.metrics.full_solve] counts refreshes after
+    a delta that changed the provider support set (a provider appeared
+    or vanished) and [store.metrics.incremental] refreshes after one
+    that kept it; [store.metrics.cache_hits] counts reads of a clean
+    country. *)
 
 type t
 
@@ -42,6 +43,8 @@ val score : t -> string -> float
     absent or has no labelled site. *)
 
 val hhi : t -> string -> float
+(** HHI, 𝒮 + 1/c, bit-identical to [Webdep_emd.Centralization.hhi].
+    @raise Not_found as {!score}. *)
 
 val insularity : t -> string -> float
 (** Bit-identical to [Webdep.Regionalization.insularity]. *)

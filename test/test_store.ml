@@ -196,6 +196,118 @@ let test_incremental_cache_counters () =
   Alcotest.(check (float 0.0)) "identity delta leaves the score unchanged" before
     (Webdep.Metrics.centralization old_ds Hosting "US")
 
+(* --- the tally's count histogram ------------------------------------------ *)
+
+let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* One site labelled [e] in every layer; the domain is irrelevant to
+   the tallies. *)
+let site_of (e : D.entity) =
+  {
+    D.domain = "x.example";
+    hosting = Some e;
+    dns = Some e;
+    ca = Some e;
+    tld = e;
+    hosting_geo = None;
+    ns_geo = None;
+    hosting_anycast = false;
+    ns_anycast = false;
+    language = None;
+  }
+
+(* Two pairs that join to the same string around a 0x1f byte are still
+   two entities, for the tally as for the cold dataset. *)
+let test_tally_pair_key () =
+  let e1 = { D.name = "a\x1fb"; country = "c" } and e2 = { D.name = "a"; country = "b\x1fc" } in
+  let t = D.Tally.create () in
+  Alcotest.(check bool) "first pair is new" true (D.Tally.add t e1);
+  Alcotest.(check bool) "second pair is new too" true (D.Tally.add t e2);
+  Alcotest.(check int) "two entities" 2 (List.length (D.Tally.counts t));
+  let cold = D.of_country_data [ { D.country = "c"; sites = [ site_of e1; site_of e2 ] } ] in
+  let want = Webdep.Metrics.centralization cold Hosting "c" in
+  Alcotest.(check bool) "incremental = cold" true
+    (bits_eq (Incremental.score (Incremental.create cold Hosting) "c") want);
+  Alcotest.(check bool) "tally = cold" true (bits_eq (D.Tally.score t) want)
+
+(* Six entities: "a" and "b" each name two of them, so ties on count
+   fall back to the country; counts stay small so they tie often. *)
+let histogram_entities =
+  [|
+    { D.name = "a"; country = "US" };
+    { D.name = "a"; country = "DE" };
+    { D.name = "b"; country = "US" };
+    { D.name = "b"; country = "FR" };
+    { D.name = "c"; country = "US" };
+    { D.name = "d"; country = "JP" };
+  |]
+
+(* After every add or remove, the tally's and a lockstep Incremental's
+   𝒮/HHI equal the cold formulas over the tally's canonical counts, bit
+   for bit, and Not_found comes exactly when nothing is tallied.
+   Removing an absent entity is refused and changes nothing. *)
+let histogram_matches_cold steps =
+  let n = Array.length histogram_entities in
+  let t = D.Tally.create () and model = Array.make n 0 in
+  let inc =
+    Incremental.create (D.of_country_data [ { D.country = "XX"; sites = [] } ]) Hosting
+  in
+  let step (i, add) =
+    let e = histogram_entities.(i) in
+    if add then begin
+      ignore (D.Tally.add t e);
+      Incremental.apply inc ~country:"XX" ~added:[ site_of e ] ~removed:[];
+      model.(i) <- model.(i) + 1
+    end
+    else if model.(i) = 0 then (
+      match D.Tally.remove t e with
+      | _ -> failwith "removing an absent entity must be refused"
+      | exception Invalid_argument _ -> ())
+    else begin
+      ignore (D.Tally.remove t e);
+      Incremental.apply inc ~country:"XX" ~added:[] ~removed:[ site_of e ];
+      model.(i) <- model.(i) - 1
+    end
+  in
+  let consistent () =
+    let counts = D.Tally.counts t in
+    let same_counts =
+      List.length counts = Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 model
+      && Array.for_all2
+           (fun e c -> c = Option.value ~default:0 (List.assoc_opt e counts))
+           histogram_entities model
+    in
+    let empty = Array.for_all (( = ) 0) model in
+    let raises f = match f () with _ -> false | exception Not_found -> true in
+    same_counts
+    &&
+    if empty then
+      raises (fun () -> D.Tally.score t)
+      && raises (fun () -> Incremental.score inc "XX")
+      && raises (fun () -> Incremental.hhi inc "XX")
+    else
+      let dist = Webdep_emd.Dist.of_counts (Array.of_list (List.map snd counts)) in
+      let s = D.Tally.score t in
+      bits_eq s (C.score dist)
+      && bits_eq (s +. (1.0 /. float_of_int (D.Tally.labelled t))) (C.hhi dist)
+      && bits_eq (Incremental.score inc "XX") (C.score dist)
+      && bits_eq (Incremental.hhi inc "XX") (C.hhi dist)
+  in
+  List.for_all
+    (fun s ->
+      step s;
+      consistent ())
+    steps
+
+let histogram_qcheck =
+  QCheck.Test.make ~count:300 ~name:"tally histogram = cold score under add/remove"
+    QCheck.(
+      make
+        ~print:
+          Print.(list (pair int (fun add -> if add then "add" else "remove")))
+        Gen.(list_size (int_range 1 80) (pair (int_bound 5) bool)))
+    histogram_matches_cold
+
 (* --- tally-based bootstrap = string-path bootstrap ----------------------- *)
 
 let test_centralization_interval_matches_string_path () =
@@ -249,6 +361,9 @@ let () =
           QCheck_alcotest.to_alcotest churn_qcheck;
           Alcotest.test_case "cache/incremental/full-solve counters" `Quick
             test_incremental_cache_counters;
+          Alcotest.test_case "tally keys (name, country) pairs" `Quick
+            test_tally_pair_key;
+          QCheck_alcotest.to_alcotest histogram_qcheck;
           Alcotest.test_case "centralization_interval = string path" `Quick
             test_centralization_interval_matches_string_path;
         ] );
