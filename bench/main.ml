@@ -1395,17 +1395,13 @@ let kernels () =
      uncached run creates no caches, so these totals belong to the
      cached run alone. *)
   let counter name = Obs_metrics.value (Obs_metrics.counter name) in
-  let response_hits = counter "dns.cache.response.hits" in
-  let response_misses = counter "dns.cache.response.misses" in
   let glue_hits = counter "dns.cache.glue.hits" in
   let glue_misses = counter "dns.cache.glue.misses" in
   Printf.printf
     "measure_all (%d countries, --jobs 1): uncached %.2fs, cached %.2fs (x%.2f), datasets \
      identical: %b\n"
     (List.length sample) uncached_s cached_s (uncached_s /. cached_s) identical;
-  Printf.printf
-    "dns.cache.response: %d hits / %d misses; dns.cache.glue: %d hits / %d misses\n"
-    response_hits response_misses glue_hits glue_misses;
+  Printf.printf "dns.cache.glue: %d hits / %d misses\n" glue_hits glue_misses;
   if not identical then
     prerr_endline "webdep bench: WARNING: cached dataset differs from uncached";
   (* Tracing-disabled span overhead: [Span.with_] against the default
@@ -1445,8 +1441,6 @@ let kernels () =
             ("cached_s", Json.Float cached_s);
             ("speedup", Json.Float (uncached_s /. cached_s));
             ("identical", Json.Bool identical);
-            ("response_hits", Json.Int response_hits);
-            ("response_misses", Json.Int response_misses);
             ("glue_hits", Json.Int glue_hits);
             ("glue_misses", Json.Int glue_misses);
           ] );

@@ -1144,10 +1144,25 @@ let countries_cmd =
 let () =
   let doc = "quantify centralization and regionalization of web infrastructure" in
   let info = Cmd.info "webdep" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [ scores_cmd; report_cmd; insularity_cmd; classify_cmd; usage_cmd;
+        longitudinal_cmd; validate_cmd; paper_cmd; countries_cmd; export_cmd;
+        language_cmd; redundancy_cmd; tld_cmd; report_md_cmd; profile_cmd;
+        scale_cmd; serve_cmd; query_cmd; epochs_cmd ]
+  in
+  (* A world too small to calibrate is bad input (exit 124, like a bad
+     flag); any other escaping exception stays an internal error (125),
+     as under cmdliner's own handler. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ scores_cmd; report_cmd; insularity_cmd; classify_cmd; usage_cmd;
-            longitudinal_cmd; validate_cmd; paper_cmd; countries_cmd; export_cmd;
-            language_cmd; redundancy_cmd; tld_cmd; report_md_cmd; profile_cmd;
-            scale_cmd; serve_cmd; query_cmd; epochs_cmd ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception World.Uncalibrated u ->
+        Printf.eprintf "webdep: %s\n" (World.uncalibrated_message u);
+        124
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "webdep: internal error, uncaught exception:\n%s\n"
+          (Printexc.to_string e);
+        Printexc.print_raw_backtrace stderr bt;
+        125)

@@ -1,13 +1,21 @@
 type diff = { kept : string list; added : string list; removed : string list }
 
+(* Membership set of a list's domains, built once: [Toplist.mem] is a
+   linear scan, which made a per-domain membership test O(c^2) overall. *)
+let domain_set (t : Toplist.t) =
+  let set = Hashtbl.create (Array.length t.Toplist.domains) in
+  Array.iter (fun d -> Hashtbl.replace set d ()) t.Toplist.domains;
+  set
+
 let diff old_t new_t =
+  let in_old = domain_set old_t and in_new = domain_set new_t in
   let kept = ref [] and added = ref [] and removed = ref [] in
-  List.iter
-    (fun d -> if Toplist.mem old_t d then kept := d :: !kept else added := d :: !added)
-    (Toplist.domains new_t);
-  List.iter
-    (fun d -> if not (Toplist.mem new_t d) then removed := d :: !removed)
-    (Toplist.domains old_t);
+  Array.iter
+    (fun d -> if Hashtbl.mem in_old d then kept := d :: !kept else added := d :: !added)
+    new_t.Toplist.domains;
+  Array.iter
+    (fun d -> if not (Hashtbl.mem in_new d) then removed := d :: !removed)
+    old_t.Toplist.domains;
   { kept = List.rev !kept; added = List.rev !added; removed = List.rev !removed }
 
 let retention_for_jaccard j =
@@ -17,7 +25,8 @@ let retention_for_jaccard j =
 let evolve rng ~target_jaccard ~fresh t =
   let n = Toplist.length t in
   let keep = int_of_float (Float.round (retention_for_jaccard target_jaccard *. float_of_int n)) in
-  let old = Array.of_list (Toplist.domains t) in
+  let old = t.Toplist.domains in
+  let in_old = domain_set t in
   (* Decide survivors uniformly over ranks so the churn is not
      popularity-biased (CrUX churn affects all rank bands). *)
   let index = Array.init n Fun.id in
@@ -31,7 +40,7 @@ let evolve rng ~target_jaccard ~fresh t =
     let rec try_mint attempts =
       let d = fresh !minted in
       incr minted;
-      if Toplist.mem t d then
+      if Hashtbl.mem in_old d then
         if attempts > 100 then invalid_arg "Churn.evolve: fresh produced existing domains"
         else try_mint (attempts + 1)
       else d

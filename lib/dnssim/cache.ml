@@ -47,7 +47,7 @@ let m_negative_skip = Webdep_obs.Metrics.counter "dns.cache.negative_skip"
 
 let negative_skip () = Webdep_obs.Metrics.incr m_negative_skip
 
-let find_or_compute ?(cache_if = fun _ -> true) t ~vantage qname f =
+let find_or_compute t ~vantage qname f =
   let i = inner t ~vantage in
   match Hashtbl.find_opt i qname with
   | Some v ->
@@ -56,7 +56,7 @@ let find_or_compute ?(cache_if = fun _ -> true) t ~vantage qname f =
   | None ->
       Webdep_obs.Metrics.incr t.m;
       let v = f () in
-      if cache_if v then Hashtbl.add i qname v else negative_skip ();
+      Hashtbl.add i qname v;
       v
 
 let length t = Hashtbl.fold (fun _ i acc -> acc + Hashtbl.length i) t.tbl 0

@@ -21,18 +21,15 @@ val find : 'a t -> vantage:string -> string -> 'a option
 val add : 'a t -> vantage:string -> string -> 'a -> unit
 (** Insert (replacing any previous entry); counts nothing. *)
 
-val find_or_compute :
-  ?cache_if:('a -> bool) -> 'a t -> vantage:string -> string -> (unit -> 'a) -> 'a
-(** Return the cached value or compute, store and return it.  When
-    [cache_if] (default: always) rejects the computed value, it is
-    returned but not memoized and [dns.cache.negative_skip] is bumped —
-    transient failures (timeouts, SERVFAILs) must stay uncached so a
-    later retry can observe the recovered answer. *)
+val find_or_compute : 'a t -> vantage:string -> string -> (unit -> 'a) -> 'a
+(** Return the cached value or compute, store and return it.  For
+    values that are always definitive (nameserver glue). *)
 
 val negative_skip : unit -> unit
 (** Bump the shared [dns.cache.negative_skip] counter — for callers
     managing their own store via {!find}/{!add} that decide to skip
-    memoizing a transient failure. *)
+    memoizing a transient failure (timeouts, SERVFAILs must stay
+    uncached so a later retry can observe the recovered answer). *)
 
 val length : 'a t -> int
 (** Number of cached entries. *)

@@ -31,20 +31,14 @@ let m_lookups = Webdep_obs.Metrics.counter "dns.flat.lookups"
 let m_nxdomain = Webdep_obs.Metrics.counter "dns.flat.nxdomain"
 let m_cname_chased = Webdep_obs.Metrics.counter "dns.flat.cname_chased"
 
-(* Sweep-scoped resolver cache.  The response memo holds full lookups;
-   the glue memo holds per-nameserver-host addresses, which is where the
-   reuse actually is: a handful of DNS providers serve thousands of
-   sites, so their NS glue repeats on almost every lookup. *)
-type cache = {
-  responses : (response, error) result Cache.t;
-  glue : Webdep_netsim.Ipv4.addr list Cache.t;
-}
+(* Sweep-scoped NS-glue memo: per-nameserver-host addresses.  A handful
+   of DNS providers serve thousands of sites, so their glue repeats on
+   almost every lookup.  Whole responses are not memoized: every caller
+   resolves each (vantage, domain) once per sweep, so such a memo never
+   hits. *)
+type cache = Webdep_netsim.Ipv4.addr list Cache.t
 
-let make_cache () =
-  {
-    responses = Cache.create ~name:"dns.cache.response" ();
-    glue = Cache.create ~size:1024 ~name:"dns.cache.glue" ();
-  }
+let make_cache () = Cache.create ~size:1024 ~name:"dns.cache.glue" ()
 
 (* Follow a CNAME chain to the terminal A answer; a broken or cyclic
    chain yields no addresses (a resolver would SERVFAIL). *)
@@ -84,23 +78,16 @@ let resolve ?cache ?(faults = Faults.disabled) ?(retry = Retry.no_retry) db
               match cache with
               | None -> Zone_db.host_addr db ~vantage host
               | Some c ->
-                  Cache.find_or_compute c.glue ~vantage host (fun () ->
+                  Cache.find_or_compute c ~vantage host (fun () ->
                       Zone_db.host_addr db ~vantage host)
             in
             Ok { a; ns_hosts; ns_addrs = List.concat_map glue_of ns_hosts })
   in
-  let compute () =
-    (* Fault-free, every error is a definitive Nxdomain (non-retryable),
-       so Retry.run is the identity and never touches a counter — skip
-       it and the per-lookup "vantage|domain" key allocation with it. *)
-    if not (Faults.enabled faults) then attempt_once ~attempt:0
-    else Retry.run retry ~key:(vantage ^ "|" ^ domain) ~retryable attempt_once
-  in
-  match cache with
-  | None -> compute ()
-  | Some c ->
-      Cache.find_or_compute ~cache_if:cacheable c.responses ~vantage domain
-        compute
+  (* Fault-free, every error is a definitive Nxdomain (non-retryable),
+     so Retry.run is the identity and never touches a counter — skip it
+     and the per-lookup "vantage|domain" key allocation with it. *)
+  if not (Faults.enabled faults) then attempt_once ~attempt:0
+  else Retry.run retry ~key:(vantage ^ "|" ^ domain) ~retryable attempt_once
 
 let resolve_a ?cache ?faults ?retry db ~vantage domain =
   match resolve ?cache ?faults ?retry db ~vantage domain with

@@ -37,11 +37,11 @@ val m_cname_chased : Webdep_obs.Metrics.counter
 (** CNAME links followed while chasing to the terminal A answer. *)
 
 type cache
-(** Memo in front of {!resolve}: a [(vantage, domain)]-keyed response
-    table plus a [(vantage, ns_host)]-keyed glue table (the glue memo
-    carries most of the hits — a few DNS providers serve nearly every
-    site).  Not thread-safe; create one per worker/sweep.  Hit/miss
-    counters appear in the obs registry as [dns.cache.response.*] and
+(** The [(vantage, ns_host)]-keyed NS-glue memo {!resolve} consults (a
+    few DNS providers serve nearly every site, so their glue repeats).
+    Whole responses are not memoized: every caller resolves each
+    [(vantage, domain)] once per sweep.  Not thread-safe; create one per
+    worker/sweep.  Hit/miss counters appear in the obs registry as
     [dns.cache.glue.*]. *)
 
 val make_cache : unit -> cache
@@ -56,11 +56,11 @@ val resolve :
   (response, error) result
 (** [resolve db ~vantage domain]; [vantage] is the probing country code
     (the paper's university vantage is modelled as "US").  With [?cache],
-    repeat lookups are memoized (transient errors excepted); a cached
-    lookup still counts in {!m_lookups} but skips the per-answer
-    counters.  [?faults] (default: no faults) injects deterministic
-    timeouts/SERVFAIL/REFUSED per the plan; [?retry] (default: single
-    attempt) governs how transient failures are retried. *)
+    nameserver glue comes from the sweep's glue memo; the answers are the
+    same either way.  [?faults] (default: no faults) injects
+    deterministic timeouts/SERVFAIL/REFUSED per the plan; [?retry]
+    (default: single attempt) governs how transient failures are
+    retried. *)
 
 val resolve_a :
   ?cache:cache ->

@@ -16,19 +16,18 @@ let create ?(accuracy = 1.0) ?candidates rng () =
   in
   { table = Prefix_table.create (); accuracy; candidates; rng }
 
-let add t prefix truth =
-  let believed =
-    if Webdep_stats.Rng.float t.rng 1.0 < t.accuracy then truth
-    else begin
-      (* Draw a wrong country; retry a few times to avoid the truth. *)
-      let rec pick tries =
-        let c = Webdep_stats.Sample.choose t.rng t.candidates in
-        if c <> truth || tries > 5 then c else pick (tries + 1)
-      in
-      pick 0
-    end
-  in
-  Prefix_table.add t.table prefix { believed; truth }
+let verdict t truth =
+  if Webdep_stats.Rng.float t.rng 1.0 < t.accuracy then truth
+  else begin
+    (* Draw a wrong country; retry a few times to avoid the truth. *)
+    let rec pick tries =
+      let c = Webdep_stats.Sample.choose t.rng t.candidates in
+      if c <> truth || tries > 5 then c else pick (tries + 1)
+    in
+    pick 0
+  end
+
+let add t prefix truth = Prefix_table.add t.table prefix { believed = verdict t truth; truth }
 
 let lookup t addr = Option.map (fun e -> e.believed) (Prefix_table.lookup t.table addr)
 let true_country t addr = Option.map (fun e -> e.truth) (Prefix_table.lookup t.table addr)

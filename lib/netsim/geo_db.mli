@@ -16,9 +16,15 @@ val create :
     [candidates] the pool of wrong answers (default: the 150 dataset
     countries).  @raise Invalid_argument if accuracy outside [0, 1]. *)
 
+val verdict : t -> string -> string
+(** [verdict t truth] draws the country the database believes for a
+    prefix whose true country is [truth], advancing the error model's
+    stream exactly as {!add} does.  For callers that keep the verdicts
+    in their own index ({!Internet} stores one per allocated /20). *)
+
 val add : t -> Ipv4.prefix -> string -> unit
 (** Register a prefix's true country; the error model may record a
-    different one. *)
+    different one ({!verdict}). *)
 
 val lookup : t -> Ipv4.addr -> string option
 (** Country of the longest matching prefix, as the (possibly wrong)

@@ -12,13 +12,25 @@ let pop_near network ~near =
   | Some p -> p
   | None -> network.hq_prefix
 
+(* Everything a per-address lookup answers about one allocated /20,
+   kept in the option form the lookups return so they allocate nothing. *)
+type block = {
+  b_org : Org.t option;
+  b_asn : int option;
+  b_geo : string option;  (* the geolocation database's verdict *)
+  b_anycast : bool;
+}
+
+let unallocated = { b_org = None; b_asn = None; b_geo = None; b_anycast = false }
+
 type t = {
   as_db : As_db.t;
-  pfx2as : int Prefix_table.t;
-  geo : Geo_db.t;
-  anycast_set : Anycast.t;
+  geo : Geo_db.t;  (* the error model the per-block verdicts are drawn from *)
   bgp : Bgp.t;
   networks : (string, network) Hashtbl.t;
+  mutable blocks : block array;
+      (* slot i describes /20 number [first_block + i]; [unallocated]
+         fills the slots past the allocator cursor *)
   mutable next_asn : int;
   mutable next_block : int;  (* /20 allocator cursor *)
 }
@@ -26,17 +38,19 @@ type t = {
 (* Synthetic tier-1 transit ASNs through which every network announces. *)
 let transit_asns = [| 174; 3356; 1299; 2914; 6453 |]
 
+(* Allocations start at /20 number 16, i.e. 0.1.0.0 — not 16.0.0.0:
+   every generated address derives from this origin. *)
+let first_block = 16
+
 let create ?(geo_accuracy = 1.0) rng =
   {
     as_db = As_db.create ();
-    pfx2as = Prefix_table.create ();
     geo = Geo_db.create ~accuracy:geo_accuracy rng ();
-    anycast_set = Anycast.create ();
     bgp = Bgp.create ();
     networks = Hashtbl.create 4096;
+    blocks = Array.make 1024 unallocated;
     next_asn = 64_512;
-    (* Start allocations at 16.0.0.0 to stay clear of special-use space. *)
-    next_block = 16 lsl 24 lsr 12;
+    next_block = first_block;
   }
 
 let alloc_prefix t =
@@ -44,6 +58,26 @@ let alloc_prefix t =
   t.next_block <- t.next_block + 1;
   if base >= 1 lsl 32 then failwith "Internet: address space exhausted";
   Ipv4.prefix (Ipv4.addr_of_int base) 20
+
+(* The allocator hands out consecutive /20s, so slot [i] is filled in
+   order.  A grown array is filled before it is published, so a lookup
+   racing a registration sees either array, never a torn one. *)
+let set_block t (p : Ipv4.prefix) block =
+  let i = (Ipv4.addr_to_int p.Ipv4.base lsr 12) - first_block in
+  let blocks = t.blocks in
+  if i < Array.length blocks then blocks.(i) <- block
+  else begin
+    let bigger = Array.make (max (i + 1) (2 * Array.length blocks)) unallocated in
+    Array.blit blocks 0 bigger 0 (Array.length blocks);
+    bigger.(i) <- block;
+    t.blocks <- bigger
+  end
+
+(* One read of the array, bound-checked against that array's own length. *)
+let block_of t addr =
+  let blocks = t.blocks in
+  let i = (Ipv4.addr_to_int addr lsr 12) - first_block in
+  if i >= 0 && i < Array.length blocks then blocks.(i) else unallocated
 
 let dedup_keep_order xs =
   let seen = Hashtbl.create 8 in
@@ -65,19 +99,19 @@ let register_network t ~name ~country ?(anycast = false) ?(presence = []) () =
       t.next_asn <- t.next_asn + 1;
       As_db.register_as t.as_db asn org;
       let countries = dedup_keep_order (country :: presence) in
+      let b_org = Some org and b_asn = Some asn in
       let pops =
         List.mapi
           (fun i cc ->
             let p = alloc_prefix t in
-            Prefix_table.add t.pfx2as p asn;
             (* The network announces each prefix through a tier-1; the
-               pfx2as table could equivalently be derived from these
-               announcements (see Bgp.derive_pfx2as). *)
+               origin AS a lookup answers could equivalently be derived
+               from these announcements (see Bgp.derive_pfx2as). *)
             let transit = transit_asns.((asn + i) mod Array.length transit_asns) in
             Bgp.announce t.bgp p ~path:[ transit; asn ];
             (* Anycast blocks geolocate to the registrant's HQ. *)
-            Geo_db.add t.geo p (if anycast then country else cc);
-            if anycast then Anycast.add t.anycast_set p;
+            let b_geo = Some (Geo_db.verdict t.geo (if anycast then country else cc)) in
+            set_block t p { b_org; b_asn; b_geo; b_anycast = anycast };
             (cc, p))
           countries
       in
@@ -98,15 +132,10 @@ let find_network t name = Hashtbl.find_opt t.networks name
 
 let address_in _t network ~near rng = Ipv4.random_addr rng (pop_near network ~near)
 
-let origin_as t addr = Prefix_table.lookup t.pfx2as addr
-
-let org_of_addr t addr =
-  match origin_as t addr with
-  | None -> None
-  | Some asn -> As_db.org_of_as t.as_db asn
-
-let geolocate t addr = Geo_db.lookup t.geo addr
-let is_anycast_addr t addr = Anycast.is_anycast t.anycast_set addr
+let origin_as t addr = (block_of t addr).b_asn
+let org_of_addr t addr = (block_of t addr).b_org
+let geolocate t addr = (block_of t addr).b_geo
+let is_anycast_addr t addr = (block_of t addr).b_anycast
 let network_count t = Hashtbl.length t.networks
 let as_db t = t.as_db
 let bgp t = t.bgp

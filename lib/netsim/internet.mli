@@ -1,17 +1,22 @@
 (** The assembled simulated Internet.
 
     Registers provider networks (organization + ASN + address space),
-    builds the pfx2as table, the geolocation database and the anycast set,
-    and answers the lookups the measurement pipeline performs:
-    address → origin AS → organization, address → country,
-    address → anycast?.
+    announces their prefixes into BGP, and answers the lookups the
+    measurement pipeline performs: address → origin AS → organization,
+    address → country, address → anycast?.
 
     Address space is allocated deterministically: each network's
     per-country point of presence receives its own /20 carved from a
-    global allocator, geolocated to that country.  Anycast networks are
-    additionally flagged in the anycast set, and their prefixes geolocate
-    to the HQ country (as commercial databases typically pin anycast
-    blocks to the registrant). *)
+    global allocator that hands out consecutive blocks from 0.1.0.0,
+    geolocated to that country.  Anycast networks' prefixes are flagged
+    anycast and geolocate to the HQ country (as commercial databases
+    typically pin anycast blocks to the registrant).
+
+    Every allocated /20 has one record — origin AS, organization, the
+    geolocation database's verdict (drawn from {!Geo_db}'s error model at
+    registration) and the anycast flag — in an array indexed by block
+    number, so each lookup is one array read.  Addresses outside the
+    allocated blocks answer [None] / [false]. *)
 
 type t
 
@@ -50,7 +55,7 @@ val address_in : t -> network -> near:string -> Webdep_stats.Rng.t -> Ipv4.addr
     users to front-ends. *)
 
 val origin_as : t -> Ipv4.addr -> int option
-(** pfx2as lookup. *)
+(** pfx2as lookup: the origin AS of the address's /20. *)
 
 val org_of_addr : t -> Ipv4.addr -> Org.t option
 (** pfx2as + AS2Org composition: the "AS Organization" label the paper
@@ -60,11 +65,13 @@ val geolocate : t -> Ipv4.addr -> string option
 (** NetAcuity-like lookup (subject to the error model). *)
 
 val is_anycast_addr : t -> Ipv4.addr -> bool
+(** Whether the address lies in an anycast network's prefix — the
+    bgp.tools anycast-prefixes substrate. *)
 
 val network_count : t -> int
 val as_db : t -> As_db.t
 
 val bgp : t -> Bgp.t
 (** The BGP table every registered network announces into; deriving
-    origins from it ({!Bgp.derive_pfx2as}) reproduces the direct pfx2as
-    table (asserted in the test suite). *)
+    origins from it ({!Bgp.derive_pfx2as}) reproduces {!origin_as}
+    (asserted in the test suite). *)

@@ -246,10 +246,10 @@ let measure_snapshot_cov ?(vantage = default_vantage) ?(resolution = Flat)
   let internet = World.internet world in
   let ca_db = World.ca_db world in
   let content domain = Hashtbl.find_opt snap.World.content_language domain in
-  (* One resolver cache per snapshot: the snapshot is measured by a
-     single worker domain, so the cache needs no lock, and per-snapshot
-     scoping keeps the aggregate hit/miss counters independent of how
-     countries are spread over domains (jobs-invariance). *)
+  (* One glue memo per snapshot: the snapshot is measured by a single
+     worker domain, so the memo needs no lock, and per-snapshot scoping
+     keeps the aggregate hit/miss counters independent of how countries
+     are spread over domains (jobs-invariance). *)
   let rcache = if cache then Some (Resolver.make_cache ()) else None in
   let resolve_a =
     match resolution with
@@ -519,8 +519,8 @@ let iterative_resolution_stats ?(vantage = default_vantage) ?epoch world cc =
 let discover_redundancy ~vantages ?epoch world cc =
   let snap = World.snapshot world ?epoch cc in
   let internet = World.internet world in
-  (* The cache is keyed on (vantage, qname), so sharing one across the
-     vantage sweep is sound; the NS-glue memo repeats across sites. *)
+  (* The glue memo is keyed on (vantage, host), so sharing one across
+     the vantage sweep is sound; NS glue repeats across sites. *)
   let cache = Resolver.make_cache () in
   List.map
     (fun domain ->

@@ -85,9 +85,9 @@ val measure_snapshot :
 (** Measure an already-materialized snapshot (used when the caller also
     needs the snapshot's ground truth).
 
-    [cache] (default [true]) puts a recursive-resolver-style memo in
-    front of DNS resolution for the duration of the snapshot — response,
-    NS-glue and (in iterative mode) TLD zone-cut tables keyed on
+    [cache] (default [true]) puts recursive-resolver-style memos in
+    front of DNS resolution for the duration of the snapshot — NS glue
+    and (in iterative mode) results and TLD zone cuts, keyed on
     [(vantage, qname)].  Answers are deterministic per (vantage, qname),
     so caching never changes the dataset, only the work; hit/miss
     counters land in the obs registry under [dns.cache.*]. *)

@@ -24,7 +24,14 @@ let table =
     ("LK", "si"); ("NP", "ne"); ("MV", "dv"); ("IL", "he"); ("GE", "ka"); ("AM", "hy");
     ("AZ", "az"); ("ET", "am"); ("SO", "so"); ]
 
-let primary cc = Option.value ~default:"en" (List.assoc_opt cc table)
+(* [table] indexed once; the first binding of a country wins, as
+   [List.assoc_opt] over the list would. *)
+let primary_of =
+  let index = Hashtbl.create (List.length table) in
+  List.iter (fun (cc, lang) -> if not (Hashtbl.mem index cc) then Hashtbl.add index cc lang) table;
+  index
+
+let primary cc = match Hashtbl.find_opt primary_of cc with Some lang -> lang | None -> "en"
 
 let hash s seed =
   let h = ref seed in

@@ -93,6 +93,43 @@ let hosting_overrides_2025 cc =
       let target = Float.max floor_s (old_target +. jitter) in
       { Mix.target = Some target; top_share = Some (old_top +. 0.038); home_quota = None }
 
+type uncalibrated = {
+  country : string;
+  layer : Profiles.layer;
+  epoch : epoch;
+  c : int;
+  reason : string;
+  min_c : int option;
+}
+
+exception Uncalibrated of uncalibrated
+
+(* How far above the requested [c] the smallest calibrating [c] is
+   searched for. *)
+let min_c_search = 10_000
+
+let uncalibrated_message u =
+  Printf.sprintf "cannot calibrate the %s mix of %s for %s at c=%d (%s); %s"
+    (Webdep_reference.Paper_scores.layer_name u.layer)
+    u.country (epoch_name u.epoch) u.c u.reason
+    (match u.min_c with
+    | Some m -> Printf.sprintf "the smallest c above %d that calibrates it is %d" u.c m
+    | None -> Printf.sprintf "no c up to %d calibrates it" (u.c + min_c_search))
+
+(* Every [Invalid_argument] out of [Mix.build] is the calibrator refusing
+   a target this [c] cannot attain. *)
+let build_mix ~c ~overrides ~epoch layer cc =
+  try Mix.build ~c ~overrides layer cc
+  with Invalid_argument reason ->
+    let rec smallest c' =
+      if c' > c + min_c_search then None
+      else
+        match Mix.build ~c:c' ~overrides layer cc with
+        | _ -> Some c'
+        | exception Invalid_argument _ -> smallest (c' + 1)
+    in
+    raise (Uncalibrated { country = cc; layer; epoch; c; reason; min_c = smallest (c + 1) })
+
 let mix t ?(epoch = May_2023) layer cc =
   let epoch_key =
     match (epoch, (layer : Profiles.layer)) with May_2025, Hosting -> "25" | _ -> "23"
@@ -112,7 +149,7 @@ let mix t ?(epoch = May_2023) layer cc =
         | May_2025, Hosting -> hosting_overrides_2025 cc
         | _ -> Mix.no_overrides
       in
-      let m = Mix.build ~c:t.c ~overrides layer cc in
+      let m = build_mix ~c:t.c ~overrides ~epoch layer cc in
       Hashtbl.replace t.mixes key m;
       m
 
@@ -158,7 +195,12 @@ let stable_addr (net : Internet.network) ~near idx =
 
 (* --- Certificates ----------------------------------------------------- *)
 
-let ensure_ca_registered t (owner_p : Provider.t) =
+(* A couple of issuing intermediates per owner, like CCADB rollups:
+   "<owner> Issuing CA R1" and "... R2". *)
+let issuer_cns owner_name =
+  Array.init 2 (fun k -> owner_name ^ " Issuing CA R" ^ string_of_int (k + 1))
+
+let ensure_ca_registered t (owner_p : Provider.t) issuers =
   Mutex.protect t.lock @@ fun () ->
   if not (Hashtbl.mem t.ca_issuers_ready owner_p.Provider.name) then begin
     Hashtbl.replace t.ca_issuers_ready owner_p.Provider.name ();
@@ -170,41 +212,59 @@ let ensure_ca_registered t (owner_p : Provider.t) =
         Tls_ca.register_owner t.ca_db ~name:owner_p.Provider.name
           ~country:owner_p.Provider.home
       in
-      (* A couple of issuing intermediates per owner, like CCADB rollups. *)
-      for k = 1 to 2 do
-        Tls_ca.register_issuer t.ca_db
-          ~issuer_cn:(Printf.sprintf "%s Issuing CA R%d" owner_p.Provider.name k)
-          owner
-      done
+      Array.iter (fun issuer_cn -> Tls_ca.register_issuer t.ca_db ~issuer_cn owner) issuers
     end
   end
 
+(* What a snapshot needs of a hosting or DNS provider for every site it
+   serves: its network and the names derived from it. *)
+type provider_names = {
+  net : Internet.network;
+  slug : string;
+  ns_hosts : string list;  (* "ns1.<slug>.sim"; "ns2.<slug>.sim" *)
+  cdn_suffix : string;  (* ".cdn.<slug>.sim" *)
+}
+
 (* Sweep-local registration memo: one world-lock round-trip per distinct
-   provider per sweep instead of several per site.  Skipping the repeat
-   calls is safe — registering an already-known provider or CA is a
-   no-op on shared state — so first registrations still happen in the
+   provider per sweep instead of several per site, and the provider's
+   names and issuer CNs built once instead of per site.  Skipping the
+   repeat calls is safe — registering an already-known provider or CA is
+   a no-op on shared state — so first registrations still happen in the
    exact order [prepare]/[snapshot] would otherwise produce. *)
 let sweep_registrars t =
   let nets = Hashtbl.create 64 in
   let cas = Hashtbl.create 64 in
   let register p =
     match Hashtbl.find_opt nets p.Provider.name with
-    | Some net -> net
+    | Some names -> names
     | None ->
         let net = register_provider t p in
-        Hashtbl.replace nets p.Provider.name net;
-        net
+        let slug = Provider.slug p in
+        let names =
+          {
+            net;
+            slug;
+            ns_hosts = [ "ns1." ^ slug ^ ".sim"; "ns2." ^ slug ^ ".sim" ];
+            cdn_suffix = ".cdn." ^ slug ^ ".sim";
+          }
+        in
+        Hashtbl.replace nets p.Provider.name names;
+        names
   in
   let ensure_ca a =
-    if not (Hashtbl.mem cas a.Provider.name) then begin
-      Hashtbl.replace cas a.Provider.name ();
-      ensure_ca_registered t a
-    end
+    match Hashtbl.find_opt cas a.Provider.name with
+    | Some issuers -> issuers
+    | None ->
+        let issuers = issuer_cns a.Provider.name in
+        Hashtbl.replace cas a.Provider.name issuers;
+        ensure_ca_registered t a issuers;
+        issuers
   in
   (register, ensure_ca)
 
-let issuer_cn_for owner_name domain =
-  Printf.sprintf "%s Issuing CA R%d" owner_name (1 + (strhash domain 7 mod 2))
+(* The issuer that signed [domain]'s certificate among its owner's
+   [issuer_cns]. *)
+let issuer_cn_for issuers domain = issuers.(strhash domain 7 mod 2)
 
 (* --- Mix expansion ---------------------------------------------------- *)
 
@@ -237,13 +297,27 @@ type snapshot = {
   content_language : (string, string) Hashtbl.t;
 }
 
-let mint_domain ~epoch_tag ~cc idx tld =
-  Printf.sprintf "%ss%05d-%s%s" epoch_tag idx (String.lowercase_ascii cc) tld
+(* "<tag>s<idx zero-padded to 5 digits>-<lcc><tld>", written straight
+   into one string: every site of every snapshot mints its domain. *)
+let mint_domain ~epoch_tag ~lcc idx tld =
+  let digits = string_of_int idx in
+  let lt = String.length epoch_tag and ld = String.length digits in
+  let lc = String.length lcc in
+  let o = lt + 1 + Stdlib.max 0 (5 - ld) in
+  let b = Bytes.make (o + ld + 1 + lc + String.length tld) '0' in
+  Bytes.blit_string epoch_tag 0 b 0 lt;
+  Bytes.set b lt 's';
+  Bytes.blit_string digits 0 b o ld;
+  Bytes.set b (o + ld) '-';
+  Bytes.blit_string lcc 0 b (o + ld + 1) lc;
+  Bytes.blit_string tld 0 b (o + ld + 1 + lc) (String.length tld);
+  Bytes.unsafe_to_string b
 
 let toplist_2023 t rng cc =
   let tld_assign = expand (Rng.split_named rng "tld") (mix t Tld cc) t.c in
+  let lcc = String.lowercase_ascii cc in
   let domains =
-    Array.init t.c (fun i -> mint_domain ~epoch_tag:"" ~cc i tld_assign.(i).Provider.name)
+    Array.init t.c (fun i -> mint_domain ~epoch_tag:"" ~lcc i tld_assign.(i).Provider.name)
   in
   Toplist.create ~country:cc domains
 
@@ -258,7 +332,8 @@ let toplist_for t rng cc = function
       let rng23 = Rng.split_named (Rng.split_named t.base_rng ("snap/" ^ cc)) "toplist" in
       let old = toplist_2023 t rng23 cc in
       let tld_assign = expand (Rng.split_named rng "tld25") (mix t Tld cc) t.c in
-      let fresh i = mint_domain ~epoch_tag:"n25" ~cc i tld_assign.(i mod t.c).Provider.name in
+      let lcc = String.lowercase_ascii cc in
+      let fresh i = mint_domain ~epoch_tag:"n25" ~lcc i tld_assign.(i mod t.c).Provider.name in
       Churn.evolve (Rng.split_named rng "churn") ~target_jaccard:(target_jaccard cc) ~fresh old
 
 (* Country rng for one snapshot sweep.  [split_named] never advances
@@ -313,16 +388,16 @@ let prepare t ?(epoch = May_2023) ccs =
           let rng = snap_rng t epoch cc in
           let toplist, hosting, dns, ca = layer_assignments t ~epoch rng cc in
           let register, ensure_ca = sweep_registrars t in
-          List.iteri
+          Array.iteri
             (fun i domain ->
               let h = hosting.(i) and d = dns.(i) and a = ca.(i) in
               ignore (register h);
               ignore (register d);
-              ensure_ca a;
+              ignore (ensure_ca a);
               match alt_provider h domain with
               | Some alt_p -> ignore (register alt_p)
               | None -> ())
-            (Toplist.domains toplist)
+            toplist.Toplist.domains
         end
       end)
     ccs
@@ -363,25 +438,25 @@ let snapshot t ?(epoch = May_2023) cc =
   Array.iteri
     (fun i domain ->
       let h = hosting.(i) and d = dns.(i) and a = ca.(i) in
-      let h_net = register h in
-      let d_net = register d in
-      ensure_ca a;
+      let h_names = register h in
+      let h_net = h_names.net in
+      let d_names = register d in
+      let issuers = ensure_ca a in
       (* Nameservers: two hosts per DNS provider, glue registered once. *)
-      let slug = Provider.slug d in
-      let ns_hosts = [ "ns1." ^ slug ^ ".sim"; "ns2." ^ slug ^ ".sim" ] in
-      if not (Hashtbl.mem glue_done slug) then begin
-        Hashtbl.replace glue_done slug ();
+      let ns_hosts = d_names.ns_hosts in
+      if not (Hashtbl.mem glue_done d_names.slug) then begin
+        Hashtbl.replace glue_done d_names.slug ();
         List.iteri
           (fun k host ->
             Zone_db.add_host zones ~host
-              ~a:(Zone_db.Static [ stable_addr d_net ~near:d.Provider.home (k + 1) ]))
+              ~a:(Zone_db.Static [ stable_addr d_names.net ~near:d.Provider.home (k + 1) ]))
           ns_hosts
       end;
       (* A answer: primary provider, with a multi-CDN secondary for a few
          sites that shows through from non-home vantages. *)
       let alt =
         match alt_provider h domain with
-        | Some alt_p -> Some (alt_p, register alt_p)
+        | Some alt_p -> Some (alt_p, (register alt_p).net)
         | None -> None
       in
       let primary_addr vantage =
@@ -401,9 +476,7 @@ let snapshot t ?(epoch = May_2023) cc =
          name carries the geo-dependent A answer. *)
       if h_net.Internet.anycast && alt = None then begin
         let cdn_name =
-          Printf.sprintf "%s.cdn.%s.sim"
-            (String.map (fun ch -> if ch = '.' then '-' else ch) domain)
-            (Provider.slug h)
+          String.map (fun ch -> if ch = '.' then '-' else ch) domain ^ h_names.cdn_suffix
         in
         Zone_db.add_domain zones ~domain:cdn_name ~ns_hosts ~a:(Zone_db.Dynamic answer);
         Zone_db.add_alias zones ~domain ~target:cdn_name ~ns_hosts
@@ -411,12 +484,12 @@ let snapshot t ?(epoch = May_2023) cc =
       else Zone_db.add_domain zones ~domain ~ns_hosts ~a:(Zone_db.Dynamic answer);
       (* Leaf certificate labelled with the CA owner via CCADB. *)
       let cert =
-        { Cert.subject = domain; issuer_cn = issuer_cn_for a.Provider.name domain;
+        { Cert.subject = domain; issuer_cn = issuer_cn_for issuers domain;
           not_before = day0; not_after = day0 + 90 }
       in
       Handshake.install tls ~domain cert;
       Hashtbl.replace assigned domain (h, d, a);
       Hashtbl.replace content_language domain
         (Language.assign ~cc ~provider_home:h.Provider.home ~domain))
-    (Array.of_list (Toplist.domains toplist));
+    toplist.Toplist.domains;
   { country = cc; epoch; toplist; zones; tls; assigned; content_language }

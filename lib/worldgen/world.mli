@@ -41,8 +41,33 @@ val countries : t -> string list
 val internet : t -> Webdep_netsim.Internet.t
 val ca_db : t -> Webdep_tlssim.Ca.t
 
+type uncalibrated = {
+  country : string;
+  layer : Profiles.layer;
+  epoch : epoch;  (** the epoch whose mix was asked for *)
+  c : int;
+  reason : string;  (** the calibrator's refusal *)
+  min_c : int option;
+      (** the smallest [c] above [c] (searched up to [c + 10 000]) at
+          which this mix calibrates *)
+}
+
+exception Uncalibrated of uncalibrated
+(** A (country, layer) mix whose Appendix-F target the calibrator cannot
+    attain with [c] sites — at small [c] the attainable 𝒮 range narrows
+    (at c = 60, 19 (country, layer, epoch) mixes fail; at c = 80 only IR
+    hosting for May 2025; none at c = 100 nor at the larger values
+    checked up to 10 000).  Raised by
+    {!mix} and so by every call that derives a country's sites:
+    {!toplist}, {!snapshot}, {!prepare}. *)
+
+val uncalibrated_message : uncalibrated -> string
+(** One line naming the country, layer, epoch and the smallest [c] that
+    calibrates. *)
+
 val mix : t -> ?epoch:epoch -> Profiles.layer -> string -> Mix.t
-(** Cached calibrated mix for a country and layer. *)
+(** Cached calibrated mix for a country and layer.
+    @raise Uncalibrated when the target is unattainable at this [c]. *)
 
 type snapshot = {
   country : string;

@@ -10,7 +10,8 @@ module Retry = Webdep_faults.Retry
 module Quarantine = Webdep_faults.Quarantine
 module Degrade = Webdep_faults.Degrade
 module Checkpoint = Webdep_faults.Checkpoint
-module Cache = Webdep_dnssim.Cache
+module Hierarchy = Webdep_dnssim.Hierarchy
+module Iterative = Webdep_dnssim.Iterative
 module Zone_db = Webdep_dnssim.Zone_db
 module Resolver = Webdep_dnssim.Resolver
 module World = Webdep_worldgen.World
@@ -194,20 +195,51 @@ let test_quarantine_streak_must_be_consecutive () =
 (* --- cache never memoizes transient failures ----------------------------- *)
 
 let test_cache_negative_skip () =
-  let c = Cache.create ~name:"test.negcache" () in
-  let calls = ref 0 in
-  let compute () =
-    incr calls;
-    if !calls = 1 then Error "transient" else Ok "recovered"
+  (* The iterative resolver's result memo skips transient failures: a
+     faulted walk without retries fails and bumps
+     dns.cache.negative_skip, a retried walk through the same cache
+     recovers, and only the recovered answer is then served warm. *)
+  let db = Zone_db.create () in
+  let domains = List.init 200 (Printf.sprintf "site%d.example") in
+  List.iter
+    (fun domain ->
+      Zone_db.add_domain db ~domain ~ns_hosts:[ "ns1.x.sim" ]
+        ~a:(Zone_db.Static [ addr "10.0.0.1" ]))
+    domains;
+  Zone_db.add_host db ~host:"ns1.x.sim" ~a:(Zone_db.Static [ addr "10.9.0.1" ]);
+  let h = Hierarchy.build db in
+  let plan = Faults.make ~rate:0.4 ~recover_after:2 ~permanent_fraction:0.0 ~seed:21 () in
+  let faulty =
+    match
+      List.find_opt
+        (fun d ->
+          match Iterative.resolve ~faults:plan h ~vantage:"US" d with
+          | Error e -> Resolver.retryable e
+          | Ok _ -> false)
+        domains
+    with
+    | Some d -> d
+    | None -> Alcotest.fail "no transiently faulty walk among 200 domains"
   in
-  let cache_if = function Ok _ -> true | Error _ -> false in
-  let r1 = Cache.find_or_compute ~cache_if c ~vantage:"US" "d.example" compute in
-  let r2 = Cache.find_or_compute ~cache_if c ~vantage:"US" "d.example" compute in
-  let r3 = Cache.find_or_compute ~cache_if c ~vantage:"US" "d.example" compute in
-  Alcotest.(check bool) "first fails" true (r1 = Error "transient");
-  Alcotest.(check bool) "second recomputes and recovers" true (r2 = Ok "recovered");
-  Alcotest.(check bool) "third served from cache" true (r3 = Ok "recovered");
-  Alcotest.(check int) "compute ran twice" 2 !calls
+  let skip = Webdep_obs.Metrics.counter "dns.cache.negative_skip" in
+  let skipped0 = Webdep_obs.Metrics.value skip in
+  let cache = Iterative.make_cache () in
+  (match Iterative.resolve ~cache ~faults:plan h ~vantage:"US" faulty with
+  | Error e -> Alcotest.(check bool) "first fails transiently" true (Resolver.retryable e)
+  | Ok _ -> Alcotest.fail "attempt 0 must hit the injected fault");
+  Alcotest.(check int) "failure not memoized" (skipped0 + 1) (Webdep_obs.Metrics.value skip);
+  (match
+     Iterative.resolve ~cache ~faults:plan ~retry:(Retry.of_max_retries 4) h ~vantage:"US"
+       faulty
+   with
+  | Ok ([ a ], _) ->
+      Alcotest.(check string) "second recomputes and recovers" "10.0.0.1" (Ipv4.addr_to_string a)
+  | _ -> Alcotest.fail "retry must recover past the transient fault");
+  (match Iterative.resolve ~cache ~faults:plan h ~vantage:"US" faulty with
+  | Ok ([ _ ], st) ->
+      Alcotest.(check int) "third served from cache" 0 st.Iterative.queries
+  | _ -> Alcotest.fail "the recovered answer must be memoized");
+  Alcotest.(check int) "recovery memoized" (skipped0 + 1) (Webdep_obs.Metrics.value skip)
 
 let test_resolver_does_not_cache_injected_failure () =
   (* A cached SERVFAIL must not mask a later successful retry: resolve a

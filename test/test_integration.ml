@@ -394,9 +394,56 @@ let test_dependence_matrix_shape () =
          List.exists (fun (_, v) -> v > 0.0) row)
        matrix)
 
+(* Golden sweep digest: every field of every site, rendered as text and
+   hashed, for a small world measured fresh per epoch at --jobs 1 and 2.
+   A refactor of the simulators or the pipeline that moves any byte of a
+   dataset fails here; a change that means to move them re-pins the
+   digests and says why. *)
+let golden_countries = [ "US"; "RU"; "BR"; "DE"; "IR"; "AF"; "JP"; "IN" ]
+
+let render_site buf (s : D.site) =
+  let opt = Option.value ~default:"-" in
+  let ent = function
+    | None -> "-"
+    | Some (e : D.entity) -> e.D.name ^ "@" ^ e.D.country
+  in
+  Printf.bprintf buf "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%b\t%b\t%s\n" s.D.domain
+    (ent s.D.hosting) (ent s.D.dns) (ent s.D.ca) (ent (Some s.D.tld))
+    (opt s.D.hosting_geo) (opt s.D.ns_geo) s.D.hosting_anycast s.D.ns_anycast
+    (opt s.D.language)
+
+let sweep_digest ~epoch ~jobs =
+  let world = World.create ~c:200 ~seed:2024 () in
+  let ds = Measure.measure_all ~epoch ~jobs ~countries:golden_countries world in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun cc ->
+      Buffer.add_string buf ("# " ^ cc ^ "\n");
+      List.iter (render_site buf) (D.country_exn ds cc).D.sites)
+    golden_countries;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_digests =
+  [
+    (World.May_2023, "e8faeaecf0a0acb56347db3831f29033");
+    (World.May_2025, "97ec10e3adda0fb94c61c9dc4e74275b");
+  ]
+
+let test_golden_sweep_digest () =
+  List.iter
+    (fun (epoch, want) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s at --jobs %d" (World.epoch_name epoch) jobs)
+            want (sweep_digest ~epoch ~jobs))
+        [ 1; 2 ])
+    golden_digests
+
 let () =
   Alcotest.run "webdep_integration"
     [
+      ("golden", [ Alcotest.test_case "sweep digest" `Quick test_golden_sweep_digest ]);
       ( "end-to-end",
         [
           Alcotest.test_case "scores track paper" `Slow test_scores_track_paper;

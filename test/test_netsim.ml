@@ -1,5 +1,5 @@
 (* Tests for webdep_netsim: addresses, prefix trie, AS/org db, geolocation
-   error model, anycast, and the assembled internet. *)
+   error model, BGP, and the assembled internet. *)
 
 open Webdep_netsim
 module Rng = Webdep_stats.Rng
@@ -185,15 +185,6 @@ let test_geo_invalid_accuracy () =
   Alcotest.check_raises "accuracy" (Invalid_argument "Geo_db.create: accuracy outside [0,1]")
     (fun () -> ignore (Geo_db.create ~accuracy:1.5 rng ()))
 
-(* --- Anycast ----------------------------------------------------------------------- *)
-
-let test_anycast () =
-  let t = Anycast.create () in
-  Anycast.add t (pfx "104.16.0.0/13");
-  Alcotest.(check bool) "inside" true (Anycast.is_anycast t (addr "104.17.1.1"));
-  Alcotest.(check bool) "outside" false (Anycast.is_anycast t (addr "8.8.8.8"));
-  Alcotest.(check int) "size" 1 (Anycast.size t)
-
 (* --- Bgp -------------------------------------------------------------------------- *)
 
 let test_bgp_best_route_prefers_short_path () =
@@ -322,6 +313,63 @@ let test_internet_distinct_asns () =
   Alcotest.(check (option int)) "origin as" (Some a.Internet.asn)
     (Internet.origin_as net (Ipv4.nth_addr (snd (List.hd a.Internet.pops)) 0))
 
+let test_internet_block_edges () =
+  (* Every lookup reads one record per allocated /20.  Probe both ends of
+     each block, the first address past the last allocated block, the
+     address just below the first one and addresses below 16.0.0.0;
+     origins must agree with the BGP-derived pfx2as and geolocation with
+     each pop's country (HQ for anycast).  Enough pops to outgrow the
+     initial block array. *)
+  let rng = Rng.create 13 in
+  let net = Internet.create rng in
+  let codes = List.map (fun c -> c.Webdep_geo.Country.code) Webdep_geo.Country.all in
+  let networks =
+    List.map
+      (fun (name, country, anycast, presence) ->
+        Internet.register_network net ~name ~country ~anycast ~presence ())
+      ([ ("Anycast", "US", true, [ "DE"; "JP" ]); ("Regional", "DE", false, [ "FI" ]);
+         ("Single", "FR", false, []) ]
+      @ List.init 8 (fun i -> (Printf.sprintf "Global%d" i, "US", i mod 2 = 0, codes)))
+  in
+  let derived = Bgp.derive_pfx2as (Internet.bgp net) in
+  let first_base = ref max_int and last_base = ref 0 in
+  List.iter
+    (fun (n : Internet.network) ->
+      let hq = fst (List.hd n.Internet.pops) in
+      List.iter
+        (fun (cc, p) ->
+          first_base := min !first_base (Ipv4.addr_to_int p.Ipv4.base);
+          last_base := max !last_base (Ipv4.addr_to_int p.Ipv4.base);
+          List.iter
+            (fun a ->
+              let what = Printf.sprintf "%s %s" n.Internet.org.Org.name (Ipv4.addr_to_string a) in
+              Alcotest.(check (option int)) (what ^ " origin = derived") (Prefix_table.lookup derived a)
+                (Internet.origin_as net a);
+              Alcotest.(check (option int)) (what ^ " origin") (Some n.Internet.asn)
+                (Internet.origin_as net a);
+              Alcotest.(check (option string)) (what ^ " org") (Some n.Internet.org.Org.name)
+                (Option.map (fun o -> o.Org.name) (Internet.org_of_addr net a));
+              Alcotest.(check (option string)) (what ^ " geo")
+                (Some (if n.Internet.anycast then hq else cc))
+                (Internet.geolocate net a);
+              Alcotest.(check bool) (what ^ " anycast") n.Internet.anycast
+                (Internet.is_anycast_addr net a))
+            [ Ipv4.nth_addr p 0; Ipv4.nth_addr p (Ipv4.prefix_size p - 1) ])
+        n.Internet.pops)
+    networks;
+  Alcotest.(check bool) "outgrew the initial array" true
+    ((!last_base - !first_base) lsr 12 >= 1024);
+  List.iter
+    (fun a ->
+      let what = Ipv4.addr_to_string a in
+      Alcotest.(check (option int)) (what ^ " not derived") None (Prefix_table.lookup derived a);
+      Alcotest.(check (option int)) (what ^ " no origin") None (Internet.origin_as net a);
+      Alcotest.(check bool) (what ^ " no org") true (Internet.org_of_addr net a = None);
+      Alcotest.(check (option string)) (what ^ " no geo") None (Internet.geolocate net a);
+      Alcotest.(check bool) (what ^ " not anycast") false (Internet.is_anycast_addr net a))
+    [ Ipv4.addr_of_int (!last_base + 4096); Ipv4.addr_of_int (!first_base - 1);
+      addr "15.255.255.255"; addr "8.8.8.8"; addr "0.0.0.0" ]
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -360,7 +408,6 @@ let () =
           Alcotest.test_case "consistent errors" `Quick test_geo_consistent_per_prefix;
           Alcotest.test_case "invalid accuracy" `Quick test_geo_invalid_accuracy;
         ] );
-      ("anycast", [ Alcotest.test_case "membership" `Quick test_anycast ]);
       ( "bgp",
         [
           Alcotest.test_case "shortest path wins" `Quick test_bgp_best_route_prefers_short_path;
@@ -378,5 +425,6 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_internet_idempotent_registration;
           Alcotest.test_case "fallback pop" `Quick test_internet_fallback_pop;
           Alcotest.test_case "distinct asns" `Quick test_internet_distinct_asns;
+          Alcotest.test_case "block edges" `Quick test_internet_block_edges;
         ] );
     ]

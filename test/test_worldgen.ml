@@ -258,6 +258,59 @@ let test_language_partner_pull () =
 
 (* --- World -------------------------------------------------------------------- *)
 
+(* The typed error of every (country, layer, epoch) mix a world of [c]
+   sites cannot calibrate. *)
+let uncalibrated_mixes ~c =
+  let world = World.create ~c ~seed:2024 () in
+  List.concat_map
+    (fun cc ->
+      List.concat_map
+        (fun epoch ->
+          List.filter_map
+            (fun layer ->
+              match World.mix world ~epoch layer cc with
+              | _ -> None
+              | exception World.Uncalibrated u -> Some u)
+            Scores.all_layers)
+        [ World.May_2023; World.May_2025 ])
+    (World.countries world)
+
+let test_world_small_c_typed_error () =
+  (* At c = 60 some Appendix-F targets are out of reach: each is a typed
+     error naming the mix and the smallest c that calibrates it, never an
+     Invalid_argument out of the calibrator.  At c = 100 every mix
+     calibrates. *)
+  let failures = uncalibrated_mixes ~c:60 in
+  Alcotest.(check bool) "IR hosting fails at c=60" true
+    (List.exists
+       (fun (u : World.uncalibrated) -> u.World.country = "IR" && u.World.layer = Hosting)
+       failures);
+  List.iter
+    (fun (u : World.uncalibrated) ->
+      let what = World.uncalibrated_message u in
+      Alcotest.(check int) (what ^ ": c") 60 u.World.c;
+      let builds c =
+        match World.mix (World.create ~c ~seed:2024 ()) ~epoch:u.World.epoch u.World.layer
+                u.World.country
+        with
+        | _ -> true
+        | exception World.Uncalibrated _ -> false
+      in
+      match u.World.min_c with
+      | None -> Alcotest.failf "%s: no calibrating c found" what
+      | Some m ->
+          Alcotest.(check bool) (what ^ ": calibrates at min_c") true (m > 60 && builds m);
+          Alcotest.(check bool) (what ^ ": not below min_c") true (m - 1 = 60 || not (builds (m - 1))))
+    failures;
+  (match
+     Webdep_pipeline.Measure.measure_all ~countries:[ "IR" ] (World.create ~c:60 ~seed:2024 ())
+   with
+  | _ -> Alcotest.fail "an IR sweep at c=60 must not calibrate"
+  | exception World.Uncalibrated u ->
+      Alcotest.(check string) "the sweep names IR" "IR" u.World.country);
+  Alcotest.(check (list string)) "every mix calibrates at c=100" []
+    (List.map World.uncalibrated_message (uncalibrated_mixes ~c:100))
+
 let test_world_snapshot_basics () =
   let world = World.create ~c:500 ~seed:1 () in
   let snap = World.snapshot world "TH" in
@@ -396,6 +449,7 @@ let () =
           Alcotest.test_case "snapshot basics" `Quick test_world_snapshot_basics;
           Alcotest.test_case "deterministic" `Quick test_world_snapshot_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_world_seed_changes_world;
+          Alcotest.test_case "small c is a typed error" `Quick test_world_small_c_typed_error;
           Alcotest.test_case "epoch churn" `Quick test_world_epoch_churn;
           Alcotest.test_case "domains carry tlds" `Quick test_world_domains_carry_tlds;
           Alcotest.test_case "epoch names" `Quick test_world_epoch_names;
