@@ -782,11 +782,14 @@ let vantage () =
   Printf.printf "max per-country gap = %.4f over %d countries\n" v.Webdep.Validate.max_gap
     (List.length v.Webdep.Validate.pairs)
 
+(* The bench world at May 2025, measured once: [longitudinal] compares
+   against it, and the serve and epoch fixture reuses it. *)
+let ds_2025 = lazy (Measure.measure_all ~epoch:World.May_2025 world)
+
 let longitudinal () =
   section "Sec 5.4" "Longitudinal change, May 2023 -> May 2025";
   let ds25, seconds =
-    Span.timed ~name:"bench.measure_all_2025" (fun () ->
-        Measure.measure_all ~epoch:World.May_2025 world)
+    Span.timed ~name:"bench.measure_all_2025" (fun () -> Lazy.force ds_2025)
   in
   Printf.printf "(2025 world measured in %.1fs)\n" seconds;
   let cmp =
@@ -1746,16 +1749,20 @@ let scale_phase () =
 
 module Serve = Webdep_serve
 
-(* The serve and epoch phases share one world at the paper-scale floor,
-   independent of the bench's own -c so their numbers compare across
-   bench configs, measured at both epochs.  The first phase that needs
-   it pays for the two sweeps. *)
+(* The serve and epoch phases share one two-epoch fixture at the
+   paper-scale floor, independent of the bench's own -c so their numbers
+   compare across bench configs.  At c = fixture_c it is the bench
+   world's own datasets: a world's datasets do not depend on what it
+   measured before.  Otherwise the first phase that needs it builds a
+   fixture_c world and pays for the two sweeps. *)
 let fixture_c = 300
 
 let fixture =
   lazy
-    (let w = World.create ~c:fixture_c ~seed () in
-     (Measure.measure_all ~jobs w, Measure.measure_all ~epoch:World.May_2025 ~jobs w))
+    (if c = fixture_c then (ds, Lazy.force ds_2025)
+     else
+       let w = World.create ~c:fixture_c ~seed () in
+       (Measure.measure_all ~jobs w, Measure.measure_all ~epoch:World.May_2025 ~jobs w))
 
 let serve_n = 40_000
 let serve_clients = max 2 (min 4 jobs)

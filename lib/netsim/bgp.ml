@@ -1,20 +1,27 @@
 type announcement = { prefix : Ipv4.prefix; path : int list }
 
-let origin a =
-  match List.rev a.path with o :: _ -> o | [] -> invalid_arg "Bgp.origin: empty path"
+let rec last = function
+  | [ o ] -> o
+  | _ :: rest -> last rest
+  | [] -> invalid_arg "Bgp.origin: empty path"
+
+let origin a = last a.path
+
+(* Routes keyed by (base, length) packed into one int. *)
+module Routes = Hashtbl.Make (Int)
 
 type t = {
-  routes : (string, announcement list) Hashtbl.t;  (* keyed by prefix string *)
+  routes : announcement list Routes.t;
   mutable count : int;
 }
 
-let create () = { routes = Hashtbl.create 4096; count = 0 }
+let create () = { routes = Routes.create 4096; count = 0 }
 
 let announce t prefix ~path =
   if path = [] then invalid_arg "Bgp.announce: empty AS path";
-  let key = Ipv4.prefix_to_string prefix in
-  let existing = Option.value ~default:[] (Hashtbl.find_opt t.routes key) in
-  Hashtbl.replace t.routes key ({ prefix; path } :: existing);
+  let key = (Ipv4.addr_to_int prefix.Ipv4.base lsl 6) lor prefix.Ipv4.len in
+  let existing = Option.value ~default:[] (Routes.find_opt t.routes key) in
+  Routes.replace t.routes key ({ prefix; path } :: existing);
   t.count <- t.count + 1
 
 (* Shortest AS path wins; ties break toward the lowest origin ASN —
@@ -31,7 +38,7 @@ let best_of = function
 
 let best_table t =
   let table = Prefix_table.create () in
-  Hashtbl.iter
+  Routes.iter
     (fun _ anns ->
       match best_of anns with
       | Some best -> Prefix_table.add table best.prefix best
@@ -43,7 +50,7 @@ let best_route t addr = Prefix_table.lookup (best_table t) addr
 
 let derive_pfx2as t =
   let table = Prefix_table.create () in
-  Hashtbl.iter
+  Routes.iter
     (fun _ anns ->
       match best_of anns with
       | Some best -> Prefix_table.add table best.prefix (origin best)
@@ -52,13 +59,15 @@ let derive_pfx2as t =
   table
 
 let moas t =
-  Hashtbl.fold
+  Routes.fold
     (fun _ anns acc ->
-      let origins = List.sort_uniq compare (List.map origin anns) in
-      match (anns, origins) with
-      | a :: _, _ :: _ :: _ -> (a.prefix, origins) :: acc
-      | _ -> acc)
+      match anns with
+      | [] | [ _ ] -> acc
+      | a :: _ -> (
+          match List.sort_uniq compare (List.map origin anns) with
+          | _ :: _ :: _ as origins -> (a.prefix, origins) :: acc
+          | _ -> acc))
     t.routes []
 
 let announcement_count t = t.count
-let prefix_count t = Hashtbl.length t.routes
+let prefix_count t = Routes.length t.routes

@@ -26,7 +26,6 @@ let unallocated = { b_org = None; b_asn = None; b_geo = None; b_anycast = false 
 type t = {
   as_db : As_db.t;
   geo : Geo_db.t;  (* the error model the per-block verdicts are drawn from *)
-  bgp : Bgp.t;
   networks : (string, network) Hashtbl.t;
   mutable blocks : block array;
       (* slot i describes /20 number [first_block + i]; [unallocated]
@@ -46,7 +45,6 @@ let create ?(geo_accuracy = 1.0) rng =
   {
     as_db = As_db.create ();
     geo = Geo_db.create ~accuracy:geo_accuracy rng ();
-    bgp = Bgp.create ();
     networks = Hashtbl.create 4096;
     blocks = Array.make 1024 unallocated;
     next_asn = 64_512;
@@ -60,8 +58,7 @@ let alloc_prefix t =
   Ipv4.prefix (Ipv4.addr_of_int base) 20
 
 (* The allocator hands out consecutive /20s, so slot [i] is filled in
-   order.  A grown array is filled before it is published, so a lookup
-   racing a registration sees either array, never a torn one. *)
+   order. *)
 let set_block t (p : Ipv4.prefix) block =
   let i = (Ipv4.addr_to_int p.Ipv4.base lsr 12) - first_block in
   let blocks = t.blocks in
@@ -101,14 +98,9 @@ let register_network t ~name ~country ?(anycast = false) ?(presence = []) () =
       let countries = dedup_keep_order (country :: presence) in
       let b_org = Some org and b_asn = Some asn in
       let pops =
-        List.mapi
-          (fun i cc ->
+        List.map
+          (fun cc ->
             let p = alloc_prefix t in
-            (* The network announces each prefix through a tier-1; the
-               origin AS a lookup answers could equivalently be derived
-               from these announcements (see Bgp.derive_pfx2as). *)
-            let transit = transit_asns.((asn + i) mod Array.length transit_asns) in
-            Bgp.announce t.bgp p ~path:[ transit; asn ];
             (* Anycast blocks geolocate to the registrant's HQ. *)
             let b_geo = Some (Geo_db.verdict t.geo (if anycast then country else cc)) in
             set_block t p { b_org; b_asn; b_geo; b_anycast = anycast };
@@ -138,4 +130,18 @@ let geolocate t addr = (block_of t addr).b_geo
 let is_anycast_addr t addr = (block_of t addr).b_anycast
 let network_count t = Hashtbl.length t.networks
 let as_db t = t.as_db
-let bgp t = t.bgp
+
+(* Each network announces its i-th prefix through a tier-1 transit.
+   Every prefix has one announcement, so the walk order over networks
+   cannot change the table. *)
+let bgp t =
+  let bgp = Bgp.create () in
+  Hashtbl.iter
+    (fun _ n ->
+      List.iteri
+        (fun i (_, p) ->
+          let transit = transit_asns.((n.asn + i) mod Array.length transit_asns) in
+          Bgp.announce bgp p ~path:[ transit; n.asn ])
+        n.pops)
+    t.networks;
+  bgp

@@ -1,9 +1,10 @@
 (** The assembled simulated Internet.
 
-    Registers provider networks (organization + ASN + address space),
-    announces their prefixes into BGP, and answers the lookups the
-    measurement pipeline performs: address → origin AS → organization,
-    address → country, address → anycast?.
+    Registers provider networks (organization + ASN + address space) and
+    answers the lookups the measurement pipeline performs: address →
+    origin AS → organization, address → country, address → anycast?.
+    The BGP table those networks announce is derived on demand
+    ({!bgp}).
 
     Address space is allocated deterministically: each network's
     per-country point of presence receives its own /20 carved from a
@@ -72,6 +73,7 @@ val network_count : t -> int
 val as_db : t -> As_db.t
 
 val bgp : t -> Bgp.t
-(** The BGP table every registered network announces into; deriving
-    origins from it ({!Bgp.derive_pfx2as}) reproduces {!origin_as}
-    (asserted in the test suite). *)
+(** A fresh BGP table holding every registered network's announcements:
+    each prefix through a tier-1 transit, origin last.  Deriving origins
+    from it ({!Bgp.derive_pfx2as}) reproduces {!origin_as} (asserted in
+    the test suite). *)

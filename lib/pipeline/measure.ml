@@ -363,18 +363,16 @@ type sweep = {
   insufficient : string list;
 }
 
+(* The store fingerprint (everything that shapes a site record) plus
+   the keys one sweep fixes. *)
 let checkpoint_meta ?vantage ?resolution ?epoch ~faults world =
   let open Webdep_json in
-  [
-    ("world_seed", Int (World.seed world));
-    ("c", Int (World.c world));
-    ("epoch", String (World.epoch_name (Option.value ~default:World.May_2023 epoch)));
-    ("vantage", String (Option.value ~default:default_vantage vantage));
-    ("resolution", String (resolution_name (Option.value ~default:Flat resolution)));
-    ("fault_seed", Int (Faults.seed faults.plan));
-    ("fault_rate", Float (Faults.rate faults.plan));
-    ("max_attempts", Int faults.retry.Retry.max_attempts);
-  ]
+  Fingerprint.to_meta (store_fingerprint ~faults world)
+  @ [
+      ("epoch", String (World.epoch_name (Option.value ~default:World.May_2023 epoch)));
+      ("vantage", String (Option.value ~default:default_vantage vantage));
+      ("resolution", String (resolution_name (Option.value ~default:Flat resolution)));
+    ]
 
 let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
     ?(faults = no_faults) ?checkpoint ?store world =
@@ -384,10 +382,9 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
     ~attrs:[ ("countries", string_of_int (List.length countries)) ]
     (fun () ->
       (* Warm pre-pass: rebuild fully-stored countries up front, so an
-         entirely warm sweep pays neither registration replay nor
-         snapshot materialization.  Sequential on purpose — the per-hit
-         counters then accrue in one fixed order, and the totals are the
-         same at any [jobs]. *)
+         entirely warm sweep pays no snapshot materialization.
+         Sequential on purpose — the per-hit counters then accrue in one
+         fixed order, and the totals are the same at any [jobs]. *)
       let warm = Hashtbl.create 16 in
       (match store with
       | Some st when Store.size st > 0 ->
@@ -401,11 +398,9 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
                 | None -> ())
             countries
       | Some _ | None -> ());
-      (* Fix every shared-state registration (ASN/prefix allocation,
-         geolocation draws, CA issuers) in canonical sequential order
-         before fanning out, so the per-country sweeps are read-only on
-         the world and the dataset is bit-identical at any [jobs].  Only
-         countries the store cannot fully serve need it. *)
+      (* A country the world cannot calibrate at this [c] fails here,
+         before the fan-out.  Only countries the store cannot fully serve
+         derive their sites. *)
       let cold = List.filter (fun cc -> not (Hashtbl.mem warm cc)) countries in
       World.prepare world ?epoch cold;
       let cp =

@@ -50,8 +50,8 @@ val resolution_name : resolution -> string
     vantage, domain) measurement results in a
     {!Webdep_store.Store.t}: stored sites are returned without
     re-resolving, fresh measurements are added, and a sweep whose
-    countries are fully stored skips snapshot materialization (and
-    world preparation) altogether.  Memoized records are exactly what a
+    countries are fully stored skips snapshot materialization
+    altogether.  Memoized records are exactly what a
     fresh measurement would produce, so store-backed and cold sweeps
     are byte-identical at any [jobs]; hit/miss totals
     ([store.hits]/[store.misses]) are per-domain and equally
@@ -62,7 +62,8 @@ val resolution_name : resolution -> string
 val store_fingerprint :
   ?faults:fault_opts -> Webdep_worldgen.World.t -> Webdep_store.Fingerprint.t
 (** The invalidation fingerprint for a (world, fault-options) pair:
-    world seed, toplist size, geolocation accuracy, and the fault
+    world seed, toplist size, geolocation accuracy, the world's
+    derivation ({!Webdep_store.Fingerprint.derivation}), and the fault
     plan's seed/rate/retry budget. *)
 
 val measure_country :
@@ -139,10 +140,13 @@ val measure_all :
 
     Countries fan out across the {!Webdep_par} domain pool ([?jobs]
     overrides the configured lane count; [1] forces the sequential
-    path).  The world is {!Webdep_worldgen.World.prepare}d first, so the
-    returned dataset is bit-identical for every [jobs] value; resolver
-    caches (see {!measure_snapshot}) are created per snapshot, keeping
-    that invariant regardless of [cache]. *)
+    path).  The world is read-only once created, so the returned dataset
+    is bit-identical for every [jobs] value and whatever the world
+    measured before; resolver caches (see {!measure_snapshot}) are
+    created per snapshot, keeping that invariant regardless of [cache].
+    {!Webdep_worldgen.World.prepare} runs first, so a country this [c]
+    cannot calibrate raises {!Webdep_worldgen.World.Uncalibrated}
+    before any country is measured. *)
 
 type country_coverage = {
   cc : string;
@@ -182,8 +186,9 @@ val measure_sweep :
     [?checkpoint] names a {!Webdep_faults.Checkpoint} file: completed
     country shards are appended as they finish, and a later run with the
     same sweep parameters resumes past them, reproducing the
-    uninterrupted dataset exactly.  A parameter mismatch discards the
-    stale file. *)
+    uninterrupted dataset exactly.  The file's header is the
+    {!store_fingerprint} fields plus epoch, vantage and resolution; any
+    mismatch discards the stale file. *)
 
 type resolution_stats = {
   domains : int;

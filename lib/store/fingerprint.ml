@@ -4,17 +4,21 @@ type t = {
   world_seed : int;
   c : int;
   geo_accuracy : float;
+  derivation : string;
   fault_seed : int;
   fault_rate : float;
   max_attempts : int;
 }
 
+let derivation = "canonical-walk/1"
+
 let v ~world_seed ~c ~geo_accuracy ~fault_seed ~fault_rate ~max_attempts =
-  { world_seed; c; geo_accuracy; fault_seed; fault_rate; max_attempts }
+  { world_seed; c; geo_accuracy; derivation; fault_seed; fault_rate; max_attempts }
 
 let equal a b =
   a.world_seed = b.world_seed && a.c = b.c
   && Float.equal a.geo_accuracy b.geo_accuracy
+  && String.equal a.derivation b.derivation
   && a.fault_seed = b.fault_seed
   && Float.equal a.fault_rate b.fault_rate
   && a.max_attempts = b.max_attempts
@@ -24,6 +28,7 @@ let to_meta t =
     ("world_seed", Json.Int t.world_seed);
     ("c", Json.Int t.c);
     ("geo_accuracy", Json.Float t.geo_accuracy);
+    ("world_derivation", Json.String t.derivation);
     ("fault_seed", Json.Int t.fault_seed);
     ("fault_rate", Json.Float t.fault_rate);
     ("max_attempts", Json.Int t.max_attempts);

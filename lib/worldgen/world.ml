@@ -13,29 +13,28 @@ type epoch = May_2023 | May_2025
 
 let epoch_name = function May_2023 -> "2023-05" | May_2025 -> "2025-05"
 
-(* Observability: snapshot materialization is the dominant generation
-   cost; the per-layer mix cache is the main amortizer. *)
-let m_mix_hits = Webdep_obs.Metrics.counter "worldgen.mix.cache_hits"
-let m_mix_misses = Webdep_obs.Metrics.counter "worldgen.mix.cache_misses"
 let m_snapshots = Webdep_obs.Metrics.counter "worldgen.snapshots"
 
+(* What a snapshot needs of a hosting or DNS provider for every site it
+   serves: its network and the names derived from it. *)
+type provider_names = {
+  net : Internet.network;
+  ns_hosts : string list;  (* "ns1.<slug>.sim"; "ns2.<slug>.sim" *)
+  cdn_suffix : string;  (* ".cdn.<slug>.sim" for anycast networks, else "" *)
+}
+
+(* Everything below is filled by [create] and only read afterwards. *)
 type t = {
   seed : int;
   c : int;
   geo_accuracy : float;
   internet : Internet.t;
   ca_db : Tls_ca.t;
-  root_store : Webdep_tlssim.Root_store.t;
   base_rng : Rng.t;
-  mixes : (string, Mix.t) Hashtbl.t;
-  ca_issuers_ready : (string, unit) Hashtbl.t;
-  (* Serializes every mutation of shared world state (mix cache, network
-     registration, CA registration) so snapshots can be taken from
-     worker domains.  [prepare] performs all registrations up front in
-     the canonical sequential order, so under parallel sweeps these
-     critical sections are lookup-only. *)
-  lock : Mutex.t;
-  prepared : (string, unit) Hashtbl.t;  (* "epoch/cc" sweeps already registered *)
+  mixes : (epoch * Profiles.layer * string, (Mix.t, string) result) Hashtbl.t;
+      (* keyed by [mix_epoch]; [Error] holds the calibrator's refusal *)
+  names : (string, provider_names) Hashtbl.t;  (* by hosting/DNS provider name *)
+  issuers : (string, string array) Hashtbl.t;  (* by CA owner name *)
 }
 
 let multi_cdn_fraction = 0.06
@@ -43,26 +42,10 @@ let multi_cdn_fraction = 0.06
 let c t = t.c
 let seed t = t.seed
 let geo_accuracy t = t.geo_accuracy
-let countries _t = List.map (fun c -> c.Webdep_geo.Country.code) Webdep_geo.Country.all
+let all_codes = List.map (fun c -> c.Webdep_geo.Country.code) Webdep_geo.Country.all
+let countries _t = all_codes
 let internet t = t.internet
 let ca_db t = t.ca_db
-
-let create ?(c = 10_000) ?(geo_accuracy = 0.894) ~seed () =
-  let base_rng = Rng.create seed in
-  let geo_rng = Rng.split_named base_rng "geolocation-errors" in
-  {
-    seed;
-    c;
-    geo_accuracy;
-    internet = Internet.create ~geo_accuracy geo_rng;
-    ca_db = Tls_ca.create ();
-    root_store = Webdep_tlssim.Root_store.create ();
-    base_rng;
-    mixes = Hashtbl.create 1024;
-    ca_issuers_ready = Hashtbl.create 64;
-    lock = Mutex.create ();
-    prepared = Hashtbl.create 8;
-  }
 
 (* Deterministic per-string hash for jitters and per-site choices. *)
 let strhash s seed =
@@ -93,6 +76,35 @@ let hosting_overrides_2025 cc =
       let target = Float.max floor_s (old_target +. jitter) in
       { Mix.target = Some target; top_share = Some (old_top +. 0.038); home_quota = None }
 
+(* --- Mixes -------------------------------------------------------------- *)
+
+(* The 2025 epoch re-derives hosting only; its other layers reuse the
+   2023 mixes. *)
+let mix_epoch epoch (layer : Profiles.layer) =
+  match (epoch, layer) with May_2025, Hosting -> May_2025 | _ -> May_2023
+
+let overrides epoch layer cc =
+  match mix_epoch epoch layer with
+  | May_2025 -> hosting_overrides_2025 cc
+  | May_2023 -> Mix.no_overrides
+
+(* A country's five distinct mixes. *)
+let country_mixes =
+  [ (May_2023, Profiles.Tld); (May_2023, Hosting); (May_2023, Dns); (May_2023, Ca);
+    (May_2025, Hosting) ]
+
+(* Every [Invalid_argument] out of [Mix.build] is the calibrator refusing
+   a target this [c] cannot attain. *)
+let calibrate ~c cc =
+  List.map
+    (fun (epoch, layer) ->
+      let m =
+        try Ok (Mix.build ~c ~overrides:(overrides epoch layer cc) layer cc)
+        with Invalid_argument reason -> Error reason
+      in
+      ((epoch, layer, cc), m))
+    country_mixes
+
 type uncalibrated = {
   country : string;
   layer : Profiles.layer;
@@ -116,46 +128,22 @@ let uncalibrated_message u =
     | Some m -> Printf.sprintf "the smallest c above %d that calibrates it is %d" u.c m
     | None -> Printf.sprintf "no c up to %d calibrates it" (u.c + min_c_search))
 
-(* Every [Invalid_argument] out of [Mix.build] is the calibrator refusing
-   a target this [c] cannot attain. *)
-let build_mix ~c ~overrides ~epoch layer cc =
-  try Mix.build ~c ~overrides layer cc
-  with Invalid_argument reason ->
-    let rec smallest c' =
-      if c' > c + min_c_search then None
-      else
-        match Mix.build ~c:c' ~overrides layer cc with
-        | _ -> Some c'
-        | exception Invalid_argument _ -> smallest (c' + 1)
-    in
-    raise (Uncalibrated { country = cc; layer; epoch; c; reason; min_c = smallest (c + 1) })
-
 let mix t ?(epoch = May_2023) layer cc =
-  let epoch_key =
-    match (epoch, (layer : Profiles.layer)) with May_2025, Hosting -> "25" | _ -> "23"
-  in
-  let key =
-    Printf.sprintf "%s/%s/%s" epoch_key (Webdep_reference.Paper_scores.layer_name layer) cc
-  in
-  Mutex.protect t.lock @@ fun () ->
-  match Hashtbl.find_opt t.mixes key with
-  | Some m ->
-      Webdep_obs.Metrics.incr m_mix_hits;
-      m
-  | None ->
-      Webdep_obs.Metrics.incr m_mix_misses;
-      let overrides =
-        match (epoch, (layer : Profiles.layer)) with
-        | May_2025, Hosting -> hosting_overrides_2025 cc
-        | _ -> Mix.no_overrides
+  match Hashtbl.find t.mixes (mix_epoch epoch layer, layer, cc) with
+  | Ok m -> m
+  | Error reason ->
+      let overrides = overrides epoch layer cc in
+      let rec smallest c' =
+        if c' > t.c + min_c_search then None
+        else
+          match Mix.build ~c:c' ~overrides layer cc with
+          | _ -> Some c'
+          | exception Invalid_argument _ -> smallest (c' + 1)
       in
-      let m = build_mix ~c:t.c ~overrides ~epoch layer cc in
-      Hashtbl.replace t.mixes key m;
-      m
+      raise
+        (Uncalibrated { country = cc; layer; epoch; c = t.c; reason; min_c = smallest (t.c + 1) })
 
-(* --- Network registration ------------------------------------------- *)
-
-let all_codes = List.map (fun c -> c.Webdep_geo.Country.code) Webdep_geo.Country.all
+(* --- Registration ------------------------------------------------------- *)
 
 let name_set names =
   let set = Hashtbl.create (List.length names) in
@@ -178,12 +166,98 @@ let anycast_names =
 
 let anycast_name_set = name_set anycast_names
 
-let register_provider t p =
-  Mutex.protect t.lock @@ fun () ->
-  let anycast = Hashtbl.mem anycast_name_set p.Provider.name in
-  let presence = if is_global p then all_codes else [] in
-  Internet.register_network t.internet ~name:p.Provider.name ~country:p.Provider.home
-    ~anycast ~presence ()
+let fastly = Provider.make ~name:"Fastly" ~home:"US"
+
+(* A hosting or DNS provider's network (ASN, prefixes, geolocation
+   draws) and names.  The first registration of a name wins. *)
+let register_network t p =
+  if not (Hashtbl.mem t.names p.Provider.name) then begin
+    let anycast = Hashtbl.mem anycast_name_set p.Provider.name in
+    let presence = if is_global p then all_codes else [] in
+    let net =
+      Internet.register_network t.internet ~name:p.Provider.name ~country:p.Provider.home
+        ~anycast ~presence ()
+    in
+    let slug = Provider.slug p in
+    Hashtbl.replace t.names p.Provider.name
+      {
+        net;
+        ns_hosts = [ "ns1." ^ slug ^ ".sim"; "ns2." ^ slug ^ ".sim" ];
+        cdn_suffix = (if anycast then ".cdn." ^ slug ^ ".sim" else "");
+      }
+  end
+
+(* A couple of issuing intermediates per owner, like CCADB rollups:
+   "<owner> Issuing CA R1" and "... R2". *)
+let issuer_cns owner_name =
+  Array.init 2 (fun k -> owner_name ^ " Issuing CA R" ^ string_of_int (k + 1))
+
+let register_ca t root_store (owner_p : Provider.t) =
+  if not (Hashtbl.mem t.issuers owner_p.Provider.name) then begin
+    let issuers = issuer_cns owner_p.Provider.name in
+    Hashtbl.replace t.issuers owner_p.Provider.name issuers;
+    (* CCADB only lists root-program members: a browser-rejected CA
+       (the Russian state root) gets no issuer mapping, so the pipeline
+       cannot label its certificates. *)
+    if Webdep_tlssim.Root_store.is_trusted root_store owner_p.Provider.name then begin
+      let owner =
+        Tls_ca.register_owner t.ca_db ~name:owner_p.Provider.name
+          ~country:owner_p.Provider.home
+      in
+      Array.iter (fun issuer_cn -> Tls_ca.register_issuer t.ca_db ~issuer_cn owner) issuers
+    end
+  end
+
+(* Calibrate every mix on the domain pool ([Mix.build] is pure, so the
+   lanes cannot change the result), then register, serially and in one
+   fixed walk, every network and CA those mixes name: the multi-CDN
+   secondaries, each country's 2023 hosting, DNS and CA providers in
+   [Webdep_geo.Country.all] order, then each country's 2025 hosting
+   providers.  Allocation and geolocation draws follow the walk, so they
+   never depend on which snapshots are taken, in what order, or where. *)
+let create ?(c = 10_000) ?(geo_accuracy = 0.894) ~seed () =
+  let base_rng = Rng.create seed in
+  let geo_rng = Rng.split_named base_rng "geolocation-errors" in
+  let t =
+    {
+      seed;
+      c;
+      geo_accuracy;
+      internet = Internet.create ~geo_accuracy geo_rng;
+      ca_db = Tls_ca.create ();
+      base_rng;
+      mixes = Hashtbl.create 1024;
+      names = Hashtbl.create 4096;
+      issuers = Hashtbl.create 64;
+    }
+  in
+  List.iter
+    (List.iter (fun (key, m) -> Hashtbl.replace t.mixes key m))
+    (Webdep_par.map (calibrate ~c) all_codes);
+  let providers epoch layer cc =
+    match Hashtbl.find t.mixes (epoch, layer, cc) with
+    | Ok m -> List.map fst m.Mix.assignments
+    | Error _ -> []
+  in
+  let root_store = Webdep_tlssim.Root_store.create () in
+  List.iter (register_network t) [ Registry.amazon; fastly ];
+  List.iter
+    (fun cc ->
+      List.iter (register_network t) (providers May_2023 Hosting cc);
+      List.iter (register_network t) (providers May_2023 Dns cc);
+      List.iter (register_ca t root_store) (providers May_2023 Ca cc))
+    all_codes;
+  List.iter (fun cc -> List.iter (register_network t) (providers May_2025 Hosting cc)) all_codes;
+  t
+
+(* Calibration is the only way a country's sites can fail to derive;
+   ask for its mixes in the order a snapshot does. *)
+let prepare t ?epoch ccs =
+  List.iter
+    (fun cc ->
+      if Webdep_geo.Country.mem cc then
+        List.iter (fun layer -> ignore (mix t ?epoch layer cc)) [ Profiles.Tld; Hosting; Dns; Ca ])
+    ccs
 
 (* Stable per-site address inside a network, preferring the point of
    presence nearest the client country.  Runs inside per-vantage Dynamic
@@ -193,75 +267,6 @@ let stable_addr (net : Internet.network) ~near idx =
   let prefix = Internet.pop_near net ~near in
   Ipv4.nth_addr prefix (idx mod Ipv4.prefix_size prefix)
 
-(* --- Certificates ----------------------------------------------------- *)
-
-(* A couple of issuing intermediates per owner, like CCADB rollups:
-   "<owner> Issuing CA R1" and "... R2". *)
-let issuer_cns owner_name =
-  Array.init 2 (fun k -> owner_name ^ " Issuing CA R" ^ string_of_int (k + 1))
-
-let ensure_ca_registered t (owner_p : Provider.t) issuers =
-  Mutex.protect t.lock @@ fun () ->
-  if not (Hashtbl.mem t.ca_issuers_ready owner_p.Provider.name) then begin
-    Hashtbl.replace t.ca_issuers_ready owner_p.Provider.name ();
-    (* CCADB only lists root-program members: a browser-rejected CA
-       (the Russian state root) gets no issuer mapping, so the pipeline
-       cannot label its certificates. *)
-    if Webdep_tlssim.Root_store.is_trusted t.root_store owner_p.Provider.name then begin
-      let owner =
-        Tls_ca.register_owner t.ca_db ~name:owner_p.Provider.name
-          ~country:owner_p.Provider.home
-      in
-      Array.iter (fun issuer_cn -> Tls_ca.register_issuer t.ca_db ~issuer_cn owner) issuers
-    end
-  end
-
-(* What a snapshot needs of a hosting or DNS provider for every site it
-   serves: its network and the names derived from it. *)
-type provider_names = {
-  net : Internet.network;
-  slug : string;
-  ns_hosts : string list;  (* "ns1.<slug>.sim"; "ns2.<slug>.sim" *)
-  cdn_suffix : string;  (* ".cdn.<slug>.sim" *)
-}
-
-(* Sweep-local registration memo: one world-lock round-trip per distinct
-   provider per sweep instead of several per site, and the provider's
-   names and issuer CNs built once instead of per site.  Skipping the
-   repeat calls is safe — registering an already-known provider or CA is
-   a no-op on shared state — so first registrations still happen in the
-   exact order [prepare]/[snapshot] would otherwise produce. *)
-let sweep_registrars t =
-  let nets = Hashtbl.create 64 in
-  let cas = Hashtbl.create 64 in
-  let register p =
-    match Hashtbl.find_opt nets p.Provider.name with
-    | Some names -> names
-    | None ->
-        let net = register_provider t p in
-        let slug = Provider.slug p in
-        let names =
-          {
-            net;
-            slug;
-            ns_hosts = [ "ns1." ^ slug ^ ".sim"; "ns2." ^ slug ^ ".sim" ];
-            cdn_suffix = ".cdn." ^ slug ^ ".sim";
-          }
-        in
-        Hashtbl.replace nets p.Provider.name names;
-        names
-  in
-  let ensure_ca a =
-    match Hashtbl.find_opt cas a.Provider.name with
-    | Some issuers -> issuers
-    | None ->
-        let issuers = issuer_cns a.Provider.name in
-        Hashtbl.replace cas a.Provider.name issuers;
-        ensure_ca_registered t a issuers;
-        issuers
-  in
-  (register, ensure_ca)
-
 (* The issuer that signed [domain]'s certificate among its owner's
    [issuer_cns]. *)
 let issuer_cn_for issuers domain = issuers.(strhash domain 7 mod 2)
@@ -270,8 +275,8 @@ let issuer_cn_for issuers domain = issuers.(strhash domain 7 mod 2)
 
 (* Expand (provider, count) pairs into a length-c array and shuffle so
    layers decorrelate site-by-site. *)
-let expand rng mix total =
-  let arr = Array.make total (fst (List.hd mix.Mix.assignments)) in
+let expand rng assignments total =
+  let arr = Array.make total (fst (List.hd assignments)) in
   let i = ref 0 in
   List.iter
     (fun (p, k) ->
@@ -281,7 +286,7 @@ let expand rng mix total =
           incr i
         end
       done)
-    mix.Mix.assignments;
+    assignments;
   Sample.shuffle rng arr;
   arr
 
@@ -314,7 +319,7 @@ let mint_domain ~epoch_tag ~lcc idx tld =
   Bytes.unsafe_to_string b
 
 let toplist_2023 t rng cc =
-  let tld_assign = expand (Rng.split_named rng "tld") (mix t Tld cc) t.c in
+  let tld_assign = expand (Rng.split_named rng "tld") (mix t Tld cc).Mix.assignments t.c in
   let lcc = String.lowercase_ascii cc in
   let domains =
     Array.init t.c (fun i -> mint_domain ~epoch_tag:"" ~lcc i tld_assign.(i).Provider.name)
@@ -331,7 +336,9 @@ let toplist_for t rng cc = function
   | May_2025 ->
       let rng23 = Rng.split_named (Rng.split_named t.base_rng ("snap/" ^ cc)) "toplist" in
       let old = toplist_2023 t rng23 cc in
-      let tld_assign = expand (Rng.split_named rng "tld25") (mix t Tld cc) t.c in
+      let tld_assign =
+        expand (Rng.split_named rng "tld25") (mix t Tld cc).Mix.assignments t.c
+      in
       let lcc = String.lowercase_ascii cc in
       let fresh i = mint_domain ~epoch_tag:"n25" ~lcc i tld_assign.(i mod t.c).Provider.name in
       Churn.evolve (Rng.split_named rng "churn") ~target_jaccard:(target_jaccard cc) ~fresh old
@@ -343,82 +350,26 @@ let snap_rng t epoch cc =
   Rng.split_named t.base_rng
     (match epoch with May_2023 -> "snap/" ^ cc | May_2025 -> "snap25/" ^ cc)
 
-(* The per-site layer assignments for one country sweep.  Shared by
-   [snapshot] and [prepare] so both replay the identical sequence. *)
-let layer_assignments t ~epoch rng cc =
-  let toplist =
-    match epoch with
-    | May_2023 -> toplist_2023 t (Rng.split_named rng "toplist") cc
-    | May_2025 -> toplist_for t (Rng.split_named rng "toplist") cc May_2025
-  in
-  let hosting = expand (Rng.split_named rng "hosting") (mix t ~epoch Hosting cc) t.c in
-  let dns = expand (Rng.split_named rng "dns") (mix t ~epoch Dns cc) t.c in
-  let ca = expand (Rng.split_named rng "ca") (mix t ~epoch Ca cc) t.c in
-  (toplist, hosting, dns, ca)
+(* Whether a site has a multi-CDN secondary (keyed off the domain name
+   so the choice survives re-derivation): Fastly for Amazon-hosted
+   sites, Amazon for the rest. *)
+let has_secondary domain =
+  float_of_int (strhash domain 97 mod 10_000) /. 10_000.0 < multi_cdn_fraction
 
-(* Multi-CDN secondary for a few sites (keyed off the domain name so the
-   choice survives re-derivation). *)
-let alt_provider h domain =
-  if float_of_int (strhash domain 97 mod 10_000) /. 10_000.0 < multi_cdn_fraction then
-    Some
-      (if Provider.equal h Registry.amazon then Provider.make ~name:"Fastly" ~home:"US"
-       else Registry.amazon)
-  else None
-
-(* Perform every shared-state registration a country sweep triggers —
-   network/ASN/prefix allocation, geolocation draws, CA issuers — in the
-   exact order [snapshot] would, site by site.  After [prepare], taking
-   the same snapshots (from any domain, in any order) only performs
-   lookups on shared state, so parallel measurement sweeps produce
-   bit-identical worlds to the sequential path. *)
-let prepare t ?(epoch = May_2023) ccs =
-  List.iter
-    (fun cc ->
-      if Webdep_geo.Country.mem cc then begin
-        let key = epoch_name epoch ^ "/" ^ cc in
-        let fresh =
-          Mutex.protect t.lock (fun () ->
-              if Hashtbl.mem t.prepared key then false
-              else begin
-                Hashtbl.replace t.prepared key ();
-                true
-              end)
-        in
-        if fresh then begin
-          let rng = snap_rng t epoch cc in
-          let toplist, hosting, dns, ca = layer_assignments t ~epoch rng cc in
-          let register, ensure_ca = sweep_registrars t in
-          Array.iteri
-            (fun i domain ->
-              let h = hosting.(i) and d = dns.(i) and a = ca.(i) in
-              ignore (register h);
-              ignore (register d);
-              ignore (ensure_ca a);
-              match alt_provider h domain with
-              | Some alt_p -> ignore (register alt_p)
-              | None -> ())
-            toplist.Toplist.domains
-        end
-      end)
-    ccs
-
-(* The country's toplist alone — the same derivation [layer_assignments]
-   performs, without materializing zones, certificates or registrations.
-   Lets the measurement store answer "do I already know every site of
-   this sweep?" without paying for a snapshot. *)
-let toplist t ?(epoch = May_2023) cc =
+let check_country fn cc =
   if not (Webdep_geo.Country.mem cc) then
-    invalid_arg
-      (Printf.sprintf "World.toplist: %S is not one of the dataset's countries" cc);
-  let rng = snap_rng t epoch cc in
-  match epoch with
-  | May_2023 -> toplist_2023 t (Rng.split_named rng "toplist") cc
-  | May_2025 -> toplist_for t (Rng.split_named rng "toplist") cc May_2025
+    invalid_arg (Printf.sprintf "World.%s: %S is not one of the dataset's countries" fn cc)
+
+(* The country's toplist alone — the derivation [snapshot] starts with,
+   without materializing zones or certificates.  Lets the measurement
+   store answer "do I already know every site of this sweep?" without
+   paying for a snapshot. *)
+let toplist t ?(epoch = May_2023) cc =
+  check_country "toplist" cc;
+  toplist_for t (Rng.split_named (snap_rng t epoch cc) "toplist") cc epoch
 
 let snapshot t ?(epoch = May_2023) cc =
-  if not (Webdep_geo.Country.mem cc) then
-    invalid_arg
-      (Printf.sprintf "World.snapshot: %S is not one of the dataset's countries" cc);
+  check_country "snapshot" cc;
   Webdep_obs.Metrics.incr m_snapshots;
   (* One duration histogram per epoch; the country rides along as a span
      attribute for the trace sinks. *)
@@ -427,25 +378,35 @@ let snapshot t ?(epoch = May_2023) cc =
     ~attrs:[ ("country", cc) ]
   @@ fun () ->
   let rng = snap_rng t epoch cc in
-  let toplist, hosting, dns, ca = layer_assignments t ~epoch rng cc in
+  let toplist = toplist_for t (Rng.split_named rng "toplist") cc epoch in
+  (* Each provider's names and issuers are looked up once per mix, not
+     per site. *)
+  let names p = Hashtbl.find t.names p.Provider.name in
+  let issuers a = Hashtbl.find t.issuers a.Provider.name in
+  let assign stream find layer =
+    let resolved = List.map (fun (p, k) -> ((p, find p), k)) (mix t ~epoch layer cc).Mix.assignments in
+    expand (Rng.split_named rng stream) resolved t.c
+  in
+  let hosting = assign "hosting" names Hosting in
+  let dns = assign "dns" names Dns in
+  let ca = assign "ca" issuers Ca in
+  let amazon_net = (names Registry.amazon).net and fastly_net = (names fastly).net in
   let zones = Zone_db.create () in
   let tls = Handshake.create () in
   let assigned = Hashtbl.create t.c in
   let content_language = Hashtbl.create t.c in
   let glue_done = Hashtbl.create 512 in
-  let register, ensure_ca = sweep_registrars t in
   let day0 = 19_500 (* arbitrary simulation clock origin *) in
   Array.iteri
     (fun i domain ->
-      let h = hosting.(i) and d = dns.(i) and a = ca.(i) in
-      let h_names = register h in
+      let h, h_names = hosting.(i) and d, d_names = dns.(i) and a, issuers = ca.(i) in
       let h_net = h_names.net in
-      let d_names = register d in
-      let issuers = ensure_ca a in
-      (* Nameservers: two hosts per DNS provider, glue registered once. *)
+      (* Nameservers: two hosts per DNS provider, glue registered once
+         per slug (keyed by the first host, which names the slug). *)
       let ns_hosts = d_names.ns_hosts in
-      if not (Hashtbl.mem glue_done d_names.slug) then begin
-        Hashtbl.replace glue_done d_names.slug ();
+      let ns1 = List.hd ns_hosts in
+      if not (Hashtbl.mem glue_done ns1) then begin
+        Hashtbl.replace glue_done ns1 ();
         List.iteri
           (fun k host ->
             Zone_db.add_host zones ~host
@@ -455,9 +416,9 @@ let snapshot t ?(epoch = May_2023) cc =
       (* A answer: primary provider, with a multi-CDN secondary for a few
          sites that shows through from non-home vantages. *)
       let alt =
-        match alt_provider h domain with
-        | Some alt_p -> Some (alt_p, (register alt_p).net)
-        | None -> None
+        if not (has_secondary domain) then None
+        else if Provider.equal h Registry.amazon then Some fastly_net
+        else Some amazon_net
       in
       let primary_addr vantage =
         (* Anycast providers answer with one global address; others with a
@@ -467,14 +428,14 @@ let snapshot t ?(epoch = May_2023) cc =
       in
       let answer vantage =
         match alt with
-        | Some (_, alt_net) when vantage <> cc && strhash (domain ^ vantage) 11 mod 100 < 35 ->
+        | Some alt_net when vantage <> cc && strhash (domain ^ vantage) 11 mod 100 < 35 ->
             [ stable_addr alt_net ~near:vantage i ]
         | _ -> [ primary_addr vantage ]
       in
       (* CDN-fronted sites resolve through a CNAME into the provider's
          namespace, as Cloudflare-style onboarding works; the terminal
          name carries the geo-dependent A answer. *)
-      if h_net.Internet.anycast && alt = None then begin
+      if h_net.Internet.anycast && Option.is_none alt then begin
         let cdn_name =
           String.map (fun ch -> if ch = '.' then '-' else ch) domain ^ h_names.cdn_suffix
         in

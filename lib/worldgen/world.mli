@@ -4,7 +4,7 @@
     geolocation accuracy, and exposes:
 
     - per-country, per-layer provider {!Mix.t}s, calibrated to the
-      paper's Appendix-F scores (cached);
+      paper's Appendix-F scores;
     - a shared simulated {!Webdep_netsim.Internet.t} in which every
       hosting/DNS provider owns a network;
     - a shared CCADB-style CA database;
@@ -12,6 +12,11 @@
       authoritative DNS zones and TLS certificate store for that
       country's sites, built on demand so memory stays bounded by one
       country.
+
+    {!create} builds everything shared; afterwards a world is read-only,
+    so its bytes depend on (seed, [c], geolocation accuracy) alone —
+    never on which snapshots were taken before, in what order, or on
+    which domain.
 
     Two epochs are supported for the §5.4 longitudinal experiment: the
     May-2025 world re-derives hosting targets (Brazil and Russia anchored,
@@ -26,7 +31,17 @@ type t
 
 val create : ?c:int -> ?geo_accuracy:float -> seed:int -> unit -> t
 (** [c] defaults to 10 000 (the paper's per-country cut); [geo_accuracy]
-    defaults to 0.894 (NetAcuity's measured country-level accuracy). *)
+    defaults to 0.894 (NetAcuity's measured country-level accuracy).
+
+    Builds the whole world up front: calibrates all 750 mixes (150
+    countries × 2023 TLD, hosting, DNS and CA, plus 2025 hosting) across
+    the {!Webdep_par} pool, then registers every network and CA they
+    name in one fixed serial walk — the multi-CDN secondaries (Amazon,
+    Fastly), each country's 2023 hosting, DNS and CA providers in
+    {!Webdep_geo.Country.all} order, then each country's 2025 hosting
+    providers.  ASNs, prefixes and geolocation draws follow that walk.
+    Costs ~0.3 s at [c = 300] and ~1.4 s at [c = 10 000] on a 2-core VM
+    (two lanes), whatever the number of countries later measured. *)
 
 val c : t -> int
 val seed : t -> int
@@ -57,17 +72,19 @@ exception Uncalibrated of uncalibrated
     attain with [c] sites — at small [c] the attainable 𝒮 range narrows
     (at c = 60, 19 (country, layer, epoch) mixes fail; at c = 80 only IR
     hosting for May 2025; none at c = 100 nor at the larger values
-    checked up to 10 000).  Raised by
-    {!mix} and so by every call that derives a country's sites:
-    {!toplist}, {!snapshot}, {!prepare}. *)
+    checked up to 10 000).  {!create} keeps such a mix as the
+    calibrator's refusal; {!mix} raises it for the epoch asked for, and
+    so does every call that derives a country's sites: {!toplist},
+    {!snapshot}, {!prepare}. *)
 
 val uncalibrated_message : uncalibrated -> string
 (** One line naming the country, layer, epoch and the smallest [c] that
     calibrates. *)
 
 val mix : t -> ?epoch:epoch -> Profiles.layer -> string -> Mix.t
-(** Cached calibrated mix for a country and layer.
-    @raise Uncalibrated when the target is unattainable at this [c]. *)
+(** The calibrated mix for a country and layer, built by {!create}.
+    @raise Uncalibrated when the target is unattainable at this [c]
+    (the smallest calibrating [c] is searched for only then). *)
 
 type snapshot = {
   country : string;
@@ -85,28 +102,24 @@ type snapshot = {
 }
 
 val prepare : t -> ?epoch:epoch -> string list -> unit
-(** Perform, in canonical sequential order, every shared-state mutation
-    the given countries' snapshots would trigger: network registration
-    (ASN and prefix allocation, geolocation-error draws) and CA issuer
-    registration.  After [prepare], {!snapshot} for those countries
-    touches shared state read-only, so snapshots may be taken
-    concurrently from several domains — and, because the registration
-    order is fixed here rather than by measurement scheduling, the
-    resulting worlds are bit-identical to a fully sequential run.
-    Idempotent per (epoch, country); safe to call repeatedly. *)
+(** The calibration check: raises the first {!Uncalibrated} among the
+    given countries' mixes, in input order (codes outside the dataset
+    are skipped).  It changes nothing — {!create} has already built
+    everything — so a sweep calls it only to report a too-small [c]
+    before fanning out. *)
 
 val toplist : t -> ?epoch:epoch -> string -> Webdep_crux.Toplist.t
 (** The country's toplist exactly as its {!snapshot} would carry it,
-    derived without materializing zones, certificates or network
-    registrations — cheap enough to ask "which sites would this sweep
-    measure?" before deciding whether a snapshot is needed at all.
+    derived without materializing zones or certificates — cheap enough
+    to ask "which sites would this sweep measure?" before deciding
+    whether a snapshot is needed at all.
     @raise Invalid_argument like {!snapshot}. *)
 
 val snapshot : t -> ?epoch:epoch -> string -> snapshot
 (** Materialize one country's measurable state.  Deterministic in
-    (seed, country, epoch); not cached — drop the reference when done.
-    Thread-safe once {!prepare} has covered the country (and correct —
-    merely order-sensitive in prefix allocation — even when it hasn't).
+    (seed, [c], geolocation accuracy, country, epoch); not cached — drop
+    the reference when done.  Reads the world and writes nothing shared,
+    so any domain may take any snapshot, in any order, without a lock.
     @raise Invalid_argument for a code outside the dataset's 150
     countries — a caller bug, not a measurement failure. *)
 

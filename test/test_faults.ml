@@ -293,8 +293,12 @@ let country_lists ds = List.map (fun cc -> D.country_exn ds cc) (D.countries ds)
 
 let datasets_equal a b = country_lists a = country_lists b
 
+(* A world is read-only after [World.create], so the sweep tests share
+   one. *)
+let world = lazy (World.create ~c:300 ~seed:2024 ())
+
 let test_sweep_jobs_invariant_with_faults () =
-  let world = World.create ~c:300 ~seed:2024 () in
+  let world = Lazy.force world in
   let s1 =
     Measure.measure_sweep ~countries:sample ~jobs:1 ~faults:(fault_opts ()) world
   in
@@ -307,7 +311,7 @@ let test_sweep_jobs_invariant_with_faults () =
     (s1.Measure.coverage = s4.Measure.coverage)
 
 let test_sweep_zero_rate_identical_to_legacy () =
-  let world = World.create ~c:300 ~seed:2024 () in
+  let world = Lazy.force world in
   let plain = Measure.measure_all ~countries:sample world in
   let zero =
     Measure.measure_sweep ~countries:sample
@@ -318,7 +322,7 @@ let test_sweep_zero_rate_identical_to_legacy () =
   Alcotest.(check (list string)) "nothing withheld" [] zero.Measure.insufficient
 
 let test_coverage_threshold_gates () =
-  let world = World.create ~c:300 ~seed:2024 () in
+  let world = Lazy.force world in
   (* Every resolution fails permanently and is never retried: coverage 0,
      so a 0.99 threshold must withhold every country... *)
   let brutal = fault_opts ~rate:1.0 ~threshold:0.99 ~retries:0 ~permanent_fraction:1.0 () in
@@ -362,7 +366,7 @@ let with_temp_file f =
 
 let test_checkpoint_roundtrip () =
   with_temp_file @@ fun path ->
-  let world = World.create ~c:300 ~seed:2024 () in
+  let world = Lazy.force world in
   let faults = fault_opts () in
   let direct = Measure.measure_sweep ~countries:sample ~faults world in
   let checkpointed =
@@ -382,7 +386,7 @@ let test_checkpoint_roundtrip () =
 
 let test_checkpoint_interrupted_resume () =
   with_temp_file @@ fun path ->
-  let world = World.create ~c:300 ~seed:2024 () in
+  let world = Lazy.force world in
   let faults = fault_opts () in
   let full = Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world in
   (* Simulate a mid-sweep kill: keep the header and the first two
@@ -401,7 +405,7 @@ let test_checkpoint_interrupted_resume () =
 
 let test_checkpoint_parameter_mismatch_discards () =
   with_temp_file @@ fun path ->
-  let world = World.create ~c:300 ~seed:2024 () in
+  let world = Lazy.force world in
   let f1 = fault_opts ~rate:0.05 () in
   ignore (Measure.measure_sweep ~countries:sample ~faults:f1 ~checkpoint:path world);
   (* Same file, different fault rate: stale shards must not leak in. *)
@@ -415,6 +419,23 @@ let test_checkpoint_parameter_mismatch_discards () =
   Alcotest.(check bool) "result matches a checkpoint-free run" true
     (datasets_equal direct.Measure.dataset fresh.Measure.dataset)
 
+
+let test_checkpoint_geo_accuracy_mismatch_discards () =
+  with_temp_file @@ fun path ->
+  (* Same seed, c and sweep, another geolocation accuracy: the shards
+     carry other geolocation verdicts, so none may be resumed. *)
+  let coarse = World.create ~c:300 ~geo_accuracy:0.5 ~seed:2024 () in
+  let faults = fault_opts () in
+  ignore (Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path coarse);
+  let world = Lazy.force world in
+  let fresh = Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world in
+  Alcotest.(check bool) "nothing resumed across a geolocation-accuracy change" true
+    (List.for_all
+       (fun (c : Measure.country_coverage) -> not c.Measure.resumed)
+       fresh.Measure.coverage);
+  let direct = Measure.measure_sweep ~countries:sample ~faults world in
+  Alcotest.(check bool) "result matches a checkpoint-free run" true
+    (datasets_equal direct.Measure.dataset fresh.Measure.dataset)
 
 (* --- wire chaos verdicts -------------------------------------------------- *)
 
@@ -516,5 +537,7 @@ let () =
             test_checkpoint_interrupted_resume;
           Alcotest.test_case "parameter mismatch" `Quick
             test_checkpoint_parameter_mismatch_discards;
+          Alcotest.test_case "geo_accuracy mismatch" `Quick
+            test_checkpoint_geo_accuracy_mismatch_discards;
         ] );
     ]

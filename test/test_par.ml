@@ -163,7 +163,8 @@ let test_interner_jobs_invariant_at_scale () =
      assigned during the sequential fold, so scheduling must never leak
      into them), and stable across repeat runs of the same world. *)
   let countries = [ "US"; "DE"; "BR"; "JP" ] in
-  let sweep jobs = Measure.measure_all ~countries ~jobs (World.create ~c:2000 ~seed:41 ()) in
+  let world = World.create ~c:2000 ~seed:41 () in
+  let sweep jobs = Measure.measure_all ~countries ~jobs world in
   let ds1 = sweep 1 and ds4 = sweep 4 in
   check Alcotest.int "pool size" (D.Compact.entity_count ds1) (D.Compact.entity_count ds4);
   let e1 = D.Compact.entities ds1 and e4 = D.Compact.entities ds4 in
@@ -180,21 +181,59 @@ let test_interner_jobs_invariant_at_scale () =
   Alcotest.(check bool) "stable ids on re-measure" true
     (D.Compact.entities ds4 = D.Compact.entities ds4')
 
-let test_prepare_then_snapshot_matches_direct () =
-  (* Snapshot after prepare = snapshot without prepare, same world seed:
-     prepare only front-loads registrations, never changes assignments. *)
-  let w1 = World.create ~c:100 ~seed:5 () in
-  let direct = World.snapshot w1 "DE" in
-  let w2 = World.create ~c:100 ~seed:5 () in
-  World.prepare w2 [ "DE" ];
-  let prepared = World.snapshot w2 "DE" in
-  let domains s = Webdep_crux.Toplist.domains s.World.toplist in
-  check (Alcotest.list Alcotest.string) "same toplist" (domains direct) (domains prepared);
+(* Order freedom: a world's bytes depend on (seed, c, geolocation
+   accuracy) alone.  One (seed, c, epoch, countries) measured after four
+   call histories must give byte-identical datasets, and byte-identical
+   churn logs written from them.  Geolocation verdicts are what a
+   history-dependent world would move first. *)
+let order_countries = [ "US"; "RU"; "BR"; "DE" ]
+
+let measure_after history =
+  let world = World.create ~c:300 ~seed:2024 () in
+  let sweep ?(jobs = 1) epoch = Measure.measure_all ~epoch ~countries:order_countries ~jobs world in
+  let ds23, ds25 =
+    match history with
+    | `Fresh -> (sweep World.May_2023, sweep World.May_2025)
+    | `Others_first ->
+        ignore (Measure.measure_all ~countries:[ "FR"; "JP"; "IN" ] ~jobs:1 world);
+        (sweep World.May_2023, sweep World.May_2025)
+    | `Epoch_2025_first ->
+        let ds25 = sweep World.May_2025 in
+        (sweep World.May_2023, ds25)
+    | `Jobs_2 -> (sweep ~jobs:2 World.May_2023, sweep ~jobs:2 World.May_2025)
+  in
+  let bytes ds =
+    let b = Buffer.create (1 lsl 16) in
+    List.iter
+      (fun cc ->
+        Buffer.add_string b cc;
+        Webdep_faults.Segment.add_sites b (D.country_exn ds cc).D.sites)
+      order_countries;
+    Buffer.contents b
+  in
+  let path = Filename.temp_file "webdep_order" ".log" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let base = List.map (D.country_exn ds23) order_countries in
+  let donors =
+    List.map (fun cc -> (cc, Array.of_list (D.country_exn ds25 cc).D.sites)) order_countries
+  in
+  Webdep_epoch.Log.create ~path ~base_epoch:0 ~base ();
   List.iter
-    (fun d ->
-      let get s = Hashtbl.find s.World.assigned d in
-      Alcotest.(check bool) ("assigned " ^ d) true (get direct = get prepared))
-    (domains direct)
+    (fun (ev : Webdep_epoch.Log.event) ->
+      Webdep_epoch.Log.append ~path ~epoch:ev.Webdep_epoch.Log.epoch ev.Webdep_epoch.Log.changes)
+    (Webdep_epoch.Synth.generate ~seed:2024 ~fraction:0.02 ~epochs:4 ~base_epoch:0 ~base ~donors);
+  (bytes ds23, bytes ds25, In_channel.with_open_bin path In_channel.input_all)
+
+let test_world_order_free () =
+  let fresh23, fresh25, fresh_log = measure_after `Fresh in
+  List.iter
+    (fun (name, history) ->
+      let ds23, ds25, log = measure_after history in
+      check Alcotest.bool (name ^ ": 2023 dataset bytes") true (ds23 = fresh23);
+      check Alcotest.bool (name ^ ": 2025 dataset bytes") true (ds25 = fresh25);
+      check Alcotest.bool (name ^ ": churn log bytes") true (log = fresh_log))
+    [ ("FR/JP/IN first", `Others_first); ("May 2025 first", `Epoch_2025_first);
+      ("--jobs 2", `Jobs_2) ]
 
 let test_bootstrap_jobs_invariant () =
   let rng () = Webdep_stats.Rng.create 31 in
@@ -237,8 +276,7 @@ let () =
           Alcotest.test_case "measure_all jobs-invariant" `Slow test_measure_all_jobs_invariant;
           Alcotest.test_case "interner ids jobs-invariant at c=2000" `Slow
             test_interner_jobs_invariant_at_scale;
-          Alcotest.test_case "prepare = direct snapshot" `Quick
-            test_prepare_then_snapshot_matches_direct;
+          Alcotest.test_case "order-free world" `Quick test_world_order_free;
           Alcotest.test_case "bootstrap jobs-invariant" `Quick test_bootstrap_jobs_invariant;
         ] );
     ]

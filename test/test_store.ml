@@ -132,6 +132,45 @@ let test_spill_roundtrip_and_invalidation () =
   let missing = Store.load ~path ~fingerprint:(Measure.store_fingerprint world) in
   Alcotest.(check int) "missing file loads empty" 0 (Store.size missing)
 
+(* The exact header a spill of [world] carried before fingerprints named
+   the world's derivation.  Its sites were geolocated in the order that
+   world first met each provider, so it must load as a mismatch rather
+   than mix those verdicts with this world's. *)
+let call_order_header =
+  {|{"schema":"webdep-store/2","world_seed":77,"c":200,"geo_accuracy":0.89400000000000002,"fault_seed":0,"fault_rate":0.0,"max_attempts":1}|}
+
+let test_spill_from_call_order_world_refused () =
+  let world = Lazy.force world in
+  let fingerprint = Measure.store_fingerprint world in
+  let st = Store.create ~fingerprint () in
+  ignore (Measure.measure_all ~countries:[ "US" ] ~store:st world);
+  let path = Filename.temp_file "webdep_store" ".spill" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Store.save st path;
+  let records =
+    match
+      Webdep_faults.Segment.fold ~path ~init:(fun _ -> Some []) ~f:(fun acc r -> Some (r :: acc))
+    with
+    | Webdep_faults.Segment.Folded { acc; torn = false } -> List.rev acc
+    | _ -> Alcotest.fail "spill unreadable"
+  in
+  let load_with header =
+    Webdep_faults.Segment.write ~path ~header records;
+    Store.load ~path ~fingerprint
+  in
+  let current =
+    Webdep_json.(
+      to_string
+        (Obj (("schema", String "webdep-store/2") :: Webdep_store.Fingerprint.to_meta fingerprint)))
+  in
+  Alcotest.(check int) "the same records under today's header load" (Store.size st)
+    (Store.size (load_with current));
+  let invalidated_before = counter "store.invalidated" in
+  Alcotest.(check int) "the call-order header loads nothing" 0
+    (Store.size (load_with call_order_header));
+  Alcotest.(check int) "counted as a mismatch" 1
+    (counter "store.invalidated" - invalidated_before)
+
 (* --- incremental metrics under random churn ------------------------------ *)
 
 (* Random churn: per country, remove a random subset of the 2023 sites
@@ -355,6 +394,8 @@ let () =
             test_jobs_invariance;
           Alcotest.test_case "spill round-trip, fingerprint invalidation" `Quick
             test_spill_roundtrip_and_invalidation;
+          Alcotest.test_case "call-order spill refused" `Quick
+            test_spill_from_call_order_world_refused;
         ] );
       ( "incremental",
         [

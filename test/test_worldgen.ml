@@ -258,10 +258,22 @@ let test_language_partner_pull () =
 
 (* --- World -------------------------------------------------------------------- *)
 
+(* A world is read-only after [World.create], so the suite keeps one per
+   (seed, c); tests that compare two worlds still build both. *)
+let worlds = Hashtbl.create 16
+
+let world ~seed ~c =
+  match Hashtbl.find_opt worlds (seed, c) with
+  | Some w -> w
+  | None ->
+      let w = World.create ~c ~seed () in
+      Hashtbl.replace worlds (seed, c) w;
+      w
+
 (* The typed error of every (country, layer, epoch) mix a world of [c]
    sites cannot calibrate. *)
 let uncalibrated_mixes ~c =
-  let world = World.create ~c ~seed:2024 () in
+  let world = world ~seed:2024 ~c in
   List.concat_map
     (fun cc ->
       List.concat_map
@@ -290,7 +302,7 @@ let test_world_small_c_typed_error () =
       let what = World.uncalibrated_message u in
       Alcotest.(check int) (what ^ ": c") 60 u.World.c;
       let builds c =
-        match World.mix (World.create ~c ~seed:2024 ()) ~epoch:u.World.epoch u.World.layer
+        match World.mix (world ~seed:2024 ~c) ~epoch:u.World.epoch u.World.layer
                 u.World.country
         with
         | _ -> true
@@ -303,7 +315,7 @@ let test_world_small_c_typed_error () =
           Alcotest.(check bool) (what ^ ": not below min_c") true (m - 1 = 60 || not (builds (m - 1))))
     failures;
   (match
-     Webdep_pipeline.Measure.measure_all ~countries:[ "IR" ] (World.create ~c:60 ~seed:2024 ())
+     Webdep_pipeline.Measure.measure_all ~countries:[ "IR" ] (world ~seed:2024 ~c:60)
    with
   | _ -> Alcotest.fail "an IR sweep at c=60 must not calibrate"
   | exception World.Uncalibrated u ->
@@ -312,7 +324,7 @@ let test_world_small_c_typed_error () =
     (List.map World.uncalibrated_message (uncalibrated_mixes ~c:100))
 
 let test_world_snapshot_basics () =
-  let world = World.create ~c:500 ~seed:1 () in
+  let world = world ~seed:1 ~c:500 in
   let snap = World.snapshot world "TH" in
   Alcotest.(check int) "toplist length" 500 (Webdep_crux.Toplist.length snap.World.toplist);
   Alcotest.(check int) "assigned" 500 (Hashtbl.length snap.World.assigned);
@@ -328,12 +340,12 @@ let test_world_snapshot_deterministic () =
 let test_world_seed_changes_world () =
   let d seed =
     Webdep_crux.Toplist.domains
-      (World.snapshot (World.create ~c:300 ~seed ()) "DE").World.toplist
+      (World.snapshot (world ~seed ~c:300) "DE").World.toplist
   in
   Alcotest.(check bool) "different seeds differ" true (d 1 <> d 2)
 
 let test_world_epoch_churn () =
-  let world = World.create ~c:1000 ~seed:3 () in
+  let world = world ~seed:3 ~c:1000 in
   let t23 = (World.snapshot world "RU").World.toplist in
   let t25 = (World.snapshot world ~epoch:World.May_2025 "RU").World.toplist in
   let j =
@@ -344,7 +356,7 @@ let test_world_epoch_churn () =
   if Float.abs (j -. 0.40) > 0.05 then Alcotest.failf "RU jaccard %.3f, expected ~0.40" j
 
 let test_world_domains_carry_tlds () =
-  let world = World.create ~c:500 ~seed:4 () in
+  let world = world ~seed:4 ~c:500 in
   let snap = World.snapshot world "DE" in
   let has_de =
     List.exists
