@@ -1456,101 +1456,43 @@ let kernels () =
     ]
 
 (* ========================================================================
-   Store (always run): the measurement store's warm-vs-cold cost and the
-   incremental rescore under small churn.  Self-contained — a fresh store is
-   filled by a cold 2023+2025 measurement of the fixed sample, then the
-   same measurements run again warm, so the other phases' timings stay
-   comparable with earlier baselines.  CI asserts on the "store" object:
-   warm must be at least 2x faster than cold, datasets (and the exported
-   scores CSV) byte-identical, results invariant under --jobs, and the
-   incremental rescore equal to a full re-tally.
+   Store (always run): the incremental rescore under small churn, on the
+   bench world's own 2023 and 2025 datasets for a fixed sample.  Churn 2%
+   of each country's sites and recompute every country's score — the
+   maintained-tally delta against a full re-tally of the edited site
+   lists.  CI asserts the two agree ("churn_rescore_identical").
    ======================================================================== *)
-
-module Store = Webdep_store.Store
 
 let store_json : (string * Json.t) list ref = ref []
 
 let store_phase () =
-  section "Store" "measurement store: warm-vs-cold sweeps, incremental rescore";
+  section "Store" "incremental rescore under 2% churn";
   let sample = [ "US"; "RU"; "BR"; "DE"; "JP"; "IN"; "FR"; "TH" ] in
-  let counter name = Obs_metrics.value (Obs_metrics.counter name) in
-  let st = Store.create ~fingerprint:(Measure.store_fingerprint world) () in
-  let cold23, cold23_s =
-    Span.timed ~name:"bench.store.measure_cold" (fun () ->
-        Measure.measure_all ~countries:sample ~jobs:1 ~store:st world)
-  in
-  let cold25, cold25_s =
-    Span.timed ~name:"bench.store.measure_cold_2025" (fun () ->
-        Measure.measure_all ~epoch:World.May_2025 ~countries:sample ~jobs:1 ~store:st
-          world)
-  in
-  let cold_misses = counter "store.misses" in
-  let warm23, warm23_s =
-    Span.timed ~name:"bench.store.measure_warm" (fun () ->
-        Measure.measure_all ~countries:sample ~jobs:1 ~store:st world)
-  in
-  let warm25, warm25_s =
-    Span.timed ~name:"bench.store.measure_warm_2025" (fun () ->
-        Measure.measure_all ~epoch:World.May_2025 ~countries:sample ~jobs:1 ~store:st
-          world)
-  in
-  let warm_hits = counter "store.hits" in
-  let cold_s = cold23_s +. cold25_s and warm_s = warm23_s +. warm25_s in
-  let speedup = cold_s /. warm_s in
-  let identical =
-    List.for_all
-      (fun cc ->
-        D.country_exn cold23 cc = D.country_exn warm23 cc
-        && D.country_exn cold25 cc = D.country_exn warm25 cc)
-      sample
-  in
-  let csv_identical =
-    Webdep.Export.scores_csv cold23 Hosting = Webdep.Export.scores_csv warm23 Hosting
-  in
-  let jobs_invariant =
-    jobs <= 1
-    ||
-    let par23 = Measure.measure_all ~countries:sample ~jobs ~store:st world in
-    List.for_all (fun cc -> D.country_exn par23 cc = D.country_exn warm23 cc) sample
-  in
-  Printf.printf
-    "measure 2023+2025 (%d countries, --jobs 1): cold %.2fs, warm %.2fs (x%.2f), \
-     datasets identical: %b, scores CSV identical: %b, jobs-invariant: %b\n"
-    (List.length sample) cold_s warm_s speedup identical csv_identical jobs_invariant;
-  Printf.printf "store.misses (cold fill) = %d, store.hits (warm re-measure) = %d\n"
-    cold_misses warm_hits;
-  if not (identical && csv_identical && jobs_invariant) then
-    prerr_endline "webdep bench: WARNING: store-backed measurement differs from cold";
-  (* Small-churn recomputation: churn 2% of each country's sites and
-     recompute every country's score — maintained-tally delta vs full
-     re-tally from the edited site lists, values asserted equal. *)
-  let inc = Webdep_store.Incremental.create cold23 Hosting in
+  let ds25 = Lazy.force ds_2025 in
+  let old_ds = D.of_country_data (List.map (D.country_exn ds) sample) in
+  let inc = Webdep_store.Incremental.create old_ds Hosting in
   List.iter (fun cc -> ignore (Webdep_store.Incremental.score inc cc)) sample;
   let deltas =
     List.map
       (fun cc ->
-        let old_sites = (D.country_exn cold23 cc).D.sites in
-        let new_sites = (D.country_exn cold25 cc).D.sites in
+        let old_sites = (D.country_exn ds cc).D.sites in
+        let new_sites = (D.country_exn ds25 cc).D.sites in
         let removed = List.filteri (fun i _ -> i mod 50 = 0) old_sites in
         let added = List.filteri (fun i _ -> i mod 50 = 0) new_sites in
-        (cc, added, removed))
+        (cc, old_sites, added, removed))
       sample
   in
   let edited =
     List.map
-      (fun (cc, added, removed) ->
-        let keep =
-          List.filter
-            (fun s -> not (List.memq s removed))
-            (D.country_exn cold23 cc).D.sites
-        in
+      (fun (cc, old_sites, added, removed) ->
+        let keep = List.filter (fun s -> not (List.memq s removed)) old_sites in
         { D.country = cc; D.sites = keep @ added })
       deltas
   in
   let incr_scores, churn_incr_s =
     Span.timed ~name:"bench.store.churn_incremental" (fun () ->
         List.iter
-          (fun (cc, added, removed) ->
+          (fun (cc, _, added, removed) ->
             Webdep_store.Incremental.apply inc ~country:cc ~added ~removed)
           deltas;
         List.map (fun cc -> Webdep_store.Incremental.score inc cc) sample)
@@ -1571,14 +1513,6 @@ let store_phase () =
   store_json :=
     [
       ("countries", Json.Int (List.length sample));
-      ("cold_s", Json.Float cold_s);
-      ("warm_s", Json.Float warm_s);
-      ("speedup", Json.Float speedup);
-      ("identical", Json.Bool identical);
-      ("csv_identical", Json.Bool csv_identical);
-      ("jobs_invariant", Json.Bool jobs_invariant);
-      ("cold_misses", Json.Int cold_misses);
-      ("warm_hits", Json.Int warm_hits);
       ("churn_full_s", Json.Float churn_full_s);
       ("churn_incremental_s", Json.Float churn_incr_s);
       ("churn_rescore_identical", Json.Bool churn_identical);
@@ -2213,8 +2147,7 @@ let phase_counters : (string * (string * int) list) list ref = ref []
                       deltas) — the noise-free companion to phases_s
    - phase_counters:  nonzero counters attributable to each phase alone
                       (the "kernels" entry carries the dns.cache.* totals
-                      of the cached measurement run; the "store" entry
-                      carries that phase's store.hits/store.misses)
+                      of the cached measurement run)
    - metrics:         the registry snapshot taken right after the
                       measurement sweep (pipeline counters/histograms)
    - speedup_probe:   seq-vs-par wall clock + determinism check
@@ -2223,11 +2156,8 @@ let phase_counters : (string * (string * int) list) list ref = ref []
                       old-vs-new ns/run per shape, and cached-vs-uncached
                       measure_all wall clock with cache hit/miss totals
                       and the dataset-equality verdict
-   - store:           measurement-store effectiveness — cold-vs-warm
-                      wall clock over the fixed sample (both epochs),
-                      hit/miss totals, the byte-identity and
-                      jobs-invariance verdicts, and full-vs-incremental
-                      longitudinal comparison timing with churn totals
+   - store:           full-vs-incremental rescore timing under 2% churn
+                      over a fixed sample, with the bit-identity verdict
    - faults:          robustness-plane cost — rate-0 plan overhead vs
                       plain measure_all (with the identity verdict) and
                       the rate-0.05 sweep's injection/retry/coverage

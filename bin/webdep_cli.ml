@@ -183,55 +183,13 @@ let faults_term =
   Term.(const faults_setup $ rate $ fault_seed $ max_retries $ coverage_threshold
         $ checkpoint)
 
-(* --- measurement store --------------------------------------------------- *)
-
-(* --store FILE memoizes per-(epoch, resolution, vantage, domain)
-   measurements across runs: the file is loaded before the sweep (and
-   discarded with a warning if its fingerprint does not match this
-   world/fault configuration) and rewritten afterwards with everything
-   measured.  Results are byte-identical with or without it. *)
-
-let store_setup path no_store = if no_store then None else path
-
-let store_term =
-  let path =
-    Arg.(value & opt (some string) None & info [ "store" ] ~docv:"FILE"
-           ~doc:"Persist per-site measurement results in $(docv) and reuse \
-                 them on later runs with the same world parameters \
-                 (seed, toplist size, fault settings).  Output is \
-                 byte-identical to a run without the store.")
-  in
-  let no_store =
-    Arg.(value & flag & info [ "no-store" ]
-           ~doc:"Ignore $(b,--store): measure everything from scratch and \
-                 leave the store file untouched.")
-  in
-  Term.(const store_setup $ path $ no_store)
-
-let with_store ?faults world store_path f =
-  match store_path with
-  | None -> f None
-  | Some path ->
-      let fingerprint = Measure.store_fingerprint ?faults world in
-      let store = Webdep_store.Store.load ~path ~fingerprint in
-      (if Sys.file_exists path && Webdep_store.Store.size store = 0 then
-         Logs.warn (fun m ->
-             m "store %s: fingerprint mismatch or no usable entries, remeasuring"
-               path));
-      let result = f (Some store) in
-      Webdep_store.Store.save store path;
-      result
-
-let measure ~seed ~c ?countries ?(faults = (None, None)) ?store () =
+let measure ~seed ~c ?countries ?(faults = (None, None)) () =
   let world = World.create ~c ~seed () in
   let fault_opts, checkpoint = faults in
-  with_store ?faults:fault_opts world store @@ fun store ->
   match (fault_opts, checkpoint) with
-  | None, None -> (world, Measure.measure_all ?countries ?store world)
+  | None, None -> (world, Measure.measure_all ?countries world)
   | _ ->
-      let sweep =
-        Measure.measure_sweep ?countries ?faults:fault_opts ?checkpoint ?store world
-      in
+      let sweep = Measure.measure_sweep ?countries ?faults:fault_opts ?checkpoint world in
       List.iter
         (fun (c : Measure.country_coverage) ->
           if List.mem c.Measure.cc sweep.Measure.insufficient then
@@ -242,10 +200,8 @@ let measure ~seed ~c ?countries ?(faults = (None, None)) ?store () =
 
 (* --- scores ------------------------------------------------------------- *)
 
-let run_scores () layer seed c countries top faults store =
-  let _, ds =
-    measure ~seed ~c ?countries:(normalize_countries countries) ~faults ?store ()
-  in
+let run_scores () layer seed c countries top faults =
+  let _, ds = measure ~seed ~c ?countries:(normalize_countries countries) ~faults () in
   Printf.printf "%-5s %-4s %10s %10s %8s\n" "rank" "cc" "S" "paper" "diff";
   List.iteri
     (fun i (cc, s) ->
@@ -258,7 +214,7 @@ let scores_cmd =
   let doc = "Per-country centralization scores for a layer (Tables 5-8)." in
   Cmd.v (Cmd.info "scores" ~doc)
     Term.(const run_scores $ obs_term $ layer_arg $ seed_arg $ c_arg $ countries_arg
-          $ top_arg $ faults_term $ store_term)
+          $ top_arg $ faults_term)
 
 (* --- report -------------------------------------------------------------- *)
 
@@ -354,14 +310,11 @@ let usage_cmd =
 
 (* --- longitudinal ------------------------------------------------------------------ *)
 
-let run_longitudinal () seed c countries top store =
+let run_longitudinal () seed c countries top =
   let countries = normalize_countries countries in
   let world = World.create ~c ~seed () in
-  let ds23, ds25 =
-    with_store world store @@ fun store ->
-    ( Measure.measure_all ?countries ?store world,
-      Measure.measure_all ~epoch:World.May_2025 ?countries ?store world )
-  in
+  let ds23 = Measure.measure_all ?countries world in
+  let ds25 = Measure.measure_all ~epoch:World.May_2025 ?countries world in
   let cmp =
     Webdep.Longitudinal.compare ~focus:"Cloudflare" ~old_ds:ds23 ~new_ds:ds25 Hosting
   in
@@ -381,8 +334,7 @@ let run_longitudinal () seed c countries top store =
 let longitudinal_cmd =
   let doc = "Compare May-2023 and May-2025 measurements (§5.4)." in
   Cmd.v (Cmd.info "longitudinal" ~doc)
-    Term.(const run_longitudinal $ obs_term $ seed_arg $ c_arg $ countries_arg $ top_arg
-          $ store_term)
+    Term.(const run_longitudinal $ obs_term $ seed_arg $ c_arg $ countries_arg $ top_arg)
 
 (* --- validate ----------------------------------------------------------------------- *)
 
@@ -424,8 +376,8 @@ let out_dir_arg =
   Arg.(value & opt string "webdep-data" & info [ "o"; "out" ] ~docv:"DIR"
          ~doc:"Output directory for the CSV files.")
 
-let run_export () layer seed c out_dir store =
-  let _, ds = measure ~seed ~c ?store () in
+let run_export () layer seed c out_dir =
+  let _, ds = measure ~seed ~c () in
   (try Unix.mkdir out_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let name = Scores.layer_name layer in
   let put file doc =
@@ -440,8 +392,7 @@ let run_export () layer seed c out_dir store =
 let export_cmd =
   let doc = "Export scores, insularity and provider usage as CSV (data release)." in
   Cmd.v (Cmd.info "export" ~doc)
-    Term.(const run_export $ obs_term $ layer_arg $ seed_arg $ c_arg $ out_dir_arg
-          $ store_term)
+    Term.(const run_export $ obs_term $ layer_arg $ seed_arg $ c_arg $ out_dir_arg)
 
 (* --- language -------------------------------------------------------------------------- *)
 
@@ -541,7 +492,7 @@ let report_md_cmd =
    --trace still work) and print the top-N hotspot table; or skip the
    run entirely and aggregate a trace file saved earlier. *)
 
-let run_profile () from_trace seed c countries top faults store =
+let run_profile () from_trace seed c countries top faults =
   let rows =
     match from_trace with
     | Some path ->
@@ -558,9 +509,7 @@ let run_profile () from_trace seed c countries top faults store =
             (Webdep_prof.Profile.collector_sink collector)
         in
         Webdep_obs.Sink.with_sink sink (fun () ->
-            ignore
-              (measure ~seed ~c ?countries:(normalize_countries countries) ~faults
-                 ?store ()));
+            ignore (measure ~seed ~c ?countries:(normalize_countries countries) ~faults ()));
         Webdep_prof.Profile.aggregate (Webdep_prof.Profile.events collector)
   in
   if rows = [] then print_endline "no spans recorded"
@@ -578,7 +527,7 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run_profile $ obs_term $ from_trace $ seed_arg $ c_arg $ countries_arg
-          $ top_arg $ faults_term $ store_term)
+          $ top_arg $ faults_term)
 
 (* --- scale --------------------------------------------------------------------------- *)
 
@@ -632,11 +581,11 @@ let scale_cmd =
 (* --- serve / query ---------------------------------------------------------------------- *)
 
 (* The long-running dependence-query daemon and its one-shot twin.  Both
-   build the same state (both epochs measured, optionally through
-   --store, plus any churn-log epochs; every score row and ranking built
-   up front) and answer through [Webdep_serve.State.answer], so a daemon
-   answer is byte-identical to the one-shot output for every query kind
-   at any --jobs. *)
+   build the same state (both epochs measured, plus any churn-log
+   epochs; every score row and ranking built up front) and answer
+   through [Webdep_serve.State.answer], so a daemon answer is
+   byte-identical to the one-shot output for every query kind at any
+   --jobs. *)
 
 module Serve = Webdep_serve
 
@@ -681,7 +630,7 @@ let scored_epochs_of_log path =
         log.Webdep_epoch.Log.base_epoch log.Webdep_epoch.Log.head;
       scored
 
-let serve_state ?snapshot ?epoch_log ~seed ~c ?countries ?store () =
+let serve_state ?snapshot ?epoch_log ~seed ~c ?countries () =
   let world = World.create ~c ~seed () in
   let fingerprint =
     Webdep_json.to_string
@@ -692,11 +641,8 @@ let serve_state ?snapshot ?epoch_log ~seed ~c ?countries ?store () =
     match countries with Some l -> l | None -> World.countries world
   in
   let full_measure () =
-    let ds23, ds25 =
-      with_store world store @@ fun store ->
-      ( Measure.measure_all ?countries ?store world,
-        Measure.measure_all ~epoch:World.May_2025 ?countries ?store world )
-    in
+    let ds23 = Measure.measure_all ?countries world in
+    let ds25 = Measure.measure_all ~epoch:World.May_2025 ?countries world in
     [ ("2023-05", ds23); ("2025-05", ds25) ]
   in
   let datasets =
@@ -736,9 +682,8 @@ let serve_state ?snapshot ?epoch_log ~seed ~c ?countries ?store () =
                   else
                     Some
                       ( name,
-                        with_store world store @@ fun store ->
                         Measure.measure_all ~epoch:(measured_epoch name)
-                          ~countries:missing ?store world ))
+                          ~countries:missing world ))
                 serve_epochs
             in
             Printf.eprintf
@@ -779,8 +724,8 @@ let finish_query resp =
       exit 1
   | _ -> print_string (Serve.Protocol.render resp)
 
-let run_query () epoch connect timeout max_retries seed c countries store
-    epoch_log words =
+let run_query () epoch connect timeout max_retries seed c countries epoch_log
+    words =
   match Serve.Protocol.parse_query ~epoch words with
   | Error msg ->
       Printf.eprintf "webdep query: %s\n" msg;
@@ -796,8 +741,7 @@ let run_query () epoch connect timeout max_retries seed c countries store
               exit 5)
       | None ->
           let st =
-            serve_state ?epoch_log ~seed ~c
-              ?countries:(normalize_countries countries) ?store ()
+            serve_state ?epoch_log ~seed ~c ?countries:(normalize_countries countries) ()
           in
           finish_query (Serve.State.answer st req))
 
@@ -830,11 +774,11 @@ let query_cmd =
   in
   Cmd.v (Cmd.info "query" ~doc ~exits)
     Term.(const run_query $ obs_term $ epoch_arg $ connect_arg $ query_timeout_arg
-          $ query_retries_arg $ seed_arg $ c_arg $ countries_arg $ store_term
-          $ epoch_log_arg $ query_pos)
+          $ query_retries_arg $ seed_arg $ c_arg $ countries_arg $ epoch_log_arg
+          $ query_pos)
 
-let run_serve () listen seed c countries store max_queue snapshot epoch_log
-    supervise restart_limit restart_window =
+let run_serve () listen seed c countries max_queue snapshot epoch_log supervise
+    restart_limit restart_window =
   if max_queue < 1 then begin
     Printf.eprintf "webdep serve: --max-queue must be >= 1\n";
     exit 124
@@ -849,7 +793,7 @@ let run_serve () listen seed c countries store max_queue snapshot epoch_log
     | _ -> ());
     let st =
       serve_state ?snapshot ?epoch_log ~seed ~c
-        ?countries:(normalize_countries countries) ?store ()
+        ?countries:(normalize_countries countries) ()
     in
     let cfg = Serve.Server.config ~max_queue listen in
     Serve.Server.run ~handle_signals:true ?snapshot
@@ -880,8 +824,8 @@ let serve_cmd =
   in
   let man =
     [ `S Manpage.s_description;
-      `P "Loads the measurement store (or measures from scratch) and \
-          builds an answer table per epoch and layer before it listens: \
+      `P "Measures both epochs (or restores them from $(b,--snapshot)) \
+          and builds an answer table per epoch and layer before it listens: \
           every country's score row and the full ranking, plus the \
           provider tallies of both measured epochs for top-k queries.  \
           It then answers queries on a Unix or loopback-TCP socket.  \
@@ -950,8 +894,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc ~man ~exits)
     Term.(const run_serve $ obs_term $ listen $ seed_arg $ c_arg $ countries_arg
-          $ store_term $ max_queue $ snapshot $ epoch_log_arg $ supervise
-          $ restart_limit $ restart_window)
+          $ max_queue $ snapshot $ epoch_log_arg $ supervise $ restart_limit
+          $ restart_window)
 
 (* --- epochs --------------------------------------------------------------------------- *)
 
@@ -968,7 +912,7 @@ module Epoch = Webdep_epoch
 let file_size path = (Unix.stat path).Unix.st_size
 
 let run_epochs () log_path n_epochs churn layer verify compact_keep rebuild
-    seed c countries store =
+    seed c countries =
   let countries = normalize_countries countries in
   if churn <= 0.0 || churn >= 1.0 then begin
     Printf.eprintf "webdep epochs: --churn must be within (0, 1) (got %g)\n" churn;
@@ -977,11 +921,8 @@ let run_epochs () log_path n_epochs churn layer verify compact_keep rebuild
   if rebuild && Sys.file_exists log_path then Sys.remove log_path;
   if not (Sys.file_exists log_path) then begin
     let world = World.create ~c ~seed () in
-    let ds23, ds25 =
-      with_store world store @@ fun store ->
-      ( Measure.measure_all ?countries ?store world,
-        Measure.measure_all ~epoch:World.May_2025 ?countries ?store world )
-    in
+    let ds23 = Measure.measure_all ?countries world in
+    let ds25 = Measure.measure_all ~epoch:World.May_2025 ?countries world in
     let base = List.map (D.country_exn ds23) (D.countries ds23) in
     let donors =
       List.map
@@ -1125,7 +1066,7 @@ let epochs_cmd =
   Cmd.v (Cmd.info "epochs" ~doc ~man ~exits)
     Term.(const run_epochs $ obs_term $ log_arg $ epochs_n $ churn_arg
           $ layer_arg $ verify_flag $ compact_arg $ rebuild_flag $ seed_arg
-          $ c_arg $ countries_arg $ store_term)
+          $ c_arg $ countries_arg)
 
 (* --- countries ------------------------------------------------------------------------ *)
 

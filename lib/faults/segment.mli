@@ -1,6 +1,5 @@
 (** The one on-disk segment format behind every file webdep persists:
-    the sweep checkpoint, the measurement-store spill, the serve
-    snapshot and the epoch churn log.
+    the sweep checkpoint, the serve snapshot and the epoch churn log.
 
     A segment is a sequence of records, each framed as
     [[u32 len][u32 CRC-32(payload)][payload]], big-endian.  The first

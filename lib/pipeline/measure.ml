@@ -20,7 +20,6 @@ module Retry = Webdep_faults.Retry
 module Quarantine = Webdep_faults.Quarantine
 module Degrade = Webdep_faults.Degrade
 module Checkpoint = Webdep_faults.Checkpoint
-module Store = Webdep_store.Store
 module Fingerprint = Webdep_store.Fingerprint
 
 let m_sites = Metric.counter "pipeline.sites.measured"
@@ -223,10 +222,10 @@ type resolution = Flat | Iterative
 
 let resolution_name = function Flat -> "flat" | Iterative -> "iterative"
 
-(* The store half of the world fingerprint comes from the world itself;
-   the fault half from the sweep options.  Anything else that shapes a
-   site record (epoch, vantage, resolution) is part of the per-entry
-   key, not the fingerprint. *)
+(* The world half of the fingerprint comes from the world itself; the
+   fault half from the sweep options.  Anything else that shapes a site
+   record (epoch, vantage, resolution) is fixed per sweep, so the
+   checkpoint header adds it next to the fingerprint. *)
 let store_fingerprint ?(faults = no_faults) world =
   Fingerprint.v ~world_seed:(World.seed world) ~c:(World.c world)
     ~geo_accuracy:(World.geo_accuracy world)
@@ -234,15 +233,8 @@ let store_fingerprint ?(faults = no_faults) world =
     ~fault_rate:(Faults.rate faults.plan)
     ~max_attempts:faults.retry.Retry.max_attempts
 
-(* Quarantine streaks depend on the order sites fail in, so memoizing
-   individual sites under an active fault plan could replay a history
-   that never happened; the store only serves fault-free sweeps. *)
-let usable_store ~faults store =
-  if Faults.enabled faults.plan then None else store
-
 let measure_snapshot_cov ?(vantage = default_vantage) ?(resolution = Flat)
-    ?(cache = true) ?(faults = no_faults) ?quarantine ?store world
-    (snap : World.snapshot) =
+    ?(cache = true) ?(faults = no_faults) world (snap : World.snapshot) =
   let internet = World.internet world in
   let ca_db = World.ca_db world in
   let content domain = Hashtbl.find_opt snap.World.content_language domain in
@@ -264,36 +256,14 @@ let measure_snapshot_cov ?(vantage = default_vantage) ?(resolution = Flat)
             Webdep_dnssim.Iterative.resolve_a ?cache:icache ~faults:faults.plan
               ~retry:faults.retry hierarchy ~vantage domain)
   in
-  (* Quarantine state defaults to snapshot scope; callers re-probing the
-     same shard (checkpointed re-runs, watchdog loops) pass their own so
-     failure streaks span probes. *)
-  let quarantine =
-    match quarantine with
-    | Some q -> q
-    | None -> Quarantine.create ~threshold:faults.quarantine_after ()
-  in
-  let store = usable_store ~faults store in
-  let epoch = World.epoch_name snap.World.epoch in
-  let resolution = resolution_name resolution in
+  let quarantine = Quarantine.create ~threshold:faults.quarantine_after () in
   let tally = ref Degrade.empty in
-  let measure domain =
-    measure_site internet ca_db snap.World.zones snap.World.tls ~vantage ~content
-      ?cache:rcache ?resolve_a ~fo:faults ~quarantine domain
-  in
   let sites =
     List.map
       (fun domain ->
         let site, outcome =
-          match store with
-          | None -> measure domain
-          | Some st -> (
-              match Store.find st ~epoch ~resolution ~vantage domain with
-              | Some e -> (e.Store.site, e.Store.outcome)
-              | None ->
-                  let site, outcome = measure domain in
-                  Store.add st ~epoch ~resolution ~vantage domain
-                    { Store.site; outcome };
-                  (site, outcome))
+          measure_site internet ca_db snap.World.zones snap.World.tls ~vantage
+            ~content ?cache:rcache ?resolve_a ~fo:faults ~quarantine domain
         in
         tally := Degrade.add !tally outcome;
         site)
@@ -304,48 +274,14 @@ let measure_snapshot_cov ?(vantage = default_vantage) ?(resolution = Flat)
 let measure_snapshot ?vantage ?resolution ?cache world snap =
   fst (measure_snapshot_cov ?vantage ?resolution ?cache world snap)
 
-(* Warm fast path: when the store already holds every site of the sweep,
-   rebuild the country data from it without materializing the snapshot
-   at all — the toplist alone decides which keys to ask for, and deriving
-   it costs a fraction of zone/TLS generation.  All-or-nothing: a single
-   missing site falls back to the snapshot path, whose per-site lookups
-   still reuse every stored site. *)
-let country_from_store ?(vantage = default_vantage) ?(resolution = Flat)
-    ?(epoch = World.May_2023) ~store world cc =
-  let toplist = World.toplist world ~epoch cc in
-  match
-    Store.find_all store ~epoch:(World.epoch_name epoch)
-      ~resolution:(resolution_name resolution) ~vantage (Toplist.domains toplist)
-  with
-  | None -> None
-  | Some entries ->
-      let tally = ref Degrade.empty in
-      let sites =
-        List.map
-          (fun (e : Store.entry) ->
-            tally := Degrade.add !tally e.Store.outcome;
-            e.Store.site)
-          entries
-      in
-      Some ({ Dataset.country = cc; sites }, !tally)
-
-let measure_country_cov ?vantage ?resolution ?cache ?epoch ?(faults = no_faults)
-    ?quarantine ?store world cc =
+let measure_country_cov ?vantage ?resolution ?cache ?epoch ?faults world cc =
   (* Per-country span: the name carries the country so the registry dump
      exposes one duration histogram per country. *)
   Obs.Span.with_ ~name:("measure_country." ^ cc)
     ~attrs:[ ("country", cc) ]
     (fun () ->
-      let warm =
-        match usable_store ~faults store with
-        | None -> None
-        | Some store -> country_from_store ?vantage ?resolution ?epoch ~store world cc
-      in
-      match warm with
-      | Some result -> result
-      | None ->
-          measure_snapshot_cov ?vantage ?resolution ?cache ~faults ?quarantine
-            ?store world (World.snapshot world ?epoch cc))
+      measure_snapshot_cov ?vantage ?resolution ?cache ?faults world
+        (World.snapshot world ?epoch cc))
 
 let measure_country ?vantage ?resolution ?cache ?epoch world cc =
   fst (measure_country_cov ?vantage ?resolution ?cache ?epoch world cc)
@@ -363,7 +299,7 @@ type sweep = {
   insufficient : string list;
 }
 
-(* The store fingerprint (everything that shapes a site record) plus
+(* The world fingerprint (everything that shapes a site record) plus
    the keys one sweep fixes. *)
 let checkpoint_meta ?vantage ?resolution ?epoch ~faults world =
   let open Webdep_json in
@@ -375,34 +311,14 @@ let checkpoint_meta ?vantage ?resolution ?epoch ~faults world =
     ]
 
 let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
-    ?(faults = no_faults) ?checkpoint ?store world =
+    ?(faults = no_faults) ?checkpoint world =
   let countries = Option.value ~default:(World.countries world) countries in
-  let store = usable_store ~faults store in
   Obs.Span.with_ ~name:"measure_all"
     ~attrs:[ ("countries", string_of_int (List.length countries)) ]
     (fun () ->
-      (* Warm pre-pass: rebuild fully-stored countries up front, so an
-         entirely warm sweep pays no snapshot materialization.
-         Sequential on purpose — the per-hit counters then accrue in one
-         fixed order, and the totals are the same at any [jobs]. *)
-      let warm = Hashtbl.create 16 in
-      (match store with
-      | Some st when Store.size st > 0 ->
-          List.iter
-            (fun cc ->
-              if Webdep_geo.Country.mem cc then
-                match
-                  country_from_store ?vantage ?resolution ?epoch ~store:st world cc
-                with
-                | Some r -> Hashtbl.replace warm cc r
-                | None -> ())
-            countries
-      | Some _ | None -> ());
       (* A country the world cannot calibrate at this [c] fails here,
-         before the fan-out.  Only countries the store cannot fully serve
-         derive their sites. *)
-      let cold = List.filter (fun cc -> not (Hashtbl.mem warm cc)) countries in
-      World.prepare world ?epoch cold;
+         before the fan-out. *)
+      World.prepare world ?epoch countries;
       let cp =
         Option.map
           (fun path ->
@@ -434,15 +350,9 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
               Logs.debug (fun m -> m "resumed %s from checkpoint" cc);
               (cc, e.Checkpoint.data, e.Checkpoint.tally, true)
           | None ->
+              Logs.debug (fun m -> m "measuring %s" cc);
               let data, tally =
-                match Hashtbl.find_opt warm cc with
-                | Some (data, tally) ->
-                    Logs.debug (fun m -> m "rebuilt %s from store" cc);
-                    (data, tally)
-                | None ->
-                    Logs.debug (fun m -> m "measuring %s" cc);
-                    measure_country_cov ?vantage ?resolution ?cache ?epoch
-                      ~faults ?store world cc
+                measure_country_cov ?vantage ?resolution ?cache ?epoch ~faults world cc
               in
               Option.iter
                 (fun cp -> Checkpoint.record cp { Checkpoint.country = cc; tally; data })
@@ -469,9 +379,8 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
         insufficient = List.rev !insufficient_rev;
       })
 
-let measure_all ?vantage ?resolution ?cache ?epoch ?countries ?jobs ?store world =
-  (measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs ?store world)
-    .dataset
+let measure_all ?vantage ?resolution ?cache ?epoch ?countries ?jobs world =
+  (measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs world).dataset
 
 type resolution_stats = {
   domains : int;

@@ -41,30 +41,15 @@ val no_faults : fault_opts
     pre-fault pipeline at any [jobs]. *)
 
 val resolution_name : resolution -> string
-(** ["flat"] / ["iterative"] — the store-key and checkpoint-header
-    spelling. *)
-
-(** {1 Measurement store}
-
-    Every [?store] parameter below memoizes per-(epoch, resolution,
-    vantage, domain) measurement results in a
-    {!Webdep_store.Store.t}: stored sites are returned without
-    re-resolving, fresh measurements are added, and a sweep whose
-    countries are fully stored skips snapshot materialization
-    altogether.  Memoized records are exactly what a
-    fresh measurement would produce, so store-backed and cold sweeps
-    are byte-identical at any [jobs]; hit/miss totals
-    ([store.hits]/[store.misses]) are per-domain and equally
-    jobs-invariant.  The store is ignored when fault injection is
-    active — quarantine streaks are order-dependent, so replaying
-    individual sites could fabricate a history. *)
+(** ["flat"] / ["iterative"] — the checkpoint-header spelling. *)
 
 val store_fingerprint :
   ?faults:fault_opts -> Webdep_worldgen.World.t -> Webdep_store.Fingerprint.t
-(** The invalidation fingerprint for a (world, fault-options) pair:
-    world seed, toplist size, geolocation accuracy, the world's
-    derivation ({!Webdep_store.Fingerprint.derivation}), and the fault
-    plan's seed/rate/retry budget. *)
+(** The world fingerprint for a (world, fault-options) pair: world seed,
+    toplist size, geolocation accuracy, the world's derivation
+    ({!Webdep_store.Fingerprint.derivation}), and the fault plan's
+    seed/rate/retry budget.  It keys sweep checkpoints (see
+    {!measure_sweep}) and serve snapshots. *)
 
 val measure_country :
   ?vantage:string ->
@@ -93,38 +78,6 @@ val measure_snapshot :
     so caching never changes the dataset, only the work; hit/miss
     counters land in the obs registry under [dns.cache.*]. *)
 
-val measure_snapshot_cov :
-  ?vantage:string ->
-  ?resolution:resolution ->
-  ?cache:bool ->
-  ?faults:fault_opts ->
-  ?quarantine:Webdep_faults.Quarantine.t ->
-  ?store:Webdep_store.Store.t ->
-  Webdep_worldgen.World.t ->
-  Webdep_worldgen.World.snapshot ->
-  Webdep.Dataset.country_data * Webdep_faults.Degrade.tally
-(** {!measure_snapshot} plus the per-outcome tally.  [?faults]
-    (default {!no_faults}) injects per the plan and retries transient
-    failures; [?quarantine] (default: fresh, scoped to this snapshot)
-    lets callers re-probing the same shard carry failure streaks across
-    probes so targets quarantine after [quarantine_after] consecutive
-    failures. *)
-
-val measure_country_cov :
-  ?vantage:string ->
-  ?resolution:resolution ->
-  ?cache:bool ->
-  ?epoch:Webdep_worldgen.World.epoch ->
-  ?faults:fault_opts ->
-  ?quarantine:Webdep_faults.Quarantine.t ->
-  ?store:Webdep_store.Store.t ->
-  Webdep_worldgen.World.t ->
-  string ->
-  Webdep.Dataset.country_data * Webdep_faults.Degrade.tally
-(** {!measure_country} plus the per-outcome tally.  With [?store], a
-    fully-stored country is rebuilt from the store without even
-    materializing its snapshot. *)
-
 val measure_all :
   ?vantage:string ->
   ?resolution:resolution ->
@@ -132,7 +85,6 @@ val measure_all :
   ?epoch:Webdep_worldgen.World.epoch ->
   ?countries:string list ->
   ?jobs:int ->
-  ?store:Webdep_store.Store.t ->
   Webdep_worldgen.World.t ->
   Webdep.Dataset.t
 (** Measure every (or the listed) dataset country.  Memory stays bounded:
@@ -173,7 +125,6 @@ val measure_sweep :
   ?jobs:int ->
   ?faults:fault_opts ->
   ?checkpoint:string ->
-  ?store:Webdep_store.Store.t ->
   Webdep_worldgen.World.t ->
   sweep
 (** {!measure_all} with graceful degradation.  Fault decisions are pure

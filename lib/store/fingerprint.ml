@@ -15,14 +15,6 @@ let derivation = "canonical-walk/1"
 let v ~world_seed ~c ~geo_accuracy ~fault_seed ~fault_rate ~max_attempts =
   { world_seed; c; geo_accuracy; derivation; fault_seed; fault_rate; max_attempts }
 
-let equal a b =
-  a.world_seed = b.world_seed && a.c = b.c
-  && Float.equal a.geo_accuracy b.geo_accuracy
-  && String.equal a.derivation b.derivation
-  && a.fault_seed = b.fault_seed
-  && Float.equal a.fault_rate b.fault_rate
-  && a.max_attempts = b.max_attempts
-
 let to_meta t =
   [
     ("world_seed", Json.Int t.world_seed);

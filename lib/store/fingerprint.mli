@@ -1,14 +1,14 @@
-(** World fingerprints: the content hash that keys measurement-store
-    validity.
+(** World fingerprints: the parameters that key the validity of a file
+    holding measured sites — sweep checkpoints and serve snapshots.
 
-    Two runs may share stored measurements only when every parameter
-    that shapes a measured site record is identical: the world seed and
-    toplist size (which fix toplists and provider mixes for every
-    epoch), the geolocation accuracy (which fixes the geo-error draws),
-    the way the world derives its sites from those ({!derivation}), and
-    the fault-injection parameters (which fix per-site verdicts and
-    retry outcomes).  Vantage, resolution mode and epoch vary {e within}
-    one world, so they live in the per-entry key, not here. *)
+    A run may reuse such a file only when every parameter that shapes a
+    measured site record is identical: the world seed and toplist size
+    (which fix toplists and provider mixes for every epoch), the
+    geolocation accuracy (which fixes the geo-error draws), the way the
+    world derives its sites from those ({!derivation}), and the
+    fault-injection parameters (which fix per-site verdicts and retry
+    outcomes).  Vantage, resolution mode and epoch vary {e within} one
+    world; a checkpoint header adds them next to these fields. *)
 
 type t = {
   world_seed : int;
@@ -37,9 +37,7 @@ val v :
   max_attempts:int ->
   t
 
-val equal : t -> t -> bool
-
 val to_meta : t -> (string * Webdep_json.t) list
-(** Header fields for the spill file, in a fixed order — the store
-    compares serialized header lines byte-for-byte, so the order is part
-    of the format. *)
+(** Header fields in a fixed order — checkpoints and serve snapshots
+    compare serialized headers byte-for-byte, so the order is part of
+    the format. *)

@@ -356,20 +356,9 @@ let snap_rng t epoch cc =
 let has_secondary domain =
   float_of_int (strhash domain 97 mod 10_000) /. 10_000.0 < multi_cdn_fraction
 
-let check_country fn cc =
-  if not (Webdep_geo.Country.mem cc) then
-    invalid_arg (Printf.sprintf "World.%s: %S is not one of the dataset's countries" fn cc)
-
-(* The country's toplist alone — the derivation [snapshot] starts with,
-   without materializing zones or certificates.  Lets the measurement
-   store answer "do I already know every site of this sweep?" without
-   paying for a snapshot. *)
-let toplist t ?(epoch = May_2023) cc =
-  check_country "toplist" cc;
-  toplist_for t (Rng.split_named (snap_rng t epoch cc) "toplist") cc epoch
-
 let snapshot t ?(epoch = May_2023) cc =
-  check_country "snapshot" cc;
+  if not (Webdep_geo.Country.mem cc) then
+    invalid_arg (Printf.sprintf "World.snapshot: %S is not one of the dataset's countries" cc);
   Webdep_obs.Metrics.incr m_snapshots;
   (* One duration histogram per epoch; the country rides along as a span
      attribute for the trace sinks. *)

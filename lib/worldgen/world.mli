@@ -47,8 +47,8 @@ val c : t -> int
 val seed : t -> int
 
 val geo_accuracy : t -> float
-(** The accuracy the world was created with — part of the measurement
-    store's invalidation fingerprint. *)
+(** The accuracy the world was created with — part of the world
+    fingerprint that keys checkpoints and serve snapshots. *)
 
 val countries : t -> string list
 (** The 150 dataset countries, by code. *)
@@ -74,8 +74,8 @@ exception Uncalibrated of uncalibrated
     hosting for May 2025; none at c = 100 nor at the larger values
     checked up to 10 000).  {!create} keeps such a mix as the
     calibrator's refusal; {!mix} raises it for the epoch asked for, and
-    so does every call that derives a country's sites: {!toplist},
-    {!snapshot}, {!prepare}. *)
+    so does every call that derives a country's sites: {!snapshot} and
+    {!prepare}. *)
 
 val uncalibrated_message : uncalibrated -> string
 (** One line naming the country, layer, epoch and the smallest [c] that
@@ -107,13 +107,6 @@ val prepare : t -> ?epoch:epoch -> string list -> unit
     are skipped).  It changes nothing — {!create} has already built
     everything — so a sweep calls it only to report a too-small [c]
     before fanning out. *)
-
-val toplist : t -> ?epoch:epoch -> string -> Webdep_crux.Toplist.t
-(** The country's toplist exactly as its {!snapshot} would carry it,
-    derived without materializing zones or certificates — cheap enough
-    to ask "which sites would this sweep measure?" before deciding
-    whether a snapshot is needed at all.
-    @raise Invalid_argument like {!snapshot}. *)
 
 val snapshot : t -> ?epoch:epoch -> string -> snapshot
 (** Materialize one country's measurable state.  Deterministic in

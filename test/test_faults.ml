@@ -364,25 +364,86 @@ let with_temp_file f =
   let path = Filename.temp_file "webdep_cp" ".ckpt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
+let all_resumed (s : Measure.sweep) =
+  List.length s.Measure.coverage = List.length sample
+  && List.for_all (fun (c : Measure.country_coverage) -> c.Measure.resumed) s.Measure.coverage
+
+let none_resumed (s : Measure.sweep) =
+  List.for_all (fun (c : Measure.country_coverage) -> not c.Measure.resumed) s.Measure.coverage
+
 let test_checkpoint_roundtrip () =
+  let world = Lazy.force world in
+  (with_temp_file @@ fun path ->
+   let faults = fault_opts () in
+   let direct = Measure.measure_sweep ~countries:sample ~faults world in
+   let checkpointed =
+     Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world
+   in
+   Alcotest.(check bool) "checkpointing changes nothing" true
+     (datasets_equal direct.Measure.dataset checkpointed.Measure.dataset);
+   (* Resume from the complete file: every country short-circuits, and the
+      dataset round-trips through the site codec exactly. *)
+   let resumed = Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world in
+   Alcotest.(check bool) "full resume identical" true
+     (datasets_equal direct.Measure.dataset resumed.Measure.dataset);
+   Alcotest.(check bool) "all countries resumed" true (all_resumed resumed));
+  (* Fault-free, as a re-run of a finished sweep reuses it: the file is
+     written at one job count and resumed at the other, and both sweeps
+     equal [measure_all]. *)
+  let cold = Measure.measure_all ~countries:sample world in
+  List.iter
+    (fun jobs ->
+      with_temp_file @@ fun path ->
+      let checkpointed = Measure.measure_sweep ~countries:sample ~jobs ~checkpoint:path world in
+      let resumed =
+        Measure.measure_sweep ~countries:sample ~jobs:(3 - jobs) ~checkpoint:path world
+      in
+      let at what = Printf.sprintf "%s (written at --jobs %d)" what jobs in
+      Alcotest.(check bool) (at "checkpointed sweep = measure_all") true
+        (datasets_equal cold checkpointed.Measure.dataset);
+      Alcotest.(check bool) (at "first sweep resumed nothing") true
+        (none_resumed checkpointed);
+      Alcotest.(check bool) (at "resumed sweep = measure_all") true
+        (datasets_equal cold resumed.Measure.dataset);
+      Alcotest.(check string) (at "scores CSV byte-identical")
+        (Webdep.Export.scores_csv cold Hosting)
+        (Webdep.Export.scores_csv resumed.Measure.dataset Hosting);
+      Alcotest.(check bool) (at "every country resumed") true (all_resumed resumed))
+    [ 1; 2 ]
+
+(* A checkpoint header without [world_derivation] is one written before
+   [World.create] fixed the registration walk: its sites were geolocated
+   in the order that world first met each provider, so the sweep must
+   discard it rather than mix those verdicts with this world's. *)
+let test_checkpoint_call_order_refused () =
   with_temp_file @@ fun path ->
   let world = Lazy.force world in
-  let faults = fault_opts () in
-  let direct = Measure.measure_sweep ~countries:sample ~faults world in
-  let checkpointed =
-    Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world
+  let direct = Measure.measure_sweep ~countries:sample ~checkpoint:path world in
+  let header, records =
+    match
+      Webdep_faults.Segment.fold ~path
+        ~init:(fun h -> Some (h, []))
+        ~f:(fun (h, acc) r -> Some (h, r :: acc))
+    with
+    | Webdep_faults.Segment.Folded { acc = h, rev; torn = false } -> (h, List.rev rev)
+    | _ -> Alcotest.fail "checkpoint unreadable"
   in
-  Alcotest.(check bool) "checkpointing changes nothing" true
-    (datasets_equal direct.Measure.dataset checkpointed.Measure.dataset);
-  (* Resume from the complete file: every country short-circuits, and the
-     dataset round-trips through the site codec exactly. *)
-  let resumed = Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world in
-  Alcotest.(check bool) "full resume identical" true
-    (datasets_equal direct.Measure.dataset resumed.Measure.dataset);
-  Alcotest.(check bool) "all countries resumed" true
-    (List.for_all
-       (fun (c : Measure.country_coverage) -> c.Measure.resumed)
-       resumed.Measure.coverage)
+  let fields =
+    match Webdep_json.parse header with
+    | Webdep_json.Obj fields -> fields
+    | _ -> Alcotest.fail "checkpoint header is not an object"
+  in
+  let resume_with fields =
+    Webdep_faults.Segment.write ~path ~header:(Webdep_json.to_string (Webdep_json.Obj fields))
+      records;
+    Measure.measure_sweep ~countries:sample ~checkpoint:path world
+  in
+  Alcotest.(check bool) "the same records under today's header resume" true
+    (all_resumed (resume_with fields));
+  let fresh = resume_with (List.filter (fun (k, _) -> k <> "world_derivation") fields) in
+  Alcotest.(check bool) "the call-order header resumes nothing" true (none_resumed fresh);
+  Alcotest.(check bool) "result matches a checkpoint-free run" true
+    (datasets_equal direct.Measure.dataset fresh.Measure.dataset)
 
 let test_checkpoint_interrupted_resume () =
   with_temp_file @@ fun path ->
@@ -412,9 +473,7 @@ let test_checkpoint_parameter_mismatch_discards () =
   let f2 = fault_opts ~rate:0.2 () in
   let fresh = Measure.measure_sweep ~countries:sample ~faults:f2 ~checkpoint:path world in
   Alcotest.(check bool) "nothing resumed across a parameter change" true
-    (List.for_all
-       (fun (c : Measure.country_coverage) -> not c.Measure.resumed)
-       fresh.Measure.coverage);
+    (none_resumed fresh);
   let direct = Measure.measure_sweep ~countries:sample ~faults:f2 world in
   Alcotest.(check bool) "result matches a checkpoint-free run" true
     (datasets_equal direct.Measure.dataset fresh.Measure.dataset)
@@ -430,9 +489,7 @@ let test_checkpoint_geo_accuracy_mismatch_discards () =
   let world = Lazy.force world in
   let fresh = Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world in
   Alcotest.(check bool) "nothing resumed across a geolocation-accuracy change" true
-    (List.for_all
-       (fun (c : Measure.country_coverage) -> not c.Measure.resumed)
-       fresh.Measure.coverage);
+    (none_resumed fresh);
   let direct = Measure.measure_sweep ~countries:sample ~faults world in
   Alcotest.(check bool) "result matches a checkpoint-free run" true
     (datasets_equal direct.Measure.dataset fresh.Measure.dataset)
@@ -539,5 +596,7 @@ let () =
             test_checkpoint_parameter_mismatch_discards;
           Alcotest.test_case "geo_accuracy mismatch" `Quick
             test_checkpoint_geo_accuracy_mismatch_discards;
+          Alcotest.test_case "call-order header refused" `Quick
+            test_checkpoint_call_order_refused;
         ] );
     ]

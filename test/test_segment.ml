@@ -1,6 +1,5 @@
-(* webdep_faults.Segment, the one on-disk format, and the four schemas
-   on top of it: sweep checkpoint, store spill, serve snapshot and epoch
-   churn log.
+(* webdep_faults.Segment, the one on-disk format, and the three schemas
+   on top of it: sweep checkpoint, serve snapshot and epoch churn log.
 
    - the framing: atomic writes, appends, header refusal, CRC-32
      known answers;
@@ -14,7 +13,6 @@
 module Segment = Webdep_faults.Segment
 module Checkpoint = Webdep_faults.Checkpoint
 module Degrade = Webdep_faults.Degrade
-module Store = Webdep_store.Store
 module Snapshot = Webdep_serve.Snapshot
 module Log = Webdep_epoch.Log
 module World = Webdep_worldgen.World
@@ -280,52 +278,6 @@ let test_enumerate_checkpoint () =
             (Checkpoint.find cp e.Checkpoint.country = if i < resumed then Some e else None))
         entries)
 
-(* Store spill: the prefix loads, and damage past the header is counted
-   in store.spill.torn_recovered (a clean cut is indistinguishable from
-   a smaller spill). *)
-let test_enumerate_spill () =
-  let ds23, _ = Lazy.force fixture in
-  let fingerprint =
-    Webdep_store.Fingerprint.v ~world_seed:1 ~c:40 ~geo_accuracy:0.9 ~fault_seed:0
-      ~fault_rate:0.0 ~max_attempts:1
-  in
-  let outcomes = [| Degrade.Clean; Degrade.Degraded; Degrade.Failed |] in
-  let st = Store.create ~fingerprint () in
-  let keyed =
-    List.concat_map
-      (fun cc ->
-        List.mapi
-          (fun i (s : D.site) ->
-            let e = { Store.site = s; outcome = outcomes.(i mod 3) } in
-            Store.add st ~epoch:"2023-05" ~resolution:"r" ~vantage:cc s.D.domain e;
-            ((cc, s.D.domain), e))
-          (take 4 (D.country_exn ds23 cc).D.sites))
-      (D.countries ds23)
-  in
-  (* Spill order is the sorted key order; the vantage leads the key. *)
-  let keyed = List.sort compare keyed in
-  let path = temp_path () in
-  Store.save st path;
-  let counter name = Webdep_obs.Metrics.value (Webdep_obs.Metrics.counter name) in
-  for_each_damage path (fun d ->
-      let torn0 = counter "store.spill.torn_recovered" in
-      let invalid0 = counter "store.invalidated" in
-      let loaded = Store.load ~path ~fingerprint in
-      let kept = max 0 (d.intact - 1) in
-      Alcotest.(check int) (d.what ^ ": entries") kept (Store.size loaded);
-      List.iteri
-        (fun i ((vantage, domain), e) ->
-          if i < kept then
-            Alcotest.(check bool) (d.what ^ ": entry " ^ domain) true
-              (Store.find loaded ~epoch:"2023-05" ~resolution:"r" ~vantage domain = Some e))
-        keyed;
-      Alcotest.(check int) (d.what ^ ": torn counted")
-        (if d.intact > 0 && not d.boundary then 1 else 0)
-        (counter "store.spill.torn_recovered" - torn0);
-      Alcotest.(check int) (d.what ^ ": invalidated counted")
-        (if d.intact = 0 then 1 else 0)
-        (counter "store.invalidated" - invalid0))
-
 (* --- fuzzing -------------------------------------------------------------- *)
 
 let gen_site =
@@ -434,7 +386,6 @@ let () =
           Alcotest.test_case "epoch log" `Quick test_enumerate_log;
           Alcotest.test_case "snapshot" `Quick test_enumerate_snapshot;
           Alcotest.test_case "checkpoint" `Quick test_enumerate_checkpoint;
-          Alcotest.test_case "store spill" `Quick test_enumerate_spill;
         ] );
       ( "fuzz",
         [ QCheck_alcotest.to_alcotest qcheck_codec; QCheck_alcotest.to_alcotest qcheck_fold ] );

@@ -1,13 +1,10 @@
-(* webdep_store: cross-phase measurement memoization and incremental
-   metrics.  The invariants here back the perf acceptance criteria:
-   store-backed sweeps are byte-identical to cold ones at every job
-   count, a fingerprint mismatch discards the whole spill, and the
+(* webdep_store: incremental metrics and the tallies under them.  The
    incremental tally/score paths return bit-identical values to a full
-   recomputation under arbitrary churn. *)
+   recomputation under arbitrary churn and add/remove sequences, and the
+   tally-based bootstrap matches the string path. *)
 
 module World = Webdep_worldgen.World
 module Measure = Webdep_pipeline.Measure
-module Store = Webdep_store.Store
 module Incremental = Webdep_store.Incremental
 module D = Webdep.Dataset
 module R = Webdep.Regionalization
@@ -22,154 +19,6 @@ let ds23 = lazy (Measure.measure_all ~countries:sample (Lazy.force world))
 
 let ds25 =
   lazy (Measure.measure_all ~epoch:World.May_2025 ~countries:sample (Lazy.force world))
-
-let same_dataset a b = List.for_all (fun cc -> D.country_exn a cc = D.country_exn b cc) sample
-
-(* --- store-backed sweep = cold sweep ------------------------------------- *)
-
-let test_store_sweep_identical () =
-  let world = Lazy.force world in
-  let cold = Lazy.force ds23 in
-  let st = Store.create ~fingerprint:(Measure.store_fingerprint world) () in
-  let misses_before = counter "store.misses" in
-  let filling = Measure.measure_all ~countries:sample ~store:st world in
-  let fill_misses = counter "store.misses" - misses_before in
-  let hits_before = counter "store.hits" in
-  let warm = Measure.measure_all ~countries:sample ~store:st world in
-  let warm_hits = counter "store.hits" - hits_before in
-  Alcotest.(check bool) "filling run = cold run" true (same_dataset cold filling);
-  Alcotest.(check bool) "warm run = cold run" true (same_dataset cold warm);
-  Alcotest.(check string) "scores CSV byte-identical"
-    (Webdep.Export.scores_csv cold Hosting)
-    (Webdep.Export.scores_csv warm Hosting);
-  Alcotest.(check int) "every site missed once while filling" (D.size cold) fill_misses;
-  Alcotest.(check int) "every site hit once when warm" (D.size cold) warm_hits
-
-let test_store_keys_epochs_apart () =
-  (* 2023 entries must never satisfy 2025 lookups: the fill for one epoch
-     leaves the other cold. *)
-  let world = Lazy.force world in
-  let st = Store.create ~fingerprint:(Measure.store_fingerprint world) () in
-  ignore (Measure.measure_all ~countries:sample ~store:st world);
-  let hits_before = counter "store.hits" in
-  let from_store = Measure.measure_all ~epoch:World.May_2025 ~countries:sample ~store:st world in
-  Alcotest.(check int) "no cross-epoch hits" 0 (counter "store.hits" - hits_before);
-  Alcotest.(check bool) "2025 results unchanged" true
-    (List.for_all
-       (fun cc -> D.country_exn (Lazy.force ds25) cc = D.country_exn from_store cc)
-       sample)
-
-(* --- jobs invariance ----------------------------------------------------- *)
-
-let test_jobs_invariance () =
-  let world = Lazy.force world in
-  let cold = Lazy.force ds23 in
-  let spills =
-    List.map
-      (fun jobs ->
-        let st = Store.create ~fingerprint:(Measure.store_fingerprint world) () in
-        let misses_before = counter "store.misses" in
-        let filling = Measure.measure_all ~countries:sample ~jobs ~store:st world in
-        let fill_misses = counter "store.misses" - misses_before in
-        let hits_before = counter "store.hits" in
-        let warm = Measure.measure_all ~countries:sample ~jobs ~store:st world in
-        let warm_hits = counter "store.hits" - hits_before in
-        Alcotest.(check bool)
-          (Printf.sprintf "filling run at --jobs %d = cold" jobs)
-          true (same_dataset cold filling);
-        Alcotest.(check bool)
-          (Printf.sprintf "warm run at --jobs %d = cold" jobs)
-          true (same_dataset cold warm);
-        Alcotest.(check int)
-          (Printf.sprintf "misses at --jobs %d" jobs)
-          (D.size cold) fill_misses;
-        Alcotest.(check int)
-          (Printf.sprintf "hits at --jobs %d" jobs)
-          (D.size cold) warm_hits;
-        let path = Filename.temp_file "webdep_store_jobs" ".spill" in
-        Store.save st path;
-        let contents = In_channel.with_open_bin path In_channel.input_all in
-        Sys.remove path;
-        contents)
-      [ 1; 2; 4 ]
-  in
-  match spills with
-  | j1 :: rest ->
-      List.iteri
-        (fun i spill ->
-          Alcotest.(check string)
-            (Printf.sprintf "spill file identical at jobs option %d" (i + 1))
-            j1 spill)
-        rest
-  | [] -> assert false
-
-(* --- spill round-trip and fingerprint invalidation ----------------------- *)
-
-let test_spill_roundtrip_and_invalidation () =
-  let world = Lazy.force world in
-  let st = Store.create ~fingerprint:(Measure.store_fingerprint world) () in
-  ignore (Measure.measure_all ~countries:[ "US" ] ~store:st world);
-  let path = Filename.temp_file "webdep_store" ".spill" in
-  Store.save st path;
-  let reloaded = Store.load ~path ~fingerprint:(Measure.store_fingerprint world) in
-  Alcotest.(check int) "size round-trips" (Store.size st) (Store.size reloaded);
-  let cold = Measure.measure_all ~countries:[ "US" ] world in
-  let hits_before = counter "store.hits" in
-  let warm = Measure.measure_all ~countries:[ "US" ] ~store:reloaded world in
-  Alcotest.(check bool) "reloaded store reproduces the cold sweep" true
-    (D.country_exn cold "US" = D.country_exn warm "US");
-  Alcotest.(check bool) "reloaded store actually hit" true
-    (counter "store.hits" - hits_before > 0);
-  (* A differently-parameterized world must not reuse these entries. *)
-  let other = World.create ~c:200 ~seed:78 () in
-  let invalidated_before = counter "store.invalidated" in
-  let mismatched = Store.load ~path ~fingerprint:(Measure.store_fingerprint other) in
-  Alcotest.(check int) "mismatched fingerprint discards everything" 0
-    (Store.size mismatched);
-  Alcotest.(check int) "invalidation counted" 1
-    (counter "store.invalidated" - invalidated_before);
-  Sys.remove path;
-  let missing = Store.load ~path ~fingerprint:(Measure.store_fingerprint world) in
-  Alcotest.(check int) "missing file loads empty" 0 (Store.size missing)
-
-(* The exact header a spill of [world] carried before fingerprints named
-   the world's derivation.  Its sites were geolocated in the order that
-   world first met each provider, so it must load as a mismatch rather
-   than mix those verdicts with this world's. *)
-let call_order_header =
-  {|{"schema":"webdep-store/2","world_seed":77,"c":200,"geo_accuracy":0.89400000000000002,"fault_seed":0,"fault_rate":0.0,"max_attempts":1}|}
-
-let test_spill_from_call_order_world_refused () =
-  let world = Lazy.force world in
-  let fingerprint = Measure.store_fingerprint world in
-  let st = Store.create ~fingerprint () in
-  ignore (Measure.measure_all ~countries:[ "US" ] ~store:st world);
-  let path = Filename.temp_file "webdep_store" ".spill" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Store.save st path;
-  let records =
-    match
-      Webdep_faults.Segment.fold ~path ~init:(fun _ -> Some []) ~f:(fun acc r -> Some (r :: acc))
-    with
-    | Webdep_faults.Segment.Folded { acc; torn = false } -> List.rev acc
-    | _ -> Alcotest.fail "spill unreadable"
-  in
-  let load_with header =
-    Webdep_faults.Segment.write ~path ~header records;
-    Store.load ~path ~fingerprint
-  in
-  let current =
-    Webdep_json.(
-      to_string
-        (Obj (("schema", String "webdep-store/2") :: Webdep_store.Fingerprint.to_meta fingerprint)))
-  in
-  Alcotest.(check int) "the same records under today's header load" (Store.size st)
-    (Store.size (load_with current));
-  let invalidated_before = counter "store.invalidated" in
-  Alcotest.(check int) "the call-order header loads nothing" 0
-    (Store.size (load_with call_order_header));
-  Alcotest.(check int) "counted as a mismatch" 1
-    (counter "store.invalidated" - invalidated_before)
 
 (* --- incremental metrics under random churn ------------------------------ *)
 
@@ -385,18 +234,6 @@ let () =
   Webdep_obs.Reporter.setup ~level:Logs.Error ();
   Alcotest.run "webdep_store"
     [
-      ( "store",
-        [
-          Alcotest.test_case "store-backed sweep = cold sweep" `Quick
-            test_store_sweep_identical;
-          Alcotest.test_case "epochs are keyed apart" `Quick test_store_keys_epochs_apart;
-          Alcotest.test_case "jobs invariance (1/2/4) + spill determinism" `Quick
-            test_jobs_invariance;
-          Alcotest.test_case "spill round-trip, fingerprint invalidation" `Quick
-            test_spill_roundtrip_and_invalidation;
-          Alcotest.test_case "call-order spill refused" `Quick
-            test_spill_from_call_order_world_refused;
-        ] );
       ( "incremental",
         [
           QCheck_alcotest.to_alcotest churn_qcheck;
