@@ -1844,26 +1844,36 @@ let chaos_json : (string * Json.t) list ref = ref []
       pure hash of (seed, key), so the storm replays identically at any
       --jobs), what fraction of the replies the server *owes* does it
       deliver, and are they all byte-identical to [State.answer]?
-   2. After a crash, how fast does a snapshot restore bring a correct
-      answer back, versus re-running the two-epoch measurement sweep?
-      The crash is modelled in process — state discarded, snapshot
-      loaded, fresh server domain — because forking with live domains
-      is forbidden in OCaml 5; CI exercises the real kill -9 path. *)
+   2. After a crash, how fast does resuming both epochs from the sweep
+      checkpoint bring a correct answer back, versus the cold start that
+      wrote it?  The crash is modelled in process — state discarded,
+      both sweeps resumed on the same world, fresh server domain —
+      because forking with live domains is forbidden in OCaml 5; CI
+      exercises the real kill -9 path. *)
 let chaos_phase () =
-  section "Chaos" "deterministic wire faults, crash, restart from snapshot";
-  let epochs =
-    [ ("2023-05", World.May_2023); ("2025-05", World.May_2025) ]
+  section "Chaos" "deterministic wire faults, crash, restart from the sweep checkpoint";
+  let ckpt = Filename.temp_file "webdep_bench_chaos" ".ckpt" in
+  Sys.remove ckpt;
+  (* Both epochs swept through one checkpoint, as [webdep serve
+     --checkpoint] starts; the flag says whether every shard resumed. *)
+  let sweep_state sw =
+    let sweeps =
+      List.map
+        (fun e ->
+          (World.epoch_name e, Measure.measure_sweep ~epoch:e ~jobs ~checkpoint:ckpt sw))
+        [ World.May_2023; World.May_2025 ]
+    in
+    ( Serve.State.make (List.map (fun (name, s) -> (name, s.Measure.dataset)) sweeps),
+      List.for_all
+        (fun (_, s) ->
+          List.for_all (fun (cv : Measure.country_coverage) -> cv.resumed) s.Measure.coverage)
+        sweeps )
   in
   let build () =
     let sw = World.create ~c:chaos_c ~seed () in
-    let ds =
-      List.map
-        (fun (name, e) -> (name, Measure.measure_all ~epoch:e ~jobs sw))
-        epochs
-    in
-    Serve.State.make ~fingerprint:"bench-chaos" ds
+    (sw, fst (sweep_state sw))
   in
-  let state, build_s = Span.timed ~name:"bench.chaos.build" build in
+  let (sw, state), build_s = Span.timed ~name:"bench.chaos.build" build in
   let countries = Serve.State.countries state in
   let path = Filename.temp_file "webdep_bench_chaos" ".sock" in
   Sys.remove path;
@@ -1914,54 +1924,29 @@ let chaos_phase () =
   | _ -> prerr_endline "webdep bench: chaos server shutdown did not answer Bye");
   Serve.Client.close cl;
   Domain.join server;
-  (* Crash + warm restart: persist the warm state, drop it, then time
-     snapshot-load -> state -> server -> first correct answer. *)
-  let snap = Filename.temp_file "webdep_bench_chaos" ".snap" in
-  Serve.Snapshot.save ~path:snap ~fingerprint:"bench-chaos"
-    (Serve.State.datasets state);
+  (* Crash + restart: drop the state, then time resuming both epochs
+     from the checkpoint -> state -> server -> first correct answer. *)
   let probe = serve_mix countries 16 0 in
   let expected = List.map local probe in
-  let recovered_identical = ref false in
-  let handle = ref None in
-  let (), recovery_s =
+  let (d, cl, resumed_all, first), recovery_s =
     Span.timed ~name:"bench.chaos.recover" (fun () ->
-        match
-          Serve.Snapshot.load ~path:snap ~fingerprint:"bench-chaos" ~countries
-        with
-        | Serve.Snapshot.Loaded shards ->
-            let datasets =
-              Serve.Snapshot.to_datasets ~epochs:(List.map fst epochs) ~countries
-                ~fill:(fun _ _ ->
-                  failwith "bench chaos: complete snapshot must not re-measure")
-                shards
-            in
-            let st = Serve.State.make ~fingerprint:"bench-chaos" datasets in
-            let d = start st in
-            let cl = Serve.Client.connect path in
-            let first =
-              Serve.Protocol.encode_response
-                (Serve.Client.request cl (List.hd probe))
-            in
-            recovered_identical := first = List.hd expected;
-            handle := Some (d, cl)
-        | _ -> prerr_endline "webdep bench: chaos snapshot failed to load")
+        let st, resumed_all = sweep_state sw in
+        let d = start st in
+        let cl = Serve.Client.connect path in
+        (d, cl, resumed_all, Serve.Client.request cl (List.hd probe)))
   in
-  (match !handle with
-  | None -> ()
-  | Some (d, cl) ->
-      let got =
-        List.map
-          (fun r ->
-            Serve.Protocol.encode_response (Serve.Client.request cl r))
-          (List.tl probe)
-      in
-      recovered_identical := !recovered_identical && got = List.tl expected;
-      (match Serve.Client.request cl Serve.Protocol.Shutdown with
-      | Serve.Protocol.Bye -> ()
-      | _ -> prerr_endline "webdep bench: recovered server did not answer Bye");
-      Serve.Client.close cl;
-      Domain.join d);
-  Sys.remove snap;
+  if not resumed_all then
+    prerr_endline "webdep bench: chaos restart re-measured a checkpointed shard";
+  let rest = List.map (fun r -> Serve.Client.request cl r) (List.tl probe) in
+  let recovered_identical =
+    resumed_all && List.map Serve.Protocol.encode_response (first :: rest) = expected
+  in
+  (match Serve.Client.request cl Serve.Protocol.Shutdown with
+  | Serve.Protocol.Bye -> ()
+  | _ -> prerr_endline "webdep bench: recovered server did not answer Bye");
+  Serve.Client.close cl;
+  Domain.join d;
+  Sys.remove ckpt;
   let speedup = build_s /. (if recovery_s > 0.0 then recovery_s else 1e-9) in
   chaos_json :=
     [
@@ -1977,16 +1962,16 @@ let chaos_phase () =
       ("availability", Json.Float availability);
       ("recovery_s", Json.Float recovery_s);
       ("recovery_speedup", Json.Float speedup);
-      ("recovered_identical", Json.Bool !recovered_identical);
+      ("recovered_identical", Json.Bool recovered_identical);
     ];
   Printf.printf
     "c=%d build %.2fs | storm: %d calls in %.3fs — %d replies / %d injected \
      / %d refused / %d broken / %d mismatched | availability %.4f\n\
-     crash recovery: %.3fs from snapshot (%.0fx faster than the %.2fs \
-     re-sweep) | byte-identical after restart: %s\n%!"
+     crash recovery: %.3fs from the checkpoint (%.0fx faster than the \
+     %.2fs cold start) | byte-identical after restart: %s\n%!"
     chaos_c build_s chaos_n storm_s !replies !injected !refused !broken
     !mismatched availability recovery_s speedup build_s
-    (if !recovered_identical then "yes" else "NO")
+    (if recovered_identical then "yes" else "NO")
 
 (* ========================================================================
    Epoch churn-log replay (always runs): O(churn) per-epoch rescoring
@@ -2174,9 +2159,10 @@ let phase_counters : (string * (string * int) list) list ref = ref []
    - chaos:           crash-safety telemetry — deterministic wire-fault
                       storm taxonomy (replies/injected/refused/broken/
                       mismatched) with the availability ratio over owed
-                      replies, and the snapshot crash-recovery time
-                      versus the cold two-epoch re-sweep with the
-                      after-restart byte-identity verdict
+                      replies, and the crash-recovery time from the
+                      sweep checkpoint versus the cold two-epoch sweep
+                      that wrote it, with the after-restart
+                      byte-identity verdict
    - epoch:           churn-log replay telemetry — append/replay wall
                       clock versus a full per-epoch re-sweep (speedup),
                       per-epoch score bit-identity, raw-vs-compacted log

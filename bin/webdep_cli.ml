@@ -150,6 +150,13 @@ let faults_setup rate fault_seed max_retries coverage_threshold checkpoint =
   in
   (faults, checkpoint)
 
+let checkpoint_arg =
+  Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
+         ~doc:"Append each completed (epoch, country) shard to $(docv) and \
+               resume past it on restart.  Sweeps of both epochs share one \
+               file; a file written under other world or sweep parameters \
+               is discarded.")
+
 let faults_term =
   let rate =
     Arg.(value & opt float 0.0 & info [ "fault-rate" ] ~docv:"P"
@@ -175,28 +182,20 @@ let faults_term =
                  sites; countries below it are reported as \
                  insufficient_coverage and withheld from the output.")
   in
-  let checkpoint =
-    Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
-           ~doc:"Append completed country shards to $(docv) and resume past \
-                 them on restart (same sweep parameters required).")
-  in
   Term.(const faults_setup $ rate $ fault_seed $ max_retries $ coverage_threshold
-        $ checkpoint)
+        $ checkpoint_arg)
 
 let measure ~seed ~c ?countries ?(faults = (None, None)) () =
   let world = World.create ~c ~seed () in
   let fault_opts, checkpoint = faults in
-  match (fault_opts, checkpoint) with
-  | None, None -> (world, Measure.measure_all ?countries world)
-  | _ ->
-      let sweep = Measure.measure_sweep ?countries ?faults:fault_opts ?checkpoint world in
-      List.iter
-        (fun (c : Measure.country_coverage) ->
-          if List.mem c.Measure.cc sweep.Measure.insufficient then
-            Printf.eprintf "insufficient_coverage %s: %.1f%% measured\n"
-              c.Measure.cc (100.0 *. c.Measure.ratio))
-        sweep.Measure.coverage;
-      (world, sweep.Measure.dataset)
+  let sweep = Measure.measure_sweep ?countries ?faults:fault_opts ?checkpoint world in
+  List.iter
+    (fun (c : Measure.country_coverage) ->
+      if List.mem c.Measure.cc sweep.Measure.insufficient then
+        Printf.eprintf "insufficient_coverage %s: %.1f%% measured\n"
+          c.Measure.cc (100.0 *. c.Measure.ratio))
+    sweep.Measure.coverage;
+  (world, sweep.Measure.dataset)
 
 (* --- scores ------------------------------------------------------------- *)
 
@@ -595,25 +594,11 @@ let epoch_arg =
                churn-log epoch name the daemon has loaded (list them with the \
                $(b,epochs) query).")
 
-let serve_epochs = [ "2023-05"; "2025-05" ]
-
-let measured_epoch name =
-  match Serve.Protocol.epoch_of_name name with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "not a measured epoch: %s" name)
-
-(* Build the daemon's warm state.  With [?snapshot], try to restore the
-   measured datasets from the snapshot file first: a complete snapshot
-   skips the two-epoch measurement sweep entirely; a torn one (crash
-   mid-write on a non-atomic filesystem) contributes its intact shards
-   and only the missing (epoch, country) pairs are re-measured; a
-   rejected one (other world parameters, other country slice) falls back
-   to the full sweep. *)
 (* Replay a churn transaction log into scores-only epochs ("e<k>"), one
    per committed epoch: a few floats per (layer, country) — cheap enough
    to keep every epoch addressable — answering score/ranking/delta while
    tally-backed queries keep needing a measured epoch.  Scored epochs
-   ride alongside the measured ones and stay out of snapshots. *)
+   ride alongside the measured ones. *)
 let scored_epochs_of_log path =
   match Webdep_epoch.Log.load ~path with
   | Webdep_epoch.Log.Absent ->
@@ -630,76 +615,29 @@ let scored_epochs_of_log path =
         log.Webdep_epoch.Log.base_epoch log.Webdep_epoch.Log.head;
       scored
 
-let serve_state ?snapshot ?epoch_log ~seed ~c ?countries () =
+(* The daemon's state: both measured epochs, swept the way [scores]
+   sweeps one.  With [?checkpoint], each epoch resumes the shards the
+   file holds and appends the rest, so the file is complete before the
+   daemon listens and a restart re-measures only what a crash lost. *)
+let serve_state ?checkpoint ?epoch_log ~seed ~c ?countries () =
   let world = World.create ~c ~seed () in
-  let fingerprint =
-    Webdep_json.to_string
-      (Webdep_json.Obj
-         (Webdep_store.Fingerprint.to_meta (Measure.store_fingerprint world)))
+  let sweeps =
+    List.map
+      (fun epoch ->
+        (World.epoch_name epoch, Measure.measure_sweep ~epoch ?countries ?checkpoint world))
+      [ World.May_2023; World.May_2025 ]
   in
-  let expected =
-    match countries with Some l -> l | None -> World.countries world
-  in
-  let full_measure () =
-    let ds23 = Measure.measure_all ?countries world in
-    let ds25 = Measure.measure_all ~epoch:World.May_2025 ?countries world in
-    [ ("2023-05", ds23); ("2025-05", ds25) ]
-  in
-  let datasets =
-    match snapshot with
-    | None -> full_measure ()
-    | Some path -> (
-        match Serve.Snapshot.load ~path ~fingerprint ~countries:expected with
-        | Serve.Snapshot.Absent -> full_measure ()
-        | Serve.Snapshot.Rejected ->
-            Printf.eprintf
-              "webdep serve: snapshot %s rejected (different world or \
-               countries), remeasuring\n\
-               %!"
-              path;
-            full_measure ()
-        | Serve.Snapshot.Loaded shards ->
-            Printf.eprintf "webdep serve: loaded snapshot %s (%d shards)\n%!"
-              path (List.length shards);
-            Serve.Snapshot.to_datasets ~epochs:serve_epochs ~countries:expected
-              ~fill:(fun _ _ -> assert false (* complete by construction *))
-              shards
-        | Serve.Snapshot.Torn shards ->
-            let have = Hashtbl.create 512 in
-            List.iter
-              (fun (s : Serve.Snapshot.shard) ->
-                Hashtbl.replace have
-                  (s.Serve.Snapshot.epoch, s.Serve.Snapshot.data.Webdep.Dataset.country)
-                  ())
-              shards;
-            let remeasured =
-              List.filter_map
-                (fun name ->
-                  let missing =
-                    List.filter (fun cc -> not (Hashtbl.mem have (name, cc))) expected
-                  in
-                  if missing = [] then None
-                  else
-                    Some
-                      ( name,
-                        Measure.measure_all ~epoch:(measured_epoch name)
-                          ~countries:missing world ))
-                serve_epochs
-            in
-            Printf.eprintf
-              "webdep serve: snapshot %s torn; kept %d intact shards, \
-               re-measured the rest\n\
-               %!"
-              path (List.length shards);
-            Serve.Snapshot.to_datasets ~epochs:serve_epochs ~countries:expected
-              ~fill:(fun epoch cc ->
-                Webdep.Dataset.country_exn (List.assoc epoch remeasured) cc)
-              shards)
-  in
+  Option.iter
+    (fun path ->
+      let coverage = List.concat_map (fun (_, sw) -> sw.Measure.coverage) sweeps in
+      Printf.eprintf "webdep serve: checkpoint %s: resumed %d of %d shards\n%!" path
+        (List.length (List.filter (fun (cv : Measure.country_coverage) -> cv.resumed) coverage))
+        (List.length coverage))
+    checkpoint;
   let scored =
     match epoch_log with None -> [] | Some path -> scored_epochs_of_log path
   in
-  Serve.State.make ~fingerprint ~scored datasets
+  Serve.State.make ~scored (List.map (fun (name, sw) -> (name, sw.Measure.dataset)) sweeps)
 
 let epoch_log_arg =
   Arg.(value & opt (some string) None & info [ "epoch-log" ] ~docv:"FILE"
@@ -777,7 +715,7 @@ let query_cmd =
           $ query_retries_arg $ seed_arg $ c_arg $ countries_arg $ epoch_log_arg
           $ query_pos)
 
-let run_serve () listen seed c countries max_queue snapshot epoch_log supervise
+let run_serve () listen seed c countries max_queue checkpoint epoch_log supervise
     restart_limit restart_window =
   if max_queue < 1 then begin
     Printf.eprintf "webdep serve: --max-queue must be >= 1\n";
@@ -792,11 +730,11 @@ let run_serve () listen seed c countries max_queue snapshot epoch_log supervise
         exit 70
     | _ -> ());
     let st =
-      serve_state ?snapshot ?epoch_log ~seed ~c
+      serve_state ?checkpoint ?epoch_log ~seed ~c
         ?countries:(normalize_countries countries) ()
     in
     let cfg = Serve.Server.config ~max_queue listen in
-    Serve.Server.run ~handle_signals:true ?snapshot
+    Serve.Server.run ~handle_signals:true
       ~on_ready:(fun () ->
         Printf.printf
           "webdep serve: listening on %s (seed %d, c %d, epochs 2023-05 2025-05)\n"
@@ -824,7 +762,7 @@ let serve_cmd =
   in
   let man =
     [ `S Manpage.s_description;
-      `P "Measures both epochs (or restores them from $(b,--snapshot)) \
+      `P "Measures both epochs (resuming from $(b,--checkpoint)) \
           and builds an answer table per epoch and layer before it listens: \
           every country's score row and the full ranking, plus the \
           provider tallies of both measured epochs for top-k queries.  \
@@ -844,15 +782,17 @@ let serve_cmd =
       `P "Send the $(b,shutdown) query (e.g. $(b,webdep query --connect \
           ADDR shutdown)) for a clean shutdown, or SIGTERM/SIGINT for a \
           graceful drain: in-flight batches are answered, late requests \
-          get a $(i,draining) reply, and with $(b,--snapshot) the warm \
-          state is persisted before exit.";
-      `P "With $(b,--snapshot FILE), the daemon restores its warm state \
-          from $(docv) on start (checksummed, torn tails recovered shard \
-          by shard; a snapshot from different world parameters is \
-          rejected and remeasured) and rewrites it atomically on drain.  \
-          With $(b,--supervise), a parent process restarts the daemon \
-          after a crash with exponential backoff and gives up (exit 6) \
-          when it crash-loops." ]
+          get a $(i,draining) reply.  The daemon writes nothing at exit.";
+      `P "With $(b,--checkpoint FILE), both start-up sweeps use the sweep \
+          checkpoint that $(b,webdep scores --checkpoint) writes: each \
+          epoch resumes the (epoch, country) shards the file holds and \
+          appends and fsyncs the ones it measures, so the file is \
+          complete before the daemon listens.  A restart after a crash, \
+          even $(b,kill -9), resumes every shard; a torn file re-measures \
+          only the shards it lost, and a file from other world parameters \
+          is discarded.  With $(b,--supervise), a parent process restarts \
+          the daemon after a crash with exponential backoff and gives up \
+          (exit 6) when it crash-loops." ]
   in
   let listen =
     Arg.(required & opt (some string) None & info [ "socket" ] ~docv:"ADDR"
@@ -863,12 +803,6 @@ let serve_cmd =
     Arg.(value & opt int 1024 & info [ "max-queue" ] ~docv:"N"
            ~doc:"Admission-queue depth; further requests get an immediate \
                  $(i,overloaded) reply (load shedding).")
-  in
-  let snapshot =
-    Arg.(value & opt (some string) None & info [ "snapshot" ] ~docv:"FILE"
-           ~doc:"Durable warm-state snapshot: restore from $(docv) on \
-                 start (milliseconds instead of the two-epoch sweep) and \
-                 rewrite it atomically on graceful drain or shutdown.")
   in
   let supervise =
     Arg.(value & flag & info [ "supervise" ]
@@ -894,7 +828,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc ~man ~exits)
     Term.(const run_serve $ obs_term $ listen $ seed_arg $ c_arg $ countries_arg
-          $ max_queue $ snapshot $ epoch_log_arg $ supervise $ restart_limit
+          $ max_queue $ checkpoint_arg $ epoch_log_arg $ supervise $ restart_limit
           $ restart_window)
 
 (* --- epochs --------------------------------------------------------------------------- *)

@@ -197,6 +197,8 @@ let read_list n f =
 
 let get_strs cur = read_list (get_count cur) (fun () -> get_str cur)
 
+let peek data f = f { data; off = 0 }
+
 let decode data f =
   let cur = { data; off = 0 } in
   let v = f cur in

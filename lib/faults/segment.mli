@@ -1,5 +1,5 @@
 (** The one on-disk segment format behind every file webdep persists:
-    the sweep checkpoint, the serve snapshot and the epoch churn log.
+    the sweep checkpoint and the epoch churn log.
 
     A segment is a sequence of records, each framed as
     [[u32 len][u32 CRC-32(payload)][payload]], big-endian.  The first
@@ -96,6 +96,10 @@ val decode : string -> (cursor -> 'a) -> 'a
 (** [decode payload f] runs [f] over [payload] and requires it to
     consume every byte.
     @raise Malformed on trailing bytes. *)
+
+val peek : string -> (cursor -> 'a) -> 'a
+(** [peek payload f] runs [f] over the start of [payload] and ignores
+    the bytes it leaves. *)
 
 val get_u8 : cursor -> int
 val get_u16 : cursor -> int

@@ -223,9 +223,9 @@ type resolution = Flat | Iterative
 let resolution_name = function Flat -> "flat" | Iterative -> "iterative"
 
 (* The world half of the fingerprint comes from the world itself; the
-   fault half from the sweep options.  Anything else that shapes a site
-   record (epoch, vantage, resolution) is fixed per sweep, so the
-   checkpoint header adds it next to the fingerprint. *)
+   fault half from the sweep options.  Vantage and resolution also
+   shape a site record, so the checkpoint header adds them next to the
+   fingerprint; the epoch keys each checkpoint record instead. *)
 let store_fingerprint ?(faults = no_faults) world =
   Fingerprint.v ~world_seed:(World.seed world) ~c:(World.c world)
     ~geo_accuracy:(World.geo_accuracy world)
@@ -299,13 +299,12 @@ type sweep = {
   insufficient : string list;
 }
 
-(* The world fingerprint (everything that shapes a site record) plus
-   the keys one sweep fixes. *)
-let checkpoint_meta ?vantage ?resolution ?epoch ~faults world =
+(* The world fingerprint plus the rest of what shapes a site record,
+   except the epoch: every epoch of one world shares a checkpoint. *)
+let checkpoint_meta ?vantage ?resolution ~faults world =
   let open Webdep_json in
   Fingerprint.to_meta (store_fingerprint ~faults world)
   @ [
-      ("epoch", String (World.epoch_name (Option.value ~default:World.May_2023 epoch)));
       ("vantage", String (Option.value ~default:default_vantage vantage));
       ("resolution", String (resolution_name (Option.value ~default:Flat resolution)));
     ]
@@ -313,6 +312,7 @@ let checkpoint_meta ?vantage ?resolution ?epoch ~faults world =
 let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
     ?(faults = no_faults) ?checkpoint world =
   let countries = Option.value ~default:(World.countries world) countries in
+  let epoch_name = World.epoch_name (Option.value ~default:World.May_2023 epoch) in
   Obs.Span.with_ ~name:"measure_all"
     ~attrs:[ ("countries", string_of_int (List.length countries)) ]
     (fun () ->
@@ -322,15 +322,7 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
       let cp =
         Option.map
           (fun path ->
-            let cp =
-              Checkpoint.open_ ~path
-                ~meta:(checkpoint_meta ?vantage ?resolution ?epoch ~faults world)
-            in
-            if Checkpoint.loaded cp > 0 then
-              Logs.info (fun m ->
-                  m "checkpoint %s: resuming past %d completed countries" path
-                    (Checkpoint.loaded cp));
-            cp)
+            Checkpoint.open_ ~path ~meta:(checkpoint_meta ?vantage ?resolution ~faults world))
           checkpoint
       in
       (* Streaming construction: each country's string-form site list is
@@ -345,9 +337,9 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
       let insufficient_rev = ref [] in
       Webdep_par.map_fold ?jobs
         (fun cc ->
-          match Option.bind cp (fun cp -> Checkpoint.find cp cc) with
+          match Option.bind cp (fun cp -> Checkpoint.find cp ~epoch:epoch_name cc) with
           | Some e ->
-              Logs.debug (fun m -> m "resumed %s from checkpoint" cc);
+              Logs.debug (fun m -> m "resumed %s %s from checkpoint" epoch_name cc);
               (cc, e.Checkpoint.data, e.Checkpoint.tally, true)
           | None ->
               Logs.debug (fun m -> m "measuring %s" cc);
@@ -355,7 +347,9 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
                 measure_country_cov ?vantage ?resolution ?cache ?epoch ~faults world cc
               in
               Option.iter
-                (fun cp -> Checkpoint.record cp { Checkpoint.country = cc; tally; data })
+                (fun cp ->
+                  Checkpoint.record cp
+                    { Checkpoint.epoch = epoch_name; country = cc; tally; data })
                 cp;
               (cc, data, tally, false))
         ~init:()

@@ -49,7 +49,7 @@ val store_fingerprint :
     toplist size, geolocation accuracy, the world's derivation
     ({!Webdep_store.Fingerprint.derivation}), and the fault plan's
     seed/rate/retry budget.  It keys sweep checkpoints (see
-    {!measure_sweep}) and serve snapshots. *)
+    {!measure_sweep}), which [webdep serve] also resumes from. *)
 
 val measure_country :
   ?vantage:string ->
@@ -134,12 +134,15 @@ val measure_sweep :
     below [coverage_threshold] are excluded from [dataset] and listed in
     [insufficient] (counter [coverage.insufficient]).
 
-    [?checkpoint] names a {!Webdep_faults.Checkpoint} file: completed
-    country shards are appended as they finish, and a later run with the
-    same sweep parameters resumes past them, reproducing the
-    uninterrupted dataset exactly.  The file's header is the
-    {!store_fingerprint} fields plus epoch, vantage and resolution; any
-    mismatch discards the stale file. *)
+    [?checkpoint] names a {!Webdep_faults.Checkpoint} file: each
+    completed (epoch, country) shard is appended and fsynced as it
+    finishes, and a later sweep of the same world resumes past the
+    shards of its epoch, reproducing the uninterrupted dataset exactly.
+    Sweeps of both epochs share one file (the daemon builds its two
+    datasets this way), and only the swept epoch's shards are decoded.
+    The file's header is the {!store_fingerprint} fields plus vantage
+    and resolution; any mismatch discards the stale file.  [coverage]
+    says which countries were resumed. *)
 
 type resolution_stats = {
   domains : int;

@@ -53,10 +53,6 @@ val layer_code : Webdep.Dataset.layer -> int
 val layer_of_code : int -> Webdep.Dataset.layer
 (** @raise Protocol_error outside 0..3. *)
 
-val epoch_of_name : string -> Webdep_worldgen.World.epoch option
-(** The measured world a name ("2023", "2023-05", "2025", "2025-05")
-    stands for. *)
-
 (** {2 Binary payloads} *)
 
 val encode_request : request -> string

@@ -246,7 +246,7 @@ let write_pending c =
 
 (* --- the select loop ----------------------------------------------------- *)
 
-let run ?on_ready ?(handle_signals = false) ?snapshot cfg state =
+let run ?on_ready ?(handle_signals = false) cfg state =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Atomic.set drain_requested false;
   let previous_handlers =
@@ -482,19 +482,4 @@ let run ?on_ready ?(handle_signals = false) ?snapshot cfg state =
       (try Unix.close lfd with Unix.Unix_error _ -> ());
       Addr.unlink_if_unix addr;
       List.iter (fun (sg, h) -> Sys.set_signal sg h) previous_handlers)
-    loop;
-  (* Reached only on a clean exit: persist the warm state so the next
-     start skips the two-epoch measurement sweep.  Best-effort — a full
-     disk must not turn a clean drain into a crash. *)
-  match snapshot with
-  | None -> ()
-  | Some path -> (
-      try
-        Snapshot.save ~path ~fingerprint:(State.fingerprint state)
-          (State.datasets state)
-      with
-      | Sys_error msg ->
-          Printf.eprintf "webdep serve: snapshot write failed: %s\n%!" msg
-      | Unix.Unix_error (e, _, _) ->
-          Printf.eprintf "webdep serve: snapshot write failed: %s\n%!"
-            (Unix.error_message e))
+    loop

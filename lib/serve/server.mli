@@ -34,15 +34,9 @@ val request_drain : unit -> unit
 (** Ask the running server to drain: queued batches are answered, new
     requests get [Draining], then {!run} returns. *)
 
-val run :
-  ?on_ready:(unit -> unit) ->
-  ?handle_signals:bool ->
-  ?snapshot:string ->
-  config ->
-  State.t ->
-  unit
+val run : ?on_ready:(unit -> unit) -> ?handle_signals:bool -> config -> State.t -> unit
 (** Serve until a [Shutdown] request or a drain.  [on_ready] runs once
-    the socket listens; [handle_signals] drains on SIGTERM/SIGINT; a
-    clean exit writes the state's datasets to [snapshot].  Every
-    connection is closed and a Unix socket path unlinked however the
-    loop ends. *)
+    the socket listens; [handle_signals] drains on SIGTERM/SIGINT.  The
+    daemon writes no file: whatever it reuses across restarts (the sweep
+    checkpoint) is complete before it listens.  Every connection is
+    closed and a Unix socket path unlinked however the loop ends. *)

@@ -41,9 +41,7 @@ type table = {
 type epoch = table option array
 
 type t = {
-  fingerprint : string;  (* world fingerprint, written into snapshots *)
   countries : string list;  (* the first dataset's countries, in its order *)
-  datasets : (string * D.t) list;  (* measured inputs, kept for snapshots *)
   names : string list;  (* every loaded epoch in load order, repeats included *)
   loaded : string;  (* [names] joined, for the unknown-epoch error *)
   epochs : epoch Tbl.t;  (* the first-loaded epoch of each name *)
@@ -105,7 +103,7 @@ let scored_table index per_country =
   let ccs = List.sort_uniq String.compare (List.map fst per_country) in
   { rows; ranking = rank index rows ccs; inc = None }
 
-let make ~fingerprint ?(scored = []) datasets =
+let make ?fingerprint:_ ?(scored = []) datasets =
   let countries = match datasets with (_, ds) :: _ -> D.countries ds | [] -> [] in
   let names = List.map fst datasets @ List.map fst scored in
   let index = Tbl.create 256 in
@@ -137,11 +135,9 @@ let make ~fingerprint ?(scored = []) datasets =
             by_layer;
           slots))
     scored;
-  { fingerprint; countries; datasets; names; loaded = String.concat ", " names; epochs; index }
+  { countries; names; loaded = String.concat ", " names; epochs; index }
 
-let fingerprint t = t.fingerprint
 let countries t = t.countries
-let datasets t = t.datasets
 let epochs t = t.names
 
 (* A no-op: [make] already builds every table.  Kept for callers written

@@ -16,23 +16,18 @@ val scored_of_log :
     log (countries without a labelled site are left out). *)
 
 val make :
-  fingerprint:string ->
+  ?fingerprint:string ->
   ?scored:(string * (Webdep.Dataset.layer * (string * score_row) list) list) list ->
   (string * Webdep.Dataset.t) list ->
   t
 (** Build every answer table: the measured epochs from their datasets
     (their provider tallies answer top-k), then the scores-only epochs.
     A repeated epoch name, or a repeated layer within a scores-only
-    epoch, keeps the one loaded first. *)
-
-val fingerprint : t -> string
-(** The world fingerprint [make] was given, written into snapshots. *)
+    epoch, keeps the one loaded first.  [fingerprint] is ignored; it is
+    accepted for callers written when the state carried one. *)
 
 val countries : t -> string list
 (** The first dataset's countries, in its order. *)
-
-val datasets : t -> (string * Webdep.Dataset.t) list
-(** The measured inputs, as given to [make]. *)
 
 val epochs : t -> string list
 (** Every loaded epoch name in load order, repeats included. *)

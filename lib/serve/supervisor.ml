@@ -3,9 +3,10 @@
    [supervise] forks the server into a child process and restarts it on
    abnormal exit with exponential backoff (reusing the [Retry] backoff
    curve, jitter included), so a crashed daemon comes back by itself —
-   and, combined with a [--snapshot] path, comes back *warm*.  A
-   crash-loop detector bounds the damage: more than [restart_limit]
-   abnormal exits inside a sliding [window_s] window means the crash is
+   and, combined with a [--checkpoint] path, comes back without
+   re-measuring the shards its predecessor finished.  A crash-loop
+   detector bounds the damage: more than [restart_limit] abnormal
+   exits inside a sliding [window_s] window means the crash is
    deterministic (bad flags, corrupt state, port taken) and restarting
    is noise — the supervisor gives up with a distinct exit code.
 

@@ -1,5 +1,6 @@
-(** World fingerprints: the parameters that key the validity of a file
-    holding measured sites — sweep checkpoints and serve snapshots.
+(** World fingerprints: the parameters that key the validity of the
+    file holding measured sites, the sweep checkpoint ([scores],
+    [profile] and [serve] share its format).
 
     A run may reuse such a file only when every parameter that shapes a
     measured site record is identical: the world seed and toplist size
@@ -8,7 +9,8 @@
     world derives its sites from those ({!derivation}), and the
     fault-injection parameters (which fix per-site verdicts and retry
     outcomes).  Vantage, resolution mode and epoch vary {e within} one
-    world; a checkpoint header adds them next to these fields. *)
+    world; a checkpoint header adds vantage and resolution next to these
+    fields, and each checkpoint record carries its epoch. *)
 
 type t = {
   world_seed : int;
@@ -38,6 +40,5 @@ val v :
   t
 
 val to_meta : t -> (string * Webdep_json.t) list
-(** Header fields in a fixed order — checkpoints and serve snapshots
-    compare serialized headers byte-for-byte, so the order is part of
-    the format. *)
+(** Header fields in a fixed order — checkpoints compare serialized
+    headers byte-for-byte, so the order is part of the format. *)

@@ -48,7 +48,7 @@ val seed : t -> int
 
 val geo_accuracy : t -> float
 (** The accuracy the world was created with — part of the world
-    fingerprint that keys checkpoints and serve snapshots. *)
+    fingerprint that keys sweep checkpoints. *)
 
 val countries : t -> string list
 (** The 150 dataset countries, by code. *)

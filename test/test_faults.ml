@@ -411,6 +411,42 @@ let test_checkpoint_roundtrip () =
       Alcotest.(check bool) (at "every country resumed") true (all_resumed resumed))
     [ 1; 2 ]
 
+(* The sweeps of both epochs append to one file: the 2025 sweep keeps
+   the 2023 shards instead of discarding them, a re-run of either epoch
+   resumes every shard, and a wider country list resumes the overlap. *)
+let test_checkpoint_epochs_share_one_file () =
+  with_temp_file @@ fun path ->
+  let world = Lazy.force world in
+  let sweep ?(countries = sample) epoch =
+    Measure.measure_sweep ~epoch ~countries ~checkpoint:path world
+  in
+  let first = List.map (fun e -> (e, sweep e)) [ World.May_2023; World.May_2025 ] in
+  let s25 = List.assoc World.May_2025 first in
+  Alcotest.(check bool) "the 2025 sweep resumed nothing" true (none_resumed s25);
+  Alcotest.(check bool) "the 2025 sweep = measure_all" true
+    (datasets_equal (Measure.measure_all ~epoch:World.May_2025 ~countries:sample world)
+       s25.Measure.dataset);
+  List.iter
+    (fun (e, (s : Measure.sweep)) ->
+      let again = sweep e in
+      let at what = Printf.sprintf "%s re-run: %s" (World.epoch_name e) what in
+      Alcotest.(check bool) (at "every shard resumed") true (all_resumed again);
+      Alcotest.(check bool) (at "identical") true
+        (datasets_equal s.Measure.dataset again.Measure.dataset))
+    first;
+  let wider = sample @ [ "JP" ] in
+  List.iter
+    (fun e ->
+      let s = sweep ~countries:wider e in
+      let at what = Printf.sprintf "%s over sample + JP: %s" (World.epoch_name e) what in
+      Alcotest.(check (list (pair string bool))) (at "the overlap resumed")
+        (List.map (fun cc -> (cc, cc <> "JP")) wider)
+        (List.map (fun (cv : Measure.country_coverage) -> (cv.Measure.cc, cv.Measure.resumed))
+           s.Measure.coverage);
+      Alcotest.(check bool) (at "= measure_all") true
+        (datasets_equal (Measure.measure_all ~epoch:e ~countries:wider world) s.Measure.dataset))
+    [ World.May_2023; World.May_2025 ]
+
 (* A checkpoint header without [world_derivation] is one written before
    [World.create] fixed the registration walk: its sites were geolocated
    in the order that world first met each provider, so the sweep must
@@ -598,5 +634,7 @@ let () =
             test_checkpoint_geo_accuracy_mismatch_discards;
           Alcotest.test_case "call-order header refused" `Quick
             test_checkpoint_call_order_refused;
+          Alcotest.test_case "epochs share one file" `Quick
+            test_checkpoint_epochs_share_one_file;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* webdep_faults.Segment, the one on-disk format, and the three schemas
-   on top of it: sweep checkpoint, serve snapshot and epoch churn log.
+(* webdep_faults.Segment, the one on-disk format, and the two schemas
+   on top of it: sweep checkpoint and epoch churn log.
 
    - the framing: atomic writes, appends, header refusal, CRC-32
      known answers;
@@ -7,13 +7,13 @@
      boundary and in the middle of every record, and has one byte
      flipped per record; each load must keep a committed prefix and flag
      the damage;
-   - one fuzzer over the reader and the payload codec: mutated or
-     truncated bytes only ever produce the typed verdicts. *)
+   - one fuzzer over the reader, the payload codec and the checkpoint's
+     record decoder: mutated or truncated bytes only ever produce the
+     typed verdicts. *)
 
 module Segment = Webdep_faults.Segment
 module Checkpoint = Webdep_faults.Checkpoint
 module Degrade = Webdep_faults.Degrade
-module Snapshot = Webdep_serve.Snapshot
 module Log = Webdep_epoch.Log
 module World = Webdep_worldgen.World
 module Measure = Webdep_pipeline.Measure
@@ -228,41 +228,23 @@ let test_enumerate_log () =
             log.Log.dropped
       | _ -> Alcotest.fail (d.what ^ ": unexpected verdict"))
 
-(* Snapshot: the header declares the shard count, so any loss shows. *)
-let test_enumerate_snapshot () =
+(* Checkpoint: reopening resumes exactly the intact (epoch, country)
+   shards, of both epochs alike, and leaves a file with no torn tail. *)
+let test_enumerate_checkpoint () =
   let ds23, ds25 = Lazy.force fixture in
-  let datasets = [ ("2023-05", ds23); ("2025-05", ds25) ] in
-  let countries = D.countries ds23 in
-  let shards =
+  let entries =
     List.concat_map
       (fun (epoch, ds) ->
-        List.map (fun cc -> { Snapshot.epoch; data = D.country_exn ds cc }) countries)
-      datasets
-  in
-  let path = temp_path () in
-  Snapshot.save ~path ~fingerprint:"fp" datasets;
-  for_each_damage path (fun d ->
-      match Snapshot.load ~path ~fingerprint:"fp" ~countries with
-      | Snapshot.Rejected when d.intact = 0 -> ()
-      | Snapshot.Loaded got when d.intact = List.length shards + 1 ->
-          Alcotest.(check bool) (d.what ^ ": all shards") true (got = shards)
-      | Snapshot.Torn got when d.intact > 0 && d.intact <= List.length shards ->
-          Alcotest.(check bool) (d.what ^ ": intact shards") true
-            (got = take (d.intact - 1) shards)
-      | _ -> Alcotest.fail (d.what ^ ": unexpected verdict"))
-
-(* Checkpoint: reopening resumes exactly the intact countries. *)
-let test_enumerate_checkpoint () =
-  let ds23, _ = Lazy.force fixture in
-  let entries =
-    List.mapi
-      (fun i cc ->
-        {
-          Checkpoint.country = cc;
-          tally = { Degrade.clean = 40 - i; degraded = i; failed = 1 };
-          data = D.country_exn ds23 cc;
-        })
-      (D.countries ds23)
+        List.mapi
+          (fun i cc ->
+            {
+              Checkpoint.epoch;
+              country = cc;
+              tally = { Degrade.clean = 40 - i; degraded = i; failed = 1 };
+              data = D.country_exn ds cc;
+            })
+          (D.countries ds))
+      [ ("2023-05", ds23); ("2025-05", ds25) ]
   in
   let meta = [ ("seed", Webdep_json.Int 1) ] in
   let path = temp_path () in
@@ -271,12 +253,18 @@ let test_enumerate_checkpoint () =
   for_each_damage path (fun d ->
       let cp = Checkpoint.open_ ~path ~meta in
       let resumed = max 0 (d.intact - 1) in
-      Alcotest.(check int) (d.what ^ ": resumed") resumed (Checkpoint.loaded cp);
       List.iteri
         (fun i (e : Checkpoint.entry) ->
-          Alcotest.(check bool) (d.what ^ ": entry " ^ e.Checkpoint.country) true
-            (Checkpoint.find cp e.Checkpoint.country = if i < resumed then Some e else None))
-        entries)
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: entry %s %s" d.what e.Checkpoint.epoch e.Checkpoint.country)
+            true
+            (Checkpoint.find cp ~epoch:e.Checkpoint.epoch e.Checkpoint.country
+            = if i < resumed then Some e else None))
+        entries;
+      match Segment.fold ~path ~init:(fun _ -> Some 0) ~f:(fun n _ -> Some (n + 1)) with
+      | Segment.Folded { acc; torn = false } ->
+          Alcotest.(check int) (d.what ^ ": records kept") resumed acc
+      | _ -> Alcotest.fail (d.what ^ ": reopened file still damaged"))
 
 (* --- fuzzing -------------------------------------------------------------- *)
 
@@ -368,6 +356,62 @@ let qcheck_fold =
       | Segment.Header_mismatch -> true
       | Segment.Folded { acc; torn = _ } -> List.rev acc = take (List.length acc) records)
 
+(* Checkpoints of both epochs: a mutated file opens to a subset of the
+   entries written.  The CRC stops mutated bytes before the record
+   decoder sees them, so the same mutation is also applied to one
+   record's payload and the file rewritten with valid CRCs: the decoder
+   then answers an absence or an entry of the key asked for.  Neither
+   raises. *)
+let gen_entry =
+  let open QCheck.Gen in
+  oneofl [ "2023-05"; "2025-05" ] >>= fun epoch ->
+  oneofl [ "US"; "DE"; "BR" ] >>= fun country ->
+  list_size (int_range 0 4) gen_site >>= fun sites ->
+  triple (int_bound 1000) (int_bound 1000) (int_bound 1000) >|= fun (clean, degraded, failed) ->
+  {
+    Checkpoint.epoch;
+    country;
+    tally = { Degrade.clean; degraded; failed };
+    data = { D.country; sites };
+  }
+
+let qcheck_checkpoint =
+  QCheck.Test.make ~count:300 ~name:"checkpoint: mutated files open to a subset of the entries"
+    QCheck.(
+      make
+        ~print:(fun (es, m, in_payload) ->
+          Printf.sprintf "%d entries, %s%s" (List.length es) (print_mutation m)
+            (if in_payload then " in one payload" else ""))
+        Gen.(triple (list_size (int_range 0 6) gen_entry) gen_mutation bool))
+    (fun (entries, m, in_payload) ->
+      let path = temp_path () in
+      let meta = [ ("seed", Webdep_json.Int 1) ] in
+      List.iter (Checkpoint.record (Checkpoint.open_ ~path ~meta)) entries;
+      (if in_payload then
+         match
+           Segment.fold ~path
+             ~init:(fun h -> Some (h, []))
+             ~f:(fun (h, rs) r -> Some (h, r :: rs))
+         with
+         | Segment.Folded { acc = header, (_ :: _ as rev); torn = false } ->
+             let records = List.rev rev in
+             let k = (match m with Flip i | Truncate i | Poison i -> i) mod List.length records in
+             Segment.write ~path ~header
+               (List.mapi (fun i r -> if i = k then mutate r m else r) records)
+         | _ -> ()
+       else Frames.write path (mutate (Frames.read path) m));
+      let cp = Checkpoint.open_ ~path ~meta in
+      Sys.remove path;
+      List.for_all
+        (fun (e : Checkpoint.entry) ->
+          match Checkpoint.find cp ~epoch:e.Checkpoint.epoch e.Checkpoint.country with
+          | None -> true
+          | Some got when in_payload ->
+              got.Checkpoint.epoch = e.Checkpoint.epoch
+              && got.Checkpoint.country = e.Checkpoint.country
+          | Some got -> List.mem got entries)
+        entries)
+
 let () =
   Webdep_obs.Reporter.setup ~level:Logs.Error ();
   Alcotest.run "webdep_segment"
@@ -384,9 +428,12 @@ let () =
       ( "crash points",
         [
           Alcotest.test_case "epoch log" `Quick test_enumerate_log;
-          Alcotest.test_case "snapshot" `Quick test_enumerate_snapshot;
           Alcotest.test_case "checkpoint" `Quick test_enumerate_checkpoint;
         ] );
       ( "fuzz",
-        [ QCheck_alcotest.to_alcotest qcheck_codec; QCheck_alcotest.to_alcotest qcheck_fold ] );
+        [
+          QCheck_alcotest.to_alcotest qcheck_codec;
+          QCheck_alcotest.to_alcotest qcheck_fold;
+          QCheck_alcotest.to_alcotest qcheck_checkpoint;
+        ] );
     ]

@@ -12,7 +12,6 @@ module P = Webdep_serve.Protocol
 module State = Webdep_serve.State
 module Server = Webdep_serve.Server
 module Client = Webdep_serve.Client
-module Snapshot = Webdep_serve.Snapshot
 module Chaos = Webdep_serve.Chaos
 module Supervisor = Webdep_serve.Supervisor
 module FP = Webdep_faults.Fault_plan
@@ -307,12 +306,16 @@ let test_parse_query () =
 
 let test_countries = [ "US"; "DE"; "JP"; "BR" ]
 
-let state =
+let world = lazy (World.create ~c:60 ~seed:2024 ())
+
+let datasets =
   lazy
-    (let world = World.create ~c:60 ~seed:2024 () in
+    (let world = Lazy.force world in
      let ds23 = Measure.measure_all ~countries:test_countries world in
      let ds25 = Measure.measure_all ~epoch:World.May_2025 ~countries:test_countries world in
-     State.make ~fingerprint:"test-world-60" [ ("2023-05", ds23); ("2025-05", ds25) ])
+     [ ("2023-05", ds23); ("2025-05", ds25) ])
+
+let state = lazy (State.make (Lazy.force datasets))
 
 let sample_requests () =
   [ P.Ping;
@@ -402,16 +405,13 @@ let test_answer_matches_cold () =
    ranking and delta answer from the per-country float tables; queries
    that need provider tallies error clearly instead of lying. *)
 let test_scored_epochs () =
-  let st0 = Lazy.force state in
   let rows =
     [ ( "e2",
         [ ( D.Hosting,
             [ ("US", { State.s = 0.5; hhi = 0.6; insularity = 0.25 });
               ("DE", { State.s = 0.4; hhi = 0.5; insularity = 0.5 }) ] ) ] ) ]
   in
-  let st =
-    State.make ~fingerprint:"test-world-60" ~scored:rows (State.datasets st0)
-  in
+  let st = State.make ~scored:rows (Lazy.force datasets) in
   (match State.answer st P.Epochs with
   | P.Epoch_list names ->
       Alcotest.(check bool) "scored epoch listed" true (List.mem "e2" names)
@@ -486,7 +486,7 @@ let grid_inputs () =
 
 let test_state_matches_reference () =
   let datasets, scored = grid_inputs () in
-  let st = State.make ~fingerprint:"grid" ~scored datasets in
+  let st = State.make ~scored datasets in
   let rf = State_reference.make ~scored datasets in
   let epochs =
     List.sort_uniq String.compare (List.map fst datasets @ List.map fst scored) @ [ "e99"; "" ]
@@ -602,14 +602,13 @@ let temp_socket () =
   Sys.remove path;
   path
 
-let start_server ?(max_queue = 64) ?(drain_delay_s = 0.0) ?snapshot path =
+let start_server ?(max_queue = 64) ?(drain_delay_s = 0.0) path =
   let st = Lazy.force state in
   let ready = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
         Server.run
           ~on_ready:(fun () -> Atomic.set ready true)
-          ?snapshot
           (Server.config ~max_queue ~drain_delay_s path)
           st)
   in
@@ -831,104 +830,48 @@ let qcheck_frame_fuzz =
       | exception P.Protocol_error _ -> true
       | exception _ -> false)
 
-(* --- snapshots ------------------------------------------------------------ *)
-
-let snapshot_path () =
-  let p = Filename.temp_file "webdep_snap_test" ".bin" in
-  Sys.remove p;
-  p
+(* --- checkpoint restart ----------------------------------------------------- *)
 
 let answers st reqs = List.map (fun r -> P.encode_response (State.answer st r)) reqs
 
-let test_snapshot_roundtrip () =
-  let st = Lazy.force state in
-  let path = snapshot_path () in
-  Snapshot.save ~path ~fingerprint:"test-world-60" (State.datasets st);
-  (match Snapshot.load ~path ~fingerprint:"test-world-60" ~countries:test_countries with
-  | Snapshot.Loaded shards ->
-      Alcotest.(check int) "2 epochs x 4 countries" 8 (List.length shards);
-      let datasets =
-        Snapshot.to_datasets
-          ~epochs:[ "2023-05"; "2025-05" ]
-          ~countries:test_countries
-          ~fill:(fun _ _ -> Alcotest.fail "complete snapshot must not re-measure")
-          shards
-      in
-      let st' = State.make ~fingerprint:"test-world-60" datasets in
-      let reqs = List.filter (fun r -> r <> P.Shutdown) (sample_requests ()) in
-      Alcotest.(check (list string))
-        "restored state answers byte-identical" (answers st reqs) (answers st' reqs)
-  | _ -> Alcotest.fail "expected Loaded");
-  Sys.remove path
-
-let test_snapshot_rejects () =
-  let st = Lazy.force state in
-  let path = snapshot_path () in
-  Alcotest.(check bool) "absent"
-    true
-    (Snapshot.load ~path ~fingerprint:"test-world-60" ~countries:test_countries
-     = Snapshot.Absent);
-  Snapshot.save ~path ~fingerprint:"test-world-60" (State.datasets st);
-  Alcotest.(check bool) "fingerprint mismatch rejected" true
-    (Snapshot.load ~path ~fingerprint:"other-world" ~countries:test_countries
-     = Snapshot.Rejected);
-  Alcotest.(check bool) "countries mismatch rejected" true
-    (Snapshot.load ~path ~fingerprint:"test-world-60" ~countries:[ "US"; "DE" ]
-     = Snapshot.Rejected);
-  (* A file that is not a snapshot at all. *)
-  let oc = open_out path in
-  output_string oc "this is not a snapshot";
-  close_out oc;
-  Alcotest.(check bool) "garbage file rejected" true
-    (Snapshot.load ~path ~fingerprint:"test-world-60" ~countries:test_countries
-     = Snapshot.Rejected);
-  Sys.remove path
-
-let test_snapshot_torn_tail () =
-  let st = Lazy.force state in
-  let path = snapshot_path () in
-  Snapshot.save ~path ~fingerprint:"test-world-60" (State.datasets st);
-  let full = In_channel.with_open_bin path In_channel.input_all in
-  (* Truncate to 60%: the header and a prefix of shards survive. *)
-  let cut = String.length full * 6 / 10 in
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (String.sub full 0 cut));
-  (match Snapshot.load ~path ~fingerprint:"test-world-60" ~countries:test_countries with
-  | Snapshot.Torn shards ->
-      Alcotest.(check bool) "some shards recovered" true (List.length shards > 0);
-      Alcotest.(check bool) "not all shards recovered" true (List.length shards < 8);
-      (* Every recovered shard is bit-identical to the original data. *)
-      let orig = State.datasets (Lazy.force state) in
-      List.iter
-        (fun (sh : Snapshot.shard) ->
-          let ds = List.assoc sh.Snapshot.epoch orig in
-          Alcotest.(check bool)
-            ("shard intact: " ^ sh.Snapshot.data.D.country)
-            true
-            (D.country_exn ds sh.Snapshot.data.D.country = sh.Snapshot.data))
-        shards
-  | _ -> Alcotest.fail "expected Torn");
-  (* Flip one byte mid-file: CRC catches it, the poisoned suffix is
-     dropped, the prefix survives. *)
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc full);
-  let b = Bytes.of_string full in
-  let mid = Bytes.length b / 2 in
-  Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0x40));
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (Bytes.to_string b));
-  (match Snapshot.load ~path ~fingerprint:"test-world-60" ~countries:test_countries with
-  | Snapshot.Torn _ -> ()
-  | Snapshot.Loaded _ -> Alcotest.fail "flipped byte must not load clean"
-  | _ -> Alcotest.fail "expected Torn after bit flip");
-  Sys.remove path
+(* The daemon's start: both epochs swept through one checkpoint.  The
+   first start writes every shard; a restart resumes all of them and
+   answers with the bytes of the cold-measured fixture. *)
+let test_checkpoint_restart () =
+  let path = Filename.temp_file "webdep_serve_test" ".ckpt" in
+  Sys.remove path;
+  let start () =
+    let sweeps =
+      List.map
+        (fun e ->
+          ( World.epoch_name e,
+            Measure.measure_sweep ~epoch:e ~countries:test_countries ~checkpoint:path
+              (Lazy.force world) ))
+        [ World.May_2023; World.May_2025 ]
+    in
+    ( State.make (List.map (fun (name, sw) -> (name, sw.Measure.dataset)) sweeps),
+      List.concat_map
+        (fun (_, sw) ->
+          List.map (fun (cv : Measure.country_coverage) -> cv.resumed) sw.Measure.coverage)
+        sweeps )
+  in
+  let _, first = start () in
+  Alcotest.(check (list bool)) "first start resumed nothing" (List.init 8 (fun _ -> false))
+    first;
+  let st, resumed = start () in
+  Sys.remove path;
+  Alcotest.(check (list bool)) "restart resumed all 8 shards" (List.init 8 (fun _ -> true))
+    resumed;
+  Alcotest.(check (list string))
+    "restarted state answers byte-identical"
+    (answers (Lazy.force state) (sample_requests ()))
+    (answers st (sample_requests ()))
 
 (* --- graceful drain ------------------------------------------------------- *)
 
 let test_drain () =
-  let st = Lazy.force state in
   let path = temp_socket () in
-  let snap = snapshot_path () in
-  let d = start_server ~snapshot:snap path in
+  let d = start_server path in
   let cl = Client.connect path in
   (match Client.request cl P.Ping with
   | P.Pong -> ()
@@ -950,13 +893,7 @@ let test_drain () =
   drain_reply 100;
   Domain.join d;
   Client.close cl;
-  Alcotest.(check bool) "socket removed after drain" false (Sys.file_exists path);
-  (* The drain persisted a loadable snapshot. *)
-  (match Snapshot.load ~path:snap ~fingerprint:"test-world-60" ~countries:test_countries with
-  | Snapshot.Loaded shards -> Alcotest.(check int) "snapshot complete" 8 (List.length shards)
-  | _ -> Alcotest.fail "drain must write a loadable snapshot");
-  Sys.remove snap;
-  ignore st
+  Alcotest.(check bool) "socket removed after drain" false (Sys.file_exists path)
 
 (* --- client retry budget -------------------------------------------------- *)
 
@@ -1128,7 +1065,7 @@ let () =
           Alcotest.test_case "daemon = one-shot round-trip" `Quick test_server_roundtrip;
           Alcotest.test_case "load shedding" `Quick test_load_shedding;
           Alcotest.test_case "json-lines debug mode" `Quick test_json_lines_mode;
-          Alcotest.test_case "graceful drain + snapshot" `Quick test_drain;
+          Alcotest.test_case "graceful drain" `Quick test_drain;
           Alcotest.test_case "oversized request answered, loop survives" `Quick
             test_oversized_request;
           Alcotest.test_case "JSON line past max_payload refused" `Quick test_json_line_cap;
@@ -1138,11 +1075,10 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_mutation_fuzz;
           QCheck_alcotest.to_alcotest qcheck_frame_fuzz;
         ] );
-      ( "snapshot",
+      ( "checkpoint",
         [
-          Alcotest.test_case "round-trip" `Quick test_snapshot_roundtrip;
-          Alcotest.test_case "rejects" `Quick test_snapshot_rejects;
-          Alcotest.test_case "torn tail" `Quick test_snapshot_torn_tail;
+          Alcotest.test_case "restart answers byte-identical" `Quick
+            test_checkpoint_restart;
         ] );
       ( "client",
         [ Alcotest.test_case "retry budget" `Quick test_client_call_retry ] );
