@@ -598,22 +598,26 @@ let epoch_arg =
    per committed epoch: a few floats per (layer, country) — cheap enough
    to keep every epoch addressable — answering score/ranking/delta while
    tally-backed queries keep needing a measured epoch.  Scored epochs
-   ride alongside the measured ones. *)
+   ride alongside the measured ones.  A log whose records do not apply
+   is refused like one with a foreign header. *)
 let scored_epochs_of_log path =
+  let unusable msg =
+    Printf.eprintf "webdep serve: epoch log %s unusable (%s), ignoring\n%!" path msg;
+    []
+  in
   match Webdep_epoch.Log.load ~path with
   | Webdep_epoch.Log.Absent ->
       Printf.eprintf "webdep serve: epoch log %s absent, ignoring\n%!" path;
       []
-  | Webdep_epoch.Log.Mismatch msg ->
-      Printf.eprintf "webdep serve: epoch log %s unusable (%s), ignoring\n%!"
-        path msg;
-      []
-  | Webdep_epoch.Log.Loaded log ->
-      let scored = Serve.State.scored_of_log log in
-      Printf.eprintf "webdep serve: epoch log %s: %d scored epochs (e%d..e%d)\n%!"
-        path (List.length scored)
-        log.Webdep_epoch.Log.base_epoch log.Webdep_epoch.Log.head;
-      scored
+  | Webdep_epoch.Log.Mismatch msg -> unusable msg
+  | Webdep_epoch.Log.Loaded log -> (
+      match Serve.State.scored_of_log log with
+      | exception Invalid_argument msg -> unusable msg
+      | scored ->
+          Printf.eprintf "webdep serve: epoch log %s: %d scored epochs (e%d..e%d)\n%!"
+            path (List.length scored)
+            log.Webdep_epoch.Log.base_epoch log.Webdep_epoch.Log.head;
+          scored)
 
 (* The daemon's state: both measured epochs, swept the way [scores]
    sweeps one.  With [?checkpoint], each epoch resumes the shards the
@@ -733,6 +737,9 @@ let run_serve () listen seed c countries max_queue checkpoint epoch_log supervis
       serve_state ?checkpoint ?epoch_log ~seed ~c
         ?countries:(normalize_countries countries) ()
     in
+    (* The pool served the sweeps and the replay; the loop never uses
+       it, and an idle lane would still join every minor collection. *)
+    Webdep_par.shutdown ();
     let cfg = Serve.Server.config ~max_queue listen in
     Serve.Server.run ~handle_signals:true
       ~on_ready:(fun () ->
@@ -768,7 +775,8 @@ let serve_cmd =
           provider tallies of both measured epochs for top-k queries.  \
           It then answers queries on a Unix or loopback-TCP socket.  \
           Requests are drained and answered in batches of up to 256 on \
-          one loop; $(b,--jobs) sizes only the start-up sweep.  Past \
+          one loop; $(b,--jobs) sizes only the start-up sweeps and the \
+          churn-log replay, and the pool is released before listening.  Past \
           $(b,--max-queue) pending requests the daemon replies \
           $(i,overloaded) immediately instead of queueing without bound.  \
           Replies are cached by request in two generations of 131 072 \
@@ -883,23 +891,27 @@ let run_epochs () log_path n_epochs churn layer verify compact_keep rebuild
     Printf.printf "built %s: %d-country baseline + %d epochs at %.1f%% churn\n"
       log_path (List.length base) n_epochs (100.0 *. churn)
   end;
+  let unusable msg =
+    Printf.eprintf "webdep epochs: log %s unusable: %s\n" log_path msg;
+    exit 1
+  in
   match Epoch.Log.load ~path:log_path with
   | Epoch.Log.Absent ->
       Printf.eprintf "webdep epochs: log %s does not exist\n" log_path;
       exit 1
-  | Epoch.Log.Mismatch msg ->
-      Printf.eprintf "webdep epochs: log %s unusable: %s\n" log_path msg;
-      exit 1
+  | Epoch.Log.Mismatch msg -> unusable msg
   | Epoch.Log.Loaded log ->
       if log.Epoch.Log.dropped then
         Printf.eprintf
           "webdep epochs: %s: torn or uncommitted tail dropped, head is e%d\n"
           log_path log.Epoch.Log.head;
+      let head, trend =
+        try Epoch.Trend.of_log log layer with Invalid_argument msg -> unusable msg
+      in
       Printf.printf "log %s: base e%d, head e%d, %d committed epochs, layer %s\n"
         log_path log.Epoch.Log.base_epoch log.Epoch.Log.head
         (List.length log.Epoch.Log.events)
         (Scores.layer_name layer);
-      let head, trend = Epoch.Trend.of_log log layer in
       print_string (Epoch.Trend.render trend);
       if verify then begin
         (* Bit-identity of the replayed head against a cold sweep of the

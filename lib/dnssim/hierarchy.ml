@@ -44,22 +44,23 @@ let build db =
   let auth_addrs = Hashtbl.create 4096 in
   let roots = List.init 13 (fun i -> Ipv4.nth_addr root_block (i + 1)) in
   List.iter (fun a -> Hashtbl.replace roles (Ipv4.addr_to_int a) Root) roots;
-  (* One TLD zone per distinct TLD, two servers each. *)
+  (* One TLD zone per distinct TLD, two servers each, numbered in label
+     order: server addresses (which fault plans key on) then depend only
+     on the records, not on the zone table's capacity or insertion
+     order. *)
   Zone_db.fold_domains
-    (fun domain _ns _a () ->
-      let label = tld_of domain in
-      if not (Hashtbl.mem tlds label) then begin
-        Hashtbl.replace tlds label ();
-        let index = Hashtbl.length tlds in
-        let addrs =
-          [ Ipv4.nth_addr tld_block (2 * index); Ipv4.nth_addr tld_block ((2 * index) + 1) ]
-        in
-        Hashtbl.replace tld_servers label addrs;
-        List.iter
-          (fun a -> Hashtbl.replace roles (Ipv4.addr_to_int a) (Tld_server label))
-          addrs
-      end)
+    (fun domain _ns _a () -> Hashtbl.replace tlds (tld_of domain) ())
     db ();
+  let labels = List.sort String.compare (Hashtbl.fold (fun l () acc -> l :: acc) tlds []) in
+  List.iteri
+    (fun i label ->
+      let index = i + 1 in
+      let addrs =
+        [ Ipv4.nth_addr tld_block (2 * index); Ipv4.nth_addr tld_block ((2 * index) + 1) ]
+      in
+      Hashtbl.replace tld_servers label addrs;
+      List.iter (fun a -> Hashtbl.replace roles (Ipv4.addr_to_int a) (Tld_server label)) addrs)
+    labels;
   (* Every glue host is an authoritative server at its addresses. *)
   Zone_db.fold_hosts
     (fun host _answer () ->

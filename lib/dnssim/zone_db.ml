@@ -56,7 +56,8 @@ type t = {
   hosts : (string, answer * cooked) Hashtbl.t;
 }
 
-let create () = { domains = Hashtbl.create 65536; hosts = Hashtbl.create 65536 }
+let create ?(domains = 16) ?(hosts = 16) () =
+  { domains = Hashtbl.create domains; hosts = Hashtbl.create hosts }
 
 let add_domain t ~domain ~ns_hosts ~a =
   Hashtbl.replace t.domains domain { ns_hosts; a; cooked = cook a; cname = None }

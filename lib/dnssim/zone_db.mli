@@ -18,7 +18,10 @@ type answer =
 
 type t
 
-val create : unit -> t
+val create : ?domains:int -> ?hosts:int -> unit -> t
+(** An empty database sized for [domains] domain entries (aliases and
+    their CNAME targets each count) and [hosts] glue hosts, 16 each by
+    default.  The sizes are hints: the tables grow past them. *)
 
 val add_domain : t -> domain:string -> ns_hosts:string list -> a:answer -> unit
 (** Register authoritative data for [domain]; replaces existing data. *)

@@ -20,7 +20,6 @@
 module D = Webdep.Dataset
 module Inc = Webdep_store.Incremental
 
-let m_epochs = Webdep_obs.Metrics.counter "epoch.replay.epochs"
 let m_removed = Webdep_obs.Metrics.counter "epoch.replay.sites_removed"
 let m_added = Webdep_obs.Metrics.counter "epoch.replay.sites_added"
 
@@ -126,8 +125,7 @@ let apply t (ev : Log.event) =
           Inc.apply inc ~country:c.Log.country ~added:c.Log.added ~removed)
         t.incs)
     edits;
-  t.epoch <- ev.Log.epoch;
-  Webdep_obs.Metrics.incr m_epochs
+  t.epoch <- ev.Log.epoch
 
 let inc t layer = List.assoc layer t.incs
 

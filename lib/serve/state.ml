@@ -48,26 +48,70 @@ type t = {
   index : int Tbl.t;  (* country -> its cell in every table's [rows] *)
 }
 
-(* The scores-only epochs of a churn log, one per committed epoch and
-   named "e<k>": every country's S/HHI/insularity per layer, read off
-   [Replay] as it folds the log (countries without a labelled site are
-   left out). *)
-let scored_of_log log =
-  let module R = Webdep_epoch.Replay in
+(* --- churn-log epochs ------------------------------------------------------ *)
+
+module Log = Webdep_epoch.Log
+module Replay = Webdep_epoch.Replay
+
+(* Every observed epoch of a replay of [log], named "e<k>", with each
+   layer's rows in the replay's baseline order (countries without a
+   labelled site left out). *)
+let replay_rows log =
   let acc = ref [] in
   let observe r =
     let rows l =
       List.filter_map
         (fun cc ->
-          match R.score r l cc with
-          | s -> Some (cc, { s; hhi = R.hhi r l cc; insularity = R.insularity r l cc })
+          match Replay.score r l cc with
+          | s -> Some (cc, { s; hhi = Replay.hhi r l cc; insularity = Replay.insularity r l cc })
           | exception Not_found -> None)
-        (R.countries r)
+        (Replay.countries r)
     in
-    acc := (Printf.sprintf "e%d" (R.epoch r), List.map (fun l -> (l, rows l)) layers) :: !acc
+    acc := (Printf.sprintf "e%d" (Replay.epoch r), List.map (fun l -> (l, rows l)) layers) :: !acc
   in
-  ignore (R.replay ~observe log);
-  List.rev !acc
+  ignore (Replay.replay ~observe log);
+  Array.of_list (List.rev !acc)
+
+(* [log] as [n] sub-logs, one per contiguous run of the baseline's
+   countries (a single one when a country repeats).  Each keeps every
+   epoch, holding only its countries' records, so each observes every
+   epoch.  The first also takes the records of countries outside the
+   baseline: its replay refuses them, as the whole log's would. *)
+let split_log n (log : Log.t) =
+  let ccs = List.map (fun (cd : D.country_data) -> cd.D.country) log.Log.base in
+  let len = List.length ccs in
+  let n = if List.length (List.sort_uniq String.compare ccs) < len then 1 else max 1 (min n len) in
+  let group = Hashtbl.create len in
+  List.iteri (fun i cc -> Hashtbl.replace group cc (i * n / len)) ccs;
+  let group_of cc = Option.value (Hashtbl.find_opt group cc) ~default:0 in
+  List.init n (fun g ->
+      let mine cc = group_of cc = g in
+      let event (ev : Log.event) =
+        let changes = List.filter (fun (c : Log.churn) -> mine c.Log.country) ev.Log.changes in
+        { ev with Log.changes }
+      in
+      {
+        log with
+        Log.base = List.filter (fun (cd : D.country_data) -> mine cd.D.country) log.Log.base;
+        events = List.map event log.Log.events;
+      })
+
+(* Countries are independent in [Replay], so replaying the sub-logs on
+   the pool and concatenating each epoch's rows in group order gives the
+   whole log's rows bit for bit.  A replay error re-runs the log as one
+   group, so the error raised is the sequential replay's at any
+   [--jobs]. *)
+let scored_of_log log =
+  let in_groups n =
+    let groups = Webdep_par.map replay_rows (split_log n log) in
+    let rows i l = List.concat_map (fun g -> List.assoc l (snd g.(i))) groups in
+    List.mapi
+      (fun i (name, by_layer) -> (name, List.map (fun (l, _) -> (l, rows i l)) by_layer))
+      (Array.to_list (List.hd groups))
+  in
+  match Webdep_par.jobs () with
+  | 1 -> in_groups 1
+  | n -> ( try in_groups n with Invalid_argument _ -> in_groups 1)
 
 (* The ranking of [ccs] that have a row. *)
 let rank index rows ccs =

@@ -13,7 +13,12 @@ val scored_of_log :
   (string * (Webdep.Dataset.layer * (string * score_row) list) list) list
 (** The scores-only epochs of a churn log, one per committed epoch and
     named ["e<k>"]: every country's row per layer, as [Replay] folds the
-    log (countries without a labelled site are left out). *)
+    log (countries without a labelled site are left out).  The log is
+    replayed in one group of countries per [Webdep_par] lane, each group
+    seeing every epoch; the rows are the same bits at any lane count.
+    @raise Invalid_argument with the sequential [Replay.apply] error
+    when a record does not apply (an unknown country, the removal of an
+    absent domain, the addition of a present one). *)
 
 val make :
   ?fingerprint:string ->

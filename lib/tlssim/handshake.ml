@@ -1,6 +1,6 @@
 type t = { by_domain : (string, Cert.t) Hashtbl.t }
 
-let create () = { by_domain = Hashtbl.create 65536 }
+let create ?(certs = 16) () = { by_domain = Hashtbl.create certs }
 
 let install t ~domain cert = Hashtbl.replace t.by_domain domain cert
 

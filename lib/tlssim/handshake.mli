@@ -7,7 +7,9 @@
 
 type t
 
-val create : unit -> t
+val create : ?certs:int -> unit -> t
+(** An empty store sized for [certs] certificates (16 by default); it
+    grows past that. *)
 
 val install : t -> domain:string -> Cert.t -> unit
 (** Install the leaf presented for [domain] (any serving address). *)

@@ -380,11 +380,21 @@ let snapshot t ?(epoch = May_2023) cc =
   let dns = assign "dns" names Dns in
   let ca = assign "ca" issuers Ca in
   let amazon_net = (names Registry.amazon).net and fastly_net = (names fastly).net in
-  let zones = Zone_db.create () in
-  let tls = Handshake.create () in
+  (* The tables are sized to what the loop below inserts: the zone table
+     takes every site plus one CNAME target per CDN-fronted site, the
+     host table two glue hosts per DNS provider, the certificate store
+     one leaf per site. *)
+  let secondary = Array.map has_secondary toplist.Toplist.domains in
+  let fronted = ref 0 in
+  Array.iteri
+    (fun i sec -> if (snd hosting.(i)).net.Internet.anycast && not sec then incr fronted)
+    secondary;
+  let dns_providers = List.length (mix t ~epoch Dns cc).Mix.assignments in
+  let zones = Zone_db.create ~domains:(t.c + !fronted) ~hosts:(2 * dns_providers) () in
+  let tls = Handshake.create ~certs:t.c () in
   let assigned = Hashtbl.create t.c in
   let content_language = Hashtbl.create t.c in
-  let glue_done = Hashtbl.create 512 in
+  let glue_done = Hashtbl.create dns_providers in
   let day0 = 19_500 (* arbitrary simulation clock origin *) in
   Array.iteri
     (fun i domain ->
@@ -405,7 +415,7 @@ let snapshot t ?(epoch = May_2023) cc =
       (* A answer: primary provider, with a multi-CDN secondary for a few
          sites that shows through from non-home vantages. *)
       let alt =
-        if not (has_secondary domain) then None
+        if not secondary.(i) then None
         else if Provider.equal h Registry.amazon then Some fastly_net
         else Some amazon_net
       in

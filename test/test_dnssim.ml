@@ -125,6 +125,50 @@ let test_hierarchy_root_serves_glue () =
   | Hierarchy.Answer [ a ] -> Alcotest.(check string) "glue" "10.9.1.1" (Ipv4.addr_to_string a)
   | _ -> Alcotest.fail "root should serve infrastructure glue"
 
+(* TLD servers are numbered by label, so the same records give the same
+   referrals (and hence the same server addresses fault plans key on)
+   whatever the zone table's capacity or the order the records went in. *)
+let test_hierarchy_tld_numbering_order_free () =
+  let labels =
+    List.init 40 (fun i -> Printf.sprintf "t%02d" ((i * 17) mod 40)) @ [ "com"; "academy"; "de" ]
+  in
+  let records =
+    List.concat_map
+      (fun label -> List.init 5 (fun k -> Printf.sprintf "site%d.%s" k label))
+      labels
+  in
+  let build ?domains records =
+    let db = Zone_db.create ?domains () in
+    List.iter
+      (fun domain ->
+        Zone_db.add_domain db ~domain ~ns_hosts:[ "ns1.alpha.sim" ]
+          ~a:(Zone_db.Static [ addr "10.0.0.1" ]))
+      records;
+    Zone_db.add_host db ~host:"ns1.alpha.sim" ~a:(Zone_db.Static [ addr "10.9.1.1" ]);
+    Hierarchy.build db
+  in
+  let referrals h =
+    let root = List.hd (Hierarchy.root_addrs h) in
+    List.map
+      (fun label ->
+        match Hierarchy.query h ~server:root ~vantage:"US" ~qname:("probe." ^ label) with
+        | Hierarchy.Referral { zone; ns_hosts; glue } ->
+            String.concat " "
+              (zone :: ns_hosts
+              @ List.concat_map (fun (_, addrs) -> List.map Ipv4.addr_to_string addrs) glue)
+        | _ -> Alcotest.fail ("no referral for " ^ label))
+      (List.sort String.compare labels)
+  in
+  let want = referrals (build records) in
+  List.iter
+    (fun (what, h) -> Alcotest.(check (list string)) what want (referrals h))
+    [ ("reversed insertion", build (List.rev records));
+      ("capacity 65536", build ~domains:65536 records);
+      ("capacity 65536, reversed", build ~domains:65536 (List.rev records));
+      ("capacity 1", build ~domains:1 (List.rev records)) ];
+  Alcotest.(check string) "the first label in order gets the first TLD pair"
+    "academy a.academy-servers.sim b.academy-servers.sim 12.1.0.2 12.1.0.3" (List.hd want)
+
 let test_iterative_resolves () =
   let db = big_db () in
   let h = Hierarchy.build db in
@@ -384,6 +428,8 @@ let () =
           Alcotest.test_case "walk by hand" `Quick test_hierarchy_walk_by_hand;
           Alcotest.test_case "lame server refuses" `Quick test_hierarchy_lame_server_refuses;
           Alcotest.test_case "root serves glue" `Quick test_hierarchy_root_serves_glue;
+          Alcotest.test_case "TLD numbering order-free" `Quick
+            test_hierarchy_tld_numbering_order_free;
           Alcotest.test_case "iterative resolves" `Quick test_iterative_resolves;
           Alcotest.test_case "iterative vantage" `Quick test_iterative_vantage_dependent;
           Alcotest.test_case "iterative nxdomain" `Quick test_iterative_nxdomain;

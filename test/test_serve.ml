@@ -454,25 +454,32 @@ let test_scored_epochs () =
 let grid_countries = [ "US"; "DE"; "JP"; "BR"; "IN"; "ZA" ]
 let grid_countries_25 = [ "US"; "DE"; "JP"; "BR"; "IN"; "RU" ]
 
+(* The grid's two sweeps and its 4-epoch churn log, built once. *)
+let grid_sweeps_and_log =
+  lazy
+    (let world = World.create ~c:80 ~seed:2024 () in
+     let ds23 = Measure.measure_all ~countries:grid_countries world in
+     let ds25 = Measure.measure_all ~epoch:World.May_2025 ~countries:grid_countries_25 world in
+     let base = List.map (D.country_exn ds23) (D.countries ds23) in
+     let donors =
+       List.map (fun cc -> (cc, Array.of_list (D.country_exn ds25 cc).D.sites)) (D.countries ds25)
+     in
+     let path = Filename.temp_file "webdep_serve_grid" ".log" in
+     Webdep_epoch.Log.create ~path ~base_epoch:0 ~base ();
+     List.iter
+       (fun (ev : Webdep_epoch.Log.event) ->
+         Webdep_epoch.Log.append ~path ~epoch:ev.epoch ev.changes)
+       (Webdep_epoch.Synth.generate ~seed:2024 ~fraction:0.1 ~epochs:4 ~base_epoch:0 ~base ~donors);
+     let log =
+       match Webdep_epoch.Log.load ~path with
+       | Webdep_epoch.Log.Loaded log -> log
+       | _ -> Alcotest.fail "grid churn log did not load"
+     in
+     Sys.remove path;
+     (ds23, ds25, log))
+
 let grid_inputs () =
-  let world = World.create ~c:80 ~seed:2024 () in
-  let ds23 = Measure.measure_all ~countries:grid_countries world in
-  let ds25 = Measure.measure_all ~epoch:World.May_2025 ~countries:grid_countries_25 world in
-  let base = List.map (D.country_exn ds23) (D.countries ds23) in
-  let donors =
-    List.map (fun cc -> (cc, Array.of_list (D.country_exn ds25 cc).D.sites)) (D.countries ds25)
-  in
-  let path = Filename.temp_file "webdep_serve_grid" ".log" in
-  Webdep_epoch.Log.create ~path ~base_epoch:0 ~base ();
-  List.iter
-    (fun (ev : Webdep_epoch.Log.event) -> Webdep_epoch.Log.append ~path ~epoch:ev.epoch ev.changes)
-    (Webdep_epoch.Synth.generate ~seed:2024 ~fraction:0.1 ~epochs:4 ~base_epoch:0 ~base ~donors);
-  let log =
-    match Webdep_epoch.Log.load ~path with
-    | Webdep_epoch.Log.Loaded log -> log
-    | _ -> Alcotest.fail "grid churn log did not load"
-  in
-  Sys.remove path;
+  let ds23, ds25, log = Lazy.force grid_sweeps_and_log in
   let scored = State.scored_of_log log in
   let scored =
     List.map
@@ -536,6 +543,140 @@ let test_state_matches_reference () =
   in
   Alcotest.(check int) "grid size" 5043 (List.length reqs);
   Alcotest.(check (list string)) "every reply equals the reference" [] differing
+
+(* --- churn-log replay split by country ------------------------------------- *)
+
+module Log = Webdep_epoch.Log
+
+let with_jobs j f =
+  Webdep_par.set_jobs j;
+  Fun.protect ~finally:(fun () -> Webdep_par.set_jobs 2) f
+
+(* The scored epochs as one sequential [Replay.replay ~observe] reads
+   them, every float as its bits. *)
+let sequential_scored log =
+  let module R = Webdep_epoch.Replay in
+  let acc = ref [] in
+  let observe r =
+    List.iter
+      (fun l ->
+        List.iter
+          (fun cc ->
+            match R.score r l cc with
+            | s ->
+                acc :=
+                  Printf.sprintf "e%d %d %s %Lx %Lx %Lx" (R.epoch r) (P.layer_code l) cc
+                    (Int64.bits_of_float s)
+                    (Int64.bits_of_float (R.hhi r l cc))
+                    (Int64.bits_of_float (R.insularity r l cc))
+                  :: !acc
+            | exception Not_found -> ())
+          (R.countries r))
+      [ D.Hosting; D.Dns; D.Ca; D.Tld ]
+  in
+  ignore (R.replay ~observe log);
+  List.rev !acc
+
+let show_scored scored =
+  List.concat_map
+    (fun (name, by_layer) ->
+      List.concat_map
+        (fun (l, rows) ->
+          List.map
+            (fun (cc, (r : State.score_row)) ->
+              Printf.sprintf "%s %d %s %Lx %Lx %Lx" name (P.layer_code l) cc
+                (Int64.bits_of_float r.State.s) (Int64.bits_of_float r.State.hhi)
+                (Int64.bits_of_float r.State.insularity))
+            rows)
+        by_layer)
+    scored
+
+(* The grid log's baseline countries, first and last, and the log with
+   [events] appended. *)
+let grid_log_plus events =
+  let _, _, log = Lazy.force grid_sweeps_and_log in
+  let base = log.Log.base in
+  let first = List.hd base and last = List.nth base (List.length base - 1) in
+  let events = events first last in
+  ( first,
+    last,
+    { log with
+      Log.events = log.Log.events @ events;
+      head = List.fold_left (fun h (ev : Log.event) -> max h ev.Log.epoch) log.Log.head events } )
+
+(* A site of [cd]'s baseline under a new domain name. *)
+let renamed (cd : D.country_data) domain = { (List.hd cd.D.sites) with D.domain }
+
+(* The grid log plus three epochs in which some country groups have no
+   records (e6 has none at all), and the same log with a baseline that
+   lists its first country twice: split over 1, 2 and 4 lanes, every
+   row is the sequential replay's, bit for bit. *)
+let test_scored_split_matches_sequential () =
+  let _, _, quiet =
+    grid_log_plus (fun first last ->
+        [ { Log.epoch = 5;
+            changes =
+              [ { Log.country = first.D.country; removed = [];
+                  added = [ renamed first "quiet-e5.example" ] } ] };
+          { Log.epoch = 6; changes = [] };
+          { Log.epoch = 7;
+            changes =
+              [ { Log.country = first.D.country; removed = [ "quiet-e5.example" ]; added = [] };
+                { Log.country = last.D.country; removed = [];
+                  added = [ renamed last "quiet-e7.example" ] } ] } ])
+  in
+  let repeated = { quiet with Log.base = quiet.Log.base @ [ List.hd quiet.Log.base ] } in
+  List.iter
+    (fun (what, log, rows) ->
+      let want = with_jobs 1 (fun () -> sequential_scored log) in
+      Alcotest.(check int) (what ^ ": 8 epochs x 4 layers") (8 * 4 * rows) (List.length want);
+      List.iter
+        (fun j ->
+          with_jobs j (fun () ->
+              let got = State.scored_of_log log in
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s: epoch names at --jobs %d" what j)
+                (List.init 8 (Printf.sprintf "e%d"))
+                (List.map fst got);
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s: rows at --jobs %d" what j)
+                want (show_scored got)))
+        [ 1; 2; 4 ])
+    [ ("quiet epochs", quiet, 6); ("repeated country", repeated, 7) ]
+
+(* A record that does not apply raises the sequential replay's error at
+   every lane count: here e5's first record (last country) and second
+   (first country) both remove an absent domain, and the sequential
+   replay stops at the first.  A country outside the baseline is
+   refused, not filtered away. *)
+let test_scored_error_jobs_invariant () =
+  let _, last, bad =
+    grid_log_plus (fun first last ->
+        [ { Log.epoch = 5;
+            changes =
+              [ { Log.country = last.D.country; removed = [ "absent-last.example" ]; added = [] };
+                { Log.country = first.D.country; removed = [ "absent-first.example" ];
+                  added = [] } ] };
+          { Log.epoch = 6; changes = [] } ])
+  in
+  let _, _, foreign =
+    grid_log_plus (fun _ _ ->
+        [ { Log.epoch = 5; changes = [ { Log.country = "ZZ"; removed = []; added = [] } ] } ])
+  in
+  List.iter
+    (fun (log, want) ->
+      List.iter
+        (fun j ->
+          with_jobs j (fun () ->
+              match State.scored_of_log log with
+              | _ -> Alcotest.failf "--jobs %d: an inconsistent log must be refused" j
+              | exception Invalid_argument msg ->
+                  Alcotest.(check string) (Printf.sprintf "error at --jobs %d" j) want msg))
+        [ 1; 2; 4 ])
+    [ ( bad,
+        Printf.sprintf "Replay.apply: %s removes unknown domain absent-last.example"
+          last.D.country );
+      (foreign, "Replay.apply: unknown country ZZ") ]
 
 (* --- engine cache -------------------------------------------------------- *)
 
@@ -1051,6 +1192,10 @@ let () =
           Alcotest.test_case "answer kinds" `Quick test_answer_kinds;
           Alcotest.test_case "warm = cold, bit-identical" `Quick test_answer_matches_cold;
           Alcotest.test_case "scored churn-log epochs" `Quick test_scored_epochs;
+          Alcotest.test_case "split replay = sequential replay" `Quick
+            test_scored_split_matches_sequential;
+          Alcotest.test_case "inconsistent log, any jobs" `Quick
+            test_scored_error_jobs_invariant;
           Alcotest.test_case "replies = reference State, exhaustive grid" `Quick
             test_state_matches_reference;
         ] );
