@@ -599,31 +599,33 @@ let epoch_arg =
    to keep every epoch addressable — answering score/ranking/delta while
    tally-backed queries keep needing a measured epoch.  Scored epochs
    ride alongside the measured ones.  A log whose records do not apply
-   is refused like one with a foreign header. *)
-let scored_epochs_of_log path =
+   is refused like one with a foreign header.  Messages name [command],
+   the subcommand that loads the log. *)
+let scored_epochs_of_log ~command path =
   let unusable msg =
-    Printf.eprintf "webdep serve: epoch log %s unusable (%s), ignoring\n%!" path msg;
+    Printf.eprintf "webdep %s: epoch log %s unusable (%s), ignoring\n%!" command path msg;
     []
   in
   match Webdep_epoch.Log.load ~path with
   | Webdep_epoch.Log.Absent ->
-      Printf.eprintf "webdep serve: epoch log %s absent, ignoring\n%!" path;
+      Printf.eprintf "webdep %s: epoch log %s absent, ignoring\n%!" command path;
       []
   | Webdep_epoch.Log.Mismatch msg -> unusable msg
   | Webdep_epoch.Log.Loaded log -> (
       match Serve.State.scored_of_log log with
       | exception Invalid_argument msg -> unusable msg
       | scored ->
-          Printf.eprintf "webdep serve: epoch log %s: %d scored epochs (e%d..e%d)\n%!"
-            path (List.length scored)
+          Printf.eprintf "webdep %s: epoch log %s: %d scored epochs (e%d..e%d)\n%!"
+            command path (List.length scored)
             log.Webdep_epoch.Log.base_epoch log.Webdep_epoch.Log.head;
           scored)
 
 (* The daemon's state: both measured epochs, swept the way [scores]
    sweeps one.  With [?checkpoint], each epoch resumes the shards the
    file holds and appends the rest, so the file is complete before the
-   daemon listens and a restart re-measures only what a crash lost. *)
-let serve_state ?checkpoint ?epoch_log ~seed ~c ?countries () =
+   daemon listens and a restart re-measures only what a crash lost.
+   [command] names the subcommand in messages. *)
+let serve_state ~command ?checkpoint ?epoch_log ~seed ~c ?countries () =
   let world = World.create ~c ~seed () in
   let sweeps =
     List.map
@@ -634,12 +636,12 @@ let serve_state ?checkpoint ?epoch_log ~seed ~c ?countries () =
   Option.iter
     (fun path ->
       let coverage = List.concat_map (fun (_, sw) -> sw.Measure.coverage) sweeps in
-      Printf.eprintf "webdep serve: checkpoint %s: resumed %d of %d shards\n%!" path
+      Printf.eprintf "webdep %s: checkpoint %s: resumed %d of %d shards\n%!" command path
         (List.length (List.filter (fun (cv : Measure.country_coverage) -> cv.resumed) coverage))
         (List.length coverage))
     checkpoint;
   let scored =
-    match epoch_log with None -> [] | Some path -> scored_epochs_of_log path
+    match epoch_log with None -> [] | Some path -> scored_epochs_of_log ~command path
   in
   Serve.State.make ~scored (List.map (fun (name, sw) -> (name, sw.Measure.dataset)) sweeps)
 
@@ -683,7 +685,8 @@ let run_query () epoch connect timeout max_retries seed c countries epoch_log
               exit 5)
       | None ->
           let st =
-            serve_state ?epoch_log ~seed ~c ?countries:(normalize_countries countries) ()
+            serve_state ~command:"query" ?epoch_log ~seed ~c
+              ?countries:(normalize_countries countries) ()
           in
           finish_query (Serve.State.answer st req))
 
@@ -734,7 +737,7 @@ let run_serve () listen seed c countries max_queue checkpoint epoch_log supervis
         exit 70
     | _ -> ());
     let st =
-      serve_state ?checkpoint ?epoch_log ~seed ~c
+      serve_state ~command:"serve" ?checkpoint ?epoch_log ~seed ~c
         ?countries:(normalize_countries countries) ()
     in
     (* The pool served the sweeps and the replay; the loop never uses

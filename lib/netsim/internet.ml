@@ -2,15 +2,16 @@ type network = {
   org : Org.t;
   asn : int;
   pops : (string * Ipv4.prefix) list;
-  pop_index : (string, Ipv4.prefix) Hashtbl.t;
+  pop_index : (string, Ipv4.prefix) Hashtbl.t option;
   hq_prefix : Ipv4.prefix;
   anycast : bool;
 }
 
 let pop_near network ~near =
-  match Hashtbl.find_opt network.pop_index near with
-  | Some p -> p
+  match network.pop_index with
   | None -> network.hq_prefix
+  | Some index -> (
+      match Hashtbl.find_opt index near with Some p -> p | None -> network.hq_prefix)
 
 (* Everything a per-address lookup answers about one allocated /20,
    kept in the option form the lookups return so they allocate nothing. *)
@@ -24,13 +25,12 @@ type block = {
 let unallocated = { b_org = None; b_asn = None; b_geo = None; b_anycast = false }
 
 type t = {
-  as_db : As_db.t;
   geo : Geo_db.t;  (* the error model the per-block verdicts are drawn from *)
-  networks : (string, network) Hashtbl.t;
+  networks : (string, network) Hashtbl.t;  (* the one name index *)
   mutable blocks : block array;
       (* slot i describes /20 number [first_block + i]; [unallocated]
          fills the slots past the allocator cursor *)
-  mutable next_asn : int;
+  mutable registered : int;  (* networks so far: the next org id *)
   mutable next_block : int;  (* /20 allocator cursor *)
 }
 
@@ -41,13 +41,15 @@ let transit_asns = [| 174; 3356; 1299; 2914; 6453 |]
    every generated address derives from this origin. *)
 let first_block = 16
 
-let create ?(geo_accuracy = 1.0) rng =
+(* Private-use ASNs, one per network in registration order. *)
+let first_asn = 64_512
+
+let create ?(geo_accuracy = 1.0) ?(networks = 16) rng =
   {
-    as_db = As_db.create ();
     geo = Geo_db.create ~accuracy:geo_accuracy rng ();
-    networks = Hashtbl.create 4096;
+    networks = Hashtbl.create networks;
     blocks = Array.make 1024 unallocated;
-    next_asn = 64_512;
+    registered = 0;
     next_block = first_block;
   }
 
@@ -76,48 +78,48 @@ let block_of t addr =
   let i = (Ipv4.addr_to_int addr lsr 12) - first_block in
   if i >= 0 && i < Array.length blocks then blocks.(i) else unallocated
 
-let dedup_keep_order xs =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun x ->
-      if Hashtbl.mem seen x then false
-      else begin
-        Hashtbl.add seen x ();
-        true
-      end)
-    xs
-
 let register_network t ~name ~country ?(anycast = false) ?(presence = []) () =
   match Hashtbl.find_opt t.networks name with
   | Some n -> n
   | None ->
-      let org = As_db.register_org t.as_db ~name ~country in
-      let asn = t.next_asn in
-      t.next_asn <- t.next_asn + 1;
-      As_db.register_as t.as_db asn org;
-      let countries = dedup_keep_order (country :: presence) in
+      let id = t.registered in
+      t.registered <- id + 1;
+      let org = { Org.id; name; country } and asn = first_asn + id in
       let b_org = Some org and b_asn = Some asn in
-      let pops =
-        List.map
-          (fun cc ->
-            let p = alloc_prefix t in
-            (* Anycast blocks geolocate to the registrant's HQ. *)
-            let b_geo = Some (Geo_db.verdict t.geo (if anycast then country else cc)) in
-            set_block t p { b_org; b_asn; b_geo; b_anycast = anycast };
-            (cc, p))
-          countries
+      let pop cc =
+        let p = alloc_prefix t in
+        (* Anycast blocks geolocate to the registrant's HQ. *)
+        let b_geo = Some (Geo_db.verdict t.geo (if anycast then country else cc)) in
+        set_block t p { b_org; b_asn; b_geo; b_anycast = anycast };
+        (cc, p)
       in
-      (* Country → prefix index, so per-site address picks don't rescan
-         the pops list (global providers have one pop per country). *)
-      let pop_index = Hashtbl.create (List.length pops) in
-      List.iter
-        (fun (cc, p) ->
-          if not (Hashtbl.mem pop_index cc) then Hashtbl.add pop_index cc p)
-        pops;
-      let network =
-        { org; asn; pops; pop_index; hq_prefix = snd (List.hd pops); anycast }
+      let hq = pop country in
+      (* Further points of presence, in [presence] order without
+         repeats, are indexed by country so that per-site address picks
+         do not rescan the list (global providers have one pop per
+         country).  Without [presence] the HQ pop is the only one, and
+         there is nothing to index. *)
+      let pops, pop_index =
+        if presence = [] then ([ hq ], None)
+        else begin
+          let index = Hashtbl.create (List.length presence + 1) in
+          Hashtbl.add index country (snd hq);
+          let rest =
+            List.filter_map
+              (fun cc ->
+                if Hashtbl.mem index cc then None
+                else begin
+                  let ((_, p) as pop) = pop cc in
+                  Hashtbl.add index cc p;
+                  Some pop
+                end)
+              presence
+          in
+          (hq :: rest, Some index)
+        end
       in
-      Hashtbl.replace t.networks name network;
+      let network = { org; asn; pops; pop_index; hq_prefix = snd hq; anycast } in
+      Hashtbl.add t.networks name network;
       network
 
 let find_network t name = Hashtbl.find_opt t.networks name
@@ -128,8 +130,7 @@ let origin_as t addr = (block_of t addr).b_asn
 let org_of_addr t addr = (block_of t addr).b_org
 let geolocate t addr = (block_of t addr).b_geo
 let is_anycast_addr t addr = (block_of t addr).b_anycast
-let network_count t = Hashtbl.length t.networks
-let as_db t = t.as_db
+let network_count t = t.registered
 
 (* Each network announces its i-th prefix through a tier-1 transit.
    Every prefix has one announcement, so the walk order over networks

@@ -16,8 +16,10 @@
     Every allocated /20 has one record — origin AS, organization, the
     geolocation database's verdict (drawn from {!Geo_db}'s error model at
     registration) and the anycast flag — in an array indexed by block
-    number, so each lookup is one array read.  Addresses outside the
-    allocated blocks answer [None] / [false]. *)
+    number, so each lookup is one array read.  These records are the
+    only AS and organization labels: there is no separate AS-to-org
+    table.  Addresses outside the allocated blocks answer [None] /
+    [false]. *)
 
 type t
 
@@ -27,9 +29,10 @@ type network = {
   pops : (string * Ipv4.prefix) list;
       (** points of presence: country code → prefix; the HQ country is
           always present and listed first *)
-  pop_index : (string, Ipv4.prefix) Hashtbl.t;
-      (** [pops] as a country-keyed index, built at registration; treat
-          as read-only *)
+  pop_index : (string, Ipv4.prefix) Hashtbl.t option;
+      (** [pops] as a country-keyed index, built at registration for a
+          network registered with a [presence] list ([None] for the
+          others, whose only pop is HQ); treat as read-only *)
   hq_prefix : Ipv4.prefix;  (** the HQ pop's prefix (head of [pops]) *)
   anycast : bool;
 }
@@ -38,14 +41,18 @@ val pop_near : network -> near:string -> Ipv4.prefix
 (** The network's prefix in [near], falling back to HQ — an indexed
     lookup replacing the former linear scan over [pops]. *)
 
-val create : ?geo_accuracy:float -> Webdep_stats.Rng.t -> t
-(** [geo_accuracy] feeds the {!Geo_db} error model (default 1.0). *)
+val create : ?geo_accuracy:float -> ?networks:int -> Webdep_stats.Rng.t -> t
+(** [geo_accuracy] feeds the {!Geo_db} error model (default 1.0).
+    [networks] sizes the name index for about that many registrations
+    (default 16); it grows past them as needed. *)
 
 val register_network :
   t -> name:string -> country:string -> ?anycast:bool -> ?presence:string list -> unit -> network
 (** Register a provider network.  [presence] lists extra countries with
     local points of presence (deduplicated; HQ implied).  Registering the
-    same [name] twice returns the network registered first. *)
+    same [name] twice returns the network registered first.  The [n]-th
+    network registered (from 0) gets org id [n] and ASN [64512 + n]; its
+    organization is named [name] and homed in [country]. *)
 
 val find_network : t -> string -> network option
 (** Lookup a registered network by organization name. *)
@@ -70,7 +77,6 @@ val is_anycast_addr : t -> Ipv4.addr -> bool
     bgp.tools anycast-prefixes substrate. *)
 
 val network_count : t -> int
-val as_db : t -> As_db.t
 
 val bgp : t -> Bgp.t
 (** A fresh BGP table holding every registered network's announcements:

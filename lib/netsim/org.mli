@@ -4,7 +4,7 @@
     WHOIS country. *)
 
 type t = {
-  id : int;  (** dense identifier *)
+  id : int;  (** dense identifier: the network's place in registration order *)
   name : string;  (** e.g. "Cloudflare, Inc." *)
   country : string;  (** ISO alpha-2 of the org's registration (HQ) *)
 }

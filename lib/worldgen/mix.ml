@@ -16,7 +16,13 @@ type t = {
 (* Identity categories for the bucket walk. *)
 type category = Global | Home | Partner of string | World_tail
 
-module Pset = Set.Make (Provider)
+(* Providers already given a bucket; equal providers share a name. *)
+module Used = Hashtbl.Make (struct
+  type t = Provider.t
+
+  let equal = Provider.equal
+  let hash (p : Provider.t) = Hashtbl.hash p.Provider.name
+end)
 
 let hash cc seed =
   let h = ref seed in
@@ -36,7 +42,9 @@ let rotate n xs =
     split n [] xs
 
 let all_country_codes =
-  List.map (fun c -> c.Webdep_geo.Country.code) Webdep_geo.Country.all
+  Array.of_list (List.map (fun c -> c.Webdep_geo.Country.code) Webdep_geo.Country.all)
+
+let country_code k = all_country_codes.(k mod Array.length all_country_codes)
 
 (* Ordered global roster for a layer, seen from one country: the XL pair
    first, then large / medium / small segments with a per-country rotation
@@ -92,7 +100,7 @@ let category_roster layer cc category i =
   | (Hosting | Dns), Partner p ->
       Some (Registry.regional ~layer:(if layer = Dns then "dns" else "hosting") p i)
   | (Hosting | Dns), World_tail ->
-      let owner = List.nth all_country_codes ((hash cc 19 + (i * 13)) mod List.length all_country_codes) in
+      let owner = country_code (hash cc 19 + (i * 13)) in
       Some (Registry.regional ~layer:(if layer = Dns then "dns" else "hosting") owner (40 + i))
   | Ca, Home -> if i = 0 then Registry.ca_regional cc else None
   | Ca, Partner p -> if i = 0 then Registry.ca_regional p else None
@@ -104,7 +112,7 @@ let category_roster layer cc category i =
       if i = 0 then Some (Registry.tld (Webdep_geo.Country.ccTLD (Webdep_geo.Country.of_code_exn p)))
       else None
   | Tld, World_tail ->
-      let owner = List.nth all_country_codes ((hash cc 29 + (i * 17)) mod List.length all_country_codes) in
+      let owner = country_code (hash cc 29 + (i * 17)) in
       if owner = cc then None
       else Some (Registry.tld (Webdep_geo.Country.ccTLD (Webdep_geo.Country.of_code_exn owner)))
   | _, Global -> None (* globals use the explicit roster, not this path *)
@@ -257,93 +265,95 @@ let build_generic ~c ~overrides layer cc =
   in
   let n = Array.length counts in
   let cf = float_of_int c in
+  (* The categories in play, each with a slot in the arrays below: the
+     global roster, home providers, the world tail, then the partners. *)
+  let cats =
+    Array.of_list (Global :: Home :: World_tail :: List.map (fun (p, _) -> Partner p) partners)
+  in
   (* Remaining quotas in websites. *)
-  let quotas = Hashtbl.create 8 in
-  Hashtbl.replace quotas Home (home_quota *. cf);
-  List.iter (fun (p, f) -> Hashtbl.replace quotas (Partner p) (f *. cf)) partners;
+  let quotas = Array.make (Array.length cats) 0.0 in
+  quotas.(1) <- home_quota *. cf;
+  List.iteri (fun k (_, f) -> quotas.(3 + k) <- f *. cf) partners;
   let top_count = counts.(0) in
   let global_quota =
     cf -. float_of_int top_count -. (home_quota *. cf)
     -. List.fold_left (fun acc (_, f) -> acc +. (f *. cf)) 0.0 partners
   in
-  Hashtbl.replace quotas Global (Float.max 0.0 global_quota);
-  Hashtbl.replace quotas World_tail 0.0;
-  (* Cursors, used-identities, exhaustion tracking. *)
-  let used = ref Pset.empty in
-  let cursors = Hashtbl.create 8 in
-  let cursor cat = Option.value ~default:0 (Hashtbl.find_opt cursors cat) in
+  quotas.(0) <- Float.max 0.0 global_quota;
+  (* Cursors, used identities, exhaustion tracking. *)
+  let used = Used.create (2 * n) in
+  let cursors = Array.make (Array.length cats) 0 in
   let globals = ref (global_roster layer cc) in
-  let exhausted = Hashtbl.create 4 in
-  let take_identity cat =
+  let exhausted = Array.make (Array.length cats) false in
+  let take_identity k =
     let rec from_roster () =
-      match cat with
+      match cats.(k) with
       | Global -> (
           match !globals with
           | [] -> None
           | p :: rest ->
               globals := rest;
-              if Pset.mem p !used then from_roster () else Some p)
-      | _ -> (
-          let i = cursor cat in
-          Hashtbl.replace cursors cat (i + 1);
+              if Used.mem used p then from_roster () else Some p)
+      | cat -> (
+          let i = cursors.(k) in
+          cursors.(k) <- i + 1;
           match category_roster layer cc cat i with
           | None -> None
-          | Some p -> if Pset.mem p !used then from_roster () else Some p)
+          | Some p -> if Used.mem used p then from_roster () else Some p)
     in
     from_roster ()
   in
-  let mark_exhausted cat =
-    Hashtbl.replace exhausted cat true;
+  let mark_exhausted k =
+    exhausted.(k) <- true;
     (* Transfer unmet quota to the world tail so insularity targets are
        not silently inflated. *)
-    let leftover = Option.value ~default:0.0 (Hashtbl.find_opt quotas cat) in
+    let leftover = quotas.(k) in
     if leftover > 0.0 then begin
-      Hashtbl.replace quotas cat 0.0;
-      Hashtbl.replace quotas World_tail
-        (leftover +. Option.value ~default:0.0 (Hashtbl.find_opt quotas World_tail))
+      quotas.(k) <- 0.0;
+      quotas.(2) <- leftover +. quotas.(2)
     end
   in
-  let is_exhausted cat = Hashtbl.mem exhausted cat in
+  let assignment : Provider.t option array = Array.make n None in
+  let assign i p =
+    assignment.(i) <- Some p;
+    Used.replace used p ()
+  in
+  let top_identity = top in
+  assign 0 top_identity;
+  if top_is_home then quotas.(1) <- 0.0;
   (* Single-identity categories (CA/TLD home & partners) are pinned to the
      unassigned bucket whose size is closest to their quota. *)
-  let assignment : Provider.t option array = Array.make n None in
-  let top_identity = top in
-  assignment.(0) <- Some top_identity;
-  used := Pset.add top_identity !used;
-  if top_is_home then Hashtbl.replace quotas Home 0.0;
-  let single_identity cat =
-    match (layer, cat) with
+  let single_identity k =
+    match (layer, cats.(k)) with
     | (Profiles.Ca | Profiles.Tld), (Home | Partner _) -> true
     | _ -> false
   in
   (* Anchored dominant #2 providers (SuperHosting.BG, UAB) take the second
      bucket from the named category before the walk begins. *)
   (match Profiles.second_provider layer cc with
-  | Some hint when n >= 2 && not (single_identity Home) ->
+  | Some hint when n >= 2 && not (single_identity 1) ->
       let cat =
         match hint with
         | Profiles.Second_home -> Home
         | Profiles.Second_partner p -> Partner p
       in
-      (match
-         match cat with
-         | Home -> category_roster layer cc Home 0
-         | Partner p -> category_roster layer cc (Partner p) 0
-         | Global | World_tail -> None
-       with
-      | Some p when not (Pset.mem p !used) ->
-          assignment.(1) <- Some p;
-          used := Pset.add p !used;
-          Hashtbl.replace cursors cat 1;
-          let q = Option.value ~default:0.0 (Hashtbl.find_opt quotas cat) in
-          Hashtbl.replace quotas cat (q -. float_of_int counts.(1))
+      (match category_roster layer cc cat 0 with
+      | Some p when not (Used.mem used p) ->
+          assign 1 p;
+          (* A partner outside [partners] has no slot and no turn in the
+             walk, so nothing reads its cursor or quota. *)
+          Option.iter
+            (fun k ->
+              cursors.(k) <- 1;
+              quotas.(k) <- quotas.(k) -. float_of_int counts.(1))
+            (Array.find_index (( = ) cat) cats)
       | Some _ | None -> ())
   | Some _ | None -> ());
-  let pin_single cat =
-    let quota = Option.value ~default:0.0 (Hashtbl.find_opt quotas cat) in
+  let pin_single k =
+    let quota = quotas.(k) in
     if quota > 0.0 then begin
-      match take_identity cat with
-      | None -> mark_exhausted cat
+      match take_identity k with
+      | None -> mark_exhausted k
       | Some p ->
           (* Closest free bucket to the quota. *)
           let best = ref (-1) and best_gap = ref infinity in
@@ -357,54 +367,43 @@ let build_generic ~c ~overrides layer cc =
             end
           done;
           if !best >= 0 then begin
-            assignment.(!best) <- Some p;
-            used := Pset.add p !used;
-            Hashtbl.replace quotas cat 0.0
+            assign !best p;
+            quotas.(k) <- 0.0
           end
     end
   in
-  let cats_in_play = Global :: Home :: World_tail :: List.map (fun (p, _) -> Partner p) partners in
-  List.iter (fun cat -> if single_identity cat then pin_single cat) cats_in_play;
+  Array.iteri (fun k _ -> if single_identity k then pin_single k) cats;
   (* Walk the remaining buckets in descending size. *)
   for i = 1 to n - 1 do
     if assignment.(i) = None then begin
       let rec choose () =
-        let best = ref None and best_q = ref neg_infinity in
-        List.iter
-          (fun cat ->
-            if (not (is_exhausted cat)) && not (single_identity cat) then begin
-              let q = Option.value ~default:0.0 (Hashtbl.find_opt quotas cat) in
-              if q > !best_q then begin
-                best_q := q;
-                best := Some cat
-              end
+        let best = ref (-1) and best_q = ref neg_infinity in
+        Array.iteri
+          (fun k q ->
+            if (not exhausted.(k)) && (not (single_identity k)) && q > !best_q then begin
+              best_q := q;
+              best := k
             end)
-          cats_in_play;
-        match !best with
-        | None -> None
-        | Some cat -> (
-            match take_identity cat with
-            | Some p -> Some (cat, p)
-            | None ->
-                mark_exhausted cat;
-                choose ())
+          quotas;
+        if !best < 0 then None
+        else
+          match take_identity !best with
+          | Some p -> Some (!best, p)
+          | None ->
+              mark_exhausted !best;
+              choose ()
       in
       match choose () with
-      | Some (cat, p) ->
-          assignment.(i) <- Some p;
-          used := Pset.add p !used;
-          let q = Option.value ~default:0.0 (Hashtbl.find_opt quotas cat) in
-          Hashtbl.replace quotas cat (q -. float_of_int counts.(i))
+      | Some (k, p) ->
+          assign i p;
+          quotas.(k) <- quotas.(k) -. float_of_int counts.(i)
       | None ->
           (* Every roster exhausted: reuse the world tail with a fresh
              index far beyond normal cursors. *)
-          let p =
-            Provider.make
-              ~name:(Printf.sprintf "Tail-%s-%d" cc i)
-              ~home:(List.nth all_country_codes (hash cc i mod List.length all_country_codes))
-          in
-          assignment.(i) <- Some p;
-          used := Pset.add p !used
+          assign i
+            (Provider.make
+               ~name:("Tail-" ^ cc ^ "-" ^ string_of_int i)
+               ~home:(country_code (hash cc i)))
     end
   done;
   let assignments =

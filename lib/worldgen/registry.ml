@@ -62,13 +62,17 @@ let dns_anchor = function
   | "JP" -> Some "Sakura Internet"
   | _ -> None
 
+(* "<kind>-<cc>-<i zero-padded to 3 digits>": every mix mints one per
+   bucket it walks, so the name is concatenated rather than formatted. *)
 let regional ~layer cc i =
   let anchor = match layer with "dns" -> dns_anchor cc | _ -> hosting_anchor cc in
   match (i, anchor) with
   | 0, Some name -> p name cc
   | _ ->
-      let kind = if String.equal layer "dns" then "DNS" else "Host" in
-      p (Printf.sprintf "%s-%s-%03d" kind cc i) cc
+      let kind = if String.equal layer "dns" then "DNS-" else "Host-" in
+      let digits = string_of_int i in
+      let pad = match String.length digits with 1 -> "00" | 2 -> "0" | _ -> "" in
+      p (kind ^ cc ^ "-" ^ pad ^ digits) cc
 
 let ca_global7 =
   [ p "Let's Encrypt" "US"; p "DigiCert" "US"; p "Sectigo" "US";

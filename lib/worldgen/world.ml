@@ -15,25 +15,16 @@ let epoch_name = function May_2023 -> "2023-05" | May_2025 -> "2025-05"
 
 let m_snapshots = Webdep_obs.Metrics.counter "worldgen.snapshots"
 
-(* What a snapshot needs of a hosting or DNS provider for every site it
-   serves: its network and the names derived from it. *)
-type provider_names = {
-  net : Internet.network;
-  ns_hosts : string list;  (* "ns1.<slug>.sim"; "ns2.<slug>.sim" *)
-  cdn_suffix : string;  (* ".cdn.<slug>.sim" for anycast networks, else "" *)
-}
-
 (* Everything below is filled by [create] and only read afterwards. *)
 type t = {
   seed : int;
   c : int;
   geo_accuracy : float;
-  internet : Internet.t;
+  internet : Internet.t;  (* every hosting/DNS provider's network, by name *)
   ca_db : Tls_ca.t;
   base_rng : Rng.t;
   mixes : (epoch * Profiles.layer * string, (Mix.t, string) result) Hashtbl.t;
       (* keyed by [mix_epoch]; [Error] holds the calibrator's refusal *)
-  names : (string, provider_names) Hashtbl.t;  (* by hosting/DNS provider name *)
   issuers : (string, string array) Hashtbl.t;  (* by CA owner name *)
 }
 
@@ -145,47 +136,32 @@ let mix t ?(epoch = May_2023) layer cc =
 
 (* --- Registration ------------------------------------------------------- *)
 
-let name_set names =
-  let set = Hashtbl.create (List.length names) in
-  List.iter (fun n -> Hashtbl.replace set n ()) names;
-  set
-
-let global_names =
-  let names =
-    List.map (fun p -> p.Provider.name) (Registry.hosting_global @ Registry.dns_global)
+(* The providers with more than an HQ pop, and the anycast ones: every
+   name in either list maps to (global, anycast); the rest are regional
+   unicast networks. *)
+let reach =
+  let global =
+    "Cloudflare" :: "Amazon"
+    :: List.map (fun p -> p.Provider.name) (Registry.hosting_global @ Registry.dns_global)
+  and anycast =
+    [ "Cloudflare"; "NSONE"; "Neustar UltraDNS"; "Verisign DNS"; "Dyn"; "DNS Made Easy";
+      "easyDNS" ]
   in
-  "Cloudflare" :: "Amazon" :: names
-
-let global_name_set = name_set global_names
-
-let is_global p = Hashtbl.mem global_name_set p.Provider.name
-
-let anycast_names =
-  [ "Cloudflare"; "NSONE"; "Neustar UltraDNS"; "Verisign DNS"; "Dyn"; "DNS Made Easy";
-    "easyDNS" ]
-
-let anycast_name_set = name_set anycast_names
+  let t = Hashtbl.create 256 in
+  List.iter (fun n -> Hashtbl.replace t n (List.mem n global, List.mem n anycast)) (global @ anycast);
+  t
 
 let fastly = Provider.make ~name:"Fastly" ~home:"US"
 
 (* A hosting or DNS provider's network (ASN, prefixes, geolocation
-   draws) and names.  The first registration of a name wins. *)
-let register_network t p =
-  if not (Hashtbl.mem t.names p.Provider.name) then begin
-    let anycast = Hashtbl.mem anycast_name_set p.Provider.name in
-    let presence = if is_global p then all_codes else [] in
-    let net =
-      Internet.register_network t.internet ~name:p.Provider.name ~country:p.Provider.home
-        ~anycast ~presence ()
-    in
-    let slug = Provider.slug p in
-    Hashtbl.replace t.names p.Provider.name
-      {
-        net;
-        ns_hosts = [ "ns1." ^ slug ^ ".sim"; "ns2." ^ slug ^ ".sim" ];
-        cdn_suffix = (if anycast then ".cdn." ^ slug ^ ".sim" else "");
-      }
-  end
+   draws).  The first registration of a name wins. *)
+let register_network internet (p : Provider.t) =
+  let name = p.Provider.name in
+  let global, anycast = Option.value ~default:(false, false) (Hashtbl.find_opt reach name) in
+  ignore
+    (Internet.register_network internet ~name ~country:p.Provider.home ~anycast
+       ~presence:(if global then all_codes else [])
+       ())
 
 (* A couple of issuing intermediates per owner, like CCADB rollups:
    "<owner> Issuing CA R1" and "... R2". *)
@@ -210,44 +186,51 @@ let register_ca t root_store (owner_p : Provider.t) =
 
 (* Calibrate every mix on the domain pool ([Mix.build] is pure, so the
    lanes cannot change the result), then register, serially and in one
-   fixed walk, every network and CA those mixes name: the multi-CDN
-   secondaries, each country's 2023 hosting, DNS and CA providers in
+   fixed walk, every network those mixes name: the multi-CDN
+   secondaries, each country's 2023 hosting then DNS providers in
    [Webdep_geo.Country.all] order, then each country's 2025 hosting
-   providers.  Allocation and geolocation draws follow the walk, so they
-   never depend on which snapshots are taken, in what order, or where. *)
+   providers; and every CA owner of each country's 2023 CA mix.
+   Allocation and geolocation draws follow the walk, so they never
+   depend on which snapshots are taken, in what order, or where. *)
 let create ?(c = 10_000) ?(geo_accuracy = 0.894) ~seed () =
   let base_rng = Rng.create seed in
   let geo_rng = Rng.split_named base_rng "geolocation-errors" in
+  let mixes = Hashtbl.create 1024 in
+  Webdep_obs.Span.with_ ~name:"worldgen.calibrate" (fun () ->
+      List.iter
+        (List.iter (fun (key, m) -> Hashtbl.replace mixes key m))
+        (Webdep_par.map (calibrate ~c) all_codes));
+  let providers epoch layer cc =
+    match Hashtbl.find mixes (epoch, layer, cc) with
+    | Ok m -> List.map fst m.Mix.assignments
+    | Error _ -> []
+  in
+  Webdep_obs.Span.with_ ~name:"worldgen.register" @@ fun () ->
+  let walk =
+    ([ Registry.amazon; fastly ]
+    :: List.concat_map
+         (fun cc -> [ providers May_2023 Hosting cc; providers May_2023 Dns cc ])
+         all_codes)
+    @ List.map (providers May_2025 Hosting) all_codes
+  in
+  (* Every network is among the candidates, so the name index never
+     grows during the walk. *)
+  let candidates = List.fold_left (fun n ps -> n + List.length ps) 0 walk in
   let t =
     {
       seed;
       c;
       geo_accuracy;
-      internet = Internet.create ~geo_accuracy geo_rng;
+      internet = Internet.create ~geo_accuracy ~networks:candidates geo_rng;
       ca_db = Tls_ca.create ();
       base_rng;
-      mixes = Hashtbl.create 1024;
-      names = Hashtbl.create 4096;
+      mixes;
       issuers = Hashtbl.create 64;
     }
   in
-  List.iter
-    (List.iter (fun (key, m) -> Hashtbl.replace t.mixes key m))
-    (Webdep_par.map (calibrate ~c) all_codes);
-  let providers epoch layer cc =
-    match Hashtbl.find t.mixes (epoch, layer, cc) with
-    | Ok m -> List.map fst m.Mix.assignments
-    | Error _ -> []
-  in
+  List.iter (List.iter (register_network t.internet)) walk;
   let root_store = Webdep_tlssim.Root_store.create () in
-  List.iter (register_network t) [ Registry.amazon; fastly ];
-  List.iter
-    (fun cc ->
-      List.iter (register_network t) (providers May_2023 Hosting cc);
-      List.iter (register_network t) (providers May_2023 Dns cc);
-      List.iter (register_ca t root_store) (providers May_2023 Ca cc))
-    all_codes;
-  List.iter (fun cc -> List.iter (register_network t) (providers May_2025 Hosting cc)) all_codes;
+  List.iter (fun cc -> List.iter (register_ca t root_store) (providers May_2023 Ca cc)) all_codes;
   t
 
 (* Calibration is the only way a country's sites can fail to derive;
@@ -291,6 +274,24 @@ let expand rng assignments total =
   arr
 
 (* --- Snapshots --------------------------------------------------------- *)
+
+let network t (p : Provider.t) = Option.get (Internet.find_network t.internet p.Provider.name)
+
+(* What a snapshot needs of a hosting or DNS provider for every site it
+   serves: its network and the names derived from it. *)
+type provider_names = {
+  net : Internet.network;
+  ns_hosts : string list;  (* "ns1.<slug>.sim"; "ns2.<slug>.sim" *)
+  cdn_suffix : string;  (* ".cdn.<slug>.sim" for anycast networks, else "" *)
+}
+
+let provider_names t p =
+  let net = network t p and slug = Provider.slug p in
+  {
+    net;
+    ns_hosts = [ "ns1." ^ slug ^ ".sim"; "ns2." ^ slug ^ ".sim" ];
+    cdn_suffix = (if net.Internet.anycast then ".cdn." ^ slug ^ ".sim" else "");
+  }
 
 type snapshot = {
   country : string;
@@ -370,7 +371,7 @@ let snapshot t ?(epoch = May_2023) cc =
   let toplist = toplist_for t (Rng.split_named rng "toplist") cc epoch in
   (* Each provider's names and issuers are looked up once per mix, not
      per site. *)
-  let names p = Hashtbl.find t.names p.Provider.name in
+  let names p = provider_names t p in
   let issuers a = Hashtbl.find t.issuers a.Provider.name in
   let assign stream find layer =
     let resolved = List.map (fun (p, k) -> ((p, find p), k)) (mix t ~epoch layer cc).Mix.assignments in
@@ -379,7 +380,7 @@ let snapshot t ?(epoch = May_2023) cc =
   let hosting = assign "hosting" names Hosting in
   let dns = assign "dns" names Dns in
   let ca = assign "ca" issuers Ca in
-  let amazon_net = (names Registry.amazon).net and fastly_net = (names fastly).net in
+  let amazon_net = network t Registry.amazon and fastly_net = network t fastly in
   (* The tables are sized to what the loop below inserts: the zone table
      takes every site plus one CNAME target per CDN-fronted site, the
      host table two glue hosts per DNS provider, the certificate store

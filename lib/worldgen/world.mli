@@ -35,13 +35,15 @@ val create : ?c:int -> ?geo_accuracy:float -> seed:int -> unit -> t
 
     Builds the whole world up front: calibrates all 750 mixes (150
     countries × 2023 TLD, hosting, DNS and CA, plus 2025 hosting) across
-    the {!Webdep_par} pool, then registers every network and CA they
-    name in one fixed serial walk — the multi-CDN secondaries (Amazon,
-    Fastly), each country's 2023 hosting, DNS and CA providers in
-    {!Webdep_geo.Country.all} order, then each country's 2025 hosting
-    providers.  ASNs, prefixes and geolocation draws follow that walk.
-    Costs ~0.3 s at [c = 300] and ~1.4 s at [c = 10 000] on a 2-core VM
-    (two lanes), whatever the number of countries later measured. *)
+    the {!Webdep_par} pool (span [worldgen.calibrate]), then registers
+    every network they name in one fixed serial walk — the multi-CDN
+    secondaries (Amazon, Fastly), each country's 2023 hosting and DNS
+    providers in {!Webdep_geo.Country.all} order, then each country's
+    2025 hosting providers — and every CA owner of the 2023 CA mixes
+    (span [worldgen.register]).  ASNs, prefixes and geolocation draws
+    follow that walk.  Costs ~0.2 s at [c = 300] and ~0.55–0.6 s at
+    [c = 2 000] and [c = 10 000] on a 2-core machine (two lanes),
+    whatever the number of countries later measured. *)
 
 val c : t -> int
 val seed : t -> int

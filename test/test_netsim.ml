@@ -123,31 +123,6 @@ let prop_trie_finds_inserted =
         (fun (p, _) -> Prefix_table.lookup t (Ipv4.nth_addr p 0) <> None)
         prefixes)
 
-(* --- As_db -------------------------------------------------------------------- *)
-
-let test_as_db () =
-  let db = As_db.create () in
-  let org = As_db.register_org db ~name:"Cloudflare" ~country:"US" in
-  As_db.register_as db 13335 org;
-  (match As_db.org_of_as db 13335 with
-  | Some o -> Alcotest.(check string) "org name" "Cloudflare" o.Org.name
-  | None -> Alcotest.fail "missing");
-  Alcotest.(check bool) "unknown asn" true (As_db.org_of_as db 99999 = None);
-  (* Registering the same org name returns the original. *)
-  let again = As_db.register_org db ~name:"Cloudflare" ~country:"US" in
-  Alcotest.(check bool) "idempotent" true (Org.equal org again);
-  Alcotest.(check int) "org count" 1 (As_db.org_count db);
-  Alcotest.(check int) "as count" 1 (As_db.as_count db)
-
-let test_as_db_multiple_as_per_org () =
-  let db = As_db.create () in
-  let org = As_db.register_org db ~name:"Amazon" ~country:"US" in
-  As_db.register_as db 16509 org;
-  As_db.register_as db 14618 org;
-  let o1 = Option.get (As_db.org_of_as db 16509) in
-  let o2 = Option.get (As_db.org_of_as db 14618) in
-  Alcotest.(check bool) "same org" true (Org.equal o1 o2)
-
 (* --- Geo_db --------------------------------------------------------------------- *)
 
 let test_geo_exact () =
@@ -395,11 +370,6 @@ let () =
           Alcotest.test_case "lookup_prefix" `Quick test_trie_lookup_prefix;
           Alcotest.test_case "fold" `Quick test_trie_fold;
           qtest prop_trie_finds_inserted;
-        ] );
-      ( "as_db",
-        [
-          Alcotest.test_case "basic" `Quick test_as_db;
-          Alcotest.test_case "multiple as per org" `Quick test_as_db_multiple_as_per_org;
         ] );
       ( "geo_db",
         [

@@ -63,6 +63,64 @@ let prop_calibrate_random_targets =
       Float.abs (r.Calibrate.achieved -. target) < 2e-4
       && Array.fold_left ( + ) 0 r.Calibrate.counts = 10_000)
 
+(* [Calibrate.counts] against the earlier calibrator kept in
+   [Calibrate_reference]: the same counts and the same bits of
+   [achieved], or the same [Invalid_argument].  Half the cases ask for
+   c/4 providers, as [Mix] does whenever c is small; targets lean
+   toward the low end of the attainable range, where the paper's scores
+   sit and where rounding leaves the most splits and moves, and fall a
+   little past both ends; pinned shares occasionally fall outside
+   [0, 1). *)
+let prop_calibrate_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      (* c log-uniform over [40, 10 000]: the reference re-sorts its
+         buckets after every split, which is slow at large c. *)
+      let* e = float_range 0.0 1.0 in
+      let c = Stdlib.min 10_000 (int_of_float (40.0 *. (250.0 ** e))) in
+      (* Half the cases round c to hundreds, as every c the tools use
+         is: a four-decimal target then lies on the grid of attainable
+         scores, multiples of 1/c^2. *)
+      let* round = bool in
+      let c = if round && c >= 100 then c / 100 * 100 else c in
+      let* n = oneof [ return (Stdlib.max 2 (c / 4)); int_range 2 (Stdlib.max 2 (c / 4)) ] in
+      let* u = float_range (-0.3) 1.01 in
+      let u = u *. u *. u in
+      let* top_share = opt (float_range 0.05 0.9) in
+      let* second_share = opt (float_range 0.02 0.4) in
+      let* pinned = list_size (int_range 0 3) (float_range (-0.01) 0.4) in
+      let floor_s = (1.0 /. float_of_int n) -. (1.0 /. float_of_int c) in
+      let ceil_s = 1.0 -. (1.0 /. float_of_int c) in
+      (* To four decimals, as Appendix F gives them: such a target can
+         equal an attainable score exactly, where ties between moves
+         come down to the last bits of each score. *)
+      let target = Float.round ((floor_s +. (u *. (ceil_s -. floor_s))) *. 1e4) /. 1e4 in
+      return (c, n, target, top_share, second_share, pinned))
+  in
+  let print (c, n, target, top, second, pinned) =
+    let opt = function None -> "-" | Some x -> Printf.sprintf "%h" x in
+    Printf.sprintf "c=%d n=%d target=%h top=%s second=%s pinned=[%s]" c n target (opt top)
+      (opt second) (String.concat "; " (List.map (Printf.sprintf "%h") pinned))
+  in
+  QCheck.Test.make ~name:"counts match the reference calibrator" ~count:100
+    (QCheck.make ~print gen)
+    (fun (c, n_providers, target, top_share, second_share, pinned) ->
+      let run f = match f () with r -> Ok r | exception Invalid_argument e -> Error e in
+      match
+        ( run (fun () ->
+              Calibrate.counts ?top_share ?second_share ~pinned ~c ~n_providers ~target ()),
+          run (fun () ->
+              Calibrate_reference.counts ?top_share ?second_share ~pinned ~c ~n_providers
+                ~target ()) )
+      with
+      | Ok r, Ok want ->
+          r.Calibrate.counts = want.Calibrate_reference.counts
+          && Int64.equal
+               (Int64.bits_of_float r.Calibrate.achieved)
+               (Int64.bits_of_float want.Calibrate_reference.achieved)
+      | Error e, Error want -> String.equal e want
+      | _ -> false)
+
 (* --- Registry ------------------------------------------------------------- *)
 
 let test_registry_class_sizes () =
@@ -369,6 +427,99 @@ let test_world_epoch_names () =
   Alcotest.(check string) "2023" "2023-05" (World.epoch_name World.May_2023);
   Alcotest.(check string) "2025" "2025-05" (World.epoch_name World.May_2025)
 
+(* Everything [World.create] builds, rendered in a fixed order: every
+   country's five calibrated mixes, every network once in walk order
+   (the allocator hands out consecutive /20s from 0.1.0.0, so walking
+   the blocks up from there visits the networks as they were
+   registered) with each block's lookup answers, and every CA owner's
+   issuer CNs as CCADB maps them. *)
+let world_digest w =
+  let module Internet = Webdep_netsim.Internet in
+  let module Ipv4 = Webdep_netsim.Ipv4 in
+  let module Org = Webdep_netsim.Org in
+  let module Tls_ca = Webdep_tlssim.Ca in
+  let buf = Buffer.create (1 lsl 22) in
+  let add fmt = Printf.bprintf buf fmt in
+  let countries = World.countries w in
+  List.iter
+    (fun cc ->
+      List.iter
+        (fun (epoch, layer) ->
+          add "mix %s %s %s" cc (World.epoch_name epoch) (Scores.layer_name layer);
+          match World.mix w ~epoch layer cc with
+          | m ->
+              add " %Lx\n" (Int64.bits_of_float m.Mix.achieved_score);
+              List.iter
+                (fun ((p : Provider.t), k) -> add "%s\t%s\t%d\n" p.Provider.name p.Provider.home k)
+                m.Mix.assignments
+          | exception World.Uncalibrated u -> add " uncalibrated %s\n" u.World.reason)
+        [ (World.May_2023, Scores.Tld); (World.May_2023, Scores.Hosting);
+          (World.May_2023, Scores.Dns); (World.May_2023, Scores.Ca);
+          (World.May_2025, Scores.Hosting) ])
+    countries;
+  let internet = World.internet w in
+  let networks = ref 0 and last_asn = ref (-1) in
+  let rec blocks b =
+    let a = Ipv4.addr_of_int (b lsl 12) in
+    match Internet.origin_as internet a with
+    | None -> ()
+    | Some asn ->
+        let org = Option.get (Internet.org_of_addr internet a) in
+        if asn <> !last_asn then begin
+          last_asn := asn;
+          incr networks;
+          let n = Option.get (Internet.find_network internet org.Org.name) in
+          add "net %d org %d %s %s anycast %b hq %s pops" n.Internet.asn n.Internet.org.Org.id
+            n.Internet.org.Org.name n.Internet.org.Org.country n.Internet.anycast
+            (Ipv4.prefix_to_string n.Internet.hq_prefix);
+          List.iter
+            (fun (cc, p) ->
+              add " %s=%s" cc (Ipv4.prefix_to_string p);
+              if Ipv4.compare_prefix (Internet.pop_near n ~near:cc) p <> 0 then add "(not near)")
+            n.Internet.pops;
+          add " fallback %s\n" (Ipv4.prefix_to_string (Internet.pop_near n ~near:"ZZ"))
+        end;
+        add "block %s as %d org %d %s geo %s anycast %b\n" (Ipv4.addr_to_string a) asn
+          org.Org.id org.Org.name
+          (Option.value ~default:"-" (Internet.geolocate internet a))
+          (Internet.is_anycast_addr internet a);
+        blocks (b + 1)
+  in
+  blocks 16;
+  add "networks %d of %d\n" !networks (Internet.network_count internet);
+  let db = World.ca_db w and seen = Hashtbl.create 64 in
+  List.iter
+    (fun cc ->
+      List.iter
+        (fun ((p : Provider.t), _) ->
+          if not (Hashtbl.mem seen p.Provider.name) then begin
+            Hashtbl.add seen p.Provider.name ();
+            for k = 1 to 2 do
+              let cn = Printf.sprintf "%s Issuing CA R%d" p.Provider.name k in
+              add "issuer %s -> %s\n" cn
+                (match Tls_ca.owner_of_issuer db cn with
+                | Some o -> o.Tls_ca.name ^ "@" ^ o.Tls_ca.country
+                | None -> "-")
+            done
+          end)
+        (World.mix w Scores.Ca cc).Mix.assignments)
+    countries;
+  add "owners %d issuers %d\n" (Tls_ca.owner_count db) (Tls_ca.issuer_count db);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Pinned from the list-based calibrator and the As_db registration;
+   any change that moves them changes the world.  At c = 10 000, left
+   out to keep the suite short, the digest is
+   299473e2f63c9db66184560df84581c1. *)
+let world_digests =
+  [ (300, "5efb2f203003b27fb14460f48c5ba047"); (2000, "238aefd562bd78275b0e1633f3da4694") ]
+
+let test_world_digest () =
+  List.iter
+    (fun (c, want) ->
+      Alcotest.(check string) (Printf.sprintf "c=%d" c) want (world_digest (world ~seed:2024 ~c)))
+    world_digests
+
 (* Random (layer, country) mixes uphold the core invariants: exact total,
    distinct providers, positive counts, score within tolerance of the
    Appendix-F target.  One sanctioned exception to distinctness: in the
@@ -419,6 +570,7 @@ let () =
           Alcotest.test_case "invalid" `Quick test_calibrate_invalid;
           Alcotest.test_case "unattainable target" `Quick test_calibrate_unattainable_target;
           qtest prop_calibrate_random_targets;
+          qtest prop_calibrate_matches_reference;
         ] );
       ( "registry",
         [
@@ -465,5 +617,6 @@ let () =
           Alcotest.test_case "epoch churn" `Quick test_world_epoch_churn;
           Alcotest.test_case "domains carry tlds" `Quick test_world_domains_carry_tlds;
           Alcotest.test_case "epoch names" `Quick test_world_epoch_names;
+          Alcotest.test_case "whole-world digest" `Quick test_world_digest;
         ] );
     ]
