@@ -878,19 +878,20 @@ let run_epochs () log_path n_epochs churn layer verify compact_keep rebuild
       Epoch.Synth.generate ~seed ~fraction:churn ~epochs:n_epochs ~base_epoch:0
         ~base ~donors
     in
-    Epoch.Log.create ~path:log_path
-      ~meta:
-        [ ("seed", Webdep_json.Int seed);
-          ("c", Webdep_json.Int c);
-          ("churn", Webdep_json.Float churn) ]
-      ~base_epoch:0 ~base ();
+    let meta =
+      [ ("seed", Webdep_json.Int seed);
+        ("c", Webdep_json.Int c);
+        ("churn", Webdep_json.Float churn) ]
+    in
+    Epoch.Log.create ~path:log_path ~meta ~base_epoch:0 ~base ();
     (* Epoch-at-a-time appends — the same O(churn) path a live feed
-       would use, not one big rewrite. *)
-    List.iter
-      (fun (ev : Epoch.Log.event) ->
-        Epoch.Log.append ~path:log_path ~epoch:ev.Epoch.Log.epoch
-          ev.Epoch.Log.changes)
-      events;
+       would use, not one big rewrite — through the replay, so an epoch
+       that does not apply is refused before it is written. *)
+    let writer =
+      Epoch.Replay.start
+        { Epoch.Log.meta; base_epoch = 0; base; events = []; head = 0; dropped = false }
+    in
+    List.iter (Epoch.Replay.append writer ~path:log_path) events;
     Printf.printf "built %s: %d-country baseline + %d epochs at %.1f%% churn\n"
       log_path (List.length base) n_epochs (100.0 *. churn)
   end;

@@ -416,7 +416,7 @@ module Tally = struct
       largest = 0;
     }
 
-  let id_of t e =
+  let id t e =
     match Entity_tbl.find t.ids e with
     | id -> id
     | exception Not_found ->
@@ -429,8 +429,7 @@ module Tally = struct
         Entity_tbl.add t.ids e id;
         id
 
-  let add t e =
-    let id = id_of t e in
+  let add_id t id =
     let c = t.counts.(id) in
     if c > 0 then t.freq.(c) <- t.freq.(c) - 1;
     let k = c + 1 in
@@ -441,32 +440,21 @@ module Tally = struct
     t.labelled <- t.labelled + 1;
     c = 0
 
-  let remove t e =
-    match Entity_tbl.find t.ids e with
-    | exception Not_found -> invalid_arg "Dataset.Tally.remove: unknown entity"
-    | id ->
-        let c = t.counts.(id) in
-        if c <= 0 then invalid_arg "Dataset.Tally.remove: count already zero";
-        t.counts.(id) <- c - 1;
-        t.freq.(c) <- t.freq.(c) - 1;
-        if c > 1 then t.freq.(c - 1) <- t.freq.(c - 1) + 1;
-        (* The largest count falls only when its last holder steps down,
-           and then by one: that entity keeps c - 1 sites, or c = 1 and
-           the tally is empty. *)
-        if c = t.largest && t.freq.(c) = 0 then t.largest <- c - 1;
-        t.labelled <- t.labelled - 1;
-        c = 1
+  let remove_id t id =
+    let c = t.counts.(id) in
+    if c <= 0 then invalid_arg "Dataset.Tally.remove: count already zero";
+    t.counts.(id) <- c - 1;
+    t.freq.(c) <- t.freq.(c) - 1;
+    if c > 1 then t.freq.(c - 1) <- t.freq.(c - 1) + 1;
+    (* The largest count falls only when its last holder steps down,
+       and then by one: that entity keeps c - 1 sites, or c = 1 and
+       the tally is empty. *)
+    if c = t.largest && t.freq.(c) = 0 then t.largest <- c - 1;
+    t.labelled <- t.labelled - 1;
+    c = 1
 
-  let add_site t layer s =
-    match entity_of s layer with None -> false | Some e -> add t e
-
-  let remove_site t layer s =
-    match entity_of s layer with None -> false | Some e -> remove t e
-
-  let of_sites sites layer =
-    let t = create () in
-    List.iter (fun s -> ignore (add_site t layer s)) sites;
-    t
+  let add t e = add_id t (id t e)
+  let remove t e = remove_id t (id t e)
 
   let labelled t = t.labelled
 

@@ -123,7 +123,7 @@ end
     count per id.  Alongside the counts it keeps the count histogram —
     how many entities have exactly [k] websites, for every [k] up to the
     largest count — and the labelled total, all updated in O(1) by
-    {!Tally.add}/{!Tally.remove}.
+    {!Tally.add_id}/{!Tally.remove_id}.
 
     {!Tally.score} and {!Tally.counts} depend only on the tallied
     multiset, never on the order it was built in, so a tally updated
@@ -135,23 +135,27 @@ module Tally : sig
 
   val create : unit -> t
 
-  val of_sites : site list -> layer -> t
-  (** Tally the layer labels of [sites]; unlabelled sites are skipped. *)
+  val id : t -> entity -> int
+  (** The entity's dense id in this tally, minted with count zero on
+      first sight.  An id stays the entity's for the tally's lifetime,
+      so a caller that keeps the id a site was counted under can later
+      update by it without hashing the entity again. *)
 
-  val add : t -> entity -> bool
-  (** Count one more website for the entity.  Returns [true] iff the
+  val add_id : t -> int -> bool
+  (** Count one more website for the id.  Returns [true] iff the
       support set grew (count went 0 to 1). *)
 
-  val remove : t -> entity -> bool
+  val remove_id : t -> int -> bool
   (** Count one fewer website.  Returns [true] iff the support set
       shrank (count went 1 to 0).
+      @raise Invalid_argument if the id's count is already zero. *)
+
+  val add : t -> entity -> bool
+  (** [add_id t (id t e)]. *)
+
+  val remove : t -> entity -> bool
+  (** [remove_id t (id t e)].
       @raise Invalid_argument if the entity's count is already zero. *)
-
-  val add_site : t -> layer -> site -> bool
-  (** {!add} of the site's label in the layer; [false] when unlabelled. *)
-
-  val remove_site : t -> layer -> site -> bool
-  (** {!remove} of the site's label; [false] when unlabelled. *)
 
   val labelled : t -> int
   (** Websites tallied: the sum of all counts, 𝒮's [c]. *)

@@ -15,6 +15,8 @@
    bytes and refuses to extend a log that does not end in an intact
    commit below the new epoch, so an append can never land after a torn
    tail (where [load] would stop before it) or behind a later epoch.
+   That is a check of framing only: whether the records apply is
+   [Replay.append]'s to check, which holds the replayed state.
    [load] keeps the longest committed prefix: a torn or corrupt record,
    or churn without its commit, drops the rest, and a log whose
    baseline never committed is no log at all. *)
@@ -100,15 +102,16 @@ let create ~path ?(meta = []) ~base_epoch ~base () =
   write ~path
     { meta; base_epoch; base; events = []; head = base_epoch; dropped = false }
 
+let tail ~path =
+  match Segment.last ~path ~len:commit_len with
+  | None -> None
+  | Some payload -> (
+      match decode payload with
+      | Commit e -> Some e
+      | Base _ | Churn _ | (exception Segment.Malformed _) -> None)
+
 let append ~path ~epoch changes =
-  let extends =
-    match Segment.last ~path ~len:commit_len with
-    | None -> false
-    | Some payload -> (
-        match decode payload with
-        | Commit e -> e < epoch
-        | Base _ | Churn _ | (exception Segment.Malformed _) -> false)
-  in
+  let extends = match tail ~path with Some e -> e < epoch | None -> false in
   if not extends then
     invalid_arg
       (Printf.sprintf

@@ -43,9 +43,19 @@ val append : path:string -> epoch:int -> churn list -> unit
 (** Append one committed epoch — churn records, then the commit record,
     then fsync.  O(churn), independent of log length.  A crash before
     the commit reaches disk leaves the epoch invisible to {!load}.
+
+    This checks framing only: it commits records that do not apply to
+    the log's state (an absent domain removed, a present one added, a
+    country outside the baseline), and every replay of the log then
+    refuses it.  {!Replay.append} checks the records first.
     @raise Invalid_argument unless the file ends in an intact commit
     record for an epoch below [epoch] (checked from its last 17 bytes):
     a torn log must be loaded and rewritten with {!write} first. *)
+
+val tail : path:string -> int option
+(** The epoch of the commit record [path] ends in, read from its last 17
+    bytes; [None] when the file does not end in an intact commit.
+    @raise Sys_error if [path] cannot be opened. *)
 
 val write : path:string -> t -> unit
 (** Atomic whole-log rewrite — how compaction publishes its result, and

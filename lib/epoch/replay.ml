@@ -2,60 +2,108 @@
    plus one [Webdep_store.Incremental] per layer, advanced epoch by
    epoch.
 
-   Sites are kept per country in a hashtable keyed by domain, each
-   carrying a monotone sequence number (baseline sites take 0..n-1 in
-   file order, additions take the next counter value).  Sorting by
+   Sites are kept per country in a table keyed by domain.  Each entry
+   carries a monotone sequence number (baseline sites take 0..n-1 in
+   file order, additions take the next counter value) and the four
+   tally ids the site was counted under, one per layer.  Sorting by
    sequence reproduces the canonical site order without paying O(world)
    per epoch — materialization is the only O(n log n) step, and it runs
    only when a dataset is actually needed (verification, compaction,
    serving the head).
 
-   Advancing one epoch folds its churn through the four per-layer
-   Incrementals in O(churn) tally updates; each touched country then
-   rescores by one walk of its count histogram, a few hundred steps
-   whatever the churn.  The scores stay bit-identical to a cold
-   recomputation over the materialized dataset (the invariant
+   A site's labels are hashed once, when it enters through the baseline
+   or an addition; its removal decrements the stored ids and hashes no
+   entity.  Advancing one epoch thus costs O(churn) tally updates; each
+   touched country then rescores by one walk of its count histogram, a
+   few hundred steps whatever the churn.  The scores stay bit-identical
+   to a cold recomputation over the materialized dataset (the invariant
    [Incremental] already guarantees). *)
 
 module D = Webdep.Dataset
 module Inc = Webdep_store.Incremental
+module Str_tbl = Hashtbl.Make (String)
 
 let m_removed = Webdep_obs.Metrics.counter "epoch.replay.sites_removed"
 let m_added = Webdep_obs.Metrics.counter "epoch.replay.sites_added"
 
-let layers = [ D.Hosting; D.Dns; D.Ca; D.Tld ]
+(* One value per layer. *)
+type 'a layered = { hosting : 'a; dns : 'a; ca : 'a; tld : 'a }
+
+let layers = { hosting = D.Hosting; dns = D.Dns; ca = D.Ca; tld = D.Tld }
+let map f x = { hosting = f x.hosting; dns = f x.dns; ca = f x.ca; tld = f x.tld }
+
+let get layer x =
+  match layer with D.Hosting -> x.hosting | D.Dns -> x.dns | D.Ca -> x.ca | D.Tld -> x.tld
+
+let iter2 f a b =
+  f a.hosting b.hosting;
+  f a.dns b.dns;
+  f a.ca b.ca;
+  f a.tld b.tld
+
+(* A site with its sequence number and the tally ids it was counted
+   under ([-1] where it has no label). *)
+type entry = { seq : int; site : D.site; ids : int layered }
 
 type cstate = {
-  sites : (string, int * D.site) Hashtbl.t;  (* domain -> seq, site *)
+  sites : entry Str_tbl.t;  (* domain -> entry *)
   mutable next_seq : int;
+  tallies : Inc.country layered;
 }
 
 type t = {
   countries : string list;  (* baseline order *)
   by_country : (string, cstate) Hashtbl.t;
-  incs : (D.layer * Inc.t) list;
+  incs : Inc.t layered;
   mutable epoch : int;
 }
 
+(* The entry of a site arriving in [cs]: the next sequence number, and
+   each label hashed into its layer's tally once. *)
+let enter cs (site : D.site) =
+  let tl = cs.tallies in
+  let seq = cs.next_seq in
+  cs.next_seq <- seq + 1;
+  {
+    seq;
+    site;
+    ids =
+      {
+        hosting = Inc.tally_id tl.hosting site;
+        dns = Inc.tally_id tl.dns site;
+        ca = Inc.tally_id tl.ca site;
+        tld = Inc.tally_id tl.tld site;
+      };
+  }
+
+(* The baseline's sites enter the way additions do.  A country listed
+   twice keeps its last site list, as a dataset built from the baseline
+   would. *)
 let start (log : Log.t) =
-  let ds = D.of_country_data log.Log.base in
+  let countries = List.map (fun (cd : D.country_data) -> cd.D.country) log.Log.base in
+  let incs = map (fun layer -> Inc.empty layer countries) layers in
   let by_country = Hashtbl.create 64 in
   List.iter
     (fun (cd : D.country_data) ->
-      let cs = { sites = Hashtbl.create 512; next_seq = 0 } in
-      List.iter
-        (fun (s : D.site) ->
-          Hashtbl.replace cs.sites s.D.domain (cs.next_seq, s);
-          cs.next_seq <- cs.next_seq + 1)
-        cd.D.sites;
-      Hashtbl.replace by_country cd.D.country cs)
-    log.Log.base;
-  {
-    countries = List.map (fun (cd : D.country_data) -> cd.D.country) log.Log.base;
-    by_country;
-    incs = List.map (fun l -> (l, Inc.create ds l)) layers;
-    epoch = log.Log.base_epoch;
-  }
+      let cc = cd.D.country in
+      if not (Hashtbl.mem by_country cc) then begin
+        let cs =
+          {
+            sites = Str_tbl.create (List.length cd.D.sites);
+            next_seq = 0;
+            tallies = map (fun inc -> Inc.country inc cc) incs;
+          }
+        in
+        List.iter
+          (fun (s : D.site) ->
+            let e = enter cs s in
+            Str_tbl.replace cs.sites s.D.domain e;
+            iter2 Inc.add cs.tallies e.ids)
+          cd.D.sites;
+        Hashtbl.replace by_country cc cs
+      end)
+    (List.rev log.Log.base);
+  { countries; by_country; incs; epoch = log.Log.base_epoch }
 
 let epoch t = t.epoch
 let countries t = t.countries
@@ -65,77 +113,89 @@ let cstate t cc =
   | Some cs -> cs
   | None -> invalid_arg (Printf.sprintf "Replay.apply: unknown country %s" cc)
 
+(* One site-table edit of an event, kept until the event is accepted or
+   rolled back. *)
+type edit = Removed of cstate * entry | Added of cstate * entry
+
 (* The site tables take the whole event before any tally sees it, and
-   every edit pushes its undo: a record rejected part-way (unknown
+   every edit is journalled: a record rejected part-way (unknown
    country, absent or duplicate domain) rolls all earlier edits back,
    so an event applies whole or not at all.  Records are still checked
    in order against the tables as the earlier ones left them, so the
-   verdict is the record-by-record one, and an accepted event costs the
-   same table lookups as applying it directly. *)
+   verdict is the record-by-record one.  An accepted journal, oldest
+   first, is the event's tally updates in record order: each record's
+   removals, then its additions. *)
 let apply t (ev : Log.event) =
   if ev.Log.epoch <= t.epoch then
     invalid_arg
       (Printf.sprintf "Replay.apply: epoch %d not after %d" ev.Log.epoch t.epoch);
-  let undo = ref [] in
+  let journal = ref [] in
   let edit (c : Log.churn) =
     let cs = cstate t c.Log.country in
-    let removed =
-      List.map
-        (fun dom ->
-          match Hashtbl.find_opt cs.sites dom with
-          | Some ((_, s) as entry) ->
-              Hashtbl.remove cs.sites dom;
-              undo := (fun () -> Hashtbl.replace cs.sites dom entry) :: !undo;
-              s
-          | None ->
-              invalid_arg
-                (Printf.sprintf "Replay.apply: %s removes unknown domain %s"
-                   c.Log.country dom))
-        c.Log.removed
-    in
+    List.iter
+      (fun dom ->
+        match Str_tbl.find_opt cs.sites dom with
+        | Some e ->
+            Str_tbl.remove cs.sites dom;
+            journal := Removed (cs, e) :: !journal
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Replay.apply: %s removes unknown domain %s"
+                 c.Log.country dom))
+      c.Log.removed;
     List.iter
       (fun (s : D.site) ->
         let dom = s.D.domain in
-        if Hashtbl.mem cs.sites dom then
+        if Str_tbl.mem cs.sites dom then
           invalid_arg
             (Printf.sprintf "Replay.apply: %s adds duplicate domain %s"
                c.Log.country dom);
-        Hashtbl.replace cs.sites dom (cs.next_seq, s);
-        cs.next_seq <- cs.next_seq + 1;
-        undo :=
-          (fun () ->
-            Hashtbl.remove cs.sites dom;
-            cs.next_seq <- cs.next_seq - 1)
-          :: !undo)
-      c.Log.added;
-    (c, removed)
+        let e = enter cs s in
+        Str_tbl.replace cs.sites dom e;
+        journal := Added (cs, e) :: !journal)
+      c.Log.added
   in
-  let edits =
-    try List.map edit ev.Log.changes
-    with Invalid_argument _ as e ->
-      List.iter (fun f -> f ()) !undo;
-      raise e
-  in
+  (try List.iter edit ev.Log.changes
+   with Invalid_argument _ as exn ->
+     List.iter
+       (function
+         | Removed (cs, e) -> Str_tbl.replace cs.sites e.site.D.domain e
+         | Added (cs, e) ->
+             Str_tbl.remove cs.sites e.site.D.domain;
+             cs.next_seq <- cs.next_seq - 1)
+       !journal;
+     raise exn);
+  let removed = ref 0 and added = ref 0 in
   List.iter
-    (fun ((c : Log.churn), removed) ->
-      Webdep_obs.Metrics.incr ~by:(List.length removed) m_removed;
-      Webdep_obs.Metrics.incr ~by:(List.length c.Log.added) m_added;
-      List.iter
-        (fun (_, inc) ->
-          Inc.apply inc ~country:c.Log.country ~added:c.Log.added ~removed)
-        t.incs)
-    edits;
+    (function
+      | Removed (cs, e) ->
+          incr removed;
+          iter2 Inc.remove cs.tallies e.ids
+      | Added (cs, e) ->
+          incr added;
+          iter2 Inc.add cs.tallies e.ids)
+    (List.rev !journal);
+  Webdep_obs.Metrics.incr ~by:!removed m_removed;
+  Webdep_obs.Metrics.incr ~by:!added m_added;
   t.epoch <- ev.Log.epoch
 
-let inc t layer = List.assoc layer t.incs
+(* The tail check comes first and the write last, so a refused event
+   leaves both the state and the file as they were. *)
+let append t ~path (ev : Log.event) =
+  if Log.tail ~path <> Some t.epoch then
+    invalid_arg
+      (Printf.sprintf "Replay.append: %s does not end in an intact commit of epoch %d"
+         path t.epoch);
+  apply t ev;
+  Log.append ~path ~epoch:ev.Log.epoch ev.Log.changes
 
-let score t layer cc = Inc.score (inc t layer) cc
-let hhi t layer cc = Inc.hhi (inc t layer) cc
-let insularity t layer cc = Inc.insularity (inc t layer) cc
+let score t layer cc = Inc.score (get layer t.incs) cc
+let hhi t layer cc = Inc.hhi (get layer t.incs) cc
+let insularity t layer cc = Inc.insularity (get layer t.incs) cc
 
 (* All countries' S in baseline order. *)
 let scores t layer =
-  let inc = inc t layer in
+  let inc = get layer t.incs in
   List.filter_map
     (fun cc ->
       match Inc.score inc cc with
@@ -145,11 +205,9 @@ let scores t layer =
 
 let materialize_country t cc =
   let cs = cstate t cc in
-  let sites = Hashtbl.fold (fun _ entry acc -> entry :: acc) cs.sites [] in
-  let sites =
-    List.sort (fun (a, _) (b, _) -> Stdlib.compare (a : int) b) sites
-  in
-  { D.country = cc; sites = List.map snd sites }
+  let entries = Str_tbl.fold (fun _ e acc -> e :: acc) cs.sites [] in
+  let entries = List.sort (fun a b -> Int.compare a.seq b.seq) entries in
+  { D.country = cc; sites = List.map (fun e -> e.site) entries }
 
 let materialize t = List.map (materialize_country t) t.countries
 

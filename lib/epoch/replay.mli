@@ -2,14 +2,18 @@
     {!Webdep_store.Incremental} state so every advance costs O(churn)
     tally updates, every rescore one walk of a country's count
     histogram, and every score read is bit-identical to a cold
-    recomputation over the materialized dataset. *)
+    recomputation over the materialized dataset.
+
+    Each site carries the tally ids it was counted under, computed once
+    when it arrives; a removal updates by those ids without hashing the
+    site's labels again. *)
 
 type t
 
 val start : Log.t -> t
 (** State at the log's base epoch: per-country site tables (domain →
-    sequence-numbered site) plus one Incremental per layer, tallied from
-    the baseline. *)
+    sequence number and tally ids) plus one Incremental per layer, each
+    baseline site tallied as it enters. *)
 
 val replay : ?observe:(t -> unit) -> Log.t -> t
 (** {!start}, then {!apply} every committed event in order.  [observe]
@@ -27,14 +31,20 @@ val apply : t -> Log.event -> unit
     absent domain, an addition of a present one, or a non-increasing
     epoch number. *)
 
+val append : t -> path:string -> Log.event -> unit
+(** The writer of a log whose committed state [t] holds: {!apply} the
+    event, then {!Log.append} it.  A refused event leaves the state and
+    the file's bytes as they were, so the log never commits an epoch
+    that no replay of it can apply.  If the write itself fails, the
+    state is ahead of the file; reload the log.
+    @raise Invalid_argument as {!apply}, or unless [path] ends in an
+    intact commit of epoch [epoch t]. *)
+
 val epoch : t -> int
 (** Current (last applied) epoch. *)
 
 val countries : t -> string list
 (** Baseline country order. *)
-
-val inc : t -> Webdep.Dataset.layer -> Webdep_store.Incremental.t
-(** The live per-layer Incremental — the serve plane's head state. *)
 
 val score : t -> Webdep.Dataset.layer -> string -> float
 (** Centralization 𝒮 of one country at the current epoch.

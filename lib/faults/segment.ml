@@ -27,21 +27,50 @@ let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
 
 (* --- CRC-32 (IEEE, reflected), on native ints --------------------------- *)
 
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+(* Slicing-by-8: table [k] (entries [256 k .. 256 k + 255]) holds the
+   CRC of a byte followed by [k] zero bytes, so eight bytes fold into
+   the running value with eight lookups and no carried dependency
+   between them.  Table 0 is the byte-at-a-time table. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to (8 * 256) - 1 do
+    let prev = t.(i - 256) in
+    t.(i) <- t.(prev land 0xff) lxor (prev lsr 8)
+  done;
+  t
 
-(* The running value stays within 32 bits: table entries do, and
-   [c lsr 8] only shrinks it. *)
+(* The running value stays within 32 bits: table entries do, and the
+   words read are masked to 32 bits.  Words are read little-endian
+   whatever the host, which is the reflected CRC's byte order. *)
 let crc32 s =
+  let t = crc_tables in
+  let n = String.length s in
   let c = ref 0xFFFFFFFF in
-  for i = 0 to String.length s - 1 do
+  let i = ref 0 in
+  while !i + 8 <= n do
+    let lo = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
+    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
     c :=
-      Array.unsafe_get crc_table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+      Array.unsafe_get t ((7 * 256) + (lo land 0xff))
+      lxor Array.unsafe_get t ((6 * 256) + ((lo lsr 8) land 0xff))
+      lxor Array.unsafe_get t ((5 * 256) + ((lo lsr 16) land 0xff))
+      lxor Array.unsafe_get t ((4 * 256) + (lo lsr 24))
+      lxor Array.unsafe_get t ((3 * 256) + (hi land 0xff))
+      lxor Array.unsafe_get t ((2 * 256) + ((hi lsr 8) land 0xff))
+      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xff))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to n - 1 do
+    c :=
+      Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s j)) land 0xff)
       lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
@@ -211,20 +240,22 @@ let decode data f =
    across sites, so a site list carries its own string table (ids in
    first-use order) and sites reference it; domains are unique and stay
    raw.  Optional fields use id + 1, with 0 for [None]. *)
-type table = { ids : (string, int) Hashtbl.t; mutable rev : string list; mutable n : int }
+module Str_tbl = Hashtbl.Make (String)
+
+type table = { ids : int Str_tbl.t; mutable rev : string list; mutable n : int }
 
 let intern t s =
-  match Hashtbl.find_opt t.ids s with
+  match Str_tbl.find_opt t.ids s with
   | Some id -> id
   | None ->
       let id = t.n in
-      Hashtbl.add t.ids s id;
+      Str_tbl.add t.ids s id;
       t.rev <- s :: t.rev;
       t.n <- id + 1;
       id
 
 let add_sites b sites =
-  let t = { ids = Hashtbl.create 64; rev = []; n = 0 } in
+  let t = { ids = Str_tbl.create 64; rev = []; n = 0 } in
   (* Intern while encoding the sites, so the table can precede them. *)
   let body = Buffer.create (32 * List.length sites) in
   let opt_str = function None -> add_u16 body 0 | Some s -> add_u16 body (intern t s + 1) in

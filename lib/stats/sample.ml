@@ -86,12 +86,10 @@ let round_shares ~total shares =
       let remainder = total - assigned in
       (* Hand the leftover units to the largest fractional parts; ties break
          toward lower index for determinism. *)
+      let frac = Array.mapi (fun i x -> x -. Float.of_int floors.(i)) exact in
       let order = Array.init n (fun i -> i) in
       Array.sort
-        (fun i j ->
-          let fi = exact.(i) -. Float.of_int floors.(i)
-          and fj = exact.(j) -. Float.of_int floors.(j) in
-          match compare fj fi with 0 -> compare i j | c -> c)
+        (fun i j -> match Float.compare frac.(j) frac.(i) with 0 -> Int.compare i j | c -> c)
         order;
       for k = 0 to remainder - 1 do
         let i = order.(k mod n) in

@@ -5,7 +5,8 @@ let m_cache_hits = Webdep_obs.Metrics.counter "store.metrics.cache_hits"
 let m_incremental = Webdep_obs.Metrics.counter "store.metrics.incremental"
 let m_full = Webdep_obs.Metrics.counter "store.metrics.full_solve"
 
-type cstate = {
+type country = {
+  layer : D.layer;
   tally : D.Tally.t;
   mutable total : int;  (* all sites, labelled or not: the U/insularity denominator *)
   mutable dirty : bool;
@@ -14,45 +15,59 @@ type cstate = {
 }
 
 type t = {
-  layer : D.layer;
   order : string list;
-  by_country : (string, cstate) Hashtbl.t;
+  by_country : (string, country) Hashtbl.t;
 }
 
-let create ds layer =
-  let order = D.countries ds in
+let empty layer order =
   let by_country = Hashtbl.create (List.length order) in
   List.iter
     (fun cc ->
-      let cd = D.country_exn ds cc in
       Hashtbl.replace by_country cc
         {
-          tally = D.Tally.of_sites cd.D.sites layer;
-          total = List.length cd.D.sites;
+          layer;
+          tally = D.Tally.create ();
+          total = 0;
           dirty = true;
           support_changed = true;
           score = Float.nan;
         })
     order;
-  { layer; order; by_country }
+  { order; by_country }
 
 let countries t = t.order
 
-let state t cc =
+let country t cc =
   match Hashtbl.find_opt t.by_country cc with
   | Some cs -> cs
   | None -> raise Not_found
 
-let apply t ~country ~added ~removed =
-  let cs = state t country in
-  List.iter
-    (fun s -> if D.Tally.remove_site cs.tally t.layer s then cs.support_changed <- true)
-    removed;
-  List.iter
-    (fun s -> if D.Tally.add_site cs.tally t.layer s then cs.support_changed <- true)
-    added;
-  cs.total <- cs.total + List.length added - List.length removed;
+let tally_id cs s =
+  match D.entity_of s cs.layer with None -> -1 | Some e -> D.Tally.id cs.tally e
+
+(* Every site update goes through these two: the tally by id, the site
+   total, and the flags the next refresh reads. *)
+let add cs id =
+  if id >= 0 && D.Tally.add_id cs.tally id then cs.support_changed <- true;
+  cs.total <- cs.total + 1;
   cs.dirty <- true
+
+let remove cs id =
+  if id >= 0 && D.Tally.remove_id cs.tally id then cs.support_changed <- true;
+  cs.total <- cs.total - 1;
+  cs.dirty <- true
+
+let create ds layer =
+  let t = empty layer (D.countries ds) in
+  Hashtbl.iter
+    (fun cc cs -> List.iter (fun s -> add cs (tally_id cs s)) (D.country_exn ds cc).D.sites)
+    t.by_country;
+  t
+
+let apply t ~country:cc ~added ~removed =
+  let cs = country t cc in
+  List.iter (fun s -> remove cs (tally_id cs s)) removed;
+  List.iter (fun s -> add cs (tally_id cs s)) added
 
 (* The country's cached 𝒮, first refreshed from the tally's count
    histogram if a delta made it stale.  The counters record whether the
@@ -71,22 +86,22 @@ let refresh cs =
   if Float.is_nan cs.score then raise Not_found;
   cs.score
 
-let score t cc = refresh (state t cc)
+let score t cc = refresh (country t cc)
 
 (* [Centralization.hhi] is 𝒮 + 1/c. *)
 let hhi t cc =
-  let cs = state t cc in
+  let cs = country t cc in
   let s = refresh cs in
   s +. (1.0 /. float_of_int (D.Tally.labelled cs.tally))
 
 let insularity t cc =
-  let cs = state t cc in
+  let cs = country t cc in
   if cs.total = 0 then 0.0
   else
     float_of_int (D.Tally.home_count cs.tally cc) /. float_of_int cs.total
 
-let counts t cc = D.Tally.counts (state t cc).tally
-let total t cc = (state t cc).total
+let counts t cc = D.Tally.counts (country t cc).tally
+let total t cc = (country t cc).total
 
 (* Replicates [Regionalization.usage_table] for one provider name: walk
    countries in dataset order, walk each canonical count list in order
@@ -98,7 +113,7 @@ let usage t ~name =
   let entity = ref None in
   List.iteri
     (fun i cc ->
-      let cs = state t cc in
+      let cs = country t cc in
       let total = float_of_int cs.total in
       List.iter
         (fun ((e : D.entity), k) ->

@@ -6,8 +6,9 @@
     endemicity [E]/[E_R] and insularity.  Every metric is bit-identical
     to a cold recomputation over the equivalent dataset.
 
-    𝒮 is cached per country.  A churn delta ({!apply}) marks the country
-    dirty; the next read refreshes it by one walk of the tally's count
+    𝒮 is cached per country.  Every site update ({!add}/{!remove}, and
+    {!apply} on top of them) marks the country dirty; the next read
+    refreshes it by one walk of the tally's count
     histogram ({!Webdep.Dataset.Tally.score}): one [pow] per distinct
     count, each term added once per entity holding that count, which
     repeats the float additions [Centralization.score] makes over the
@@ -23,7 +24,34 @@ type t
 val create : Webdep.Dataset.t -> Webdep.Dataset.layer -> t
 (** Tally every country of the dataset in the layer. *)
 
+val empty : Webdep.Dataset.layer -> string list -> t
+(** The countries, in that order, with no site yet. *)
+
 val countries : t -> string list
+
+(** {2 Updates by tally id}
+
+    A caller that keeps each site's tally id can take the site out again
+    without hashing its label: {!tally_id} hashes it once, when the site
+    arrives, and {!add}/{!remove} update by the id. *)
+
+type country
+(** One country's tally in the layer. *)
+
+val country : t -> string -> country
+(** @raise Not_found if the country is absent. *)
+
+val tally_id : country -> Webdep.Dataset.site -> int
+(** The id of the site's label in the country's tally (minted on first
+    sight), or [-1] when the site has no label in the layer. *)
+
+val add : country -> int -> unit
+(** Count one more site under a {!tally_id}: [-1] counts toward the
+    site total only. *)
+
+val remove : country -> int -> unit
+(** Count one site fewer under the {!tally_id} it was added with.
+    @raise Invalid_argument if that id's count is already zero. *)
 
 val apply :
   t ->
@@ -31,10 +59,10 @@ val apply :
   added:Webdep.Dataset.site list ->
   removed:Webdep.Dataset.site list ->
   unit
-(** Delta-update one country: untally [removed] sites, tally [added]
-    ones, adjust the site total.  Sites in [removed] must carry the
-    labels they were tallied with (i.e. come from the superseded
-    dataset).
+(** Delta-update one country: {!remove} each of [removed], then {!add}
+    each of [added], looking their labels up in the tally.  Sites in
+    [removed] must carry the labels they were tallied with (i.e. come
+    from the superseded dataset).
     @raise Invalid_argument on removal of a never-tallied entity. *)
 
 val score : t -> string -> float

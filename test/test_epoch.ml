@@ -63,6 +63,74 @@ let load_exn path =
 
 let by_cc l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
+(* The log of the fixture's baseline alone, never written to disk. *)
+let base_log () =
+  let base, _ = Lazy.force fixture in
+  { Log.meta = []; base_epoch = 0; base; events = []; head = 0; dropped = false }
+
+(* Every layer's S, HHI and insularity of every baseline country as
+   float bits, [None] where the country has no labelled site: once from
+   the replay state, once cold from its materialized dataset. *)
+let bits (s, h, i) = (Int64.bits_of_float s, Int64.bits_of_float h, Int64.bits_of_float i)
+
+let warm_metrics r =
+  List.concat_map
+    (fun layer ->
+      List.map
+        (fun cc ->
+          match Replay.score r layer cc with
+          | s -> Some (bits (s, Replay.hhi r layer cc, Replay.insularity r layer cc))
+          | exception Not_found -> None)
+        (Replay.countries r))
+    layers
+
+let cold_metrics r =
+  let ds = D.of_country_data (Replay.materialize r) in
+  List.concat_map
+    (fun layer ->
+      List.map
+        (fun cc ->
+          match D.distribution ds layer cc with
+          | dist ->
+              Some
+                (bits
+                   ( Webdep.Metrics.centralization ds layer cc,
+                     Webdep_emd.Centralization.hhi dist,
+                     Webdep.Regionalization.insularity ds layer cc ))
+          | exception Not_found -> None)
+        (Replay.countries r))
+    layers
+
+let matches_cold what r =
+  Alcotest.(check bool) (what ^ ": S, HHI, insularity = cold") true
+    (warm_metrics r = cold_metrics r)
+
+let same_state what a b =
+  Alcotest.(check bool) (what ^ ": sites") true
+    (Replay.materialize a = Replay.materialize b);
+  Alcotest.(check bool) (what ^ ": S, HHI, insularity") true
+    (warm_metrics a = warm_metrics b)
+
+(* The site lists after [ev] by plain list edits: each record, in order,
+   drops its removals and appends its additions. *)
+let edit_plain current (ev : Log.event) =
+  List.fold_left
+    (fun current (c : Log.churn) ->
+      List.map
+        (fun (cd : D.country_data) ->
+          if cd.D.country <> c.Log.country then cd
+          else
+            {
+              cd with
+              D.sites =
+                List.filter
+                  (fun (s : D.site) -> not (List.mem s.D.domain c.Log.removed))
+                  cd.D.sites
+                @ c.Log.added;
+            })
+        current)
+    current ev.Log.changes
+
 (* --- replay vs cold recompute -------------------------------------------- *)
 
 (* The tentpole invariant: at EVERY intermediate epoch and in every
@@ -268,6 +336,40 @@ let test_load_rejects () =
   | _ -> Alcotest.fail "garbage header must mismatch");
   Sys.remove path
 
+(* --- golden bytes ----------------------------------------------------------- *)
+
+(* The bytes of a log built on the fixture: created with a meta header,
+   five epochs appended one at a time, then compacted to the last two
+   and rewritten.  The digest pins the framing, the CRCs, the site
+   codec's string tables and compaction's site order; a change to any
+   of them has to re-pin it on purpose. *)
+let golden_log_digest = "722994b42781c0ac53804df67c24c0f7"
+
+let golden_meta = [ ("seed", Webdep_json.Int 2024); ("c", Webdep_json.Int 60) ]
+
+let test_golden_log_bytes () =
+  let base, _ = Lazy.force fixture in
+  let events = make_events ~seed:31 ~fraction:0.1 ~epochs:5 in
+  let path = temp_log () and written = temp_log () and compact_path = temp_log () in
+  Log.create ~path ~meta:golden_meta ~base_epoch:0 ~base ();
+  let created = Frames.read path in
+  List.iter
+    (fun (ev : Log.event) -> Log.append ~path ~epoch:ev.Log.epoch ev.Log.changes)
+    events;
+  let appended = Frames.read path in
+  Log.write ~path:compact_path (Replay.compact (load_exn path) ~keep_last:2);
+  let compacted = Frames.read compact_path in
+  (* The writer that applies each epoch before appending it writes the
+     same bytes. *)
+  Log.create ~path:written ~meta:golden_meta ~base_epoch:0 ~base ();
+  let writer = Replay.start (load_exn written) in
+  List.iter (Replay.append writer ~path:written) events;
+  Alcotest.(check bool) "Replay.append writes Log.append's bytes" true
+    (Frames.read written = appended);
+  List.iter Sys.remove [ path; written; compact_path ];
+  Alcotest.(check string) "create, append, compact digest" golden_log_digest
+    (Digest.to_hex (Digest.string (String.concat "|" [ created; appended; compacted ])))
+
 (* --- compaction ----------------------------------------------------------- *)
 
 let test_compaction_bit_identity () =
@@ -358,19 +460,6 @@ let test_rejected_event_leaves_no_trace () =
     let base = List.find (fun (cd : D.country_data) -> cd.D.country = "DE") log.Log.base in
     List.find (fun (s : D.site) -> not (List.mem s.D.domain de.Log.removed)) base.D.sites
   in
-  let same_state what a b =
-    Alcotest.(check bool) (what ^ ": sites") true
-      (Replay.materialize a = Replay.materialize b);
-    List.iter
-      (fun layer ->
-        let sa = Replay.scores a layer and sb = Replay.scores b layer in
-        Alcotest.(check bool) (what ^ ": scores") true
-          (List.length sa = List.length sb
-          && List.for_all2
-               (fun (c1, s1) (c2, s2) -> String.equal c1 c2 && float_eq s1 s2)
-               sa sb))
-      layers
-  in
   let r = Replay.start log in
   List.iter
     (fun (name, bad) ->
@@ -386,6 +475,98 @@ let test_rejected_event_leaves_no_trace () =
   Replay.apply r ev;
   Alcotest.(check int) "corrected event accepted" 1 (Replay.epoch r);
   same_state "corrected event" r (Replay.replay log)
+
+(* Edits that meet the tally ids a site keeps: a record that removes a
+   domain and re-adds it under other labels, two records for one
+   country in one event (the second takes out what the first added),
+   and an event rejected after such edits, whose rollback must restore
+   each entry with the ids it was counted under. *)
+let test_replay_edits_by_id () =
+  let base, donors = Lazy.force fixture in
+  let sites cc = (List.find (fun (cd : D.country_data) -> cd.D.country = cc) base).D.sites in
+  (* A donor of [cc] whose hosting label differs from [s]'s, renamed [dom]. *)
+  let relabel cc (s : D.site) dom =
+    let d =
+      List.find
+        (fun (d : D.site) -> d.D.hosting <> s.D.hosting)
+        (Array.to_list (List.assoc cc donors))
+    in
+    { d with D.domain = dom }
+  in
+  let us3 = List.nth (sites "US") 3 and de = sites "DE" in
+  let d = us3.D.domain in
+  let us = { Log.country = "US"; removed = [ d ]; added = [ relabel "US" us3 d ] } in
+  let x = relabel "DE" (List.hd de) "x.example" in
+  let x' = relabel "DE" x "x.example" in
+  let de1 = { Log.country = "DE"; removed = [ (List.hd de).D.domain ]; added = [ x ] } in
+  let de2 =
+    { Log.country = "DE"; removed = [ (List.nth de 5).D.domain; "x.example" ]; added = [ x' ] }
+  in
+  let ev1 = { Log.epoch = 1; changes = [ us; de1; de2 ] } in
+  let r = Replay.start (base_log ()) in
+  Replay.apply r ev1;
+  Alcotest.(check bool) "e1 sites = list edits" true
+    (Replay.materialize r = edit_plain base ev1);
+  matches_cold "e1" r;
+  (* Put [d] back under its own labels and [x] back for [x'], then name a
+     country outside the baseline: the event is refused whole. *)
+  let us_back = { Log.country = "US"; removed = [ d ]; added = [ us3 ] } in
+  let de3 = { Log.country = "DE"; removed = [ "x.example" ]; added = [ x ] } in
+  let bad = { Log.country = "ZZ"; removed = []; added = [] } in
+  (match Replay.apply r { Log.epoch = 2; changes = [ us_back; de3; bad ] } with
+  | () -> Alcotest.fail "an unknown country must be rejected"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "epoch unchanged" 1 (Replay.epoch r);
+  let fresh = Replay.start (base_log ()) in
+  Replay.apply fresh ev1;
+  same_state "rejected event = fresh start" r fresh;
+  matches_cold "rejected event" r;
+  let ev2 = { Log.epoch = 2; changes = [ us_back; de3 ] } in
+  Replay.apply r ev2;
+  Alcotest.(check bool) "e2 sites = list edits" true
+    (Replay.materialize r = edit_plain (edit_plain base ev1) ev2);
+  matches_cold "e2" r
+
+(* --- the writer ------------------------------------------------------------- *)
+
+(* [Replay.append] refuses an epoch that does not apply before it writes
+   a byte; the next good epoch then appends and loads. *)
+let test_append_refuses_bad_epochs () =
+  let events = make_events ~seed:4 ~fraction:0.1 ~epochs:2 in
+  let e1 = List.nth events 0 and e2 = List.nth events 1 in
+  let path = build_log [] in
+  let r = Replay.start (load_exn path) in
+  Replay.append r ~path e1;
+  let us = List.find (fun (cd : D.country_data) -> cd.D.country = "US") (Replay.materialize r) in
+  let present = List.hd us.D.sites in
+  let good = List.hd e2.Log.changes in
+  let before = Frames.read path in
+  List.iter
+    (fun (name, bad) ->
+      (match Replay.append r ~path { Log.epoch = 2; changes = [ good; bad ] } with
+      | () -> Alcotest.fail (name ^ ": must be refused")
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) (name ^ ": file bytes unchanged") true (Frames.read path = before);
+      Alcotest.(check int) (name ^ ": state unchanged") 1 (Replay.epoch r))
+    [
+      ( "absent domain removed",
+        { Log.country = "US"; removed = [ "no-such.example" ]; added = [] } );
+      ("present domain added", { Log.country = "US"; removed = []; added = [ present ] });
+      ("country outside the baseline", { Log.country = "ZZ"; removed = []; added = [] });
+    ];
+  (* A writer whose state is not the file's head is refused too, even
+     with an event that applies to its state. *)
+  let behind = Replay.start (base_log ()) in
+  (match Replay.append behind ~path { Log.epoch = 2; changes = [] } with
+  | () -> Alcotest.fail "a writer behind the file must be refused"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "stale writer: file bytes unchanged" true (Frames.read path = before);
+  Replay.append r ~path e2;
+  let log = load_exn path in
+  Sys.remove path;
+  Alcotest.(check int) "head" 2 log.Log.head;
+  Alcotest.(check bool) "events" true (log.Log.events = [ e1; e2 ]);
+  same_state "reloaded = writer" (Replay.replay log) r
 
 (* --- trends ---------------------------------------------------------------- *)
 
@@ -440,6 +621,7 @@ let () =
           Alcotest.test_case "apply validation" `Quick test_apply_rejects;
           Alcotest.test_case "rejected event leaves no trace" `Quick
             test_rejected_event_leaves_no_trace;
+          Alcotest.test_case "edits by stored tally ids" `Quick test_replay_edits_by_id;
         ] );
       ( "log",
         [
@@ -452,6 +634,9 @@ let () =
             test_append_after_torn_tail_refused;
           Alcotest.test_case "stale append refused" `Quick test_stale_append_refused;
           Alcotest.test_case "rejects" `Quick test_load_rejects;
+          Alcotest.test_case "golden bytes" `Quick test_golden_log_bytes;
+          Alcotest.test_case "writer refuses bad epochs" `Quick
+            test_append_refuses_bad_epochs;
         ] );
       ( "compaction",
         [

@@ -38,6 +38,28 @@ let test_crc32_known_answers () =
   Alcotest.(check int) "pangram" 0x414FA339
     (Segment.crc32 "The quick brown fox jumps over the lazy dog")
 
+(* The byte-at-a-time CRC-32 that [Segment.crc32] reads eight bytes at a
+   time: the reference the property below holds it to. *)
+let crc32_bytewise s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
+  !c lxor 0xFFFFFFFF
+
+(* Lengths 0-300 cover every length mod 8, so every tail the eight-byte
+   loop leaves to the byte loop. *)
+let qcheck_crc32_bytewise =
+  QCheck.Test.make ~count:500 ~name:"crc32 = byte-at-a-time reference"
+    QCheck.(string_gen_of_size Gen.(int_range 0 300) Gen.char)
+    (fun s -> Segment.crc32 s = crc32_bytewise s)
+
 let test_roundtrip () =
   let path = temp_path () in
   let records = [ "one"; ""; String.make 70000 'x' ] in
@@ -419,6 +441,7 @@ let () =
       ( "segment",
         [
           Alcotest.test_case "crc32 known answers" `Quick test_crc32_known_answers;
+          QCheck_alcotest.to_alcotest qcheck_crc32_bytewise;
           Alcotest.test_case "atomic write round-trip" `Quick test_roundtrip;
           Alcotest.test_case "torn tail recovery" `Quick test_torn_tail;
           Alcotest.test_case "header mismatch / absent" `Quick test_header_mismatch_and_absent;
