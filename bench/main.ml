@@ -1311,13 +1311,13 @@ let timings () =
         (stage (fun () -> Webdep.Tld_analysis.breakdown ds "AT"));
     ]
   in
-  let rows = bechamel_rows tests in
+  let rows = bechamel_rows ~jobs:1 tests in
   Printf.printf "%-48s %16s\n" "benchmark" "time per run";
   List.iter (fun (name, ns) -> Printf.printf "%-48s %16s\n" name (pretty_ns ns)) rows
 
 (* ========================================================================
-   Hot-path kernels (always run): old-vs-new transport solver and
-   cached-vs-uncached measurement.  WEBDEP_BENCH_SKIP_TIMINGS only skips
+   Hot-path kernels (always run): old-vs-new transport solver and the
+   span probe.  WEBDEP_BENCH_SKIP_TIMINGS only skips
    the per-figure Bechamel section above — these numbers back the perf
    claims, so CI asserts on the "kernels" object in BENCH_obs.json.
    ======================================================================== *)
@@ -1338,7 +1338,7 @@ let transport_instance ~n ~m =
 let kernel_sizes = [ (8, 8); (16, 16); (32, 32); (64, 64); (1, 64); (64, 1) ]
 
 let kernels () =
-  section "Kernels" "Dijkstra-potential transport vs reference; resolver cache";
+  section "Kernels" "Dijkstra-potential transport vs reference; span overhead";
   let stage = Bechamel.Staged.stage in
   let tests =
     List.concat_map
@@ -1379,34 +1379,6 @@ let kernels () =
             ] ))
       kernel_sizes
   in
-  (* Cached-vs-uncached measurement over a fixed sample, sequential so
-     the wall clocks compare the resolver work alone.  The datasets must
-     be identical — caching may only change the work, never the data. *)
-  let sample = [ "US"; "RU"; "BR"; "DE"; "JP"; "IN"; "FR"; "TH" ] in
-  let uncached_ds, uncached_s =
-    Span.timed ~name:"bench.kernels.measure_uncached" (fun () ->
-        Measure.measure_all ~cache:false ~countries:sample ~jobs:1 world)
-  in
-  let cached_ds, cached_s =
-    Span.timed ~name:"bench.kernels.measure_cached" (fun () ->
-        Measure.measure_all ~countries:sample ~jobs:1 world)
-  in
-  let identical =
-    List.for_all (fun cc -> D.country_exn uncached_ds cc = D.country_exn cached_ds cc) sample
-  in
-  (* The registry was reset at the previous phase boundary and the
-     uncached run creates no caches, so these totals belong to the
-     cached run alone. *)
-  let counter name = Obs_metrics.value (Obs_metrics.counter name) in
-  let glue_hits = counter "dns.cache.glue.hits" in
-  let glue_misses = counter "dns.cache.glue.misses" in
-  Printf.printf
-    "measure_all (%d countries, --jobs 1): uncached %.2fs, cached %.2fs (x%.2f), datasets \
-     identical: %b\n"
-    (List.length sample) uncached_s cached_s (uncached_s /. cached_s) identical;
-  Printf.printf "dns.cache.glue: %d hits / %d misses\n" glue_hits glue_misses;
-  if not identical then
-    prerr_endline "webdep bench: WARNING: cached dataset differs from uncached";
   (* Tracing-disabled span overhead: [Span.with_] against the default
      null sink vs the bare closure, amortized over many calls.  Bench
      phases open a handful of spans each, so per-call cost in the tens
@@ -1436,17 +1408,6 @@ let kernels () =
   kernel_json :=
     [
       ("transport", Json.Obj transport_json);
-      ( "measure_cached",
-        Json.Obj
-          [
-            ("countries", Json.Int (List.length sample));
-            ("uncached_s", Json.Float uncached_s);
-            ("cached_s", Json.Float cached_s);
-            ("speedup", Json.Float (uncached_s /. cached_s));
-            ("identical", Json.Bool identical);
-            ("glue_hits", Json.Int glue_hits);
-            ("glue_misses", Json.Int glue_misses);
-          ] );
       ( "span_probe",
         Json.Obj
           [
@@ -1546,8 +1507,7 @@ let faults () =
   in
   let zero_opts =
     {
-      Measure.no_faults with
-      plan = Faults.make ~rate:0.0 ~seed:7 ();
+      Measure.plan = Faults.make ~rate:0.0 ~seed:7 ();
       retry = Retry.of_max_retries 3;
       coverage_threshold = 0.9;
     }
@@ -1575,8 +1535,7 @@ let faults () =
   in
   let injected_kinds =
     [
-      "dns_timeout"; "dns_servfail"; "dns_refused"; "packet_loss";
-      "lame_delegation"; "tls_truncated"; "tls_failed";
+      "dns_timeout"; "dns_servfail"; "dns_refused"; "tls_truncated"; "tls_failed";
     ]
     |> List.map (fun k -> (k, counter ("fault.injected." ^ k)))
   in
@@ -2131,16 +2090,12 @@ let phase_counters : (string * (string * int) list) list ref = ref []
    - phases_minor_words: per-phase minor-heap allocation (Gc.minor_words
                       deltas) — the noise-free companion to phases_s
    - phase_counters:  nonzero counters attributable to each phase alone
-                      (the "kernels" entry carries the dns.cache.* totals
-                      of the cached measurement run)
    - metrics:         the registry snapshot taken right after the
                       measurement sweep (pipeline counters/histograms)
    - speedup_probe:   seq-vs-par wall clock + determinism check
                       (absent at --jobs 1)
    - kernels:         hot-path micro-benchmarks — transport solver
-                      old-vs-new ns/run per shape, and cached-vs-uncached
-                      measure_all wall clock with cache hit/miss totals
-                      and the dataset-equality verdict
+                      old-vs-new ns/run per shape, and the span probe
    - store:           full-vs-incremental rescore timing under 2% churn
                       over a fixed sample, with the bit-identity verdict
    - faults:          robustness-plane cost — rate-0 plan overhead vs

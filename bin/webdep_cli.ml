@@ -137,6 +137,11 @@ let faults_setup rate fault_seed max_retries coverage_threshold checkpoint =
     Printf.eprintf "webdep: --fault-rate must be within [0, 1] (got %g)\n" rate;
     exit 124
   end;
+  if not (coverage_threshold >= 0.0 && coverage_threshold <= 1.0) then begin
+    Printf.eprintf "webdep: --coverage-threshold must be within [0, 1] (got %g)\n"
+      coverage_threshold;
+    exit 124
+  end;
   let faults =
     if rate = 0.0 then None
     else
@@ -145,7 +150,6 @@ let faults_setup rate fault_seed max_retries coverage_threshold checkpoint =
           Measure.plan = Webdep_faults.Fault_plan.make ~rate ~seed:fault_seed ();
           retry = Webdep_faults.Retry.of_max_retries max_retries;
           coverage_threshold;
-          quarantine_after = 3;
         }
   in
   (faults, checkpoint)
@@ -161,8 +165,8 @@ let faults_term =
   let rate =
     Arg.(value & opt float 0.0 & info [ "fault-rate" ] ~docv:"P"
            ~doc:"Probability a simulated server/query key misbehaves \
-                 (timeouts, SERVFAIL, lame delegation, packet loss, broken \
-                 TLS).  0 disables fault injection entirely; the output is \
+                 (DNS timeouts, SERVFAIL, REFUSED, truncated or failed TLS \
+                 handshakes).  0 disables fault injection entirely; the output is \
                  then identical to a run without these flags.")
   in
   let fault_seed =
@@ -863,6 +867,15 @@ let run_epochs () log_path n_epochs churn layer verify compact_keep rebuild
     Printf.eprintf "webdep epochs: --churn must be within (0, 1) (got %g)\n" churn;
     exit 124
   end;
+  if n_epochs < 0 then begin
+    Printf.eprintf "webdep epochs: --epochs must be >= 0 (got %d)\n" n_epochs;
+    exit 124
+  end;
+  (match compact_keep with
+  | Some keep when keep < 0 ->
+      Printf.eprintf "webdep epochs: --compact must be >= 0 (got %d)\n" keep;
+      exit 124
+  | _ -> ());
   if rebuild && Sys.file_exists log_path then Sys.remove log_path;
   if not (Sys.file_exists log_path) then begin
     let world = World.create ~c ~seed () in

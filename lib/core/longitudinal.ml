@@ -69,11 +69,6 @@ let largest_increase cmp =
     (fun best d -> if d.delta > best.delta then d else best)
     (List.hd cmp.deltas) cmp.deltas
 
-let largest_decrease cmp =
-  List.fold_left
-    (fun best d -> if d.delta < best.delta then d else best)
-    (List.hd cmp.deltas) cmp.deltas
-
 (* --- trend primitives over many-epoch series ---------------------------- *)
 
 (* Least-squares slope of [ys] against epoch index 0..n-1, skipping NaN

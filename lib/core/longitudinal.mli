@@ -26,7 +26,6 @@ val compare :
     "Cloudflare"). *)
 
 val largest_increase : comparison -> country_delta
-val largest_decrease : comparison -> country_delta
 
 (** {2 Trend primitives}
 

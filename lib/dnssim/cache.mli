@@ -4,9 +4,9 @@
     setup would hold for the duration of a sweep.
 
     The table itself takes no lock: create one cache per worker (the
-    pipeline builds one per country snapshot, which a single domain
-    measures).  The hit/miss counters live in the process-global obs
-    registry under [name ^ ".hits"] / [name ^ ".misses"], so caches
+    redundancy and probe sweeps build one per country, which a single
+    domain resolves).  The hit/miss counters live in the process-global
+    obs registry under [name ^ ".hits"] / [name ^ ".misses"], so caches
     sharing a [name] aggregate — a --metrics dump or BENCH_obs.json shows
     fleet-wide hit rates without extra plumbing. *)
 
@@ -15,21 +15,9 @@ type 'a t
 val create : ?size:int -> name:string -> unit -> 'a t
 (** Fresh empty cache; [name] prefixes the obs hit/miss counters. *)
 
-val find : 'a t -> vantage:string -> string -> 'a option
-(** Lookup, counting a hit or a miss. *)
-
-val add : 'a t -> vantage:string -> string -> 'a -> unit
-(** Insert (replacing any previous entry); counts nothing. *)
-
 val find_or_compute : 'a t -> vantage:string -> string -> (unit -> 'a) -> 'a
 (** Return the cached value or compute, store and return it.  For
     values that are always definitive (nameserver glue). *)
-
-val negative_skip : unit -> unit
-(** Bump the shared [dns.cache.negative_skip] counter — for callers
-    managing their own store via {!find}/{!add} that decide to skip
-    memoizing a transient failure (timeouts, SERVFAILs must stay
-    uncached so a later retry can observe the recovered answer). *)
 
 val length : 'a t -> int
 (** Number of cached entries. *)

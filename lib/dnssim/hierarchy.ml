@@ -45,9 +45,8 @@ let build db =
   let roots = List.init 13 (fun i -> Ipv4.nth_addr root_block (i + 1)) in
   List.iter (fun a -> Hashtbl.replace roles (Ipv4.addr_to_int a) Root) roots;
   (* One TLD zone per distinct TLD, two servers each, numbered in label
-     order: server addresses (which fault plans key on) then depend only
-     on the records, not on the zone table's capacity or insertion
-     order. *)
+     order: server addresses then depend only on the records, not on the
+     zone table's capacity or insertion order. *)
   Zone_db.fold_domains
     (fun domain _ns _a () -> Hashtbl.replace tlds (tld_of domain) ())
     db ();

@@ -17,133 +17,42 @@ let m_queries = Webdep_obs.Metrics.counter "dns.iterative.queries"
 let m_referrals = Webdep_obs.Metrics.counter "dns.iterative.referrals"
 let m_nxdomain = Webdep_obs.Metrics.counter "dns.iterative.nxdomain"
 let m_servfail = Webdep_obs.Metrics.counter "dns.iterative.servfail"
-let m_timeout = Webdep_obs.Metrics.counter "dns.iterative.timeout"
 let m_depth = Webdep_obs.Metrics.histogram "dns.iterative.query_depth"
 
-(* Recursive-resolver cache: full results keyed (vantage, qname), plus
-   the TLD zone cuts learned from root referrals keyed (vantage, label).
-   A warm cut lets the walk start at the TLD servers — exactly the root
-   queries a real recursive resolver stops sending once its NS cache is
-   primed. *)
-type cache = {
-  results : (Webdep_netsim.Ipv4.addr list, error) result Cache.t;
-  cuts : Webdep_netsim.Ipv4.addr list Cache.t;
-}
-
-let make_cache () =
-  {
-    results = Cache.create ~name:"dns.cache.iterative" ();
-    cuts = Cache.create ~size:512 ~name:"dns.cache.zone_cut" ();
-  }
-
-let tld_of qname =
-  match String.rindex_opt qname '.' with
-  | None -> qname
-  | Some i -> String.sub qname (i + 1) (String.length qname - i - 1)
-
-module Faults = Webdep_faults.Fault_plan
-module Retry = Webdep_faults.Retry
-
-let resolve ?cache ?(faults = Faults.disabled) ?(retry = Retry.no_retry)
-    hierarchy ~vantage qname =
-  let compute ~attempt =
-    let queries = ref 0 and referrals = ref 0 in
-    let rec start qname aliases =
-      if aliases > max_cname then Error (Servfail "cname chain too long")
-      else begin
-        (* Resume from the deepest cached zone cut, else the root hints. *)
-        match cache with
-        | Some c -> (
-            match Cache.find c.cuts ~vantage (tld_of qname) with
-            | Some servers -> walk qname aliases servers 1
-            | None -> walk qname aliases (Hierarchy.root_addrs hierarchy) 0)
-        | None -> walk qname aliases (Hierarchy.root_addrs hierarchy) 0
-      end
-    and walk qname aliases servers depth =
-      if depth > max_depth then Error (Servfail "referral chain too long")
-      else
-        (* Try the server set in order, failing over past servers whose
-           answer was injected away (packet loss) or that turned out
-           lame for the zone.  With no faults the head server answers,
-           exactly the pre-fault behavior. *)
-        let rec ask ~saw_lame = function
-          | [] ->
-              if saw_lame then Error (Servfail "lame delegation")
-              else if servers = [] then Error (Servfail "no servers to ask")
-              else Error Timeout
-          | server :: rest -> (
-              incr queries;
-              match
-                Faults.query_fault faults
-                  ~server:(Webdep_netsim.Ipv4.addr_to_int server)
-                  ~qname ~attempt
-              with
-              | Faults.Fault Faults.Packet_loss -> ask ~saw_lame rest
-              | Faults.Fault _ -> ask ~saw_lame:true rest
-              | Faults.No_fault -> (
-                  match Hierarchy.query hierarchy ~server ~vantage ~qname with
-                  | Hierarchy.Answer addrs -> Ok addrs
-                  | Hierarchy.Cname target ->
-                      (* Restart (from cache or root hints) for the alias
-                         target, as a recursive resolver does. *)
-                      start target (aliases + 1)
-                  | Hierarchy.Name_error -> Error Nxdomain
-                  | Hierarchy.Referral { zone; glue; _ } ->
-                      incr referrals;
-                      let next = List.concat_map snd glue in
-                      if next = [] then Error (Servfail "referral without glue")
-                      else begin
-                        (* TLD zone labels have no dot; domain-level
-                           referrals do.  Only the former are worth
-                           remembering. *)
-                        (match cache with
-                        | Some c when not (String.contains zone '.') ->
-                            Cache.add c.cuts ~vantage zone next
-                        | _ -> ());
-                        walk qname aliases next (depth + 1)
-                      end))
-        in
-        ask ~saw_lame:false servers
-    in
-    let result = start qname 0 in
-    Webdep_obs.Metrics.incr ~by:!queries m_queries;
-    Webdep_obs.Metrics.incr ~by:!referrals m_referrals;
-    (match result with
-    | Ok _ -> Webdep_obs.Metrics.observe m_depth (float_of_int !queries)
-    | Error Nxdomain -> Webdep_obs.Metrics.incr m_nxdomain
-    | Error Timeout -> Webdep_obs.Metrics.incr m_timeout
-    | Error (Refused | Servfail _) -> Webdep_obs.Metrics.incr m_servfail);
-    match result with
-    | Ok addrs -> Ok (addrs, { queries = !queries; referrals = !referrals })
-    | Error e -> Error e
-  in
-  let compute_with_retry () =
-    (* Fault-free, [compute] is deterministic in (vantage, qname) — a
-       retry could only replay the same outcome — and the generated
-       world resolves every toplist domain, so retryable errors (broken
-       chains, missing glue) never arise without injection.  Skipping
-       Retry.run therefore returns the identical result and saves the
-       per-lookup key concatenation. *)
-    if not (Faults.enabled faults) then compute ~attempt:0
+let resolve hierarchy ~vantage qname =
+  let queries = ref 0 and referrals = ref 0 in
+  let rec start qname aliases =
+    if aliases > max_cname then Error (Servfail "cname chain too long")
+    else walk qname aliases (Hierarchy.root_addrs hierarchy) 0
+  and walk qname aliases servers depth =
+    if depth > max_depth then Error (Servfail "referral chain too long")
     else
-      Retry.run retry
-        ~key:("iter|" ^ vantage ^ "|" ^ qname)
-        ~retryable:Resolver.retryable compute
+      (* The head of the server set answers: a simulated server never
+         loses a query, so there is nothing to fail over to. *)
+      match servers with
+      | [] -> Error (Servfail "no servers to ask")
+      | server :: _ -> (
+          incr queries;
+          match Hierarchy.query hierarchy ~server ~vantage ~qname with
+          | Hierarchy.Answer addrs -> Ok addrs
+          | Hierarchy.Cname target ->
+              (* Restart from the root hints for the alias target, as a
+                 recursive resolver does. *)
+              start target (aliases + 1)
+          | Hierarchy.Name_error -> Error Nxdomain
+          | Hierarchy.Referral { glue; _ } ->
+              incr referrals;
+              let next = List.concat_map snd glue in
+              if next = [] then Error (Servfail "referral without glue")
+              else walk qname aliases next (depth + 1))
   in
-  match cache with
-  | None -> compute_with_retry ()
-  | Some c -> (
-      match Cache.find c.results ~vantage qname with
-      | Some (Ok addrs) -> Ok (addrs, { queries = 0; referrals = 0 })
-      | Some (Error e) -> Error e
-      | None ->
-          let r = compute_with_retry () in
-          let memo = match r with Ok (addrs, _) -> Ok addrs | Error e -> Error e in
-          if Resolver.cacheable memo then Cache.add c.results ~vantage qname memo
-          else Cache.negative_skip ();
-          r)
-
-let resolve_a ?cache ?faults ?retry hierarchy ~vantage qname =
-  match resolve ?cache ?faults ?retry hierarchy ~vantage qname with
-  | Ok (addr :: _, _) -> Some addr
-  | Ok ([], _) | Error _ -> None
+  let result = start qname 0 in
+  Webdep_obs.Metrics.incr ~by:!queries m_queries;
+  Webdep_obs.Metrics.incr ~by:!referrals m_referrals;
+  match result with
+  | Ok addrs ->
+      Webdep_obs.Metrics.observe m_depth (float_of_int !queries);
+      Ok (addrs, { queries = !queries; referrals = !referrals })
+  | Error e ->
+      Webdep_obs.Metrics.incr (match e with Nxdomain -> m_nxdomain | _ -> m_servfail);
+      Error e

@@ -12,10 +12,10 @@ type error = Resolver.error =
   | Timeout
   | Refused
   | Servfail of string
-(** Same canonical error as {!Resolver.error}: only [Nxdomain] is
-    definitive; [Timeout] means every server in a delegation set lost
-    the query (injected packet loss); [Servfail] carries a reason (lame
-    delegation, referral loop, missing glue, over-long CNAME chain). *)
+(** Same canonical error as {!Resolver.error}.  The walk ends in
+    [Nxdomain] or in [Servfail] with a reason (referral loop, missing
+    glue, over-long CNAME chain); it asks no server that could time out
+    or refuse. *)
 
 val m_queries : Webdep_obs.Metrics.counter
 (** Total questions asked across every resolution this process ran. *)
@@ -27,42 +27,15 @@ val m_nxdomain : Webdep_obs.Metrics.counter
 (** Resolutions that ended in NXDOMAIN. *)
 
 val m_servfail : Webdep_obs.Metrics.counter
-(** Resolutions that ended in SERVFAIL (lame delegation, referral loop,
-    missing glue, over-long CNAME chain) or REFUSED. *)
-
-val m_timeout : Webdep_obs.Metrics.counter
-(** Resolutions where every server in a delegation set timed out. *)
+(** Resolutions that ended in SERVFAIL (referral loop, missing glue,
+    over-long CNAME chain). *)
 
 val m_depth : Webdep_obs.Metrics.histogram
 (** Queries per {e successful} resolution — the pipeline's mean_queries
     comes from deltas of this histogram. *)
 
-type cache
-(** Recursive-resolver memory: full results keyed [(vantage, qname)] and
-    TLD zone cuts learned from root referrals keyed [(vantage, label)] —
-    with a warm cut the walk starts at the TLD servers instead of the
-    root.  Not thread-safe; create one per worker/sweep.  Hit/miss
-    counters: [dns.cache.iterative.*] and [dns.cache.zone_cut.*]. *)
-
-val make_cache : unit -> cache
-
 val resolve :
-  ?cache:cache ->
-  ?faults:Webdep_faults.Fault_plan.t ->
-  ?retry:Webdep_faults.Retry.policy ->
   Hierarchy.t -> vantage:string -> string -> (Webdep_netsim.Ipv4.addr list * stats, error) result
-(** Resolve a qname's A records; without [?cache] every resolution walks
-    from the root hints.  A result-cache hit reports zero queries and
-    referrals (nothing was asked); transient errors are never memoized.
-    [?faults] injects deterministic per-server packet loss and lame
-    delegations — the walk fails over to the next server in the set,
-    each extra question counted in {!m_queries}.  [?retry] re-runs the
-    whole walk on transient failure; on success [stats] reflects the
-    final attempt. *)
-
-val resolve_a :
-  ?cache:cache ->
-  ?faults:Webdep_faults.Fault_plan.t ->
-  ?retry:Webdep_faults.Retry.policy ->
-  Hierarchy.t -> vantage:string -> string -> Webdep_netsim.Ipv4.addr option
-(** First address, if resolution succeeds. *)
+(** Resolve a qname's A records, walking from the root hints: the head
+    server of each delegation set answers, and a CNAME restarts the walk
+    at the root for its target. *)

@@ -19,11 +19,6 @@ let retryable = function
   | Nxdomain -> false
   | Timeout | Refused | Servfail _ -> true
 
-(* Definitive results (including NXDOMAIN) are safe to memoize;
-   transient failures must not be, or a cached SERVFAIL would mask a
-   later successful retry. *)
-let cacheable = function Ok _ | Error Nxdomain -> true | Error _ -> false
-
 let max_cname_depth = 5
 
 (* Observability: lookup totals for the ZDNS-style flat resolver. *)

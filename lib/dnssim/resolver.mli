@@ -23,10 +23,6 @@ val error_message : error -> string
 val retryable : error -> bool
 (** [true] for every transient error, [false] for {!Nxdomain}. *)
 
-val cacheable : ('a, error) result -> bool
-(** Whether a result may be memoized: [Ok] and [Error Nxdomain] are
-    definitive; transient errors must never be cached. *)
-
 val m_lookups : Webdep_obs.Metrics.counter
 (** Total flat lookups issued. *)
 
@@ -40,9 +36,11 @@ type cache
 (** The [(vantage, ns_host)]-keyed NS-glue memo {!resolve} consults (a
     few DNS providers serve nearly every site, so their glue repeats).
     Whole responses are not memoized: every caller resolves each
-    [(vantage, domain)] once per sweep.  Not thread-safe; create one per
-    worker/sweep.  Hit/miss counters appear in the obs registry as
-    [dns.cache.glue.*]. *)
+    [(vantage, domain)] once per sweep.  The measurement sweep passes
+    none (a memo hit costs more than the lookup it saves); the
+    multi-vantage redundancy and probe sweeps do.  Not thread-safe;
+    create one per worker/sweep.  Hit/miss counters appear in the obs
+    registry as [dns.cache.glue.*]. *)
 
 val make_cache : unit -> cache
 
@@ -56,8 +54,8 @@ val resolve :
   (response, error) result
 (** [resolve db ~vantage domain]; [vantage] is the probing country code
     (the paper's university vantage is modelled as "US").  With [?cache],
-    nameserver glue comes from the sweep's glue memo; the answers are the
-    same either way.  [?faults] (default: no faults) injects
+    nameserver glue comes from the caller's glue memo; the answers are
+    the same either way.  [?faults] (default: no faults) injects
     deterministic timeouts/SERVFAIL/REFUSED per the plan; [?retry]
     (default: single attempt) governs how transient failures are
     retried. *)

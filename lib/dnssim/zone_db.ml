@@ -74,8 +74,6 @@ let add_host t ~host ~a = Hashtbl.replace t.hosts host (a, cook a)
 let domain_data t domain =
   Option.map (fun e -> (e.ns_hosts, e.a)) (Hashtbl.find_opt t.domains domain)
 
-let resolve_answer ~vantage a = lookup_cooked ~vantage (cook a)
-
 let answer_addrs t ~vantage domain =
   Option.map
     (fun e -> lookup_cooked ~vantage e.cooked)

@@ -49,11 +49,6 @@ val host_addr : t -> vantage:string -> string -> Webdep_netsim.Ipv4.addr list
 (** Resolve a hostname's glue from a vantage country; [[]] if unknown.
     Uses the same cooked index as {!answer_addrs}. *)
 
-val resolve_answer : vantage:string -> answer -> Webdep_netsim.Ipv4.addr list
-(** One-shot resolution of a bare answer value.  For stored entries
-    prefer {!answer_addrs}/{!host_addr}, which reuse the precomputed
-    index instead of cooking the answer per call. *)
-
 val domain_count : t -> int
 
 val fold_domains : (string -> string list -> answer -> 'a -> 'a) -> t -> 'a -> 'a

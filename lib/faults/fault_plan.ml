@@ -9,27 +9,14 @@ type kind =
   | Dns_timeout
   | Dns_servfail
   | Dns_refused
-  | Packet_loss
-  | Lame_delegation
   | Tls_truncated
   | Tls_failed
-
-let kind_name = function
-  | Dns_timeout -> "dns_timeout"
-  | Dns_servfail -> "dns_servfail"
-  | Dns_refused -> "dns_refused"
-  | Packet_loss -> "packet_loss"
-  | Lame_delegation -> "lame_delegation"
-  | Tls_truncated -> "tls_truncated"
-  | Tls_failed -> "tls_failed"
 
 (* One injection counter per kind, bound at module load so the metric
    names are present (at zero) in every --metrics export. *)
 let m_dns_timeout = Webdep_obs.Metrics.counter "fault.injected.dns_timeout"
 let m_dns_servfail = Webdep_obs.Metrics.counter "fault.injected.dns_servfail"
 let m_dns_refused = Webdep_obs.Metrics.counter "fault.injected.dns_refused"
-let m_packet_loss = Webdep_obs.Metrics.counter "fault.injected.packet_loss"
-let m_lame = Webdep_obs.Metrics.counter "fault.injected.lame_delegation"
 let m_tls_truncated = Webdep_obs.Metrics.counter "fault.injected.tls_truncated"
 let m_tls_failed = Webdep_obs.Metrics.counter "fault.injected.tls_failed"
 
@@ -37,8 +24,6 @@ let injected_counter = function
   | Dns_timeout -> m_dns_timeout
   | Dns_servfail -> m_dns_servfail
   | Dns_refused -> m_dns_refused
-  | Packet_loss -> m_packet_loss
-  | Lame_delegation -> m_lame
   | Tls_truncated -> m_tls_truncated
   | Tls_failed -> m_tls_failed
 
@@ -122,12 +107,6 @@ let dns_fault t ~vantage ~qname ~attempt =
   else
     verdict t ~kinds:[ Dns_timeout; Dns_servfail; Dns_refused ]
       ~key:(dns_key ~vantage ~qname) ~attempt
-
-let query_fault t ~server ~qname ~attempt =
-  if not t.enabled then No_fault
-  else
-    verdict t ~kinds:[ Packet_loss; Lame_delegation ]
-      ~key:(Printf.sprintf "q|%d|%s" server qname) ~attempt
 
 let tls_fault t ~sni ~attempt =
   if not t.enabled then No_fault

@@ -11,12 +11,8 @@ type kind =
   | Dns_timeout        (** recursive query times out *)
   | Dns_servfail       (** authoritative answers SERVFAIL *)
   | Dns_refused        (** authoritative answers REFUSED *)
-  | Packet_loss        (** a single query to one server is lost *)
-  | Lame_delegation    (** delegated server is not authoritative *)
   | Tls_truncated      (** TLS handshake truncated mid-flight *)
   | Tls_failed         (** TLS handshake rejected *)
-
-val kind_name : kind -> string
 
 type t
 
@@ -49,11 +45,6 @@ val dns_fault : t -> vantage:string -> qname:string -> attempt:int -> verdict
 (** Fault decision for a flat recursive resolution.  Draws from
     {!Dns_timeout}, {!Dns_servfail}, {!Dns_refused}.  Increments the
     matching [fault.injected.*] counter when it fires. *)
-
-val query_fault : t -> server:int -> qname:string -> attempt:int -> verdict
-(** Fault decision for a single iterative query to one authoritative
-    server (keyed by the server address).  Draws from {!Packet_loss},
-    {!Lame_delegation}. *)
 
 val tls_fault : t -> sni:string -> attempt:int -> verdict
 (** Fault decision for a TLS handshake.  Draws from {!Tls_truncated},

@@ -65,23 +65,15 @@ let org_entity (org : Webdep_netsim.Org.t) =
   { Dataset.name = org.Webdep_netsim.Org.name; country = org.Webdep_netsim.Org.country }
 
 (* Fault-handling context for a sweep: the plan decides which simulated
-   servers misbehave, the retry policy bounds how hard we push back, the
-   coverage threshold gates per-country metric emission, and the
-   quarantine threshold caps consecutive failures per target. *)
+   servers misbehave, the retry policy bounds how hard we push back, and
+   the coverage threshold gates per-country metric emission. *)
 type fault_opts = {
   plan : Faults.t;
   retry : Retry.policy;
   coverage_threshold : float;
-  quarantine_after : int;
 }
 
-let no_faults =
-  {
-    plan = Faults.disabled;
-    retry = Retry.no_retry;
-    coverage_threshold = 0.0;
-    quarantine_after = 3;
-  }
+let no_faults = { plan = Faults.disabled; retry = Retry.no_retry; coverage_threshold = 0.0 }
 
 let failed_site domain =
   {
@@ -97,8 +89,7 @@ let failed_site domain =
     language = None;
   }
 
-let measure_site internet ca_db zones tls ~vantage ~content ?cache ?resolve_a ~fo
-    ~quarantine domain =
+let measure_site internet ca_db zones tls ~vantage ~content ~fo ~quarantine domain =
   Metric.incr m_sites;
   let faulted = Faults.enabled fo.plan in
   if faulted && Quarantine.active quarantine domain then begin
@@ -108,9 +99,7 @@ let measure_site internet ca_db zones tls ~vantage ~content ?cache ?resolve_a ~f
   end
   else begin
     Metric.incr m_dns_queries;
-    let resolved =
-      Resolver.resolve ?cache ~faults:fo.plan ~retry:fo.retry zones ~vantage domain
-    in
+    let resolved = Resolver.resolve ~faults:fo.plan ~retry:fo.retry zones ~vantage domain in
     let hosting_ip, ns_ip =
       match resolved with
       | Error Resolver.Nxdomain ->
@@ -123,9 +112,6 @@ let measure_site internet ca_db zones tls ~vantage ~content ?cache ?resolve_a ~f
           ((match a with ip :: _ -> Some ip | [] -> None),
            match ns_addrs with ip :: _ -> Some ip | [] -> None)
     in
-    (* An alternative A-resolution strategy (iterative walk) may replace the
-       flat lookup; NS data still comes from the same authoritative store. *)
-    let hosting_ip = match resolve_a with Some f -> f domain | None -> hosting_ip in
     let hosting = Option.bind hosting_ip (Internet.org_of_addr internet) in
     let dns = Option.bind ns_ip (Internet.org_of_addr internet) in
     let hosting_geo = Option.bind hosting_ip (Internet.geolocate internet) in
@@ -218,14 +204,10 @@ let measure_site internet ca_db zones tls ~vantage ~content ?cache ?resolve_a ~f
     (site, outcome)
   end
 
-type resolution = Flat | Iterative
-
-let resolution_name = function Flat -> "flat" | Iterative -> "iterative"
-
 (* The world half of the fingerprint comes from the world itself; the
-   fault half from the sweep options.  Vantage and resolution also
-   shape a site record, so the checkpoint header adds them next to the
-   fingerprint; the epoch keys each checkpoint record instead. *)
+   fault half from the sweep options.  The vantage also shapes a site
+   record, so the checkpoint header adds it next to the fingerprint;
+   the epoch keys each checkpoint record instead. *)
 let store_fingerprint ?(faults = no_faults) world =
   Fingerprint.v ~world_seed:(World.seed world) ~c:(World.c world)
     ~geo_accuracy:(World.geo_accuracy world)
@@ -233,37 +215,22 @@ let store_fingerprint ?(faults = no_faults) world =
     ~fault_rate:(Faults.rate faults.plan)
     ~max_attempts:faults.retry.Retry.max_attempts
 
-let measure_snapshot_cov ?(vantage = default_vantage) ?(resolution = Flat)
-    ?(cache = true) ?(faults = no_faults) world (snap : World.snapshot) =
+(* Each site is resolved once, flat, with no memo in front.  A glue memo
+   would hit on ~95% of lookups and still not pay: [Zone_db.host_addr]
+   is one table lookup, a memo hit two plus a counter bump. *)
+let measure_snapshot_cov ?(vantage = default_vantage) ?(faults = no_faults) world
+    (snap : World.snapshot) =
   let internet = World.internet world in
   let ca_db = World.ca_db world in
   let content domain = Hashtbl.find_opt snap.World.content_language domain in
-  (* One glue memo per snapshot: the snapshot is measured by a single
-     worker domain, so the memo needs no lock, and per-snapshot scoping
-     keeps the aggregate hit/miss counters independent of how countries
-     are spread over domains (jobs-invariance). *)
-  let rcache = if cache then Some (Resolver.make_cache ()) else None in
-  let resolve_a =
-    match resolution with
-    | Flat -> None
-    | Iterative ->
-        let hierarchy = Webdep_dnssim.Hierarchy.build snap.World.zones in
-        let icache =
-          if cache then Some (Webdep_dnssim.Iterative.make_cache ()) else None
-        in
-        Some
-          (fun domain ->
-            Webdep_dnssim.Iterative.resolve_a ?cache:icache ~faults:faults.plan
-              ~retry:faults.retry hierarchy ~vantage domain)
-  in
-  let quarantine = Quarantine.create ~threshold:faults.quarantine_after () in
+  let quarantine = Quarantine.create () in
   let tally = ref Degrade.empty in
   let sites =
     List.map
       (fun domain ->
         let site, outcome =
           measure_site internet ca_db snap.World.zones snap.World.tls ~vantage
-            ~content ?cache:rcache ?resolve_a ~fo:faults ~quarantine domain
+            ~content ~fo:faults ~quarantine domain
         in
         tally := Degrade.add !tally outcome;
         site)
@@ -271,20 +238,18 @@ let measure_snapshot_cov ?(vantage = default_vantage) ?(resolution = Flat)
   in
   ({ Dataset.country = snap.World.country; sites }, !tally)
 
-let measure_snapshot ?vantage ?resolution ?cache world snap =
-  fst (measure_snapshot_cov ?vantage ?resolution ?cache world snap)
+let measure_snapshot ?vantage world snap = fst (measure_snapshot_cov ?vantage world snap)
 
-let measure_country_cov ?vantage ?resolution ?cache ?epoch ?faults world cc =
+let measure_country_cov ?vantage ?epoch ?faults world cc =
   (* Per-country span: the name carries the country so the registry dump
      exposes one duration histogram per country. *)
   Obs.Span.with_ ~name:("measure_country." ^ cc)
     ~attrs:[ ("country", cc) ]
     (fun () ->
-      measure_snapshot_cov ?vantage ?resolution ?cache ?faults world
-        (World.snapshot world ?epoch cc))
+      measure_snapshot_cov ?vantage ?faults world (World.snapshot world ?epoch cc))
 
-let measure_country ?vantage ?resolution ?cache ?epoch world cc =
-  fst (measure_country_cov ?vantage ?resolution ?cache ?epoch world cc)
+let measure_country ?vantage ?epoch world cc =
+  fst (measure_country_cov ?vantage ?epoch world cc)
 
 type country_coverage = {
   cc : string;
@@ -300,17 +265,17 @@ type sweep = {
 }
 
 (* The world fingerprint plus the rest of what shapes a site record,
-   except the epoch: every epoch of one world shares a checkpoint. *)
-let checkpoint_meta ?vantage ?resolution ~faults world =
+   except the epoch: every epoch of one world shares a checkpoint.  The
+   sweep resolves one way only, yet the header keeps its "resolution"
+   field: webdep-checkpoint/3 files keep their bytes, and files already
+   on disk still resume. *)
+let checkpoint_meta ?(vantage = default_vantage) ~faults world =
   let open Webdep_json in
   Fingerprint.to_meta (store_fingerprint ~faults world)
-  @ [
-      ("vantage", String (Option.value ~default:default_vantage vantage));
-      ("resolution", String (resolution_name (Option.value ~default:Flat resolution)));
-    ]
+  @ [ ("vantage", String vantage); ("resolution", String "flat") ]
 
-let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
-    ?(faults = no_faults) ?checkpoint world =
+let measure_sweep ?vantage ?epoch ?countries ?jobs ?(faults = no_faults) ?checkpoint
+    world =
   let countries = Option.value ~default:(World.countries world) countries in
   let epoch_name = World.epoch_name (Option.value ~default:World.May_2023 epoch) in
   Obs.Span.with_ ~name:"measure_all"
@@ -322,7 +287,7 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
       let cp =
         Option.map
           (fun path ->
-            Checkpoint.open_ ~path ~meta:(checkpoint_meta ?vantage ?resolution ~faults world))
+            Checkpoint.open_ ~path ~meta:(checkpoint_meta ?vantage ~faults world))
           checkpoint
       in
       (* Streaming construction: each country's string-form site list is
@@ -343,9 +308,7 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
               (cc, e.Checkpoint.data, e.Checkpoint.tally, true)
           | None ->
               Logs.debug (fun m -> m "measuring %s" cc);
-              let data, tally =
-                measure_country_cov ?vantage ?resolution ?cache ?epoch ~faults world cc
-              in
+              let data, tally = measure_country_cov ?vantage ?epoch ~faults world cc in
               Option.iter
                 (fun cp ->
                   Checkpoint.record cp
@@ -373,8 +336,8 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
         insufficient = List.rev !insufficient_rev;
       })
 
-let measure_all ?vantage ?resolution ?cache ?epoch ?countries ?jobs world =
-  (measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs world).dataset
+let measure_all ?vantage ?epoch ?countries ?jobs world =
+  (measure_sweep ?vantage ?epoch ?countries ?jobs world).dataset
 
 type resolution_stats = {
   domains : int;

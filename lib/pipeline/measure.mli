@@ -13,18 +13,12 @@ val default_vantage : string
 val tld_of_domain : string -> string
 (** Last label with leading dot; the paper's TLD layer key. *)
 
-type resolution =
-  | Flat  (** direct lookup in the authoritative store *)
-  | Iterative
-      (** ZDNS-mode walk: root hints → TLD referral → authoritative
-          answer over the {!Webdep_dnssim.Hierarchy} *)
-
 (** {1 Robustness}
 
     Fault-handling context threaded through a sweep: which simulated
-    servers misbehave, how failures are retried, when a country's
-    coverage is too thin to trust, and when a failing target is
-    quarantined. *)
+    servers misbehave, how failures are retried, and when a country's
+    coverage is too thin to trust.  A target is quarantined after 3
+    consecutive failures ({!Webdep_faults.Quarantine}'s default). *)
 
 type fault_opts = {
   plan : Webdep_faults.Fault_plan.t;  (** deterministic fault assignment *)
@@ -32,16 +26,12 @@ type fault_opts = {
   coverage_threshold : float;
       (** minimum (clean+degraded)/total per country for its metrics to
           be emitted; countries below are reported as insufficient *)
-  quarantine_after : int;  (** consecutive failures before skipping *)
 }
 
 val no_faults : fault_opts
 (** Disabled plan, single attempt, threshold 0 — the legacy pipeline.
     With this value the measured dataset is byte-identical to the
     pre-fault pipeline at any [jobs]. *)
-
-val resolution_name : resolution -> string
-(** ["flat"] / ["iterative"] — the checkpoint-header spelling. *)
 
 val store_fingerprint :
   ?faults:fault_opts -> Webdep_worldgen.World.t -> Webdep_store.Fingerprint.t
@@ -53,8 +43,6 @@ val store_fingerprint :
 
 val measure_country :
   ?vantage:string ->
-  ?resolution:resolution ->
-  ?cache:bool ->
   ?epoch:Webdep_worldgen.World.epoch ->
   Webdep_worldgen.World.t ->
   string ->
@@ -63,25 +51,15 @@ val measure_country :
 
 val measure_snapshot :
   ?vantage:string ->
-  ?resolution:resolution ->
-  ?cache:bool ->
   Webdep_worldgen.World.t ->
   Webdep_worldgen.World.snapshot ->
   Webdep.Dataset.country_data
 (** Measure an already-materialized snapshot (used when the caller also
-    needs the snapshot's ground truth).
-
-    [cache] (default [true]) puts recursive-resolver-style memos in
-    front of DNS resolution for the duration of the snapshot — NS glue
-    and (in iterative mode) results and TLD zone cuts, keyed on
-    [(vantage, qname)].  Answers are deterministic per (vantage, qname),
-    so caching never changes the dataset, only the work; hit/miss
-    counters land in the obs registry under [dns.cache.*]. *)
+    needs the snapshot's ground truth).  Each site is resolved once,
+    with the flat resolver and no memo. *)
 
 val measure_all :
   ?vantage:string ->
-  ?resolution:resolution ->
-  ?cache:bool ->
   ?epoch:Webdep_worldgen.World.epoch ->
   ?countries:string list ->
   ?jobs:int ->
@@ -94,8 +72,7 @@ val measure_all :
     overrides the configured lane count; [1] forces the sequential
     path).  The world is read-only once created, so the returned dataset
     is bit-identical for every [jobs] value and whatever the world
-    measured before; resolver caches (see {!measure_snapshot}) are
-    created per snapshot, keeping that invariant regardless of [cache].
+    measured before.
     {!Webdep_worldgen.World.prepare} runs first, so a country this [c]
     cannot calibrate raises {!Webdep_worldgen.World.Uncalibrated}
     before any country is measured. *)
@@ -118,8 +95,6 @@ type sweep = {
 
 val measure_sweep :
   ?vantage:string ->
-  ?resolution:resolution ->
-  ?cache:bool ->
   ?epoch:Webdep_worldgen.World.epoch ->
   ?countries:string list ->
   ?jobs:int ->
@@ -140,8 +115,10 @@ val measure_sweep :
     shards of its epoch, reproducing the uninterrupted dataset exactly.
     Sweeps of both epochs share one file (the daemon builds its two
     datasets this way), and only the swept epoch's shards are decoded.
-    The file's header is the {!store_fingerprint} fields plus vantage
-    and resolution; any mismatch discards the stale file.  [coverage]
+    The file's header is the {!store_fingerprint} fields plus the
+    vantage and a constant ["resolution": "flat"] (kept so existing
+    [webdep-checkpoint/3] files resume); any mismatch discards the
+    stale file.  [coverage]
     says which countries were resumed. *)
 
 type resolution_stats = {

@@ -22,8 +22,6 @@ let categorical weights =
   if !acc <= 0.0 then invalid_arg "Sample.categorical: all weights zero";
   { cumulative }
 
-let categorical_n t = Array.length t.cumulative
-
 (* Smallest index whose cumulative weight exceeds [u]. *)
 let search cumulative u =
   let n = Array.length cumulative in

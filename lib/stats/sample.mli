@@ -24,9 +24,6 @@ val categorical : float array -> categorical
 val draw : categorical -> Rng.t -> int
 (** Draw an index.  O(log n). *)
 
-val categorical_n : categorical -> int
-(** Number of categories. *)
-
 val shuffle : Rng.t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

@@ -8,9 +8,10 @@
     geolocation accuracy (which fixes the geo-error draws), the way the
     world derives its sites from those ({!derivation}), and the
     fault-injection parameters (which fix per-site verdicts and retry
-    outcomes).  Vantage, resolution mode and epoch vary {e within} one
-    world; a checkpoint header adds vantage and resolution next to these
-    fields, and each checkpoint record carries its epoch. *)
+    outcomes).  Vantage and epoch vary {e within} one world; a
+    checkpoint header adds the vantage (and a constant ["resolution":
+    "flat"]) next to these fields, and each checkpoint record carries
+    its epoch. *)
 
 type t = {
   world_seed : int;

@@ -180,10 +180,17 @@ let test_iterative_resolves () =
   | Ok _ -> Alcotest.fail "one address expected"
   | Error _ -> Alcotest.fail "should resolve"
 
+(* First address of an iterative walk, comparable with
+   [Resolver.resolve_a]. *)
+let iterative_a h ~vantage qname =
+  match Iterative.resolve h ~vantage qname with
+  | Ok (addr :: _, _) -> Some addr
+  | Ok ([], _) | Error _ -> None
+
 let test_iterative_vantage_dependent () =
   let h = Hierarchy.build (big_db ()) in
   let from v =
-    Ipv4.addr_to_string (Option.get (Iterative.resolve_a h ~vantage:v "blog.example.org"))
+    Ipv4.addr_to_string (Option.get (iterative_a h ~vantage:v "blog.example.org"))
   in
   Alcotest.(check string) "DE answer" "10.0.2.2" (from "DE");
   Alcotest.(check string) "default answer" "10.0.2.1" (from "US")
@@ -207,7 +214,7 @@ let test_iterative_matches_flat_resolver () =
       List.iter
         (fun vantage ->
           let flat = Resolver.resolve_a db ~vantage domain in
-          let iter = Iterative.resolve_a h ~vantage domain in
+          let iter = iterative_a h ~vantage domain in
           if flat <> iter then
             Alcotest.failf "disagreement on %s from %s" domain vantage)
         [ "US"; "DE"; "JP" ])
@@ -270,7 +277,7 @@ let test_cname_iterative_matches_flat () =
   let h = Hierarchy.build db in
   Alcotest.(check bool) "agreement" true
     (Resolver.resolve_a db ~vantage:"US" "www.shop.example.com"
-    = Iterative.resolve_a h ~vantage:"US" "www.shop.example.com")
+    = iterative_a h ~vantage:"US" "www.shop.example.com")
 
 (* --- Cache ------------------------------------------------------------------ *)
 
@@ -279,11 +286,11 @@ let counter_value name = Webdep_obs.Metrics.value (Webdep_obs.Metrics.counter na
 let test_cache_basic () =
   Webdep_obs.Registry.reset ();
   let c = Cache.create ~name:"dns.cache.test" () in
-  Alcotest.(check (option int)) "cold miss" None (Cache.find c ~vantage:"US" "a.example");
-  Cache.add c ~vantage:"US" "a.example" 7;
-  Alcotest.(check (option int)) "hit" (Some 7) (Cache.find c ~vantage:"US" "a.example");
-  Alcotest.(check (option int)) "vantage keyed" None (Cache.find c ~vantage:"DE" "a.example");
-  Alcotest.(check int) "one entry" 1 (Cache.length c);
+  let get ~vantage v = Cache.find_or_compute c ~vantage "a.example" (fun () -> v) in
+  Alcotest.(check int) "cold miss computes" 7 (get ~vantage:"US" 7);
+  Alcotest.(check int) "hit keeps the first value" 7 (get ~vantage:"US" 8);
+  Alcotest.(check int) "vantage keyed" 9 (get ~vantage:"DE" 9);
+  Alcotest.(check int) "two entries" 2 (Cache.length c);
   Alcotest.(check int) "hit counter" 1 (Cache.hits c);
   Alcotest.(check int) "miss counter" 2 (Cache.misses c)
 
@@ -335,52 +342,6 @@ let test_resolver_glue_reuse () =
   ignore (Resolver.resolve ~cache db ~vantage:"US" "other.com");
   Alcotest.(check int) "glue reused" 2 (counter_value "dns.cache.glue.hits");
   Alcotest.(check int) "no new glue misses" 2 (counter_value "dns.cache.glue.misses")
-
-let test_iterative_cache_result_memo () =
-  let db = big_db () in
-  let h = Hierarchy.build db in
-  let cache = Iterative.make_cache () in
-  (match Iterative.resolve ~cache h ~vantage:"US" "shop.example.com" with
-  | Ok ([ a ], stats) ->
-      Alcotest.(check string) "cold answer" "10.0.1.1" (Ipv4.addr_to_string a);
-      Alcotest.(check int) "cold walk costs 3 queries" 3 stats.Iterative.queries
-  | _ -> Alcotest.fail "should resolve");
-  match Iterative.resolve ~cache h ~vantage:"US" "shop.example.com" with
-  | Ok ([ a ], stats) ->
-      Alcotest.(check string) "warm answer" "10.0.1.1" (Ipv4.addr_to_string a);
-      Alcotest.(check int) "no queries" 0 stats.Iterative.queries;
-      Alcotest.(check int) "no referrals" 0 stats.Iterative.referrals
-  | _ -> Alcotest.fail "should resolve from cache"
-
-let test_iterative_cache_zone_cut () =
-  (* A warm TLD cut lets a sibling domain's walk skip the root: 2 queries
-     and 1 referral instead of 3 and 2. *)
-  let db = big_db () in
-  Zone_db.add_domain db ~domain:"pay.example.com" ~ns_hosts:[ "ns1.alpha.sim" ]
-    ~a:(Zone_db.Static [ addr "10.0.1.2" ]);
-  let h = Hierarchy.build db in
-  let cache = Iterative.make_cache () in
-  (match Iterative.resolve ~cache h ~vantage:"US" "shop.example.com" with
-  | Ok (_, stats) -> Alcotest.(check int) "cold from root" 3 stats.Iterative.queries
-  | _ -> Alcotest.fail "should resolve");
-  match Iterative.resolve ~cache h ~vantage:"US" "pay.example.com" with
-  | Ok ([ a ], stats) ->
-      Alcotest.(check string) "sibling answer" "10.0.1.2" (Ipv4.addr_to_string a);
-      Alcotest.(check int) "warm cut skips the root" 2 stats.Iterative.queries;
-      Alcotest.(check int) "one referral" 1 stats.Iterative.referrals
-  | _ -> Alcotest.fail "should resolve via the cut"
-
-let test_iterative_cache_vantage_keyed () =
-  let h = Hierarchy.build (big_db ()) in
-  let cache = Iterative.make_cache () in
-  let from v =
-    Ipv4.addr_to_string (Option.get (Iterative.resolve_a ~cache h ~vantage:v "blog.example.org"))
-  in
-  Alcotest.(check string) "DE geo answer" "10.0.2.2" (from "DE");
-  Alcotest.(check string) "US default answer" "10.0.2.1" (from "US");
-  (* Warm repeats keep the split-horizon answers apart. *)
-  Alcotest.(check string) "DE again" "10.0.2.2" (from "DE");
-  Alcotest.(check string) "US again" "10.0.2.1" (from "US")
 
 (* --- Probe ------------------------------------------------------------------ *)
 
@@ -449,9 +410,6 @@ let () =
           Alcotest.test_case "find_or_compute" `Quick test_cache_find_or_compute;
           Alcotest.test_case "resolver transparent" `Quick test_resolver_cache_transparent;
           Alcotest.test_case "glue reuse" `Quick test_resolver_glue_reuse;
-          Alcotest.test_case "iterative result memo" `Quick test_iterative_cache_result_memo;
-          Alcotest.test_case "iterative zone cut" `Quick test_iterative_cache_zone_cut;
-          Alcotest.test_case "iterative vantage keyed" `Quick test_iterative_cache_vantage_keyed;
         ] );
       ( "probe",
         [

@@ -10,8 +10,6 @@ module Retry = Webdep_faults.Retry
 module Quarantine = Webdep_faults.Quarantine
 module Degrade = Webdep_faults.Degrade
 module Checkpoint = Webdep_faults.Checkpoint
-module Hierarchy = Webdep_dnssim.Hierarchy
-module Iterative = Webdep_dnssim.Iterative
 module Zone_db = Webdep_dnssim.Zone_db
 module Resolver = Webdep_dnssim.Resolver
 module World = Webdep_worldgen.World
@@ -194,53 +192,6 @@ let test_quarantine_streak_must_be_consecutive () =
 
 (* --- cache never memoizes transient failures ----------------------------- *)
 
-let test_cache_negative_skip () =
-  (* The iterative resolver's result memo skips transient failures: a
-     faulted walk without retries fails and bumps
-     dns.cache.negative_skip, a retried walk through the same cache
-     recovers, and only the recovered answer is then served warm. *)
-  let db = Zone_db.create () in
-  let domains = List.init 200 (Printf.sprintf "site%d.example") in
-  List.iter
-    (fun domain ->
-      Zone_db.add_domain db ~domain ~ns_hosts:[ "ns1.x.sim" ]
-        ~a:(Zone_db.Static [ addr "10.0.0.1" ]))
-    domains;
-  Zone_db.add_host db ~host:"ns1.x.sim" ~a:(Zone_db.Static [ addr "10.9.0.1" ]);
-  let h = Hierarchy.build db in
-  let plan = Faults.make ~rate:0.4 ~recover_after:2 ~permanent_fraction:0.0 ~seed:21 () in
-  let faulty =
-    match
-      List.find_opt
-        (fun d ->
-          match Iterative.resolve ~faults:plan h ~vantage:"US" d with
-          | Error e -> Resolver.retryable e
-          | Ok _ -> false)
-        domains
-    with
-    | Some d -> d
-    | None -> Alcotest.fail "no transiently faulty walk among 200 domains"
-  in
-  let skip = Webdep_obs.Metrics.counter "dns.cache.negative_skip" in
-  let skipped0 = Webdep_obs.Metrics.value skip in
-  let cache = Iterative.make_cache () in
-  (match Iterative.resolve ~cache ~faults:plan h ~vantage:"US" faulty with
-  | Error e -> Alcotest.(check bool) "first fails transiently" true (Resolver.retryable e)
-  | Ok _ -> Alcotest.fail "attempt 0 must hit the injected fault");
-  Alcotest.(check int) "failure not memoized" (skipped0 + 1) (Webdep_obs.Metrics.value skip);
-  (match
-     Iterative.resolve ~cache ~faults:plan ~retry:(Retry.of_max_retries 4) h ~vantage:"US"
-       faulty
-   with
-  | Ok ([ a ], _) ->
-      Alcotest.(check string) "second recomputes and recovers" "10.0.0.1" (Ipv4.addr_to_string a)
-  | _ -> Alcotest.fail "retry must recover past the transient fault");
-  (match Iterative.resolve ~cache ~faults:plan h ~vantage:"US" faulty with
-  | Ok ([ _ ], st) ->
-      Alcotest.(check int) "third served from cache" 0 st.Iterative.queries
-  | _ -> Alcotest.fail "the recovered answer must be memoized");
-  Alcotest.(check int) "recovery memoized" (skipped0 + 1) (Webdep_obs.Metrics.value skip)
-
 let test_resolver_does_not_cache_injected_failure () =
   (* A cached SERVFAIL must not mask a later successful retry: resolve a
      transiently-faulty domain once without retries (fails), then again
@@ -286,7 +237,6 @@ let fault_opts ?(rate = 0.05) ?(threshold = 0.5) ?(retries = 3) ?permanent_fract
     Measure.plan = Faults.make ~rate ?permanent_fraction ~seed:7 ();
     retry = Retry.of_max_retries retries;
     coverage_threshold = threshold;
-    quarantine_after = 3;
   }
 
 let country_lists ds = List.map (fun cc -> D.country_exn ds cc) (D.countries ds)
@@ -447,6 +397,31 @@ let test_checkpoint_epochs_share_one_file () =
         (datasets_equal (Measure.measure_all ~epoch:e ~countries:wider world) s.Measure.dataset))
     [ World.May_2023; World.May_2025 ]
 
+(* Golden bytes: the MD5 of the file a sweep writes for both epochs of
+   three countries, clean and faulted.  A change to the sweep's
+   resolution path, site codec or header shows up here first.  [~jobs:1]
+   because records land in completion order. *)
+let golden_checkpoint_digests =
+  [ ("clean", "b01eeb8aa609daf345ceb1f452027feb");
+    ("faulted", "b51fdc567b6a1535aea4e98fe768bf34") ]
+
+let test_checkpoint_golden_bytes () =
+  let world = World.create ~c:100 ~seed:2024 () in
+  let runs = [ ("clean", None); ("faulted", Some (fault_opts ~rate:0.1 ~threshold:0.9 ())) ] in
+  List.iter
+    (fun (name, faults) ->
+      with_temp_file @@ fun path ->
+      List.iter
+        (fun epoch ->
+          ignore
+            (Measure.measure_sweep ~epoch ~countries:[ "US"; "DE"; "BR" ] ~jobs:1 ?faults
+               ~checkpoint:path world))
+        [ World.May_2023; World.May_2025 ];
+      Alcotest.(check string) name
+        (List.assoc name golden_checkpoint_digests)
+        (Digest.to_hex (Digest.file path)))
+    runs
+
 (* A checkpoint header without [world_derivation] is one written before
    [World.create] fixed the registration walk: its sites were geolocated
    in the order that world first met each provider, so the sweep must
@@ -603,7 +578,6 @@ let () =
         ] );
       ( "cache",
         [
-          Alcotest.test_case "negative skip" `Quick test_cache_negative_skip;
           Alcotest.test_case "no cached SERVFAIL" `Quick
             test_resolver_does_not_cache_injected_failure;
         ] );
@@ -636,5 +610,6 @@ let () =
             test_checkpoint_call_order_refused;
           Alcotest.test_case "epochs share one file" `Quick
             test_checkpoint_epochs_share_one_file;
+          Alcotest.test_case "golden bytes" `Quick test_checkpoint_golden_bytes;
         ] );
     ]

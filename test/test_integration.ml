@@ -229,28 +229,49 @@ let test_longitudinal_experiment () =
   | None -> Alcotest.fail "focus delta missing"
 
 let test_iterative_pipeline_mode_identical () =
-  (* Measuring a country with ZDNS-mode iterative resolution must yield
-     the same dataset as flat resolution. *)
-  let flat = Measure.measure_country world "GR" in
-  let iter = Measure.measure_country ~resolution:Measure.Iterative world "GR" in
-  List.iter2
-    (fun (a : D.site) (b : D.site) ->
-      if a.D.hosting <> b.D.hosting then Alcotest.failf "hosting differs on %s" a.D.domain;
-      if a.D.ca <> b.D.ca then Alcotest.failf "ca differs on %s" a.D.domain)
-    flat.D.sites iter.D.sites
+  (* Feeding the pipeline the answers of a ZDNS-mode iterative walk must
+     yield the same hosting layer as the sweep's flat resolution: every
+     GR site's measured hosting organization is the one its iteratively
+     resolved address maps to. *)
+  let module I = Webdep_dnssim.Iterative in
+  let module Org = Webdep_netsim.Org in
+  let snap = World.snapshot world "GR" in
+  let hierarchy = Webdep_dnssim.Hierarchy.build snap.World.zones in
+  let internet = World.internet world in
+  let measured = Measure.measure_snapshot world snap in
+  Alcotest.(check int) "all sites" 1500 (List.length measured.D.sites);
+  List.iter
+    (fun (s : D.site) ->
+      let addr =
+        match I.resolve hierarchy ~vantage:Measure.default_vantage s.D.domain with
+        | Ok (a :: _, _) -> Some a
+        | Ok ([], _) | Error _ -> None
+      in
+      let hosting =
+        Option.map
+          (fun (o : Org.t) -> { D.name = o.Org.name; country = o.Org.country })
+          (Option.bind addr (Webdep_netsim.Internet.org_of_addr internet))
+      in
+      if hosting <> s.D.hosting then Alcotest.failf "hosting differs on %s" s.D.domain)
+    measured.D.sites
 
 let test_iterative_resolution_agrees () =
   (* ZDNS-style iterative walks over the delegation hierarchy must land
-     on the same answers as the flat resolver, in ~3 queries each. *)
-  let stats = Measure.iterative_resolution_stats world "FR" in
-  Alcotest.(check int) "all domains" 1500 stats.Measure.domains;
-  Alcotest.(check bool) "full agreement" true (stats.Measure.agreement >= 0.999);
-  Alcotest.(check int) "no failures" 0 stats.Measure.failures;
-  (* Direct sites take 3 queries (root, TLD, auth); CDN-fronted sites
-     restart at the root for the CNAME target, so the mean sits between
-     3 and 6 depending on the country's CDN share. *)
-  Alcotest.(check bool) "3..6 queries" true
-    (stats.Measure.mean_queries >= 2.9 && stats.Measure.mean_queries <= 6.1)
+     on the same answers as the flat resolver, in ~3 queries each, in
+     every country checked. *)
+  List.iter
+    (fun cc ->
+      let stats = Measure.iterative_resolution_stats world cc in
+      let at what = Printf.sprintf "%s: %s" cc what in
+      Alcotest.(check int) (at "all domains") 1500 stats.Measure.domains;
+      Alcotest.(check (float 0.0)) (at "full agreement") 1.0 stats.Measure.agreement;
+      Alcotest.(check int) (at "no failures") 0 stats.Measure.failures;
+      (* Direct sites take 3 queries (root, TLD, auth); CDN-fronted sites
+         restart at the root for the CNAME target, so the mean sits
+         between 3 and 6 depending on the country's CDN share. *)
+      Alcotest.(check bool) (at "3..6 queries") true
+        (stats.Measure.mean_queries >= 2.9 && stats.Measure.mean_queries <= 6.1))
+    [ "FR"; "GR" ]
 
 let test_language_case_study () =
   (* §5.3.3 via LangDetect: ~31.4% of Afghan sites Persian, ~60.8% of
