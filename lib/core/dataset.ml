@@ -19,6 +19,11 @@ type country_data = { country : string; sites : site list }
 
 let dummy_entity = { name = ""; country = "" }
 
+let grow a fill need =
+  let b = Array.make (max need (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 (* ---- compact interned storage ------------------------------------------
 
    A dataset does not keep the [site] records callers hand it: each site
@@ -26,9 +31,16 @@ let dummy_entity = { name = ""; country = "" }
    one dense id per distinct (name, country) entity (providers, CAs,
    TLDs share the pool) and one per distinct small string (geo country
    codes, language labels).  At the paper's full scale (150 countries x
-   10K sites, ~1.5M records) this stores five int arrays plus the domain
-   strings per country instead of ~1.5M boxed records with per-site
-   entity/option allocations.
+   10K sites, ~1.5M records) this stores, per country, four int32
+   columns, one word column and the domain names packed into one byte
+   buffer instead of ~1.5M boxed records with per-site entity/option
+   allocations.
+
+   The columns and the buffer are Bigarrays, off the OCaml heap: ~41
+   bytes a site, ~61 MiB at full scale.  The major GC lets garbage grow
+   in proportion to the live heap, so data kept on it cost ~2.4 times
+   its size in resident memory while a sweep allocates behind it; off
+   the heap a finished dataset costs its own size.
 
    The string-facing API ([country]/[country_exn]) decodes on demand and
    memoizes the decoded [country_data] per country, so callers that walk
@@ -40,10 +52,19 @@ let dummy_entity = { name = ""; country = "" }
    measurement pipeline performs sequentially in canonical country
    order, so pool ids are independent of [--jobs]. *)
 
+(* Keyed by the (name, country) pair itself: no joined string to build
+   per site, and no separator byte two distinct pairs could share. *)
+module Entity_tbl = Hashtbl.Make (struct
+  type t = entity
+
+  let equal a b = String.equal a.name b.name && String.equal a.country b.country
+  let hash (e : t) = Hashtbl.hash e
+end)
+
 type pool = {
   mutable entities : entity array; (* id -> entity (first-seen record) *)
   mutable ecount : int;
-  eindex : (string, (string, int) Hashtbl.t) Hashtbl.t; (* name -> country -> id *)
+  eindex : int Entity_tbl.t; (* entity -> id *)
   ssyms : Symbol.t; (* geo country codes and language labels *)
 }
 
@@ -51,22 +72,14 @@ let pool_create () =
   {
     entities = Array.make 1024 dummy_entity;
     ecount = 0;
-    eindex = Hashtbl.create 1024;
+    eindex = Entity_tbl.create 1024;
     ssyms = Symbol.create ~size:256 ();
   }
 
 let intern_entity p e =
-  let by_country =
-    match Hashtbl.find_opt p.eindex e.name with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create 4 in
-        Hashtbl.replace p.eindex e.name tbl;
-        tbl
-  in
-  match Hashtbl.find_opt by_country e.country with
-  | Some id -> id
-  | None ->
+  match Entity_tbl.find p.eindex e with
+  | id -> id
+  | exception Not_found ->
       let id = p.ecount in
       if id = Array.length p.entities then begin
         let bigger = Array.make (2 * id) dummy_entity in
@@ -75,7 +88,7 @@ let intern_entity p e =
       end;
       p.entities.(id) <- e;
       p.ecount <- id + 1;
-      Hashtbl.replace by_country e.country id;
+      Entity_tbl.add p.eindex e id;
       id
 
 (* Small-string ids and the two anycast flags pack into one aux word:
@@ -85,13 +98,61 @@ let intern_entity p e =
 let str_bits = 20
 let str_mask = (1 lsl str_bits) - 1
 
-let intern_opt_str p = function
-  | None -> 0
-  | Some s ->
-      let v = 1 + Symbol.intern p.ssyms s in
-      if v > str_mask then
-        invalid_arg "Dataset: too many distinct geo/language labels";
-      v
+let intern_str p s =
+  let id = Symbol.intern p.ssyms s in
+  if id >= str_mask then invalid_arg "Dataset: too many distinct geo/language labels";
+  id
+
+let intern_opt_str p = function None -> 0 | Some s -> 1 + intern_str p s
+
+let flag_bits = (1 lsl 60) lor (1 lsl 61)
+
+(* ---- off-heap columns ----------------------------------------------------- *)
+
+type ids = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type chars = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let zero_ids n : ids =
+  let a = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n in
+  Bigarray.Array1.fill a 0l;
+  a
+
+let zero_words n : words =
+  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+  Bigarray.Array1.fill a 0;
+  a
+
+let id_at (a : ids) i = Int32.to_int a.{i}
+let set_id (a : ids) i v = a.{i} <- Int32.of_int v
+
+(* Domain [i] is the bytes [starts.{i}, starts.{i + 1}) of [chars]. *)
+type domains = { chars : chars; starts : ids }
+
+let pack_domains names =
+  let n = Array.length names in
+  let starts = zero_ids (n + 1) in
+  let total = Array.fold_left (fun acc d -> acc + String.length d) 0 names in
+  if total > Int32.to_int Int32.max_int then invalid_arg "Dataset: domain names too long";
+  let chars = Bigarray.Array1.create Bigarray.char Bigarray.c_layout total in
+  let o = ref 0 in
+  Array.iteri
+    (fun i d ->
+      let base = !o in
+      set_id starts i base;
+      for j = 0 to String.length d - 1 do
+        Bigarray.Array1.unsafe_set chars (base + j) (String.unsafe_get d j)
+      done;
+      o := base + String.length d)
+    names;
+  set_id starts n total;
+  { chars; starts }
+
+let domain_count d = Bigarray.Array1.dim d.starts - 1
+
+let domain_at d i =
+  let o = id_at d.starts i in
+  String.init (id_at d.starts (i + 1) - o) (fun j -> Bigarray.Array1.unsafe_get d.chars (o + j))
 
 let pack_aux ~hgeo ~nsgeo ~lang ~hany ~nany =
   hgeo
@@ -100,14 +161,18 @@ let pack_aux ~hgeo ~nsgeo ~lang ~hany ~nany =
   lor (if hany then 1 lsl 60 else 0)
   lor (if nany then 1 lsl 61 else 0)
 
+let aux_hgeo aux = aux land str_mask
+let aux_nsgeo aux = (aux lsr str_bits) land str_mask
+let aux_lang aux = (aux lsr (2 * str_bits)) land str_mask
+
 type packed = {
   cc : string;
-  domains : string array;
-  hosting : int array; (* entity id + 1; 0 = None *)
-  dns : int array;
-  ca : int array;
-  tld : int array; (* entity id + 1; never 0 *)
-  aux : int array;
+  domains : domains;
+  hosting : ids; (* entity id + 1; 0 = None *)
+  dns : ids;
+  ca : ids;
+  tld : ids; (* entity id + 1; never 0 *)
+  aux : words;
   decoded : country_data option Atomic.t;
 }
 
@@ -121,26 +186,25 @@ let intern_opt_entity p = function None -> 0 | Some e -> 1 + intern_entity p e
 
 let encode_country pool (cd : country_data) =
   let n = List.length cd.sites in
-  let domains = Array.make n "" in
-  let hosting = Array.make n 0 in
-  let dns = Array.make n 0 in
-  let ca = Array.make n 0 in
-  let tld = Array.make n 0 in
-  let aux = Array.make n 0 in
+  let hosting = zero_ids n in
+  let dns = zero_ids n in
+  let ca = zero_ids n in
+  let tld = zero_ids n in
+  let aux = zero_words n in
   List.iteri
-    (fun i s ->
-      domains.(i) <- s.domain;
-      hosting.(i) <- intern_opt_entity pool s.hosting;
-      dns.(i) <- intern_opt_entity pool s.dns;
-      ca.(i) <- intern_opt_entity pool s.ca;
-      tld.(i) <- 1 + intern_entity pool s.tld;
-      aux.(i) <-
-        pack_aux
-          ~hgeo:(intern_opt_str pool s.hosting_geo)
-          ~nsgeo:(intern_opt_str pool s.ns_geo)
-          ~lang:(intern_opt_str pool s.language)
-          ~hany:s.hosting_anycast ~nany:s.ns_anycast)
+    (fun i (s : site) ->
+      set_id hosting i (intern_opt_entity pool s.hosting);
+      set_id dns i (intern_opt_entity pool s.dns);
+      set_id ca i (intern_opt_entity pool s.ca);
+      set_id tld i (1 + intern_entity pool s.tld);
+      (* Language, NS geo, hosting geo: the order every encoder interns
+         small strings in, so one site list gives one pool. *)
+      let lang = intern_opt_str pool s.language in
+      let nsgeo = intern_opt_str pool s.ns_geo in
+      let hgeo = intern_opt_str pool s.hosting_geo in
+      aux.{i} <- pack_aux ~hgeo ~nsgeo ~lang ~hany:s.hosting_anycast ~nany:s.ns_anycast)
     cd.sites;
+  let domains = pack_domains (Array.of_list (List.map (fun (s : site) -> s.domain) cd.sites)) in
   { cc = cd.country; domains; hosting; dns; ca; tld; aux;
     decoded = Atomic.make None }
 
@@ -148,18 +212,18 @@ let entity_at pool v = if v = 0 then None else Some pool.entities.(v - 1)
 let str_at pool v = if v = 0 then None else Some (Symbol.name pool.ssyms (v - 1))
 
 let decode_site pool pk i : site =
-  let aux = pk.aux.(i) in
+  let aux = pk.aux.{i} in
   {
-    domain = pk.domains.(i);
-    hosting = entity_at pool pk.hosting.(i);
-    dns = entity_at pool pk.dns.(i);
-    ca = entity_at pool pk.ca.(i);
-    tld = pool.entities.(pk.tld.(i) - 1);
-    hosting_geo = str_at pool (aux land str_mask);
-    ns_geo = str_at pool ((aux lsr str_bits) land str_mask);
+    domain = domain_at pk.domains i;
+    hosting = entity_at pool (id_at pk.hosting i);
+    dns = entity_at pool (id_at pk.dns i);
+    ca = entity_at pool (id_at pk.ca i);
+    tld = pool.entities.(id_at pk.tld i - 1);
+    hosting_geo = str_at pool (aux_hgeo aux);
+    ns_geo = str_at pool (aux_nsgeo aux);
     hosting_anycast = aux land (1 lsl 60) <> 0;
     ns_anycast = aux land (1 lsl 61) <> 0;
-    language = str_at pool ((aux lsr (2 * str_bits)) land str_mask);
+    language = str_at pool (aux_lang aux);
   }
 
 (* Decode is deterministic, so a lost CAS race just discards an
@@ -169,7 +233,7 @@ let decode_country pool pk =
   match Atomic.get pk.decoded with
   | Some cd -> cd
   | None ->
-      let n = Array.length pk.domains in
+      let n = domain_count pk.domains in
       let sites = ref [] in
       for i = n - 1 downto 0 do
         sites := decode_site pool pk i :: !sites
@@ -178,20 +242,134 @@ let decode_country pool pk =
       if Atomic.compare_and_set pk.decoded None (Some cd) then cd
       else Option.get (Atomic.get pk.decoded)
 
+(* ---- sites against the world's ids -------------------------------------- *)
+
+type world_ids = {
+  w_country : string;
+  w_domains : domains;
+  w_hosting : ids;
+  w_dns : ids;
+  w_ca : ids;
+  w_tld : ids;
+  w_aux : words;
+  w_other_tlds : entity array;
+}
+
+let world_ids ~country names =
+  let n = Array.length names in
+  {
+    w_country = country;
+    w_domains = pack_domains names;
+    w_hosting = zero_ids n;
+    w_dns = zero_ids n;
+    w_ca = zero_ids n;
+    w_tld = zero_ids n;
+    w_aux = zero_words n;
+    w_other_tlds = [||];
+  }
+
+type names = {
+  org_entity : int -> entity;
+  ca_entity : int -> entity;
+  tld_entity : int -> entity;
+  geo_label : int -> string;
+  lang_label : int -> string;
+}
+
+let decode_world_ids names w =
+  let opt name v = if v = 0 then None else Some (name (v - 1)) in
+  let site i =
+    let aux = w.w_aux.{i} and tld = id_at w.w_tld i in
+    {
+      domain = domain_at w.w_domains i;
+      hosting = opt names.org_entity (id_at w.w_hosting i);
+      dns = opt names.org_entity (id_at w.w_dns i);
+      ca = opt names.ca_entity (id_at w.w_ca i);
+      tld = (if tld > 0 then names.tld_entity (tld - 1) else w.w_other_tlds.(-tld - 1));
+      hosting_geo = opt names.geo_label (aux_hgeo aux);
+      ns_geo = opt names.geo_label (aux_nsgeo aux);
+      hosting_anycast = aux land (1 lsl 60) <> 0;
+      ns_anycast = aux land (1 lsl 61) <> 0;
+      language = opt names.lang_label (aux_lang aux);
+    }
+  in
+  { country = w.w_country; sites = List.init (domain_count w.w_domains) site }
+
 (* ---- streaming construction --------------------------------------------- *)
 
 type builder = {
   b_pool : pool;
   b_by_country : (string, packed) Hashtbl.t;
   mutable b_rev_order : string list;
+  (* One remap per kind of world id: slot id holds the dataset id + 1
+     the world id was interned as, 0 = not met yet. *)
+  b_orgs : int array ref;
+  b_cas : int array ref;
+  b_tlds : int array ref;
+  b_geos : int array ref;
+  b_langs : int array ref;
 }
 
 let builder () =
-  { b_pool = pool_create (); b_by_country = Hashtbl.create 64; b_rev_order = [] }
+  let remap () = ref (Array.make 64 0) in
+  {
+    b_pool = pool_create ();
+    b_by_country = Hashtbl.create 64;
+    b_rev_order = [];
+    b_orgs = remap ();
+    b_cas = remap ();
+    b_tlds = remap ();
+    b_geos = remap ();
+    b_langs = remap ();
+  }
 
-let builder_add b cd =
-  Hashtbl.replace b.b_by_country cd.country (encode_country b.b_pool cd);
-  b.b_rev_order <- cd.country :: b.b_rev_order
+let add_packed b pk =
+  Hashtbl.replace b.b_by_country pk.cc pk;
+  b.b_rev_order <- pk.cc :: b.b_rev_order
+
+let builder_add b cd = add_packed b (encode_country b.b_pool cd)
+
+(* [v] is a world id + 1 (0 = none); the result the dataset id + 1.  A
+   world id is named and interned only the first time this builder
+   meets it, so the interner sees each entity's first encounter in the
+   order the string path would. *)
+let remapped r name intern v =
+  if v = 0 then 0
+  else begin
+    let id = v - 1 in
+    if id >= Array.length !r then r := grow !r 0 (id + 1);
+    let d = !r.(id) in
+    if d > 0 then d
+    else begin
+      let d = 1 + intern (name id) in
+      !r.(id) <- d;
+      d
+    end
+  end
+
+let builder_append b names w =
+  let p = b.b_pool in
+  let entity e = intern_entity p e and label s = intern_str p s in
+  let org col i = set_id col i (remapped b.b_orgs names.org_entity entity (id_at col i)) in
+  for i = 0 to domain_count w.w_domains - 1 do
+    (* Per site, in [encode_country]'s order. *)
+    org w.w_hosting i;
+    org w.w_dns i;
+    set_id w.w_ca i (remapped b.b_cas names.ca_entity entity (id_at w.w_ca i));
+    let tld = id_at w.w_tld i in
+    set_id w.w_tld i
+      (if tld > 0 then remapped b.b_tlds names.tld_entity entity tld
+       else 1 + entity w.w_other_tlds.(-tld - 1));
+    let aux = w.w_aux.{i} in
+    let lang = remapped b.b_langs names.lang_label label (aux_lang aux) in
+    let nsgeo = remapped b.b_geos names.geo_label label (aux_nsgeo aux) in
+    let hgeo = remapped b.b_geos names.geo_label label (aux_hgeo aux) in
+    w.w_aux.{i} <-
+      hgeo lor (nsgeo lsl str_bits) lor (lang lsl (2 * str_bits)) lor (aux land flag_bits)
+  done;
+  add_packed b
+    { cc = w.w_country; domains = w.w_domains; hosting = w.w_hosting; dns = w.w_dns;
+      ca = w.w_ca; tld = w.w_tld; aux = w.w_aux; decoded = Atomic.make None }
 
 let builder_finish b =
   { pool = b.b_pool; by_country = b.b_by_country;
@@ -214,9 +392,9 @@ let country t cc = Option.map (decode_country t.pool) (packed t cc)
 let country_exn t cc = decode_country t.pool (packed_exn t cc)
 
 let size t =
-  Hashtbl.fold (fun _ pk acc -> acc + Array.length pk.domains) t.by_country 0
+  Hashtbl.fold (fun _ pk acc -> acc + domain_count pk.domains) t.by_country 0
 
-let site_count t cc = Array.length (packed_exn t cc).domains
+let site_count t cc = domain_count (packed_exn t cc).domains
 
 let entity_of (s : site) = function
   | Hosting -> s.hosting
@@ -229,6 +407,11 @@ let layer_ids pk = function
   | Dns -> pk.dns
   | Ca -> pk.ca
   | Tld -> pk.tld
+
+let iter_ids f (a : ids) =
+  for i = 0 to Bigarray.Array1.dim a - 1 do
+    f (Int32.to_int (Bigarray.Array1.unsafe_get a i))
+  done
 
 (* Deterministic canonical order for (entity, count) lists: it depends
    only on the tallied multiset, never on insertion order, so a tally
@@ -246,18 +429,39 @@ let sort_counts out =
 
 (* ---- metric queries on the int arrays ------------------------------------ *)
 
+(* Per-domain counts indexed by entity id, all zero between calls: a
+   country touches a few hundred of the pool's ids, so each call clears
+   only those instead of allocating and scanning a pool-sized array (at
+   c = 10 000 that was ~0.5 MB per (country, layer) query). *)
+let counts_scratch = Domain.DLS.new_key (fun () -> ref [||])
+
 let counts_by_entity t layer cc =
   let pk = packed_exn t cc in
-  let ids = layer_ids pk layer in
-  let counts = Array.make (max 1 t.pool.ecount) 0 in
-  Array.iter (fun v -> if v > 0 then counts.(v - 1) <- counts.(v - 1) + 1) ids;
-  let out = ref [] in
-  for id = t.pool.ecount - 1 downto 0 do
-    if counts.(id) > 0 then out := (t.pool.entities.(id), counts.(id)) :: !out
-  done;
-  (* Count-descending with a deterministic tie-break (the old Hashtbl
-     fold left ties in table-layout order). *)
-  sort_counts !out
+  let scratch = Domain.DLS.get counts_scratch in
+  if Array.length !scratch < t.pool.ecount then scratch := Array.make t.pool.ecount 0;
+  let counts = !scratch in
+  let touched = ref [] in
+  iter_ids
+    (fun v ->
+      if v > 0 then begin
+        let id = v - 1 in
+        let c = counts.(id) in
+        if c = 0 then touched := id :: !touched;
+        counts.(id) <- c + 1
+      end)
+    (layer_ids pk layer);
+  let out =
+    List.rev_map
+      (fun id ->
+        let c = counts.(id) in
+        counts.(id) <- 0;
+        (t.pool.entities.(id), c))
+      !touched
+  in
+  (* Count-descending with a deterministic tie-break: entities are
+     distinct (name, country) pairs, so the order is total and the
+     order ids were met in cannot show. *)
+  sort_counts out
 
 let distribution t layer cc =
   let counts = List.map snd (counts_by_entity t layer cc) in
@@ -277,7 +481,7 @@ let merged_distribution t layer =
       match packed t cc with
       | None -> ()
       | Some pk ->
-          Array.iter
+          iter_ids
             (fun v ->
               if v > 0 then begin
                 let id = v - 1 in
@@ -303,11 +507,11 @@ let merged_distribution t layer =
 
 let entity_share t layer cc ~name =
   let pk = packed_exn t cc in
-  let total = Array.length pk.domains in
+  let total = domain_count pk.domains in
   if total = 0 then 0.0
   else begin
     let hits = ref 0 in
-    Array.iter
+    iter_ids
       (fun v ->
         if v > 0 && String.equal t.pool.entities.(v - 1).name name then
           incr hits)
@@ -318,7 +522,7 @@ let entity_share t layer cc ~name =
 let home_label_count t layer cc =
   let pk = packed_exn t cc in
   let hits = ref 0 in
-  Array.iter
+  iter_ids
     (fun v ->
       if v > 0 && String.equal t.pool.entities.(v - 1).country cc then incr hits)
     (layer_ids pk layer);
@@ -348,11 +552,10 @@ module Compact = struct
       c_ca = intern_opt_entity p s.ca;
       c_tld = 1 + intern_entity p s.tld;
       c_aux =
-        pack_aux
-          ~hgeo:(intern_opt_str p s.hosting_geo)
-          ~nsgeo:(intern_opt_str p s.ns_geo)
-          ~lang:(intern_opt_str p s.language)
-          ~hany:s.hosting_anycast ~nany:s.ns_anycast;
+        (let lang = intern_opt_str p s.language in
+         let nsgeo = intern_opt_str p s.ns_geo in
+         let hgeo = intern_opt_str p s.hosting_geo in
+         pack_aux ~hgeo ~nsgeo ~lang ~hany:s.hosting_anycast ~nany:s.ns_anycast);
     }
 
   let decode p sc : site =
@@ -362,11 +565,11 @@ module Compact = struct
       dns = entity_at p sc.c_dns;
       ca = entity_at p sc.c_ca;
       tld = p.entities.(sc.c_tld - 1);
-      hosting_geo = str_at p (sc.c_aux land str_mask);
-      ns_geo = str_at p ((sc.c_aux lsr str_bits) land str_mask);
+      hosting_geo = str_at p (aux_hgeo sc.c_aux);
+      ns_geo = str_at p (aux_nsgeo sc.c_aux);
       hosting_anycast = sc.c_aux land (1 lsl 60) <> 0;
       ns_anycast = sc.c_aux land (1 lsl 61) <> 0;
-      language = str_at p ((sc.c_aux lsr (2 * str_bits)) land str_mask);
+      language = str_at p (aux_lang sc.c_aux);
     }
 
   let entity_count t = t.pool.ecount
@@ -374,15 +577,6 @@ module Compact = struct
 end
 
 (* ---- incremental tallies ------------------------------------------------ *)
-
-(* Keyed by the (name, country) pair itself: no joined string to build
-   per site, and no separator byte two distinct pairs could share. *)
-module Entity_tbl = Hashtbl.Make (struct
-  type t = entity
-
-  let equal a b = String.equal a.name b.name && String.equal a.country b.country
-  let hash (e : t) = Hashtbl.hash e
-end)
 
 (* Dense tally: one id per distinct entity and a count per id, plus the
    count histogram the scores are read from: [freq.(k)] entities have
@@ -397,11 +591,6 @@ type tally = {
   mutable labelled : int;
   mutable largest : int;
 }
-
-let grow a fill need =
-  let b = Array.make (max need (2 * Array.length a)) fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
 
 module Tally = struct
   type nonrec t = tally

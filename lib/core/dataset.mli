@@ -30,11 +30,13 @@ type t
 (** A dataset: one {!country_data} per country.
 
     Internally the sites are stored interned and integer-coded (one
-    dense id per distinct entity and small string, five int arrays per
-    country) — {!country}/{!country_exn} decode the string-facing
-    records on demand and memoize them, while the metric queries below
-    run directly on the int arrays.  Both views are byte-identical to
-    the records passed to {!of_country_data}. *)
+    dense id per distinct entity and small string; per country, four
+    int32 id columns, one word column and the domain names packed into
+    one byte buffer, all Bigarrays off the OCaml heap) —
+    {!country}/{!country_exn} decode the string-facing records on demand
+    and memoize them, while the metric queries below run directly on the
+    id columns.  Both views are byte-identical to the records passed to
+    {!of_country_data}. *)
 
 val of_country_data : country_data list -> t
 
@@ -52,6 +54,62 @@ val builder_add : builder -> country_data -> unit
     order defines the ids). *)
 
 val builder_finish : builder -> t
+
+(** {2 Sites against the world's ids}
+
+    A measuring lane need not build a {!site} per site: it can write
+    each label as the number the world fixes for it, and the builder
+    names each number once.  One country, one slot per toplist index,
+    in columns off the OCaml heap that the dataset keeps: *)
+
+type ids = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type domains
+(** A country's domain names, packed into one off-heap byte buffer. *)
+
+type world_ids = {
+  w_country : string;
+  w_domains : domains;
+  w_hosting : ids;  (** hosting organization's id + 1; 0 = none *)
+  w_dns : ids;  (** nameserver organization's id + 1; 0 = none *)
+  w_ca : ids;  (** CA owner's id + 1; 0 = none *)
+  w_tld : ids;
+      (** TLD label's id + 1, or [-(j + 1)] for [w_other_tlds.(j)]: a
+          TLD entity the world has no id for *)
+  w_aux : words;
+      (** {!pack_aux} of the geolocation verdicts' and the language's
+          ids + 1 (0 = none) and the two anycast flags *)
+  w_other_tlds : entity array;
+}
+
+val world_ids : country:string -> string array -> world_ids
+(** One slot per domain, in order: the domains packed, every id column
+    zero and no [w_other_tlds]. *)
+
+type names = {
+  org_entity : int -> entity;
+  ca_entity : int -> entity;
+  tld_entity : int -> entity;
+  geo_label : int -> string;
+  lang_label : int -> string;
+}
+(** What each kind of world id stands for. *)
+
+val pack_aux : hgeo:int -> nsgeo:int -> lang:int -> hany:bool -> nany:bool -> int
+(** One [w_aux] word.  Each id field holds 20 bits. *)
+
+val decode_world_ids : names -> world_ids -> country_data
+(** The string-form records the ids stand for. *)
+
+val builder_append : builder -> names -> world_ids -> unit
+(** [builder_add b (decode_world_ids names w)], without the records: the
+    id arrays are rewritten in place into the dataset's ids (so [w]
+    must not be used again) and kept.  Each (kind, world id) is named
+    and interned once, the first time the builder meets it, so the
+    dataset — interner ids included — is structurally equal to the one
+    {!builder_add} would build, and the two calls may be mixed.  Same
+    single-domain rule as {!builder_add}. *)
 
 val countries : t -> string list
 val country : t -> string -> country_data option

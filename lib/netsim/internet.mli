@@ -19,7 +19,13 @@
     number, so each lookup is one array read.  These records are the
     only AS and organization labels: there is no separate AS-to-org
     table.  Addresses outside the allocated blocks answer [None] /
-    [false]. *)
+    [false].
+
+    Organizations and geolocation verdicts also have dense numbers, so a
+    caller can label a site with integers and turn them back into names
+    later: an organization's is its {!Org.id} ({!org}), a verdict's is
+    its place in the order registration first drew it ({!geo_id},
+    {!geo_name}). *)
 
 type t
 
@@ -57,6 +63,10 @@ val register_network :
 val find_network : t -> string -> network option
 (** Lookup a registered network by organization name. *)
 
+val org : t -> int -> Org.t
+(** The organization with this {!Org.id}.
+    @raise Invalid_argument for an id no network was registered under. *)
+
 val address_in : t -> network -> near:string -> Webdep_stats.Rng.t -> Ipv4.addr
 (** An address of the network, preferring the point of presence in
     [near] (the client's country) and falling back to HQ — how a CDN maps
@@ -71,6 +81,14 @@ val org_of_addr : t -> Ipv4.addr -> Org.t option
 
 val geolocate : t -> Ipv4.addr -> string option
 (** NetAcuity-like lookup (subject to the error model). *)
+
+val geo_id : t -> Ipv4.addr -> int
+(** The number of {!geolocate}'s verdict, or [-1] where it answers
+    [None]. *)
+
+val geo_name : t -> int -> string
+(** The verdict a {!geo_id} number stands for.
+    @raise Invalid_argument for a number no block carries. *)
 
 val is_anycast_addr : t -> Ipv4.addr -> bool
 (** Whether the address lies in an anycast network's prefix — the

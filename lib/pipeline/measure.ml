@@ -5,6 +5,7 @@ module Handshake = Webdep_tlssim.Handshake
 module Tls_ca = Webdep_tlssim.Ca
 module Toplist = Webdep_crux.Toplist
 module Dataset = Webdep.Dataset
+module Language = Webdep_worldgen.Language
 
 let default_vantage = "US"
 
@@ -17,7 +18,6 @@ module Obs = Webdep_obs
 module Metric = Webdep_obs.Metrics
 module Faults = Webdep_faults.Fault_plan
 module Retry = Webdep_faults.Retry
-module Quarantine = Webdep_faults.Quarantine
 module Degrade = Webdep_faults.Degrade
 module Checkpoint = Webdep_faults.Checkpoint
 module Fingerprint = Webdep_store.Fingerprint
@@ -42,8 +42,8 @@ let tld_of_domain domain =
   | None -> domain
   | Some i -> String.sub domain i (String.length domain - i)
 
-let tld_entity domain =
-  let tld = tld_of_domain domain in
+(* The TLD entity keyed by [tld], a domain's [tld_of_domain]. *)
+let tld_entity_of tld =
   let label = String.uppercase_ascii (String.sub tld 1 (String.length tld - 1)) in
   let home =
     if label = "UK" then "GB"
@@ -64,6 +64,21 @@ let tld_entity domain =
 let org_entity (org : Webdep_netsim.Org.t) =
   { Dataset.name = org.Webdep_netsim.Org.name; country = org.Webdep_netsim.Org.country }
 
+(* What the world's ids stand for.  A sweep's fold names each id once,
+   the first time its dataset meets it; a decode names one per site. *)
+let names world =
+  let internet = World.internet world and ca_db = World.ca_db world in
+  {
+    Dataset.org_entity = (fun id -> org_entity (Internet.org internet id));
+    ca_entity =
+      (fun id ->
+        let o = Tls_ca.owner ca_db id in
+        { Dataset.name = o.Tls_ca.name; country = o.Tls_ca.country });
+    tld_entity = (fun id -> tld_entity_of (World.tld_label world id));
+    geo_label = Internet.geo_name internet;
+    lang_label = Language.label;
+  }
+
 (* Fault-handling context for a sweep: the plan decides which simulated
    servers misbehave, the retry policy bounds how hard we push back, and
    the coverage threshold gates per-country metric emission. *)
@@ -75,134 +90,104 @@ type fault_opts = {
 
 let no_faults = { plan = Faults.disabled; retry = Retry.no_retry; coverage_threshold = 0.0 }
 
-let failed_site domain =
-  {
-    Dataset.domain;
-    hosting = None;
-    dns = None;
-    ca = None;
-    tld = tld_entity domain;
-    hosting_geo = None;
-    ns_geo = None;
-    hosting_anycast = false;
-    ns_anycast = false;
-    language = None;
-  }
+(* An address's labels as world ids + 1 (0 = none). *)
+let org_id internet = function
+  | None -> 0
+  | Some ip -> (
+      match Internet.org_of_addr internet ip with
+      | Some o -> o.Webdep_netsim.Org.id + 1
+      | None -> 0)
 
-let measure_site internet ca_db zones tls ~vantage ~content ~fo ~quarantine domain =
+let geo_id internet = function None -> 0 | Some ip -> Internet.geo_id internet ip + 1
+
+let anycast internet = function None -> false | Some ip -> Internet.is_anycast_addr internet ip
+
+(* Measure site [i] of [w], named [domain], into its hosting, DNS, CA
+   and aux slots (its TLD slot needs no measuring). *)
+let measure_site internet ca_db zones tls ~vantage ~content ~fo (w : Dataset.world_ids) i domain =
   Metric.incr m_sites;
   let faulted = Faults.enabled fo.plan in
-  if faulted && Quarantine.active quarantine domain then begin
-    (* K consecutive failures: stop burning retry budget on this target. *)
-    Metric.incr m_sites_failed;
-    (failed_site domain, Degrade.Failed)
-  end
-  else begin
-    Metric.incr m_dns_queries;
-    let resolved = Resolver.resolve ~faults:fo.plan ~retry:fo.retry zones ~vantage domain in
-    let hosting_ip, ns_ip =
-      match resolved with
-      | Error Resolver.Nxdomain ->
-          Metric.incr m_dns_nxdomain;
-          (None, None)
-      | Error _ ->
-          (* Transient failure that survived the retry budget. *)
-          (None, None)
-      | Ok { Resolver.a; ns_addrs; _ } ->
-          ((match a with ip :: _ -> Some ip | [] -> None),
-           match ns_addrs with ip :: _ -> Some ip | [] -> None)
-    in
-    let hosting = Option.bind hosting_ip (Internet.org_of_addr internet) in
-    let dns = Option.bind ns_ip (Internet.org_of_addr internet) in
-    let hosting_geo = Option.bind hosting_ip (Internet.geolocate internet) in
-    let ns_geo = Option.bind ns_ip (Internet.geolocate internet) in
-    let hosting_anycast =
-      match hosting_ip with Some ip -> Internet.is_anycast_addr internet ip | None -> false
-    in
-    let ns_anycast =
-      match ns_ip with Some ip -> Internet.is_anycast_addr internet ip | None -> false
-    in
-    if hosting_anycast then Metric.incr m_anycast_hosting;
-    if ns_anycast then Metric.incr m_anycast_ns;
-    let ca =
-      match hosting_ip with
-      | None -> None
-      | Some addr -> (
-          Metric.incr m_tls_handshakes;
-          let hs =
-            if not faulted then Handshake.handshake tls ~addr ~sni:domain
-            else
-              (* Retry only handshakes the plan interfered with: a site
-                 that genuinely has no TLS fails identically on every
-                 attempt, so retrying it would only distort counters. *)
-              match
-                Retry.run fo.retry ~key:("tls|" ^ domain)
-                  ~retryable:(fun () -> Faults.tls_faulty fo.plan ~sni:domain)
-                  (fun ~attempt ->
-                    match
-                      Handshake.handshake ~faults:fo.plan ~attempt tls ~addr
-                        ~sni:domain
-                    with
-                    | Some cert -> Ok cert
-                    | None -> Error ())
-              with
-              | Ok cert -> Some cert
-              | Error () -> None
-          in
-          match hs with
-          | None ->
-              Metric.incr m_tls_failures;
-              None
-          | Some cert ->
-              Option.map
-                (fun (o : Tls_ca.owner) ->
-                  { Dataset.name = o.Tls_ca.name; country = o.Tls_ca.country })
-                (Tls_ca.owner_of_issuer ca_db cert.Webdep_tlssim.Cert.issuer_cn))
-    in
-    let language =
-      (* Fetch the page and run language detection, as the paper does with
-         LangDetect; only possible when the site resolved. *)
-      match hosting_ip with
-      | None -> None
-      | Some _ ->
-          Option.map (fun truth -> Langdetect.detect ~domain truth) (content domain)
-    in
-    (match language with Some _ -> Metric.incr m_lang_detected | None -> ());
-    let site =
-      {
-        Dataset.domain;
-        hosting = Option.map org_entity hosting;
-        dns = Option.map org_entity dns;
-        ca;
-        tld = tld_entity domain;
-        hosting_geo;
-        ns_geo;
-        hosting_anycast;
-        ns_anycast;
-        language;
-      }
-    in
-    let outcome : Degrade.outcome =
-      if Option.is_none hosting_ip then Failed
-      else if
-        faulted
-        && (Faults.dns_faulty fo.plan ~vantage ~qname:domain
-           || Faults.tls_faulty fo.plan ~sni:domain)
-      then Degraded (* a fault touched it, even if retries recovered *)
-      else Clean
-    in
-    if faulted then begin
-      match (outcome, resolved) with
-      | Degrade.Failed, Error e when Resolver.retryable e ->
-          Quarantine.record_failure quarantine domain
-      | _ -> Quarantine.record_success quarantine domain
-    end;
-    (match outcome with
-    | Degrade.Degraded -> Metric.incr m_sites_degraded
-    | Degrade.Failed -> Metric.incr m_sites_failed
-    | Degrade.Clean -> ());
-    (site, outcome)
-  end
+  Metric.incr m_dns_queries;
+  let hosting_ip, ns_ip =
+    match Resolver.resolve ~faults:fo.plan ~retry:fo.retry zones ~vantage domain with
+    | Error Resolver.Nxdomain ->
+        Metric.incr m_dns_nxdomain;
+        (None, None)
+    | Error _ ->
+        (* Transient failure that survived the retry budget. *)
+        (None, None)
+    | Ok { Resolver.a; ns_addrs; _ } ->
+        ((match a with ip :: _ -> Some ip | [] -> None),
+         match ns_addrs with ip :: _ -> Some ip | [] -> None)
+  in
+  let hosting_anycast = anycast internet hosting_ip in
+  let ns_anycast = anycast internet ns_ip in
+  if hosting_anycast then Metric.incr m_anycast_hosting;
+  if ns_anycast then Metric.incr m_anycast_ns;
+  let ca =
+    match hosting_ip with
+    | None -> 0
+    | Some addr -> (
+        Metric.incr m_tls_handshakes;
+        let hs =
+          if not faulted then Handshake.handshake tls ~addr ~sni:domain
+          else
+            (* Retry only handshakes the plan interfered with: a site
+               that genuinely has no TLS fails identically on every
+               attempt, so retrying it would only distort counters. *)
+            match
+              Retry.run fo.retry ~key:("tls|" ^ domain)
+                ~retryable:(fun () -> Faults.tls_faulty fo.plan ~sni:domain)
+                (fun ~attempt ->
+                  match
+                    Handshake.handshake ~faults:fo.plan ~attempt tls ~addr ~sni:domain
+                  with
+                  | Some cert -> Ok cert
+                  | None -> Error ())
+            with
+            | Ok cert -> Some cert
+            | Error () -> None
+        in
+        match hs with
+        | None ->
+            Metric.incr m_tls_failures;
+            0
+        | Some cert -> (
+            match Tls_ca.owner_of_issuer ca_db cert.Webdep_tlssim.Cert.issuer_cn with
+            | Some o -> o.Tls_ca.id + 1
+            | None -> 0))
+  in
+  let language =
+    (* Fetch the page and run language detection, as the paper does with
+       LangDetect; only possible when the site resolved. *)
+    match hosting_ip with
+    | None -> 0
+    | Some _ -> (
+        match content domain with
+        | Some truth -> 1 + Language.id (Langdetect.detect ~domain truth)
+        | None -> 0)
+  in
+  if language > 0 then Metric.incr m_lang_detected;
+  w.Dataset.w_hosting.{i} <- Int32.of_int (org_id internet hosting_ip);
+  w.w_dns.{i} <- Int32.of_int (org_id internet ns_ip);
+  w.w_ca.{i} <- Int32.of_int ca;
+  w.w_aux.{i} <-
+    Dataset.pack_aux ~hgeo:(geo_id internet hosting_ip) ~nsgeo:(geo_id internet ns_ip)
+      ~lang:language ~hany:hosting_anycast ~nany:ns_anycast;
+  let outcome : Degrade.outcome =
+    if Option.is_none hosting_ip then Failed
+    else if
+      faulted
+      && (Faults.dns_faulty fo.plan ~vantage ~qname:domain
+         || Faults.tls_faulty fo.plan ~sni:domain)
+    then Degraded (* a fault touched it, even if retries recovered *)
+    else Clean
+  in
+  (match outcome with
+  | Degrade.Degraded -> Metric.incr m_sites_degraded
+  | Degrade.Failed -> Metric.incr m_sites_failed
+  | Degrade.Clean -> ());
+  outcome
 
 (* The world half of the fingerprint comes from the world itself; the
    fault half from the sweep options.  The vantage also shapes a site
@@ -215,41 +200,54 @@ let store_fingerprint ?(faults = no_faults) world =
     ~fault_rate:(Faults.rate faults.plan)
     ~max_attempts:faults.retry.Retry.max_attempts
 
-(* Each site is resolved once, flat, with no memo in front.  A glue memo
-   would hit on ~95% of lookups and still not pay: [Zone_db.host_addr]
-   is one table lookup, a memo hit two plus a counter bump. *)
-let measure_snapshot_cov ?(vantage = default_vantage) ?(faults = no_faults) world
+(* One country's sites against the world's ids, one slot per toplist
+   index.  Each site is resolved once, flat, with no memo in front: a
+   glue memo would hit on ~95% of lookups and still not pay, since
+   [Zone_db.host_addr] is one table lookup, a memo hit two plus a
+   counter bump.  A domain whose TLD label the world does not number
+   (one without a dot, whose label is the whole domain) keeps its
+   entity beside the columns. *)
+let measure_snapshot_ids ?(vantage = default_vantage) ?(faults = no_faults) world
     (snap : World.snapshot) =
   let internet = World.internet world in
   let ca_db = World.ca_db world in
   let content domain = Hashtbl.find_opt snap.World.content_language domain in
-  let quarantine = Quarantine.create () in
+  let domains = snap.World.toplist.Toplist.domains in
+  let n = Array.length domains in
+  let w = Dataset.world_ids ~country:snap.World.country domains in
+  let others = ref [] and n_others = ref 0 in
+  for i = 0 to n - 1 do
+    let label = tld_of_domain domains.(i) in
+    match World.tld_id world label with
+    | -1 ->
+        others := tld_entity_of label :: !others;
+        incr n_others;
+        w.Dataset.w_tld.{i} <- Int32.of_int (- !n_others)
+    | id -> w.w_tld.{i} <- Int32.of_int (id + 1)
+  done;
+  let w = { w with w_other_tlds = Array.of_list (List.rev !others) } in
   let tally = ref Degrade.empty in
-  let sites =
-    List.map
-      (fun domain ->
-        let site, outcome =
-          measure_site internet ca_db snap.World.zones snap.World.tls ~vantage
-            ~content ~fo:faults ~quarantine domain
-        in
-        tally := Degrade.add !tally outcome;
-        site)
-      (Toplist.domains snap.World.toplist)
-  in
-  ({ Dataset.country = snap.World.country; sites }, !tally)
+  for i = 0 to n - 1 do
+    tally :=
+      Degrade.add !tally
+        (measure_site internet ca_db snap.World.zones snap.World.tls ~vantage ~content
+           ~fo:faults w i domains.(i))
+  done;
+  (w, !tally)
 
-let measure_snapshot ?vantage world snap = fst (measure_snapshot_cov ?vantage world snap)
+let measure_snapshot ?vantage world snap =
+  Dataset.decode_world_ids (names world) (fst (measure_snapshot_ids ?vantage world snap))
 
-let measure_country_cov ?vantage ?epoch ?faults world cc =
+let measure_country_ids ?vantage ?epoch ?faults world cc =
   (* Per-country span: the name carries the country so the registry dump
      exposes one duration histogram per country. *)
   Obs.Span.with_ ~name:("measure_country." ^ cc)
     ~attrs:[ ("country", cc) ]
     (fun () ->
-      measure_snapshot_cov ?vantage ?faults world (World.snapshot world ?epoch cc))
+      measure_snapshot_ids ?vantage ?faults world (World.snapshot world ?epoch cc))
 
 let measure_country ?vantage ?epoch world cc =
-  fst (measure_country_cov ?vantage ?epoch world cc)
+  Dataset.decode_world_ids (names world) (fst (measure_country_ids ?vantage ?epoch world cc))
 
 type country_coverage = {
   cc : string;
@@ -263,6 +261,9 @@ type sweep = {
   coverage : country_coverage list;
   insufficient : string list;
 }
+
+(* A country as a lane hands it to the fold. *)
+type measured = Ids of Dataset.world_ids | Records of Dataset.country_data
 
 (* The world fingerprint plus the rest of what shapes a site record,
    except the epoch: every epoch of one world shares a checkpoint.  The
@@ -290,13 +291,16 @@ let measure_sweep ?vantage ?epoch ?countries ?jobs ?(faults = no_faults) ?checkp
             Checkpoint.open_ ~path ~meta:(checkpoint_meta ?vantage ~faults world))
           checkpoint
       in
-      (* Streaming construction: each country's string-form site list is
-         produced on a worker lane, then folded — in canonical input
-         order, on this domain — into the dataset builder's interned
-         arrays and released.  Peak heap holds one window of string-form
-         countries plus the compact dataset, never the whole world; the
-         sequential fold also keeps the builder's interner ids identical
-         at any [jobs]. *)
+      (* Streaming construction: each country is measured on a worker
+         lane into id columns against the world's ids, then folded — in
+         canonical input order, on this domain — into the dataset
+         builder, which remaps the columns in place and keeps them off
+         the OCaml heap.  Peak heap holds one window of countries in
+         flight, never the whole world; the sequential fold also keeps
+         the builder's interner ids identical at any [jobs].  A country
+         resumed from the checkpoint arrives as records, and one
+         measured with a checkpoint is decoded to records for it. *)
+      let names = names world in
       let b = Dataset.builder () in
       let coverage_rev = ref [] in
       let insufficient_rev = ref [] in
@@ -305,23 +309,27 @@ let measure_sweep ?vantage ?epoch ?countries ?jobs ?(faults = no_faults) ?checkp
           match Option.bind cp (fun cp -> Checkpoint.find cp ~epoch:epoch_name cc) with
           | Some e ->
               Logs.debug (fun m -> m "resumed %s %s from checkpoint" epoch_name cc);
-              (cc, e.Checkpoint.data, e.Checkpoint.tally, true)
+              (cc, Records e.Checkpoint.data, e.Checkpoint.tally, true)
           | None ->
               Logs.debug (fun m -> m "measuring %s" cc);
-              let data, tally = measure_country_cov ?vantage ?epoch ~faults world cc in
+              let w, tally = measure_country_ids ?vantage ?epoch ~faults world cc in
               Option.iter
                 (fun cp ->
                   Checkpoint.record cp
-                    { Checkpoint.epoch = epoch_name; country = cc; tally; data })
+                    { Checkpoint.epoch = epoch_name; country = cc; tally;
+                      data = Dataset.decode_world_ids names w })
                 cp;
-              (cc, data, tally, false))
+              (cc, Ids w, tally, false))
         ~init:()
         ~fold:(fun () (cc, data, tally, resumed) ->
           let ratio = Degrade.ratio tally in
           Metric.observe h_coverage ratio;
           coverage_rev := { cc; tally; ratio; resumed } :: !coverage_rev;
           if Degrade.sufficient ~threshold:faults.coverage_threshold tally then
-            Dataset.builder_add b data
+            Obs.Span.with_ ~name:"dataset.append" ~attrs:[ ("country", cc) ] (fun () ->
+                match data with
+                | Ids w -> Dataset.builder_append b names w
+                | Records cd -> Dataset.builder_add b cd)
           else begin
             insufficient_rev := cc :: !insufficient_rev;
             Metric.incr m_insufficient;

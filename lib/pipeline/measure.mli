@@ -17,8 +17,7 @@ val tld_of_domain : string -> string
 
     Fault-handling context threaded through a sweep: which simulated
     servers misbehave, how failures are retried, and when a country's
-    coverage is too thin to trust.  A target is quarantined after 3
-    consecutive failures ({!Webdep_faults.Quarantine}'s default). *)
+    coverage is too thin to trust. *)
 
 type fault_opts = {
   plan : Webdep_faults.Fault_plan.t;  (** deterministic fault assignment *)
@@ -47,7 +46,8 @@ val measure_country :
   Webdep_worldgen.World.t ->
   string ->
   Webdep.Dataset.country_data
-(** Measure one country's toplist from a vantage country. *)
+(** Measure one country's toplist from a vantage country (span
+    [measure_country.<CC>]). *)
 
 val measure_snapshot :
   ?vantage:string ->
@@ -56,7 +56,13 @@ val measure_snapshot :
   Webdep.Dataset.country_data
 (** Measure an already-materialized snapshot (used when the caller also
     needs the snapshot's ground truth).  Each site is resolved once,
-    with the flat resolver and no memo. *)
+    with the flat resolver and no memo.
+
+    Like the sweep, this measures each site as the world's entity
+    numbers (see {!Webdep_worldgen.World.tld_id}) and builds no record
+    per site; the records returned are those numbers decoded, so
+    [Dataset.builder_add] over them builds the dataset {!measure_all}
+    builds, interner ids included. *)
 
 val measure_all :
   ?vantage:string ->
@@ -73,6 +79,11 @@ val measure_all :
     path).  The world is read-only once created, so the returned dataset
     is bit-identical for every [jobs] value and whatever the world
     measured before.
+
+    Each lane writes its country's sites as the world's entity numbers
+    into off-heap id columns; the caller folds them in input order
+    through {!Webdep.Dataset.builder_append} (span [dataset.append],
+    once per country), so only a window of countries is in flight.
     {!Webdep_worldgen.World.prepare} runs first, so a country this [c]
     cannot calibrate raises {!Webdep_worldgen.World.Uncalibrated}
     before any country is measured. *)

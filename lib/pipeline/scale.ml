@@ -6,7 +6,9 @@
    a budget check is only meaningful in a process that has run nothing
    but this sweep — the [webdep scale] subcommand exists for exactly
    that; inside the bench the recorded value is cumulative over earlier
-   phases and serves as a monotone upper bound. *)
+   phases and serves as a monotone upper bound.  The dataset's id
+   columns and domain buffer live off the major heap, so the count
+   leaves them out (~41 bytes a site). *)
 
 module World = Webdep_worldgen.World
 module Dataset = Webdep.Dataset

@@ -6,6 +6,7 @@
     structure: issuers (intermediate CNs) map to owners. *)
 
 type owner = {
+  id : int;  (** dense identifier: the owner's place in registration order *)
   name : string;  (** e.g. "Let's Encrypt" *)
   country : string;  (** ISO alpha-2 of the owning organization *)
 }
@@ -15,7 +16,8 @@ type t
 val create : unit -> t
 
 val register_owner : t -> name:string -> country:string -> owner
-(** Idempotent by name. *)
+(** Idempotent by name.  The [n]-th owner registered (from 0) gets id
+    [n]. *)
 
 val register_issuer : t -> issuer_cn:string -> owner -> unit
 (** Map an issuing intermediate's CN to its owner. *)
@@ -24,6 +26,11 @@ val owner_of_issuer : t -> string -> owner option
 (** The CCADB lookup the pipeline performs on each leaf's issuer. *)
 
 val owner_by_name : t -> string -> owner option
+
+val owner : t -> int -> owner
+(** The owner with this id.
+    @raise Invalid_argument for an id no owner was registered under. *)
+
 val owner_count : t -> int
 val issuer_count : t -> int
 val owners : t -> owner list

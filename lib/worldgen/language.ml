@@ -33,6 +33,28 @@ let primary_of =
 
 let primary cc = match Hashtbl.find_opt primary_of cc with Some lang -> lang | None -> "en"
 
+(* Every label [assign] returns — the table's languages in first
+   appearance, then "en" — numbered by place. *)
+let label_ids =
+  let ids = Hashtbl.create 64 in
+  List.iter
+    (fun lang -> if not (Hashtbl.mem ids lang) then Hashtbl.add ids lang (Hashtbl.length ids))
+    (List.map snd table @ [ "en" ]);
+  ids
+
+let labels =
+  let a = Array.make (Hashtbl.length label_ids) "" in
+  Hashtbl.iter (fun lang id -> a.(id) <- lang) label_ids;
+  a
+
+let id lang = Hashtbl.find label_ids lang
+
+let label id =
+  if id < 0 || id >= Array.length labels then invalid_arg "Language.label: id out of range";
+  labels.(id)
+
+let label_count = Array.length labels
+
 let hash s seed =
   let h = ref seed in
   String.iter (fun c -> h := (!h * 131) + Char.code c) s;

@@ -17,3 +17,19 @@ val assign : cc:string -> provider_home:string -> domain:string -> string
     primary language, a fraction are English, and sites hosted by a
     foreign partner lean toward the partner's language (the AF→IR case
     is anchored to the paper's percentages). *)
+
+(** {1 Label numbers}
+
+    A fixed numbering of every label {!assign} can return, so a site's
+    language can be carried as an integer.  The language detector's
+    confusions stay inside it (asserted in the test suite). *)
+
+val label_count : int
+
+val id : string -> int
+(** The label's number, in [0 .. label_count - 1].
+    @raise Not_found for a label {!assign} never returns. *)
+
+val label : int -> string
+(** The label a number stands for.
+    @raise Invalid_argument outside [0 .. label_count - 1]. *)

@@ -26,6 +26,8 @@ type t = {
   mixes : (epoch * Profiles.layer * string, (Mix.t, string) result) Hashtbl.t;
       (* keyed by [mix_epoch]; [Error] holds the calibrator's refusal *)
   issuers : (string, string array) Hashtbl.t;  (* by CA owner name *)
+  tld_ids : (string, int) Hashtbl.t;  (* TLD label -> its number *)
+  tld_labels : string array;  (* number -> TLD label *)
 }
 
 let multi_cdn_fraction = 0.06
@@ -184,6 +186,29 @@ let register_ca t root_store (owner_p : Provider.t) =
     end
   end
 
+(* Every label the 2023 TLD mixes mint (the 2025 epoch reuses them),
+   numbered in [Webdep_geo.Country.all] walk order.  A domain ends with
+   its TLD provider's name, so a provider named ".xx" mints the label
+   ".xx"; one named without a leading dot (a reused world-tail name)
+   mints none. *)
+let number_tlds mixes =
+  let ids = Hashtbl.create 512 in
+  List.iter
+    (fun cc ->
+      match Hashtbl.find mixes (May_2023, Profiles.Tld, cc) with
+      | Error _ -> ()
+      | Ok m ->
+          List.iter
+            (fun ((p : Provider.t), _) ->
+              let label = p.Provider.name in
+              if String.starts_with ~prefix:"." label && not (Hashtbl.mem ids label) then
+                Hashtbl.add ids label (Hashtbl.length ids))
+            m.Mix.assignments)
+    all_codes;
+  let labels = Array.make (Hashtbl.length ids) "" in
+  Hashtbl.iter (fun label id -> labels.(id) <- label) ids;
+  (ids, labels)
+
 (* Calibrate every mix on the domain pool ([Mix.build] is pure, so the
    lanes cannot change the result), then register, serially and in one
    fixed walk, every network those mixes name: the multi-CDN
@@ -216,6 +241,7 @@ let create ?(c = 10_000) ?(geo_accuracy = 0.894) ~seed () =
   (* Every network is among the candidates, so the name index never
      grows during the walk. *)
   let candidates = List.fold_left (fun n ps -> n + List.length ps) 0 walk in
+  let tld_ids, tld_labels = number_tlds mixes in
   let t =
     {
       seed;
@@ -226,12 +252,20 @@ let create ?(c = 10_000) ?(geo_accuracy = 0.894) ~seed () =
       base_rng;
       mixes;
       issuers = Hashtbl.create 64;
+      tld_ids;
+      tld_labels;
     }
   in
   List.iter (List.iter (register_network t.internet)) walk;
   let root_store = Webdep_tlssim.Root_store.create () in
   List.iter (fun cc -> List.iter (register_ca t root_store) (providers May_2023 Ca cc)) all_codes;
   t
+
+let tld_id t label = match Hashtbl.find t.tld_ids label with id -> id | exception Not_found -> -1
+
+let tld_label t id =
+  if id < 0 || id >= Array.length t.tld_labels then invalid_arg "World.tld_label: id out of range";
+  t.tld_labels.(id)
 
 (* Calibration is the only way a country's sites can fail to derive;
    ask for its mixes in the order a snapshot does. *)

@@ -58,6 +58,27 @@ val countries : t -> string list
 val internet : t -> Webdep_netsim.Internet.t
 val ca_db : t -> Webdep_tlssim.Ca.t
 
+(** {1 Entity numbers}
+
+    {!create} fixes a dense number for every entity a site can be
+    labelled with, so a measurement can write integers and name them
+    once per entity rather than once per site: hosting and DNS
+    organizations by {!Webdep_netsim.Org.id}, CA owners by
+    {!Webdep_tlssim.Ca.owner}'s [id], geolocation verdicts by
+    {!Webdep_netsim.Internet.geo_id}, content languages by
+    {!Language.id}, and TLD labels here.  Like the rest of the world
+    they are read-only after {!create}. *)
+
+val tld_id : t -> string -> int
+(** The number of a TLD label, e.g. [".de"], among the labels the
+    world's TLD mixes mint (every TLD provider named with a leading
+    dot), numbered in {!Webdep_geo.Country.all} walk order; [-1] for a
+    label they do not mint. *)
+
+val tld_label : t -> int -> string
+(** The TLD label a {!tld_id} number stands for.
+    @raise Invalid_argument for a number no label carries. *)
+
 type uncalibrated = {
   country : string;
   layer : Profiles.layer;

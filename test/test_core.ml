@@ -383,32 +383,47 @@ let test_validate_too_few () =
    exercised against an interner that keeps accumulating ids — re-interned
    names must keep decoding to the first-seen spelling, which the small
    name/country pools force constantly. *)
-let compact_round_trip =
-  let open QCheck in
-  let gen =
-    let open Gen in
-    let name =
-      oneofl [ "Cloudflare"; "Amazon"; "OVH"; "Local-Host"; "NS One"; "Let's Encrypt" ]
-    in
-    let cc = oneofl [ "US"; "DE"; "RU"; "BR"; "JP"; "IN" ] in
-    let entity = map2 (fun n c -> { D.name = n; country = c }) name cc in
-    let lang = opt (oneofl [ "en"; "de"; "ru"; "pt"; "ja" ]) in
-    map
-      (fun ( ((domain, hosting, dns), (ca, tld, hosting_geo)),
-             ((ns_geo, hosting_anycast, ns_anycast), language) ) ->
-        { D.domain; hosting; dns; ca; tld; hosting_geo; ns_geo; hosting_anycast;
-          ns_anycast; language })
-      (pair
-         (pair
-            (triple
-               (map (Printf.sprintf "site-%04d.example") (int_range 0 9999))
-               (opt entity) (opt entity))
-            (triple (opt entity) entity (opt cc)))
-         (pair (triple (opt cc) bool bool) lang))
+let gen_site domain =
+  let open QCheck.Gen in
+  let name =
+    oneofl [ "Cloudflare"; "Amazon"; "OVH"; "Local-Host"; "NS One"; "Let's Encrypt" ]
   in
+  let cc = oneofl [ "US"; "DE"; "RU"; "BR"; "JP"; "IN" ] in
+  let entity = map2 (fun n c -> { D.name = n; country = c }) name cc in
+  let lang = opt (oneofl [ "en"; "de"; "ru"; "pt"; "ja" ]) in
+  map
+    (fun ( ((domain, hosting, dns), (ca, tld, hosting_geo)),
+           ((ns_geo, hosting_anycast, ns_anycast), language) ) ->
+      { D.domain; hosting; dns; ca; tld; hosting_geo; ns_geo; hosting_anycast;
+        ns_anycast; language })
+    (pair
+       (pair (triple domain (opt entity) (opt entity)) (triple (opt entity) entity (opt cc)))
+       (pair (triple (opt cc) bool bool) lang))
+
+let compact_round_trip =
+  let gen = gen_site QCheck.Gen.(map (Printf.sprintf "site-%04d.example") (int_range 0 9999)) in
   let codec = D.Compact.codec () in
   QCheck.Test.make ~name:"Compact.decode (Compact.encode s) = s" ~count:1000
     (QCheck.make gen) (fun s -> D.Compact.decode codec (D.Compact.encode codec s) = s)
+
+(* The dataset's own storage — id columns and one byte buffer of
+   domain names per country — gives back exactly the records fed in,
+   whatever bytes a domain holds (the empty name included) and however
+   many sites a country has (none included). *)
+let dataset_round_trip =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 5)
+        (list_size (int_range 0 20) (gen_site (string_size ~gen:char (int_range 0 24)))))
+  in
+  QCheck.Test.make ~name:"country_exn (of_country_data cds) = cds" ~count:300 (QCheck.make gen)
+    (fun countries ->
+      let cds =
+        List.mapi (fun i sites -> { D.country = Printf.sprintf "C%d" i; sites }) countries
+      in
+      let ds = D.of_country_data cds in
+      D.size ds = List.fold_left (fun n (cd : D.country_data) -> n + List.length cd.sites) 0 cds
+      && List.for_all (fun (cd : D.country_data) -> D.country_exn ds cd.country = cd) cds)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -471,6 +486,7 @@ let () =
           Alcotest.test_case "skips unlabelled" `Quick test_dataset_skips_unlabelled;
           Alcotest.test_case "tld present" `Quick test_dataset_tld_always_present;
           qtest compact_round_trip;
+          qtest dataset_round_trip;
         ] );
       ( "metrics",
         [

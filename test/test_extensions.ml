@@ -264,6 +264,18 @@ let test_langdetect_confusions_plausible () =
   Alcotest.(check string) "fa->ar" "ar" (Webdep_pipeline.Langdetect.confusable "fa");
   Alcotest.(check string) "cs->sk" "sk" (Webdep_pipeline.Langdetect.confusable "cs")
 
+(* Every label the generator assigns or the detector confuses it with
+   has a number, so a measured language always fits in an int. *)
+let test_langdetect_labels_numbered () =
+  let module Language = Webdep_worldgen.Language in
+  for i = 0 to Language.label_count - 1 do
+    let lang = Language.label i in
+    Alcotest.(check int) (lang ^ " round trip") i (Language.id lang);
+    let confused = Webdep_pipeline.Langdetect.confusable lang in
+    Alcotest.(check string) (lang ^ " confusion numbered") confused
+      (Language.label (Language.id confused))
+  done
+
 (* --- Redundancy ----------------------------------------------------------------- *)
 
 let test_redundancy_basic () =
@@ -470,6 +482,7 @@ let () =
           Alcotest.test_case "langdetect accuracy" `Quick test_langdetect_mostly_right;
           Alcotest.test_case "langdetect deterministic" `Quick test_langdetect_deterministic;
           Alcotest.test_case "langdetect confusions" `Quick test_langdetect_confusions_plausible;
+          Alcotest.test_case "langdetect labels numbered" `Quick test_langdetect_labels_numbered;
         ] );
       ( "redundancy",
         [

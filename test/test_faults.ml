@@ -1,4 +1,4 @@
-(* webdep_faults: deterministic fault plans, retry/backoff, quarantine,
+(* webdep_faults: deterministic fault plans, retry/backoff,
    coverage gating and checkpoint/resume.  The invariants here back the
    robustness acceptance criteria: plans are pure (byte-identical sweeps
    at any job count), transient failures are never memoized, and an
@@ -7,7 +7,6 @@
 
 module Faults = Webdep_faults.Fault_plan
 module Retry = Webdep_faults.Retry
-module Quarantine = Webdep_faults.Quarantine
 module Degrade = Webdep_faults.Degrade
 module Checkpoint = Webdep_faults.Checkpoint
 module Zone_db = Webdep_dnssim.Zone_db
@@ -167,28 +166,6 @@ let test_backoff_deterministic_and_growing () =
   Alcotest.(check bool) "exponential growth" true (d3 > 2.0 *. d1);
   Alcotest.(check bool) "jitter differs by key" true
     (Retry.backoff_ms policy ~key:"other" ~attempt:1 <> d1)
-
-(* --- quarantine ---------------------------------------------------------- *)
-
-let test_quarantine_after_k_failures () =
-  let q = Quarantine.create ~threshold:3 () in
-  Alcotest.(check bool) "clean at start" false (Quarantine.active q "dom");
-  Quarantine.record_failure q "dom";
-  Quarantine.record_failure q "dom";
-  Alcotest.(check bool) "below threshold" false (Quarantine.active q "dom");
-  Quarantine.record_failure q "dom";
-  Alcotest.(check bool) "quarantined at 3" true (Quarantine.active q "dom");
-  Alcotest.(check int) "count" 1 (Quarantine.quarantined q);
-  Quarantine.record_success q "dom";
-  Alcotest.(check bool) "success clears" false (Quarantine.active q "dom");
-  Alcotest.(check int) "count back to 0" 0 (Quarantine.quarantined q)
-
-let test_quarantine_streak_must_be_consecutive () =
-  let q = Quarantine.create ~threshold:2 () in
-  Quarantine.record_failure q "dom";
-  Quarantine.record_success q "dom";
-  Quarantine.record_failure q "dom";
-  Alcotest.(check bool) "interrupted streak" false (Quarantine.active q "dom")
 
 (* --- cache never memoizes transient failures ----------------------------- *)
 
@@ -569,12 +546,6 @@ let () =
             test_retry_simulated_budget_cuts_off;
           Alcotest.test_case "backoff deterministic" `Quick
             test_backoff_deterministic_and_growing;
-        ] );
-      ( "quarantine",
-        [
-          Alcotest.test_case "after K failures" `Quick test_quarantine_after_k_failures;
-          Alcotest.test_case "streak consecutive" `Quick
-            test_quarantine_streak_must_be_consecutive;
         ] );
       ( "cache",
         [

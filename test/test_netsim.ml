@@ -328,7 +328,12 @@ let test_internet_block_edges () =
                 (Some (if n.Internet.anycast then hq else cc))
                 (Internet.geolocate net a);
               Alcotest.(check bool) (what ^ " anycast") n.Internet.anycast
-                (Internet.is_anycast_addr net a))
+                (Internet.is_anycast_addr net a);
+              Alcotest.(check (option string)) (what ^ " geo by number")
+                (Internet.geolocate net a)
+                (Some (Internet.geo_name net (Internet.geo_id net a)));
+              Alcotest.(check bool) (what ^ " org by id") true
+                (Internet.org net n.Internet.org.Org.id == n.Internet.org))
             [ Ipv4.nth_addr p 0; Ipv4.nth_addr p (Ipv4.prefix_size p - 1) ])
         n.Internet.pops)
     networks;
@@ -341,6 +346,7 @@ let test_internet_block_edges () =
       Alcotest.(check (option int)) (what ^ " no origin") None (Internet.origin_as net a);
       Alcotest.(check bool) (what ^ " no org") true (Internet.org_of_addr net a = None);
       Alcotest.(check (option string)) (what ^ " no geo") None (Internet.geolocate net a);
+      Alcotest.(check int) (what ^ " no geo number") (-1) (Internet.geo_id net a);
       Alcotest.(check bool) (what ^ " not anycast") false (Internet.is_anycast_addr net a))
     [ Ipv4.addr_of_int (!last_base + 4096); Ipv4.addr_of_int (!first_base - 1);
       addr "15.255.255.255"; addr "8.8.8.8"; addr "0.0.0.0" ]

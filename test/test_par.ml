@@ -156,6 +156,9 @@ let test_measure_all_jobs_invariant () =
         (country_data_equal (D.country_exn ds1 cc) (D.country_exn ds4 cc)))
     countries
 
+(* The c=2000 world both scale tests measure, built once. *)
+let world_2000 = lazy (World.create ~c:2000 ~seed:41 ())
+
 let test_interner_jobs_invariant_at_scale () =
   (* c=2000 over four countries: the dataset's interned entity pool —
      ids in first-intern order, not just the decoded string view — must
@@ -163,7 +166,7 @@ let test_interner_jobs_invariant_at_scale () =
      assigned during the sequential fold, so scheduling must never leak
      into them), and stable across repeat runs of the same world. *)
   let countries = [ "US"; "DE"; "BR"; "JP" ] in
-  let world = World.create ~c:2000 ~seed:41 () in
+  let world = Lazy.force world_2000 in
   let sweep jobs = Measure.measure_all ~countries ~jobs world in
   let ds1 = sweep 1 and ds4 = sweep 4 in
   check Alcotest.int "pool size" (D.Compact.entity_count ds1) (D.Compact.entity_count ds4);
@@ -180,6 +183,50 @@ let test_interner_jobs_invariant_at_scale () =
     (D.Compact.entity_count ds4');
   Alcotest.(check bool) "stable ids on re-measure" true
     (D.Compact.entities ds4 = D.Compact.entities ds4')
+
+(* The sweep's lanes write world ids and its fold remaps them; the
+   string path measures records and interns them.  Both must build the
+   same dataset, interner ids and all, compared structurally before
+   anything decodes a country.  At c=2000, AM, GE, KG and MD mint
+   domains without a dot, whose TLD has no world id. *)
+let test_id_path_equals_string_path () =
+  let countries = [ "US"; "JP"; "AM"; "GE"; "KG"; "MD" ] in
+  let world = Lazy.force world_2000 in
+  let strings =
+    let b = D.builder () in
+    List.iter
+      (fun cc -> D.builder_add b (Measure.measure_snapshot world (World.snapshot world cc)))
+      countries;
+    D.builder_finish b
+  in
+  List.iter
+    (fun jobs ->
+      let ds = Measure.measure_all ~countries ~jobs world in
+      check Alcotest.bool (Printf.sprintf "--jobs %d: same dataset" jobs) true (ds = strings);
+      check Alcotest.bool
+        (Printf.sprintf "--jobs %d: same entity pool" jobs)
+        true
+        (D.Compact.entities ds = D.Compact.entities strings))
+    [ 1; 2; 4 ];
+  (* Half the countries resumed from a checkpoint as records, between
+     countries measured as ids. *)
+  let path = Filename.temp_file "webdep_idpath" ".ckpt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  ignore (Measure.measure_sweep ~countries:[ "US"; "AM"; "KG" ] ~jobs:2 ~checkpoint:path world);
+  let sw = Measure.measure_sweep ~countries ~jobs:2 ~checkpoint:path world in
+  check (Alcotest.list Alcotest.bool) "every other country resumed"
+    [ true; false; true; false; true; false ]
+    (List.map (fun (cv : Measure.country_coverage) -> cv.Measure.resumed) sw.Measure.coverage);
+  check Alcotest.bool "resumed + measured = cold" true (sw.Measure.dataset = strings);
+  let dotless =
+    List.filter
+      (fun ((e : D.entity), _) -> e.D.name.[0] <> '.')
+      (D.counts_by_entity strings D.Tld "KG")
+  in
+  check Alcotest.bool "KG has dotless TLD entities" true (dotless <> []);
+  List.iter
+    (fun ((e : D.entity), _) -> check Alcotest.string "dotless TLD homed in US" "US" e.D.country)
+    dotless
 
 (* Order freedom: a world's bytes depend on (seed, c, geolocation
    accuracy) alone.  One (seed, c, epoch, countries) measured after four
@@ -276,6 +323,8 @@ let () =
           Alcotest.test_case "measure_all jobs-invariant" `Slow test_measure_all_jobs_invariant;
           Alcotest.test_case "interner ids jobs-invariant at c=2000" `Slow
             test_interner_jobs_invariant_at_scale;
+          Alcotest.test_case "id path builds the string path's dataset" `Slow
+            test_id_path_equals_string_path;
           Alcotest.test_case "order-free world" `Quick test_world_order_free;
           Alcotest.test_case "bootstrap jobs-invariant" `Quick test_bootstrap_jobs_invariant;
         ] );

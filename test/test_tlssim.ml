@@ -30,6 +30,20 @@ let test_ca_owner_by_name () =
   Alcotest.(check bool) "found" true (Ca.owner_by_name db "Sectigo" <> None);
   Alcotest.(check int) "owners list" 1 (List.length (Ca.owners db))
 
+let test_ca_owner_ids () =
+  let db = Ca.create () in
+  let owners =
+    List.init 40 (fun i -> Ca.register_owner db ~name:(Printf.sprintf "CA %d" i) ~country:"US")
+  in
+  ignore (Ca.register_owner db ~name:"CA 3" ~country:"FR");
+  List.iteri
+    (fun i (o : Ca.owner) ->
+      Alcotest.(check int) "registration order" i o.Ca.id;
+      Alcotest.(check bool) "found by id" true (Ca.owner db i == o))
+    owners;
+  Alcotest.check_raises "unregistered id" (Invalid_argument "Ca.owner: id out of range")
+    (fun () -> ignore (Ca.owner db 40))
+
 let test_cert_validity () =
   let cert = { Cert.subject = "a.example"; issuer_cn = "R3"; not_before = 10; not_after = 100 } in
   Alcotest.(check bool) "inside" true (Cert.valid_at cert 50);
@@ -106,6 +120,7 @@ let () =
           Alcotest.test_case "owner registration" `Quick test_ca_owner_registration;
           Alcotest.test_case "idempotent" `Quick test_ca_owner_idempotent;
           Alcotest.test_case "by name" `Quick test_ca_owner_by_name;
+          Alcotest.test_case "ids" `Quick test_ca_owner_ids;
         ] );
       ( "cert",
         [

@@ -423,6 +423,20 @@ let test_world_domains_carry_tlds () =
   in
   Alcotest.(check bool) "some .de domains" true has_de
 
+let test_world_tld_numbers () =
+  let world = world ~seed:4 ~c:500 in
+  List.iter
+    (fun (epoch, cc) ->
+      let snap = World.snapshot world ~epoch cc in
+      List.iter
+        (fun d ->
+          let label = Webdep_pipeline.Measure.tld_of_domain d in
+          Alcotest.(check string) (d ^ " label") label
+            (World.tld_label world (World.tld_id world label)))
+        (Webdep_crux.Toplist.domains snap.World.toplist))
+    [ (World.May_2023, "DE"); (World.May_2023, "US"); (World.May_2025, "BR") ];
+  Alcotest.(check int) "unminted label" (-1) (World.tld_id world ".nosuchtld")
+
 let test_world_epoch_names () =
   Alcotest.(check string) "2023" "2023-05" (World.epoch_name World.May_2023);
   Alcotest.(check string) "2025" "2025-05" (World.epoch_name World.May_2025)
@@ -616,6 +630,7 @@ let () =
           Alcotest.test_case "small c is a typed error" `Quick test_world_small_c_typed_error;
           Alcotest.test_case "epoch churn" `Quick test_world_epoch_churn;
           Alcotest.test_case "domains carry tlds" `Quick test_world_domains_carry_tlds;
+          Alcotest.test_case "tld numbers" `Quick test_world_tld_numbers;
           Alcotest.test_case "epoch names" `Quick test_world_epoch_names;
           Alcotest.test_case "whole-world digest" `Quick test_world_digest;
         ] );
