@@ -498,12 +498,12 @@ let report_md_cmd =
 let run_profile () from_trace seed c countries top faults =
   let rows =
     match from_trace with
-    | Some path ->
-        if not (Sys.file_exists path) then begin
-          Printf.eprintf "webdep: no such trace file: %s\n" path;
-          exit 1
-        end;
-        Webdep_prof.Profile.aggregate (Webdep_prof.Trace.load path)
+    | Some path -> (
+        match Webdep_prof.Trace.load path with
+        | events -> Webdep_prof.Profile.aggregate events
+        | exception (Webdep_prof.Trace.Bad_trace msg | Sys_error msg) ->
+            Printf.eprintf "webdep profile: trace %s unusable: %s\n" path msg;
+            exit 1)
     | None ->
         let collector = Webdep_prof.Profile.collector () in
         let sink =
@@ -528,7 +528,12 @@ let profile_cmd =
            ~doc:"Aggregate a Chrome trace file saved earlier with \
                  $(b,--perfetto) instead of running a sweep.")
   in
-  Cmd.v (Cmd.info "profile" ~doc)
+  let exits =
+    Cmd.Exit.info 1 ~doc:"the $(b,--from-trace) file is missing or not a trace document \
+                          (empty, not JSON, truncated, a field of the wrong type)."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "profile" ~doc ~exits)
     Term.(const run_profile $ obs_term $ from_trace $ seed_arg $ c_arg $ countries_arg
           $ top_arg $ faults_term)
 

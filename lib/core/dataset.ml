@@ -295,6 +295,31 @@ let decode_world_ids names w =
   in
   { country = w.w_country; sites = List.init (domain_count w.w_domains) site }
 
+(* One pass takes each kind's largest id; [names] raises
+   [Invalid_argument] outside each kind's range, so trying those is
+   enough.  A negative aux word has bit 62 set, outside [pack_aux]'s
+   fields. *)
+let world_ids_fit names w =
+  let tops = Array.make 5 0 and ok = ref true in
+  let see k v = if v < 0 then ok := false else tops.(k) <- max tops.(k) v in
+  for i = 0 to domain_count w.w_domains - 1 do
+    let tld = id_at w.w_tld i and aux = w.w_aux.{i} in
+    see 0 (id_at w.w_hosting i);
+    see 0 (id_at w.w_dns i);
+    see 1 (id_at w.w_ca i);
+    if tld = 0 || -tld > Array.length w.w_other_tlds then ok := false;
+    see 2 (max tld 0);
+    if aux < 0 then ok := false;
+    see 3 (aux_hgeo aux);
+    see 3 (aux_nsgeo aux);
+    see 4 (aux_lang aux)
+  done;
+  let named k name =
+    tops.(k) = 0 || match name (tops.(k) - 1) with _ -> true | exception Invalid_argument _ -> false
+  in
+  !ok && named 0 names.org_entity && named 1 names.ca_entity && named 2 names.tld_entity
+  && named 3 names.geo_label && named 4 names.lang_label
+
 (* ---- streaming construction --------------------------------------------- *)
 
 type builder = {
@@ -528,50 +553,9 @@ let home_label_count t layer cc =
     (layer_ids pk layer);
   !hits
 
-(* ---- compact codec (exposed for round-trip tests) ------------------------ *)
+(* ---- the interner pool (exposed for tests) ------------------------------ *)
 
 module Compact = struct
-  type codec = pool
-
-  type site_compact = {
-    c_domain : string;
-    c_hosting : int;
-    c_dns : int;
-    c_ca : int;
-    c_tld : int;
-    c_aux : int;
-  }
-
-  let codec () = pool_create ()
-
-  let encode p (s : site) =
-    {
-      c_domain = s.domain;
-      c_hosting = intern_opt_entity p s.hosting;
-      c_dns = intern_opt_entity p s.dns;
-      c_ca = intern_opt_entity p s.ca;
-      c_tld = 1 + intern_entity p s.tld;
-      c_aux =
-        (let lang = intern_opt_str p s.language in
-         let nsgeo = intern_opt_str p s.ns_geo in
-         let hgeo = intern_opt_str p s.hosting_geo in
-         pack_aux ~hgeo ~nsgeo ~lang ~hany:s.hosting_anycast ~nany:s.ns_anycast);
-    }
-
-  let decode p sc : site =
-    {
-      domain = sc.c_domain;
-      hosting = entity_at p sc.c_hosting;
-      dns = entity_at p sc.c_dns;
-      ca = entity_at p sc.c_ca;
-      tld = p.entities.(sc.c_tld - 1);
-      hosting_geo = str_at p (aux_hgeo sc.c_aux);
-      ns_geo = str_at p (aux_nsgeo sc.c_aux);
-      hosting_anycast = sc.c_aux land (1 lsl 60) <> 0;
-      ns_anycast = sc.c_aux land (1 lsl 61) <> 0;
-      language = str_at p (aux_lang sc.c_aux);
-    }
-
   let entity_count t = t.pool.ecount
   let entities t = Array.sub t.pool.entities 0 t.pool.ecount
 end

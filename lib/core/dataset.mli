@@ -68,6 +68,9 @@ type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type domains
 (** A country's domain names, packed into one off-heap byte buffer. *)
 
+val domain_at : domains -> int -> string
+(** The [i]-th domain name. *)
+
 type world_ids = {
   w_country : string;
   w_domains : domains;
@@ -101,6 +104,13 @@ val pack_aux : hgeo:int -> nsgeo:int -> lang:int -> hany:bool -> nany:bool -> in
 
 val decode_world_ids : names -> world_ids -> country_data
 (** The string-form records the ids stand for. *)
+
+val world_ids_fit : names -> world_ids -> bool
+(** Whether {!builder_append} can fold [w] under [names]: every id is
+    one that [names] maps (each function must raise [Invalid_argument]
+    outside its range), no TLD is 0, and a negative one indexes
+    [w_other_tlds].  Ids read from outside the program are checked with
+    this first, since a builder cannot undo half a country. *)
 
 val builder_append : builder -> names -> world_ids -> unit
 (** [builder_add b (decode_world_ids names w)], without the records: the
@@ -145,25 +155,9 @@ val home_label_count : t -> layer -> string -> int
     arrays without decoding.  @raise Not_found if the country is
     absent. *)
 
-(** The integer-coded site representation, exposed so tests can check
-    the decode/encode round trip and interner stability; the dataset
-    itself stores sites this way. *)
+(** The dataset's interner pool, exposed so tests can check that its
+    ids do not depend on [--jobs]. *)
 module Compact : sig
-  type codec
-  (** An interner pool: entity and small-string ids, assigned densely in
-      first-encounter order. *)
-
-  type site_compact
-  (** One site as integers against a codec: interned ids for the five
-      entity/label fields plus a packed word of geo/language ids and
-      anycast flags; only the domain stays a string. *)
-
-  val codec : unit -> codec
-
-  val encode : codec -> site -> site_compact
-  val decode : codec -> site_compact -> site
-  (** [decode c (encode c s) = s] for every site [s]. *)
-
   val entity_count : t -> int
   (** Distinct entities in a dataset's pool; valid ids are
       [0..entity_count-1]. *)

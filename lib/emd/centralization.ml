@@ -10,7 +10,7 @@ let score_of_counts counts = score (Dist.of_counts counts)
 
 let score_of_shares_c ~c shares =
   let sum = Array.fold_left ( +. ) 0.0 shares in
-  if Float.abs (sum -. 1.0) > 1e-6 then
+  if not (Float.abs (sum -. 1.0) <= 1e-6) (* NaN fails it too *) then
     invalid_arg "Centralization.score_of_shares: shares must sum to 1";
   let acc = ref 0.0 in
   Array.iter (fun s -> acc := !acc +. (s *. s)) shares;

@@ -20,7 +20,7 @@ val score_of_counts : int array -> float
 val score_of_shares : float array -> float
 (** 𝒮 from a market-share vector summing to 1, with [C] taken as the
     paper's fixed toplist size of 10 000.  Use {!score_of_shares_c} to
-    choose [C]. *)
+    choose [C].  @raise Invalid_argument unless they sum to 1 (NaN never does). *)
 
 val score_of_shares_c : c:int -> float array -> float
 (** 𝒮 from shares with an explicit website count [C]. *)

@@ -2,30 +2,22 @@
 
    A [Segment]: the header is the schema tag plus the parameters every
    sweep sharing the file must agree on, then one record per completed
-   (epoch, country) shard (tally + sites), so the sweeps of several
-   epochs share one file.  On open we read every intact record but
-   decode only its (epoch, country) key; [find] decodes a record when a
-   sweep asks for it, so a sweep never pays for another epoch's sites.
-   A torn tail (the process was killed mid-write) is dropped and the
-   file is rewritten with only the intact records before appending
-   resumes.  A header that does not match the current parameters
-   invalidates the whole file — resuming under different parameters
-   would silently mix two different worlds. *)
+   (epoch, country) shard (tally + the lane's id columns), so the sweeps
+   of several epochs share one file.  Opening reads every intact record
+   but decodes only its key; [find] decodes a record when a sweep asks
+   for it.  A torn tail is dropped and the file rewritten with the
+   intact records before appending resumes.  A header that does not
+   match the current parameters invalidates the whole file. *)
 
 module Json = Webdep_json
 module D = Webdep.Dataset
 
-let schema = "webdep-checkpoint/3"
+let schema = "webdep-checkpoint/4"
 
 let m_written = Webdep_obs.Metrics.counter "checkpoint.countries_written"
 let m_resumed = Webdep_obs.Metrics.counter "checkpoint.countries_resumed"
 
-type entry = {
-  epoch : string;
-  country : string;
-  tally : Degrade.tally;
-  data : D.country_data;
-}
+type entry = { epoch : string; tally : Degrade.tally; ids : D.world_ids }
 
 type t = {
   path : string;
@@ -33,19 +25,38 @@ type t = {
   records : (string * string, string) Hashtbl.t;  (* (epoch, country) -> payload *)
 }
 
-let encode e =
-  let b = Buffer.create 4096 in
-  Segment.add_str b e.epoch;
-  Segment.add_str b e.country;
-  Segment.add_u32 b e.tally.Degrade.clean;
-  Segment.add_u32 b e.tally.Degrade.degraded;
-  Segment.add_u32 b e.tally.Degrade.failed;
-  Segment.add_sites b e.data.D.sites;
+let columns (w : D.world_ids) = [ w.D.w_hosting; w.D.w_dns; w.D.w_ca; w.D.w_tld ]
+
+(* The key, the tally, the domains, the four id columns (each int32 as
+   the u32 of its bits), the aux words, and the name and country of each
+   TLD entity the world has no id for. *)
+let encode { epoch; tally; ids = w } =
+  let n = Bigarray.Array1.dim w.D.w_aux in
+  let b = Buffer.create (64 + (48 * n)) in
+  List.iter (Segment.add_str b) [ epoch; w.D.w_country ];
+  List.iter (Segment.add_u32 b) [ tally.Degrade.clean; tally.degraded; tally.failed ];
+  Segment.add_strs b (List.init n (D.domain_at w.D.w_domains));
+  List.iter
+    (fun (col : D.ids) ->
+      for i = 0 to n - 1 do
+        Segment.add_u32 b (Int32.to_int col.{i} land 0xFFFFFFFF)
+      done)
+    (columns w);
+  for i = 0 to n - 1 do
+    Segment.add_int b w.D.w_aux.{i}
+  done;
+  Segment.add_strs b
+    (Array.fold_right (fun (t : D.entity) acc -> t.D.name :: t.D.country :: acc) w.D.w_other_tlds []);
   Buffer.contents b
 
 let key cur =
   let epoch = Segment.get_str cur in
   (epoch, Segment.get_str cur)
+
+let rec entities = function
+  | name :: country :: rest -> { D.name; country } :: entities rest
+  | [] -> []
+  | [ _ ] -> raise (Segment.Malformed "a TLD name without its country")
 
 let decode payload =
   Segment.decode payload (fun cur ->
@@ -53,13 +64,19 @@ let decode payload =
       let clean = Segment.get_u32 cur in
       let degraded = Segment.get_u32 cur in
       let failed = Segment.get_u32 cur in
-      let sites = Segment.get_sites cur in
-      {
-        epoch;
-        country;
-        tally = { Degrade.clean; degraded; failed };
-        data = { D.country; sites };
-      })
+      let w = D.world_ids ~country (Array.of_list (Segment.get_strs cur)) in
+      let n = Bigarray.Array1.dim w.D.w_aux in
+      List.iter
+        (fun (col : D.ids) ->
+          for i = 0 to n - 1 do
+            col.{i} <- Int32.of_int (Segment.get_u32 cur)
+          done)
+        (columns w);
+      for i = 0 to n - 1 do
+        w.D.w_aux.{i} <- Segment.get_int cur
+      done;
+      let w_other_tlds = Array.of_list (entities (Segment.get_strs cur)) in
+      { epoch; tally = { Degrade.clean; degraded; failed }; ids = { w with D.w_other_tlds } })
 
 let open_ ~path ~meta =
   let header = Json.to_string (Json.Obj (("schema", Json.String schema) :: meta)) in
@@ -81,12 +98,12 @@ let open_ ~path ~meta =
   | Segment.No_file | Segment.Header_mismatch -> Segment.write ~path ~header []);
   { path; lock = Mutex.create (); records }
 
-let find t ~epoch country =
+let find t ~epoch ~fits country =
   match Option.map decode (Hashtbl.find_opt t.records (epoch, country)) with
-  | Some _ as found ->
+  | Some e as found when fits e.ids ->
       Webdep_obs.Metrics.incr m_resumed;
       found
-  | None | (exception Segment.Malformed _) -> None
+  | Some _ | None | (exception Segment.Malformed _) -> None
 
 let record t e =
   let payload = encode e in

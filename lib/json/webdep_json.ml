@@ -31,11 +31,12 @@ let escape buf s =
   Buffer.add_char buf '"'
 
 (* Integral floats print with a trailing ".0" so the parser can tell them
-   from ints; %.17g keeps every float64 exactly round-trippable.  JSON has
-   no nan/inf — emit null. *)
+   from ints; %.17g keeps every float64 exactly round-trippable, and from
+   1e17 up it always prints an exponent.  JSON has no nan/inf — emit
+   null. *)
 let float_repr v =
   if Float.is_nan v || Float.abs v = Float.infinity then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
+  else if Float.is_integer v && Float.abs v < 1e17 then Printf.sprintf "%.1f" v
   else Printf.sprintf "%.17g" v
 
 let rec write buf = function
@@ -115,7 +116,10 @@ let parse s =
           | Some 'u' ->
               advance ();
               if !pos + 4 > n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+              let hex = String.sub s !pos 4 in
+              let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+              if not (String.for_all is_hex hex) then fail "bad \\u escape";
+              let code = int_of_string ("0x" ^ hex) in
               pos := !pos + 4;
               (* The snapshot only escapes control characters; decode the
                  BMP code point as UTF-8. *)

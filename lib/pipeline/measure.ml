@@ -238,17 +238,6 @@ let measure_snapshot_ids ?(vantage = default_vantage) ?(faults = no_faults) worl
 let measure_snapshot ?vantage world snap =
   Dataset.decode_world_ids (names world) (fst (measure_snapshot_ids ?vantage world snap))
 
-let measure_country_ids ?vantage ?epoch ?faults world cc =
-  (* Per-country span: the name carries the country so the registry dump
-     exposes one duration histogram per country. *)
-  Obs.Span.with_ ~name:("measure_country." ^ cc)
-    ~attrs:[ ("country", cc) ]
-    (fun () ->
-      measure_snapshot_ids ?vantage ?faults world (World.snapshot world ?epoch cc))
-
-let measure_country ?vantage ?epoch world cc =
-  Dataset.decode_world_ids (names world) (fst (measure_country_ids ?vantage ?epoch world cc))
-
 type country_coverage = {
   cc : string;
   tally : Degrade.tally;
@@ -262,18 +251,11 @@ type sweep = {
   insufficient : string list;
 }
 
-(* A country as a lane hands it to the fold. *)
-type measured = Ids of Dataset.world_ids | Records of Dataset.country_data
-
 (* The world fingerprint plus the rest of what shapes a site record,
-   except the epoch: every epoch of one world shares a checkpoint.  The
-   sweep resolves one way only, yet the header keeps its "resolution"
-   field: webdep-checkpoint/3 files keep their bytes, and files already
-   on disk still resume. *)
+   except the epoch: every epoch of one world shares a checkpoint. *)
 let checkpoint_meta ?(vantage = default_vantage) ~faults world =
-  let open Webdep_json in
   Fingerprint.to_meta (store_fingerprint ~faults world)
-  @ [ ("vantage", String vantage); ("resolution", String "flat") ]
+  @ [ ("vantage", Webdep_json.String vantage) ]
 
 let measure_sweep ?vantage ?epoch ?countries ?jobs ?(faults = no_faults) ?checkpoint
     world =
@@ -297,39 +279,37 @@ let measure_sweep ?vantage ?epoch ?countries ?jobs ?(faults = no_faults) ?checkp
          builder, which remaps the columns in place and keeps them off
          the OCaml heap.  Peak heap holds one window of countries in
          flight, never the whole world; the sequential fold also keeps
-         the builder's interner ids identical at any [jobs].  A country
-         resumed from the checkpoint arrives as records, and one
-         measured with a checkpoint is decoded to records for it. *)
+         the builder's interner ids identical at any [jobs].  A resumed
+         country's ids, checked against this world, fold the same way. *)
       let names = names world in
+      let fits = Dataset.world_ids_fit names in
       let b = Dataset.builder () in
       let coverage_rev = ref [] in
       let insufficient_rev = ref [] in
       Webdep_par.map_fold ?jobs
         (fun cc ->
-          match Option.bind cp (fun cp -> Checkpoint.find cp ~epoch:epoch_name cc) with
+          match Option.bind cp (fun cp -> Checkpoint.find cp ~epoch:epoch_name ~fits cc) with
           | Some e ->
               Logs.debug (fun m -> m "resumed %s %s from checkpoint" epoch_name cc);
-              (cc, Records e.Checkpoint.data, e.Checkpoint.tally, true)
+              (cc, e.Checkpoint.ids, e.Checkpoint.tally, true)
           | None ->
               Logs.debug (fun m -> m "measuring %s" cc);
-              let w, tally = measure_country_ids ?vantage ?epoch ~faults world cc in
+              let w, tally =
+                Obs.Span.with_ ~name:("measure_country." ^ cc) ~attrs:[ ("country", cc) ] (fun () ->
+                    measure_snapshot_ids ?vantage ~faults world (World.snapshot world ?epoch cc))
+              in
               Option.iter
-                (fun cp ->
-                  Checkpoint.record cp
-                    { Checkpoint.epoch = epoch_name; country = cc; tally;
-                      data = Dataset.decode_world_ids names w })
+                (fun cp -> Checkpoint.record cp { Checkpoint.epoch = epoch_name; tally; ids = w })
                 cp;
-              (cc, Ids w, tally, false))
+              (cc, w, tally, false))
         ~init:()
-        ~fold:(fun () (cc, data, tally, resumed) ->
+        ~fold:(fun () (cc, w, tally, resumed) ->
           let ratio = Degrade.ratio tally in
           Metric.observe h_coverage ratio;
           coverage_rev := { cc; tally; ratio; resumed } :: !coverage_rev;
           if Degrade.sufficient ~threshold:faults.coverage_threshold tally then
             Obs.Span.with_ ~name:"dataset.append" ~attrs:[ ("country", cc) ] (fun () ->
-                match data with
-                | Ids w -> Dataset.builder_append b names w
-                | Records cd -> Dataset.builder_add b cd)
+                Dataset.builder_append b names w)
           else begin
             insufficient_rev := cc :: !insufficient_rev;
             Metric.incr m_insufficient;

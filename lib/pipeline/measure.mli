@@ -40,15 +40,6 @@ val store_fingerprint :
     seed/rate/retry budget.  It keys sweep checkpoints (see
     {!measure_sweep}), which [webdep serve] also resumes from. *)
 
-val measure_country :
-  ?vantage:string ->
-  ?epoch:Webdep_worldgen.World.epoch ->
-  Webdep_worldgen.World.t ->
-  string ->
-  Webdep.Dataset.country_data
-(** Measure one country's toplist from a vantage country (span
-    [measure_country.<CC>]). *)
-
 val measure_snapshot :
   ?vantage:string ->
   Webdep_worldgen.World.t ->
@@ -59,8 +50,8 @@ val measure_snapshot :
     with the flat resolver and no memo.
 
     Like the sweep, this measures each site as the world's entity
-    numbers (see {!Webdep_worldgen.World.tld_id}) and builds no record
-    per site; the records returned are those numbers decoded, so
+    numbers (see {!Webdep_worldgen.World.tld_id}); the records returned
+    are those numbers decoded (the sweep never decodes), so
     [Dataset.builder_add] over them builds the dataset {!measure_all}
     builds, interner ids included. *)
 
@@ -80,8 +71,9 @@ val measure_all :
     is bit-identical for every [jobs] value and whatever the world
     measured before.
 
-    Each lane writes its country's sites as the world's entity numbers
-    into off-heap id columns; the caller folds them in input order
+    Each lane snapshots and measures one country (span
+    [measure_country.<CC>]), writing its sites as the world's entity
+    numbers into off-heap id columns; the caller folds them in input order
     through {!Webdep.Dataset.builder_append} (span [dataset.append],
     once per country), so only a window of countries is in flight.
     {!Webdep_worldgen.World.prepare} runs first, so a country this [c]
@@ -121,15 +113,14 @@ val measure_sweep :
     [insufficient] (counter [coverage.insufficient]).
 
     [?checkpoint] names a {!Webdep_faults.Checkpoint} file: each
-    completed (epoch, country) shard is appended and fsynced as it
-    finishes, and a later sweep of the same world resumes past the
-    shards of its epoch, reproducing the uninterrupted dataset exactly.
+    completed (epoch, country) shard's ids are appended and fsynced as
+    its lane finishes, and a later sweep of the same world resumes past
+    the shards of its epoch, folding their ids (checked against the
+    world on the lane; a misfit is re-measured) as a measured country's.
     Sweeps of both epochs share one file (the daemon builds its two
     datasets this way), and only the swept epoch's shards are decoded.
     The file's header is the {!store_fingerprint} fields plus the
-    vantage and a constant ["resolution": "flat"] (kept so existing
-    [webdep-checkpoint/3] files resume); any mismatch discards the
-    stale file.  [coverage]
+    vantage; any mismatch discards the stale file.  [coverage]
     says which countries were resumed. *)
 
 type resolution_stats = {

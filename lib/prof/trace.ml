@@ -108,21 +108,30 @@ let sink path =
 
 (* --- loading ------------------------------------------------------------ *)
 
-let float_of = function
-  | Json.Float v -> v
-  | Json.Int i -> float_of_int i
-  | _ -> 0.0
+exception Bad_trace of string
 
-let int_of = function Json.Int i -> i | Json.Float v -> int_of_float v | _ -> 0
+let gc_keys = [ "depth"; "minor_words"; "promoted_words"; "major_words"; "major_collections" ]
 
-let event_of_json j =
-  match (Json.member "ph" j, Json.member "name" j) with
-  | Some (Json.String "X"), Some (Json.String name) ->
-      let get k = Json.member k j in
-      let args = match get "args" with Some (Json.Obj a) -> a | _ -> [] in
-      let arg k = List.assoc_opt k args in
-      let gc_keys =
-        [ "depth"; "minor_words"; "promoted_words"; "major_words"; "major_collections" ]
+(* Event [i] of the document: a span when its phase is "X", [None] for
+   metadata.  A field of the wrong type refuses the trace by the event's
+   index; an absent one reads as zero. *)
+let event_of_json i j =
+  let bad k = raise (Bad_trace (Printf.sprintf "event %d: %s has the wrong type" i k)) in
+  let fields = match j with Json.Obj f -> f | _ -> bad "the event" in
+  let field obj k = List.assoc_opt k obj in
+  let number obj k =
+    match field obj k with
+    | None -> 0.0
+    | Some (Json.Float v) -> v
+    | Some (Json.Int n) -> float_of_int n
+    | Some _ -> bad k
+  in
+  let int obj k = match field obj k with None -> 0 | Some (Json.Int n) -> n | Some _ -> bad k in
+  match field fields "ph" with
+  | Some (Json.String "X") ->
+      let name = match field fields "name" with Some (Json.String s) -> s | _ -> bad "name" in
+      let args =
+        match field fields "args" with None -> [] | Some (Json.Obj a) -> a | Some _ -> bad "args"
       in
       let attrs =
         List.filter_map
@@ -136,21 +145,20 @@ let event_of_json j =
         {
           Sink.name;
           attrs;
-          start_s = float_of (Option.value ~default:Json.Null (get "ts")) /. 1e6;
-          duration_s = float_of (Option.value ~default:Json.Null (get "dur")) /. 1e6;
-          depth = int_of (Option.value ~default:Json.Null (arg "depth"));
-          lane = int_of (Option.value ~default:Json.Null (get "tid"));
+          start_s = number fields "ts" /. 1e6;
+          duration_s = number fields "dur" /. 1e6;
+          depth = int args "depth";
+          lane = int fields "tid";
           gc =
             {
-              Sink.minor_words = float_of (Option.value ~default:Json.Null (arg "minor_words"));
-              promoted_words =
-                float_of (Option.value ~default:Json.Null (arg "promoted_words"));
-              major_words = float_of (Option.value ~default:Json.Null (arg "major_words"));
-              major_collections =
-                int_of (Option.value ~default:Json.Null (arg "major_collections"));
+              Sink.minor_words = number args "minor_words";
+              promoted_words = number args "promoted_words";
+              major_words = number args "major_words";
+              major_collections = int args "major_collections";
             };
         }
-  | _ -> None
+  | Some (Json.String _) | None -> None
+  | Some _ -> bad "ph"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -160,10 +168,13 @@ let read_file path =
   s
 
 let load path =
-  let doc = Json.parse (read_file path) in
-  let events =
-    match Json.member "traceEvents" doc with
-    | Some (Json.List l) -> l
-    | _ -> ( match doc with Json.List l -> l | _ -> [])
+  let doc =
+    try Json.parse (read_file path)
+    with Json.Parse_error m -> raise (Bad_trace ("not a JSON document: " ^ m))
   in
-  List.filter_map event_of_json events
+  let events =
+    match (doc, Json.member "traceEvents" doc) with
+    | Json.List l, _ | _, Some (Json.List l) -> l
+    | _ -> raise (Bad_trace "no traceEvents list")
+  in
+  List.filter_map Fun.id (List.mapi event_of_json events)

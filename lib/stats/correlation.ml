@@ -50,7 +50,10 @@ let ranks xs =
 
 let spearman xs ys =
   let _n = check xs ys in
-  pearson (ranks xs) (ranks ys)
+  (* With the lengths checked, constant ranks are all [pearson] can
+     refuse. *)
+  try pearson (ranks xs) (ranks ys)
+  with Invalid_argument _ -> invalid_arg "Correlation.spearman: constant input"
 
 type strength = Poor | Fair | Moderate | Strong
 

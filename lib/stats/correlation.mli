@@ -16,7 +16,7 @@ val pearson : float array -> float array -> result
 
 val spearman : float array -> float array -> result
 (** Spearman rank correlation: Pearson on mid-ranks (average ranks for
-    ties). *)
+    ties).  @raise Invalid_argument as {!pearson}, under its own name. *)
 
 type strength = Poor | Fair | Moderate | Strong
 

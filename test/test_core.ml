@@ -377,12 +377,10 @@ let test_validate_too_few () =
     (Invalid_argument "Validate.correlate: too few shared countries") (fun () ->
       ignore (Validate.correlate ~home:[ ("AA", 0.1) ] ~probes:[ ("AA", 0.1) ]))
 
-(* --- Compact ----------------------------------------------------------------- *)
+(* --- dataset storage ------------------------------------------------------ *)
 
-(* One codec shared across every generated sample, so the round trip is
-   exercised against an interner that keeps accumulating ids — re-interned
-   names must keep decoding to the first-seen spelling, which the small
-   name/country pools force constantly. *)
+(* Sites over small name/country pools, so the interner keeps meeting
+   names it has already numbered. *)
 let gen_site domain =
   let open QCheck.Gen in
   let name =
@@ -399,12 +397,6 @@ let gen_site domain =
     (pair
        (pair (triple domain (opt entity) (opt entity)) (triple (opt entity) entity (opt cc)))
        (pair (triple (opt cc) bool bool) lang))
-
-let compact_round_trip =
-  let gen = gen_site QCheck.Gen.(map (Printf.sprintf "site-%04d.example") (int_range 0 9999)) in
-  let codec = D.Compact.codec () in
-  QCheck.Test.make ~name:"Compact.decode (Compact.encode s) = s" ~count:1000
-    (QCheck.make gen) (fun s -> D.Compact.decode codec (D.Compact.encode codec s) = s)
 
 (* The dataset's own storage — id columns and one byte buffer of
    domain names per country — gives back exactly the records fed in,
@@ -424,6 +416,45 @@ let dataset_round_trip =
       let ds = D.of_country_data cds in
       D.size ds = List.fold_left (fun n (cd : D.country_data) -> n + List.length cd.sites) 0 cds
       && List.for_all (fun (cd : D.country_data) -> D.country_exn ds cd.country = cd) cds)
+
+(* [world_ids_fit] tries only each kind's largest id; it must agree with
+   trying every id of every site.  The names cover ids 0-9 of each kind
+   and raise past them, as the world's do.  A site is eight draws:
+   hosting, DNS, CA and TLD columns, the three aux fields and the sign
+   of its aux word. *)
+let world_ids_fit_every_id =
+  let names =
+    let upto f i = if i < 0 || i >= 10 then invalid_arg "names" else f i in
+    let entity i = { D.name = string_of_int i; country = "US" } in
+    { D.org_entity = upto entity; ca_entity = upto entity; tld_entity = upto entity;
+      geo_label = upto string_of_int; lang_label = upto string_of_int }
+  in
+  let site = QCheck.Gen.(array_size (return 8) (int_range (-3) 11)) in
+  let gen = QCheck.Gen.(pair (list_size (int_range 0 6) site) (int_range 0 2)) in
+  QCheck.Test.make ~name:"world_ids_fit = every id tried" ~count:1000 (QCheck.make gen)
+    (fun (sites, others) ->
+      let w = D.world_ids ~country:"US" (Array.make (List.length sites) "d") in
+      let aux s =
+        D.pack_aux ~hgeo:(max 0 s.(4)) ~nsgeo:(max 0 s.(5)) ~lang:(max 0 s.(6)) ~hany:false
+          ~nany:false
+      in
+      List.iteri
+        (fun i s ->
+          List.iteri (fun k (col : D.ids) -> col.{i} <- Int32.of_int s.(k))
+            [ w.D.w_hosting; w.D.w_dns; w.D.w_ca; w.D.w_tld ];
+          w.D.w_aux.{i} <- (if s.(7) < 0 then min_int else 0) lor aux s)
+        sites;
+      let w = { w with D.w_other_tlds = Array.make others { D.name = "t"; country = "US" } } in
+      let tried f v =
+        v = 0 || match f (v - 1) with _ -> true | exception Invalid_argument _ -> false
+      in
+      let site_fits s =
+        tried names.org_entity s.(0) && tried names.org_entity s.(1) && tried names.ca_entity s.(2)
+        && (if s.(3) > 0 then tried names.tld_entity s.(3) else s.(3) < 0 && -s.(3) <= others)
+        && tried names.geo_label (max 0 s.(4)) && tried names.geo_label (max 0 s.(5))
+        && tried names.lang_label (max 0 s.(6)) && s.(7) >= 0
+      in
+      D.world_ids_fit names w = List.for_all site_fits sites)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -485,8 +516,8 @@ let () =
           Alcotest.test_case "merged" `Quick test_dataset_merged;
           Alcotest.test_case "skips unlabelled" `Quick test_dataset_skips_unlabelled;
           Alcotest.test_case "tld present" `Quick test_dataset_tld_always_present;
-          qtest compact_round_trip;
           qtest dataset_round_trip;
+          qtest world_ids_fit_every_id;
         ] );
       ( "metrics",
         [

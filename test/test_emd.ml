@@ -186,7 +186,10 @@ let test_score_shares () =
 let test_score_shares_invalid () =
   Alcotest.check_raises "bad shares"
     (Invalid_argument "Centralization.score_of_shares: shares must sum to 1") (fun () ->
-      ignore (Centralization.score_of_shares [| 0.5; 0.2 |]))
+      ignore (Centralization.score_of_shares [| 0.5; 0.2 |]));
+  Alcotest.check_raises "NaN share"
+    (Invalid_argument "Centralization.score_of_shares: shares must sum to 1") (fun () ->
+      ignore (Centralization.score_of_shares [| nan |]))
 
 let test_hhi_relationship () =
   let d = Dist.of_counts [| 5; 3; 2 |] in

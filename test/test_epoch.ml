@@ -334,6 +334,21 @@ let test_load_rejects () =
   (match Log.load ~path with
   | Log.Mismatch _ -> ()
   | _ -> Alcotest.fail "garbage header must mismatch");
+  (* A meta header whose \u escape is not four hex digits, under a
+     valid CRC, is a mismatch too, not an exception. *)
+  let base, _ = Lazy.force fixture in
+  Log.create ~path ~meta:[ ("x", Webdep_json.String "\001") ] ~base_epoch:0 ~base ();
+  let module S = Webdep_faults.Segment in
+  (match S.fold ~path ~init:(fun h -> Some (h, [])) ~f:(fun (h, rs) r -> Some (h, r :: rs)) with
+  | S.Folded { acc = header, rev; torn = false } ->
+      let rec at i = if String.sub header i 6 = "\\u0001" then i else at (i + 1) in
+      let b = Bytes.of_string header in
+      Bytes.blit_string "\\uZZZZ" 0 b (at 0) 6;
+      S.write ~path ~header:(Bytes.to_string b) (List.rev rev)
+  | _ -> Alcotest.fail "log unreadable");
+  (match Log.load ~path with
+  | Log.Mismatch _ -> ()
+  | _ -> Alcotest.fail "bad \\u escape in the header must mismatch");
   Sys.remove path
 
 (* --- golden bytes ----------------------------------------------------------- *)

@@ -375,12 +375,13 @@ let test_checkpoint_epochs_share_one_file () =
     [ World.May_2023; World.May_2025 ]
 
 (* Golden bytes: the MD5 of the file a sweep writes for both epochs of
-   three countries, clean and faulted.  A change to the sweep's
-   resolution path, site codec or header shows up here first.  [~jobs:1]
-   because records land in completion order. *)
+   three countries, clean and faulted.  A record holds the lane's world
+   ids, so a change to the sweep's resolution path, the world's id
+   numbering, the record codec or the header shows up here first.
+   [~jobs:1] because records land in completion order. *)
 let golden_checkpoint_digests =
-  [ ("clean", "b01eeb8aa609daf345ceb1f452027feb");
-    ("faulted", "b51fdc567b6a1535aea4e98fe768bf34") ]
+  [ ("clean", "f48670eb0f1fcdba35911e0775eb3b59");
+    ("faulted", "ca23f796825967f3c337b0745a8ee1dc") ]
 
 let test_checkpoint_golden_bytes () =
   let world = World.create ~c:100 ~seed:2024 () in
@@ -432,6 +433,111 @@ let test_checkpoint_call_order_refused () =
   Alcotest.(check bool) "the call-order header resumes nothing" true (none_resumed fresh);
   Alcotest.(check bool) "result matches a checkpoint-free run" true
     (datasets_equal direct.Measure.dataset fresh.Measure.dataset)
+
+(* The header and records of a segment file. *)
+let read_segment path =
+  match
+    Webdep_faults.Segment.fold ~path
+      ~init:(fun h -> Some (h, []))
+      ~f:(fun (h, acc) r -> Some (h, r :: acc))
+  with
+  | Webdep_faults.Segment.Folded { acc = h, rev; torn = false } -> (h, List.rev rev)
+  | _ -> Alcotest.fail "checkpoint unreadable"
+
+let header_fields header =
+  match Webdep_json.parse header with
+  | Webdep_json.Obj fields -> fields
+  | _ -> Alcotest.fail "checkpoint header is not an object"
+
+let m_resumed = Webdep_obs.Metrics.counter "checkpoint.countries_resumed"
+
+(* Ids read from a checkpoint are checked against the world before the
+   fold meets them.  A record whose CRC holds but whose ids this world
+   does not number — in any column — or whose TLD is 0 counts as absent:
+   nothing raises, the country is re-measured and not counted as
+   resumed, and the sweep equals the cold one. *)
+let test_checkpoint_foreign_ids_refused () =
+  with_temp_file @@ fun path ->
+  let world = Lazy.force world in
+  let cold = Measure.measure_all ~countries:sample world in
+  ignore (Measure.measure_sweep ~countries:sample ~checkpoint:path world);
+  let pristine = Frames.read path in
+  let header, _ = read_segment path in
+  let meta = List.remove_assoc "schema" (header_fields header) in
+  let cc = "RU" in
+  let aux_or bits (w : D.world_ids) = w.D.w_aux.{0} <- w.D.w_aux.{0} lor bits in
+  let spoilers =
+    [
+      ("hosting past the orgs", fun (w : D.world_ids) -> w.D.w_hosting.{0} <- Int32.max_int);
+      ("negative dns", fun w -> w.D.w_dns.{0} <- -1l);
+      ("ca past the owners", fun w -> w.D.w_ca.{0} <- 1_000_000l);
+      ("tld 0", fun w -> w.D.w_tld.{0} <- 0l);
+      ("tld past the labels", fun w -> w.D.w_tld.{0} <- Int32.max_int);
+      ( "tld past w_other_tlds",
+        fun w -> w.D.w_tld.{0} <- Int32.of_int (-1 - Array.length w.D.w_other_tlds) );
+      ("hosting geo past the verdicts", aux_or 0xFFFFF);
+      ("ns geo past the verdicts", aux_or (0xFFFFF lsl 20));
+      ("language past the table", aux_or (0xFFFFF lsl 40));
+      ("negative aux word", fun w -> w.D.w_aux.{0} <- min_int);
+    ]
+  in
+  List.iter
+    (fun (what, spoil) ->
+      Frames.write path pristine;
+      let cp = Checkpoint.open_ ~path ~meta in
+      match Checkpoint.find cp ~epoch:"2023-05" ~fits:(fun _ -> true) cc with
+      | None -> Alcotest.fail "the pristine record must decode"
+      | Some e ->
+          spoil e.Checkpoint.ids;
+          (* A later record of a key replaces the earlier one. *)
+          Checkpoint.record cp e;
+          let before = Webdep_obs.Metrics.value m_resumed in
+          let sw = Measure.measure_sweep ~countries:sample ~checkpoint:path world in
+          Alcotest.(check (list (pair string bool)))
+            (what ^ ": only the spoiled country re-measured")
+            (List.map (fun c -> (c, c <> cc)) sample)
+            (List.map (fun (cv : Measure.country_coverage) -> (cv.Measure.cc, cv.Measure.resumed))
+               sw.Measure.coverage);
+          Alcotest.(check int) (what ^ ": resumed count")
+            (List.length sample - 1)
+            (Webdep_obs.Metrics.value m_resumed - before);
+          Alcotest.(check bool) (what ^ ": sweep = cold") true (sw.Measure.dataset = cold))
+    spoilers
+
+(* A file of the previous schema ("webdep-checkpoint/3": sites as
+   strings, a "resolution" header field) under this sweep's fingerprint
+   is discarded whole, never read as ids; the sweep that discards it
+   writes the current schema, which the next sweep resumes. *)
+let test_checkpoint_schema_3_discarded () =
+  with_temp_file @@ fun path ->
+  let world = Lazy.force world in
+  let cold = Measure.measure_all ~countries:sample world in
+  ignore (Measure.measure_sweep ~countries:[] ~checkpoint:path world);
+  let header, _ = read_segment path in
+  let fields =
+    ("schema", Webdep_json.String "webdep-checkpoint/3")
+    :: List.remove_assoc "schema" (header_fields header)
+    @ [ ("resolution", Webdep_json.String "flat") ]
+  in
+  let record cc =
+    let b = Buffer.create 4096 in
+    let module S = Webdep_faults.Segment in
+    S.add_str b "2023-05";
+    S.add_str b cc;
+    List.iter (S.add_u32 b) [ D.site_count cold cc; 0; 0 ];
+    S.add_sites b (D.country_exn cold cc).D.sites;
+    Buffer.contents b
+  in
+  Webdep_faults.Segment.write ~path
+    ~header:(Webdep_json.to_string (Webdep_json.Obj fields))
+    (List.map record sample);
+  let before = Webdep_obs.Metrics.value m_resumed in
+  let discarded = Measure.measure_sweep ~countries:sample ~checkpoint:path world in
+  Alcotest.(check bool) "nothing resumed from a /3 file" true (none_resumed discarded);
+  Alcotest.(check int) "resumed count" 0 (Webdep_obs.Metrics.value m_resumed - before);
+  Alcotest.(check bool) "sweep = cold" true (datasets_equal cold discarded.Measure.dataset);
+  let again = Measure.measure_sweep ~countries:sample ~checkpoint:path world in
+  Alcotest.(check bool) "the rewritten file resumes every country" true (all_resumed again)
 
 let test_checkpoint_interrupted_resume () =
   with_temp_file @@ fun path ->
@@ -582,5 +688,9 @@ let () =
           Alcotest.test_case "epochs share one file" `Quick
             test_checkpoint_epochs_share_one_file;
           Alcotest.test_case "golden bytes" `Quick test_checkpoint_golden_bytes;
+          Alcotest.test_case "ids foreign to the world refused" `Quick
+            test_checkpoint_foreign_ids_refused;
+          Alcotest.test_case "schema 3 file discarded" `Quick
+            test_checkpoint_schema_3_discarded;
         ] );
     ]

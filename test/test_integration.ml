@@ -384,15 +384,14 @@ let test_subregional_coherence () =
   Alcotest.(check bool) "TH closer to ID than IR" true (d_near < d_far)
 
 let test_measurement_records_obs_counters () =
-  (* A measure_country run must leave its footprint in the webdep_obs
+  (* Measuring one country must leave its footprint in the webdep_obs
      registry: one DNS query and one TLS handshake attempt per site, and
      a per-country span duration histogram. *)
   let module M = Webdep_obs.Metrics in
   let dns = M.counter "pipeline.dns.queries" in
   let tls = M.counter "pipeline.tls.handshakes" in
   let dns0 = M.value dns and tls0 = M.value tls in
-  let ds = Measure.measure_country world "PT" in
-  let sites = List.length ds.D.sites in
+  let sites = D.site_count (Measure.measure_all ~countries:[ "PT" ] world) "PT" in
   Alcotest.(check bool) "sites measured" true (sites > 0);
   Alcotest.(check bool) "DNS queries counted" true (M.value dns - dns0 >= sites);
   Alcotest.(check bool) "TLS handshakes counted" true (M.value tls - tls0 > 0);

@@ -254,7 +254,70 @@ let test_json_parse_errors () =
       match Json.parse_opt s with
       | None -> ()
       | Some _ -> Alcotest.failf "expected parse failure for %S" s)
-    [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "1.2.3"; "\"unterminated"; "[1] trailing" ]
+    [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "1.2.3"; "\"unterminated"; "[1] trailing";
+      {|{"q":"\uZZZZ"}|}; {|"\u-001"|}; {|"\u1_2_"|}; {|"\u12"|}; {|"\u+123"|} ]
+
+(* Any tree the printer emits parses back to itself: floats (finite,
+   integral ones included at every magnitude) and strings of arbitrary
+   bytes alike. *)
+let gen_json =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_range 0 12) in
+  let finite =
+    oneof
+      [
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+        map float_of_int (int_range (-1 lsl 57) (1 lsl 57));
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) finite;
+        map (fun s -> Json.String s) bytes;
+      ]
+  in
+  int_bound 3
+  >>= fix (fun self depth ->
+          if depth = 0 then leaf
+          else
+            let child = self (depth - 1) in
+            oneof
+              [
+                leaf;
+                map (fun l -> Json.List l) (list_size (int_range 0 4) child);
+                map (fun l -> Json.Obj l) (list_size (int_range 0 4) (pair bytes child));
+              ])
+
+let qcheck_json_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"parse (to_string v) = v"
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = v)
+
+(* Flipped, truncated or inserted bytes give a value or [Parse_error],
+   never another exception. *)
+let qcheck_json_mutation =
+  QCheck.Test.make ~count:2000 ~name:"mutated documents raise only Parse_error"
+    QCheck.(
+      make
+        ~print:(fun (v, (kind, i, c)) ->
+          Printf.sprintf "%s %d %C of %s" kind i c (Json.to_string v))
+        Gen.(pair gen_json (triple (oneofl [ "flip"; "truncate"; "insert" ]) nat char)))
+    (fun (v, (kind, i, c)) ->
+      let s = Json.to_string v in
+      let n = String.length s in
+      let at = i mod (n + 1) in
+      let mutant =
+        match kind with
+        | "flip" ->
+            String.mapi (fun j ch -> if j = i mod n then c else ch) s
+        | "truncate" -> String.sub s 0 at
+        | _ -> String.sub s 0 at ^ String.make 1 c ^ String.sub s at (n - at)
+      in
+      match Json.parse mutant with _ -> true | exception Json.Parse_error _ -> true)
 
 let test_registry_snapshot_roundtrip () =
   Metrics.incr ~by:7 (Metrics.counter "test.snapshot.counter");
@@ -348,6 +411,8 @@ let () =
         [
           Alcotest.test_case "value round-trip" `Quick test_json_roundtrip_values;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
+          QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_json_mutation;
           Alcotest.test_case "snapshot round-trip" `Quick test_registry_snapshot_roundtrip;
           Alcotest.test_case "jsonl sink" `Quick test_jsonl_sink;
         ] );

@@ -208,16 +208,21 @@ let test_id_path_equals_string_path () =
         true
         (D.Compact.entities ds = D.Compact.entities strings))
     [ 1; 2; 4 ];
-  (* Half the countries resumed from a checkpoint as records, between
-     countries measured as ids. *)
-  let path = Filename.temp_file "webdep_idpath" ".ckpt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  ignore (Measure.measure_sweep ~countries:[ "US"; "AM"; "KG" ] ~jobs:2 ~checkpoint:path world);
-  let sw = Measure.measure_sweep ~countries ~jobs:2 ~checkpoint:path world in
-  check (Alcotest.list Alcotest.bool) "every other country resumed"
-    [ true; false; true; false; true; false ]
-    (List.map (fun (cv : Measure.country_coverage) -> cv.Measure.resumed) sw.Measure.coverage);
-  check Alcotest.bool "resumed + measured = cold" true (sw.Measure.dataset = strings);
+  (* Half the countries resumed from a checkpoint, between countries
+     measured on a lane: both arrive as world ids, AM's and KG's dotless
+     TLDs in their [w_other_tlds]. *)
+  List.iter
+    (fun jobs ->
+      let path = Filename.temp_file "webdep_idpath" ".ckpt" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      ignore (Measure.measure_sweep ~countries:[ "US"; "AM"; "KG" ] ~jobs ~checkpoint:path world);
+      let sw = Measure.measure_sweep ~countries ~jobs ~checkpoint:path world in
+      let at what = Printf.sprintf "--jobs %d: %s" jobs what in
+      check (Alcotest.list Alcotest.bool) (at "every other country resumed")
+        [ true; false; true; false; true; false ]
+        (List.map (fun (cv : Measure.country_coverage) -> cv.Measure.resumed) sw.Measure.coverage);
+      check Alcotest.bool (at "resumed + measured = cold") true (sw.Measure.dataset = strings))
+    [ 1; 2; 4 ];
   let dotless =
     List.filter
       (fun ((e : D.entity), _) -> e.D.name.[0] <> '.')

@@ -219,6 +219,37 @@ let test_trace_sink_flush () =
   Alcotest.(check int) "both spans loadable through the profiler" 2 (List.length rows);
   Sys.remove path
 
+(* A file that is not a trace is refused with a reason, never read as
+   an empty profile; a span with a wrong-typed field is refused by its
+   index, never dropped. *)
+let test_trace_refusals () =
+  let path = Filename.temp_file "webdep_prof" ".trace.json" in
+  let refused what contents expect =
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    match Trace.load path with
+    | _ -> Alcotest.failf "%s: loaded" what
+    | exception Trace.Bad_trace msg ->
+        Alcotest.(check bool) (Printf.sprintf "%s: %S names %S" what msg expect) true
+          (String.starts_with ~prefix:expect msg)
+  in
+  refused "empty" "" "not a JSON document";
+  refused "not JSON" "hello" "not a JSON document";
+  refused "truncated" {|{"traceEvents":[{"ph":"X","name":"a","ts":1|} "not a JSON document";
+  refused "no events" {|{"displayTimeUnit":"ms"}|} "no traceEvents list";
+  let events =
+    Printf.sprintf {|{"traceEvents":[{"ph":"M"},{"ph":"X","name":"a"},%s]}|}
+  in
+  refused "ts a string" (events {|{"ph":"X","name":"b","ts":"soon"}|}) "event 2: ts";
+  refused "name a number" (events {|{"ph":"X","name":7}|}) "event 2: name";
+  refused "tid a float" (events {|{"ph":"X","name":"b","tid":1.5}|}) "event 2: tid";
+  refused "depth a string" (events {|{"ph":"X","name":"b","args":{"depth":"1"}}|})
+    "event 2: depth";
+  refused "args a list" (events {|{"ph":"X","name":"b","args":[]}|}) "event 2: args";
+  refused "an event not an object" (events "3") "event 2: the event";
+  Out_channel.with_open_bin path (fun oc -> output_string oc (events {|{"ph":"X","name":"b"}|}));
+  Alcotest.(check int) "absent fields read as zero" 2 (List.length (Trace.load path));
+  Sys.remove path
+
 (* --- regression gate ---------------------------------------------------- *)
 
 let phases l = List.map (fun (name, secs, mw) -> { Regress.name; secs; minor_words = mw }) l
@@ -350,6 +381,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_trace_roundtrip;
           Alcotest.test_case "document structure" `Quick test_trace_document_structure;
           Alcotest.test_case "sink flush" `Quick test_trace_sink_flush;
+          Alcotest.test_case "bad trace files refused" `Quick test_trace_refusals;
         ] );
       ( "regress",
         [

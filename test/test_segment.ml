@@ -250,6 +250,28 @@ let test_enumerate_log () =
             log.Log.dropped
       | _ -> Alcotest.fail (d.what ^ ": unexpected verdict"))
 
+(* A country's ids as a measuring lane hands them over, on the
+   fixture's domains: every column varied, and every ninth site under
+   one of two TLDs the world has no id for. *)
+let lane_ids (cd : D.country_data) =
+  let domains = Array.of_list (List.map (fun (s : D.site) -> s.D.domain) cd.D.sites) in
+  let w = D.world_ids ~country:cd.D.country domains in
+  Array.iteri
+    (fun i _ ->
+      let set (col : D.ids) v = col.{i} <- Int32.of_int v in
+      set w.D.w_hosting (i mod 7);
+      set w.D.w_dns (i mod 5);
+      set w.D.w_ca (i mod 3);
+      set w.D.w_tld (if i mod 9 = 0 then -1 - (i mod 2) else 1 + (i mod 4));
+      w.D.w_aux.{i} <-
+        D.pack_aux ~hgeo:(i mod 6) ~nsgeo:(i mod 4) ~lang:(i mod 11) ~hany:(i mod 2 = 0)
+          ~nany:(i mod 3 = 0))
+    domains;
+  let tail j = { D.name = Printf.sprintf "Tail-%s-%d" cd.D.country j; country = "US" } in
+  { w with D.w_other_tlds = [| tail 1; tail 2 |] }
+
+let any_ids _ = true
+
 (* Checkpoint: reopening resumes exactly the intact (epoch, country)
    shards, of both epochs alike, and leaves a file with no torn tail. *)
 let test_enumerate_checkpoint () =
@@ -261,9 +283,8 @@ let test_enumerate_checkpoint () =
           (fun i cc ->
             {
               Checkpoint.epoch;
-              country = cc;
               tally = { Degrade.clean = 40 - i; degraded = i; failed = 1 };
-              data = D.country_exn ds cc;
+              ids = lane_ids (D.country_exn ds cc);
             })
           (D.countries ds))
       [ ("2023-05", ds23); ("2025-05", ds25) ]
@@ -277,10 +298,11 @@ let test_enumerate_checkpoint () =
       let resumed = max 0 (d.intact - 1) in
       List.iteri
         (fun i (e : Checkpoint.entry) ->
+          let cc = e.Checkpoint.ids.D.w_country in
           Alcotest.(check bool)
-            (Printf.sprintf "%s: entry %s %s" d.what e.Checkpoint.epoch e.Checkpoint.country)
+            (Printf.sprintf "%s: entry %s %s" d.what e.Checkpoint.epoch cc)
             true
-            (Checkpoint.find cp ~epoch:e.Checkpoint.epoch e.Checkpoint.country
+            (Checkpoint.find cp ~epoch:e.Checkpoint.epoch ~fits:any_ids cc
             = if i < resumed then Some e else None))
         entries;
       match Segment.fold ~path ~init:(fun _ -> Some 0) ~f:(fun n _ -> Some (n + 1)) with
@@ -386,16 +408,25 @@ let qcheck_fold =
    raises. *)
 let gen_entry =
   let open QCheck.Gen in
+  let str = string_size ~gen:printable (int_range 0 6) in
   oneofl [ "2023-05"; "2025-05" ] >>= fun epoch ->
   oneofl [ "US"; "DE"; "BR" ] >>= fun country ->
-  list_size (int_range 0 4) gen_site >>= fun sites ->
+  array_size (int_range 0 4) str >>= fun domains ->
+  let n = Array.length domains in
+  let column = array_size (return n) ui32 in
+  quad column column column column >>= fun (hosting, dns, ca, tld) ->
+  array_size (return n) int >>= fun aux ->
+  array_size (int_range 0 2) (map2 (fun name country -> { D.name; country }) str str)
+  >>= fun w_other_tlds ->
   triple (int_bound 1000) (int_bound 1000) (int_bound 1000) >|= fun (clean, degraded, failed) ->
-  {
-    Checkpoint.epoch;
-    country;
-    tally = { Degrade.clean; degraded; failed };
-    data = { D.country; sites };
-  }
+  let w = D.world_ids ~country domains in
+  let fill (col : D.ids) = Array.iteri (fun i v -> col.{i} <- v) in
+  fill w.D.w_hosting hosting;
+  fill w.D.w_dns dns;
+  fill w.D.w_ca ca;
+  fill w.D.w_tld tld;
+  Array.iteri (fun i v -> w.D.w_aux.{i} <- v) aux;
+  { Checkpoint.epoch; tally = { Degrade.clean; degraded; failed }; ids = { w with D.w_other_tlds } }
 
 let qcheck_checkpoint =
   QCheck.Test.make ~count:300 ~name:"checkpoint: mutated files open to a subset of the entries"
@@ -426,11 +457,11 @@ let qcheck_checkpoint =
       Sys.remove path;
       List.for_all
         (fun (e : Checkpoint.entry) ->
-          match Checkpoint.find cp ~epoch:e.Checkpoint.epoch e.Checkpoint.country with
+          let cc = e.Checkpoint.ids.D.w_country in
+          match Checkpoint.find cp ~epoch:e.Checkpoint.epoch ~fits:any_ids cc with
           | None -> true
           | Some got when in_payload ->
-              got.Checkpoint.epoch = e.Checkpoint.epoch
-              && got.Checkpoint.country = e.Checkpoint.country
+              got.Checkpoint.epoch = e.Checkpoint.epoch && got.Checkpoint.ids.D.w_country = cc
           | Some got -> List.mem got entries)
         entries)
 

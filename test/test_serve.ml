@@ -836,6 +836,35 @@ let json_error line =
       | _ -> None)
   | exception Webdep_json.Parse_error _ -> None
 
+(* A JSON line the parser refuses — here a \u escape without four hex
+   digits — gets an [error] reply, and the daemon keeps serving the
+   connection. *)
+let test_json_bad_escape () =
+  let path = temp_socket () in
+  let d = start_server path in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let lines = {|{"q":"\uZZZZ"}|} ^ "\n" ^ {|{"kind":"ping"}|} ^ "\n" in
+  let sent = Unix.write_substring fd lines 0 (String.length lines) in
+  Alcotest.(check int) "lines written" (String.length lines) sent;
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let newlines () = List.length (String.split_on_char '\n' (Buffer.contents buf)) - 1 in
+  while newlines () < 2 do
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> Alcotest.fail "connection closed early"
+    | n -> Buffer.add_subbytes buf chunk 0 n
+  done;
+  Unix.close fd;
+  (match String.split_on_char '\n' (Buffer.contents buf) with
+  | err :: pong :: _ ->
+      Alcotest.(check bool) ("error reply: " ^ err) true (json_error err <> None);
+      Alcotest.(check string) "ping answered after it" {|{"kind":"pong"}|} pong
+  | _ -> Alcotest.fail "two replies expected");
+  let cl = Client.connect path in
+  (match Client.request cl P.Shutdown with P.Bye -> () | _ -> Alcotest.fail "bye");
+  Client.close cl;
+  Domain.join d
+
 (* A request whose answer cannot be framed — the unknown-epoch error
    echoes a 65 530-byte name past the u16 string limit; a JSON line's
    70 000-byte epoch cannot even be re-encoded as a request — gets a
@@ -1210,6 +1239,8 @@ let () =
           Alcotest.test_case "daemon = one-shot round-trip" `Quick test_server_roundtrip;
           Alcotest.test_case "load shedding" `Quick test_load_shedding;
           Alcotest.test_case "json-lines debug mode" `Quick test_json_lines_mode;
+          Alcotest.test_case "bad \\u escape answered, loop survives" `Quick
+            test_json_bad_escape;
           Alcotest.test_case "graceful drain" `Quick test_drain;
           Alcotest.test_case "oversized request answered, loop survives" `Quick
             test_oversized_request;

@@ -263,6 +263,10 @@ let test_spearman_ties () =
   let r = Correlation.spearman xs ys in
   if r.Correlation.rho <= 0.8 then Alcotest.failf "tied spearman too low: %f" r.Correlation.rho
 
+let test_spearman_constant_raises () =
+  Alcotest.check_raises "constant" (Invalid_argument "Correlation.spearman: constant input")
+    (fun () -> ignore (Correlation.spearman [| 2.0; 2.0; 2.0 |] [| 1.0; 2.0; 3.0 |]))
+
 let test_fisher_interval () =
   let xs = Array.init 30 float_of_int in
   let ys = Array.map (fun x -> (2.0 *. x) +. Float.rem x 3.0) xs in
@@ -516,6 +520,7 @@ let () =
           Alcotest.test_case "pearson constant raises" `Quick test_pearson_constant_raises;
           Alcotest.test_case "spearman monotone" `Quick test_spearman_monotone;
           Alcotest.test_case "spearman ties" `Quick test_spearman_ties;
+          Alcotest.test_case "spearman constant raises" `Quick test_spearman_constant_raises;
           Alcotest.test_case "strength bands" `Quick test_strength_bands;
           Alcotest.test_case "fisher interval" `Quick test_fisher_interval;
           Alcotest.test_case "fisher small n" `Quick test_fisher_interval_small_n;
