@@ -55,6 +55,7 @@ module Correlation = Webdep_stats.Correlation
 module Region = Webdep_geo.Region
 module Country = Webdep_geo.Country
 
+module Epoch = Webdep_epoch
 module Span = Webdep_obs.Span
 module Obs_metrics = Webdep_obs.Metrics
 module Json = Webdep_json
@@ -94,6 +95,26 @@ let compare_baseline =
         found := Some (String.sub arg 10 (String.length arg - 10)))
     argv;
   !found
+
+(* The --compare baseline, read and checked before the first phase: a
+   missing, unreadable, unparsable or malformed file gets one line and
+   exit 125 instead of a whole pass first. *)
+let baseline =
+  Option.map
+    (fun path ->
+      let refuse msg =
+        Printf.eprintf "webdep bench: baseline %s unusable: %s\n" path msg;
+        exit 125
+      in
+      match In_channel.with_open_bin path In_channel.input_all with
+      | exception Sys_error msg -> refuse msg
+      | text -> (
+          match Webdep_prof.Regress.phases_of_json (Json.parse text) with
+          | [] -> refuse "no phases"
+          | phases -> phases
+          | exception Json.Parse_error msg -> refuse msg
+          | exception Webdep_prof.Regress.Bad_phases msg -> refuse msg))
+    compare_baseline
 
 (* WEBDEP_BENCH_INJECT_SLEEP="phase:seconds" slows exactly that phase —
    the regression gate's end-to-end smoke test: with a sleep injected the
@@ -1418,10 +1439,11 @@ let kernels () =
 
 (* ========================================================================
    Store (always run): the incremental rescore under small churn, on the
-   bench world's own 2023 and 2025 datasets for a fixed sample.  Churn 2%
-   of each country's sites and recompute every country's score — the
-   maintained-tally delta against a full re-tally of the edited site
-   lists.  CI asserts the two agree ("churn_rescore_identical").
+   bench world's own 2023 and 2025 datasets for a fixed sample.  A replay
+   started from the 2023 sites takes one epoch that churns 2% of each
+   country's sites, then rescores every country — the maintained-tally
+   delta against a full re-tally of the edited site lists.  CI asserts
+   the two agree ("churn_rescore_identical").
    ======================================================================== *)
 
 let store_json : (string * Json.t) list ref = ref []
@@ -1430,33 +1452,35 @@ let store_phase () =
   section "Store" "incremental rescore under 2% churn";
   let sample = [ "US"; "RU"; "BR"; "DE"; "JP"; "IN"; "FR"; "TH" ] in
   let ds25 = Lazy.force ds_2025 in
-  let old_ds = D.of_country_data (List.map (D.country_exn ds) sample) in
-  let inc = Webdep_store.Incremental.create old_ds Hosting in
-  List.iter (fun cc -> ignore (Webdep_store.Incremental.score inc cc)) sample;
-  let deltas =
-    List.map
-      (fun cc ->
-        let old_sites = (D.country_exn ds cc).D.sites in
-        let new_sites = (D.country_exn ds25 cc).D.sites in
-        let removed = List.filteri (fun i _ -> i mod 50 = 0) old_sites in
-        let added = List.filteri (fun i _ -> i mod 50 = 0) new_sites in
-        (cc, old_sites, added, removed))
-      sample
+  let base = List.map (D.country_exn ds) sample in
+  let r =
+    Epoch.Replay.start
+      { Epoch.Log.meta = []; base_epoch = 0; base; events = []; head = 0; dropped = false }
   in
-  let edited =
-    List.map
-      (fun (cc, old_sites, added, removed) ->
-        let keep = List.filter (fun s -> not (List.memq s removed)) old_sites in
-        { D.country = cc; D.sites = keep @ added })
-      deltas
+  List.iter (fun cc -> ignore (Epoch.Replay.score r Hosting cc)) sample;
+  (* Every 50th site leaves and every 50th 2025 site arrives, unless its
+     domain is still present: a replay refuses a duplicate domain. *)
+  let changes, edited =
+    List.split
+      (List.map
+         (fun (cd : D.country_data) ->
+           let cc = cd.D.country in
+           let removed = List.filteri (fun i _ -> i mod 50 = 0) cd.D.sites in
+           let keep = List.filter (fun s -> not (List.memq s removed)) cd.D.sites in
+           let present = Hashtbl.create (List.length keep) in
+           List.iter (fun (s : D.site) -> Hashtbl.replace present s.D.domain ()) keep;
+           let added =
+             List.filteri (fun i _ -> i mod 50 = 0) (D.country_exn ds25 cc).D.sites
+             |> List.filter (fun (s : D.site) -> not (Hashtbl.mem present s.D.domain))
+           in
+           ( { Epoch.Log.country = cc; removed = List.map (fun (s : D.site) -> s.D.domain) removed; added },
+             { D.country = cc; D.sites = keep @ added } ))
+         base)
   in
   let incr_scores, churn_incr_s =
     Span.timed ~name:"bench.store.churn_incremental" (fun () ->
-        List.iter
-          (fun (cc, _, added, removed) ->
-            Webdep_store.Incremental.apply inc ~country:cc ~added ~removed)
-          deltas;
-        List.map (fun cc -> Webdep_store.Incremental.score inc cc) sample)
+        Epoch.Replay.apply r { Epoch.Log.epoch = 1; changes };
+        List.map (fun cc -> Epoch.Replay.score r Hosting cc) sample)
   in
   let full_scores, churn_full_s =
     Span.timed ~name:"bench.store.churn_full" (fun () ->
@@ -1939,8 +1963,6 @@ let chaos_phase () =
    as a genuinely short one.  CI asserts on the "epoch" object.
    ======================================================================== *)
 
-module Epoch = Webdep_epoch
-
 let epoch_n = 24
 let epoch_churn = 0.02
 let epoch_json : (string * Json.t) list ref = ref []
@@ -1974,7 +1996,7 @@ let epoch_phase () =
     | Epoch.Log.Loaded l -> l
     | _ -> failwith "bench epoch: freshly written log must load"
   in
-  (* Incremental side: fold each epoch through the per-layer tallies and
+  (* Replay side: fold each epoch through the per-layer tallies and
      read every country's hosting score — O(churn + countries)/epoch. *)
   let inc_scores = ref [] in
   let _, replay_s =
@@ -2254,25 +2276,13 @@ let () =
      are re-read from the file just written, so the gate sees exactly
      what a later run would load.  The noise probe re-measures a single
      country a few times to learn this machine's run-to-run spread. *)
-  match compare_baseline with
+  match baseline with
   | None -> ()
-  | Some path ->
-      if not (Sys.file_exists path) then begin
-        Printf.eprintf "webdep bench: no such baseline file: %s\n" path;
-        exit 125
-      end;
-      let read_file p =
-        let ic = open_in_bin p in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        s
+  | Some baseline ->
+      let current =
+        Webdep_prof.Regress.phases_of_json
+          (Json.parse (In_channel.with_open_bin out In_channel.input_all))
       in
-      let baseline = Webdep_prof.Regress.phases_of_json (Json.parse (read_file path)) in
-      let current = Webdep_prof.Regress.phases_of_json (Json.parse (read_file out)) in
-      if baseline = [] then begin
-        Printf.eprintf "webdep bench: baseline %s has no phases_s object\n" path;
-        exit 125
-      end;
       let noise_cv =
         Webdep_prof.Regress.noise_probe ~runs:3 (fun () ->
             ignore

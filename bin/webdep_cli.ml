@@ -783,8 +783,9 @@ let serve_cmd =
     [ `S Manpage.s_description;
       `P "Measures both epochs (resuming from $(b,--checkpoint)) \
           and builds an answer table per epoch and layer before it listens: \
-          every country's score row and the full ranking, plus the \
-          provider tallies of both measured epochs for top-k queries.  \
+          every country's score row and the full ranking, plus, for \
+          both measured epochs, every country's provider counts for \
+          top-k queries.  \
           It then answers queries on a Unix or loopback-TCP socket.  \
           Requests are drained and answered in batches of up to 256 on \
           one loop; $(b,--jobs) sizes only the start-up sweeps and the \

@@ -438,20 +438,6 @@ let iter_ids f (a : ids) =
     f (Int32.to_int (Bigarray.Array1.unsafe_get a i))
   done
 
-(* Deterministic canonical order for (entity, count) lists: it depends
-   only on the tallied multiset, never on insertion order, so a tally
-   maintained incrementally under churn canonicalizes to the same list a
-   cold re-tally would. *)
-let sort_counts out =
-  List.sort
-    (fun (e1, a) (e2, b) ->
-      let c = Int.compare b a in
-      if c <> 0 then c
-      else
-        let c = String.compare e1.name e2.name in
-        if c <> 0 then c else String.compare e1.country e2.country)
-    out
-
 (* ---- metric queries on the int arrays ------------------------------------ *)
 
 (* Per-domain counts indexed by entity id, all zero between calls: a
@@ -486,7 +472,14 @@ let counts_by_entity t layer cc =
   (* Count-descending with a deterministic tie-break: entities are
      distinct (name, country) pairs, so the order is total and the
      order ids were met in cannot show. *)
-  sort_counts out
+  List.sort
+    (fun (e1, a) (e2, b) ->
+      let c = Int.compare b a in
+      if c <> 0 then c
+      else
+        let c = String.compare e1.name e2.name in
+        if c <> 0 then c else String.compare e1.country e2.country)
+    out
 
 let distribution t layer cc =
   let counts = List.map snd (counts_by_entity t layer cc) in
@@ -615,7 +608,7 @@ module Tally = struct
 
   let remove_id t id =
     let c = t.counts.(id) in
-    if c <= 0 then invalid_arg "Dataset.Tally.remove: count already zero";
+    if c <= 0 then invalid_arg "Dataset.Tally.remove_id: count already zero";
     t.counts.(id) <- c - 1;
     t.freq.(c) <- t.freq.(c) - 1;
     if c > 1 then t.freq.(c - 1) <- t.freq.(c - 1) + 1;
@@ -625,9 +618,6 @@ module Tally = struct
     if c = t.largest && t.freq.(c) = 0 then t.largest <- c - 1;
     t.labelled <- t.labelled - 1;
     c = 1
-
-  let add t e = add_id t (id t e)
-  let remove t e = remove_id t (id t e)
 
   let labelled t = t.labelled
 
@@ -650,13 +640,6 @@ module Tally = struct
       end
     done;
     !acc -. (1.0 /. c)
-
-  let counts t =
-    let out = ref [] in
-    for id = Entity_tbl.length t.ids - 1 downto 0 do
-      if t.counts.(id) > 0 then out := (t.entities.(id), t.counts.(id)) :: !out
-    done;
-    sort_counts !out
 
   let home_count t cc =
     let acc = ref 0 in

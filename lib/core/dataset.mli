@@ -175,13 +175,14 @@ end
     count per id.  Alongside the counts it keeps the count histogram —
     how many entities have exactly [k] websites, for every [k] up to the
     largest count — and the labelled total, all updated in O(1) by
-    {!Tally.add_id}/{!Tally.remove_id}.
+    {!Tally.add_id}/{!Tally.remove_id}.  Updates go by id: a caller
+    hashes an entity once, with {!Tally.id}, and keeps the id.
 
-    {!Tally.score} and {!Tally.counts} depend only on the tallied
-    multiset, never on the order it was built in, so a tally updated
-    under churn gives bit-identical scores and count lists to a cold
-    re-tally of the updated site list — the foundation of the
-    incremental-metrics path in [webdep_store]. *)
+    {!Tally.score} depends only on the tallied multiset, never on the
+    order it was built in, so a tally updated under churn scores
+    bit-identically to a cold re-tally of the updated site list — what
+    the churn-log replay ([Webdep_epoch.Replay]) reads its scores
+    from. *)
 module Tally : sig
   type nonrec t
 
@@ -202,13 +203,6 @@ module Tally : sig
       shrank (count went 1 to 0).
       @raise Invalid_argument if the id's count is already zero. *)
 
-  val add : t -> entity -> bool
-  (** [add_id t (id t e)]. *)
-
-  val remove : t -> entity -> bool
-  (** [remove_id t (id t e)].
-      @raise Invalid_argument if the entity's count is already zero. *)
-
   val labelled : t -> int
   (** Websites tallied: the sum of all counts, 𝒮's [c]. *)
 
@@ -218,14 +212,10 @@ module Tally : sig
       once per entity holding [k].  Equal counts add equal terms, so
       this is the same sequence of float additions
       [Webdep_emd.Centralization.score] runs over the count-descending
-      {!counts}, and bit-identical to it.  Costs one [pow] per distinct
-      count; the walk builds no list and allocates nothing.
+      {!counts_by_entity} of the same sites, and bit-identical to it.
+      Costs one [pow] per distinct count; the walk builds no list and
+      allocates nothing.
       @raise Not_found if no website is tallied. *)
-
-  val counts : t -> (entity * int) list
-  (** Canonical (entity, count) list — same order as
-      {!counts_by_entity}: count-descending, ties by name then country;
-      zero-count entities omitted. *)
 
   val home_count : t -> string -> int
   (** Total websites whose entity's home country is the given code (the

@@ -16,12 +16,6 @@ type usage_stats = {
   endemicity_ratio : float;  (** E_R = E / (U + E); 0 when U + E = 0 *)
 }
 
-val stats_of_curve : Dataset.entity -> float array -> usage_stats
-(** Usage statistics from a raw (unsorted) per-country usage array, in
-    percent.  Exposed so the incremental-metrics path can rebuild stats
-    from maintained tallies with the exact arithmetic of
-    {!usage_curve}. *)
-
 val usage_curve : Dataset.t -> Dataset.layer -> name:string -> usage_stats
 (** Usage statistics of one provider across every country in the
     dataset.  @raise Not_found if no country uses the provider. *)

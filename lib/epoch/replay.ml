@@ -1,6 +1,6 @@
 (* Replay state over a churn log: the current site set of every country
-   plus one [Webdep_store.Incremental] per layer, advanced epoch by
-   epoch.
+   and, per country and layer, a maintained provider tally, advanced
+   epoch by epoch.
 
    Sites are kept per country in a table keyed by domain.  Each entry
    carries a monotone sequence number (baseline sites take 0..n-1 in
@@ -14,17 +14,75 @@
    A site's labels are hashed once, when it enters through the baseline
    or an addition; its removal decrements the stored ids and hashes no
    entity.  Advancing one epoch thus costs O(churn) tally updates; each
-   touched country then rescores by one walk of its count histogram, a
-   few hundred steps whatever the churn.  The scores stay bit-identical
-   to a cold recomputation over the materialized dataset (the invariant
-   [Incremental] already guarantees). *)
+   touched country then rescores by one walk of its count histogram
+   ([Dataset.Tally.score]), a few hundred steps whatever the churn, and
+   the score stays bit-identical to a cold recomputation over the
+   materialized dataset. *)
 
 module D = Webdep.Dataset
-module Inc = Webdep_store.Incremental
 module Str_tbl = Hashtbl.Make (String)
 
 let m_removed = Webdep_obs.Metrics.counter "epoch.replay.sites_removed"
 let m_added = Webdep_obs.Metrics.counter "epoch.replay.sites_added"
+let m_cache_hits = Webdep_obs.Metrics.counter "store.metrics.cache_hits"
+let m_incremental = Webdep_obs.Metrics.counter "store.metrics.incremental"
+let m_full = Webdep_obs.Metrics.counter "store.metrics.full_solve"
+
+(* One country's tally in one layer, and its 𝒮 cached until the next
+   update marks it dirty. *)
+type tally = {
+  layer : D.layer;
+  counts : D.Tally.t;
+  mutable total : int;  (* all sites, labelled or not: the insularity denominator *)
+  mutable dirty : bool;
+  mutable support_changed : bool;
+  mutable score : float;  (* valid when [not dirty]; nan while unlabelled *)
+}
+
+let tally layer =
+  {
+    layer;
+    counts = D.Tally.create ();
+    total = 0;
+    dirty = true;
+    support_changed = true;
+    score = Float.nan;
+  }
+
+(* The id of the site's label in the tally (minted on first sight), or
+   [-1] when the site has no label in the layer. *)
+let tally_id tl s =
+  match D.entity_of s tl.layer with None -> -1 | Some e -> D.Tally.id tl.counts e
+
+(* Every site update goes through these two: the tally by id ([-1]
+   counts toward the site total only), the site total, and the flags
+   the next refresh reads. *)
+let add tl id =
+  if id >= 0 && D.Tally.add_id tl.counts id then tl.support_changed <- true;
+  tl.total <- tl.total + 1;
+  tl.dirty <- true
+
+let remove tl id =
+  if id >= 0 && D.Tally.remove_id tl.counts id then tl.support_changed <- true;
+  tl.total <- tl.total - 1;
+  tl.dirty <- true
+
+(* The cached 𝒮, first refreshed from the tally's count histogram if an
+   update made it stale.  The counters record whether the refresh
+   follows a change of the provider support set ([full_solve]) or not
+   ([incremental]); the work is the same histogram walk either way.
+   [cache_hits] counts reads of a clean tally. *)
+let refresh tl =
+  if not tl.dirty then Webdep_obs.Metrics.incr m_cache_hits
+  else begin
+    Webdep_obs.Metrics.incr (if tl.support_changed then m_full else m_incremental);
+    tl.score <-
+      (if D.Tally.labelled tl.counts = 0 then Float.nan else D.Tally.score tl.counts);
+    tl.dirty <- false;
+    tl.support_changed <- false
+  end;
+  if Float.is_nan tl.score then raise Not_found;
+  tl.score
 
 (* One value per layer. *)
 type 'a layered = { hosting : 'a; dns : 'a; ca : 'a; tld : 'a }
@@ -48,13 +106,12 @@ type entry = { seq : int; site : D.site; ids : int layered }
 type cstate = {
   sites : entry Str_tbl.t;  (* domain -> entry *)
   mutable next_seq : int;
-  tallies : Inc.country layered;
+  tallies : tally layered;
 }
 
 type t = {
   countries : string list;  (* baseline order *)
   by_country : (string, cstate) Hashtbl.t;
-  incs : Inc.t layered;
   mutable epoch : int;
 }
 
@@ -69,10 +126,10 @@ let enter cs (site : D.site) =
     site;
     ids =
       {
-        hosting = Inc.tally_id tl.hosting site;
-        dns = Inc.tally_id tl.dns site;
-        ca = Inc.tally_id tl.ca site;
-        tld = Inc.tally_id tl.tld site;
+        hosting = tally_id tl.hosting site;
+        dns = tally_id tl.dns site;
+        ca = tally_id tl.ca site;
+        tld = tally_id tl.tld site;
       };
   }
 
@@ -81,7 +138,6 @@ let enter cs (site : D.site) =
    would. *)
 let start (log : Log.t) =
   let countries = List.map (fun (cd : D.country_data) -> cd.D.country) log.Log.base in
-  let incs = map (fun layer -> Inc.empty layer countries) layers in
   let by_country = Hashtbl.create 64 in
   List.iter
     (fun (cd : D.country_data) ->
@@ -91,19 +147,19 @@ let start (log : Log.t) =
           {
             sites = Str_tbl.create (List.length cd.D.sites);
             next_seq = 0;
-            tallies = map (fun inc -> Inc.country inc cc) incs;
+            tallies = map tally layers;
           }
         in
         List.iter
           (fun (s : D.site) ->
             let e = enter cs s in
             Str_tbl.replace cs.sites s.D.domain e;
-            iter2 Inc.add cs.tallies e.ids)
+            iter2 add cs.tallies e.ids)
           cd.D.sites;
         Hashtbl.replace by_country cc cs
       end)
     (List.rev log.Log.base);
-  { countries; by_country; incs; epoch = log.Log.base_epoch }
+  { countries; by_country; epoch = log.Log.base_epoch }
 
 let epoch t = t.epoch
 let countries t = t.countries
@@ -170,10 +226,10 @@ let apply t (ev : Log.event) =
     (function
       | Removed (cs, e) ->
           incr removed;
-          iter2 Inc.remove cs.tallies e.ids
+          iter2 remove cs.tallies e.ids
       | Added (cs, e) ->
           incr added;
-          iter2 Inc.add cs.tallies e.ids)
+          iter2 add cs.tallies e.ids)
     (List.rev !journal);
   Webdep_obs.Metrics.incr ~by:!removed m_removed;
   Webdep_obs.Metrics.incr ~by:!added m_added;
@@ -189,16 +245,31 @@ let append t ~path (ev : Log.event) =
   apply t ev;
   Log.append ~path ~epoch:ev.Log.epoch ev.Log.changes
 
-let score t layer cc = Inc.score (get layer t.incs) cc
-let hhi t layer cc = Inc.hhi (get layer t.incs) cc
-let insularity t layer cc = Inc.insularity (get layer t.incs) cc
+(* A score read of a country outside the baseline is [Not_found], as
+   of one without a labelled site. *)
+let tally_of t layer cc =
+  match Hashtbl.find_opt t.by_country cc with
+  | Some cs -> get layer cs.tallies
+  | None -> raise Not_found
+
+let score t layer cc = refresh (tally_of t layer cc)
+
+(* [Centralization.hhi] is 𝒮 + 1/c. *)
+let hhi t layer cc =
+  let tl = tally_of t layer cc in
+  let s = refresh tl in
+  s +. (1.0 /. float_of_int (D.Tally.labelled tl.counts))
+
+let insularity t layer cc =
+  let tl = tally_of t layer cc in
+  if tl.total = 0 then 0.0
+  else float_of_int (D.Tally.home_count tl.counts cc) /. float_of_int tl.total
 
 (* All countries' S in baseline order. *)
 let scores t layer =
-  let inc = get layer t.incs in
   List.filter_map
     (fun cc ->
-      match Inc.score inc cc with
+      match score t layer cc with
       | s -> Some (cc, s)
       | exception Not_found -> None)
     t.countries

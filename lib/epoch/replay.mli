@@ -1,19 +1,26 @@
-(** Replay a churn log epoch by epoch, maintaining per-layer
-    {!Webdep_store.Incremental} state so every advance costs O(churn)
-    tally updates, every rescore one walk of a country's count
-    histogram, and every score read is bit-identical to a cold
-    recomputation over the materialized dataset.
+(** Replay a churn log epoch by epoch, maintaining one
+    {!Webdep.Dataset.Tally} per (country, layer) with the country's site
+    total, so every advance costs O(churn) tally updates, every rescore
+    one walk of a country's count histogram, and every score read is
+    bit-identical to a cold recomputation over the materialized dataset.
 
     Each site carries the tally ids it was counted under, computed once
     when it arrives; a removal updates by those ids without hashing the
-    site's labels again. *)
+    site's labels again.
+
+    𝒮 is cached per (country, layer): an update marks it dirty and the
+    next {!score} or {!hhi} refreshes it.  Three counters say what each
+    read found: [store.metrics.full_solve] counts refreshes after updates
+    that changed the provider support set (a provider appeared or
+    vanished), [store.metrics.incremental] refreshes after updates that
+    kept it, and [store.metrics.cache_hits] reads of a clean score. *)
 
 type t
 
 val start : Log.t -> t
 (** State at the log's base epoch: per-country site tables (domain →
-    sequence number and tally ids) plus one Incremental per layer, each
-    baseline site tallied as it enters. *)
+    sequence number and tally ids) and tallies, each baseline site
+    tallied as it enters. *)
 
 val replay : ?observe:(t -> unit) -> Log.t -> t
 (** {!start}, then {!apply} every committed event in order.  [observe]
@@ -21,12 +28,11 @@ val replay : ?observe:(t -> unit) -> Log.t -> t
     for trend collection and per-epoch verification. *)
 
 val apply : t -> Log.event -> unit
-(** Advance one epoch: O(churn) site-table edits folded through the four
-    per-layer Incrementals, which rescore the touched countries on the
-    next read.  All or nothing: a rejected event leaves the state as it
-    was, so the corrected event can be applied next.  Records are
-    checked in order, each against the site tables as the records
-    before it left them.
+(** Advance one epoch: O(churn) site-table edits folded through the
+    touched countries' tallies, which rescore on the next read.  All or
+    nothing: a rejected event leaves the state as it was, so the
+    corrected event can be applied next.  Records are checked in order,
+    each against the site tables as the records before it left them.
     @raise Invalid_argument on an unknown country, a removal of an
     absent domain, an addition of a present one, or a non-increasing
     epoch number. *)
@@ -47,11 +53,19 @@ val countries : t -> string list
 (** Baseline country order. *)
 
 val score : t -> Webdep.Dataset.layer -> string -> float
-(** Centralization 𝒮 of one country at the current epoch.
-    @raise Not_found when the country has no labelled site. *)
+(** Centralization 𝒮 of one country at the current epoch, bit-identical
+    to [Webdep.Metrics.centralization] over {!materialize}.
+    @raise Not_found when the country is outside the baseline or has no
+    labelled site. *)
 
 val hhi : t -> Webdep.Dataset.layer -> string -> float
+(** HHI, 𝒮 + 1/c, bit-identical to [Webdep_emd.Centralization.hhi].
+    @raise Not_found as {!score}. *)
+
 val insularity : t -> Webdep.Dataset.layer -> string -> float
+(** Bit-identical to [Webdep.Regionalization.insularity]; 0 for a
+    country with no site.
+    @raise Not_found when the country is outside the baseline. *)
 
 val scores : t -> Webdep.Dataset.layer -> (string * float) list
 (** Every country's 𝒮 in baseline order (scoreless countries skipped). *)

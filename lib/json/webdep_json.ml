@@ -1,8 +1,3 @@
-(* Minimal JSON tree: just enough for the metrics snapshot, the JSON-lines
-   trace sink and the round-trip tests.  No external dependency — the
-   printer escapes per RFC 8259 and the parser is a small recursive
-   descent over the same subset the printer emits. *)
-
 type t =
   | Null
   | Bool of bool
@@ -213,7 +208,4 @@ let parse s =
   if !pos <> n then fail "trailing garbage";
   v
 
-let parse_opt s = match parse s with v -> Some v | exception Parse_error _ -> None
-
-(* Convenience accessors for tests and tooling. *)
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None

@@ -49,18 +49,33 @@ let abs_floor_s = 0.05
 let alloc_rel_tolerance = 0.3
 let alloc_floor_words = 1e6
 
+exception Bad_phases of string
+
+(* Strict: a value read as 0 would fall under both gate floors, and the
+   phase would never be checked. *)
 let phases_of_json j =
-  let obj k = match Json.member k j with Some (Json.Obj l) -> l | _ -> [] in
-  let num = function Json.Float v -> v | Json.Int i -> float_of_int i | _ -> 0.0 in
+  let refuse fmt = Printf.ksprintf (fun msg -> raise (Bad_phases msg)) fmt in
+  let obj k =
+    match Json.member k j with
+    | Some (Json.Obj l) -> l
+    | Some _ -> refuse "%s is not an object" k
+    | None -> refuse "no %s object" k
+  in
+  let num table name = function
+    | Json.Float v -> v
+    | Json.Int i -> float_of_int i
+    | _ -> refuse "phase %s: %s value is not a number" name table
+  in
+  let secs = obj "phases_s" in
   let words = obj "phases_minor_words" in
   List.map
     (fun (name, v) ->
-      {
-        name;
-        secs = num v;
-        minor_words = (match List.assoc_opt name words with Some w -> num w | None -> 0.0);
-      })
-    (obj "phases_s")
+      match List.assoc_opt name words with
+      | Some w ->
+          let secs = num "phases_s" name v in
+          { name; secs; minor_words = num "phases_minor_words" name w }
+      | None -> refuse "phase %s: no phases_minor_words entry" name)
+    secs
 
 (* Run-to-run spread of [f]: coefficient of variation of its wall time
    over [runs] repetitions (first run discarded as warm-up). *)

@@ -28,9 +28,16 @@ type report = {
   ok : bool;
 }
 
-(** Extract phases from a bench JSON document ("phases_s" +
-    "phases_minor_words" objects). *)
+exception Bad_phases of string
+(** What makes a bench document unusable to the gate, naming the phase
+    where there is one. *)
+
 val phases_of_json : Webdep_json.t -> phase list
+(** Extract phases from a bench JSON document: one per ["phases_s"]
+    entry, in its order, with the ["phases_minor_words"] entry of the
+    same name.
+    @raise Bad_phases if either object is missing or not an object, a
+    value is not a number, or a phase has no minor-words entry. *)
 
 (** Coefficient of variation of [f]'s wall time over [runs] timed
     repetitions (plus one discarded warm-up). *)

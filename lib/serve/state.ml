@@ -2,9 +2,9 @@
    once by [make] and reached through a hash table keyed by epoch name.
    A table holds every country's S/HHI/insularity row and the full
    cross-country ranking, pre-sorted; the tables of a measured
-   (dataset-backed) epoch also keep the layer's
-   [Webdep_store.Incremental], whose provider tallies the top-k share
-   query reads.  Churn-log epochs arrive as score rows only.  Nothing an
+   (dataset-backed) epoch also keep every country's provider counts,
+   of which the top-k share query reads a prefix.  Churn-log epochs
+   arrive as score rows only.  Nothing an
    answer reads changes once the daemon listens, so a score is a lookup
    of the epoch, of the country's index and of one array cell, a delta
    is two of those, and a ranking of k copies the first k entries of an
@@ -18,7 +18,6 @@
    local ones. *)
 
 module D = Webdep.Dataset
-module Inc = Webdep_store.Incremental
 module P = Protocol
 module Tbl = Hashtbl.Make (String)
 
@@ -30,10 +29,21 @@ type score_row = { s : float; hhi : float; insularity : float }
    with [==]. *)
 let absent = { s = Float.nan; hhi = Float.nan; insularity = Float.nan }
 
+(* A measured country's provider counts in one layer, count-descending
+   with ties by name then home, and its site total, labelled or not:
+   the top-k shares' numerators and denominator. *)
+type counts = { providers : (D.entity * int) array; sites : int }
+
+(* The counts of a country the epoch did not measure; only ever compared
+   with [==]. *)
+let unmeasured = { providers = [||]; sites = 0 }
+
 type table = {
   rows : score_row array;  (* by country index; [absent] where there is no score *)
   ranking : (string * float) array;  (* S descending, then country ascending *)
-  inc : Inc.t option;  (* measured epochs only: the tallies top-k reads *)
+  counts : counts array option;
+      (* measured epochs only: by country index, [unmeasured] where the
+         dataset lacks the country *)
 }
 
 (* One slot per layer, indexed by [Protocol.layer_code]; [None] is a
@@ -125,19 +135,30 @@ let rank index rows ccs =
   |> Array.of_list
 
 (* A measured epoch ranks [countries] — the first dataset's, whatever
-   countries this one covers. *)
+   countries this one covers.  One [counts_by_entity] per country gives
+   its counts and, when it has a labelled site, its row: 𝒮 over
+   [Dataset.distribution]'s counts, and [Centralization.hhi] without
+   scoring twice. *)
 let measured_table index countries ds layer =
-  let inc = Inc.create ds layer in
   let rows = Array.make (Tbl.length index) absent in
+  let counts = Array.make (Tbl.length index) unmeasured in
   List.iter
     (fun cc ->
-      match Inc.score inc cc with
-      | s ->
-          rows.(Tbl.find index cc) <-
-            { s; hhi = Inc.hhi inc cc; insularity = Inc.insularity inc cc }
-      | exception Not_found -> ())
-    (Inc.countries inc);
-  { rows; ranking = rank index rows countries; inc = Some inc }
+      let i = Tbl.find index cc in
+      let providers = D.counts_by_entity ds layer cc in
+      counts.(i) <- { providers = Array.of_list providers; sites = D.site_count ds cc };
+      if providers <> [] then begin
+        let dist = Webdep_emd.Dist.of_counts (Array.of_list (List.map snd providers)) in
+        let s = Webdep_emd.Centralization.score dist in
+        rows.(i) <-
+          {
+            s;
+            hhi = s +. (1.0 /. Webdep_emd.Dist.total dist);
+            insularity = Webdep.Regionalization.insularity ds layer cc;
+          }
+      end)
+    (D.countries ds);
+  { rows; ranking = rank index rows countries; counts = Some counts }
 
 (* A scores-only epoch ranks every country it has a row for; a country
    listed twice keeps its last row. *)
@@ -145,7 +166,7 @@ let scored_table index per_country =
   let rows = Array.make (Tbl.length index) absent in
   List.iter (fun (cc, row) -> rows.(Tbl.find index cc) <- row) per_country;
   let ccs = List.sort_uniq String.compare (List.map fst per_country) in
-  { rows; ranking = rank index rows ccs; inc = None }
+  { rows; ranking = rank index rows ccs; counts = None }
 
 let make ?fingerprint:_ ?(scored = []) datasets =
   let countries = match datasets with (_, ds) :: _ -> D.countries ds | [] -> [] in
@@ -193,11 +214,6 @@ let prefix a k =
   let rec go i acc = if i < 0 then acc else go (i - 1) (a.(i) :: acc) in
   go (min k (Array.length a) - 1) []
 
-let rec take k = function
-  | [] -> []
-  | _ when k <= 0 -> []
-  | x :: rest -> x :: take (k - 1) rest
-
 (* An unknown epoch enumerates what the daemon actually has loaded
    instead of a bare failure. *)
 let unknown_epoch t name =
@@ -219,25 +235,25 @@ let row t epoch layer country =
       | Some i when tb.rows.(i) != absent -> Ok tb.rows.(i)
       | _ -> Result.Error (P.Error (Printf.sprintf "no data for country %s" country)))
 
-(* Top-k provider shares need a measured epoch's tallies.  Any other
+(* Top-k provider shares need a measured epoch's counts.  Any other
    epoch is scores-only, whichever layer is asked for. *)
 let shares_response t epoch layer country k =
   match Tbl.find_opt t.epochs epoch with
   | None -> unknown_epoch t epoch
   | Some slots -> (
       match slots.(P.layer_code layer) with
-      | Some { inc = Some inc; _ } -> (
-          match Inc.counts inc country with
-          | counts ->
-              let total = float_of_int (Inc.total inc country) in
+      | Some { counts = Some counts; _ } -> (
+          match Tbl.find_opt t.index country with
+          | Some i when counts.(i) != unmeasured ->
+              let { providers; sites } = counts.(i) in
+              let total = float_of_int sites in
               P.Shares
-                (take k counts
-                |> List.map (fun ((e : D.entity), n) ->
-                       { P.provider = e.D.name;
-                         home = e.D.country;
-                         share = float_of_int n /. total }))
-          | exception Not_found -> P.Error (Printf.sprintf "no data for country %s" country))
-      | Some { inc = None; _ } | None ->
+                (List.map
+                   (fun ((e : D.entity), n) ->
+                     { P.provider = e.D.name; home = e.D.country; share = float_of_int n /. total })
+                   (prefix providers k))
+          | _ -> P.Error (Printf.sprintf "no data for country %s" country))
+      | Some { counts = None; _ } | None ->
           P.Error
             (Printf.sprintf
                "epoch %s is scores-only (churn-log replay); this query needs a warmed \

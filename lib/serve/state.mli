@@ -25,11 +25,14 @@ val make :
   ?scored:(string * (Webdep.Dataset.layer * (string * score_row) list) list) list ->
   (string * Webdep.Dataset.t) list ->
   t
-(** Build every answer table: the measured epochs from their datasets
-    (their provider tallies answer top-k), then the scores-only epochs.
-    A repeated epoch name, or a repeated layer within a scores-only
-    epoch, keeps the one loaded first.  [fingerprint] is ignored; it is
-    accepted for callers written when the state carried one. *)
+(** Build every answer table: the measured epochs from their datasets'
+    id columns, with no site record decoded (per layer and country, one
+    [Dataset.counts_by_entity] gives the row and the counts top-k reads
+    a prefix of; a country with sites but no label in the layer has no
+    row and an empty top-k), then the scores-only epochs.  A repeated
+    epoch name, or a repeated layer within a scores-only epoch, keeps
+    the one loaded first.  [fingerprint] is ignored; it is accepted for
+    callers written when the state carried one. *)
 
 val countries : t -> string list
 (** The first dataset's countries, in its order. *)

@@ -9,9 +9,8 @@
     world derives its sites from those ({!derivation}), and the
     fault-injection parameters (which fix per-site verdicts and retry
     outcomes).  Vantage and epoch vary {e within} one world; a
-    checkpoint header adds the vantage (and a constant ["resolution":
-    "flat"]) next to these fields, and each checkpoint record carries
-    its epoch. *)
+    checkpoint header adds the vantage next to these fields, and each
+    checkpoint record carries its epoch. *)
 
 type t = {
   world_seed : int;

@@ -251,9 +251,9 @@ let test_json_roundtrip_values () =
 let test_json_parse_errors () =
   List.iter
     (fun s ->
-      match Json.parse_opt s with
-      | None -> ()
-      | Some _ -> Alcotest.failf "expected parse failure for %S" s)
+      match Json.parse s with
+      | exception Json.Parse_error _ -> ()
+      | _ -> Alcotest.failf "expected parse failure for %S" s)
     [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "1.2.3"; "\"unterminated"; "[1] trailing";
       {|{"q":"\uZZZZ"}|}; {|"\u-001"|}; {|"\u1_2_"|}; {|"\u12"|}; {|"\u+123"|} ]
 

@@ -2,7 +2,8 @@
    webdep_obs sinks it builds on): the jsonl sink under a 4-domain
    hammer, span depth balance across domains and exceptions, hotspot
    aggregation self/cumulative math, the Chrome trace export/load round
-   trip, and the noise-aware regression gate's verdicts. *)
+   trip, and the noise-aware regression gate's verdicts and its strict
+   reading of bench documents. *)
 
 module Sink = Webdep_obs.Sink
 module Span = Webdep_obs.Span
@@ -51,9 +52,9 @@ let test_jsonl_multi_domain_hammer () =
   let lanes = Hashtbl.create 8 in
   List.iter
     (fun line ->
-      match Json.parse_opt line with
-      | None -> Alcotest.failf "unparseable (interleaved?) line: %s" line
-      | Some j -> (
+      match Json.parse line with
+      | exception Json.Parse_error _ -> Alcotest.failf "unparseable (interleaved?) line: %s" line
+      | j -> (
           (match Json.member "name" j with
           | Some (Json.String _) -> ()
           | _ -> Alcotest.failf "line without a name: %s" line);
@@ -350,8 +351,8 @@ let test_gate_phases_of_json () =
       [
         ("schema", Json.String "webdep-bench/6");
         ( "phases_s",
-          Json.Obj [ ("a", Json.Float 1.5); ("b", Json.Float 0.25) ] );
-        ("phases_minor_words", Json.Obj [ ("a", Json.Float 1e6) ]);
+          Json.Obj [ ("a", Json.Float 1.5); ("b", Json.Int 2) ] );
+        ("phases_minor_words", Json.Obj [ ("b", Json.Int 7); ("a", Json.Float 1e6) ]);
       ]
   in
   match Regress.phases_of_json doc with
@@ -359,8 +360,71 @@ let test_gate_phases_of_json () =
       Alcotest.(check string) "first phase" "a" a.Regress.name;
       Alcotest.(check (float 1e-9)) "seconds" 1.5 a.Regress.secs;
       Alcotest.(check (float 1e-9)) "minor words" 1e6 a.Regress.minor_words;
-      Alcotest.(check (float 1e-9)) "missing words default to 0" 0.0 b.Regress.minor_words
+      Alcotest.(check (float 1e-9)) "int seconds" 2.0 b.Regress.secs;
+      Alcotest.(check (float 1e-9)) "words matched by name" 7.0 b.Regress.minor_words
   | l -> Alcotest.failf "expected 2 phases, got %d" (List.length l)
+
+(* A value the gate cannot read is refused by name, never read as 0:
+   a 0 falls under both gate floors, so the phase would go unchecked. *)
+let test_gate_phases_refused () =
+  let refused what fields expect =
+    match Regress.phases_of_json (Json.Obj fields) with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Regress.Bad_phases msg ->
+        Alcotest.(check string) what expect msg
+  in
+  let secs = ("phases_s", Json.Obj [ ("table1", Json.Float 2.4) ]) in
+  let words = ("phases_minor_words", Json.Obj [ ("table1", Json.Int 5) ]) in
+  refused "no phases_s" [ words ] "no phases_s object";
+  refused "phases_s a list" [ ("phases_s", Json.List []); words ] "phases_s is not an object";
+  refused "no phases_minor_words" [ secs ] "no phases_minor_words object";
+  refused "phases_minor_words a number" [ secs; ("phases_minor_words", Json.Int 3) ]
+    "phases_minor_words is not an object";
+  refused "seconds a string"
+    [ ("phases_s", Json.Obj [ ("table1", Json.String "2.4") ]); words ]
+    "phase table1: phases_s value is not a number";
+  refused "words null"
+    [ secs; ("phases_minor_words", Json.Obj [ ("table1", Json.Null) ]) ]
+    "phase table1: phases_minor_words value is not a number";
+  refused "no words for a phase"
+    [ secs; ("phases_minor_words", Json.Obj [ ("table2", Json.Int 5) ]) ]
+    "phase table1: no phases_minor_words entry"
+
+(* Flipped, truncated or inserted bytes in a valid bench document give
+   phases, [Parse_error] or [Bad_phases], never another exception. *)
+let qcheck_phases_mutation =
+  let doc names =
+    let entries f = Json.Obj (List.mapi (fun i n -> (n, f i)) names) in
+    Json.to_string
+      (Json.Obj
+         [
+           ("schema", Json.String "webdep-bench/10");
+           ("phases_s", entries (fun i -> Json.Float (0.125 *. float_of_int i)));
+           ("phases_minor_words", entries (fun i -> Json.Int (1000 * i)));
+         ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"mutated bench documents raise only typed errors"
+    QCheck.(
+      make
+        ~print:(fun (names, (kind, i, c)) ->
+          Printf.sprintf "%s %d %C of %s" kind i c (doc names))
+        Gen.(
+          pair
+            (list_size (int_range 1 4) (string_size ~gen:(char_range 'a' 'e') (int_range 1 3)))
+            (triple (oneofl [ "flip"; "truncate"; "insert" ]) nat char)))
+    (fun (names, (kind, i, c)) ->
+      let s = doc names in
+      let n = String.length s in
+      let at = i mod (n + 1) in
+      let mutant =
+        match kind with
+        | "flip" -> String.mapi (fun j ch -> if j = i mod n then c else ch) s
+        | "truncate" -> String.sub s 0 at
+        | _ -> String.sub s 0 at ^ String.make 1 c ^ String.sub s at (n - at)
+      in
+      match Regress.phases_of_json (Json.parse mutant) with
+      | _ -> true
+      | exception (Json.Parse_error _ | Regress.Bad_phases _) -> true)
 
 let () =
   Alcotest.run "webdep_prof"
@@ -395,5 +459,7 @@ let () =
           Alcotest.test_case "missing phase" `Quick test_gate_missing_phase;
           Alcotest.test_case "tolerance from noise" `Quick test_gate_tolerance_from_noise;
           Alcotest.test_case "phases of json" `Quick test_gate_phases_of_json;
+          Alcotest.test_case "bad phases refused by name" `Quick test_gate_phases_refused;
+          QCheck_alcotest.to_alcotest qcheck_phases_mutation;
         ] );
     ]

@@ -450,8 +450,12 @@ let test_scored_epochs () =
    grid.  The inputs reach the corners: the 2025 sweep covers a shifted
    country slice (a measured ranking ranks the first dataset's
    countries), scored epochs come from a 4-epoch churn-log replay, e2
-   lacks two layers, and two names repeat (the first one loaded wins). *)
+   lacks two layers, two names repeat (the first one loaded wins), and
+   the 2023 sweep gains AQ, whose sites have no CA label (no CA score,
+   an empty CA top-k, and no place in the CA ranking) and every other
+   one no DNS label (its DNS shares are over all its sites). *)
 let grid_countries = [ "US"; "DE"; "JP"; "BR"; "IN"; "ZA" ]
+let unlabelled_cc = "AQ"
 let grid_countries_25 = [ "US"; "DE"; "JP"; "BR"; "IN"; "RU" ]
 
 (* The grid's two sweeps and its 4-epoch churn log, built once. *)
@@ -489,6 +493,18 @@ let grid_inputs () =
       scored
     @ [ ("e1", List.assoc "e3" scored); ("2025-05", List.assoc "e4" scored) ]
   in
+  let unlabelled =
+    {
+      D.country = unlabelled_cc;
+      sites =
+        List.mapi
+          (fun i (s : D.site) -> { s with D.ca = None; dns = (if i mod 2 = 0 then None else s.D.dns) })
+          (D.country_exn ds23 "ZA").D.sites;
+    }
+  in
+  let ds23 =
+    D.of_country_data (List.map (D.country_exn ds23) (D.countries ds23) @ [ unlabelled ])
+  in
   ([ ("2023-05", ds23); ("2025-05", ds25) ], scored)
 
 let test_state_matches_reference () =
@@ -499,7 +515,10 @@ let test_state_matches_reference () =
     List.sort_uniq String.compare (List.map fst datasets @ List.map fst scored) @ [ "e99"; "" ]
   in
   Alcotest.(check int) "7 loaded epochs and 2 unknown ones" 9 (List.length epochs);
-  let countries = List.sort_uniq String.compare (grid_countries @ grid_countries_25) @ [ "XX"; "" ] in
+  let countries =
+    List.sort_uniq String.compare (unlabelled_cc :: grid_countries @ grid_countries_25)
+    @ [ "XX"; "" ]
+  in
   let n = List.length grid_countries in
   let ks = [ 0; 1; n; n + 1; 0xffff ] in
   let layers = [ D.Hosting; D.Dns; D.Ca; D.Tld ] in
@@ -541,8 +560,21 @@ let test_state_matches_reference () =
                (String.trim (P.render (State_reference.answer rf q)))))
       reqs
   in
-  Alcotest.(check int) "grid size" 5043 (List.length reqs);
-  Alcotest.(check (list string)) "every reply equals the reference" [] differing
+  Alcotest.(check int) "grid size" 5583 (List.length reqs);
+  Alcotest.(check (list string)) "every reply equals the reference" [] differing;
+  let reply q = P.encode_response (State.answer st q) in
+  let epoch = "2023-05" and layer = D.Ca and country = unlabelled_cc in
+  Alcotest.(check string) "unlabelled country has no CA score"
+    (P.encode_response (P.Error "no data for country AQ"))
+    (reply (P.Score { epoch; layer; country }));
+  Alcotest.(check string) "unlabelled country's CA top-k is empty"
+    (P.encode_response (P.Shares []))
+    (reply (P.Top_shares { epoch; layer; country; k = 5 }));
+  match State.answer st (P.Ranking { epoch; layer; k = 0xffff }) with
+  | P.Ranks ranks ->
+      Alcotest.(check bool) "unlabelled country left out of the CA ranking" false
+        (List.mem_assoc unlabelled_cc ranks)
+  | _ -> Alcotest.fail "CA ranking"
 
 (* --- churn-log replay split by country ------------------------------------- *)
 
