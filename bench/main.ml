@@ -28,6 +28,12 @@
    saved baseline through the noise-aware gate (Webdep_prof.Regress) and
    exits 3 on a regression verdict.
 
+   Bad input stops the run before the first phase with one
+   "webdep bench:" line on stderr: exit 124 for a WEBDEP_BENCH_C or
+   WEBDEP_BENCH_SEED that is not an integer, a WEBDEP_BENCH_C too small
+   to calibrate some mix (naming the smallest c that does), or --jobs
+   below 1; exit 125 for an unusable --compare baseline.
+
    Every phase (world generation, measurement, each table/figure) runs
    inside a webdep_obs span; the per-phase seconds land in
    BENCH_obs.json alongside the counter/histogram registry, giving
@@ -60,8 +66,21 @@ module Span = Webdep_obs.Span
 module Obs_metrics = Webdep_obs.Metrics
 module Json = Webdep_json
 
+(* Bad input (an environment value that is not an integer, a world too
+   small to calibrate, --jobs below 1) gets one line and exit 124 before
+   the first phase, as a bad flag does in the webdep CLI. *)
+let refuse fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "webdep bench: %s\n" msg;
+      exit 124)
+    fmt
+
 let env_int name default =
-  match Sys.getenv_opt name with Some v -> int_of_string v | None -> default
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some v -> (
+      match int_of_string_opt v with Some n -> n | None -> refuse "%s=%S is not an integer" name v)
 
 let c = env_int "WEBDEP_BENCH_C" 10_000
 let seed = env_int "WEBDEP_BENCH_SEED" 2024
@@ -136,9 +155,7 @@ let injected_sleep =
 let () =
   match requested_jobs with
   | Some j when j >= 1 -> Webdep_par.set_jobs j
-  | Some j ->
-      Printf.eprintf "webdep bench: --jobs must be >= 1 (got %d)\n" j;
-      exit 124
+  | Some j -> refuse "--jobs must be >= 1 (got %d)" j
   | None -> ()
 
 let jobs = Webdep_par.jobs ()
@@ -193,6 +210,15 @@ let () =
 
 let world_minor_before = Gc.minor_words ()
 let world, world_seconds = Span.timed ~name:"bench.world_create" (fun () -> World.create ~c ~seed ())
+
+let () =
+  match
+    List.iter
+      (fun epoch -> World.prepare world ~epoch (World.countries world))
+      [ World.May_2023; World.May_2025 ]
+  with
+  | () -> ()
+  | exception World.Uncalibrated u -> refuse "%s" (World.uncalibrated_message u)
 
 let () =
   record_phase "world_create" world_seconds;
@@ -1032,16 +1058,18 @@ let state_ca () =
   section "Sec 7.2 (ext)" "The browser-rejected state CA";
   let snap = World.snapshot world "RU" in
   let measured = Measure.measure_snapshot world snap in
-  let assigned_state, labelled_state =
-    List.fold_left
-      (fun (a, l) s ->
-        match Hashtbl.find_opt snap.Webdep_worldgen.World.assigned s.D.domain with
-        | Some (_, _, ca)
-          when ca.Webdep_worldgen.Provider.name = "Russian Trusted Root CA" ->
-            ((a + 1), if s.D.ca <> None then l + 1 else l)
-        | _ -> (a, l))
-      (0, 0) measured.D.sites
-  in
+  (* A measurement keeps the toplist order, so site [i] carries the
+     snapshot's ground truth [i]. *)
+  let assigned_state = ref 0 and labelled_state = ref 0 in
+  List.iteri
+    (fun i s ->
+      let _, _, ca = snap.Webdep_worldgen.World.assigned i in
+      if ca.Webdep_worldgen.Provider.name = "Russian Trusted Root CA" then begin
+        incr assigned_state;
+        if s.D.ca <> None then incr labelled_state
+      end)
+    measured.D.sites;
+  let assigned_state = !assigned_state and labelled_state = !labelled_state in
   Printf.printf
     "Russian sites serving certificates from the state root CA: %d (%.1f%%); the\n\
      pipeline labels %d of them — CCADB has no entry for a CA outside the browser\n\

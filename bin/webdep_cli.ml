@@ -158,8 +158,14 @@ let checkpoint_arg =
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
          ~doc:"Append each completed (epoch, country) shard to $(docv) and \
                resume past it on restart.  Sweeps of both epochs share one \
-               file; a file written under other world or sweep parameters \
-               is discarded.")
+               file; a checkpoint written under other world or sweep \
+               parameters, or by an earlier schema version, is discarded.  \
+               A file that is not a checkpoint (an epoch log, say) is \
+               refused and left untouched: one line on stderr, exit 1.")
+
+let checkpoint_exits =
+  Cmd.Exit.info 1 ~doc:"the $(b,--checkpoint) file is not a webdep checkpoint."
+  :: Cmd.Exit.defaults
 
 let faults_term =
   let rate =
@@ -215,7 +221,7 @@ let run_scores () layer seed c countries top faults =
 
 let scores_cmd =
   let doc = "Per-country centralization scores for a layer (Tables 5-8)." in
-  Cmd.v (Cmd.info "scores" ~doc)
+  Cmd.v (Cmd.info "scores" ~doc ~exits:checkpoint_exits)
     Term.(const run_scores $ obs_term $ layer_arg $ seed_arg $ c_arg $ countries_arg
           $ top_arg $ faults_term)
 
@@ -530,7 +536,8 @@ let profile_cmd =
   in
   let exits =
     Cmd.Exit.info 1 ~doc:"the $(b,--from-trace) file is missing or not a trace document \
-                          (empty, not JSON, truncated, a field of the wrong type)."
+                          (empty, not JSON, truncated, a field of the wrong type), or \
+                          the $(b,--checkpoint) file is not a webdep checkpoint."
     :: Cmd.Exit.defaults
   in
   Cmd.v (Cmd.info "profile" ~doc ~exits)
@@ -811,7 +818,8 @@ let serve_cmd =
           complete before the daemon listens.  A restart after a crash, \
           even $(b,kill -9), resumes every shard; a torn file re-measures \
           only the shards it lost, and a file from other world parameters \
-          is discarded.  With $(b,--supervise), a parent process restarts \
+          is discarded; a file that is not a checkpoint is refused (exit \
+          1).  With $(b,--supervise), a parent process restarts \
           the daemon after a crash with exponential backoff and gives up \
           (exit 6) when it crash-loops." ]
   in
@@ -845,7 +853,7 @@ let serve_cmd =
     Cmd.Exit.info 6
       ~doc:"the $(b,--supervise) parent detected a crash loop and stopped \
             restarting the daemon."
-    :: Cmd.Exit.defaults
+    :: checkpoint_exits
   in
   Cmd.v (Cmd.info "serve" ~doc ~man ~exits)
     Term.(const run_serve $ obs_term $ listen $ seed_arg $ c_arg $ countries_arg
@@ -1062,14 +1070,19 @@ let () =
         scale_cmd; serve_cmd; query_cmd; epochs_cmd ]
   in
   (* A world too small to calibrate is bad input (exit 124, like a bad
-     flag); any other escaping exception stays an internal error (125),
-     as under cmdliner's own handler. *)
+     flag); a --checkpoint file that is not a checkpoint is refused
+     (exit 1, as an unusable epoch log is); any other escaping exception
+     stays an internal error (125), as under cmdliner's own handler. *)
   exit
     (match Cmd.eval ~catch:false cmd with
     | code -> code
     | exception World.Uncalibrated u ->
         Printf.eprintf "webdep: %s\n" (World.uncalibrated_message u);
         124
+    | exception Webdep_faults.Checkpoint.Not_a_checkpoint path ->
+        Printf.eprintf "webdep: checkpoint %s unusable: not a webdep checkpoint, left untouched\n"
+          path;
+        1
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         Printf.eprintf "webdep: internal error, uncaught exception:\n%s\n"

@@ -47,9 +47,7 @@ let build db =
   (* One TLD zone per distinct TLD, two servers each, numbered in label
      order: server addresses then depend only on the records, not on the
      zone table's capacity or insertion order. *)
-  Zone_db.fold_domains
-    (fun domain _ns _a () -> Hashtbl.replace tlds (tld_of domain) ())
-    db ();
+  Zone_db.fold_domains (fun domain () -> Hashtbl.replace tlds (tld_of domain) ()) db ();
   let labels = List.sort String.compare (Hashtbl.fold (fun l () acc -> l :: acc) tlds []) in
   List.iteri
     (fun i label ->
@@ -62,7 +60,7 @@ let build db =
     labels;
   (* Every glue host is an authoritative server at its addresses. *)
   Zone_db.fold_hosts
-    (fun host _answer () ->
+    (fun host () ->
       let addrs = Zone_db.host_addr db ~vantage:"US" host in
       Hashtbl.replace auth_addrs host addrs;
       List.iter (fun a -> Hashtbl.replace roles (Ipv4.addr_to_int a) Auth) addrs)
@@ -86,9 +84,10 @@ let tld_referral t label =
         }
 
 let domain_referral t ~vantage domain =
-  match Zone_db.domain_data t.db domain with
+  match Zone_db.find t.db domain with
   | None -> Name_error
-  | Some (ns_hosts, _) ->
+  | Some e ->
+      let ns_hosts = Zone_db.ns_hosts e in
       let glue =
         List.map (fun h -> (h, Zone_db.host_addr t.db ~vantage h)) ns_hosts
       in
@@ -107,9 +106,9 @@ let query t ~server ~vantage ~qname =
       if String.equal (tld_of qname) label then domain_referral t ~vantage qname
       else Name_error
   | Some Auth -> (
-      match Zone_db.domain_data t.db qname with
+      match Zone_db.find t.db qname with
       | None -> Name_error
-      | Some (ns_hosts, _answer) ->
+      | Some e ->
           (* Only answer for zones this server actually hosts. *)
           let serves =
             List.exists
@@ -117,16 +116,13 @@ let query t ~server ~vantage ~qname =
                 match Hashtbl.find_opt t.auth_addrs h with
                 | Some addrs -> List.exists (fun a -> Ipv4.compare_addr a server = 0) addrs
                 | None -> false)
-              ns_hosts
+              (Zone_db.ns_hosts e)
           in
           if not serves then Name_error
           else
-            match Zone_db.cname_of t.db qname with
+            match Zone_db.cname e with
             | Some target -> Cname target
-            | None ->
-                Answer
-                  (Option.value ~default:[]
-                     (Zone_db.answer_addrs t.db ~vantage qname)))
+            | None -> Answer (Zone_db.addrs e ~vantage))
 
 let tld_count t = Hashtbl.length t.tlds
 let auth_server_count t = Hashtbl.length t.auth_addrs

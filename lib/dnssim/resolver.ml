@@ -35,20 +35,21 @@ type cache = Webdep_netsim.Ipv4.addr list Cache.t
 
 let make_cache () = Cache.create ~size:1024 ~name:"dns.cache.glue" ()
 
-(* Follow a CNAME chain to the terminal A answer; a broken or cyclic
-   chain yields no addresses (a resolver would SERVFAIL). *)
-let rec chase db ~vantage domain depth =
-  match Zone_db.answer_addrs db ~vantage domain with
-  | None -> []
-  | Some own -> (
-      match Zone_db.cname_of db domain with
-      | Some target when depth < max_cname_depth -> (
-          Webdep_obs.Metrics.incr m_cname_chased;
-          match chase db ~vantage target (depth + 1) with
-          | [] -> own
-          | addrs -> addrs)
-      | Some _ -> []
-      | None -> own)
+(* Follow a CNAME chain from a name's entry to the terminal A answer,
+   one table lookup per hop.  A dangling target or one that answers
+   nothing falls back to the name's own answer; a chain past
+   [max_cname_depth] hops yields no addresses (a resolver would
+   SERVFAIL). *)
+let rec chase db ~vantage e depth =
+  let own = Zone_db.addrs e ~vantage in
+  match Zone_db.cname e with
+  | None -> own
+  | Some _ when depth >= max_cname_depth -> []
+  | Some target -> (
+      Webdep_obs.Metrics.incr m_cname_chased;
+      match Zone_db.find db target with
+      | None -> own
+      | Some next -> ( match chase db ~vantage next (depth + 1) with [] -> own | addrs -> addrs))
 
 module Faults = Webdep_faults.Fault_plan
 module Retry = Webdep_faults.Retry
@@ -63,12 +64,13 @@ let resolve ?cache ?(faults = Faults.disabled) ?(retry = Retry.no_retry) db
     | Faults.Fault _ ->
         Error (Servfail "injected: authoritative server failure")
     | Faults.No_fault -> (
-        match Zone_db.domain_data db domain with
+        match Zone_db.find db domain with
         | None ->
             Webdep_obs.Metrics.incr m_nxdomain;
             Error Nxdomain
-        | Some (ns_hosts, _) ->
-            let a = chase db ~vantage domain 0 in
+        | Some e ->
+            let a = chase db ~vantage e 0 in
+            let ns_hosts = Zone_db.ns_hosts e in
             let glue_of host =
               match cache with
               | None -> Zone_db.host_addr db ~vantage host

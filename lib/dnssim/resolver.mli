@@ -53,12 +53,21 @@ val resolve :
   string ->
   (response, error) result
 (** [resolve db ~vantage domain]; [vantage] is the probing country code
-    (the paper's university vantage is modelled as "US").  With [?cache],
-    nameserver glue comes from the caller's glue memo; the answers are
-    the same either way.  [?faults] (default: no faults) injects
-    deterministic timeouts/SERVFAIL/REFUSED per the plan; [?retry]
-    (default: single attempt) governs how transient failures are
-    retried. *)
+    (the paper's university vantage is modelled as "US").
+
+    One {!Zone_db.find} gives the name's NS hosts and its own answer;
+    a CNAME is followed with one more lookup per hop, up to
+    [max_cname_depth] (5) hops: past that the chain yields no
+    addresses, and a dangling target, or one that answers nothing,
+    falls back to the name's own answer.  Each call counts one
+    [dns.flat.lookups], an unknown name one [dns.flat.nxdomain], and
+    each link followed one [dns.flat.cname_chased].
+
+    With [?cache], nameserver glue comes from the caller's glue memo;
+    the answers are the same either way.  [?faults] (default: no faults)
+    injects deterministic timeouts/SERVFAIL/REFUSED per the plan;
+    [?retry] (default: single attempt) governs how transient failures
+    are retried. *)
 
 val resolve_a :
   ?cache:cache ->

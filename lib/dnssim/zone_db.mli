@@ -1,11 +1,18 @@
 (** Authoritative DNS data — the zone-file substrate behind the ZDNS-style
     resolver.
 
-    Each domain owns an NS set (nameserver hostnames) and an A answer.
-    Answers can be {e vantage-dependent} to model anycast and
-    geo-load-balanced CDNs: the same qname returns different addresses to
-    probes in different countries, which is exactly what the paper's RIPE
-    Atlas validation experiment (§3.4) stresses. *)
+    Each domain owns an NS set (nameserver hostnames) and either an A
+    answer or a CNAME target.  Answers can be {e vantage-dependent} to
+    model anycast and geo-load-balanced CDNs: the same qname returns
+    different addresses to probes in different countries, which is
+    exactly what the paper's RIPE Atlas validation experiment (§3.4)
+    stresses.
+
+    Every answer is cooked once, at registration, into the function a
+    query calls; a resolver reads a name's whole {!entry} with one
+    {!find}.  Names are keyed by string equality (the tables hash with
+    [String.hash], which equals [Hashtbl.hash] on strings, so folds
+    visit names in the order a polymorphic table would). *)
 
 type answer =
   | Static of Webdep_netsim.Ipv4.addr list
@@ -29,30 +36,37 @@ val add_domain : t -> domain:string -> ns_hosts:string list -> a:answer -> unit
 val add_alias : t -> domain:string -> target:string -> ns_hosts:string list -> unit
 (** Register [domain] as a CNAME alias of [target] (how CDN-fronted
     sites are set up): resolution follows the chain to the target's A
-    records. *)
-
-val cname_of : t -> string -> string option
-(** The CNAME target of a domain, if it is an alias. *)
+    records.  The alias's own answer is empty. *)
 
 val add_host : t -> host:string -> a:answer -> unit
 (** Register glue — an address record for a nameserver hostname. *)
 
-val domain_data : t -> string -> (string list * answer) option
-(** [(ns_hosts, a)] for a domain. *)
+(** {1 Lookups} *)
 
-val answer_addrs : t -> vantage:string -> string -> Webdep_netsim.Ipv4.addr list option
-(** A domain's own A answer from a vantage (no CNAME chasing); [None] if
-    the domain is unknown.  Geo answers hit the per-country index cooked
-    at registration (sorted array + binary search), not a list scan. *)
+type entry
+(** Everything registered for one domain. *)
+
+val find : t -> string -> entry option
+(** A domain's entry, in one table lookup; [None] if the domain is
+    unknown. *)
+
+val ns_hosts : entry -> string list
+
+val cname : entry -> string option
+(** The CNAME target, if the domain is an alias. *)
+
+val addrs : entry -> vantage:string -> Webdep_netsim.Ipv4.addr list
+(** The entry's own A answer from a vantage (no CNAME chasing; [[]] for
+    an alias).  Geo answers hit the per-country index cooked at
+    registration (sorted array + binary search), not a list scan. *)
 
 val host_addr : t -> vantage:string -> string -> Webdep_netsim.Ipv4.addr list
-(** Resolve a hostname's glue from a vantage country; [[]] if unknown.
-    Uses the same cooked index as {!answer_addrs}. *)
+(** Resolve a hostname's glue from a vantage country; [[]] if unknown. *)
 
 val domain_count : t -> int
 
-val fold_domains : (string -> string list -> answer -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over (domain, ns_hosts, answer) triples. *)
+val fold_domains : (string -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the registered domain names (aliases included). *)
 
-val fold_hosts : (string -> answer -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over registered glue hosts. *)
+val fold_hosts : (string -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the registered glue host names. *)

@@ -6,8 +6,9 @@
    of several epochs share one file.  Opening reads every intact record
    but decodes only its key; [find] decodes a record when a sweep asks
    for it.  A torn tail is dropped and the file rewritten with the
-   intact records before appending resumes.  A header that does not
-   match the current parameters invalidates the whole file. *)
+   intact records before appending resumes.  A checkpoint header that
+   does not match the current parameters invalidates the whole file;
+   a file that is not a checkpoint at all is refused untouched. *)
 
 module Json = Webdep_json
 module D = Webdep.Dataset
@@ -18,6 +19,8 @@ let m_written = Webdep_obs.Metrics.counter "checkpoint.countries_written"
 let m_resumed = Webdep_obs.Metrics.counter "checkpoint.countries_resumed"
 
 type entry = { epoch : string; tally : Degrade.tally; ids : D.world_ids }
+
+exception Not_a_checkpoint of string
 
 type t = {
   path : string;
@@ -78,6 +81,14 @@ let decode payload =
       let w_other_tlds = Array.of_list (entities (Segment.get_strs cur)) in
       { epoch; tally = { Degrade.clean; degraded; failed }; ids = { w with D.w_other_tlds } })
 
+(* Whether a header is some schema version's: a JSON object whose
+   [schema] names a webdep checkpoint.  Only such a file, or none, may
+   be overwritten with a fresh one. *)
+let checkpoint_header h =
+  match Json.member "schema" (Json.parse h) with
+  | Some (Json.String tag) -> String.starts_with ~prefix:"webdep-checkpoint/" tag
+  | _ | (exception Json.Parse_error _) -> false
+
 let open_ ~path ~meta =
   let header = Json.to_string (Json.Obj (("schema", Json.String schema) :: meta)) in
   (* Index the intact prefix by key, keeping the records in file order
@@ -88,14 +99,26 @@ let open_ ~path ~meta =
     Hashtbl.replace records (Segment.peek payload key) payload;
     Some (payload :: acc)
   in
+  let stale = ref false in
+  let init h =
+    if h = header then Some []
+    else begin
+      stale := checkpoint_header h;
+      None
+    end
+  in
   (* Rewrite the file from the intact prefix (atomically, so a kill
      during the rewrite cannot lose the recovered records): drops a torn
-     tail and stale files from mismatched sweeps in one stroke.  An
-     intact file is appended to as it is. *)
-  (match Segment.fold ~path ~init:(fun h -> if h = header then Some [] else None) ~f with
+     tail and stale checkpoints from mismatched sweeps in one stroke.
+     An intact file is appended to as it is; an empty one starts
+     fresh. *)
+  (match Segment.fold ~path ~init ~f with
   | Segment.Folded { torn = false; _ } -> ()
   | Segment.Folded { acc; torn = true } -> Segment.write ~path ~header (List.rev acc)
-  | Segment.No_file | Segment.Header_mismatch -> Segment.write ~path ~header []);
+  | Segment.No_file -> Segment.write ~path ~header []
+  | Segment.Header_mismatch ->
+      if !stale || (Unix.stat path).Unix.st_size = 0 then Segment.write ~path ~header []
+      else raise (Not_a_checkpoint path));
   { path; lock = Mutex.create (); records }
 
 let find t ~epoch ~fits country =

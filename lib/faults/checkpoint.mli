@@ -10,9 +10,10 @@
     printed).
 
     Opening a checkpoint whose header does not match the current
-    parameters (or schema) discards it: resuming under different
+    parameters (or schema version) discards it: resuming under different
     parameters would silently mix two different worlds.  A torn trailing
-    record (the writer was killed mid-write) is dropped on open. *)
+    record (the writer was killed mid-write) is dropped on open.  Any
+    file that is not a checkpoint is refused and left as it is. *)
 
 type entry = {
   epoch : string;
@@ -22,11 +23,21 @@ type entry = {
 
 type t
 
+exception Not_a_checkpoint of string
+(** The path of a file {!open_} refused to overwrite. *)
+
 val open_ : path:string -> meta:(string * Webdep_json.t) list -> t
 (** Open (creating or resuming) a checkpoint.  [meta] identifies the
     sweeps that may share the file (world fingerprint, vantage...); it
     becomes part of the header and must match exactly on resume.  Only
-    each record's (epoch, country) key is decoded here. *)
+    each record's (epoch, country) key is decoded here.
+
+    A fresh checkpoint replaces only a missing or empty file, or one
+    whose header record is intact and is a JSON object with a [schema]
+    beginning ["webdep-checkpoint/"] (a checkpoint of other parameters
+    or an earlier schema version).
+    @raise Not_a_checkpoint for any other file (an epoch log, a text
+    file, random bytes), whose bytes it leaves untouched. *)
 
 val find :
   t -> epoch:string -> fits:(Webdep.Dataset.world_ids -> bool) -> string -> entry option

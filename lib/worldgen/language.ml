@@ -24,30 +24,34 @@ let table =
     ("LK", "si"); ("NP", "ne"); ("MV", "dv"); ("IL", "he"); ("GE", "ka"); ("AM", "hy");
     ("AZ", "az"); ("ET", "am"); ("SO", "so"); ]
 
+(* Every site reads both tables below, so they compare keys as
+   strings. *)
+module Stbl = Hashtbl.Make (String)
+
 (* [table] indexed once; the first binding of a country wins, as
    [List.assoc_opt] over the list would. *)
 let primary_of =
-  let index = Hashtbl.create (List.length table) in
-  List.iter (fun (cc, lang) -> if not (Hashtbl.mem index cc) then Hashtbl.add index cc lang) table;
+  let index = Stbl.create (List.length table) in
+  List.iter (fun (cc, lang) -> if not (Stbl.mem index cc) then Stbl.add index cc lang) table;
   index
 
-let primary cc = match Hashtbl.find_opt primary_of cc with Some lang -> lang | None -> "en"
+let primary cc = match Stbl.find primary_of cc with lang -> lang | exception Not_found -> "en"
 
 (* Every label [assign] returns — the table's languages in first
    appearance, then "en" — numbered by place. *)
 let label_ids =
-  let ids = Hashtbl.create 64 in
+  let ids = Stbl.create 64 in
   List.iter
-    (fun lang -> if not (Hashtbl.mem ids lang) then Hashtbl.add ids lang (Hashtbl.length ids))
+    (fun lang -> if not (Stbl.mem ids lang) then Stbl.add ids lang (Stbl.length ids))
     (List.map snd table @ [ "en" ]);
   ids
 
 let labels =
-  let a = Array.make (Hashtbl.length label_ids) "" in
-  Hashtbl.iter (fun lang id -> a.(id) <- lang) label_ids;
+  let a = Array.make (Stbl.length label_ids) "" in
+  Stbl.iter (fun lang id -> a.(id) <- lang) label_ids;
   a
 
-let id lang = Hashtbl.find label_ids lang
+let id lang = Stbl.find label_ids lang
 
 let label id =
   if id < 0 || id >= Array.length labels then invalid_arg "Language.label: id out of range";

@@ -11,6 +11,11 @@ module Churn = Webdep_crux.Churn
 
 type epoch = May_2023 | May_2025
 
+(* For the TLD numbers, which a measurement reads for every site:
+   [String.hash] is [Hashtbl.hash] on a string, so the table fills and
+   folds as a polymorphic one would, but compares keys as strings. *)
+module Stbl = Hashtbl.Make (String)
+
 let epoch_name = function May_2023 -> "2023-05" | May_2025 -> "2025-05"
 
 let m_snapshots = Webdep_obs.Metrics.counter "worldgen.snapshots"
@@ -26,7 +31,7 @@ type t = {
   mixes : (epoch * Profiles.layer * string, (Mix.t, string) result) Hashtbl.t;
       (* keyed by [mix_epoch]; [Error] holds the calibrator's refusal *)
   issuers : (string, string array) Hashtbl.t;  (* by CA owner name *)
-  tld_ids : (string, int) Hashtbl.t;  (* TLD label -> its number *)
+  tld_ids : int Stbl.t;  (* TLD label -> its number *)
   tld_labels : string array;  (* number -> TLD label *)
 }
 
@@ -192,7 +197,7 @@ let register_ca t root_store (owner_p : Provider.t) =
    ".xx"; one named without a leading dot (a reused world-tail name)
    mints none. *)
 let number_tlds mixes =
-  let ids = Hashtbl.create 512 in
+  let ids = Stbl.create 512 in
   List.iter
     (fun cc ->
       match Hashtbl.find mixes (May_2023, Profiles.Tld, cc) with
@@ -201,12 +206,12 @@ let number_tlds mixes =
           List.iter
             (fun ((p : Provider.t), _) ->
               let label = p.Provider.name in
-              if String.starts_with ~prefix:"." label && not (Hashtbl.mem ids label) then
-                Hashtbl.add ids label (Hashtbl.length ids))
+              if String.starts_with ~prefix:"." label && not (Stbl.mem ids label) then
+                Stbl.add ids label (Stbl.length ids))
             m.Mix.assignments)
     all_codes;
-  let labels = Array.make (Hashtbl.length ids) "" in
-  Hashtbl.iter (fun label id -> labels.(id) <- label) ids;
+  let labels = Array.make (Stbl.length ids) "" in
+  Stbl.iter (fun label id -> labels.(id) <- label) ids;
   (ids, labels)
 
 (* Calibrate every mix on the domain pool ([Mix.build] is pure, so the
@@ -261,7 +266,7 @@ let create ?(c = 10_000) ?(geo_accuracy = 0.894) ~seed () =
   List.iter (fun cc -> List.iter (register_ca t root_store) (providers May_2023 Ca cc)) all_codes;
   t
 
-let tld_id t label = match Hashtbl.find t.tld_ids label with id -> id | exception Not_found -> -1
+let tld_id t label = match Stbl.find t.tld_ids label with id -> id | exception Not_found -> -1
 
 let tld_label t id =
   if id < 0 || id >= Array.length t.tld_labels then invalid_arg "World.tld_label: id out of range";
@@ -312,11 +317,13 @@ let expand rng assignments total =
 let network t (p : Provider.t) = Option.get (Internet.find_network t.internet p.Provider.name)
 
 (* What a snapshot needs of a hosting or DNS provider for every site it
-   serves: its network and the names derived from it. *)
+   serves: its network and the names derived from it.  Built afresh by
+   each snapshot, so the flag is the snapshot's own. *)
 type provider_names = {
   net : Internet.network;
   ns_hosts : string list;  (* "ns1.<slug>.sim"; "ns2.<slug>.sim" *)
   cdn_suffix : string;  (* ".cdn.<slug>.sim" for anycast networks, else "" *)
+  mutable glue_decided : bool;  (* this DNS provider's first site has been registered *)
 }
 
 let provider_names t p =
@@ -325,6 +332,7 @@ let provider_names t p =
     net;
     ns_hosts = [ "ns1." ^ slug ^ ".sim"; "ns2." ^ slug ^ ".sim" ];
     cdn_suffix = (if net.Internet.anycast then ".cdn." ^ slug ^ ".sim" else "");
+    glue_decided = false;
   }
 
 type snapshot = {
@@ -333,7 +341,7 @@ type snapshot = {
   toplist : Toplist.t;
   zones : Zone_db.t;
   tls : Handshake.t;
-  assigned : (string, Provider.t * Provider.t * Provider.t) Hashtbl.t;
+  assigned : int -> Provider.t * Provider.t * Provider.t;
   content_language : (string, string) Hashtbl.t;
 }
 
@@ -391,6 +399,18 @@ let snap_rng t epoch cc =
 let has_secondary domain =
   float_of_int (strhash domain 97 mod 10_000) /. 10_000.0 < multi_cdn_fraction
 
+(* [domain] with its dots as dashes, then [suffix]: the name a
+   CDN-fronted site's CNAME points at, written into one string. *)
+let cdn_name domain suffix =
+  let n = String.length domain in
+  let b = Bytes.create (n + String.length suffix) in
+  for k = 0 to n - 1 do
+    let ch = String.unsafe_get domain k in
+    Bytes.unsafe_set b k (if ch = '.' then '-' else ch)
+  done;
+  Bytes.blit_string suffix 0 b n (String.length suffix);
+  Bytes.unsafe_to_string b
+
 let snapshot t ?(epoch = May_2023) cc =
   if not (Webdep_geo.Country.mem cc) then
     invalid_arg (Printf.sprintf "World.snapshot: %S is not one of the dataset's countries" cc);
@@ -427,54 +447,57 @@ let snapshot t ?(epoch = May_2023) cc =
   let dns_providers = List.length (mix t ~epoch Dns cc).Mix.assignments in
   let zones = Zone_db.create ~domains:(t.c + !fronted) ~hosts:(2 * dns_providers) () in
   let tls = Handshake.create ~certs:t.c () in
-  let assigned = Hashtbl.create t.c in
   let content_language = Hashtbl.create t.c in
   let glue_done = Hashtbl.create dns_providers in
   let day0 = 19_500 (* arbitrary simulation clock origin *) in
   Array.iteri
     (fun i domain ->
-      let h, h_names = hosting.(i) and d, d_names = dns.(i) and a, issuers = ca.(i) in
+      let h, h_names = hosting.(i) and d, d_names = dns.(i) and _, issuers = ca.(i) in
       let h_net = h_names.net in
-      (* Nameservers: two hosts per DNS provider, glue registered once
-         per slug (keyed by the first host, which names the slug). *)
+      (* Nameservers: two hosts per DNS provider, glue registered at the
+         provider's first site unless a provider of the same slug got
+         there first (the slug table is keyed by the first host, which
+         names the slug). *)
       let ns_hosts = d_names.ns_hosts in
-      let ns1 = List.hd ns_hosts in
-      if not (Hashtbl.mem glue_done ns1) then begin
-        Hashtbl.replace glue_done ns1 ();
-        List.iteri
-          (fun k host ->
-            Zone_db.add_host zones ~host
-              ~a:(Zone_db.Static [ stable_addr d_names.net ~near:d.Provider.home (k + 1) ]))
-          ns_hosts
+      if not d_names.glue_decided then begin
+        d_names.glue_decided <- true;
+        let ns1 = List.hd ns_hosts in
+        if not (Hashtbl.mem glue_done ns1) then begin
+          Hashtbl.replace glue_done ns1 ();
+          List.iteri
+            (fun k host ->
+              Zone_db.add_host zones ~host
+                ~a:(Zone_db.Static [ stable_addr d_names.net ~near:d.Provider.home (k + 1) ]))
+            ns_hosts
+        end
       end;
-      (* A answer: primary provider, with a multi-CDN secondary for a few
-         sites that shows through from non-home vantages. *)
+      (* A answer: anycast providers answer with one global address,
+         others with a front-end near the client; a few sites have a
+         multi-CDN secondary that shows through from non-home vantages.
+         The branch is chosen here, once per site. *)
+      let anycast = h_net.Internet.anycast and home = h.Provider.home in
       let alt =
         if not secondary.(i) then None
         else if Provider.equal h Registry.amazon then Some fastly_net
         else Some amazon_net
       in
-      let primary_addr vantage =
-        (* Anycast providers answer with one global address; others with a
-           front-end near the client. *)
-        if h_net.Internet.anycast then stable_addr h_net ~near:h.Provider.home i
-        else stable_addr h_net ~near:vantage i
-      in
-      let answer vantage =
+      let answer =
         match alt with
-        | Some alt_net when vantage <> cc && strhash (domain ^ vantage) 11 mod 100 < 35 ->
-            [ stable_addr alt_net ~near:vantage i ]
-        | _ -> [ primary_addr vantage ]
+        | Some alt_net ->
+            fun vantage ->
+              if vantage <> cc && strhash (domain ^ vantage) 11 mod 100 < 35 then
+                [ stable_addr alt_net ~near:vantage i ]
+              else [ stable_addr h_net ~near:(if anycast then home else vantage) i ]
+        | None when anycast -> fun _ -> [ stable_addr h_net ~near:home i ]
+        | None -> fun vantage -> [ stable_addr h_net ~near:vantage i ]
       in
       (* CDN-fronted sites resolve through a CNAME into the provider's
          namespace, as Cloudflare-style onboarding works; the terminal
          name carries the geo-dependent A answer. *)
-      if h_net.Internet.anycast && Option.is_none alt then begin
-        let cdn_name =
-          String.map (fun ch -> if ch = '.' then '-' else ch) domain ^ h_names.cdn_suffix
-        in
-        Zone_db.add_domain zones ~domain:cdn_name ~ns_hosts ~a:(Zone_db.Dynamic answer);
-        Zone_db.add_alias zones ~domain ~target:cdn_name ~ns_hosts
+      if anycast && Option.is_none alt then begin
+        let target = cdn_name domain h_names.cdn_suffix in
+        Zone_db.add_domain zones ~domain:target ~ns_hosts ~a:(Zone_db.Dynamic answer);
+        Zone_db.add_alias zones ~domain ~target ~ns_hosts
       end
       else Zone_db.add_domain zones ~domain ~ns_hosts ~a:(Zone_db.Dynamic answer);
       (* Leaf certificate labelled with the CA owner via CCADB. *)
@@ -483,8 +506,9 @@ let snapshot t ?(epoch = May_2023) cc =
           not_before = day0; not_after = day0 + 90 }
       in
       Handshake.install tls ~domain cert;
-      Hashtbl.replace assigned domain (h, d, a);
       Hashtbl.replace content_language domain
-        (Language.assign ~cc ~provider_home:h.Provider.home ~domain))
+        (Language.assign ~cc ~provider_home:home ~domain))
     toplist.Toplist.domains;
+  (* The ground truth, answered from the draws above by toplist index. *)
+  let assigned i = (fst hosting.(i), fst dns.(i), fst ca.(i)) in
   { country = cc; epoch; toplist; zones; tls; assigned; content_language }

@@ -115,9 +115,12 @@ type snapshot = {
   toplist : Webdep_crux.Toplist.t;
   zones : Webdep_dnssim.Zone_db.t;
   tls : Webdep_tlssim.Handshake.t;
-  assigned : (string, Provider.t * Provider.t * Provider.t) Hashtbl.t;
-      (** ground truth per domain: hosting, dns, ca — for validation
-          tests; the pipeline must recover these through measurement *)
+  assigned : int -> Provider.t * Provider.t * Provider.t;
+      (** ground truth by toplist index: the hosting, DNS and CA
+          providers drawn for the site at that index — for validation;
+          the pipeline must recover these through measurement.  Read
+          from the snapshot's assignment draws, so a sweep that never
+          asks pays nothing for it. *)
   content_language : (string, string) Hashtbl.t;
       (** per-domain content language (what a fetch of the page would
           let LangDetect classify), correlated with the hosting
@@ -132,10 +135,19 @@ val prepare : t -> ?epoch:epoch -> string list -> unit
     before fanning out. *)
 
 val snapshot : t -> ?epoch:epoch -> string -> snapshot
-(** Materialize one country's measurable state.  Deterministic in
-    (seed, [c], geolocation accuracy, country, epoch); not cached — drop
-    the reference when done.  Reads the world and writes nothing shared,
-    so any domain may take any snapshot, in any order, without a lock.
+(** Materialize one country's measurable state (span
+    [world.snapshot.<epoch>]).  Deterministic in (seed, [c], geolocation
+    accuracy, country, epoch); not cached — drop the reference when
+    done.  Reads the world and writes nothing shared, so any domain may
+    take any snapshot, in any order, without a lock.
+
+    Per site it builds only what a measurement reads: one zone entry
+    (two for a CDN-fronted site: the alias and its CNAME target) whose
+    A answer is one closure with its anycast, unicast or multi-CDN
+    branch chosen here, one certificate and one content-language
+    entry.  Each DNS provider's glue is registered at its first site
+    (a provider whose slug an earlier one took keeps the earlier glue),
+    and the ground truth is read by index from the assignment draws.
     @raise Invalid_argument for a code outside the dataset's 150
     countries — a caller bug, not a measurement failure. *)
 

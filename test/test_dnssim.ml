@@ -242,8 +242,8 @@ let test_cname_flat_resolution () =
       (* NS authority stays with the aliased name's own zone. *)
       Alcotest.(check (list string)) "ns of the alias" [ "ns1.alpha.sim" ] r.Resolver.ns_hosts
   | Error _ -> Alcotest.fail "should resolve");
-  Alcotest.(check (option string)) "cname_of" (Some "edge-123.cdn.sim")
-    (Zone_db.cname_of db "www.shop.example.com")
+  Alcotest.(check (option string)) "cname" (Some "edge-123.cdn.sim")
+    (Option.bind (Zone_db.find db "www.shop.example.com") Zone_db.cname)
 
 let test_cname_dangling_target_falls_back () =
   let db = big_db () in
@@ -278,6 +278,177 @@ let test_cname_iterative_matches_flat () =
   Alcotest.(check bool) "agreement" true
     (Resolver.resolve_a db ~vantage:"US" "www.shop.example.com"
     = iterative_a h ~vantage:"US" "www.shop.example.com")
+
+(* --- One lookup per name against the three-call chase -------------------------- *)
+
+(* A random zone as plain records, so the reference below reads the
+   records themselves rather than [Zone_db]. *)
+type answer_spec =
+  | S of int list  (* Static *)
+  | G of (string * int list) list * int list  (* Geo: per country, default *)
+  | D of int  (* Dynamic: [dyn k] *)
+
+type record =
+  | Domain of string * string list * answer_spec
+  | Alias of string * string * string list
+  | Host of string * answer_spec
+
+let vantages = [ "US"; "DE"; "JP"; "BR"; "FR" ]
+let ns_pool = [ "ns1.a.sim"; "ns2.a.sim"; "ns1.b.sim" ]
+
+(* A vantage-dependent answer that is empty from some vantages, so
+   chases also fall back past a target that answers nothing. *)
+let dyn k vantage =
+  let h = Hashtbl.hash vantage + k in
+  if h mod 4 = 0 then [] else [ Ipv4.addr_of_int ((k * 256) + (h mod 7)) ]
+
+let addrs_of = List.map Ipv4.addr_of_int
+
+let to_answer = function
+  | S l -> Zone_db.Static (addrs_of l)
+  | G (per, default) ->
+      Zone_db.Geo (List.map (fun (cc, l) -> (cc, addrs_of l)) per, addrs_of default)
+  | D k -> Zone_db.Dynamic (dyn k)
+
+let eval spec vantage =
+  match spec with
+  | S l -> addrs_of l
+  | G (per, default) -> addrs_of (Option.value ~default (List.assoc_opt vantage per))
+  | D k -> dyn k vantage
+
+let build records =
+  let db = Zone_db.create ~domains:4 ~hosts:2 () in
+  List.iter
+    (function
+      | Domain (domain, ns_hosts, a) -> Zone_db.add_domain db ~domain ~ns_hosts ~a:(to_answer a)
+      | Alias (domain, target, ns_hosts) -> Zone_db.add_alias db ~domain ~target ~ns_hosts
+      | Host (host, a) -> Zone_db.add_host db ~host ~a:(to_answer a))
+    records;
+  db
+
+(* The flat resolver as it was before it looked each name up once: the
+   name's NS data first, then a chase that asks every name on the chain
+   for its own answer and then for its CNAME, each from the records, the
+   last registration of a name winning.  Returns the result with the
+   lookups, NXDOMAINs and CNAME links it counts. *)
+let reference records ~vantage domain =
+  let last f = List.fold_left (fun acc r -> match f r with Some x -> Some x | None -> acc) None records in
+  let domain_data d =
+    last (function
+      | Domain (d', ns, a) when d' = d -> Some (ns, `Answer a)
+      | Alias (d', target, ns) when d' = d -> Some (ns, `Cname target)
+      | _ -> None)
+  in
+  let answer_addrs d =
+    Option.map (function _, `Answer a -> eval a vantage | _, `Cname _ -> []) (domain_data d)
+  in
+  let cname_of d =
+    Option.bind (domain_data d) (function _, `Cname t -> Some t | _, `Answer _ -> None)
+  in
+  let glue host = Option.value ~default:[] (last (function
+      | Host (h, a) when h = host -> Some (eval a vantage)
+      | _ -> None))
+  in
+  let chased = ref 0 in
+  let rec chase d depth =
+    match answer_addrs d with
+    | None -> []
+    | Some own -> (
+        match cname_of d with
+        | Some target when depth < 5 -> (
+            incr chased;
+            match chase target (depth + 1) with [] -> own | addrs -> addrs)
+        | Some _ -> []
+        | None -> own)
+  in
+  match domain_data domain with
+  | None -> (Error Resolver.Nxdomain, (1, 1, 0))
+  | Some (ns_hosts, _) ->
+      let a = chase domain 0 in
+      ( Ok { Resolver.a; ns_hosts; ns_addrs = List.concat_map glue ns_hosts },
+        (1, 0, !chased) )
+
+let gen_zone =
+  let open QCheck.Gen in
+  let name_gen = oneofl [ "r0.example"; "r1.example"; "r2.example"; "c0.example"; "c3.example";
+                          "gone.example" ] in
+  let ns_gen = list_size (int_range 0 2) (oneofl ns_pool) in
+  let ints = list_size (int_range 0 2) (int_range 1 50) in
+  let answer_gen =
+    frequency
+      [ (2, map (fun l -> S l) ints);
+        (2, map2 (fun per d -> G (per, d)) (list_size (int_range 0 3) (pair (oneofl vantages) ints)) ints);
+        (3, map (fun k -> D k) (int_range 1 40)) ]
+  in
+  let* len = int_range 0 7 in
+  let chain = List.init (len + 1) (fun i -> Printf.sprintf "c%d.example" i) in
+  let* ns = ns_gen in
+  let last_name = List.nth chain len in
+  let* tail =
+    oneof
+      [ map (fun a -> Domain (last_name, ns, a)) answer_gen;
+        return (Domain (last_name, ns, S []));
+        return (Alias (last_name, "gone.example", ns));
+        return (Alias (last_name, last_name, ns));
+        return (Alias (last_name, List.nth chain (Stdlib.max 0 (len - 1)), ns)) ]
+  in
+  let links = List.init len (fun i -> Alias (List.nth chain i, List.nth chain (i + 1), ns)) in
+  let* extra =
+    list_size (int_range 0 6)
+      (oneof
+         [ map3 (fun d t ns -> Alias (d, t, ns)) name_gen name_gen ns_gen;
+           map3 (fun d ns a -> Domain (d, ns, a)) name_gen ns_gen answer_gen ])
+  in
+  let* glue = list_size (int_range 0 3) (map2 (fun h a -> Host (h, a)) (oneofl ns_pool) answer_gen) in
+  let* records = shuffle_l (links @ (tail :: extra) @ glue) in
+  let* queries = list_size (int_range 1 6) (pair (oneofl (chain @ [ "r0.example"; "r1.example"; "r2.example"; "gone.example" ])) (oneofl vantages)) in
+  return (records, queries)
+
+let print_zone (records, queries) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let spec = function
+    | S l -> "S[" ^ ints l ^ "]"
+    | G (per, d) ->
+        "G[" ^ String.concat ";" (List.map (fun (cc, l) -> cc ^ ":" ^ ints l) per) ^ "|" ^ ints d ^ "]"
+    | D k -> "D" ^ string_of_int k
+  in
+  let ns l = "{" ^ String.concat "," l ^ "}" in
+  String.concat "\n"
+    (List.map
+       (function
+         | Domain (d, n, a) -> Printf.sprintf "%s %s A %s" d (ns n) (spec a)
+         | Alias (d, t, n) -> Printf.sprintf "%s %s CNAME %s" d (ns n) t
+         | Host (h, a) -> Printf.sprintf "glue %s %s" h (spec a))
+       records
+    @ List.map (fun (d, v) -> Printf.sprintf "? %s from %s" d v) queries)
+
+let flat_counters () =
+  List.map Webdep_obs.Metrics.value
+    [ Resolver.m_lookups; Resolver.m_nxdomain; Resolver.m_cname_chased ]
+
+(* [Resolver.resolve], with and without a glue memo, answers and counts
+   what the three-call chase did, on zones with CNAME chains of 0-7
+   links ending in an answer, an empty answer, a dangling target, a
+   self-loop or a two-cycle, among random aliases and answers, with
+   glue present or missing. *)
+let prop_one_lookup_matches_three_call_chase =
+  QCheck.Test.make ~name:"one lookup per name = the three-call chase" ~count:500
+    (QCheck.make ~print:print_zone gen_zone)
+    (fun (records, queries) ->
+      let db = build records in
+      let cache = Resolver.make_cache () in
+      List.for_all
+        (fun (domain, vantage) ->
+          let want, (lookups, nx, chased) = reference records ~vantage domain in
+          List.for_all
+            (fun resolve ->
+              let before = flat_counters () in
+              let got = resolve () in
+              let delta = List.map2 ( - ) (flat_counters ()) before in
+              got = want && delta = [ lookups; nx; chased ])
+            [ (fun () -> Resolver.resolve db ~vantage domain);
+              (fun () -> Resolver.resolve ~cache db ~vantage domain) ])
+        queries)
 
 (* --- Cache ------------------------------------------------------------------ *)
 
@@ -403,6 +574,7 @@ let () =
           Alcotest.test_case "cycle terminates" `Quick test_cname_cycle_terminates;
           Alcotest.test_case "iterative restarts" `Quick test_cname_iterative_restarts;
           Alcotest.test_case "iterative = flat" `Quick test_cname_iterative_matches_flat;
+          QCheck_alcotest.to_alcotest prop_one_lookup_matches_three_call_chase;
         ] );
       ( "cache",
         [

@@ -539,6 +539,59 @@ let test_checkpoint_schema_3_discarded () =
   let again = Measure.measure_sweep ~countries:sample ~checkpoint:path world in
   Alcotest.(check bool) "the rewritten file resumes every country" true (all_resumed again)
 
+(* Only a missing or empty file, or a checkpoint of any schema version
+   or parameters, may be replaced by a fresh checkpoint.  Anything else
+   passed as --checkpoint by mistake is refused by name and keeps its
+   bytes. *)
+let test_checkpoint_foreign_file_refused () =
+  let world = Lazy.force world in
+  let epoch_log path =
+    let base = List.map (D.country_exn (Measure.measure_all ~countries:[ "US" ] world)) [ "US" ] in
+    Webdep_epoch.Log.create ~path ~base_epoch:0 ~base ()
+  in
+  let random_bytes path =
+    let rng = Webdep_stats.Rng.create 5 in
+    Frames.write path (String.init 4096 (fun _ -> Char.chr (Webdep_stats.Rng.int rng 256)))
+  in
+  List.iter
+    (fun (what, fill) ->
+      with_temp_file @@ fun path ->
+      fill path;
+      let bytes = Frames.read path in
+      (match Measure.measure_sweep ~countries:sample ~checkpoint:path world with
+      | _ -> Alcotest.failf "%s: a sweep checkpointed into it" what
+      | exception Checkpoint.Not_a_checkpoint p ->
+          Alcotest.(check string) (what ^ ": the refusal names the file") path p);
+      Alcotest.(check bool) (what ^ ": bytes untouched") true (Frames.read path = bytes))
+    [ ("a text file", fun path -> Frames.write path "my notes, not a checkpoint\n");
+      ("an epoch log", epoch_log); ("random bytes", random_bytes) ]
+
+let test_checkpoint_fresh_over_empty_and_v3 () =
+  let world = Lazy.force world in
+  let cold = Measure.measure_all ~countries:sample world in
+  List.iter
+    (fun (what, fill) ->
+      with_temp_file @@ fun path ->
+      fill path;
+      let first = Measure.measure_sweep ~countries:sample ~checkpoint:path world in
+      Alcotest.(check bool) (what ^ ": nothing resumed") true (none_resumed first);
+      Alcotest.(check bool) (what ^ ": sweep = cold") true
+        (datasets_equal cold first.Measure.dataset);
+      let header, _ = read_segment path in
+      Alcotest.(check bool) (what ^ ": now a current checkpoint") true
+        (List.assoc_opt "schema" (header_fields header)
+        = Some (Webdep_json.String "webdep-checkpoint/4"));
+      Alcotest.(check bool) (what ^ ": the next sweep resumes") true
+        (all_resumed (Measure.measure_sweep ~countries:sample ~checkpoint:path world)))
+    [ ("an empty file", fun path -> Frames.write path "");
+      ( "a /3 header",
+        fun path ->
+          Webdep_faults.Segment.write ~path
+            ~header:
+              (Webdep_json.to_string
+                 (Webdep_json.Obj [ ("schema", Webdep_json.String "webdep-checkpoint/3") ]))
+            [ "a /3 record" ] ) ]
+
 let test_checkpoint_interrupted_resume () =
   with_temp_file @@ fun path ->
   let world = Lazy.force world in
@@ -692,5 +745,9 @@ let () =
             test_checkpoint_foreign_ids_refused;
           Alcotest.test_case "schema 3 file discarded" `Quick
             test_checkpoint_schema_3_discarded;
+          Alcotest.test_case "a file that is not a checkpoint is refused" `Quick
+            test_checkpoint_foreign_file_refused;
+          Alcotest.test_case "an empty file or a /3 header starts fresh" `Quick
+            test_checkpoint_fresh_over_empty_and_v3;
         ] );
     ]

@@ -18,6 +18,16 @@ let dataset = lazy (Measure.measure_all ~countries:panel world)
 
 let score layer cc = Webdep.Metrics.centralization (Lazy.force dataset) layer cc
 
+(* Each measured site of [snap] beside its ground truth: a measurement
+   keeps the toplist order, so site [i] is the snapshot's index [i]. *)
+let with_truth (snap : World.snapshot) (sites : D.site list) =
+  List.mapi
+    (fun i (s : D.site) ->
+      Alcotest.(check string) "toplist order" snap.World.toplist.Webdep_crux.Toplist.domains.(i)
+        s.D.domain;
+      (s, snap.World.assigned i))
+    sites
+
 let test_scores_track_paper () =
   (* Measured scores correlate near-perfectly with Appendix F on the
      panel, for every layer. *)
@@ -174,34 +184,23 @@ let test_pipeline_recovers_ground_truth () =
      vantage (the pipeline measures France from the US here). *)
   let snap = World.snapshot world "FR" in
   let measured = Measure.measure_snapshot world snap in
-  let mismatches =
+  let mismatches sites =
     List.fold_left
-      (fun acc s ->
-        match (s.D.hosting, Hashtbl.find_opt snap.World.assigned s.D.domain) with
-        | Some got, Some (expected, _, _) ->
-            if String.equal got.D.name expected.Webdep_worldgen.Provider.name then acc
-            else acc + 1
+      (fun acc ((s : D.site), (expected, _, _)) ->
+        match s.D.hosting with
+        | Some got when String.equal got.D.name expected.Webdep_worldgen.Provider.name -> acc
         | _ -> acc + 1)
-      0 measured.D.sites
+      0 (with_truth snap sites)
   in
+  let mismatches_us = mismatches measured.D.sites in
   let budget =
     int_of_float (float_of_int (List.length measured.D.sites) *. World.multi_cdn_fraction)
   in
-  if mismatches > budget then
-    Alcotest.failf "%d mismatches exceed the multi-CDN budget %d" mismatches budget;
+  if mismatches_us > budget then
+    Alcotest.failf "%d mismatches exceed the multi-CDN budget %d" mismatches_us budget;
   (* Measured from the home vantage there is no deviation at all. *)
   let home_measured = Measure.measure_snapshot ~vantage:"FR" world snap in
-  let home_mismatches =
-    List.fold_left
-      (fun acc s ->
-        match (s.D.hosting, Hashtbl.find_opt snap.World.assigned s.D.domain) with
-        | Some got, Some (expected, _, _) ->
-            if String.equal got.D.name expected.Webdep_worldgen.Provider.name then acc
-            else acc + 1
-        | _ -> acc + 1)
-      0 home_measured.D.sites
-  in
-  Alcotest.(check int) "home vantage exact" 0 home_mismatches
+  Alcotest.(check int) "home vantage exact" 0 (mismatches home_measured.D.sites)
 
 let test_vantage_validation () =
   let ds = Lazy.force dataset in
@@ -353,12 +352,10 @@ let test_state_ca_untrusted () =
   let snap = World.snapshot world "RU" in
   let measured = Measure.measure_snapshot world snap in
   let state_ca_sites =
-    List.filter
-      (fun s ->
-        match Hashtbl.find_opt snap.World.assigned s.D.domain with
-        | Some (_, _, ca) -> ca.Webdep_worldgen.Provider.name = "Russian Trusted Root CA"
-        | None -> false)
-      measured.D.sites
+    List.filter_map
+      (fun (s, (_, _, ca)) ->
+        if ca.Webdep_worldgen.Provider.name = "Russian Trusted Root CA" then Some s else None)
+      (with_truth snap measured.D.sites)
   in
   Alcotest.(check bool) "some state-CA sites exist" true (List.length state_ca_sites > 0);
   List.iter

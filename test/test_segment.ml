@@ -273,7 +273,11 @@ let lane_ids (cd : D.country_data) =
 let any_ids _ = true
 
 (* Checkpoint: reopening resumes exactly the intact (epoch, country)
-   shards, of both epochs alike, and leaves a file with no torn tail. *)
+   shards, of both epochs alike, and leaves a file with no torn tail.
+   Damage inside the header record leaves no checkpoint header to
+   recognize the file by, so it is refused and keeps its bytes (a crash
+   cannot cause it: the header is written through a temp file and a
+   rename); an empty file starts fresh. *)
 let test_enumerate_checkpoint () =
   let ds23, ds25 = Lazy.force fixture in
   let entries =
@@ -294,21 +298,30 @@ let test_enumerate_checkpoint () =
   let cp = Checkpoint.open_ ~path ~meta in
   List.iter (Checkpoint.record cp) entries;
   for_each_damage path (fun d ->
-      let cp = Checkpoint.open_ ~path ~meta in
-      let resumed = max 0 (d.intact - 1) in
-      List.iteri
-        (fun i (e : Checkpoint.entry) ->
-          let cc = e.Checkpoint.ids.D.w_country in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: entry %s %s" d.what e.Checkpoint.epoch cc)
-            true
-            (Checkpoint.find cp ~epoch:e.Checkpoint.epoch ~fits:any_ids cc
-            = if i < resumed then Some e else None))
-        entries;
-      match Segment.fold ~path ~init:(fun _ -> Some 0) ~f:(fun n _ -> Some (n + 1)) with
-      | Segment.Folded { acc; torn = false } ->
-          Alcotest.(check int) (d.what ^ ": records kept") resumed acc
-      | _ -> Alcotest.fail (d.what ^ ": reopened file still damaged"))
+      let header_damaged = d.intact = 0 && d.bytes <> "" in
+      match Checkpoint.open_ ~path ~meta with
+      | exception Checkpoint.Not_a_checkpoint p ->
+          Alcotest.(check bool) (d.what ^ ": refused only for a damaged header") true
+            header_damaged;
+          Alcotest.(check string) (d.what ^ ": refusal names the file") path p;
+          Alcotest.(check bool) (d.what ^ ": bytes untouched") true (Frames.read path = d.bytes)
+      | cp -> (
+          Alcotest.(check bool) (d.what ^ ": a damaged header is not overwritten") false
+            header_damaged;
+          let resumed = max 0 (d.intact - 1) in
+          List.iteri
+            (fun i (e : Checkpoint.entry) ->
+              let cc = e.Checkpoint.ids.D.w_country in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: entry %s %s" d.what e.Checkpoint.epoch cc)
+                true
+                (Checkpoint.find cp ~epoch:e.Checkpoint.epoch ~fits:any_ids cc
+                = if i < resumed then Some e else None))
+            entries;
+          match Segment.fold ~path ~init:(fun _ -> Some 0) ~f:(fun n _ -> Some (n + 1)) with
+          | Segment.Folded { acc; torn = false } ->
+              Alcotest.(check int) (d.what ^ ": records kept") resumed acc
+          | _ -> Alcotest.fail (d.what ^ ": reopened file still damaged")))
 
 (* --- fuzzing -------------------------------------------------------------- *)
 
@@ -405,7 +418,8 @@ let qcheck_fold =
    decoder sees them, so the same mutation is also applied to one
    record's payload and the file rewritten with valid CRCs: the decoder
    then answers an absence or an entry of the key asked for.  Neither
-   raises. *)
+   raises, except that a file whose header record the mutation damaged
+   may be refused as not a checkpoint, and then keeps its bytes. *)
 let gen_entry =
   let open QCheck.Gen in
   let str = string_size ~gen:printable (int_range 0 6) in
@@ -440,6 +454,11 @@ let qcheck_checkpoint =
       let path = temp_path () in
       let meta = [ ("seed", Webdep_json.Int 1) ] in
       List.iter (Checkpoint.record (Checkpoint.open_ ~path ~meta)) entries;
+      let header =
+        match Segment.fold ~path ~init:Option.some ~f:(fun h _ -> Some h) with
+        | Segment.Folded { acc; _ } -> acc
+        | Segment.No_file | Segment.Header_mismatch -> ""
+      in
       (if in_payload then
          match
            Segment.fold ~path
@@ -453,17 +472,32 @@ let qcheck_checkpoint =
                (List.mapi (fun i r -> if i = k then mutate r m else r) records)
          | _ -> ()
        else Frames.write path (mutate (Frames.read path) m));
-      let cp = Checkpoint.open_ ~path ~meta in
-      Sys.remove path;
-      List.for_all
-        (fun (e : Checkpoint.entry) ->
-          let cc = e.Checkpoint.ids.D.w_country in
-          match Checkpoint.find cp ~epoch:e.Checkpoint.epoch ~fits:any_ids cc with
-          | None -> true
-          | Some got when in_payload ->
-              got.Checkpoint.epoch = e.Checkpoint.epoch && got.Checkpoint.ids.D.w_country = cc
-          | Some got -> List.mem got entries)
-        entries)
+      let mutated = Frames.read path in
+      match Checkpoint.open_ ~path ~meta with
+      | exception Checkpoint.Not_a_checkpoint p ->
+          let header_damaged =
+            match
+              Segment.fold ~path
+                ~init:(fun h -> if h = header then Some () else None)
+                ~f:(fun () _ -> Some ())
+            with
+            | Segment.Folded _ -> false
+            | Segment.No_file | Segment.Header_mismatch -> true
+          in
+          let untouched = Frames.read path = mutated in
+          Sys.remove path;
+          p = path && untouched && header_damaged && not in_payload
+      | cp ->
+          Sys.remove path;
+          List.for_all
+            (fun (e : Checkpoint.entry) ->
+              let cc = e.Checkpoint.ids.D.w_country in
+              match Checkpoint.find cp ~epoch:e.Checkpoint.epoch ~fits:any_ids cc with
+              | None -> true
+              | Some got when in_payload ->
+                  got.Checkpoint.epoch = e.Checkpoint.epoch && got.Checkpoint.ids.D.w_country = cc
+              | Some got -> List.mem got entries)
+            entries)
 
 let () =
   Webdep_obs.Reporter.setup ~level:Logs.Error ();

@@ -381,12 +381,33 @@ let test_world_small_c_typed_error () =
   Alcotest.(check (list string)) "every mix calibrates at c=100" []
     (List.map World.uncalibrated_message (uncalibrated_mixes ~c:100))
 
+(* (name, home, count) per provider, by name: duplicate entries of one
+   provider merge. *)
+let tally_providers pairs =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun ((p : Provider.t), k) ->
+      let key = (p.Provider.name, p.Provider.home) in
+      Hashtbl.replace t key (k + Option.value ~default:0 (Hashtbl.find_opt t key)))
+    pairs;
+  List.sort compare (Hashtbl.fold (fun (name, home) k acc -> (name, home, k) :: acc) t [])
+
 let test_world_snapshot_basics () =
   let world = world ~seed:1 ~c:500 in
   let snap = World.snapshot world "TH" in
   Alcotest.(check int) "toplist length" 500 (Webdep_crux.Toplist.length snap.World.toplist);
-  Alcotest.(check int) "assigned" 500 (Hashtbl.length snap.World.assigned);
-  Alcotest.(check string) "country" "TH" snap.World.country
+  Alcotest.(check string) "country" "TH" snap.World.country;
+  (* The ground truth draws every layer's mix exactly: each provider
+     serves as many sites as its mix assigns it. *)
+  let truth = List.init 500 snap.World.assigned in
+  List.iter
+    (fun (layer, pick) ->
+      Alcotest.(check (list (triple string string int)))
+        (Scores.layer_name layer ^ " ground truth tallies the mix")
+        (tally_providers (World.mix world layer "TH").Mix.assignments)
+        (tally_providers (List.map (fun t -> (pick t, 1)) truth)))
+    [ (Scores.Hosting, fun (h, _, _) -> h); (Scores.Dns, fun (_, d, _) -> d);
+      (Scores.Ca, fun (_, _, a) -> a) ]
 
 let test_world_snapshot_deterministic () =
   let world1 = World.create ~c:300 ~seed:5 () in
@@ -534,6 +555,65 @@ let test_world_digest () =
       Alcotest.(check string) (Printf.sprintf "c=%d" c) want (world_digest (world ~seed:2024 ~c)))
     world_digests
 
+(* Everything a lane reads of one snapshot, rendered in toplist order:
+   per domain what the flat resolver answers (A and NS addresses) from
+   the home vantage, the US and Japan, its CNAME target, the
+   certificate a handshake presents, its content language and its
+   ground-truth providers; then every glue host with its address, by
+   name, and the zone's domain count. *)
+let snapshot_digest w =
+  let module Zone_db = Webdep_dnssim.Zone_db in
+  let module Resolver = Webdep_dnssim.Resolver in
+  let module Ipv4 = Webdep_netsim.Ipv4 in
+  let module Cert = Webdep_tlssim.Cert in
+  let buf = Buffer.create (1 lsl 20) in
+  let add fmt = Printf.bprintf buf fmt in
+  let addrs l = String.concat "," (List.map Ipv4.addr_to_string l) in
+  let name (p : Provider.t) = p.Provider.name ^ "@" ^ p.Provider.home in
+  List.iter
+    (fun (epoch, cc) ->
+      let snap = World.snapshot w ~epoch cc in
+      let zones = snap.World.zones in
+      add "snapshot %s %s\n" cc (World.epoch_name epoch);
+      Array.iteri
+        (fun i domain ->
+          add "%d %s" i domain;
+          List.iter
+            (fun vantage ->
+              match Resolver.resolve zones ~vantage domain with
+              | Ok r -> add " %s:%s/%s" vantage (addrs r.Resolver.a) (addrs r.Resolver.ns_addrs)
+              | Error e -> add " %s:%s" vantage (Resolver.error_message e))
+            [ cc; "US"; "JP" ];
+          add " cname %s" (Option.value ~default:"-" (Option.bind (Zone_db.find zones domain) Zone_db.cname));
+          (match
+             Webdep_tlssim.Handshake.handshake snap.World.tls
+               ~addr:(Ipv4.addr_of_int 0) ~sni:domain
+           with
+          | Some c -> add " cert %s|%s" c.Cert.subject c.Cert.issuer_cn
+          | None -> add " cert -");
+          add " lang %s"
+            (Option.value ~default:"-" (Hashtbl.find_opt snap.World.content_language domain));
+          let h, d, a = snap.World.assigned i in
+          add " truth %s %s %s\n" (name h) (name d) (name a))
+        snap.World.toplist.Webdep_crux.Toplist.domains;
+      List.iter
+        (fun (host, a) -> add "glue %s %s\n" host (addrs a))
+        (List.sort compare
+           (Zone_db.fold_hosts
+              (fun host acc -> (host, Zone_db.host_addr zones ~vantage:"US" host) :: acc)
+              zones []));
+      add "domains %d\n" (Zone_db.domain_count zones))
+    [ (World.May_2023, "US"); (World.May_2025, "US"); (World.May_2023, "DE");
+      (World.May_2025, "DE"); (World.May_2023, "BR"); (World.May_2025, "BR") ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Pinned from the snapshot that registered glue per site through a
+   slug table, looked each name up three times and kept the ground
+   truth in a per-domain table; any change that moves it changes what
+   a sweep measures. *)
+let test_snapshot_digest () =
+  Alcotest.(check string) "c=300" "7c74d1f2bd918b79b4fac8bb4424ef56" (snapshot_digest (world ~seed:2024 ~c:300))
+
 (* Random (layer, country) mixes uphold the core invariants: exact total,
    distinct providers, positive counts, score within tolerance of the
    Appendix-F target.  One sanctioned exception to distinctness: in the
@@ -633,5 +713,6 @@ let () =
           Alcotest.test_case "tld numbers" `Quick test_world_tld_numbers;
           Alcotest.test_case "epoch names" `Quick test_world_epoch_names;
           Alcotest.test_case "whole-world digest" `Quick test_world_digest;
+          Alcotest.test_case "snapshot digest" `Quick test_snapshot_digest;
         ] );
     ]
