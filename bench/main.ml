@@ -2251,11 +2251,7 @@ let () =
     record_phase name seconds;
     record_minor_words name (Gc.minor_words () -. minor_before);
     let nonzero =
-      Obs_metrics.fold_counters
-        (fun cnt acc ->
-          let v = Obs_metrics.value cnt in
-          if v > 0 then (Obs_metrics.counter_name cnt, v) :: acc else acc)
-        []
+      Obs_metrics.fold_counters (fun name v acc -> if v > 0 then (name, v) :: acc else acc) []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
     if nonzero <> [] then phase_counters := (name, nonzero) :: !phase_counters;

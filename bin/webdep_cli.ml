@@ -45,16 +45,75 @@ let c_arg =
   Arg.(value & opt int 2000 & info [ "c"; "toplist" ] ~docv:"N"
          ~doc:"Websites per country (the paper uses 10000).")
 
+(* A country code, checked when arguments parse: any case is accepted,
+   and a code outside the 150 is a command-line error (exit 124) before
+   any world is built. *)
+let cc_conv =
+  let parse s =
+    let cc = String.uppercase_ascii s in
+    if Webdep_geo.Country.mem cc then Ok cc
+    else
+      Error (`Msg (Printf.sprintf "unknown country code %S (see 'webdep countries')" s))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+(* [None] is all 150; a repeated code keeps its first place only. *)
 let countries_arg =
-  Arg.(value & opt (list string) [] & info [ "countries" ] ~docv:"CC,CC,..."
-         ~doc:"Restrict to these country codes (default: all 150).")
+  let first_of_each ccs =
+    match List.fold_left (fun acc cc -> if List.mem cc acc then acc else cc :: acc) [] ccs with
+    | [] -> None
+    | rev -> Some (List.rev rev)
+  in
+  Term.(
+    const first_of_each
+    $ Arg.(value & opt (list cc_conv) [] & info [ "countries" ] ~docv:"CC,CC,..."
+             ~doc:"Restrict to these country codes (default: all 150); a \
+                   repeated code counts once."))
 
 let top_arg =
   Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc:"Rows to print.")
 
-let normalize_countries = function
-  | [] -> None
-  | ccs -> Some (List.map String.uppercase_ascii ccs)
+(* --- refusals ------------------------------------------------------------- *)
+
+(* A file the user named that cannot be created or written: the path as
+   given and the system's reason. *)
+exception Cannot_write of string * string
+
+(* Run [f], which creates or writes [path]. *)
+let writing path f =
+  try f () with
+  | Sys_error msg ->
+      (* "FILE: reason", where FILE may be a temporary name next to [path]. *)
+      let why =
+        match String.rindex_opt msg ':' with
+        | Some i when i + 2 <= String.length msg ->
+            String.sub msg (i + 2) (String.length msg - i - 2)
+        | _ -> msg
+      in
+      raise (Cannot_write (path, why))
+  | Unix.Unix_error (e, _, _) -> raise (Cannot_write (path, Unix.error_message e))
+
+(* A sweep that appends to the --checkpoint file, when there is one. *)
+let checkpointed checkpoint sweep =
+  match checkpoint with Some path -> writing path sweep | None -> sweep ()
+
+(* Exceptions that refuse the user's input rather than report a fault:
+   print their one line and give the exit status.  A world too small to
+   calibrate is bad input (124, like a bad flag); a --checkpoint file
+   that is not a checkpoint, or an output file that cannot be written,
+   is refused with 1, as an unusable epoch log is. *)
+let refused e =
+  let refuse code msg =
+    Printf.eprintf "webdep: %s\n%!" msg;
+    Some code
+  in
+  match e with
+  | World.Uncalibrated u -> refuse 124 (World.uncalibrated_message u)
+  | Webdep_faults.Checkpoint.Not_a_checkpoint path ->
+      refuse 1
+        (Printf.sprintf "checkpoint %s unusable: not a webdep checkpoint, left untouched" path)
+  | Cannot_write (path, why) -> refuse 1 (Printf.sprintf "cannot write %s: %s" path why)
+  | _ -> None
 
 (* --- observability ------------------------------------------------------ *)
 
@@ -74,16 +133,19 @@ let obs_setup trace metrics verbosity jobs perfetto =
       Printf.eprintf "webdep: --jobs must be >= 1 (got %d)\n" j;
       exit 124
   | None -> ());
+  (* Both files are written once, at exit (also when a subcommand exits
+     early); one that cannot be written costs one line on stderr. *)
   let sinks =
     (if trace then [ Webdep_obs.Sink.console () ] else [])
     @
     match perfetto with
     | None -> []
     | Some path ->
-        (* The trace sink only writes its file on flush; make sure the
-           last flush happens even when a subcommand exits early. *)
-        at_exit (fun () -> Webdep_obs.Sink.flush ());
-        [ Webdep_prof.Trace.sink path ]
+        let recorder = Webdep_prof.Profile.collector () in
+        at_exit (fun () ->
+            try Webdep_prof.Trace.write path (Webdep_prof.Profile.events recorder)
+            with Sys_error msg -> Printf.eprintf "webdep: cannot write trace: %s\n" msg);
+        [ Webdep_prof.Profile.collector_sink recorder ]
   in
   (match sinks with
   | [] -> ()
@@ -92,7 +154,6 @@ let obs_setup trace metrics verbosity jobs perfetto =
   | None -> ()
   | Some path ->
       at_exit (fun () ->
-          Webdep_obs.Sink.flush ();
           try Webdep_obs.Registry.write_file path
           with Sys_error msg ->
             Printf.eprintf "webdep: cannot write metrics: %s\n" msg)
@@ -161,10 +222,12 @@ let checkpoint_arg =
                file; a checkpoint written under other world or sweep \
                parameters, or by an earlier schema version, is discarded.  \
                A file that is not a checkpoint (an epoch log, say) is \
-               refused and left untouched: one line on stderr, exit 1.")
+               refused and left untouched, and one that cannot be created \
+               is refused too: one line on stderr, exit 1.")
 
 let checkpoint_exits =
-  Cmd.Exit.info 1 ~doc:"the $(b,--checkpoint) file is not a webdep checkpoint."
+  Cmd.Exit.info 1
+    ~doc:"the $(b,--checkpoint) file is not a webdep checkpoint or cannot be written."
   :: Cmd.Exit.defaults
 
 let faults_term =
@@ -198,7 +261,10 @@ let faults_term =
 let measure ~seed ~c ?countries ?(faults = (None, None)) () =
   let world = World.create ~c ~seed () in
   let fault_opts, checkpoint = faults in
-  let sweep = Measure.measure_sweep ?countries ?faults:fault_opts ?checkpoint world in
+  let sweep =
+    checkpointed checkpoint (fun () ->
+        Measure.measure_sweep ?countries ?faults:fault_opts ?checkpoint world)
+  in
   List.iter
     (fun (c : Measure.country_coverage) ->
       if List.mem c.Measure.cc sweep.Measure.insufficient then
@@ -210,7 +276,7 @@ let measure ~seed ~c ?countries ?(faults = (None, None)) () =
 (* --- scores ------------------------------------------------------------- *)
 
 let run_scores () layer seed c countries top faults =
-  let _, ds = measure ~seed ~c ?countries:(normalize_countries countries) ~faults () in
+  let _, ds = measure ~seed ~c ?countries ~faults () in
   Printf.printf "%-5s %-4s %10s %10s %8s\n" "rank" "cc" "S" "paper" "diff";
   List.iteri
     (fun i (cc, s) ->
@@ -228,14 +294,9 @@ let scores_cmd =
 (* --- report -------------------------------------------------------------- *)
 
 let cc_pos =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"CC" ~doc:"Country code.")
+  Arg.(required & pos 0 (some cc_conv) None & info [] ~docv:"CC" ~doc:"Country code.")
 
 let run_report () cc seed c =
-  let cc = String.uppercase_ascii cc in
-  if not (Webdep_geo.Country.mem cc) then begin
-    Printf.eprintf "unknown country code %s\n" cc;
-    exit 1
-  end;
   let _, ds = measure ~seed ~c ~countries:[ cc ] () in
   List.iter
     (fun layer ->
@@ -261,7 +322,7 @@ let report_cmd =
 (* --- insularity ------------------------------------------------------------ *)
 
 let run_insularity () layer seed c countries top =
-  let _, ds = measure ~seed ~c ?countries:(normalize_countries countries) () in
+  let _, ds = measure ~seed ~c ?countries () in
   Printf.printf "%-5s %-4s %12s\n" "rank" "cc" "insularity";
   List.iteri
     (fun i (cc, v) ->
@@ -320,7 +381,6 @@ let usage_cmd =
 (* --- longitudinal ------------------------------------------------------------------ *)
 
 let run_longitudinal () seed c countries top =
-  let countries = normalize_countries countries in
   let world = World.create ~c ~seed () in
   let ds23 = Measure.measure_all ?countries world in
   let ds25 = Measure.measure_all ~epoch:World.May_2025 ?countries world in
@@ -349,7 +409,7 @@ let longitudinal_cmd =
 
 let run_validate () seed c countries =
   let countries =
-    match normalize_countries countries with
+    match countries with
     | Some ccs -> ccs
     | None -> List.map (fun x -> x.Webdep_geo.Country.code) Webdep_geo.Country.all
   in
@@ -387,11 +447,12 @@ let out_dir_arg =
 
 let run_export () layer seed c out_dir =
   let _, ds = measure ~seed ~c () in
-  (try Unix.mkdir out_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  writing out_dir (fun () ->
+      try Unix.mkdir out_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let name = Scores.layer_name layer in
   let put file doc =
     let path = Filename.concat out_dir file in
-    Webdep.Export.write_file path doc;
+    writing path (fun () -> Webdep.Export.write_file path doc);
     Printf.printf "wrote %s\n" path
   in
   put (Printf.sprintf "scores_%s.csv" name) (Webdep.Export.scores_csv ds layer);
@@ -400,13 +461,16 @@ let run_export () layer seed c out_dir =
 
 let export_cmd =
   let doc = "Export scores, insularity and provider usage as CSV (data release)." in
-  Cmd.v (Cmd.info "export" ~doc)
+  let exits =
+    Cmd.Exit.info 1 ~doc:"the output directory or a CSV file in it cannot be written."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "export" ~doc ~exits)
     Term.(const run_export $ obs_term $ layer_arg $ seed_arg $ c_arg $ out_dir_arg)
 
 (* --- language -------------------------------------------------------------------------- *)
 
 let run_language () cc seed c =
-  let cc = String.uppercase_ascii cc in
   let _, ds = measure ~seed ~c ~countries:[ cc ] () in
   Printf.printf "content languages of %s's top sites:\n" cc;
   List.iteri
@@ -428,7 +492,6 @@ let language_cmd =
 (* --- redundancy -------------------------------------------------------------------------- *)
 
 let run_redundancy () cc seed c =
-  let cc = String.uppercase_ascii cc in
   let world = World.create ~c ~seed () in
   let input =
     Measure.discover_redundancy ~vantages:[ "US"; cc; "DE"; "JP"; "BR" ] world cc
@@ -450,7 +513,6 @@ let redundancy_cmd =
 (* --- tld ---------------------------------------------------------------------------------- *)
 
 let run_tld () cc seed c =
-  let cc = String.uppercase_ascii cc in
   let _, ds = measure ~seed ~c ~countries:[ cc ] () in
   Printf.printf "TLD usage of %s (S = %.4f):\n" cc (Webdep.Metrics.centralization ds Tld cc);
   List.iter
@@ -481,17 +543,20 @@ let md_out_arg =
          ~doc:"Write the Markdown report to FILE instead of stdout.")
 
 let run_report_md () seed c countries out =
-  let _, ds = measure ~seed ~c ?countries:(normalize_countries countries) () in
+  let _, ds = measure ~seed ~c ?countries () in
   let doc = Webdep.Report_md.generate ds in
   match out with
   | Some path ->
-      Webdep.Export.write_file path doc;
+      writing path (fun () -> Webdep.Export.write_file path doc);
       Printf.printf "wrote %s\n" path
   | None -> print_string doc
 
 let report_md_cmd =
   let doc = "Generate a paper-style Markdown report of the measured dataset." in
-  Cmd.v (Cmd.info "report-md" ~doc)
+  let exits =
+    Cmd.Exit.info 1 ~doc:"the $(b,--out) file cannot be written." :: Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "report-md" ~doc ~exits)
     Term.(const run_report_md $ obs_term $ seed_arg $ c_arg $ countries_arg $ md_out_arg)
 
 (* --- profile ---------------------------------------------------------------------------- *)
@@ -518,7 +583,7 @@ let run_profile () from_trace seed c countries top faults =
             (Webdep_prof.Profile.collector_sink collector)
         in
         Webdep_obs.Sink.with_sink sink (fun () ->
-            ignore (measure ~seed ~c ?countries:(normalize_countries countries) ~faults ()));
+            ignore (measure ~seed ~c ?countries ~faults ()));
         Webdep_prof.Profile.aggregate (Webdep_prof.Profile.events collector)
   in
   if rows = [] then print_endline "no spans recorded"
@@ -537,7 +602,8 @@ let profile_cmd =
   let exits =
     Cmd.Exit.info 1 ~doc:"the $(b,--from-trace) file is missing or not a trace document \
                           (empty, not JSON, truncated, a field of the wrong type), or \
-                          the $(b,--checkpoint) file is not a webdep checkpoint."
+                          the $(b,--checkpoint) file is not a webdep checkpoint or \
+                          cannot be written."
     :: Cmd.Exit.defaults
   in
   Cmd.v (Cmd.info "profile" ~doc ~exits)
@@ -552,9 +618,7 @@ let profile_cmd =
    only report a cumulative upper bound).  Exit 4 when over budget. *)
 
 let run_scale () seed c countries budget_words =
-  let r =
-    Webdep_pipeline.Scale.run ~seed ?countries:(normalize_countries countries) ~c ()
-  in
+  let r = Webdep_pipeline.Scale.run ~seed ?countries ~c () in
   Printf.printf
     "c=%d: %d countries, %d sites, %.2fs, %.0f minor words, top_heap %d words, \
      mean hosting S %.4f\n"
@@ -604,6 +668,16 @@ let scale_cmd =
 
 module Serve = Webdep_serve
 
+(* A listen or connect address, checked when arguments parse (a bad
+   "tcp:" port is a command-line error) and passed on as given. *)
+let addr_conv =
+  let parse s =
+    match Serve.Addr.of_spec s with
+    | _ -> Ok s
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let epoch_arg =
   Arg.(value & opt string "2023" & info [ "epoch" ] ~docv:"EPOCH"
          ~doc:"Epoch a score/topk/ranking query refers to: 2023, 2025, or a \
@@ -646,7 +720,9 @@ let serve_state ~command ?checkpoint ?epoch_log ~seed ~c ?countries () =
   let sweeps =
     List.map
       (fun epoch ->
-        (World.epoch_name epoch, Measure.measure_sweep ~epoch ?countries ?checkpoint world))
+        ( World.epoch_name epoch,
+          checkpointed checkpoint (fun () ->
+              Measure.measure_sweep ~epoch ?countries ?checkpoint world) ))
       [ World.May_2023; World.May_2025 ]
   in
   Option.iter
@@ -700,14 +776,11 @@ let run_query () epoch connect timeout max_retries seed c countries epoch_log
                 spec msg;
               exit 5)
       | None ->
-          let st =
-            serve_state ~command:"query" ?epoch_log ~seed ~c
-              ?countries:(normalize_countries countries) ()
-          in
+          let st = serve_state ~command:"query" ?epoch_log ~seed ~c ?countries () in
           finish_query (Serve.State.answer st req))
 
 let connect_arg =
-  Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"ADDR"
+  Arg.(value & opt (some addr_conv) None & info [ "connect" ] ~docv:"ADDR"
          ~doc:"Send the query to a running $(b,webdep serve) daemon at \
                $(docv) (Unix-socket path or $(b,tcp:PORT)) instead of \
                measuring locally.  Answers are byte-identical either way.")
@@ -744,7 +817,7 @@ let run_serve () listen seed c countries max_queue checkpoint epoch_log supervis
     Printf.eprintf "webdep serve: --max-queue must be >= 1\n";
     exit 124
   end;
-  let serve_child () =
+  let serve () =
     (* Deterministic crash switch for exercising the supervisor's
        crash-loop detector from the outside (CI). *)
     (match Sys.getenv_opt "WEBDEP_SERVE_CRASH_ON_START" with
@@ -752,21 +825,33 @@ let run_serve () listen seed c countries max_queue checkpoint epoch_log supervis
         prerr_endline "webdep serve: WEBDEP_SERVE_CRASH_ON_START set, aborting";
         exit 70
     | _ -> ());
-    let st =
-      serve_state ~command:"serve" ?checkpoint ?epoch_log ~seed ~c
-        ?countries:(normalize_countries countries) ()
-    in
+    let st = serve_state ~command:"serve" ?checkpoint ?epoch_log ~seed ~c ?countries () in
     (* The pool served the sweeps and the replay; the loop never uses
        it, and an idle lane would still join every minor collection. *)
     Webdep_par.shutdown ();
     let cfg = Serve.Server.config ~max_queue listen in
-    Serve.Server.run ~handle_signals:true
-      ~on_ready:(fun () ->
-        Printf.printf
-          "webdep serve: listening on %s (seed %d, c %d, epochs 2023-05 2025-05)\n"
-          listen seed c;
-        flush stdout)
-      cfg st
+    let listening = ref false in
+    match
+      Serve.Server.run ~handle_signals:true
+        ~on_ready:(fun () ->
+          listening := true;
+          Printf.printf
+            "webdep serve: listening on %s (seed %d, c %d, epochs 2023-05 2025-05)\n"
+            listen seed c;
+          flush stdout)
+        cfg st
+    with
+    | () -> ()
+    | exception Unix.Unix_error (e, _, _) when not !listening ->
+        Printf.eprintf "webdep serve: cannot listen on %s: %s\n%!" listen
+          (Unix.error_message e);
+        exit 1
+  in
+  (* A refusal ends a supervised child as it ends the unsupervised
+     daemon: one line and its status, which the supervisor does not
+     restart. *)
+  let serve_child () =
+    try serve () with e -> ( match refused e with Some code -> exit code | None -> raise e)
   in
   if supervise then begin
     (* Fork before any state (and hence any domain) exists: OCaml 5
@@ -821,10 +906,11 @@ let serve_cmd =
           is discarded; a file that is not a checkpoint is refused (exit \
           1).  With $(b,--supervise), a parent process restarts \
           the daemon after a crash with exponential backoff and gives up \
-          (exit 6) when it crash-loops." ]
+          (exit 6) when it crash-loops; a child that refuses its input \
+          (exit 1) is not restarted, and the parent exits 1 too." ]
   in
   let listen =
-    Arg.(required & opt (some string) None & info [ "socket" ] ~docv:"ADDR"
+    Arg.(required & opt (some addr_conv) None & info [ "socket" ] ~docv:"ADDR"
            ~doc:"Listen address: a Unix-socket path or $(b,tcp:PORT) \
                  (loopback only).")
   in
@@ -850,10 +936,14 @@ let serve_cmd =
            ~doc:"Sliding window for crash-loop detection.")
   in
   let exits =
-    Cmd.Exit.info 6
-      ~doc:"the $(b,--supervise) parent detected a crash loop and stopped \
-            restarting the daemon."
-    :: checkpoint_exits
+    Cmd.Exit.info 1
+      ~doc:"the $(b,--checkpoint) file is not a webdep checkpoint or cannot be \
+            written, or the daemon cannot listen on $(b,--socket) (also under \
+            $(b,--supervise): such a child is not restarted)."
+    :: Cmd.Exit.info 6
+         ~doc:"the $(b,--supervise) parent detected a crash loop and stopped \
+               restarting the daemon."
+    :: Cmd.Exit.defaults
   in
   Cmd.v (Cmd.info "serve" ~doc ~man ~exits)
     Term.(const run_serve $ obs_term $ listen $ seed_arg $ c_arg $ countries_arg
@@ -876,7 +966,6 @@ let file_size path = (Unix.stat path).Unix.st_size
 
 let run_epochs () log_path n_epochs churn layer verify compact_keep rebuild
     seed c countries =
-  let countries = normalize_countries countries in
   if churn <= 0.0 || churn >= 1.0 then begin
     Printf.eprintf "webdep epochs: --churn must be within (0, 1) (got %g)\n" churn;
     exit 124
@@ -890,7 +979,8 @@ let run_epochs () log_path n_epochs churn layer verify compact_keep rebuild
       Printf.eprintf "webdep epochs: --compact must be >= 0 (got %d)\n" keep;
       exit 124
   | _ -> ());
-  if rebuild && Sys.file_exists log_path then Sys.remove log_path;
+  if rebuild && Sys.file_exists log_path then
+    writing log_path (fun () -> Sys.remove log_path);
   if not (Sys.file_exists log_path) then begin
     let world = World.create ~c ~seed () in
     let ds23 = Measure.measure_all ?countries world in
@@ -910,15 +1000,16 @@ let run_epochs () log_path n_epochs churn layer verify compact_keep rebuild
         ("c", Webdep_json.Int c);
         ("churn", Webdep_json.Float churn) ]
     in
-    Epoch.Log.create ~path:log_path ~meta ~base_epoch:0 ~base ();
     (* Epoch-at-a-time appends — the same O(churn) path a live feed
        would use, not one big rewrite — through the replay, so an epoch
        that does not apply is refused before it is written. *)
-    let writer =
-      Epoch.Replay.start
-        { Epoch.Log.meta; base_epoch = 0; base; events = []; head = 0; dropped = false }
-    in
-    List.iter (Epoch.Replay.append writer ~path:log_path) events;
+    writing log_path (fun () ->
+        Epoch.Log.create ~path:log_path ~meta ~base_epoch:0 ~base ();
+        let writer =
+          Epoch.Replay.start
+            { Epoch.Log.meta; base_epoch = 0; base; events = []; head = 0; dropped = false }
+        in
+        List.iter (Epoch.Replay.append writer ~path:log_path) events);
     Printf.printf "built %s: %d-country baseline + %d epochs at %.1f%% churn\n"
       log_path (List.length base) n_epochs (100.0 *. churn)
   end;
@@ -976,7 +1067,7 @@ let run_epochs () log_path n_epochs churn layer verify compact_keep rebuild
       | Some keep ->
           let raw_bytes = file_size log_path in
           let compacted = Epoch.Replay.compact log ~keep_last:keep in
-          Epoch.Log.write ~path:log_path compacted;
+          writing log_path (fun () -> Epoch.Log.write ~path:log_path compacted);
           Printf.printf
             "compacted to base e%d + %d epochs: %d -> %d bytes\n"
             compacted.Epoch.Log.base_epoch
@@ -1035,9 +1126,12 @@ let epochs_cmd =
            ~doc:"Discard an existing log file and synthesize it afresh.")
   in
   let exits =
-    Cmd.Exit.info 2
-      ~doc:"$(b,--verify) found a replayed score that differs from the \
-            cold recomputation."
+    Cmd.Exit.info 1
+      ~doc:"the $(b,--log) file is unusable (not an epoch log, or records \
+            that do not apply) or cannot be written."
+    :: Cmd.Exit.info 2
+         ~doc:"$(b,--verify) found a replayed score that differs from the \
+               cold recomputation."
     :: Cmd.Exit.defaults
   in
   Cmd.v (Cmd.info "epochs" ~doc ~man ~exits)
@@ -1069,23 +1163,18 @@ let () =
         language_cmd; redundancy_cmd; tld_cmd; report_md_cmd; profile_cmd;
         scale_cmd; serve_cmd; query_cmd; epochs_cmd ]
   in
-  (* A world too small to calibrate is bad input (exit 124, like a bad
-     flag); a --checkpoint file that is not a checkpoint is refused
-     (exit 1, as an unusable epoch log is); any other escaping exception
-     stays an internal error (125), as under cmdliner's own handler. *)
+  (* A refusal gets its one line and status; any other escaping
+     exception stays an internal error (125), as under cmdliner's own
+     handler. *)
   exit
     (match Cmd.eval ~catch:false cmd with
     | code -> code
-    | exception World.Uncalibrated u ->
-        Printf.eprintf "webdep: %s\n" (World.uncalibrated_message u);
-        124
-    | exception Webdep_faults.Checkpoint.Not_a_checkpoint path ->
-        Printf.eprintf "webdep: checkpoint %s unusable: not a webdep checkpoint, left untouched\n"
-          path;
-        1
-    | exception e ->
+    | exception e -> (
         let bt = Printexc.get_raw_backtrace () in
-        Printf.eprintf "webdep: internal error, uncaught exception:\n%s\n"
-          (Printexc.to_string e);
-        Printexc.print_raw_backtrace stderr bt;
-        125)
+        match refused e with
+        | Some code -> code
+        | None ->
+            Printf.eprintf "webdep: internal error, uncaught exception:\n%s\n"
+              (Printexc.to_string e);
+            Printexc.print_raw_backtrace stderr bt;
+            125))

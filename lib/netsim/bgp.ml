@@ -36,18 +36,6 @@ let best_of = function
   | first :: rest ->
       Some (List.fold_left (fun best a -> if better a best then a else best) first rest)
 
-let best_table t =
-  let table = Prefix_table.create () in
-  Routes.iter
-    (fun _ anns ->
-      match best_of anns with
-      | Some best -> Prefix_table.add table best.prefix best
-      | None -> ())
-    t.routes;
-  table
-
-let best_route t addr = Prefix_table.lookup (best_table t) addr
-
 let derive_pfx2as t =
   let table = Prefix_table.create () in
   Routes.iter

@@ -7,13 +7,6 @@
     shortest path (lowest origin ASN breaking ties); the origin table is
     read off the best routes. *)
 
-type announcement = {
-  prefix : Ipv4.prefix;
-  path : int list;  (** AS path, origin last; never empty *)
-}
-
-val origin : announcement -> int
-
 type t
 
 val create : unit -> t
@@ -21,11 +14,9 @@ val create : unit -> t
 val announce : t -> Ipv4.prefix -> path:int list -> unit
 (** Record an announcement.  @raise Invalid_argument on an empty path. *)
 
-val best_route : t -> Ipv4.addr -> announcement option
-(** Longest-prefix match over best routes. *)
-
 val derive_pfx2as : t -> int Prefix_table.t
-(** The RouteViews/CAIDA prefix→origin-AS table from best routes. *)
+(** The RouteViews/CAIDA prefix→origin-AS table: each announced
+    prefix's best route's origin. *)
 
 val moas : t -> (Ipv4.prefix * int list) list
 (** Prefixes announced by multiple distinct origins (MOAS conflicts),

@@ -37,7 +37,7 @@ let add t prefix v =
   if !node.value = None then t.count <- t.count + 1;
   !node.value <- Some v
 
-let lookup_prefix t addr =
+let lookup t addr =
   let best = ref None in
   let node = ref (Some t.root) in
   let depth = ref 0 in
@@ -46,9 +46,7 @@ let lookup_prefix t addr =
     match !node with
     | None -> continue := false
     | Some n ->
-        (match n.value with
-        | Some v -> best := Some (Ipv4.prefix addr !depth, v)
-        | None -> ());
+        (match n.value with Some _ as v -> best := v | None -> ());
         if !depth = 32 then continue := false
         else begin
           node := (if bit addr !depth = 0 then n.zero else n.one);
@@ -56,8 +54,6 @@ let lookup_prefix t addr =
         end
   done;
   !best
-
-let lookup t addr = Option.map snd (lookup_prefix t addr)
 
 let size t = t.count
 

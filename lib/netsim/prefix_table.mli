@@ -15,9 +15,6 @@ val add : 'a t -> Ipv4.prefix -> 'a -> unit
 val lookup : 'a t -> Ipv4.addr -> 'a option
 (** Longest-prefix match. *)
 
-val lookup_prefix : 'a t -> Ipv4.addr -> (Ipv4.prefix * 'a) option
-(** Longest-prefix match returning the covering prefix as well. *)
-
 val size : 'a t -> int
 (** Number of stored prefixes. *)
 

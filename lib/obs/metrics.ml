@@ -19,17 +19,14 @@
    Histograms keep a per-bucket sum alongside each count, so the mean is
    exact and quantiles interpolate linearly inside the bucket holding
    the target rank instead of reporting the bucket's upper bound; the
-   overflow bucket interpolates up to the true max seen.  [merge_into]
-   folds one histogram into another (same bounds required) — the
-   cross-domain / cross-process reduction a latency digest needs.
+   overflow bucket interpolates up to the true max seen.
 
    [reset ()] zeroes every registered metric in place, keeping the
    references held by instrumented modules valid. *)
 
-type counter = { c_name : string; count : int Atomic.t }
+type counter = int Atomic.t
 
 type histogram = {
-  h_name : string;
   bounds : float array;  (* ascending bucket upper bounds *)
   bucket_counts : int Atomic.t array;  (* length = Array.length bounds + 1; last = overflow *)
   bucket_sums : float Atomic.t array;  (* same shape: sum of observations per bucket *)
@@ -68,13 +65,12 @@ let counter name =
       match Hashtbl.find_opt counters name with
       | Some c -> c
       | None ->
-          let c = { c_name = name; count = Atomic.make 0 } in
+          let c = Atomic.make 0 in
           Hashtbl.replace counters name c;
           c)
 
-let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.count by)
-let value c = Atomic.get c.count
-let counter_name c = c.c_name
+let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
+let value c = Atomic.get c
 
 (* --- histograms -------------------------------------------------------- *)
 
@@ -90,7 +86,6 @@ let histogram ?(bounds = default_bounds) name =
       | None ->
           let h =
             {
-              h_name = name;
               bounds;
               bucket_counts = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
               bucket_sums = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0.0);
@@ -120,7 +115,6 @@ let observe h v =
 
 let count h = Atomic.get h.n
 let sum h = Atomic.get h.sum
-let histogram_name h = h.h_name
 let mean h = if count h = 0 then 0.0 else sum h /. float_of_int (count h)
 
 let stddev h =
@@ -166,19 +160,8 @@ let quantile h q =
     in
     go 0 0
 
-(* Nonempty (upper-bound, count) pairs, overflow bucket last with no bound. *)
-let buckets h =
-  let out = ref [] in
-  Array.iteri
-    (fun i k ->
-      let k = Atomic.get k in
-      if k > 0 then
-        out :=
-          ((if i < Array.length h.bounds then Some h.bounds.(i) else None), k) :: !out)
-    h.bucket_counts;
-  List.rev !out
-
-(* Like [buckets], with each bucket's sum of observations. *)
+(* Nonempty (upper-bound, count, sum) triples, overflow bucket last with
+   no bound. *)
 let buckets_with_sums h =
   let out = ref [] in
   Array.iteri
@@ -192,27 +175,6 @@ let buckets_with_sums h =
           :: !out)
     h.bucket_counts;
   List.rev !out
-
-(* Fold [src] into [into]: the mergeable reduction for combining per-domain
-   or per-process digests.  Both histograms must share bounds. *)
-let merge_into ~into src =
-  if into.bounds <> src.bounds then
-    invalid_arg
-      (Printf.sprintf "Metrics.merge_into: %s and %s have different bounds"
-         into.h_name src.h_name);
-  Array.iteri
-    (fun i k -> ignore (Atomic.fetch_and_add into.bucket_counts.(i) (Atomic.get k)))
-    src.bucket_counts;
-  Array.iteri
-    (fun i s -> atomic_add_float into.bucket_sums.(i) (Atomic.get s))
-    src.bucket_sums;
-  ignore (Atomic.fetch_and_add into.n (Atomic.get src.n));
-  atomic_add_float into.sum (Atomic.get src.sum);
-  atomic_add_float into.sum_sq (Atomic.get src.sum_sq);
-  if Atomic.get src.n > 0 then begin
-    atomic_min_float into.min_seen (Atomic.get src.min_seen);
-    atomic_max_float into.max_seen (Atomic.get src.max_seen)
-  end
 
 (* --- observe-only fast path -------------------------------------------- *)
 
@@ -259,8 +221,6 @@ module Local = struct
     l.l_counts.(b) <- l.l_counts.(b) + 1;
     l.l_sums.(b) <- l.l_sums.(b) +. v
 
-  let pending l = l.l_n
-
   let flush l =
     if l.l_n > 0 then begin
       let h = l.target in
@@ -289,14 +249,15 @@ end
 (* --- registry-wide operations ------------------------------------------ *)
 
 let fold_counters f acc =
-  Mutex.protect registry_lock (fun () -> Hashtbl.fold (fun _ c acc -> f c acc) counters acc)
+  Mutex.protect registry_lock (fun () ->
+      Hashtbl.fold (fun name c acc -> f name (value c) acc) counters acc)
 
 let fold_histograms f acc =
-  Mutex.protect registry_lock (fun () -> Hashtbl.fold (fun _ h acc -> f h acc) histograms acc)
+  Mutex.protect registry_lock (fun () -> Hashtbl.fold f histograms acc)
 
 let reset () =
   Mutex.protect registry_lock (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.count 0) counters;
+      Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
       Hashtbl.iter
         (fun _ h ->
           Array.iter (fun b -> Atomic.set b 0) h.bucket_counts;

@@ -51,44 +51,28 @@ let histogram_json h =
 
 let snapshot () =
   let by_name l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  let counters =
-    Metrics.fold_counters
-      (fun c acc -> (Metrics.counter_name c, Json.Int (Metrics.value c)) :: acc)
-      []
-  in
+  let counters = Metrics.fold_counters (fun name v acc -> (name, Json.Int v) :: acc) [] in
+  let prefix = Span.histogram_prefix in
+  let n = String.length prefix in
   let spans, plain =
-    Metrics.fold_histograms (fun h acc -> h :: acc) []
-    |> List.partition (fun h ->
-           String.length (Metrics.histogram_name h) > String.length Span.histogram_prefix
-           && String.sub (Metrics.histogram_name h) 0 (String.length Span.histogram_prefix)
-              = Span.histogram_prefix)
-  in
-  let histo_fields strip hs =
-    List.map
-      (fun h ->
-        let name = Metrics.histogram_name h in
-        let name =
-          if strip then
-            String.sub name (String.length Span.histogram_prefix)
-              (String.length name - String.length Span.histogram_prefix)
-          else name
-        in
-        (name, histogram_json h))
-      hs
+    Metrics.fold_histograms
+      (fun name h (spans, plain) ->
+        if String.length name > n && String.starts_with ~prefix name then
+          ((String.sub name n (String.length name - n), histogram_json h) :: spans, plain)
+        else (spans, (name, histogram_json h) :: plain))
+      ([], [])
   in
   Json.Obj
     [
       ("schema", Json.String schema_version);
       ("counters", Json.Obj (by_name counters));
-      ("histograms", Json.Obj (by_name (histo_fields false plain)));
-      ("spans", Json.Obj (by_name (histo_fields true spans)));
+      ("histograms", Json.Obj (by_name plain));
+      ("spans", Json.Obj (by_name spans));
     ]
-
-let dump_json () = Json.to_string (snapshot ())
 
 let write_file path =
   let oc = open_out path in
-  output_string oc (dump_json ());
+  output_string oc (Json.to_string (snapshot ()));
   output_char oc '\n';
   close_out oc
 

@@ -3,13 +3,13 @@
    The default is [null] — emitting to it is a single indirect call that
    does nothing, so instrumentation can stay on unconditionally.  The
    console sink pretty-prints through [Logs] (level App, so it shows even
-   without -v once a reporter is installed); the jsonl sink appends one
-   JSON object per span to a file for offline analysis; [tee] fans one
-   stream out to two sinks (console + trace file, collector + export).
+   without -v once a reporter is installed); [tee] fans one stream out to
+   two sinks (console + recorder).  Recording events and writing them to
+   a trace file is [Webdep_prof]'s job.
 
-   Spans may finish on any domain, so the console and jsonl sinks
-   serialize their writes through a lock — each emitted line is atomic
-   with respect to other domains. *)
+   Spans may finish on any domain, so the console sink serializes its
+   writes through a lock — each emitted line is atomic with respect to
+   other domains. *)
 
 (* GC-counter movement across a span: minor/promoted/major words are the
    allocation story ([Gc.quick_stat] deltas, so words not bytes), major
@@ -91,35 +91,4 @@ let console () =
                 m "%*sspan %-28s %a%a" (2 * ev.depth) "" ev.name pp_duration ev.duration_s
                   pp_attrs ev.attrs)));
     flush = ignore;
-  }
-
-(* --- JSON lines -------------------------------------------------------- *)
-
-module Json = Webdep_json
-
-let json_of_event ev =
-  Json.Obj
-    [
-      ("name", Json.String ev.name);
-      ("start_s", Json.Float ev.start_s);
-      ("duration_s", Json.Float ev.duration_s);
-      ("depth", Json.Int ev.depth);
-      ("lane", Json.Int ev.lane);
-      ("minor_words", Json.Float ev.gc.minor_words);
-      ("promoted_words", Json.Float ev.gc.promoted_words);
-      ("major_words", Json.Float ev.gc.major_words);
-      ("major_collections", Json.Int ev.gc.major_collections);
-      ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) ev.attrs));
-    ]
-
-let jsonl path =
-  let oc = open_out path in
-  let lock = Mutex.create () in
-  {
-    emit =
-      (fun ev ->
-        Mutex.protect lock (fun () ->
-            output_string oc (Json.to_string (json_of_event ev));
-            output_char oc '\n'));
-    flush = (fun () -> Mutex.protect lock (fun () -> Stdlib.flush oc));
   }

@@ -1,14 +1,15 @@
 (* Timing spans.
 
-   [with_ ~name f] runs [f], measures its wall-clock duration and the
+   [timed ~name f] runs [f], measures its wall-clock duration and the
    movement of the GC counters (minor/promoted/major words, major
    collections), records the duration into the per-name histogram
    ["span." ^ name] in the metrics registry, and emits an event to the
-   active trace sink.  Spans nest: a domain-local depth tracks
-   containment so the console sink can indent and the trace exports can
-   reconstruct the tree — each worker domain gets its own nesting stack,
-   so parallel sweeps don't corrupt one another's depth.  Exceptions
-   propagate and still close the span.
+   active trace sink; it returns [f]'s value with that duration, and
+   [with_] is [timed] without the duration.  Spans nest: a domain-local
+   depth tracks containment so the console sink can indent and the
+   trace exports can reconstruct the tree — each worker domain gets its
+   own nesting stack, so parallel sweeps don't corrupt one another's
+   depth.  Exceptions propagate and still close the span.
 
    Lanes: every event carries the lane of the domain that closed it, so
    multi-domain traces render one timeline per lane.  Pool workers call
@@ -46,7 +47,9 @@ let gc_delta ~minor0 ~minor1 (a : Gc.stat) (b : Gc.stat) =
     major_collections = b.Gc.major_collections - a.Gc.major_collections;
   }
 
-let with_ ?(attrs = []) ~name f =
+(* The span's duration is read once, from one clock pair; the histogram,
+   the event and the caller all get that same float. *)
+let timed ?(attrs = []) ~name f =
   let g0 = Gc.quick_stat () in
   let minor0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
@@ -68,14 +71,13 @@ let with_ ?(attrs = []) ~name f =
         depth = d;
         lane = lane ();
         gc = gc_delta ~minor0 ~minor1 g0 g1;
-      }
+      };
+    dur
   in
   match f () with
-  | v -> finish (); v
-  | exception e -> finish (); raise e
+  | v -> (v, finish ())
+  | exception e ->
+      ignore (finish ());
+      raise e
 
-(* Like [with_], but also returns the measured duration in seconds. *)
-let timed ?attrs ~name f =
-  let t0 = Unix.gettimeofday () in
-  let v = with_ ?attrs ~name f in
-  (v, Unix.gettimeofday () -. t0)
+let with_ ?attrs ~name f = fst (timed ?attrs ~name f)

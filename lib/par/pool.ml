@@ -162,36 +162,3 @@ let map_array t f arr =
   end
 
 let map t f xs = Array.to_list (map_array t f (Array.of_list xs))
-
-let parallel_for t ~n f =
-  if n > 0 then
-    if t.jobs = 1 || n = 1 then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else begin
-      let chunk = chunk_size t n in
-      let nchunks = (n + chunk - 1) / chunk in
-      let cursor = Atomic.make 0 in
-      let first_exn = Atomic.make None in
-      let step () =
-        let rec drain () =
-          let i = Atomic.fetch_and_add cursor 1 in
-          if i < nchunks then begin
-            if Atomic.get first_exn = None then begin
-              let lo = i * chunk in
-              let hi = min n (lo + chunk) - 1 in
-              try
-                for j = lo to hi do
-                  f j
-                done
-              with e -> record_exn first_exn i e
-            end;
-            drain ()
-          end
-        in
-        drain ()
-      in
-      run t step;
-      match Atomic.get first_exn with Some (_, e) -> raise e | None -> ()
-    end

@@ -31,10 +31,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Array analogue of {!map}; same ordering and exception guarantees. *)
 
-val parallel_for : t -> n:int -> (int -> unit) -> unit
-(** [parallel_for pool ~n f] runs [f 0 .. f (n-1)], chunked across the
-    pool.  Iterations must not depend on each other. *)
-
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; the pool must not be
     used afterwards. *)

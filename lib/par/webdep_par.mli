@@ -11,19 +11,16 @@
     bit-identical results to [jobs = 1] whenever the mapped function is
     pure with respect to scheduling. *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
+module Pool = Pool
 
 val jobs : unit -> int
-(** The currently configured lane count (default {!default_jobs}). *)
+(** The currently configured lane count (default
+    [Domain.recommended_domain_count ()]). *)
 
 val set_jobs : int -> unit
 (** Configure the shared pool's lane count.  An existing shared pool of
     a different size is shut down; the next combinator respawns it
     lazily.  @raise Invalid_argument if the argument is [< 1]. *)
-
-val pool : unit -> Pool.t
-(** The shared pool, spawned on first use with {!jobs} lanes. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] is [List.map f xs] on the shared pool ([?jobs] overrides
@@ -33,22 +30,13 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Array analogue of {!map}. *)
 
-val parallel_for : ?jobs:int -> n:int -> (int -> unit) -> unit
-(** [parallel_for ~n f] runs [f 0 .. f (n-1)] across the pool. *)
-
 val map_fold :
-  ?jobs:int ->
-  ?window:int ->
-  ('a -> 'b) ->
-  init:'acc ->
-  fold:('acc -> 'b -> 'acc) ->
-  'a list ->
-  'acc
+  ?jobs:int -> ('a -> 'b) -> init:'acc -> fold:('acc -> 'b -> 'acc) -> 'a list -> 'acc
 (** [map_fold f ~init ~fold xs] maps [f] over [xs] on the pool and folds
     the results on the calling domain, in input order, window by window:
-    at most [window] (default: twice the lane count, floor 8) mapped
-    results are ever live, so the peak heap of a large fan-out stays
-    bounded by the window instead of the input.  Equivalent to
+    at most twice the lane count (at least 8) mapped results are ever
+    live, so the peak heap of a large fan-out stays bounded by the
+    window instead of the input.  Equivalent to
     [List.fold_left fold init (List.map f xs)] whenever [f] is pure with
     respect to scheduling; [fold] itself always runs sequentially. *)
 

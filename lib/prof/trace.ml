@@ -1,6 +1,6 @@
 (* Chrome trace-event export: spans as a Perfetto-loadable timeline.
 
-   The sink buffers every finished span and [flush] (re)writes the whole
+   The sink records every finished span and [flush] (re)writes the whole
    file as one JSON document in the Trace Event Format that Perfetto and
    chrome://tracing load directly:
 
@@ -94,17 +94,11 @@ let write path events =
   output_char oc '\n';
   close_out oc
 
-(* The sink keeps everything emitted so far; each flush rewrites [path]
-   with the full set, so the file is a valid trace after every flush. *)
+(* The profiler's recorder, plus a write of everything recorded so far
+   at each flush, so the file is a valid trace after every flush. *)
 let sink path =
-  let lock = Mutex.create () in
-  let events = ref [] in
-  {
-    Sink.emit =
-      (fun ev -> Mutex.protect lock (fun () -> events := ev :: !events));
-    flush =
-      (fun () -> Mutex.protect lock (fun () -> write path (List.rev !events)));
-  }
+  let c = Profile.collector () in
+  { (Profile.collector_sink c) with Sink.flush = (fun () -> write path (Profile.events c)) }
 
 (* --- loading ------------------------------------------------------------ *)
 

@@ -7,8 +7,11 @@
    re-measuring the shards its predecessor finished.  A crash-loop
    detector bounds the damage: more than [restart_limit] abnormal
    exits inside a sliding [window_s] window means the crash is
-   deterministic (bad flags, corrupt state, port taken) and restarting
-   is noise — the supervisor gives up with a distinct exit code.
+   deterministic (corrupt state, a crash on every start) and restarting
+   is noise — the supervisor gives up with a distinct exit code.  A
+   child that exits 1 has refused its input (a file that is not a
+   checkpoint, a socket it cannot bind) and has said why; the same input
+   would be refused again, so the supervisor exits 1 too, at once.
 
    Fork safety: [supervise] must be called before any domain is spawned
    (OCaml 5 forbids forking a process with running domains), which is
@@ -46,22 +49,28 @@ let default_policy =
       };
   }
 
-type decision = Restart of float  (** delay in seconds *) | Give_up
+type decision = Exit of int | Restart of float  (** delay in seconds *) | Give_up
 
-(* Pure decision core: given the wall clock and the timestamps of past
-   abnormal exits (most recent first, the one that just happened
-   included), restart after a backoff or give up.  The backoff attempt
-   number is the count of *recent* failures, so a server that crashed
-   twice yesterday and once now backs off like a first crash, not a
-   third. *)
-let decide ?(policy = default_policy) ~now failures =
-  let recent = List.filter (fun t -> now -. t <= policy.window_s) failures in
-  let n = List.length recent in
-  if n > policy.restart_limit then Give_up
-  else
-    Restart
-      (Retry.backoff_ms policy.backoff ~key:"supervisor" ~attempt:(max 1 n)
-      /. 1000.0)
+(* Crashes inside the window ending at [now]. *)
+let recent ~policy ~now failures =
+  List.length (List.filter (fun t -> now -. t <= policy.window_s) failures)
+
+(* Pure decision core: given the child's exit status, the wall clock
+   and the timestamps of earlier abnormal exits (most recent first),
+   stop with the child's clean or refusing status, restart after a
+   backoff, or give up.  Any status but exit 0 or 1 is a crash at [now].
+   The backoff attempt number is the count of *recent* crashes, so a
+   server that crashed twice yesterday and once now backs off like a
+   first crash, not a third. *)
+let decide ?(policy = default_policy) ~now ~status failures =
+  match status with
+  | Unix.WEXITED ((0 | 1) as code) -> Exit code
+  | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
+      let n = recent ~policy ~now (now :: failures) in
+      if n > policy.restart_limit then Give_up
+      else
+        Restart
+          (Retry.backoff_ms policy.backoff ~key:"supervisor" ~attempt:n /. 1000.0)
 
 let status_string = function
   | Unix.WEXITED c -> Printf.sprintf "exit %d" c
@@ -70,9 +79,9 @@ let status_string = function
 
 (* Fork [child] and babysit it.  Returns the exit code the supervisor
    itself should exit with: 0 when the child ends cleanly (normal drain
-   or shutdown request), [give_up_exit_code] on a crash loop.  SIGTERM
-   and SIGINT are forwarded to the child so `kill <supervisor>` drains
-   the server instead of orphaning it. *)
+   or shutdown request), 1 when it refused its input, [give_up_exit_code]
+   on a crash loop.  SIGTERM and SIGINT are forwarded to the child so
+   `kill <supervisor>` drains the server instead of orphaning it. *)
 let supervise ?(policy = default_policy) child =
   let child_pid = ref 0 in
   let forward sg = if !child_pid > 0 then try Unix.kill !child_pid sg with Unix.Unix_error _ -> () in
@@ -94,29 +103,23 @@ let supervise ?(policy = default_policy) child =
       try snd (Unix.waitpid [] !child_pid)
       with Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
     in
-    match wait () with
-    | Unix.WEXITED 0 -> 0
-    | status -> (
-        let now = Unix.gettimeofday () in
-        let failures = now :: failures in
-        match decide ~policy ~now failures with
-        | Give_up ->
-            Webdep_obs.Metrics.incr m_give_ups;
-            Printf.eprintf
-              "webdep serve: child crash-looping (%s; %d abnormal exits in \
-               %.0fs), giving up\n\
-               %!"
-              (status_string status)
-              (List.length
-                 (List.filter (fun t -> now -. t <= policy.window_s) failures))
-              policy.window_s;
-            give_up_exit_code
-        | Restart delay ->
-            Webdep_obs.Metrics.incr m_restarts;
-            Printf.eprintf
-              "webdep serve: child died (%s), restarting in %.2fs\n%!"
-              (status_string status) delay;
-            Unix.sleepf delay;
-            loop failures)
+    let status = wait () in
+    let now = Unix.gettimeofday () in
+    match decide ~policy ~now ~status failures with
+    | Exit code -> code
+    | Give_up ->
+        Webdep_obs.Metrics.incr m_give_ups;
+        Printf.eprintf
+          "webdep serve: child crash-looping (%s; %d abnormal exits in %.0fs), giving up\n%!"
+          (status_string status)
+          (recent ~policy ~now (now :: failures))
+          policy.window_s;
+        give_up_exit_code
+    | Restart delay ->
+        Webdep_obs.Metrics.incr m_restarts;
+        Printf.eprintf "webdep serve: child died (%s), restarting in %.2fs\n%!"
+          (status_string status) delay;
+        Unix.sleepf delay;
+        loop (now :: failures)
   in
   loop []

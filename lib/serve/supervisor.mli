@@ -1,5 +1,6 @@
-(** Process supervision for the daemon: restart it after an abnormal
-    exit with exponential backoff, and give up on a crash loop. *)
+(** Process supervision for the daemon: restart it after a crash with
+    exponential backoff, give up on a crash loop, and stop with the
+    child when it exits cleanly (0) or refuses its input (1). *)
 
 type policy = {
   restart_limit : int;  (** abnormal exits tolerated within the window *)
@@ -10,16 +11,23 @@ type policy = {
 val default_policy : policy
 (** 5 exits in 30 s; backoff from 100 ms, doubling, 50 ms jitter. *)
 
-type decision = Restart of float  (** delay in seconds *) | Give_up
+type decision =
+  | Exit of int  (** stop, exiting with the child's status *)
+  | Restart of float  (** delay in seconds *)
+  | Give_up
 
-val decide : ?policy:policy -> now:float -> float list -> decision
-(** Given the times of past abnormal exits (the one just seen
-    included), restart after a backoff that grows with the exits inside
-    the window, or give up when they exceed [restart_limit]. *)
+val decide :
+  ?policy:policy -> now:float -> status:Unix.process_status -> float list -> decision
+(** The child just ended with [status]; the list holds the times of
+    earlier crashes.  Exit 0 (clean) and exit 1 (the child refused its
+    input, which a restart would refuse again) stop the supervisor with
+    that status.  Any other status is a crash at [now]: restart after a
+    backoff that grows with the crashes inside the window, or give up
+    when they exceed [restart_limit]. *)
 
 val supervise : ?policy:policy -> (unit -> unit) -> int
-(** Fork [child] and restart it on abnormal exit.  Returns the exit code
-    for the supervisor: 0 when the child exits cleanly, 6 on a crash
-    loop.  SIGTERM and SIGINT are forwarded to the child.  Call it
+(** Fork [child] and restart it after a crash.  Returns the exit code
+    for the supervisor: 0 when the child exits cleanly, 1 when it
+    refused its input, 6 on a crash loop.  SIGTERM and SIGINT are forwarded to the child.  Call it
     before any domain is spawned: OCaml 5 cannot fork a process with
     running domains. *)

@@ -93,12 +93,19 @@ let test_trie_default_route () =
   Alcotest.(check (option string)) "default matches all" (Some "default")
     (Prefix_table.lookup t (addr "203.0.113.7"))
 
-let test_trie_lookup_prefix () =
+(* The walk runs the full 32 levels: a host route inside nested
+   prefixes wins only at its own address. *)
+let test_trie_host_route () =
   let t = Prefix_table.create () in
-  Prefix_table.add t (pfx "192.168.0.0/16") 1;
-  match Prefix_table.lookup_prefix t (addr "192.168.3.4") with
-  | Some (p, 1) -> Alcotest.(check string) "prefix" "192.168.0.0/16" (Ipv4.prefix_to_string p)
-  | _ -> Alcotest.fail "expected match"
+  Prefix_table.add t (pfx "0.0.0.0/0") 0;
+  Prefix_table.add t (pfx "192.168.0.0/16") 16;
+  Prefix_table.add t (pfx "192.168.3.4/32") 32;
+  Alcotest.(check (option int)) "/32 at its address" (Some 32)
+    (Prefix_table.lookup t (addr "192.168.3.4"));
+  Alcotest.(check (option int)) "/16 next door" (Some 16)
+    (Prefix_table.lookup t (addr "192.168.3.5"));
+  Alcotest.(check (option int)) "/0 outside" (Some 0)
+    (Prefix_table.lookup t (addr "192.169.3.4"))
 
 let test_trie_fold () =
   let t = Prefix_table.create () in
@@ -125,34 +132,40 @@ let prop_trie_finds_inserted =
 
 (* --- Geo_db --------------------------------------------------------------------- *)
 
+let draws db truth n = List.init n (fun _ -> Geo_db.verdict db truth)
+
 let test_geo_exact () =
-  let rng = Rng.create 4 in
-  let db = Geo_db.create ~accuracy:1.0 rng () in
-  Geo_db.add db (pfx "10.0.0.0/8") "DE";
-  Alcotest.(check (option string)) "exact" (Some "DE") (Geo_db.lookup db (addr "10.9.9.9"));
-  Alcotest.(check (option string)) "truth" (Some "DE") (Geo_db.true_country db (addr "10.9.9.9"))
+  let db = Geo_db.create ~accuracy:1.0 (Rng.create 4) () in
+  Alcotest.(check (list string)) "accuracy 1 returns the truth" (List.init 100 (fun _ -> "DE"))
+    (draws db "DE" 100)
 
 let test_geo_error_model () =
-  let rng = Rng.create 5 in
-  let db = Geo_db.create ~accuracy:0.5 ~candidates:[ "US"; "DE"; "FR"; "JP" ] rng () in
-  let wrong = ref 0 and n = 2000 in
-  for i = 0 to n - 1 do
-    let p = Ipv4.prefix (Ipv4.addr_of_int (i * 4096)) 20 in
-    Geo_db.add db p "US";
-    let believed = Option.get (Geo_db.lookup db (Ipv4.nth_addr p 1)) in
-    if believed <> "US" then incr wrong
-  done;
-  let frac = float_of_int !wrong /. float_of_int n in
-  if frac < 0.40 || frac > 0.60 then Alcotest.failf "error rate %f should be ~0.5" frac
+  let candidates = [ "US"; "DE"; "FR"; "JP" ] in
+  let db = Geo_db.create ~accuracy:0.5 ~candidates (Rng.create 5) () in
+  let verdicts = draws db "US" 1000 in
+  let wrong = List.filter (fun c -> c <> "US") verdicts in
+  let frac = float_of_int (List.length wrong) /. 1000.0 in
+  if frac < 0.40 || frac > 0.60 then Alcotest.failf "error rate %f should be ~0.5" frac;
+  Alcotest.(check bool) "every wrong answer from the candidate pool" true
+    (List.for_all (fun c -> List.mem c candidates) wrong)
 
+let test_geo_zero_accuracy () =
+  let db = Geo_db.create ~accuracy:0.0 ~candidates:[ "US"; "FR" ] (Rng.create 6) () in
+  Alcotest.(check (list string)) "accuracy 0 never returns the truth"
+    (List.init 200 (fun _ -> "FR")) (draws db "US" 200)
+
+(* The database is wrong consistently, not per query: the internet draws
+   one verdict per /20, so every address in it reads the same. *)
 let test_geo_consistent_per_prefix () =
-  (* The database is wrong consistently, not per query. *)
   let rng = Rng.create 6 in
-  let db = Geo_db.create ~accuracy:0.0 ~candidates:[ "FR"; "DE" ] rng () in
-  Geo_db.add db (pfx "10.0.0.0/8") "US";
-  let first = Geo_db.lookup db (addr "10.1.1.1") in
+  let net = Internet.create ~geo_accuracy:0.0 rng in
+  let n = Internet.register_network net ~name:"Z" ~country:"US" () in
+  let p = snd (List.hd n.Internet.pops) in
+  let first = Internet.geolocate net (Ipv4.nth_addr p 1) in
+  Alcotest.(check bool) "wrong" true (first <> Some "US" && first <> None);
   for _ = 1 to 50 do
-    Alcotest.(check (option string)) "stable answer" first (Geo_db.lookup db (addr "10.2.2.2"))
+    Alcotest.(check (option string)) "stable answer" first
+      (Internet.geolocate net (Ipv4.nth_addr p 4000))
   done
 
 let test_geo_invalid_accuracy () =
@@ -167,9 +180,8 @@ let test_bgp_best_route_prefers_short_path () =
   let p = pfx "10.0.0.0/16" in
   Bgp.announce t p ~path:[ 174; 3356; 65001 ];
   Bgp.announce t p ~path:[ 174; 65002 ];
-  (match Bgp.best_route t (addr "10.0.1.1") with
-  | Some a -> Alcotest.(check int) "short path wins" 65002 (Bgp.origin a)
-  | None -> Alcotest.fail "route expected");
+  Alcotest.(check (option int)) "short path's origin wins" (Some 65002)
+    (Prefix_table.lookup (Bgp.derive_pfx2as t) (addr "10.0.1.1"));
   Alcotest.(check int) "two announcements" 2 (Bgp.announcement_count t);
   Alcotest.(check int) "one prefix" 1 (Bgp.prefix_count t)
 
@@ -178,9 +190,8 @@ let test_bgp_tie_breaks_on_origin () =
   let p = pfx "10.0.0.0/16" in
   Bgp.announce t p ~path:[ 174; 65009 ];
   Bgp.announce t p ~path:[ 1299; 65001 ];
-  match Bgp.best_route t (addr "10.0.1.1") with
-  | Some a -> Alcotest.(check int) "lower origin wins tie" 65001 (Bgp.origin a)
-  | None -> Alcotest.fail "route expected"
+  Alcotest.(check (option int)) "lower origin wins tie" (Some 65001)
+    (Prefix_table.lookup (Bgp.derive_pfx2as t) (addr "10.0.1.1"))
 
 let test_bgp_moas () =
   let t = Bgp.create () in
@@ -373,7 +384,7 @@ let () =
           Alcotest.test_case "longest prefix match" `Quick test_trie_longest_prefix_match;
           Alcotest.test_case "replace" `Quick test_trie_replace;
           Alcotest.test_case "default route" `Quick test_trie_default_route;
-          Alcotest.test_case "lookup_prefix" `Quick test_trie_lookup_prefix;
+          Alcotest.test_case "host route" `Quick test_trie_host_route;
           Alcotest.test_case "fold" `Quick test_trie_fold;
           qtest prop_trie_finds_inserted;
         ] );
@@ -381,6 +392,7 @@ let () =
         [
           Alcotest.test_case "exact" `Quick test_geo_exact;
           Alcotest.test_case "error model rate" `Quick test_geo_error_model;
+          Alcotest.test_case "zero accuracy never the truth" `Quick test_geo_zero_accuracy;
           Alcotest.test_case "consistent errors" `Quick test_geo_consistent_per_prefix;
           Alcotest.test_case "invalid accuracy" `Quick test_geo_invalid_accuracy;
         ] );

@@ -1,6 +1,7 @@
-(* Unit tests for webdep_obs: span nesting, counter/histogram math
-   (including empty-histogram edge cases), the JSON printer/parser, the
-   registry snapshot round-trip and the jsonl trace sink.
+(* Unit tests for webdep_obs: span nesting and clocks, counter/histogram
+   math (including empty-histogram edge cases), the JSON printer/parser,
+   the registry snapshot round-trip and nested spans through a trace
+   file.
 
    The registry is process-global; tests use distinct metric names so
    they stay independent of execution order. *)
@@ -10,6 +11,9 @@ module Span = Webdep_obs.Span
 module Sink = Webdep_obs.Sink
 module Json = Webdep_json
 module Registry = Webdep_obs.Registry
+module Trace = Webdep_prof.Trace
+
+let bucket_counts h = List.map (fun (le, k, _) -> (le, k)) (Metrics.buckets_with_sums h)
 
 let test_counter_math () =
   let c = Metrics.counter "test.counter.basic" in
@@ -32,7 +36,7 @@ let test_empty_histogram () =
   Alcotest.(check (option (float 0.0))) "no min" None (Metrics.min_value h);
   Alcotest.(check (option (float 0.0))) "no max" None (Metrics.max_value h);
   Alcotest.(check (option (float 0.0))) "no quantile" None (Metrics.quantile h 0.5);
-  Alcotest.(check int) "no buckets" 0 (List.length (Metrics.buckets h))
+  Alcotest.(check int) "no buckets" 0 (List.length (Metrics.buckets_with_sums h))
 
 let test_histogram_math () =
   let h = Metrics.histogram "test.histo.math" in
@@ -44,7 +48,7 @@ let test_histogram_math () =
   Alcotest.(check (option (float 1e-9))) "min" (Some 1.0) (Metrics.min_value h);
   Alcotest.(check (option (float 1e-9))) "max" (Some 4.0) (Metrics.max_value h);
   (* Bucket counts preserve the total. *)
-  let total = List.fold_left (fun acc (_, k) -> acc + k) 0 (Metrics.buckets h) in
+  let total = List.fold_left (fun acc (_, k, _) -> acc + k) 0 (Metrics.buckets_with_sums h) in
   Alcotest.(check int) "buckets cover all observations" 4 total
 
 (* The observe-only fast path must be indistinguishable from direct
@@ -58,9 +62,7 @@ let test_histogram_local_fast_path () =
   let local = Metrics.Local.create shared in
   List.iter (Metrics.Local.observe local) samples;
   Alcotest.(check int) "nothing shared before flush" 0 (Metrics.count shared);
-  Alcotest.(check int) "pending" (List.length samples) (Metrics.Local.pending local);
   Metrics.Local.flush local;
-  Alcotest.(check int) "pending cleared" 0 (Metrics.Local.pending local);
   Alcotest.(check int) "count" (Metrics.count direct) (Metrics.count shared);
   Alcotest.(check (float 1e-12)) "sum" (Metrics.sum direct) (Metrics.sum shared);
   Alcotest.(check (float 1e-12)) "stddev" (Metrics.stddev direct) (Metrics.stddev shared);
@@ -74,8 +76,8 @@ let test_histogram_local_fast_path () =
         (Printf.sprintf "q%.3f" q)
         (Metrics.quantile direct q) (Metrics.quantile shared q))
     [ 0.5; 0.9; 0.99; 0.999 ];
-  Alcotest.(check int) "bucket shapes" (List.length (Metrics.buckets direct))
-    (List.length (Metrics.buckets shared));
+  Alcotest.(check (list (pair (option (float 0.0)) int))) "bucket counts"
+    (bucket_counts direct) (bucket_counts shared);
   (* A second flush with nothing pending is a no-op. *)
   Metrics.Local.flush local;
   Alcotest.(check int) "idempotent flush" (Metrics.count direct) (Metrics.count shared)
@@ -126,35 +128,11 @@ let test_histogram_bucket_sums () =
       Alcotest.(check (float 1e-9)) "shared bucket sum" 0.0012 s
   | None -> Alcotest.fail "expected a (1e-4, 1e-3] bucket"
 
-let test_histogram_merge () =
-  let a = Metrics.histogram "test.histo.merge_a" in
-  let b = Metrics.histogram "test.histo.merge_b" in
-  List.iter (Metrics.observe a) [ 0.001; 0.002 ];
-  List.iter (Metrics.observe b) [ 0.9; 1.5; 4.0 ];
-  Metrics.merge_into ~into:a b;
-  Alcotest.(check int) "merged count" 5 (Metrics.count a);
-  Alcotest.(check (float 1e-9)) "merged sum" 6.403 (Metrics.sum a);
-  Alcotest.(check (option (float 1e-9))) "merged min" (Some 0.001) (Metrics.min_value a);
-  Alcotest.(check (option (float 1e-9))) "merged max" (Some 4.0) (Metrics.max_value a);
-  (match Metrics.quantile a 1.0 with
-  | Some q -> Alcotest.(check (float 1e-9)) "merged q1 is the global max" 4.0 q
-  | None -> Alcotest.fail "quantile missing");
-  (* Merging an empty histogram must not disturb min/max. *)
-  let empty = Metrics.histogram "test.histo.merge_empty" in
-  Metrics.merge_into ~into:a empty;
-  Alcotest.(check (option (float 1e-9))) "min survives empty merge" (Some 0.001)
-    (Metrics.min_value a);
-  (* Distinct bounds are a programming error, not a silent skew. *)
-  let other = Metrics.histogram ~bounds:[| 1.0; 2.0 |] "test.histo.merge_bounds" in
-  match Metrics.merge_into ~into:a other with
-  | () -> Alcotest.fail "expected Invalid_argument for mismatched bounds"
-  | exception Invalid_argument _ -> ()
-
 let test_histogram_overflow_bucket () =
   let h = Metrics.histogram "test.histo.overflow" in
   Metrics.observe h 1e9;
   (* Beyond the last bound: lands in the unbounded overflow bucket. *)
-  (match Metrics.buckets h with
+  (match bucket_counts h with
   | [ (None, 1) ] -> ()
   | _ -> Alcotest.fail "expected one overflow bucket");
   match Metrics.quantile h 1.0 with
@@ -325,8 +303,11 @@ let test_registry_snapshot_roundtrip () =
   List.iter (Metrics.observe h) [ 0.002; 0.004; 1.5 ];
   Span.with_ ~name:"test_snapshot_span" (fun () -> ());
   let snap = Registry.snapshot () in
-  let reparsed = Json.parse (Registry.dump_json ()) in
-  Alcotest.(check bool) "snapshot JSON round-trips" true (reparsed = snap);
+  let path = Filename.temp_file "webdep_obs" ".json" in
+  Registry.write_file path;
+  let reparsed = Json.parse (In_channel.with_open_bin path In_channel.input_all) in
+  Sys.remove path;
+  Alcotest.(check bool) "written snapshot parses back to itself" true (reparsed = snap);
   (* The snapshot exposes the three sections with our entries in place. *)
   let counters = Option.get (Json.member "counters" snap) in
   Alcotest.(check bool) "counter present" true
@@ -341,32 +322,45 @@ let test_registry_snapshot_roundtrip () =
   Alcotest.(check bool) "span histograms live under spans, prefix stripped" true
     (Json.member "test_snapshot_span" spans <> None)
 
-let test_jsonl_sink () =
-  let path = Filename.temp_file "webdep_obs" ".jsonl" in
-  let sink = Sink.jsonl path in
-  Sink.with_sink sink (fun () ->
-      Span.with_ ~name:"jsonl_outer" ~attrs:[ ("cc", "US") ] (fun () ->
-          Span.with_ ~name:"jsonl_inner" (fun () -> ())));
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
-  Alcotest.(check int) "two span lines" 2 (List.length lines);
-  let parsed = List.map Json.parse lines in
-  (match parsed with
-  | [ inner; outer ] ->
-      Alcotest.(check bool) "inner first" true
-        (Json.member "name" inner = Some (Json.String "jsonl_inner"));
-      Alcotest.(check bool) "outer attrs survive" true
-        (match Json.member "attrs" outer with
-        | Some attrs -> Json.member "cc" attrs = Some (Json.String "US")
-        | None -> false)
-  | _ -> Alcotest.fail "expected two events");
-  Sys.remove path
+(* The trace file is the one place spans are written: two nested spans
+   come back from it, the outer one with its attribute. *)
+let test_trace_file_nested_spans () =
+  let path = Filename.temp_file "webdep_obs" ".trace.json" in
+  Sink.with_sink (Trace.sink path) (fun () ->
+      Span.with_ ~name:"trace_outer" ~attrs:[ ("cc", "US") ] (fun () ->
+          Span.with_ ~name:"trace_inner" (fun () -> ())));
+  let events = Trace.load path in
+  Sys.remove path;
+  let find name =
+    match List.filter (fun (ev : Sink.event) -> ev.Sink.name = name) events with
+    | [ ev ] -> ev
+    | evs -> Alcotest.failf "%d %s events" (List.length evs) name
+  in
+  let outer = find "trace_outer" and inner = find "trace_inner" in
+  Alcotest.(check int) "two spans" 2 (List.length events);
+  Alcotest.(check int) "outer depth" 0 outer.Sink.depth;
+  Alcotest.(check int) "inner depth" 1 inner.Sink.depth;
+  Alcotest.(check (list (pair string string))) "outer attrs survive" [ ("cc", "US") ]
+    outer.Sink.attrs
+
+(* One clock pair per span: the seconds [timed] hands back are the very
+   floats its histogram summed, bit for bit. *)
+let test_timed_is_the_histogram () =
+  let returned =
+    List.fold_left
+      (fun acc i ->
+        let v, s =
+          Span.timed ~name:"test_timed_clock" (fun () ->
+              Sys.opaque_identity (List.init (100 * i) Fun.id))
+        in
+        Alcotest.(check int) "value" (100 * i) (List.length v);
+        acc +. s)
+      0.0 [ 1; 2; 3 ]
+  in
+  let h = Metrics.histogram "span.test_timed_clock" in
+  Alcotest.(check int) "three spans" 3 (Metrics.count h);
+  Alcotest.(check int64) "seconds = histogram sum, bit for bit"
+    (Int64.bits_of_float returned) (Int64.bits_of_float (Metrics.sum h))
 
 let test_reset_keeps_references_live () =
   let c = Metrics.counter "test.reset.counter" in
@@ -396,7 +390,6 @@ let () =
           Alcotest.test_case "single-valued quantile" `Quick
             test_histogram_quantile_single_value;
           Alcotest.test_case "bucket sums" `Quick test_histogram_bucket_sums;
-          Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "overflow bucket" `Quick test_histogram_overflow_bucket;
           Alcotest.test_case "reset keeps references" `Quick test_reset_keeps_references_live;
         ] );
@@ -406,6 +399,10 @@ let () =
           Alcotest.test_case "histogram and result" `Quick test_span_histogram_and_result;
           Alcotest.test_case "gc delta and lane" `Quick test_span_gc_and_lane;
           Alcotest.test_case "exception restores depth" `Quick test_span_exception_restores_depth;
+          Alcotest.test_case "timed seconds are the histogram's" `Quick
+            test_timed_is_the_histogram;
+          Alcotest.test_case "nested spans through a trace file" `Quick
+            test_trace_file_nested_spans;
         ] );
       ( "json",
         [
@@ -414,6 +411,5 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_json_mutation;
           Alcotest.test_case "snapshot round-trip" `Quick test_registry_snapshot_roundtrip;
-          Alcotest.test_case "jsonl sink" `Quick test_jsonl_sink;
         ] );
     ]

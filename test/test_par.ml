@@ -32,14 +32,6 @@ let test_map_array_order () =
         (fun i s -> check Alcotest.string "slot order" (string_of_int i ^ "!") s)
         out)
 
-let test_parallel_for_covers_all () =
-  Pool.with_pool ~jobs:4 (fun p ->
-      let hits = Array.init 300 (fun _ -> Atomic.make 0) in
-      Pool.parallel_for p ~n:300 (fun i -> ignore (Atomic.fetch_and_add hits.(i) 1));
-      Array.iteri
-        (fun i h -> check Alcotest.int (Printf.sprintf "index %d once" i) 1 (Atomic.get h))
-        hits)
-
 let test_exception_propagates () =
   Pool.with_pool ~jobs:4 (fun p ->
       (match Pool.map p (fun x -> if x = 37 then failwith "boom" else x) (List.init 100 Fun.id) with
@@ -312,7 +304,6 @@ let () =
         [
           Alcotest.test_case "map matches List.map" `Quick test_map_matches_list_map;
           Alcotest.test_case "map_array keeps order" `Quick test_map_array_order;
-          Alcotest.test_case "parallel_for covers all" `Quick test_parallel_for_covers_all;
           Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
           Alcotest.test_case "nested map falls back" `Quick test_nested_map_falls_back;
           Alcotest.test_case "jobs=1 sequential" `Quick test_jobs_one_is_sequential;

@@ -1,5 +1,5 @@
 (* Unit tests for webdep_prof (and the multi-domain behaviour of the
-   webdep_obs sinks it builds on): the jsonl sink under a 4-domain
+   webdep_obs sinks it builds on): the trace sink under a 4-domain
    hammer, span depth balance across domains and exceptions, hotspot
    aggregation self/cumulative math, the Chrome trace export/load round
    trip, and the noise-aware regression gate's verdicts and its strict
@@ -17,14 +17,12 @@ module Regress = Webdep_prof.Regress
 let spans_per_domain = 200
 let domains = 4
 
-(* Four domains each emit nested spans as fast as they can; every line
-   of the jsonl file must still be one complete JSON object — the sink's
-   lock makes line writes atomic, and this is the test that would catch
-   interleaving if it ever broke. *)
-let test_jsonl_multi_domain_hammer () =
-  let path = Filename.temp_file "webdep_prof" ".jsonl" in
-  let sink = Sink.jsonl path in
-  Sink.with_sink sink (fun () ->
+(* Four domains each emit nested spans as fast as they can into one
+   trace sink: every span is recorded exactly once, and the written file
+   gives each lane back its own events. *)
+let test_trace_multi_domain_hammer () =
+  let path = Filename.temp_file "webdep_prof" ".trace.json" in
+  Sink.with_sink (Trace.sink path) (fun () ->
       let spawned =
         List.init domains (fun d ->
             Domain.spawn (fun () ->
@@ -38,32 +36,27 @@ let test_jsonl_multi_domain_hammer () =
                 done))
       in
       List.iter Domain.join spawned);
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
-  Alcotest.(check int) "every span became exactly one line"
+  let events = Trace.load path in
+  Sys.remove path;
+  Alcotest.(check int) "every span recorded exactly once"
     (domains * spans_per_domain * 2)
-    (List.length lines);
-  let lanes = Hashtbl.create 8 in
-  List.iter
-    (fun line ->
-      match Json.parse line with
-      | exception Json.Parse_error _ -> Alcotest.failf "unparseable (interleaved?) line: %s" line
-      | j -> (
-          (match Json.member "name" j with
-          | Some (Json.String _) -> ()
-          | _ -> Alcotest.failf "line without a name: %s" line);
-          match Json.member "lane" j with
-          | Some (Json.Int l) -> Hashtbl.replace lanes l ()
-          | _ -> Alcotest.failf "line without a lane: %s" line))
-    lines;
-  Alcotest.(check int) "one lane per domain" domains (Hashtbl.length lanes);
-  Sys.remove path
+    (List.length events);
+  for d = 0 to domains - 1 do
+    let mine = List.filter (fun (ev : Sink.event) -> ev.Sink.lane = 100 + d) events in
+    let named kind =
+      let name = Printf.sprintf "hammer.%s.%d" kind d in
+      List.filter (fun (ev : Sink.event) -> ev.Sink.name = name) mine
+    in
+    let inner = named "inner" in
+    Alcotest.(check int) (Printf.sprintf "lane %d outer spans" d) spans_per_domain
+      (List.length (named "outer"));
+    Alcotest.(check (list int)) (Printf.sprintf "lane %d inner spans, once each" d)
+      (List.init spans_per_domain succ)
+      (List.sort compare
+         (List.map (fun (ev : Sink.event) -> int_of_string (List.assoc "i" ev.Sink.attrs)) inner));
+    Alcotest.(check int) (Printf.sprintf "lane %d holds only its own" d)
+      (2 * spans_per_domain) (List.length mine)
+  done
 
 (* Exceptions inside spans on worker domains must leave each domain's
    nesting depth balanced: a span opened after the carnage still closes
@@ -431,7 +424,7 @@ let () =
     [
       ( "sinks under domains",
         [
-          Alcotest.test_case "jsonl 4-domain hammer" `Quick test_jsonl_multi_domain_hammer;
+          Alcotest.test_case "trace 4-domain hammer" `Quick test_trace_multi_domain_hammer;
           Alcotest.test_case "exception depth balanced" `Quick
             test_exception_depth_balanced_across_domains;
         ] );

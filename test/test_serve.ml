@@ -1206,25 +1206,42 @@ let test_supervisor_decide () =
     { Supervisor.default_policy with restart_limit = 3; window_s = 10.0 }
   in
   let now = 1000.0 in
+  let crash = Unix.WEXITED 70 in
   (* Old failures outside the window are forgotten. *)
-  (match Supervisor.decide ~policy ~now [ now; 900.0; 800.0; 700.0 ] with
+  (match Supervisor.decide ~policy ~now ~status:crash [ 900.0; 800.0; 700.0 ] with
   | Supervisor.Restart d -> Alcotest.(check bool) "backoff positive" true (d >= 0.0)
-  | Supervisor.Give_up -> Alcotest.fail "stale failures must not give up");
+  | Supervisor.Give_up | Supervisor.Exit _ -> Alcotest.fail "stale failures must not give up");
   (* More than restart_limit recent failures: give up. *)
-  (match Supervisor.decide ~policy ~now [ now; now -. 1.0; now -. 2.0; now -. 3.0 ] with
+  (match Supervisor.decide ~policy ~now ~status:crash [ now -. 1.0; now -. 2.0; now -. 3.0 ] with
   | Supervisor.Give_up -> ()
-  | Supervisor.Restart _ -> Alcotest.fail "crash loop must give up");
+  | Supervisor.Restart _ | Supervisor.Exit _ -> Alcotest.fail "crash loop must give up");
   (* Backoff grows with the number of recent failures, deterministically. *)
-  let delay fails =
-    match Supervisor.decide ~policy ~now fails with
+  let delay ?(status = crash) fails =
+    match Supervisor.decide ~policy ~now ~status fails with
     | Supervisor.Restart d -> d
-    | Supervisor.Give_up -> Alcotest.fail "unexpected give-up"
+    | Supervisor.Give_up | Supervisor.Exit _ -> Alcotest.fail "unexpected stop"
   in
-  let d1 = delay [ now ] in
-  let d2 = delay [ now; now -. 1.0 ] in
-  let d3 = delay [ now; now -. 1.0; now -. 2.0 ] in
+  let d1 = delay [] in
+  let d2 = delay [ now -. 1.0 ] in
+  let d3 = delay [ now -. 1.0; now -. 2.0 ] in
   Alcotest.(check bool) "exponential growth" true (d1 < d2 && d2 < d3);
-  Alcotest.(check (float 1e-9)) "deterministic" d1 (delay [ now ])
+  Alcotest.(check (float 1e-9)) "deterministic" d1 (delay []);
+  (* A signal is a crash like any exit status but 0 and 1. *)
+  Alcotest.(check (float 1e-9)) "a kill is a crash" d1
+    (delay ~status:(Unix.WSIGNALED Sys.sigkill) [])
+
+(* A clean exit and a refusal (exit 1) stop the supervisor with the
+   child's status, whatever crashes came before; they count as none. *)
+let test_supervisor_stops_on_refusal () =
+  let policy = { Supervisor.default_policy with restart_limit = 3; window_s = 10.0 } in
+  let now = 1000.0 in
+  List.iter
+    (fun (code, fails) ->
+      match Supervisor.decide ~policy ~now ~status:(Unix.WEXITED code) fails with
+      | Supervisor.Exit c -> Alcotest.(check int) "child's status" code c
+      | Supervisor.Restart _ | Supervisor.Give_up ->
+          Alcotest.failf "exit %d must stop the supervisor" code)
+    [ (0, []); (1, []); (1, [ now -. 1.0; now -. 2.0; now -. 3.0 ]); (0, [ now -. 1.0 ]) ]
 
 (* --- suite ---------------------------------------------------------------- *)
 
@@ -1298,5 +1315,8 @@ let () =
             test_chaos_deterministic_outcomes;
         ] );
       ( "supervisor",
-        [ Alcotest.test_case "crash-loop policy" `Quick test_supervisor_decide ] );
+        [
+          Alcotest.test_case "crash-loop policy" `Quick test_supervisor_decide;
+          Alcotest.test_case "a refusal is not restarted" `Quick test_supervisor_stops_on_refusal;
+        ] );
     ]
