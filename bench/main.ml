@@ -17,7 +17,9 @@
      WEBDEP_BENCH_TRACE set to stream spans to the console
      WEBDEP_BENCH_OUT   output path (default BENCH_obs.json)
      WEBDEP_BENCH_PERFETTO  also export every span as a Chrome trace
-                        file loadable in ui.perfetto.dev
+                        file loadable in ui.perfetto.dev, written at
+                        exit (one "cannot write trace" line if it
+                        cannot be)
      WEBDEP_BENCH_INJECT_SLEEP  "phase:seconds" — artificially slow one
                         phase, to exercise the regression gate end to end
      WEBDEP_BENCH_SCALE_CS  comma-separated toplist sizes for the scale
@@ -173,8 +175,13 @@ let () =
     @
     match Sys.getenv_opt "WEBDEP_BENCH_PERFETTO" with
     | Some path when path <> "" ->
-        at_exit Webdep_obs.Sink.flush;
-        [ Webdep_prof.Trace.sink path ]
+        (* Recorded in memory and written once, at exit; a path that
+           cannot be written costs one line, not the run. *)
+        let recorder = Webdep_prof.Profile.collector () in
+        at_exit (fun () ->
+            try Webdep_prof.Trace.write path (Webdep_prof.Profile.events recorder)
+            with Sys_error msg -> Printf.eprintf "webdep bench: cannot write trace: %s\n" msg);
+        [ Webdep_prof.Profile.collector_sink recorder ]
     | _ -> []
   in
   match sinks with

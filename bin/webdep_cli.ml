@@ -24,14 +24,7 @@ module Scores = Webdep_reference.Paper_scores
 (* --- shared arguments -------------------------------------------------- *)
 
 let layer_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "hosting" -> Ok Scores.Hosting
-    | "dns" -> Ok Scores.Dns
-    | "ca" -> Ok Scores.Ca
-    | "tld" -> Ok Scores.Tld
-    | other -> Error (`Msg (Printf.sprintf "unknown layer %S (hosting|dns|ca|tld)" other))
-  in
+  let parse s = Result.map_error (fun msg -> `Msg msg) (Scores.layer_of_name s) in
   Arg.conv (parse, fun fmt l -> Format.pp_print_string fmt (Scores.layer_name l))
 
 let layer_arg =
@@ -121,9 +114,12 @@ let refused e =
    reporter (so library-level logging is visible), --trace streams spans
    to the console, --metrics FILE dumps the full registry as JSON on
    exit, --jobs N sizes the shared domain pool that the measurement
-   sweep and bootstrap resampling fan out over. *)
+   sweep and bootstrap resampling fan out over.  The term yields the
+   setup unrun, and each command runs it first: cmdliner converts
+   arguments left to right, so a setup run by the term would act (and
+   register its at-exit writes) before a later argument is refused. *)
 
-let obs_setup trace metrics verbosity jobs perfetto =
+let obs_setup trace metrics verbosity jobs perfetto () =
   Webdep_obs.Reporter.setup
     ~level:(Webdep_obs.Reporter.level_of_verbosity (List.length verbosity))
     ();
@@ -275,7 +271,8 @@ let measure ~seed ~c ?countries ?(faults = (None, None)) () =
 
 (* --- scores ------------------------------------------------------------- *)
 
-let run_scores () layer seed c countries top faults =
+let run_scores obs layer seed c countries top faults =
+  obs ();
   let _, ds = measure ~seed ~c ?countries ~faults () in
   Printf.printf "%-5s %-4s %10s %10s %8s\n" "rank" "cc" "S" "paper" "diff";
   List.iteri
@@ -296,7 +293,8 @@ let scores_cmd =
 let cc_pos =
   Arg.(required & pos 0 (some cc_conv) None & info [] ~docv:"CC" ~doc:"Country code.")
 
-let run_report () cc seed c =
+let run_report obs cc seed c =
+  obs ();
   let _, ds = measure ~seed ~c ~countries:[ cc ] () in
   List.iter
     (fun layer ->
@@ -321,7 +319,8 @@ let report_cmd =
 
 (* --- insularity ------------------------------------------------------------ *)
 
-let run_insularity () layer seed c countries top =
+let run_insularity obs layer seed c countries top =
+  obs ();
   let _, ds = measure ~seed ~c ?countries () in
   Printf.printf "%-5s %-4s %12s\n" "rank" "cc" "insularity";
   List.iteri
@@ -336,7 +335,8 @@ let insularity_cmd =
 
 (* --- classify ---------------------------------------------------------------- *)
 
-let run_classify () layer seed c =
+let run_classify obs layer seed c =
+  obs ();
   let _, ds = measure ~seed ~c () in
   let cl = Webdep.Classify.classify ds layer in
   Printf.printf "raw affinity-propagation clusters: %d\n" cl.Webdep.Classify.raw_clusters;
@@ -354,7 +354,8 @@ let classify_cmd =
 let provider_pos =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROVIDER" ~doc:"Provider name.")
 
-let run_usage () provider layer seed c =
+let run_usage obs provider layer seed c =
+  obs ();
   let _, ds = measure ~seed ~c () in
   match Webdep.Regionalization.usage_curve ds layer ~name:provider with
   | exception Not_found ->
@@ -380,7 +381,8 @@ let usage_cmd =
 
 (* --- longitudinal ------------------------------------------------------------------ *)
 
-let run_longitudinal () seed c countries top =
+let run_longitudinal obs seed c countries top =
+  obs ();
   let world = World.create ~c ~seed () in
   let ds23 = Measure.measure_all ?countries world in
   let ds25 = Measure.measure_all ~epoch:World.May_2025 ?countries world in
@@ -407,7 +409,8 @@ let longitudinal_cmd =
 
 (* --- validate ----------------------------------------------------------------------- *)
 
-let run_validate () seed c countries =
+let run_validate obs seed c countries =
+  obs ();
   let countries =
     match countries with
     | Some ccs -> ccs
@@ -429,7 +432,8 @@ let validate_cmd =
 
 (* --- paper ------------------------------------------------------------------------- *)
 
-let run_paper () layer top =
+let run_paper obs layer top =
+  obs ();
   Printf.printf "%-5s %-4s %10s\n" "rank" "cc" "S";
   List.iteri
     (fun i (cc, s) -> if i < top then Printf.printf "%-5d %-4s %10.4f\n" (i + 1) cc s)
@@ -445,7 +449,8 @@ let out_dir_arg =
   Arg.(value & opt string "webdep-data" & info [ "o"; "out" ] ~docv:"DIR"
          ~doc:"Output directory for the CSV files.")
 
-let run_export () layer seed c out_dir =
+let run_export obs layer seed c out_dir =
+  obs ();
   let _, ds = measure ~seed ~c () in
   writing out_dir (fun () ->
       try Unix.mkdir out_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -470,7 +475,8 @@ let export_cmd =
 
 (* --- language -------------------------------------------------------------------------- *)
 
-let run_language () cc seed c =
+let run_language obs cc seed c =
+  obs ();
   let _, ds = measure ~seed ~c ~countries:[ cc ] () in
   Printf.printf "content languages of %s's top sites:\n" cc;
   List.iteri
@@ -491,7 +497,8 @@ let language_cmd =
 
 (* --- redundancy -------------------------------------------------------------------------- *)
 
-let run_redundancy () cc seed c =
+let run_redundancy obs cc seed c =
+  obs ();
   let world = World.create ~c ~seed () in
   let input =
     Measure.discover_redundancy ~vantages:[ "US"; cc; "DE"; "JP"; "BR" ] world cc
@@ -512,7 +519,8 @@ let redundancy_cmd =
 
 (* --- tld ---------------------------------------------------------------------------------- *)
 
-let run_tld () cc seed c =
+let run_tld obs cc seed c =
+  obs ();
   let _, ds = measure ~seed ~c ~countries:[ cc ] () in
   Printf.printf "TLD usage of %s (S = %.4f):\n" cc (Webdep.Metrics.centralization ds Tld cc);
   List.iter
@@ -542,7 +550,8 @@ let md_out_arg =
   Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE"
          ~doc:"Write the Markdown report to FILE instead of stdout.")
 
-let run_report_md () seed c countries out =
+let run_report_md obs seed c countries out =
+  obs ();
   let _, ds = measure ~seed ~c ?countries () in
   let doc = Webdep.Report_md.generate ds in
   match out with
@@ -566,7 +575,8 @@ let report_md_cmd =
    --trace still work) and print the top-N hotspot table; or skip the
    run entirely and aggregate a trace file saved earlier. *)
 
-let run_profile () from_trace seed c countries top faults =
+let run_profile obs from_trace seed c countries top faults =
+  obs ();
   let rows =
     match from_trace with
     | Some path -> (
@@ -617,7 +627,8 @@ let profile_cmd =
    makes --budget-words a meaningful gate (the bench's scale phase can
    only report a cumulative upper bound).  Exit 4 when over budget. *)
 
-let run_scale () seed c countries budget_words =
+let run_scale obs seed c countries budget_words =
+  obs ();
   let r = Webdep_pipeline.Scale.run ~seed ?countries ~c () in
   Printf.printf
     "c=%d: %d countries, %d sites, %.2fs, %.0f minor words, top_heap %d words, \
@@ -760,8 +771,9 @@ let finish_query resp =
       exit 1
   | _ -> print_string (Serve.Protocol.render resp)
 
-let run_query () epoch connect timeout max_retries seed c countries epoch_log
+let run_query obs epoch connect timeout max_retries seed c countries epoch_log
     words =
+  obs ();
   match Serve.Protocol.parse_query ~epoch words with
   | Error msg ->
       Printf.eprintf "webdep query: %s\n" msg;
@@ -811,8 +823,9 @@ let query_cmd =
           $ query_retries_arg $ seed_arg $ c_arg $ countries_arg $ epoch_log_arg
           $ query_pos)
 
-let run_serve () listen seed c countries max_queue checkpoint epoch_log supervise
+let run_serve obs listen seed c countries max_queue checkpoint epoch_log supervise
     restart_limit restart_window =
+  obs ();
   if max_queue < 1 then begin
     Printf.eprintf "webdep serve: --max-queue must be >= 1\n";
     exit 124
@@ -848,8 +861,8 @@ let run_serve () listen seed c countries max_queue checkpoint epoch_log supervis
         exit 1
   in
   (* A refusal ends a supervised child as it ends the unsupervised
-     daemon: one line and its status, which the supervisor does not
-     restart. *)
+     daemon: one line and its status (1, or 124 for a world too small to
+     calibrate), which the supervisor does not restart. *)
   let serve_child () =
     try serve () with e -> ( match refused e with Some code -> exit code | None -> raise e)
   in
@@ -887,11 +900,10 @@ let serve_cmd =
           Replies are cached by request in two generations of 131 072 \
           entries each, so the cache stays bounded however many distinct \
           requests arrive.  A request whose reply cannot be framed (an \
-          over-long epoch name, say) gets a short error.  Connections \
-          whose first byte is '{' speak newline-delimited JSON (debug \
-          mode) instead of binary frames; a connection that sends more \
-          than 16 MiB without a newline gets a short error and is \
-          closed.";
+          over-long epoch name, say) gets a short error.  A connection \
+          speaks length-prefixed binary frames from its first byte; one \
+          whose length prefix is corrupt (past 16 MiB, as the first four \
+          bytes of a line of text are) gets a short error and is closed.";
       `P "Send the $(b,shutdown) query (e.g. $(b,webdep query --connect \
           ADDR shutdown)) for a clean shutdown, or SIGTERM/SIGINT for a \
           graceful drain: in-flight batches are answered, late requests \
@@ -907,7 +919,8 @@ let serve_cmd =
           1).  With $(b,--supervise), a parent process restarts \
           the daemon after a crash with exponential backoff and gives up \
           (exit 6) when it crash-loops; a child that refuses its input \
-          (exit 1) is not restarted, and the parent exits 1 too." ]
+          (exit 1, or 124 for a $(b,-c) too small to calibrate) is not \
+          restarted, and the parent exits with the child's status." ]
   in
   let listen =
     Arg.(required & opt (some addr_conv) None & info [ "socket" ] ~docv:"ADDR"
@@ -943,7 +956,11 @@ let serve_cmd =
     :: Cmd.Exit.info 6
          ~doc:"the $(b,--supervise) parent detected a crash loop and stopped \
                restarting the daemon."
-    :: Cmd.Exit.defaults
+    :: Cmd.Exit.info Cmd.Exit.cli_error
+         ~doc:"on command line parsing errors, or when $(b,-c) is too small to \
+               calibrate a country's mix (also under $(b,--supervise): such a \
+               child is not restarted)."
+    :: List.filter (fun e -> Cmd.Exit.info_code e <> Cmd.Exit.cli_error) Cmd.Exit.defaults
   in
   Cmd.v (Cmd.info "serve" ~doc ~man ~exits)
     Term.(const run_serve $ obs_term $ listen $ seed_arg $ c_arg $ countries_arg
@@ -964,8 +981,9 @@ module Epoch = Webdep_epoch
 
 let file_size path = (Unix.stat path).Unix.st_size
 
-let run_epochs () log_path n_epochs churn layer verify compact_keep rebuild
+let run_epochs obs log_path n_epochs churn layer verify compact_keep rebuild
     seed c countries =
+  obs ();
   if churn <= 0.0 || churn >= 1.0 then begin
     Printf.eprintf "webdep epochs: --churn must be within (0, 1) (got %g)\n" churn;
     exit 124
@@ -1127,8 +1145,9 @@ let epochs_cmd =
   in
   let exits =
     Cmd.Exit.info 1
-      ~doc:"the $(b,--log) file is unusable (not an epoch log, or records \
-            that do not apply) or cannot be written."
+      ~doc:"the $(b,--log) file is unusable (not an epoch log, records \
+            that do not apply, or a path that cannot be read, such as a \
+            directory) or cannot be written."
     :: Cmd.Exit.info 2
          ~doc:"$(b,--verify) found a replayed score that differs from the \
                cold recomputation."
@@ -1141,7 +1160,8 @@ let epochs_cmd =
 
 (* --- countries ------------------------------------------------------------------------ *)
 
-let run_countries () =
+let run_countries obs =
+  obs ();
   List.iter
     (fun c ->
       Printf.printf "%-4s %-28s %-20s %s\n" c.Webdep_geo.Country.code c.Webdep_geo.Country.name

@@ -150,6 +150,13 @@ let step (log, pending, committed) payload =
 
 let load ~path =
   match Segment.fold ~path ~init ~f:step with
+  | exception Sys_error msg ->
+      (* "PATH: reason"; the caller names the path. *)
+      let prefix = path ^ ": " in
+      Mismatch
+        (if String.starts_with ~prefix msg then
+           String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+         else msg)
   | Segment.No_file -> Absent
   | Segment.Header_mismatch -> Mismatch ("not a " ^ schema ^ " log")
   | Segment.Folded { acc = _, _, false; torn = _ } -> Mismatch "baseline never committed"

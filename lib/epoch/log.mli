@@ -63,5 +63,7 @@ val write : path:string -> t -> unit
 
 val load : path:string -> verdict
 (** Read the log back, keeping the longest committed prefix.  [Mismatch]
-    reports a foreign or unreadable header, or a baseline cut before its
-    commit;  [dropped] on the loaded log flags recovered-over damage. *)
+    reports a path that cannot be read (a directory, a file that cannot
+    be opened) with the system's reason, a foreign or unreadable header,
+    or a baseline cut before its commit;  [dropped] on the loaded log
+    flags recovered-over damage. *)

@@ -107,6 +107,7 @@ let next_record ic size =
 
 let fold ~path ~init ~f =
   if not (Sys.file_exists path) then No_file
+  else if Sys.is_directory path then raise (Sys_error (path ^ ": Is a directory"))
   else begin
     let ic = open_in_bin path in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->

@@ -35,7 +35,8 @@ val fold :
     following payload in file order.  Reading stops with [torn] set at
     the first short read, length prefix larger than the bytes left in
     the file (checked before allocating), CRC mismatch, or record that
-    [f] refuses by returning [None] or raising {!Malformed}. *)
+    [f] refuses by returning [None] or raising {!Malformed}.
+    @raise Sys_error when [path] is a directory or cannot be opened. *)
 
 val write : path:string -> header:string -> string list -> unit
 (** Write the header and records to a temp file beside [path], fsync it

@@ -1,6 +1,5 @@
-(** Minimal JSON tree: the metrics snapshot, the JSON-lines trace sink,
-    segment headers, bench documents and traces.  No external
-    dependency. *)
+(** Minimal JSON tree: the metrics snapshot, segment headers, bench
+    documents and traces.  No external dependency. *)
 
 type t =
   | Null

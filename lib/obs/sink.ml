@@ -34,38 +34,23 @@ type event = {
   gc : gc_delta;  (* GC counter movement while the span was open *)
 }
 
-type t = { emit : event -> unit; flush : unit -> unit }
+type t = { emit : event -> unit }
 
-let null = { emit = ignore; flush = ignore }
+let null = { emit = ignore }
 
 let active = ref null
-
-let set t =
-  (!active).flush ();
-  active := t
-
+let set t = active := t
 let current () = !active
 let emit ev = (!active).emit ev
-let flush () = (!active).flush ()
 
 (* Run [f] with [t] installed, restoring the previous sink afterwards. *)
 let with_sink t f =
   let prev = !active in
   set t;
-  let restore () =
-    (!active).flush ();
-    active := prev
-  in
-  match f () with
-  | v -> restore (); v
-  | exception e -> restore (); raise e
+  Fun.protect ~finally:(fun () -> active := prev) f
 
-(* Every event goes to [a] then [b]; flush in the same order. *)
-let tee a b =
-  {
-    emit = (fun ev -> a.emit ev; b.emit ev);
-    flush = (fun () -> a.flush (); b.flush ());
-  }
+(* Every event goes to [a] then [b]. *)
+let tee a b = { emit = (fun ev -> a.emit ev; b.emit ev) }
 
 (* --- console ----------------------------------------------------------- *)
 
@@ -90,5 +75,4 @@ let console () =
             Logs.app (fun m ->
                 m "%*sspan %-28s %a%a" (2 * ev.depth) "" ev.name pp_duration ev.duration_s
                   pp_attrs ev.attrs)));
-    flush = ignore;
   }

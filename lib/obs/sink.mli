@@ -22,25 +22,23 @@ type event = {
   gc : gc_delta;  (** GC counter movement while the span was open *)
 }
 
-type t = { emit : event -> unit; flush : unit -> unit }
+type t = { emit : event -> unit }
 (** [emit] may be called from any domain. *)
 
 val null : t
 
 val set : t -> unit
-(** Flush the active sink, then make the argument active. *)
+(** Make the argument the active sink. *)
 
 val current : unit -> t
 val emit : event -> unit
-val flush : unit -> unit
 
 val with_sink : t -> (unit -> 'a) -> 'a
-(** Run the function with the sink active, then flush it and restore
-    the previous one (also on an exception). *)
+(** Run the function with the sink active, then restore the previous
+    one (also on an exception). *)
 
 val tee : t -> t -> t
-(** Every event goes to the first sink, then the second; flushes in the
-    same order. *)
+(** Every event goes to the first sink, then the second. *)
 
 val console : unit -> t
 (** Pretty-print each span through [Logs] at level [App], indented by

@@ -118,8 +118,8 @@ let aggregate events =
 
 (* --- collector ---------------------------------------------------------- *)
 
-(* In-memory recorder; install [sink c] (or tee it with an export sink)
-   around the workload, then [aggregate (events c)]. *)
+(* In-memory recorder; install [collector_sink c] around the workload,
+   then [aggregate (events c)] or write them with [Trace.write]. *)
 type collector = { lock : Mutex.t; mutable events : Sink.event list }
 
 let collector () = { lock = Mutex.create (); events = [] }
@@ -127,7 +127,6 @@ let collector () = { lock = Mutex.create (); events = [] }
 let collector_sink c =
   {
     Sink.emit = (fun ev -> Mutex.protect c.lock (fun () -> c.events <- ev :: c.events));
-    flush = ignore;
   }
 
 let events c = Mutex.protect c.lock (fun () -> List.rev c.events)

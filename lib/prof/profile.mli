@@ -17,9 +17,9 @@ type row = {
     from (lane, close time, depth). *)
 val aggregate : Webdep_obs.Sink.event list -> row list
 
-(** The in-memory span recorder (the one {!Trace.sink} writes from).
-    Install [collector_sink c] (possibly teed with another sink) around
-    a workload, then [aggregate (events c)]. *)
+(** The in-memory span recorder.  Install [collector_sink c] (possibly
+    teed with another sink) around a workload, then [aggregate (events
+    c)] or write them with {!Trace.write}. *)
 type collector
 
 val collector : unit -> collector

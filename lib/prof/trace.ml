@@ -1,8 +1,8 @@
 (* Chrome trace-event export: spans as a Perfetto-loadable timeline.
 
-   The sink records every finished span and [flush] (re)writes the whole
-   file as one JSON document in the Trace Event Format that Perfetto and
-   chrome://tracing load directly:
+   Spans are recorded in memory ([Profile.collector]) and [write] writes
+   them once as one JSON document in the Trace Event Format that
+   Perfetto and chrome://tracing load directly:
 
      { "displayTimeUnit": "ms",
        "traceEvents": [
@@ -93,12 +93,6 @@ let write path events =
   output_string oc (Json.to_string (document events));
   output_char oc '\n';
   close_out oc
-
-(* The profiler's recorder, plus a write of everything recorded so far
-   at each flush, so the file is a valid trace after every flush. *)
-let sink path =
-  let c = Profile.collector () in
-  { (Profile.collector_sink c) with Sink.flush = (fun () -> write path (Profile.events c)) }
 
 (* --- loading ------------------------------------------------------------ *)
 

@@ -4,12 +4,9 @@
     each OCaml domain (pool lane) renders as its own track, nested spans
     as stacked slices — a flamegraph-style timeline of the run. *)
 
-(** A sink that records every span ({!Profile.collector}) and (re)writes
-    [path] as a complete Chrome trace JSON document on each flush.
-    @raise Sys_error from a flush when [path] cannot be written. *)
-val sink : string -> Webdep_obs.Sink.t
-
-(** Write the given events to [path] as a trace document. *)
+(** Write the given events (as a {!Profile.collector} records them) to
+    [path] as a trace document.
+    @raise Sys_error when [path] cannot be written. *)
 val write : string -> Webdep_obs.Sink.event list -> unit
 
 exception Bad_trace of string

@@ -9,6 +9,12 @@
 type layer = Hosting | Dns | Ca | Tld
 
 val layer_name : layer -> string
+
+val layer_of_name : string -> (layer, string) result
+(** The layer a word names, in any case ([hosting], [dns], [ca] or
+    [tld]); otherwise a message that quotes the word and lists the
+    four. *)
+
 val all_layers : layer list
 
 val table : layer -> (string * float) list

@@ -32,26 +32,13 @@ let write_all fd s =
 
 let send t req = write_all t.fd (P.frame (P.encode_request req))
 
-(* One complete frame from the front of the buffer, if present. *)
-let take_frame t =
-  if t.rlen < 4 then None
-  else begin
-    let n = Int32.to_int (Bytes.get_int32_be t.rbuf 0) in
-    if n <= 0 || n > P.max_payload then
-      raise (P.Protocol_error (Printf.sprintf "bad frame length %d" n));
-    if t.rlen < 4 + n then None
-    else begin
-      let payload = Bytes.sub_string t.rbuf 4 n in
-      Bytes.blit t.rbuf (4 + n) t.rbuf 0 (t.rlen - 4 - n);
-      t.rlen <- t.rlen - 4 - n;
-      Some payload
-    end
-  end
-
 let recv t =
   let rec go () =
-    match take_frame t with
+    match P.next_frame t.rbuf 0 t.rlen with
     | Some payload -> (
+        let n = 4 + String.length payload in
+        Bytes.blit t.rbuf n t.rbuf 0 (t.rlen - n);
+        t.rlen <- t.rlen - n;
         match P.decode_response payload with
         | Ok resp -> resp
         | Error msg -> raise (P.Protocol_error msg))

@@ -4,14 +4,10 @@
    payload; requests and responses are tagged records with fixed-width
    integers, 64-bit IEEE-754 big-endian floats and u16-length-prefixed
    strings, so [encode ∘ decode = id] holds byte-for-byte and a
-   truncated buffer is always rejected instead of misparsed.  A JSON
-   debug representation (one [Webdep_json] object per message, used by
-   the daemon's JSON-lines mode) mirrors the same shapes for poking the
-   server with a line-oriented client. *)
+   truncated buffer is always rejected instead of misparsed. *)
 
 module D = Webdep.Dataset
 module World = Webdep_worldgen.World
-module Json = Webdep_json
 
 exception Protocol_error of string
 
@@ -66,20 +62,6 @@ let layer_of_code = function
   | 2 -> D.Ca
   | 3 -> D.Tld
   | c -> fail "bad layer code %d" c
-
-let layer_name = function
-  | D.Hosting -> "hosting"
-  | D.Dns -> "dns"
-  | D.Ca -> "ca"
-  | D.Tld -> "tld"
-
-let layer_of_name s =
-  match String.lowercase_ascii s with
-  | "hosting" -> Some D.Hosting
-  | "dns" -> Some D.Dns
-  | "ca" -> Some D.Ca
-  | "tld" -> Some D.Tld
-  | _ -> None
 
 let epoch_of_name = function
   | "2023" | "2023-05" -> Some World.May_2023
@@ -268,155 +250,16 @@ let frame payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
-(* Split every complete frame out of [buf.[0..len)].  Returns the
-   payloads in arrival order and the bytes consumed; a trailing partial
-   frame stays unconsumed until more data arrives.
-   @raise Protocol_error on a corrupt length prefix — the stream has no
-   resynchronization point, so the connection must be dropped. *)
-let parse_frames buf len =
-  let rec go off acc =
-    if len - off < 4 then (List.rev acc, off)
-    else
-      let n = Int32.to_int (Bytes.get_int32_be buf off) in
-      if n <= 0 || n > max_payload then fail "bad frame length %d" n
-      else if len - off < 4 + n then (List.rev acc, off)
-      else go (off + 4 + n) (Bytes.sub_string buf (off + 4) n :: acc)
-  in
-  go 0 []
-
-(* --- JSON debug representation ------------------------------------------ *)
-
-let request_to_json req =
-  let open Json in
-  match req with
-  | Ping -> Obj [ ("kind", String "ping") ]
-  | Score { epoch; layer; country } ->
-      Obj
-        [ ("kind", String "score");
-          ("epoch", String epoch);
-          ("layer", String (layer_name layer));
-          ("country", String country) ]
-  | Top_shares { epoch; layer; country; k } ->
-      Obj
-        [ ("kind", String "topk");
-          ("epoch", String epoch);
-          ("layer", String (layer_name layer));
-          ("country", String country);
-          ("k", Int k) ]
-  | Ranking { epoch; layer; k } ->
-      Obj
-        [ ("kind", String "ranking");
-          ("epoch", String epoch);
-          ("layer", String (layer_name layer));
-          ("k", Int k) ]
-  | Delta { layer; country; old_epoch; new_epoch } ->
-      Obj
-        [ ("kind", String "delta");
-          ("layer", String (layer_name layer));
-          ("country", String country);
-          ("old_epoch", String old_epoch);
-          ("new_epoch", String new_epoch) ]
-  | Shutdown -> Obj [ ("kind", String "shutdown") ]
-  | Epochs -> Obj [ ("kind", String "epochs") ]
-
-let json_str j key =
-  match Json.member key j with
-  | Some (Json.String s) -> s
-  | _ -> fail "missing string field %S" key
-
-let json_int j key =
-  match Json.member key j with
-  | Some (Json.Int i) -> i
-  | _ -> fail "missing int field %S" key
-
-let json_epoch j = canonical_epoch (json_str j "epoch")
-
-let json_layer j =
-  let s = json_str j "layer" in
-  match layer_of_name s with Some l -> l | None -> fail "bad layer %S" s
-
-let request_of_json j =
-  match json_str j "kind" with
-  | "ping" -> Ping
-  | "score" ->
-      Score { epoch = json_epoch j; layer = json_layer j; country = json_str j "country" }
-  | "topk" ->
-      Top_shares
-        { epoch = json_epoch j;
-          layer = json_layer j;
-          country = json_str j "country";
-          k = json_int j "k" }
-  | "ranking" -> Ranking { epoch = json_epoch j; layer = json_layer j; k = json_int j "k" }
-  | "delta" ->
-      (* Epoch-range form; the range defaults to the paper's 2023→2025
-         pair when the fields are absent. *)
-      let epoch_field key default =
-        match Json.member key j with
-        | Some (Json.String s) -> canonical_epoch s
-        | _ -> default
-      in
-      Delta
-        {
-          layer = json_layer j;
-          country = json_str j "country";
-          old_epoch = epoch_field "old_epoch" (World.epoch_name World.May_2023);
-          new_epoch = epoch_field "new_epoch" (World.epoch_name World.May_2025);
-        }
-  | "shutdown" -> Shutdown
-  | "epochs" -> Epochs
-  | kind -> fail "bad request kind %S" kind
-
-let request_of_json_string line =
-  match Json.parse line with
-  | j -> ( match request_of_json j with req -> Ok req | exception Protocol_error msg -> Result.Error msg)
-  | exception Json.Parse_error msg -> Result.Error msg
-
-let response_to_json resp =
-  let open Json in
-  match resp with
-  | Pong -> Obj [ ("kind", String "pong") ]
-  | Scores { s; hhi; insularity } ->
-      Obj
-        [ ("kind", String "scores");
-          ("s", Float s);
-          ("hhi", Float hhi);
-          ("insularity", Float insularity) ]
-  | Shares shares ->
-      Obj
-        [ ("kind", String "shares");
-          ( "shares",
-            List
-              (List.map
-                 (fun { provider; home; share } ->
-                   Obj
-                     [ ("provider", String provider);
-                       ("home", String home);
-                       ("share", Float share) ])
-                 shares) ) ]
-  | Ranks ranks ->
-      Obj
-        [ ("kind", String "ranking");
-          ( "ranks",
-            List
-              (List.map
-                 (fun (cc, s) -> Obj [ ("country", String cc); ("s", Float s) ])
-                 ranks) ) ]
-  | Deltas { old_epoch; new_epoch; old_s; new_s; delta } ->
-      Obj
-        [ ("kind", String "delta");
-          ("old_epoch", String old_epoch);
-          ("new_epoch", String new_epoch);
-          ("old", Float old_s);
-          ("new", Float new_s);
-          ("delta", Float delta) ]
-  | Overloaded -> Obj [ ("kind", String "overloaded") ]
-  | Bye -> Obj [ ("kind", String "bye") ]
-  | Draining -> Obj [ ("kind", String "draining") ]
-  | Epoch_list epochs ->
-      Obj
-        [ ("kind", String "epochs");
-          ("epochs", List (List.map (fun e -> String e) epochs)) ]
-  | Error msg -> Obj [ ("kind", String "error"); ("message", String msg) ]
+(* The payload of the frame at [buf.[off..stop)], once all of it has
+   arrived.  The stream has no resynchronization point, so a corrupt
+   length prefix fails the whole connection. *)
+let next_frame buf off stop =
+  if stop - off < 4 then None
+  else
+    let n = Int32.to_int (Bytes.get_int32_be buf off) in
+    if n <= 0 || n > max_payload then fail "bad frame length %d" n
+    else if stop - off < 4 + n then None
+    else Some (Bytes.sub_string buf (off + 4) n)
 
 (* --- query-language front end ------------------------------------------- *)
 
@@ -426,11 +269,7 @@ let response_to_json resp =
    2023→2025 pair). *)
 let parse_query ~epoch words =
   let epoch = canonical_epoch epoch in
-  let layer s =
-    match layer_of_name s with
-    | Some l -> Ok l
-    | None -> Result.Error (Printf.sprintf "unknown layer %S (hosting|dns|ca|tld)" s)
-  in
+  let layer = Webdep_reference.Paper_scores.layer_of_name in
   let int_arg what s =
     match int_of_string_opt s with
     | Some k when k >= 1 && k <= 0xffff -> Ok k

@@ -4,8 +4,7 @@
     Payloads are tagged messages written with {!Webdep_faults.Segment}'s
     payload codec: u8 tags and layer codes, u16 counts and k, u16-length
     strings, big-endian IEEE-754 floats.  Decoding refuses truncated and
-    trailing bytes.  A JSON rendering of the same messages serves the
-    daemon's newline-delimited JSON debug mode. *)
+    trailing bytes. *)
 
 exception Protocol_error of string
 (** An unencodable message (a string or count past its u16 field) or a
@@ -67,29 +66,21 @@ val decode_response : string -> (response, string) result
 (** {2 Framing} *)
 
 val max_payload : int
-(** The largest frame payload, and the longest pending JSON line, the
-    daemon accepts: 16 MiB. *)
+(** The largest frame payload: 16 MiB. *)
 
 val frame : string -> string
 (** Prefix a payload with its length.
     @raise Protocol_error on an empty payload or one past {!max_payload}. *)
 
-val parse_frames : Bytes.t -> int -> string list * int
-(** Every complete frame in the first [len] bytes, in arrival order, and
-    the bytes they take; a trailing partial frame is left for later.
-    @raise Protocol_error on a corrupt length prefix, after which the
-    stream cannot be resynchronized. *)
-
-(** {2 JSON lines} *)
-
-val request_to_json : request -> Webdep_json.t
-
-val request_of_json_string : string -> (request, string) result
-(** Parse one JSON request line.  Epoch shorthands canonicalize
-    ("2023" is "2023-05"); a [delta] without [old_epoch]/[new_epoch]
-    compares 2023-05 with 2025-05. *)
-
-val response_to_json : response -> Webdep_json.t
+val next_frame : Bytes.t -> int -> int -> string option
+(** [next_frame buf off stop]: the payload of the frame that starts at
+    [off], once [buf.[off..stop)] holds all of it, or [None] while part
+    of it has yet to arrive.  The frame takes [4 + String.length
+    payload] bytes.  The one reader of frames, for the daemon and the
+    client alike.
+    @raise Protocol_error on a length prefix outside [1..max_payload]
+    (the first four bytes of any line of text read as one), after which
+    the stream cannot be resynchronized. *)
 
 (** {2 The query language} *)
 

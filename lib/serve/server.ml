@@ -180,10 +180,7 @@ type conn = {
   fd : Unix.file_descr;
   mutable rbuf : Bytes.t;  (* incoming partial frames, data always at 0 *)
   mutable rlen : int;
-  mutable scanned : int;  (* JSON mode: [rbuf.[0..scanned)] holds no newline *)
   out : gbuf;
-  mutable json : bool;  (* JSON-lines debug mode (first byte was '{') *)
-  mutable mode_known : bool;
   mutable alive : bool;  (* false: read side done, flush and close *)
   mutable err : bool;  (* died on a read/write error, not a clean EOF *)
 }
@@ -204,9 +201,9 @@ let ensure_rbuf c n =
   end
 
 (* Read what the socket holds, but stop once more than one whole frame
-   or JSON line is buffered: the rest waits in the kernel until
-   [extract] has consumed or refused what is here, so no connection
-   grows its buffer much past [Protocol.max_payload]. *)
+   is buffered: the rest waits in the kernel until [extract] has
+   consumed or refused what is here, so no connection grows its buffer
+   much past [Protocol.max_payload]. *)
 let read_into c =
   let rec go () =
     ensure_rbuf c read_chunk;
@@ -273,18 +270,7 @@ let run ?on_ready ?(handle_signals = false) cfg state =
   let stop_deadline = ref infinity in
   let lat = M.Local.create h_latency in
   let shutdown_payload = P.encode_request P.Shutdown in
-  let respond c payload =
-    if c.json then begin
-      let j =
-        match P.decode_response payload with
-        | Ok resp -> P.response_to_json resp
-        | Error msg -> P.response_to_json (P.Error msg)
-      in
-      gbuf_add c.out (Webdep_json.to_string j);
-      gbuf_add c.out "\n"
-    end
-    else gbuf_add c.out (P.frame payload)
-  in
+  let respond c payload = gbuf_add c.out (P.frame payload) in
   let enqueue c payload =
     if !stop then begin
       (* Draining: the request was read but will not be served; tell the
@@ -299,15 +285,9 @@ let run ?on_ready ?(handle_signals = false) cfg state =
     end
     else Queue.add { c; payload; arrival = Unix.gettimeofday () } q
   in
-  let drop_consumed c consumed =
-    if consumed > 0 then begin
-      Bytes.blit c.rbuf consumed c.rbuf 0 (c.rlen - consumed);
-      c.rlen <- c.rlen - consumed
-    end
-  in
-  (* A stream with no resynchronization point (a corrupt length prefix,
-     a JSON line past [Protocol.max_payload]) is answered once and
-     dropped after the flush. *)
+  (* A corrupt length prefix (a line of text is one) leaves the stream
+     with no resynchronization point: it is answered once and dropped
+     after the flush. *)
   let reject c msg =
     M.incr m_proto_errors;
     M.incr m_conn_rejected;
@@ -315,52 +295,23 @@ let run ?on_ready ?(handle_signals = false) cfg state =
     c.rlen <- 0;
     c.alive <- false
   in
-  let extract_binary c =
-    match P.parse_frames c.rbuf c.rlen with
-    | payloads, consumed ->
-        drop_consumed c consumed;
-        List.iter (fun payload -> enqueue c payload) payloads
-    | exception P.Protocol_error msg -> reject c msg
-  in
-  let json_line c line =
-    let line = String.trim line in
-    if String.length line > 0 then
-      let refuse msg =
-        M.incr m_proto_errors;
-        respond c (P.encode_response (P.Error msg))
-      in
-      match P.request_of_json_string line with
-      | Ok req -> (
-          (* A field past its wire width (a 70 000-byte epoch, k
-             above 65535) cannot be framed: refuse that line only. *)
-          match P.encode_request req with
-          | payload -> enqueue c payload
-          | exception P.Protocol_error msg -> refuse msg)
-      | Error msg -> refuse msg
-  in
-  (* Each byte is searched for a newline once: the pending bytes before
-     [c.scanned] are known to hold none. *)
-  let extract_json c =
-    let consumed = ref 0 in
-    for pos = c.scanned to c.rlen - 1 do
-      if Bytes.get c.rbuf pos = '\n' then begin
-        json_line c (Bytes.sub_string c.rbuf !consumed (pos - !consumed));
-        consumed := pos + 1
-      end
-    done;
-    drop_consumed c !consumed;
-    if c.rlen > P.max_payload then
-      reject c (Printf.sprintf "JSON line longer than %d bytes" P.max_payload);
-    c.scanned <- c.rlen
-  in
+  (* Every complete frame buffered on [c] joins the queue in arrival
+     order; a partial one waits for more bytes.  A stream with a corrupt
+     length prefix anywhere is refused whole. *)
   let extract c =
-    if c.rlen > 0 then begin
-      if not c.mode_known then begin
-        c.json <- Bytes.get c.rbuf 0 = '{';
-        c.mode_known <- true
-      end;
-      if c.json then extract_json c else extract_binary c
-    end
+    let rec frames off acc =
+      match P.next_frame c.rbuf off c.rlen with
+      | Some payload -> frames (off + 4 + String.length payload) (payload :: acc)
+      | None -> (off, List.rev acc)
+    in
+    match frames 0 [] with
+    | consumed, payloads ->
+        if consumed > 0 then begin
+          Bytes.blit c.rbuf consumed c.rbuf 0 (c.rlen - consumed);
+          c.rlen <- c.rlen - consumed
+        end;
+        List.iter (enqueue c) payloads
+    | exception P.Protocol_error msg -> reject c msg
   in
   let accept_loop () =
     let continue = ref true in
@@ -370,14 +321,7 @@ let run ?on_ready ?(handle_signals = false) cfg state =
           Unix.set_nonblock fd;
           M.incr m_conns;
           conns :=
-            { fd;
-              rbuf = Bytes.create read_chunk;
-              rlen = 0;
-              scanned = 0;
-              out = gbuf_make 4096;
-              json = false;
-              mode_known = false;
-              alive = true;
+            { fd; rbuf = Bytes.create read_chunk; rlen = 0; out = gbuf_make 4096; alive = true;
               err = false }
             :: !conns
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->

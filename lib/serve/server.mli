@@ -1,8 +1,9 @@
 (** Batched dependence-query daemon: one select loop over every
     connection, an admission queue that sheds past [max_queue] with an
     immediate [Overloaded], batches of up to 256 requests, and a bounded
-    response cache.  Connections whose first byte is ['{'] speak
-    newline-delimited JSON instead of binary frames. *)
+    response cache.  A connection speaks {!Protocol} frames from its
+    first byte; one whose length prefix is corrupt (a line of text, say)
+    gets one [Error] and is closed. *)
 
 (** {2 Engine} *)
 

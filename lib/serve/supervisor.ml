@@ -9,9 +9,10 @@
    exits inside a sliding [window_s] window means the crash is
    deterministic (corrupt state, a crash on every start) and restarting
    is noise — the supervisor gives up with a distinct exit code.  A
-   child that exits 1 has refused its input (a file that is not a
-   checkpoint, a socket it cannot bind) and has said why; the same input
-   would be refused again, so the supervisor exits 1 too, at once.
+   child that exits 1 or 124 has refused its input (a file that is not
+   a checkpoint, a socket it cannot bind, a world too small to
+   calibrate) and has said why; the same input would be refused again,
+   so the supervisor exits with the child's status, at once.
 
    Fork safety: [supervise] must be called before any domain is spawned
    (OCaml 5 forbids forking a process with running domains), which is
@@ -58,13 +59,14 @@ let recent ~policy ~now failures =
 (* Pure decision core: given the child's exit status, the wall clock
    and the timestamps of earlier abnormal exits (most recent first),
    stop with the child's clean or refusing status, restart after a
-   backoff, or give up.  Any status but exit 0 or 1 is a crash at [now].
+   backoff, or give up.  Any status but exit 0, 1 or 124 is a crash at
+   [now].
    The backoff attempt number is the count of *recent* crashes, so a
    server that crashed twice yesterday and once now backs off like a
    first crash, not a third. *)
 let decide ?(policy = default_policy) ~now ~status failures =
   match status with
-  | Unix.WEXITED ((0 | 1) as code) -> Exit code
+  | Unix.WEXITED ((0 | 1 | 124) as code) -> Exit code
   | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
       let n = recent ~policy ~now (now :: failures) in
       if n > policy.restart_limit then Give_up
@@ -79,8 +81,8 @@ let status_string = function
 
 (* Fork [child] and babysit it.  Returns the exit code the supervisor
    itself should exit with: 0 when the child ends cleanly (normal drain
-   or shutdown request), 1 when it refused its input, [give_up_exit_code]
-   on a crash loop.  SIGTERM and SIGINT are forwarded to the child so
+   or shutdown request), 1 or 124 when it refused its input,
+   [give_up_exit_code] on a crash loop.  SIGTERM and SIGINT are forwarded to the child so
    `kill <supervisor>` drains the server instead of orphaning it. *)
 let supervise ?(policy = default_policy) child =
   let child_pid = ref 0 in

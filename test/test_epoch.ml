@@ -349,7 +349,15 @@ let test_load_rejects () =
   (match Log.load ~path with
   | Log.Mismatch _ -> ()
   | _ -> Alcotest.fail "bad \\u escape in the header must mismatch");
-  Sys.remove path
+  (* A path that cannot be read, here a directory, is a mismatch that
+     gives the reason, not an exception. *)
+  Sys.remove path;
+  Sys.mkdir path 0o755;
+  let verdict = Log.load ~path in
+  Sys.rmdir path;
+  match verdict with
+  | Log.Mismatch msg -> Alcotest.(check string) "a directory: the reason" "Is a directory" msg
+  | _ -> Alcotest.fail "a directory must mismatch"
 
 (* --- golden bytes ----------------------------------------------------------- *)
 

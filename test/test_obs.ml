@@ -12,6 +12,7 @@ module Sink = Webdep_obs.Sink
 module Json = Webdep_json
 module Registry = Webdep_obs.Registry
 module Trace = Webdep_prof.Trace
+module Profile = Webdep_prof.Profile
 
 let bucket_counts h = List.map (fun (le, k, _) -> (le, k)) (Metrics.buckets_with_sums h)
 
@@ -141,7 +142,7 @@ let test_histogram_overflow_bucket () =
 
 let test_span_nesting () =
   let events = ref [] in
-  let recording = { Sink.emit = (fun ev -> events := ev :: !events); flush = ignore } in
+  let recording = { Sink.emit = (fun ev -> events := ev :: !events) } in
   Sink.with_sink recording (fun () ->
       Span.with_ ~name:"outer" ~attrs:[ ("k", "v") ] (fun () ->
           Span.with_ ~name:"inner" (fun () -> ());
@@ -171,7 +172,7 @@ let test_span_histogram_and_result () =
 
 let test_span_gc_and_lane () =
   let events = ref [] in
-  let recording = { Sink.emit = (fun ev -> events := ev :: !events); flush = ignore } in
+  let recording = { Sink.emit = (fun ev -> events := ev :: !events) } in
   Sink.with_sink recording (fun () ->
       Span.with_ ~name:"alloc_span" (fun () ->
           for _ = 1 to 1000 do
@@ -188,7 +189,7 @@ let test_span_gc_and_lane () =
 
 let test_span_exception_restores_depth () =
   let before = ref (-1) and after = ref (-1) in
-  let probe = { Sink.emit = (fun ev -> after := ev.Sink.depth); flush = ignore } in
+  let probe = { Sink.emit = (fun ev -> after := ev.Sink.depth) } in
   Sink.with_sink probe (fun () ->
       (try
          Span.with_ ~name:"outer_exn" (fun () ->
@@ -326,9 +327,11 @@ let test_registry_snapshot_roundtrip () =
    come back from it, the outer one with its attribute. *)
 let test_trace_file_nested_spans () =
   let path = Filename.temp_file "webdep_obs" ".trace.json" in
-  Sink.with_sink (Trace.sink path) (fun () ->
+  let recorder = Profile.collector () in
+  Sink.with_sink (Profile.collector_sink recorder) (fun () ->
       Span.with_ ~name:"trace_outer" ~attrs:[ ("cc", "US") ] (fun () ->
           Span.with_ ~name:"trace_inner" (fun () -> ())));
+  Trace.write path (Profile.events recorder);
   let events = Trace.load path in
   Sys.remove path;
   let find name =

@@ -1,9 +1,10 @@
 (* Unit tests for webdep_prof (and the multi-domain behaviour of the
-   webdep_obs sinks it builds on): the trace sink under a 4-domain
-   hammer, span depth balance across domains and exceptions, hotspot
-   aggregation self/cumulative math, the Chrome trace export/load round
-   trip, and the noise-aware regression gate's verdicts and its strict
-   reading of bench documents. *)
+   webdep_obs sinks it builds on): the span recorder and trace file
+   under a 4-domain hammer, span depth balance across domains and
+   exceptions, hotspot aggregation self/cumulative math, the Chrome
+   trace export/load round trip and its mutation fuzz, and the
+   noise-aware regression gate's verdicts and its strict reading of
+   bench documents. *)
 
 module Sink = Webdep_obs.Sink
 module Span = Webdep_obs.Span
@@ -18,11 +19,12 @@ let spans_per_domain = 200
 let domains = 4
 
 (* Four domains each emit nested spans as fast as they can into one
-   trace sink: every span is recorded exactly once, and the written file
+   recorder: every span is recorded exactly once, and the written file
    gives each lane back its own events. *)
 let test_trace_multi_domain_hammer () =
   let path = Filename.temp_file "webdep_prof" ".trace.json" in
-  Sink.with_sink (Trace.sink path) (fun () ->
+  let recorder = Profile.collector () in
+  Sink.with_sink (Profile.collector_sink recorder) (fun () ->
       let spawned =
         List.init domains (fun d ->
             Domain.spawn (fun () ->
@@ -36,6 +38,7 @@ let test_trace_multi_domain_hammer () =
                 done))
       in
       List.iter Domain.join spawned);
+  Trace.write path (Profile.events recorder);
   let events = Trace.load path in
   Sys.remove path;
   Alcotest.(check int) "every span recorded exactly once"
@@ -202,13 +205,15 @@ let test_trace_document_structure () =
   in
   Alcotest.(check (list int)) "tids are the lanes" [ 0; 2 ] (List.sort compare tids)
 
-(* The sink form: spans emitted under the installed sink land in the
-   file at flush, loadable and aggregatable. *)
+(* The recorder form: spans emitted under the installed collector sink
+   land in the file [Trace.write] writes, loadable and aggregatable. *)
 let test_trace_sink_flush () =
   let path = Filename.temp_file "webdep_prof" ".trace.json" in
-  Sink.with_sink (Trace.sink path) (fun () ->
+  let recorder = Profile.collector () in
+  Sink.with_sink (Profile.collector_sink recorder) (fun () ->
       Span.with_ ~name:"sinked.outer" (fun () ->
           Span.with_ ~name:"sinked.inner" (fun () -> ())));
+  Trace.write path (Profile.events recorder);
   let rows = Profile.aggregate (Trace.load path) in
   Alcotest.(check int) "both spans loadable through the profiler" 2 (List.length rows);
   Sys.remove path
@@ -243,6 +248,40 @@ let test_trace_refusals () =
   Out_channel.with_open_bin path (fun oc -> output_string oc (events {|{"ph":"X","name":"b"}|}));
   Alcotest.(check int) "absent fields read as zero" 2 (List.length (Trace.load path));
   Sys.remove path
+
+(* Flipped, truncated or inserted bytes in a trace [Trace.write] wrote
+   give events or [Bad_trace], never another exception. *)
+let qcheck_trace_mutation =
+  let written =
+    lazy
+      (let path = Filename.temp_file "webdep_prof" ".trace.json" in
+       Trace.write path
+         [ ev "alpha" 0.0 0.5 0 ~minor:128.0 ~attrs:[ ("cc", "US") ];
+           ev "beta" 0.1 0.2 1 ~lane:0;
+           ev "gamma" 0.05 0.3 0 ~lane:3 ];
+       let s = In_channel.with_open_bin path In_channel.input_all in
+       Sys.remove path;
+       s)
+  in
+  QCheck.Test.make ~count:2000 ~name:"mutated trace files raise only Bad_trace"
+    QCheck.(
+      make
+        ~print:(fun (kind, i, c) -> Printf.sprintf "%s %d %C" kind i c)
+        Gen.(triple (oneofl [ "flip"; "truncate"; "insert" ]) nat char))
+    (fun (kind, i, c) ->
+      let s = Lazy.force written in
+      let n = String.length s in
+      let at = i mod (n + 1) in
+      let mutant =
+        match kind with
+        | "flip" -> String.mapi (fun j ch -> if j = i mod n then c else ch) s
+        | "truncate" -> String.sub s 0 at
+        | _ -> String.sub s 0 at ^ String.make 1 c ^ String.sub s at (n - at)
+      in
+      let path = Filename.temp_file "webdep_prof" ".trace.json" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc mutant);
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      match Trace.load path with _ -> true | exception Trace.Bad_trace _ -> true)
 
 (* --- regression gate ---------------------------------------------------- *)
 
@@ -439,6 +478,7 @@ let () =
           Alcotest.test_case "document structure" `Quick test_trace_document_structure;
           Alcotest.test_case "sink flush" `Quick test_trace_sink_flush;
           Alcotest.test_case "bad trace files refused" `Quick test_trace_refusals;
+          QCheck_alcotest.to_alcotest qcheck_trace_mutation;
         ] );
       ( "regress",
         [

@@ -1,12 +1,11 @@
 (* Tests for webdep_serve: qcheck round-trips of the wire protocol
    (encode ∘ decode = id, truncated frames rejected), the framing layer,
-   the JSON debug representation, golden wire and JSON-lines bytes,
-   [State]'s answer tables against the per-request reference in
-   [State_reference], the response cache and its two-generation bound,
-   and socket-level integration — daemon answers byte-identical to
-   [State.answer] for every query kind, load shedding past the admission
-   queue, JSON-lines debug mode and its line cap, requests too wide for
-   the wire format, and clean shutdown. *)
+   golden wire bytes, [State]'s answer tables against the per-request
+   reference in [State_reference], the response cache and its
+   two-generation bound, and socket-level integration — daemon answers
+   byte-identical to [State.answer] for every query kind, load shedding
+   past the admission queue, a line of text refused as a corrupt frame,
+   requests too wide for the wire format, and clean shutdown. *)
 
 module P = Webdep_serve.Protocol
 module State = Webdep_serve.State
@@ -24,9 +23,8 @@ module D = Webdep.Dataset
 
 let layer_gen = QCheck.Gen.oneofl [ D.Hosting; D.Dns; D.Ca; D.Tld ]
 
-(* Epoch names on the wire are free-form strings; stick to
-   canonical-stable ones (the JSON codec normalizes "2023" -> "2023-05",
-   which would break round-trip equality). *)
+(* Epoch names on the wire are free-form strings: the two measured
+   worlds' and a few churn-log ones. *)
 let epoch_gen = QCheck.Gen.oneofl [ "2023-05"; "2025-05"; "e3"; "e17" ]
 
 let cc_gen =
@@ -85,8 +83,10 @@ let response_gen =
          return (P.Deltas { old_epoch; new_epoch; old_s; new_s; delta }));
         map (fun names -> P.Epoch_list names) (small_list epoch_gen) ])
 
-let request_arb = QCheck.make ~print:(fun r -> Webdep_json.to_string (P.request_to_json r)) request_gen
-let response_arb = QCheck.make ~print:(fun r -> Webdep_json.to_string (P.response_to_json r)) response_gen
+(* Messages print as their escaped wire bytes. *)
+let show_request r = String.escaped (P.encode_request r)
+let request_arb = QCheck.make ~print:show_request request_gen
+let response_arb = QCheck.make ~print:(fun r -> String.escaped (P.encode_response r)) response_gen
 
 (* NaN-tolerant structural equality: encoded floats round-trip
    bit-exactly, but [=] on NaN is false. *)
@@ -147,16 +147,11 @@ let qcheck_truncated_rejected =
       | Error _ -> ());
       !ok)
 
-let qcheck_json_roundtrip =
-  QCheck.Test.make ~count:300 ~name:"JSON debug representation round-trips"
-    request_arb (fun req ->
-      P.request_of_json_string (Webdep_json.to_string (P.request_to_json req)) = Ok req)
-
 (* --- golden bytes ----------------------------------------------------------- *)
 
-(* The wire layout and the JSON-lines rendering, pinned byte for byte.
-   The round-trip properties above still pass when encoder and decoder
-   change together; these do not. *)
+(* The wire layout, pinned byte for byte.  The round-trip properties
+   above still pass when encoder and decoder change together; these do
+   not. *)
 let hex s =
   String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
 
@@ -164,91 +159,59 @@ let unhex h =
   String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
 let golden_requests =
-  [ (P.Ping, "00", {|{"kind":"ping"}|});
+  [ (P.Ping, "00");
     ( P.Score { epoch = "2023-05"; layer = D.Hosting; country = "US" },
-      "010007323032332d30350000025553",
-      {|{"kind":"score","epoch":"2023-05","layer":"hosting","country":"US"}|} );
+      "010007323032332d30350000025553" );
     ( P.Top_shares { epoch = "2025-05"; layer = D.Dns; country = "DE"; k = 5 },
-      "020007323032352d303501000244450005",
-      {|{"kind":"topk","epoch":"2025-05","layer":"dns","country":"DE","k":5}|} );
-    ( P.Ranking { epoch = "e7"; layer = D.Ca; k = 300 },
-      "030002653702012c",
-      {|{"kind":"ranking","epoch":"e7","layer":"ca","k":300}|} );
+      "020007323032352d303501000244450005" );
+    (P.Ranking { epoch = "e7"; layer = D.Ca; k = 300 }, "030002653702012c");
     ( P.Delta { layer = D.Tld; country = "BR"; old_epoch = "2023-05"; new_epoch = "e12" },
-      "0403000242520007323032332d30350003653132",
-      {|{"kind":"delta","layer":"tld","country":"BR","old_epoch":"2023-05","new_epoch":"e12"}|} );
-    (P.Shutdown, "05", {|{"kind":"shutdown"}|});
-    (P.Epochs, "06", {|{"kind":"epochs"}|}) ]
+      "0403000242520007323032332d30350003653132" );
+    (P.Shutdown, "05");
+    (P.Epochs, "06") ]
 
 let golden_responses =
-  [ (P.Pong, "00", {|{"kind":"pong"}|});
+  [ (P.Pong, "00");
     ( P.Scores { s = Float.nan; hhi = 0.25; insularity = 0.75 },
-      "017ff80000000000013fd00000000000003fe8000000000000",
-      {|{"kind":"scores","s":null,"hhi":0.25,"insularity":0.75}|} );
-    (P.Shares [], "020000", {|{"kind":"shares","shares":[]}|});
+      "017ff80000000000013fd00000000000003fe8000000000000" );
+    (P.Shares [], "020000");
     ( P.Shares
         [ { P.provider = "Amazon"; home = "US"; share = 0.5 };
           { provider = "OVH"; home = "FR"; share = 0.25 };
           { provider = "Hetzner"; home = "DE"; share = 0.125 } ],
       "0200030006416d617a6f6e000255533fe000000000000000034f5648000246523fd00000000000000007\
-       4865747a6e6572000244453fc0000000000000",
-      {|{"kind":"shares","shares":[{"provider":"Amazon","home":"US","share":0.5},{"provider":"OVH","home":"FR","share":0.25},{"provider":"Hetzner","home":"DE","share":0.125}]}|}
-    );
-    (P.Ranks [], "030000", {|{"kind":"ranking","ranks":[]}|});
+       4865747a6e6572000244453fc0000000000000" );
+    (P.Ranks [], "030000");
     ( P.Ranks [ ("RU", 0.75); ("BR", 0.5); ("US", 0.1358) ],
-      "030003000252553fe8000000000000000242523fe0000000000000000255533fc161e4f765fd8b",
-      {|{"kind":"ranking","ranks":[{"country":"RU","s":0.75},{"country":"BR","s":0.5},{"country":"US","s":0.1358}]}|}
-    );
+      "030003000252553fe8000000000000000242523fe0000000000000000255533fc161e4f765fd8b" );
     ( P.Deltas
         { old_epoch = "2023-05"; new_epoch = "2025-05"; old_s = 0.5; new_s = 0.375; delta = -0.125 },
-      "040007323032332d30350007323032352d30353fe00000000000003fd8000000000000bfc0000000000000",
-      {|{"kind":"delta","old_epoch":"2023-05","new_epoch":"2025-05","old":0.5,"new":0.375,"delta":-0.125}|}
-    );
-    (P.Overloaded, "05", {|{"kind":"overloaded"}|});
-    (P.Bye, "06", {|{"kind":"bye"}|});
-    (P.Draining, "08", {|{"kind":"draining"}|});
-    (P.Epoch_list [], "090000", {|{"kind":"epochs","epochs":[]}|});
+      "040007323032332d30350007323032352d30353fe00000000000003fd8000000000000bfc0000000000000" );
+    (P.Overloaded, "05");
+    (P.Bye, "06");
+    (P.Draining, "08");
+    (P.Epoch_list [], "090000");
     ( P.Epoch_list [ "2023-05"; "2025-05"; "e1" ],
-      "0900030007323032332d30350007323032352d303500026531",
-      {|{"kind":"epochs","epochs":["2023-05","2025-05","e1"]}|} );
+      "0900030007323032332d30350007323032352d303500026531" );
     ( P.Error "no data for country XX",
-      "0700166e6f206461746120666f7220636f756e747279205858",
-      {|{"kind":"error","message":"no data for country XX"}|} ) ]
+      "0700166e6f206461746120666f7220636f756e747279205858" ) ]
 
 let test_golden_requests () =
-  List.iter
-    (fun (req, h, line) ->
-      Alcotest.(check string) (line ^ ": bytes") h (hex (P.encode_request req));
-      Alcotest.(check bool) (line ^ ": decodes") true (P.decode_request (unhex h) = Ok req);
-      Alcotest.(check string) (line ^ ": JSON") line (Webdep_json.to_string (P.request_to_json req)))
+  List.iteri
+    (fun i (req, h) ->
+      let what = Printf.sprintf "request %d" i in
+      Alcotest.(check string) (what ^ ": bytes") h (hex (P.encode_request req));
+      Alcotest.(check bool) (what ^ ": decodes") true (P.decode_request (unhex h) = Ok req))
     golden_requests
 
 let test_golden_responses () =
-  List.iter
-    (fun (resp, h, line) ->
-      Alcotest.(check string) (line ^ ": bytes") h (hex (P.encode_response resp));
-      Alcotest.(check bool) (line ^ ": decodes") true
-        (match P.decode_response (unhex h) with Ok r -> response_eq r resp | Error _ -> false);
-      Alcotest.(check string) (line ^ ": JSON line") line
-        (Webdep_json.to_string (P.response_to_json resp)))
+  List.iteri
+    (fun i (resp, h) ->
+      let what = Printf.sprintf "response %d" i in
+      Alcotest.(check string) (what ^ ": bytes") h (hex (P.encode_response resp));
+      Alcotest.(check bool) (what ^ ": decodes") true
+        (match P.decode_response (unhex h) with Ok r -> response_eq r resp | Error _ -> false))
     golden_responses
-
-(* The lines a JSON-lines client sends: each pinned request line, plus
-   the shorthand forms — "2023" names the 2023-05 epoch, and a delta
-   without a range compares 2023-05 with 2025-05. *)
-let test_golden_json_requests () =
-  List.iter
-    (fun (line, req) ->
-      match P.request_of_json_string line with
-      | Ok r -> Alcotest.(check string) line (hex (P.encode_request req)) (hex (P.encode_request r))
-      | Error msg -> Alcotest.failf "%s: %s" line msg)
-    (List.map (fun (req, _, line) -> (line, req)) golden_requests
-    @ [ ( {|{"kind":"score","epoch":"2023","layer":"hosting","country":"US"}|},
-          P.Score { epoch = "2023-05"; layer = D.Hosting; country = "US" } );
-        ( {|{"kind":"delta","layer":"hosting","country":"BR"}|},
-          P.Delta { layer = D.Hosting; country = "BR"; old_epoch = "2023-05"; new_epoch = "2025-05" } );
-        ( {|{"kind":"delta","layer":"tld","country":"BR","old_epoch":"2023","new_epoch":"e12"}|},
-          P.Delta { layer = D.Tld; country = "BR"; old_epoch = "2023-05"; new_epoch = "e12" } ) ])
 
 (* Strings carry a u16 length: 65 535 bytes is the widest field. *)
 let test_golden_string_limit () =
@@ -258,22 +221,37 @@ let test_golden_string_limit () =
   Alcotest.check_raises "65 536-byte epoch refused" (P.Protocol_error "u16 out of range: 65536")
     (fun () -> ignore (P.encode_request (score (String.make 65536 'e'))))
 
+(* Every complete frame in [buf.[0..len)] and the bytes they take, read
+   one [next_frame] at a time as the daemon reads a connection. *)
+let frames buf len =
+  let rec go off acc =
+    match P.next_frame buf off len with
+    | Some payload -> go (off + 4 + String.length payload) (payload :: acc)
+    | None -> (List.rev acc, off)
+  in
+  go 0 []
+
 let test_framing () =
   let payloads = [ P.encode_request P.Ping; P.encode_request P.Shutdown; "xyz" ] in
   let stream = String.concat "" (List.map P.frame payloads) in
   let partial = String.sub stream 0 (String.length stream - 2) in
   let buf = Bytes.of_string partial in
-  let got, consumed = P.parse_frames buf (Bytes.length buf) in
+  let got, consumed = frames buf (Bytes.length buf) in
   Alcotest.(check (list string)) "partial stream yields only complete frames"
     [ List.nth payloads 0; List.nth payloads 1 ]
     got;
   Alcotest.(check bool) "consumed stops before the partial frame" true
     (consumed = String.length stream - 4 - 3);
   (* A corrupt length prefix is an error, not a silent desync. *)
-  let bad = Bytes.of_string "\xff\xff\xff\xff rest" in
-  Alcotest.check_raises "negative length rejected"
-    (P.Protocol_error "bad frame length -1") (fun () ->
-      ignore (P.parse_frames bad (Bytes.length bad)))
+  let refused what n =
+    let bad = Bytes.make 9 ' ' in
+    Bytes.set_int32_be bad 0 (Int32.of_int n);
+    Alcotest.check_raises what
+      (P.Protocol_error (Printf.sprintf "bad frame length %d" n))
+      (fun () -> ignore (frames bad (Bytes.length bad)))
+  in
+  refused "negative length rejected" (-1);
+  refused "length past max_payload rejected" (P.max_payload + 1)
 
 let test_parse_query () =
   let epoch = "2023" in
@@ -546,7 +524,6 @@ let test_state_matches_reference () =
                 epochs)
             countries)
   in
-  let show q = Webdep_json.to_string (P.request_to_json q) in
   let differing =
     List.filter_map
       (fun q ->
@@ -555,7 +532,7 @@ let test_state_matches_reference () =
         if String.equal got want then None
         else
           Some
-            (Printf.sprintf "%s: %s <> %s" (show q)
+            (Printf.sprintf "%s: %s <> %s" (show_request q)
                (String.trim (P.render (State.answer st q)))
                (String.trim (P.render (State_reference.answer rf q)))))
       reqs
@@ -802,7 +779,7 @@ let test_server_roundtrip () =
       let daemon = Client.request cl req in
       let local = State.answer st req in
       Alcotest.(check string)
-        ("daemon = local for " ^ Webdep_json.to_string (P.request_to_json req))
+        ("daemon = local for " ^ show_request req)
         (P.render local) (P.render daemon);
       Alcotest.(check string) "and byte-identical on the wire"
         (P.encode_response local) (P.encode_response daemon))
@@ -841,7 +818,33 @@ let test_load_shedding () =
   Domain.join d;
   Client.close cl
 
-let test_json_lines_mode () =
+(* What [fd] receives until the peer closes it (within 5 s): the bytes,
+   and whether it closed. *)
+let read_to_eof fd =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    left > 0.0
+    &&
+    match Unix.select [ fd ] [] [] left with
+    | [], _, _ -> false
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> true
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            go ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
+  in
+  let closed = go () in
+  (Buffer.contents buf, closed)
+
+(* A connection speaks binary frames from its first byte.  A JSON line
+   reads as the length prefix 0x7B226B69, past [max_payload], so it
+   gets one [Error] frame and the connection closes; a new connection
+   is served. *)
+let test_json_line_refused () =
   let path = temp_socket () in
   let d = start_server path in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -849,58 +852,23 @@ let test_json_lines_mode () =
   let line = {|{"kind":"ping"}|} ^ "\n" in
   let sent = Unix.write_substring fd line 0 (String.length line) in
   Alcotest.(check int) "line written" (String.length line) sent;
-  let buf = Bytes.create 4096 in
-  let n = Unix.read fd buf 0 4096 in
-  let reply = Bytes.sub_string buf 0 n in
-  Alcotest.(check string) "JSON-lines pong" "{\"kind\":\"pong\"}\n" reply;
+  let reply, closed = read_to_eof fd in
   Unix.close fd;
+  Alcotest.(check string) "one Error frame"
+    (String.escaped (P.frame (P.encode_response (P.Error "bad frame length 2065853289"))))
+    (String.escaped reply);
+  Alcotest.(check bool) "then EOF" true closed;
   let cl = Client.connect path in
-  (match Client.request cl P.Shutdown with P.Bye -> () | _ -> Alcotest.fail "bye");
-  Client.close cl;
-  Domain.join d
-
-(* The message of a JSON-lines error reply. *)
-let json_error line =
-  match Webdep_json.parse line with
-  | j -> (
-      match (Webdep_json.member "kind" j, Webdep_json.member "message" j) with
-      | Some (Webdep_json.String "error"), Some (Webdep_json.String msg) -> Some msg
-      | _ -> None)
-  | exception Webdep_json.Parse_error _ -> None
-
-(* A JSON line the parser refuses — here a \u escape without four hex
-   digits — gets an [error] reply, and the daemon keeps serving the
-   connection. *)
-let test_json_bad_escape () =
-  let path = temp_socket () in
-  let d = start_server path in
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  let lines = {|{"q":"\uZZZZ"}|} ^ "\n" ^ {|{"kind":"ping"}|} ^ "\n" in
-  let sent = Unix.write_substring fd lines 0 (String.length lines) in
-  Alcotest.(check int) "lines written" (String.length lines) sent;
-  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
-  let newlines () = List.length (String.split_on_char '\n' (Buffer.contents buf)) - 1 in
-  while newlines () < 2 do
-    match Unix.read fd chunk 0 4096 with
-    | 0 -> Alcotest.fail "connection closed early"
-    | n -> Buffer.add_subbytes buf chunk 0 n
-  done;
-  Unix.close fd;
-  (match String.split_on_char '\n' (Buffer.contents buf) with
-  | err :: pong :: _ ->
-      Alcotest.(check bool) ("error reply: " ^ err) true (json_error err <> None);
-      Alcotest.(check string) "ping answered after it" {|{"kind":"pong"}|} pong
-  | _ -> Alcotest.fail "two replies expected");
-  let cl = Client.connect path in
+  (match Client.request cl P.Ping with
+  | P.Pong -> ()
+  | r -> Alcotest.fail ("ping on a new connection: " ^ String.trim (P.render r)));
   (match Client.request cl P.Shutdown with P.Bye -> () | _ -> Alcotest.fail "bye");
   Client.close cl;
   Domain.join d
 
 (* A request whose answer cannot be framed — the unknown-epoch error
-   echoes a 65 530-byte name past the u16 string limit; a JSON line's
-   70 000-byte epoch cannot even be re-encoded as a request — gets a
-   short error in both modes, and the connection stays usable. *)
+   echoes a 65 530-byte name past the u16 string limit — gets a short
+   error, and the connection stays usable. *)
 let test_oversized_request () =
   let path = temp_socket () in
   let d = start_server path in
@@ -914,78 +882,6 @@ let test_oversized_request () =
   (match Client.request cl P.Ping with
   | P.Pong -> ()
   | _ -> Alcotest.fail "binary: ping after the oversized request");
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  let lines =
-    Printf.sprintf {|{"kind":"score","epoch":"%s","layer":"hosting","country":"US"}|}
-      (String.make 70_000 'e')
-    ^ "
-" ^ {|{"kind":"ping"}|} ^ "
-"
-  in
-  let sent = Unix.write_substring fd lines 0 (String.length lines) in
-  Alcotest.(check int) "lines written" (String.length lines) sent;
-  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
-  let newlines () = List.length (String.split_on_char '\n' (Buffer.contents buf)) - 1 in
-  while newlines () < 2 do
-    match Unix.read fd chunk 0 4096 with
-    | 0 -> Alcotest.fail "json: connection closed early"
-    | n -> Buffer.add_subbytes buf chunk 0 n
-  done;
-  Unix.close fd;
-  (match String.split_on_char '\n' (Buffer.contents buf) with
-  | err :: pong :: _ ->
-      (match json_error err with
-      | Some msg -> Alcotest.(check bool) "json: short error" true (String.length msg < 100)
-      | None -> Alcotest.fail ("json: expected an error, got " ^ err));
-      Alcotest.(check string) "json: ping on the same connection" {|{"kind":"pong"}|} pong
-  | _ -> Alcotest.fail "json: two replies expected");
-  (match Client.request cl P.Shutdown with P.Bye -> () | _ -> Alcotest.fail "bye");
-  Client.close cl;
-  Domain.join d
-
-(* A JSON-lines connection that never sends a newline cannot grow the
-   daemon's buffer without bound: past [Protocol.max_payload] pending
-   bytes it gets one short error and the connection closes, and the
-   daemon keeps serving others. *)
-let test_json_line_cap () =
-  let path = temp_socket () in
-  let d = start_server path in
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  let flood = "{" ^ String.make (P.max_payload + 1) 'x' in
-  (* The daemon may hang up before it has read every byte. *)
-  (try ignore (Unix.write_substring fd flood 0 (String.length flood))
-   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
-  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  let rec read_to_eof () =
-    let left = deadline -. Unix.gettimeofday () in
-    left > 0.0
-    &&
-    match Unix.select [ fd ] [] [] left with
-    | [], _, _ -> false
-    | _ -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> true
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            read_to_eof ()
-        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
-  in
-  let closed = read_to_eof () in
-  Unix.close fd;
-  Alcotest.(check bool) "connection closed within 5 s" true closed;
-  (match String.split_on_char '\n' (Buffer.contents buf) with
-  | [ line; "" ] -> (
-      match json_error line with
-      | Some msg -> Alcotest.(check bool) "short error" true (String.length msg < 100)
-      | None -> Alcotest.fail ("expected an error line, got " ^ line))
-  | _ -> Alcotest.fail ("expected one reply line, got " ^ String.escaped (Buffer.contents buf)));
-  let cl = Client.connect path in
-  (match Client.request cl P.Ping with
-  | P.Pong -> ()
-  | r -> Alcotest.fail ("ping on a new connection: " ^ String.trim (P.render r)));
   (match Client.request cl P.Shutdown with P.Bye -> () | _ -> Alcotest.fail "bye");
   Client.close cl;
   Domain.join d
@@ -1012,9 +908,10 @@ let qcheck_mutation_fuzz =
       | Ok req' -> String.equal (P.encode_request req') mutant
       | exception _ -> false)
 
-(* Framing layer under a mutated stream: parse_frames either returns
-   with a bounded consumed count or raises Protocol_error — nothing
-   else — and never consumes past what it was given. *)
+(* Framing layer under a mutated stream: reading it frame by frame
+   either returns with a bounded consumed count or raises
+   Protocol_error — nothing else — and never consumes past what it was
+   given. *)
 let qcheck_frame_fuzz =
   QCheck.Test.make ~count:500 ~name:"mutated frame streams never over-consume"
     QCheck.(triple (small_list request_arb) small_nat small_nat)
@@ -1027,7 +924,7 @@ let qcheck_frame_fuzz =
       let pos = pos_seed mod Bytes.length b in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x80));
       let keep = 1 + (cut_seed mod Bytes.length b) in
-      match P.parse_frames b keep with
+      match frames b keep with
       | _, consumed -> consumed >= 0 && consumed <= keep
       | exception P.Protocol_error _ -> true
       | exception _ -> false)
@@ -1226,12 +1123,13 @@ let test_supervisor_decide () =
   let d3 = delay [ now -. 1.0; now -. 2.0 ] in
   Alcotest.(check bool) "exponential growth" true (d1 < d2 && d2 < d3);
   Alcotest.(check (float 1e-9)) "deterministic" d1 (delay []);
-  (* A signal is a crash like any exit status but 0 and 1. *)
+  (* A signal is a crash like any exit status but 0, 1 and 124. *)
   Alcotest.(check (float 1e-9)) "a kill is a crash" d1
     (delay ~status:(Unix.WSIGNALED Sys.sigkill) [])
 
-(* A clean exit and a refusal (exit 1) stop the supervisor with the
-   child's status, whatever crashes came before; they count as none. *)
+(* A clean exit and a refusal (exit 1, or 124 for bad arguments such as
+   a world too small to calibrate) stop the supervisor with the child's
+   status, whatever crashes came before; they count as none. *)
 let test_supervisor_stops_on_refusal () =
   let policy = { Supervisor.default_policy with restart_limit = 3; window_s = 10.0 } in
   let now = 1000.0 in
@@ -1241,7 +1139,12 @@ let test_supervisor_stops_on_refusal () =
       | Supervisor.Exit c -> Alcotest.(check int) "child's status" code c
       | Supervisor.Restart _ | Supervisor.Give_up ->
           Alcotest.failf "exit %d must stop the supervisor" code)
-    [ (0, []); (1, []); (1, [ now -. 1.0; now -. 2.0; now -. 3.0 ]); (0, [ now -. 1.0 ]) ]
+    [ (0, []);
+      (1, []);
+      (124, []);
+      (1, [ now -. 1.0; now -. 2.0; now -. 3.0 ]);
+      (124, [ now -. 1.0; now -. 2.0; now -. 3.0 ]);
+      (0, [ now -. 1.0 ]) ]
 
 (* --- suite ---------------------------------------------------------------- *)
 
@@ -1254,15 +1157,13 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_request_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_response_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_truncated_rejected;
-          QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
           Alcotest.test_case "framing" `Quick test_framing;
           Alcotest.test_case "query language" `Quick test_parse_query;
         ] );
       ( "golden",
         [
           Alcotest.test_case "request bytes" `Quick test_golden_requests;
-          Alcotest.test_case "response bytes and JSON lines" `Quick test_golden_responses;
-          Alcotest.test_case "JSON request lines" `Quick test_golden_json_requests;
+          Alcotest.test_case "response bytes" `Quick test_golden_responses;
           Alcotest.test_case "u16 string limit" `Quick test_golden_string_limit;
         ] );
       ( "state",
@@ -1287,13 +1188,10 @@ let () =
         [
           Alcotest.test_case "daemon = one-shot round-trip" `Quick test_server_roundtrip;
           Alcotest.test_case "load shedding" `Quick test_load_shedding;
-          Alcotest.test_case "json-lines debug mode" `Quick test_json_lines_mode;
-          Alcotest.test_case "bad \\u escape answered, loop survives" `Quick
-            test_json_bad_escape;
+          Alcotest.test_case "JSON line refused" `Quick test_json_line_refused;
           Alcotest.test_case "graceful drain" `Quick test_drain;
           Alcotest.test_case "oversized request answered, loop survives" `Quick
             test_oversized_request;
-          Alcotest.test_case "JSON line past max_payload refused" `Quick test_json_line_cap;
         ] );
       ( "fuzz",
         [
